@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +109,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise ConfigurationError(f"unparseable seed list {text!r}")
     if not seeds:
         raise ConfigurationError("seed list is empty")
+    if min(seeds) < 0:
+        raise ConfigurationError(f"seeds must be nonnegative, got {text!r}")
     return seeds
 
 
@@ -166,8 +167,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
     context = build_context(cfg)
     methods = [resolve_method(m) for m in cfg.methods]
 
-    def one_seed(seed: int):
-        results = {}
+    all_results: dict[int, dict[str, stream.EpisodeMetrics]] = {}
+    for seed in seeds:
+        results = all_results[seed] = {}
         for method in methods:
             metrics = stream.run_episode(context, method, seed)
             _write_metrics_csv(out_dir / f"metrics_{method.name}_seed{seed}.csv", metrics)
@@ -186,10 +188,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
                     metrics.assignment_trace,
                 )
             results[method.name] = metrics
-        return seed, results
-
-    with ThreadPoolExecutor(max_workers=min(len(seeds), os.cpu_count() or 1)) as pool:
-        all_results = dict(pool.map(one_seed, seeds))
 
     aggregate = {"seeds": list(seeds), "methods": {}}
     for method in methods:

@@ -3,12 +3,22 @@
 State lives in two small containers: a :class:`CentroidSet` of discovered
 domain centroids (seeded with the mean source style) and a fixed-capacity
 :class:`StyleReservoir` of past style vectors maintained by reservoir
-sampling. A new centroid is spawned whenever an incoming style vector is
-farther than the calibrated threshold from every existing centroid and the
-cap has not been reached; otherwise the vector is assigned to its nearest
-centroid. Centroids are refined by gradient descent on a mutual-information
-objective over the reservoir, which sharpens assignments while penalizing
-collapse onto a single centroid.
+sampling in a preallocated ``(capacity, dim)`` array (grown by doubling
+past the default capacity). A new centroid is
+spawned whenever an incoming style vector is farther than the calibrated
+threshold from every existing centroid and the cap has not been reached;
+otherwise the vector is assigned to its nearest centroid. Centroids are
+refined by gradient descent on a mutual-information objective over the
+reservoir, which sharpens assignments while penalizing collapse onto a
+single centroid.
+
+The per-step centroid stage is the engine's hot path, so
+:func:`mi_grad_centroids` works on ``(n, K)`` matrices only: distances come
+from one Gram product, pairs too close for its cancellation error (a spawned
+centroid is a copy of a reservoir row) are redone from exact differences,
+and the gradient is contracted as ``c_j sum_i w_ij - sum_i w_ij s_i`` (one
+matrix product) instead of through an ``(n, K, dim)`` broadcast. Log-sum-exp is plain numpy, in the
+same max-split form as ``scipy.special.logsumexp`` and bit-identical to it.
 """
 
 from __future__ import annotations
@@ -19,13 +29,17 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .errors import InputDomainError, InsufficientDataError, NumericalError
 
 DEFAULT_RESERVOIR_CAPACITY = 1024
 DEFAULT_K_MAX = 16
 DEFAULT_CENTROID_LR = 1e-4
+
+# Style-centroid pairs whose Gram-form squared distance falls below this
+# fraction of ``|s|^2 + |c|^2`` are recomputed from exact differences.
+_GRAM_CLOSE = 1e-6
 
 
 class StyleReservoir:
@@ -45,18 +59,26 @@ class StyleReservoir:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.seen_count = 0
-        self._buffer: list[np.ndarray] = []
+        # Rows are allocated up front up to the default capacity and grown
+        # by doubling beyond it, so a huge capacity costs nothing until used.
+        rows = min(self.capacity, DEFAULT_RESERVOIR_CAPACITY)
+        self._buffer = np.empty((rows, self.dim))
+        self._size = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
     @property
     def styles(self) -> np.ndarray:
         """Current buffer contents as an ``(n, dim)`` matrix (copy)."""
-        if not self._buffer:
-            return np.empty((0, self.dim))
-        return np.stack(self._buffer)
+        return self._buffer[: self._size].copy()
+
+    def view(self) -> np.ndarray:
+        """Read-only ``(n, dim)`` view of the filled rows, valid until the next offer."""
+        filled = self._buffer[: self._size]
+        filled.flags.writeable = False
+        return filled
 
     def offer(self, s: np.ndarray) -> None:
         """Offer one style vector; inserts or replaces per reservoir sampling."""
@@ -66,12 +88,17 @@ class StyleReservoir:
                 f"style vector has shape {vec.shape}, reservoir expects ({self.dim},)"
             )
         self.seen_count += 1
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(vec.copy())
+        if self._size < self.capacity:
+            if self._size == len(self._buffer):
+                grown = np.empty((min(2 * self._size, self.capacity), self.dim))
+                grown[: self._size] = self._buffer
+                self._buffer = grown
+            self._buffer[self._size] = vec
+            self._size += 1
             return
         if self._rng.random() <= self.capacity / self.seen_count:
             slot = int(self._rng.integers(0, self.capacity))
-            self._buffer[slot] = vec.copy()
+            self._buffer[slot] = vec
 
 
 @dataclass
@@ -81,7 +108,6 @@ class DomainDecision:
     kind: str  # "existing" | "new_domain"
     index: int
     distance: float
-    soft_assignment: np.ndarray  # post-decision, length = centroid count
 
     @property
     def is_new(self) -> bool:
@@ -122,14 +148,14 @@ class CentroidSet:
             raise NumericalError("centroid update produced non-finite values")
         self._centroids = vals.copy()
 
-    def detect(
-        self, s: np.ndarray, tau: float, squared: bool = False
-    ) -> DomainDecision:
+    def detect(self, s: np.ndarray, tau: float) -> DomainDecision:
         """Route a style vector: nearest existing centroid, or a new domain.
 
         A new centroid (a copy of ``s``) is appended iff the minimum
         Euclidean distance exceeds ``tau`` and the cap ``k_max`` has not been
         reached. Ties in the nearest-centroid choice go to the lowest index.
+        The soft assignment is left to the caller, which needs it only after
+        the centroid update (:func:`soft_assign_vector`).
         """
         vec = np.asarray(s, dtype=np.float64)
         if vec.shape != (self.dim,):
@@ -145,8 +171,7 @@ class CentroidSet:
         else:
             index = int(np.argmin(dists))
             kind = "existing"
-        q = soft_assign_vector(vec, self, squared=squared)
-        return DomainDecision(kind=kind, index=index, distance=delta, soft_assignment=q)
+        return DomainDecision(kind=kind, index=index, distance=delta)
 
 
 def _assignment_logits(
@@ -160,9 +185,25 @@ def _assignment_logits(
     return logits, dist
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)  # max-subtraction
-    return shifted - logsumexp(shifted, axis=1, keepdims=True)
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis`` (kept), as scipy computes it.
+
+    The maximal terms are split out, ``max + ln(m) + log1p(rest / m)`` with
+    ``m`` the number of maxima, which is exact for the dominant term and
+    matches ``scipy.special.logsumexp`` bit for bit without its overhead.
+    """
+    top = a.max(axis=axis, keepdims=True)
+    is_top = a == top
+    ties = is_top.sum(axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return np.log1p(rest / ties) + np.log(ties) + top
+
+
+def _log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)  # max-subtraction
+    return shifted - _logsumexp(shifted, axis=axis)
 
 
 def soft_assign_matrix(
@@ -176,7 +217,7 @@ def soft_assign_matrix(
     if len(reservoir) == 0:
         raise InsufficientDataError("soft assignment needs a nonempty reservoir")
     logits, _ = _assignment_logits(reservoir.styles, centroids.centroids, squared)
-    return np.exp(_log_softmax_rows(logits))
+    return np.exp(_log_softmax(logits))
 
 
 def soft_assign_vector(
@@ -185,7 +226,7 @@ def soft_assign_vector(
     """Single-vector specialization of :func:`soft_assign_matrix`."""
     vec = np.asarray(s, dtype=np.float64).reshape(1, -1)
     logits, _ = _assignment_logits(vec, centroids.centroids, squared)
-    return np.exp(_log_softmax_rows(logits))[0]
+    return np.exp(_log_softmax(logits))[0]
 
 
 def mi_loss(q: np.ndarray) -> float:
@@ -214,32 +255,65 @@ def mi_grad_centroids(
 
     Chains through the row softmax and the Euclidean distance; at a
     zero-distance pair the norm's subgradient 0 is used. Returns a
-    ``(K, dim)`` matrix of per-centroid gradients.
+    ``(K, dim)`` matrix of per-centroid gradients, exactly zero for K = 1
+    (every row softmax is then the constant 1).
     """
     if len(reservoir) == 0:
         raise InsufficientDataError("gradient needs a nonempty reservoir")
-    styles = reservoir.styles
-    cents = centroids.centroids
+    styles = reservoir.view()
+    cents = centroids._centroids
+    if cents.shape[0] == 1:
+        return np.zeros_like(cents)
     n, d = styles.shape
-    logits, dist = _assignment_logits(styles, cents, squared)
-    logq = _log_softmax_rows(logits)
+    # Arrays are (K, n), indexed [centroid j, style i], so that reductions
+    # over the styles run along contiguous rows.
+    sq, cols, rows, diff = _squared_distances(cents, styles)
+    dist = sq if squared else np.sqrt(sq)
+    scale = np.sqrt(d)
+    logq = _log_softmax(-dist / scale, axis=0)
     q = np.exp(logq)
 
     # dL/dq_ij = (ln qbar_j - ln q_ij) / n, with zero-probability cells masked.
-    log_qbar = logsumexp(logq, axis=0) - np.log(n)
+    log_qbar = _logsumexp(logq, axis=1) - np.log(n)
     with np.errstate(invalid="ignore"):
-        dl_dq = np.where(q > 0.0, (log_qbar[None, :] - logq) / n, 0.0)
-    row_dot = (dl_dq * q).sum(axis=1, keepdims=True)
+        dl_dq = np.where(q > 0.0, (log_qbar - logq) / n, 0.0)
+    row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
     dl_dlogits = q * (dl_dq - row_dot)
 
-    diff = cents[None, :, :] - styles[:, None, :]  # d(dist_ij)/dc_j direction
-    scale = np.sqrt(d)
+    # d logit_ij / d c_j = -f_ij (c_j - s_i), with f = 2 / scale (squared) or
+    # 1 / (dist * scale), 0 at dist 0. With w = -f * dL/dlogit the gradient
+    # is sum_i w_ij (c_j - s_i) = c_j sum_i w_ij - (w S)_j.
     if squared:
-        dlogit_dc = -2.0 * diff / scale
+        w = dl_dlogits * (-2.0 / scale)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            dlogit_dc = np.where(dist[:, :, None] > 0.0, -diff / (dist[:, :, None] * scale), 0.0)
-    return np.einsum("ij,ijk->jk", dl_dlogits, dlogit_dc)
+            w = np.where(dist > 0.0, -dl_dlogits / (dist * scale), 0.0)
+    # Close pairs contribute through their exact differences instead: in the
+    # contraction their two large terms would cancel to a small one.
+    close_w = w[cols, rows]
+    w[cols, rows] = 0.0
+    grad = cents * w.sum(axis=1, keepdims=True) - w @ styles
+    np.add.at(grad, cols, close_w[:, None] * diff)
+    return grad
+
+
+def _squared_distances(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Squared distances between the rows of ``a`` and ``b`` (Gram form).
+
+    ``|a|^2 - 2 a.b + |b|^2`` carries an absolute error of a few ulps of
+    ``|a|^2 + |b|^2``; pairs below ``_GRAM_CLOSE`` of that are recomputed
+    from exact differences, so a centroid sitting on a reservoir row keeps
+    distance exactly 0. Returns the matrix plus the close pairs' indices
+    into ``a`` and ``b`` and their differences ``a_i - b_j``.
+    """
+    norms = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
+    sq = norms - 2.0 * (a @ b.T)
+    ia, ib = np.nonzero(sq < _GRAM_CLOSE * norms)
+    diff = a[ia] - b[ib]
+    sq[ia, ib] = np.einsum("ij,ij->i", diff, diff)
+    return sq, ia, ib, diff
 
 
 @dataclass

@@ -9,6 +9,8 @@ synthetic benchmark and frozen.
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -137,24 +139,62 @@ _SECTIONS = {
     "clustering": stream.ClusterParams,
     "theory": TheoryParams,
 }
-_LIST_FIELDS = {"channels", "ensemble_alphas", "fisher_cases", "seeds"}
 
 
-def _build_section(cls, data: dict, section: str, problems: list[str]):
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+def _tuples(value):
+    """YAML lists as tuples, recursively: every sequence field is a tuple."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has a field's annotated type (an int passes as float)."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
+    """Keyword arguments for ``cls``: known fields of the annotated type only."""
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            problems.append(f"{section}.{key}: unknown field")
+        if key not in hints:
+            problems.append(f"{where}{key}: unknown field")
             continue
-        if key in _LIST_FIELDS and isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        value = _tuples(value)
+        hint = hints[key]
+        if not _conforms(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            problems.append(f"{where}{key}: expected {expected}, got {value!r}")
+            continue
         kwargs[key] = value
+    return kwargs
+
+
+def _build(cls, data, where: str, problems: list[str]):
+    """One config dataclass from a mapping; None (with problems noted) if invalid."""
+    if not isinstance(data, dict):
+        problems.append(f"{where.rstrip('.')}: must be a mapping")
+        return None
+    kwargs = _fields(cls, data, where, problems)
     try:
         return cls(**kwargs)
     except (TypeError, ConfigurationError) as exc:
-        problems.append(f"{section}: {exc}")
-        return cls()
+        problems.append(f"{where.rstrip('.')}: {exc}")
+        return None
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
@@ -162,35 +202,22 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
     problems: list[str] = []
-    kwargs: dict[str, Any] = {}
+    top = {k: v for k, v in data.items() if k not in _SECTIONS and k != "methods"}
+    kwargs = _fields(RunConfig, top, "", problems)
     for section, cls in _SECTIONS.items():
         if section in data:
-            if not isinstance(data[section], dict):
-                problems.append(f"{section}: must be a mapping")
-            else:
-                kwargs[section] = _build_section(cls, data[section], section, problems)
-    if "seeds" in data:
-        kwargs["seeds"] = tuple(int(s) for s in data["seeds"])
-    if "output_dir" in data:
-        kwargs["output_dir"] = str(data["output_dir"])
-    if "emit_trace" in data:
-        kwargs["emit_trace"] = bool(data["emit_trace"])
+            built = _build(cls, data[section], f"{section}.", problems)
+            if built is not None:
+                kwargs[section] = built
     if "methods" in data:
-        specs = []
-        for i, m in enumerate(data["methods"]):
-            if not isinstance(m, dict) or "name" not in m:
-                problems.append(f"methods[{i}]: must be a mapping with a 'name'")
-                continue
-            known = {f.name for f in MethodSpec.__dataclass_fields__.values()}
-            bad = [k for k in m if k not in known]
-            for k in bad:
-                problems.append(f"methods[{i}].{k}: unknown field")
-            specs.append(MethodSpec(**{k: v for k, v in m.items() if k in known}))
-        kwargs["methods"] = tuple(specs)
-    unknown_top = set(data) - set(_SECTIONS) - {"seeds", "output_dir", "emit_trace", "methods"}
-    for key in sorted(unknown_top):
-        problems.append(f"{key}: unknown section")
-
+        if not isinstance(data["methods"], list):
+            problems.append("methods: must be a list")
+        else:
+            specs = [
+                _build(MethodSpec, m, f"methods[{i}].", problems)
+                for i, m in enumerate(data["methods"])
+            ]
+            kwargs["methods"] = tuple(spec for spec in specs if spec is not None)
     cfg = RunConfig(**kwargs)
     problems.extend(validate_config(cfg))
     if problems:

@@ -22,7 +22,11 @@ class InsufficientDataError(ReservoirTTAError):
     """An operation needs more data than it was given."""
 
 
-class StyleFileFormatError(ReservoirTTAError):
+class FileFormatError(ReservoirTTAError):
+    """A file does not conform to its documented format."""
+
+
+class StyleFileFormatError(FileFormatError):
     """A style file does not conform to the documented text format."""
 
 

@@ -15,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .clustering import mi_loss
-from .errors import InputDomainError, NumericalError, StyleFileFormatError
+from .errors import FileFormatError, InputDomainError, NumericalError
 
 CHECKPOINT_MAGIC = b"RTTA"
 CHECKPOINT_VERSION = 1
+_HEADER = struct.Struct("<IIQ")  # version, entry count, dim; after the magic
 
 Predictor = Callable[[np.ndarray], np.ndarray]  # params -> (b, |Y|) probabilities
 
@@ -114,25 +115,36 @@ class ModelReservoir:
         """Write the length-prefixed binary checkpoint format."""
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IIQ", CHECKPOINT_VERSION, self.count, self.dim))
+            fh.write(_HEADER.pack(CHECKPOINT_VERSION, self.count, self.dim))
             fh.write(self.source_params.astype("<f8").tobytes())
             for entry in self._entries:
                 fh.write(entry.astype("<f8").tobytes())
 
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "ModelReservoir":
-        """Read a checkpoint written by :meth:`save_checkpoint`."""
+        """Read a checkpoint written by :meth:`save_checkpoint`.
+
+        Raises:
+            FileFormatError: bad magic or version, truncated header, or a
+                payload whose length disagrees with the header.
+        """
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != CHECKPOINT_MAGIC:
-                raise StyleFileFormatError(f"bad checkpoint magic {magic!r}")
-            version, count, dim = struct.unpack("<IIQ", fh.read(16))
+                raise FileFormatError(f"bad checkpoint magic {magic!r}")
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise FileFormatError(
+                    f"checkpoint header is {4 + len(header)} bytes, "
+                    f"expected {4 + _HEADER.size}"
+                )
+            version, count, dim = _HEADER.unpack(header)
             if version != CHECKPOINT_VERSION:
-                raise StyleFileFormatError(f"unsupported checkpoint version {version}")
+                raise FileFormatError(f"unsupported checkpoint version {version}")
             expect = (count + 1) * dim * 8
             payload = fh.read()
             if len(payload) != expect:
-                raise StyleFileFormatError(
+                raise FileFormatError(
                     f"checkpoint payload is {len(payload)} bytes, expected {expect}"
                 )
         flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)

@@ -572,7 +572,7 @@ def run_episode(
         batch = stream.next_batch(step)
         s = extract_style(batch.inputs, context.extractor)
         reservoir.offer(s)
-        decision = centroids.detect(s, tau, squared=cluster.squared_assignment)
+        decision = centroids.detect(s, tau)
         if decision.is_new:
             models.init_new_model(
                 batch.inputs,

@@ -24,7 +24,7 @@ designed around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,9 +69,6 @@ class TTAObjectiveConfig:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.kind in _ENSEMBLE and self.alpha == 0.0 and self.lr != 0.0:
-            # alpha = 0 is legal (pure source anchoring) but worth allowing.
-            pass
         if self.fisher_lambda < 0:
             raise ConfigurationError(
                 f"fisher_lambda must be nonnegative, got {self.fisher_lambda}"
@@ -312,7 +309,8 @@ def tta_step(
     contraction.
     """
     theta = np.asarray(params, dtype=np.float64).copy()
-    grad = objective_grad(model, theta, batch, replace(config, kind=_data_kind(config)))
+    # The data term alone: the anchor is applied below in decoupled form.
+    _, grad = _data_loss_and_grad(model, theta, batch, config, want_grad=True)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("TTA gradient is non-finite")
     theta = theta - config.lr * grad
@@ -326,11 +324,6 @@ def tta_step(
     if config.ensembled:
         theta = config.alpha * theta + (1.0 - config.alpha) * model.source_params
     return theta
-
-
-def _data_kind(config: TTAObjectiveConfig) -> str:
-    """Strip anchor/ensembling, keeping only the data term's filtering."""
-    return "filtered_entropy" if config.filtered else "entropy"
 
 
 def estimate_fisher(

@@ -156,11 +156,15 @@ class TestDetect:
         assert d.index == 0
 
     def test_soft_assignment_attached(self):
+        # The decision carries no assignment; the engine soft-assigns once,
+        # after the centroid update, over the post-decision centroids.
         cs = _grown_centroids([np.zeros(3), np.ones(3) * 4])
         d = cs.detect(np.ones(3) * 4, tau=10.0)
-        assert d.soft_assignment.shape == (2,)
-        assert d.soft_assignment.sum() == pytest.approx(1.0)
-        assert int(np.argmax(d.soft_assignment)) == 1
+        assert not hasattr(d, "soft_assignment")
+        q = soft_assign_vector(np.ones(3) * 4, cs)
+        assert q.shape == (2,)
+        assert q.sum() == pytest.approx(1.0)
+        assert int(np.argmax(q)) == d.index == 1
 
     def test_never_exceeds_cap_never_removes(self):
         rng = np.random.default_rng(4)

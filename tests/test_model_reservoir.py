@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from reservoir_tta.errors import InputDomainError, NumericalError, StyleFileFormatError
+from reservoir_tta.errors import (
+    FileFormatError,
+    InputDomainError,
+    NumericalError,
+    StyleFileFormatError,
+)
 from reservoir_tta.model_reservoir import ModelReservoir, select_active
 
 
@@ -218,7 +223,7 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rtta"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(StyleFileFormatError):
+        with pytest.raises(FileFormatError):
             ModelReservoir.load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -226,5 +231,18 @@ class TestCheckpoint:
         path = tmp_path / "pool.rtta"
         res.save_checkpoint(path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(StyleFileFormatError):
+        with pytest.raises(FileFormatError):
             ModelReservoir.load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [0, 3, 4, 12, 19])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        res = ModelReservoir(np.arange(4, dtype=float))
+        path = tmp_path / "pool.rtta"
+        res.save_checkpoint(path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FileFormatError) as info:
+            ModelReservoir.load_checkpoint(path)
+        assert not isinstance(info.value, StyleFileFormatError)
+
+    def test_style_format_error_is_a_file_format_error(self):
+        assert issubclass(StyleFileFormatError, FileFormatError)
