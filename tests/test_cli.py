@@ -1,5 +1,7 @@
 """The ``rtta`` command line: exit codes and byte-reproducible outputs."""
 
+import hashlib
+
 import pytest
 import yaml
 
@@ -91,3 +93,50 @@ def test_run_outputs_are_byte_reproducible(tmp_path, monkeypatch):
         "trace_tent_seed2.jsonl",
     ]
     assert first == second
+
+
+# sha256 of every file ``rtta run`` writes for SMALL. A change that alters
+# any output byte must update these and say why.
+GOLDEN_RUN = {
+    "aggregate.json": "2a125f8a566129c92c7b927f9484323ff6eb07e810dc41b8f29d63c460655a3f",
+    "metrics_reservoir_eata_seed1.csv": "f887516c1b4ff7dea81ddc3c8f883bda9cf1f37f7d691c1a4bfa4a8fa53977f3",
+    "metrics_reservoir_eata_seed2.csv": "705b933d11ff9cf91ce7a5958ef763399138394b6a40774ae190122665c323ba",
+    "metrics_tent_seed1.csv": "7657403e745ef48c919825d5ef284f7d66259f606867b669929c2e287138d816",
+    "metrics_tent_seed2.csv": "98ef68709382d961ca545d6852d353a25bac37b71ba4216ff4187ed790922aa9",
+    "summary_reservoir_eata_seed1.json": "049c8fe5445816c077fc77401cf6769ee787193ea974137a90821fcb8ac7dbc8",
+    "summary_reservoir_eata_seed2.json": "f6bff64936b68d35e97b42124bdf9a7cd6a296f5f2785150772012cb0afcc4be",
+    "summary_tent_seed1.json": "592fdc01675aa101c1be2c4f47652826a71661a0b4ad7a5cba652978c8f267a6",
+    "summary_tent_seed2.json": "eb73fc13a3651d44858f11fbe4215a10a8eb324d3910776fecd51707e396040d",
+    "trace_reservoir_eata_seed1.jsonl": "b05b9241fd338fb1a5cb7bcc57b331eb48077d390b1bc042ded31649461c38ec",
+    "trace_reservoir_eata_seed2.jsonl": "62e9bee9b1ee212ff605be968a9dabf60b4c4b9fb32640b7f4ad390c00ea5111",
+    "trace_tent_seed1.jsonl": "23351a391641598587ee35809658d3b95a0d5c8847ab2143857b71255607e73b",
+    "trace_tent_seed2.jsonl": "f11bd0fcf5a706e283b315baeb37d4e00880e089bd809e0c7b9911c4a0301be1",
+}
+GOLDEN_THEORY = {
+    "fisher_equiv.csv": "b3ef21fcf23f3208bc64a48d2c91e65841fced5b25d27abef2a24123c94eba8c",
+    "recursion.csv": "fbf2f031716cd647a5792d1c1c8c8d783739e3afac386eecba1a7accdb36d239",
+}
+GOLDEN_THEORY_STDOUT = (
+    "[PASS] recursion: max discrepancy 5.773e-15 (< 1e-10 required)\n"
+    "[PASS] fisher_equiv: max trajectory discrepancy 4.441e-16 (< 1e-10 required)\n"
+)
+
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_run_outputs_match_golden_hashes(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    assert cli.main(["run", "--config", _write_config(tmp_path, SMALL)]) == 0
+    assert _digests(out) == GOLDEN_RUN
+
+
+def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    argv = ["theory", "--config", _write_config(tmp_path, SMALL)]
+    assert cli.main(argv + ["--checks", "recursion,fisher_equiv"]) == 0
+    assert capsys.readouterr().out == GOLDEN_THEORY_STDOUT
+    assert _digests(out) == GOLDEN_THEORY
