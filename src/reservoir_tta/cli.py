@@ -2,8 +2,9 @@
 
 Subcommands: ``calibrate`` (threshold from source styles), ``run`` (episodes
 over seeds, metrics CSV + summary JSON per seed plus a cross-seed
-aggregate), ``theory`` (the verification suite with per-check CSVs), and
-``export-styles`` (source style vectors in the text format).
+aggregate; with ``emit_trace`` also a per-step JSONL trace, streamed to disk
+while the episode runs), ``theory`` (the verification suite with per-check
+CSVs), and ``export-styles`` (source style vectors in the text format).
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 verification
 failure. All emitted files are byte-reproducible for a fixed config.
@@ -17,21 +18,24 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
-from . import clustering, stream, theory
+from . import stream, theory
 from .config import (
     RunConfig,
     build_context,
+    build_source,
     calibration_styles,
     default_config,
     load_config,
     resolve_method,
 )
 from .errors import ConfigurationError, ReservoirTTAError
-from .style import FeatureExtractor, calibrate_threshold, export_styles
+from .style import calibrate_threshold, export_styles
 
 THEORY_CHECKS = ("sgd_var", "ensemble_var", "recursion", "fisher_equiv", "chebyshev")
 _CSV_COLUMNS = ("t", "empirical_var", "closed_form_var", "bound", "empirical_rate", "discrepancy")
@@ -137,16 +141,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
-    blob = stream.make_blob(
-        cfg.source.classes, cfg.source.input_dim, cfg.source.seed, cfg.source.separation
-    )
-    extractor = FeatureExtractor(
-        cfg.source.input_dim,
-        layer_channels=cfg.style.channels,
-        seed=cfg.style.seed,
-        nonlinearity=cfg.style.nonlinearity,
-    )
-    styles = calibration_styles(cfg, blob, extractor)
+    dataset, extractor = build_source(cfg)
+    styles = calibration_styles(cfg, dataset.blob, extractor)
     cal = calibrate_threshold(styles, cfg.clustering.quantile)
     payload = {
         "tau": cal.tau,
@@ -171,7 +167,14 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
     for seed in seeds:
         results = all_results[seed] = {}
         for method in methods:
-            metrics = stream.run_episode(context, method, seed)
+            if cfg.emit_trace:
+                trace_path = out_dir / f"trace_{method.name}_seed{seed}.jsonl"
+                with open(trace_path, "w", encoding="utf-8") as fh:
+                    metrics = stream.run_episode(
+                        context, method, seed, step_callback=_trace_writer(fh)
+                    )
+            else:
+                metrics = stream.run_episode(context, method, seed)
             _write_metrics_csv(out_dir / f"metrics_{method.name}_seed{seed}.csv", metrics)
             summary = {
                 "method": method.name,
@@ -182,11 +185,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
                 "final_detected_domains": int(metrics.detected_domains[-1]) if metrics.step_count else 0,
             }
             _write_json(out_dir / f"summary_{method.name}_seed{seed}.json", summary)
-            if cfg.emit_trace:
-                clustering.write_trace(
-                    out_dir / f"trace_{method.name}_seed{seed}.jsonl",
-                    metrics.assignment_trace,
-                )
             results[method.name] = metrics
 
     aggregate = {"seeds": list(seeds), "methods": {}}
@@ -206,6 +204,23 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
     _write_json(out_dir / "aggregate.json", aggregate)
     print(f"wrote {len(seeds)} seed(s) x {len(methods)} method(s) to {out_dir}")
     return 0
+
+
+def _trace_writer(fh: TextIO) -> Callable[[stream.StepRecord], None]:
+    """Step callback that streams one JSON line per step into ``fh``."""
+
+    def write(rec: stream.StepRecord) -> None:
+        line = {
+            "step": rec.step,
+            "decision_kind": rec.decision_kind,
+            "chosen_index": rec.active_index,
+            "min_distance": rec.min_distance,
+            "centroid_count": rec.centroid_count,
+            "soft_assignment": [float(v) for v in rec.soft_assignment],
+        }
+        fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+    return write
 
 
 def _write_metrics_csv(path: Path, metrics: stream.EpisodeMetrics) -> None:
@@ -393,24 +408,12 @@ def _run_check(name: str, cfg: RunConfig):
 
 
 def cmd_export_styles(cfg: RunConfig, out_path: Path, count: int | None) -> int:
-    blob = stream.make_blob(
-        cfg.source.classes, cfg.source.input_dim, cfg.source.seed, cfg.source.separation
-    )
-    extractor = FeatureExtractor(
-        cfg.source.input_dim,
-        layer_channels=cfg.style.channels,
-        seed=cfg.style.seed,
-        nonlinearity=cfg.style.nonlinearity,
-    )
-    if count is not None and count < 1:
-        raise ConfigurationError(f"count must be positive, got {count}")
-    if count is None:
-        styles = calibration_styles(cfg, blob, extractor)
-    else:
-        from dataclasses import replace as _replace
-
-        trimmed = _replace(cfg, style=_replace(cfg.style, calibration_styles=count))
-        styles = calibration_styles(trimmed, blob, extractor)
+    if count is not None:
+        if count < 1:
+            raise ConfigurationError(f"count must be positive, got {count}")
+        cfg = replace(cfg, style=replace(cfg.style, calibration_styles=count))
+    dataset, extractor = build_source(cfg)
+    styles = calibration_styles(cfg, dataset.blob, extractor)
     written = export_styles(out_path, styles)
     print(f"wrote {written} style vectors ({extractor.style_dim} dims) to {out_path}")
     return 0

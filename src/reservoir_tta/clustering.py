@@ -23,10 +23,7 @@ same max-split form as ``scipy.special.logsumexp`` and bit-identical to it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -174,15 +171,10 @@ class CentroidSet:
         return DomainDecision(kind=kind, index=index, distance=delta)
 
 
-def _assignment_logits(
-    styles: np.ndarray, centroids: np.ndarray, squared: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Logits ``-dist / sqrt(d)`` plus the raw distance matrix."""
+def _assignment_logits(styles: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Logits ``-dist / sqrt(d)`` of every style against every centroid."""
     diff = styles[:, None, :] - centroids[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    scale = np.sqrt(styles.shape[1])
-    logits = -(dist**2 if squared else dist) / scale
-    return logits, dist
+    return -np.linalg.norm(diff, axis=2) / np.sqrt(styles.shape[1])
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -206,9 +198,7 @@ def _log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
     return shifted - _logsumexp(shifted, axis=axis)
 
 
-def soft_assign_matrix(
-    reservoir: StyleReservoir, centroids: CentroidSet, squared: bool = False
-) -> np.ndarray:
+def soft_assign_matrix(reservoir: StyleReservoir, centroids: CentroidSet) -> np.ndarray:
     """Row-softmax of scaled negative style-to-centroid distances.
 
     Row i gives the assignment probabilities of the i-th reservoir vector
@@ -216,16 +206,14 @@ def soft_assign_matrix(
     """
     if len(reservoir) == 0:
         raise InsufficientDataError("soft assignment needs a nonempty reservoir")
-    logits, _ = _assignment_logits(reservoir.styles, centroids.centroids, squared)
+    logits = _assignment_logits(reservoir.styles, centroids.centroids)
     return np.exp(_log_softmax(logits))
 
 
-def soft_assign_vector(
-    s: np.ndarray, centroids: CentroidSet, squared: bool = False
-) -> np.ndarray:
+def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     """Single-vector specialization of :func:`soft_assign_matrix`."""
     vec = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    logits, _ = _assignment_logits(vec, centroids.centroids, squared)
+    logits = _assignment_logits(vec, centroids.centroids)
     return np.exp(_log_softmax(logits))[0]
 
 
@@ -248,9 +236,7 @@ def mi_loss(q: np.ndarray) -> float:
     return float(ent + cm)
 
 
-def mi_grad_centroids(
-    reservoir: StyleReservoir, centroids: CentroidSet, squared: bool = False
-) -> np.ndarray:
+def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.ndarray:
     """Analytic gradient of ``mi_loss(soft_assign_matrix(R, C))`` w.r.t. centroids.
 
     Chains through the row softmax and the Euclidean distance; at a
@@ -268,7 +254,7 @@ def mi_grad_centroids(
     # Arrays are (K, n), indexed [centroid j, style i], so that reductions
     # over the styles run along contiguous rows.
     sq, cols, rows, diff = _squared_distances(cents, styles)
-    dist = sq if squared else np.sqrt(sq)
+    dist = np.sqrt(sq)
     scale = np.sqrt(d)
     logq = _log_softmax(-dist / scale, axis=0)
     q = np.exp(logq)
@@ -280,14 +266,11 @@ def mi_grad_centroids(
     row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
     dl_dlogits = q * (dl_dq - row_dot)
 
-    # d logit_ij / d c_j = -f_ij (c_j - s_i), with f = 2 / scale (squared) or
-    # 1 / (dist * scale), 0 at dist 0. With w = -f * dL/dlogit the gradient
-    # is sum_i w_ij (c_j - s_i) = c_j sum_i w_ij - (w S)_j.
-    if squared:
-        w = dl_dlogits * (-2.0 / scale)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(dist > 0.0, -dl_dlogits / (dist * scale), 0.0)
+    # d logit_ij / d c_j = -(c_j - s_i) / (dist_ij * scale), taken as 0 at
+    # dist 0. With w = -dL/dlogit / (dist * scale) the gradient is
+    # sum_i w_ij (c_j - s_i) = c_j sum_i w_ij - (w S)_j.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(dist > 0.0, -dl_dlogits / (dist * scale), 0.0)
     # Close pairs contribute through their exact differences instead: in the
     # contraction their two large terms would cancel to a small one.
     close_w = w[cols, rows]
@@ -316,86 +299,25 @@ def _squared_distances(
     return sq, ia, ib, diff
 
 
-@dataclass
-class AdamState:
-    """Moment accumulators for the adaptive centroid-update option."""
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-    def ensure_shape(self, shape: tuple[int, ...]) -> None:
-        if self.m is None:
-            self.m = np.zeros(shape)
-            self.v = np.zeros(shape)
-            return
-        if self.m.shape != shape:
-            # Centroid count grew: pad the new rows with zero moments.
-            grown_m = np.zeros(shape)
-            grown_v = np.zeros(shape)
-            rows = min(self.m.shape[0], shape[0])
-            grown_m[:rows] = self.m[:rows]
-            grown_v[:rows] = self.v[:rows]
-            self.m, self.v = grown_m, grown_v
-
-
 def update_centroids(
     centroids: CentroidSet,
     reservoir: StyleReservoir,
     lr: float = DEFAULT_CENTROID_LR,
     steps: int = 1,
-    squared: bool = False,
-    optimizer: str = "gd",
-    adam_state: AdamState | None = None,
 ) -> None:
-    """Run ``steps`` descent steps on the mutual-information loss in place.
+    """Run ``steps`` plain gradient-descent steps on the MI loss in place.
 
-    Plain gradient descent by default; ``optimizer="adam"`` uses adaptive
-    moments carried in ``adam_state`` across calls. Every centroid is
-    updated, the source centroid included.
+    Every centroid is updated, the source centroid included.
     """
     if steps < 1:
         raise InputDomainError(f"steps must be positive, got {steps}")
     if lr < 0:
         raise InputDomainError(f"lr must be nonnegative, got {lr}")
-    if optimizer not in ("gd", "adam"):
-        raise InputDomainError(f"unknown optimizer {optimizer!r}")
     for _ in range(steps):
-        grad = mi_grad_centroids(reservoir, centroids, squared=squared)
+        grad = mi_grad_centroids(reservoir, centroids)
         if not np.all(np.isfinite(grad)):
             bad = np.argwhere(~np.isfinite(grad))
             raise NumericalError(
                 f"non-finite centroid gradient at entries {bad[:4].tolist()}"
             )
-        if optimizer == "adam":
-            if adam_state is None:
-                raise InputDomainError("optimizer='adam' requires an AdamState")
-            adam_state.ensure_shape(grad.shape)
-            adam_state.step += 1
-            b1, b2 = adam_state.beta1, adam_state.beta2
-            adam_state.m = b1 * adam_state.m + (1 - b1) * grad
-            adam_state.v = b2 * adam_state.v + (1 - b2) * grad**2
-            mhat = adam_state.m / (1 - b1**adam_state.step)
-            vhat = adam_state.v / (1 - b2**adam_state.step)
-            delta = lr * mhat / (np.sqrt(vhat) + adam_state.eps)
-        else:
-            delta = lr * grad
-        centroids.set_centroids(centroids.centroids - delta)
-
-
-def write_trace(path: str | Path, records: Iterable[Mapping]) -> int:
-    """Write per-step decision records as JSON lines; returns the line count.
-
-    Each record carries {step, decision_kind, chosen_index, min_distance,
-    centroid_count, soft_assignment}.
-    """
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(dict(rec), sort_keys=True))
-            fh.write("\n")
-            n += 1
-    return n
+        centroids.set_centroids(centroids.centroids - lr * grad)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -83,7 +83,6 @@ class MethodSpec:
     entropy_margin: float | None = None
     fisher_lambda: float | None = None
     alpha: float | None = None
-    init_policy: str = "mi"
 
 
 @dataclass(frozen=True)
@@ -256,8 +255,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("clustering.centroid_lr: must be >= 0")
     if c.centroid_steps < 1:
         problems.append("clustering.centroid_steps: must be >= 1")
-    if c.optimizer not in ("gd", "adam"):
-        problems.append(f"clustering.optimizer: unknown optimizer {c.optimizer!r}")
     src = cfg.source
     if src.classes < 2:
         problems.append("source.classes: must be >= 2")
@@ -284,8 +281,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             problems.append(f"methods[{m.name}].alpha: must be in [0, 1]")
         if m.fisher_lambda is not None and m.fisher_lambda < 0:
             problems.append(f"methods[{m.name}].fisher_lambda: must be >= 0")
-        if m.init_policy not in ("mi", "source"):
-            problems.append(f"methods[{m.name}].init_policy: unknown policy")
     t = cfg.theory
     if t.trials < 100 or t.ensemble_trials < 100 or t.chebyshev_trials < 100:
         problems.append("theory: trial counts must be >= 100")
@@ -306,10 +301,6 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(data or {})
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
-
-
 def resolve_method(spec: MethodSpec) -> stream.MethodConfig:
     """Fill regime defaults (anchoring strength depends on the reservoir switch)."""
     base = tta.default_objective(spec.kind, reservoir=spec.reservoir, lr=spec.lr)
@@ -322,12 +313,7 @@ def resolve_method(spec: MethodSpec) -> stream.MethodConfig:
         fisher_lambda=lam,
         alpha=alpha,
     )
-    return stream.MethodConfig(
-        name=spec.name,
-        objective=objective,
-        reservoir=spec.reservoir,
-        init_policy=spec.init_policy,
-    )
+    return stream.MethodConfig(name=spec.name, objective=objective, reservoir=spec.reservoir)
 
 
 def calibration_styles(cfg: RunConfig, blob: stream.BlobSpec, extractor: FeatureExtractor):
@@ -341,8 +327,8 @@ def calibration_styles(cfg: RunConfig, blob: stream.BlobSpec, extractor: Feature
     return styles
 
 
-def build_context(cfg: RunConfig) -> stream.EpisodeContext:
-    """Prepare everything an episode needs: source model, threshold, domains."""
+def build_source(cfg: RunConfig) -> tuple[stream.LabeledDataset, FeatureExtractor]:
+    """The labeled source sample (with its class blobs) and the style extractor."""
     src = cfg.source
     dataset = stream.make_source_dataset(
         classes=src.classes,
@@ -351,6 +337,19 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         seed=src.seed,
         separation=src.separation,
     )
+    extractor = FeatureExtractor(
+        src.input_dim,
+        layer_channels=cfg.style.channels,
+        seed=cfg.style.seed,
+        nonlinearity=cfg.style.nonlinearity,
+    )
+    return dataset, extractor
+
+
+def build_context(cfg: RunConfig) -> stream.EpisodeContext:
+    """Prepare everything an episode needs: source model, threshold, domains."""
+    src = cfg.source
+    dataset, extractor = build_source(cfg)
     model, source_params = tta.train_source(
         src.seed,
         (dataset.inputs, dataset.labels),
@@ -358,12 +357,6 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         lr=src.lr,
         hidden=src.hidden,
         batch_size=src.batch_size,
-    )
-    extractor = FeatureExtractor(
-        src.input_dim,
-        layer_channels=cfg.style.channels,
-        seed=cfg.style.seed,
-        nonlinearity=cfg.style.nonlinearity,
     )
     styles = calibration_styles(cfg, dataset.blob, extractor)
     calibration = calibrate_threshold(styles, cfg.clustering.quantile)

@@ -59,30 +59,20 @@ class ModelReservoir:
         """All entries stacked as a ``(count, dim)`` matrix (copy)."""
         return np.stack(self._entries)
 
-    def init_new_model(
-        self, batch: np.ndarray, predictor: Predictor, policy: str = "mi"
-    ) -> np.ndarray:
+    def init_new_model(self, batch: np.ndarray, predictor: Predictor) -> np.ndarray:
         """Append a model for a newly detected domain; returns its parameters.
 
-        The default policy clones the existing entry whose predictions on
+        The new model clones the existing entry whose predictions on
         ``batch`` minimize the mutual-information loss (confident and
-        diverse); ties go to the lowest index. ``policy="source"`` clones
-        the frozen source parameters instead.
+        diverse); ties go to the lowest index.
         """
-        if policy not in ("mi", "source"):
-            raise InputDomainError(f"unknown init policy {policy!r}")
-        if policy == "source":
-            chosen = self.source_params.copy()
-        else:
-            losses = []
-            for idx, params in enumerate(self._entries):
-                probs = np.asarray(predictor(params.copy()), dtype=np.float64)
-                if not np.all(np.isfinite(probs)):
-                    raise NumericalError(
-                        f"entry {idx} produced non-finite predictions"
-                    )
-                losses.append(mi_loss(probs))
-            chosen = self._entries[int(np.argmin(losses))].copy()
+        losses = []
+        for idx, params in enumerate(self._entries):
+            probs = np.asarray(predictor(params.copy()), dtype=np.float64)
+            if not np.all(np.isfinite(probs)):
+                raise NumericalError(f"entry {idx} produced non-finite predictions")
+            losses.append(mi_loss(probs))
+        chosen = self._entries[int(np.argmin(losses))].copy()
         self._entries.append(chosen.copy())
         return chosen
 

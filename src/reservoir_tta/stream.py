@@ -24,7 +24,6 @@ from scipy.linalg import expm
 
 from . import tta
 from .clustering import (
-    AdamState,
     CentroidSet,
     StyleReservoir,
     soft_assign_vector,
@@ -437,7 +436,6 @@ class MethodConfig:
     name: str
     objective: tta.TTAObjectiveConfig
     reservoir: bool = True
-    init_policy: str = "mi"
 
 
 @dataclass(frozen=True)
@@ -449,8 +447,6 @@ class ClusterParams:
     quantile: float = 0.99
     centroid_lr: float = 1e-4
     centroid_steps: int = 1
-    optimizer: str = "gd"
-    squared_assignment: bool = False
 
 
 @dataclass(frozen=True)
@@ -481,7 +477,6 @@ class EpisodeMetrics:
     detected_domains: np.ndarray
     drift_norm: np.ndarray
     predictions: np.ndarray
-    assignment_trace: list[dict] = field(default_factory=list)
 
     @property
     def step_count(self) -> int:
@@ -522,8 +517,6 @@ class StepRecord:
     active_index: int
     soft_assignment: np.ndarray
     centroid_count: int
-    entries_before_adapt: np.ndarray
-    entries_after_adapt: np.ndarray
     model_count: int
 
 
@@ -554,7 +547,6 @@ def run_episode(
     )
     centroids = CentroidSet(context.source_style_mean, k_max=k_max)
     models = ModelReservoir(context.source_params)
-    adam_state = AdamState() if cluster.optimizer == "adam" else None
     tau = context.calibration.tau
     model = context.model
 
@@ -566,7 +558,6 @@ def run_episode(
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
     preds = np.zeros((n, plan.batch_size), dtype=np.int64)
-    trace: list[dict] = []
 
     for step in range(n):
         batch = stream.next_batch(step)
@@ -575,23 +566,14 @@ def run_episode(
         decision = centroids.detect(s, tau)
         if decision.is_new:
             models.init_new_model(
-                batch.inputs,
-                predictor=lambda p: tta.predict(model, p, batch.inputs),
-                policy=method.init_policy,
+                batch.inputs, predictor=lambda p: tta.predict(model, p, batch.inputs)
             )
         update_centroids(
-            centroids,
-            reservoir,
-            lr=cluster.centroid_lr,
-            steps=cluster.centroid_steps,
-            squared=cluster.squared_assignment,
-            optimizer=cluster.optimizer,
-            adam_state=adam_state,
+            centroids, reservoir, lr=cluster.centroid_lr, steps=cluster.centroid_steps
         )
-        q = soft_assign_vector(s, centroids, squared=cluster.squared_assignment)
+        q = soft_assign_vector(s, centroids)
         k_star = select_active(q)
-        before = models.entries_matrix() if step_callback else None
-        new_params = tta_step(model, models.entry(k_star), batch.inputs, objective)
+        new_params = tta.tta_step(model, models.entry(k_star), batch.inputs, objective)
         models.write_active(k_star, new_params)
 
         theta = models.ensemble_params(q) if method.reservoir else models.entry(k_star)
@@ -605,16 +587,6 @@ def run_episode(
         detected[step] = centroids.count - 1
         drift[step] = float(np.linalg.norm(theta - context.source_params))
         preds[step] = predicted
-        trace.append(
-            {
-                "step": step,
-                "decision_kind": decision.kind,
-                "chosen_index": k_star,
-                "min_distance": decision.distance,
-                "centroid_count": centroids.count,
-                "soft_assignment": [float(v) for v in q],
-            }
-        )
         if step_callback is not None:
             step_callback(
                 StepRecord(
@@ -625,8 +597,6 @@ def run_episode(
                     active_index=k_star,
                     soft_assignment=q,
                     centroid_count=centroids.count,
-                    entries_before_adapt=before,
-                    entries_after_adapt=models.entries_matrix(),
                     model_count=models.count,
                 )
             )
@@ -640,13 +610,7 @@ def run_episode(
         detected_domains=detected,
         drift_norm=drift,
         predictions=preds,
-        assignment_trace=trace,
     )
-
-
-def tta_step(model, params, batch, objective):
-    """Thin indirection so tests can observe or stub the adaptation step."""
-    return tta.tta_step(model, params, batch, objective)
 
 
 def _resolve_objective(

@@ -22,6 +22,7 @@ cross-trial moment reductions agree to float summation-order tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -120,6 +121,43 @@ def _trial_noise(
     return rng.normal(0.0, task.noise_std, size=(steps, task.dim))
 
 
+def _mc_iterates(
+    task: NoisyQuadraticTask,
+    eta: float,
+    steps: int,
+    trials: int,
+    seed: int,
+    theta0: np.ndarray,
+    alpha: float | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The Monte-Carlo driver: yields ``(t, x)`` per chunk of trials and step.
+
+    ``x`` holds one chunk's ``(n, dim)`` iterates at step ``t = 0..steps``
+    and is valid until the next yield. ``alpha=None`` means plain SGD,
+    otherwise every step interpolates back toward ``theta0``.
+    """
+    for start in range(0, trials, _CHUNK):
+        n = min(_CHUNK, trials - start)
+        noise = np.stack(
+            [_trial_noise(seed, start + i, steps, task) for i in range(n)]
+        )
+        x = np.tile(theta0, (n, 1))
+        yield 0, x
+        for t in range(steps):
+            grad = task.curvature * (x - task.optimum) + noise[:, t, :]
+            x = x - eta * grad
+            if alpha is not None:
+                x = alpha * x + (1.0 - alpha) * theta0
+            yield t + 1, x
+
+
+def _trace_variance(total: np.ndarray, total_sq: np.ndarray, trials: int) -> np.ndarray:
+    """Per-step trace of the sample covariance from per-coordinate moment sums."""
+    mean = total / trials
+    per_coord = (total_sq - trials * mean**2) / (trials - 1)
+    return np.maximum(per_coord.sum(axis=1), 0.0)
+
+
 def _run_variance_mc(
     task: NoisyQuadraticTask,
     eta: float,
@@ -129,28 +167,13 @@ def _run_variance_mc(
     theta0: np.ndarray,
     alpha: float | None,
 ) -> VarianceCurve:
-    """Shared Monte-Carlo driver; ``alpha=None`` means plain SGD."""
-    dim = task.dim
-    total = np.zeros((steps + 1, dim))
-    total_sq = np.zeros((steps + 1, dim))
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        noise = np.stack(
-            [_trial_noise(seed, start + i, steps, task) for i in range(n)]
-        )
-        x = np.tile(theta0, (n, 1))
-        total[0] += x.sum(axis=0)
-        total_sq[0] += (x**2).sum(axis=0)
-        for t in range(steps):
-            grad = task.curvature * (x - task.optimum) + noise[:, t, :]
-            x = x - eta * grad
-            if alpha is not None:
-                x = alpha * x + (1.0 - alpha) * theta0
-            total[t + 1] += x.sum(axis=0)
-            total_sq[t + 1] += (x**2).sum(axis=0)
-    mean = total / trials
-    per_coord = (total_sq - trials * mean**2) / (trials - 1)
-    variance = np.maximum(per_coord.sum(axis=1), 0.0)
+    """Variance curve of the Monte-Carlo driver's iterates."""
+    total = np.zeros((steps + 1, task.dim))
+    total_sq = np.zeros((steps + 1, task.dim))
+    for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0, alpha):
+        total[t] += x.sum(axis=0)
+        total_sq[t] += (x**2).sum(axis=0)
+    variance = _trace_variance(total, total_sq, trials)
     return VarianceCurve(steps=np.arange(steps + 1), variance=variance)
 
 
@@ -317,27 +340,14 @@ def check_chebyshev(
             f"beta = {spec.beta} must exceed the initial distance {d0}"
         )
 
-    dim = task.dim
-    total = np.zeros((steps + 1, dim))
-    total_sq = np.zeros((steps + 1, dim))
+    total = np.zeros((steps + 1, task.dim))
+    total_sq = np.zeros((steps + 1, task.dim))
     exceed = np.zeros(steps + 1)
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        noise = np.stack(
-            [_trial_noise(seed, start + i, steps, task) for i in range(n)]
-        )
-        x = np.tile(theta0, (n, 1))
-        for t in range(steps + 1):
-            if t > 0:
-                grad = task.curvature * (x - task.optimum) + noise[:, t - 1, :]
-                x = x - eta * grad
-            total[t] += x.sum(axis=0)
-            total_sq[t] += (x**2).sum(axis=0)
-            dist = np.linalg.norm(x - task.optimum, axis=1)
-            exceed[t] += (dist > spec.beta).sum()
-    mean = total / trials
-    per_coord = (total_sq - trials * mean**2) / (trials - 1)
-    variance = np.maximum(per_coord.sum(axis=1), 0.0)
+    for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0):
+        total[t] += x.sum(axis=0)
+        total_sq[t] += (x**2).sum(axis=0)
+        exceed[t] += (np.linalg.norm(x - task.optimum, axis=1) > spec.beta).sum()
+    variance = _trace_variance(total, total_sq, trials)
     rate = exceed / trials
     bound = variance / (spec.beta - d0) ** 2
     slack = 3.0 * np.sqrt(rate * (1.0 - rate) / trials)

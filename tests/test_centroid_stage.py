@@ -24,11 +24,10 @@ from reservoir_tta.clustering import (
 from reservoir_tta.errors import NumericalError
 
 
-def reference_logits(styles, cents, squared):
+def reference_logits(styles, cents):
     diff = styles[:, None, :] - cents[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    logits = -(dist**2 if squared else dist) / np.sqrt(styles.shape[1])
-    return logits, dist
+    return -dist / np.sqrt(styles.shape[1]), dist
 
 
 def reference_log_softmax_rows(logits):
@@ -36,9 +35,9 @@ def reference_log_softmax_rows(logits):
     return shifted - logsumexp(shifted, axis=1, keepdims=True)
 
 
-def reference_mi_grad(styles, cents, squared=False, with_scale=False):
+def reference_mi_grad(styles, cents, with_scale=False):
     n, d = styles.shape
-    logits, dist = reference_logits(styles, cents, squared)
+    logits, dist = reference_logits(styles, cents)
     logq = reference_log_softmax_rows(logits)
     q = np.exp(logq)
     log_qbar = logsumexp(logq, axis=0) - np.log(n)
@@ -48,13 +47,10 @@ def reference_mi_grad(styles, cents, squared=False, with_scale=False):
     dl_dlogits = q * (dl_dq - row_dot)
     diff = cents[None, :, :] - styles[:, None, :]
     scale = np.sqrt(d)
-    if squared:
-        dlogit_dc = -2.0 * diff / scale
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dlogit_dc = np.where(
-                dist[:, :, None] > 0.0, -diff / (dist[:, :, None] * scale), 0.0
-            )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlogit_dc = np.where(
+            dist[:, :, None] > 0.0, -diff / (dist[:, :, None] * scale), 0.0
+        )
     grad = np.einsum("ij,ijk->jk", dl_dlogits, dlogit_dc)
     if not with_scale:
         return grad
@@ -99,13 +95,13 @@ def _centroid_set(rows):
     return cs
 
 
-def _assert_matches_reference(res, cs, squared):
+def _assert_matches_reference(res, cs):
     # An entry can be far smaller than the terms summed into it, and is then
     # ill-conditioned: a one-ulp change of the styles moves it by up to ~1e-3
     # relative in the reference itself. The tolerance is therefore relative
     # to the size of those terms, not to the entry.
-    grad = mi_grad_centroids(res, cs, squared=squared)
-    ref, scale = reference_mi_grad(res.styles, cs.centroids, squared, with_scale=True)
+    grad = mi_grad_centroids(res, cs)
+    ref, scale = reference_mi_grad(res.styles, cs.centroids, with_scale=True)
     assert np.all(np.isfinite(grad))
     assert np.all(np.abs(grad - ref) <= 1e-9 * scale)
 
@@ -118,13 +114,10 @@ class TestGradientOracle:
         offset=st.sampled_from([0.0, 5.0, 46.0]),
         copies=st.integers(min_value=0, max_value=3),
         near=st.integers(min_value=0, max_value=3),
-        squared=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_broadcast_reference(
-        self, n, k, dim, offset, copies, near, squared, seed
-    ):
+    def test_matches_broadcast_reference(self, n, k, dim, offset, copies, near, seed):
         # Styles share a large common offset, as real style vectors do (norms
         # near 46). Some centroids are exact copies of reservoir rows (what a
         # spawn produces) and some sit 1e-6 away from one.
@@ -138,11 +131,10 @@ class TestGradientOracle:
             u = rng.standard_normal(dim)
             rows.append(styles[rng.integers(n)] + 1e-6 * u / np.linalg.norm(u))
         rows = [rows[i] for i in rng.permutation(len(rows))]
-        _assert_matches_reference(_reservoir(styles, seed), _centroid_set(rows), squared)
+        _assert_matches_reference(_reservoir(styles, seed), _centroid_set(rows))
 
     @pytest.mark.parametrize("gap", [0.0, 1e-6])
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_spawned_centroids_on_reservoir_rows(self, squared, gap):
+    def test_spawned_centroids_on_reservoir_rows(self, gap):
         # A centroid spawned from an incoming style is a copy of a reservoir
         # row (gap 0). Its distance must stay exactly 0 (subgradient 0); the
         # Gram form alone leaves ~1e-12 in the squared distance at style
@@ -157,7 +149,7 @@ class TestGradientOracle:
             u = rng.standard_normal(40)
             decision = cs.detect(styles[row] + gap * u / np.linalg.norm(u), tau=-1.0)
             assert decision.is_new and decision.distance > 0
-        _assert_matches_reference(res, cs, squared)
+        _assert_matches_reference(res, cs)
 
     def test_single_centroid_is_exactly_zero(self):
         rng = np.random.default_rng(4)
@@ -197,21 +189,18 @@ class TestSoftAssignBitIdentity:
         n=st.integers(min_value=1, max_value=24),
         k=st.integers(min_value=1, max_value=10),
         dim=st.integers(min_value=1, max_value=8),
-        squared=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matrix_equals_scipy_logsumexp_form(self, n, k, dim, squared, seed):
+    def test_matrix_equals_scipy_logsumexp_form(self, n, k, dim, seed):
         rng = np.random.default_rng(seed)
         styles = 4.0 * rng.standard_normal((n, dim))
         res = _reservoir(styles, seed)
         cs = _centroid_set(list(4.0 * rng.standard_normal((k, dim))))
-        logits, _ = reference_logits(res.styles, cs.centroids, squared)
+        logits, _ = reference_logits(res.styles, cs.centroids)
         expect = np.exp(reference_log_softmax_rows(logits))
-        np.testing.assert_array_equal(soft_assign_matrix(res, cs, squared), expect)
-        np.testing.assert_array_equal(
-            soft_assign_vector(styles[0], cs, squared), expect[0]
-        )
+        np.testing.assert_array_equal(soft_assign_matrix(res, cs), expect)
+        np.testing.assert_array_equal(soft_assign_vector(styles[0], cs), expect[0])
 
     def test_ties_and_far_centroids(self):
         # Equidistant centroids tie for the row maximum; a distant one
@@ -220,7 +209,7 @@ class TestSoftAssignBitIdentity:
             [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([1e5, 0.0])]
         )
         res = _reservoir(np.array([[0.0, 3.0], [0.0, -2.0]]))
-        logits, _ = reference_logits(res.styles, cs.centroids, False)
+        logits, _ = reference_logits(res.styles, cs.centroids)
         expect = np.exp(reference_log_softmax_rows(logits))
         q = soft_assign_matrix(res, cs)
         np.testing.assert_array_equal(q, expect)

@@ -1,6 +1,8 @@
 """The ``rtta`` command line: exit codes and byte-reproducible outputs."""
 
+import csv
 import hashlib
+import json
 
 import pytest
 import yaml
@@ -30,28 +32,56 @@ def _write_config(tmp_path, data, name="config.yaml"):
 
 
 @pytest.mark.parametrize(
-    "data",
+    ("data", "message"),
     [
-        {"seeds": 3},
-        {"seeds": ["a"]},
-        {"methods": 5},
-        {"clustering": {"k_max": None}},
-        {"scenario": {"domains": 2.5}},
-        {"source": {"classes": "x"}},
-        {"methods": [{"name": "m", "lr": "x"}]},
-        {"emit_trace": "no"},
-        {"scenario": {"visits": -1}},
-        {"nonsense": 1},
-    ],
-    ids=[
-        "seeds-int", "seeds-str", "methods-int", "k_max-null", "domains-float",
-        "classes-str", "lr-str", "emit_trace-str", "visits-negative", "unknown",
+        pytest.param({"seeds": 3}, "seeds: expected", id="seeds-int"),
+        pytest.param({"seeds": ["a"]}, "seeds: expected", id="seeds-str"),
+        pytest.param({"methods": 5}, "methods: must be a list", id="methods-int"),
+        pytest.param(
+            {"clustering": {"k_max": None}}, "clustering.k_max: expected int",
+            id="k_max-null",
+        ),
+        pytest.param(
+            {"scenario": {"domains": 2.5}}, "scenario.domains: expected int",
+            id="domains-float",
+        ),
+        pytest.param(
+            {"source": {"classes": "x"}}, "source.classes: expected int",
+            id="classes-str",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "lr": "x"}]}, "methods[0].lr: expected float",
+            id="lr-str",
+        ),
+        pytest.param({"emit_trace": "no"}, "emit_trace: expected bool", id="emit_trace-str"),
+        pytest.param(
+            {"scenario": {"visits": -1}}, "scenario.visits: must be >= 0",
+            id="visits-negative",
+        ),
+        pytest.param({"nonsense": 1}, "nonsense: unknown field", id="unknown"),
+        # Options that no longer exist: one recipe per pipeline stage.
+        pytest.param(
+            {"clustering": {"optimizer": "adam"}}, "clustering.optimizer: unknown field",
+            id="optimizer-removed",
+        ),
+        pytest.param(
+            {"clustering": {"squared_assignment": True}},
+            "clustering.squared_assignment: unknown field",
+            id="squared_assignment-removed",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "init_policy": "source"}]},
+            "methods[0].init_policy: unknown field",
+            id="init_policy-removed",
+        ),
     ],
 )
-def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data):
+def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     assert cli.main(["run", "--config", _write_config(tmp_path, data)]) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -66,6 +96,40 @@ def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     assert cli.main(["run", "--config", str(tmp_path / "absent.yaml")]) == 2
     assert "I/O error" in capsys.readouterr().err
+
+
+def test_failing_theory_check_exits_3(tmp_path, monkeypatch, capsys):
+    # 100 ensemble trials over 20 steps miss the closed form by ~32 %,
+    # far outside the 5 % tolerance; the trials are seeded, so this fails
+    # the same way on every run.
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = _write_config(tmp_path, {"theory": {"ensemble_trials": 100, "steps": 20}})
+    assert cli.main(["theory", "--config", path, "--checks", "ensemble_var"]) == 3
+    captured = capsys.readouterr()
+    assert "[FAIL] ensemble_var" in captured.out
+    assert "verification failure in ensemble_var" in captured.err
+    assert (tmp_path / "out" / "ensemble_var.csv").exists()
+
+
+def test_run_trace_has_one_line_per_step(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    assert cli.main(["run", "--config", _write_config(tmp_path, SMALL), "--seeds", "1"]) == 0
+    for method in ("reservoir_eata", "tent"):
+        lines = (out / f"trace_{method}_seed1.jsonl").read_text().splitlines()
+        with open(out / f"metrics_{method}_seed1.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(lines) == len(rows) == 3 * 2 * 3
+        for step, (line, row) in enumerate(zip(lines, rows)):
+            record = json.loads(line)
+            assert set(record) == {
+                "step", "decision_kind", "chosen_index", "min_distance",
+                "centroid_count", "soft_assignment",
+            }
+            assert record["step"] == step
+            assert record["chosen_index"] == int(row["assigned_model"])
+            assert record["centroid_count"] == int(row["detected_domains"]) + 1
+            assert len(record["soft_assignment"]) == record["centroid_count"]
 
 
 def test_run_outputs_are_byte_reproducible(tmp_path, monkeypatch):

@@ -88,12 +88,6 @@ class TestInitNewModel:
         oracle = min(range(3), key=lambda i: mi_loss(tables[i]))
         np.testing.assert_array_equal(cloned, entries[oracle])
 
-    def test_source_policy(self):
-        res = ModelReservoir(np.array([5.0, 5.0]))
-        res.write_active(0, np.array([1.0, 1.0]))
-        out = res.init_new_model(None, None, policy="source")
-        np.testing.assert_array_equal(out, [5.0, 5.0])
-
     def test_nonfinite_prediction_names_entry(self):
         res = ModelReservoir(np.zeros(2))
         with pytest.raises(NumericalError, match="entry 0"):

@@ -13,6 +13,7 @@ from reservoir_tta.errors import (
     InputDomainError,
     InsufficientDataError,
 )
+from reservoir_tta.model_reservoir import ModelReservoir
 from reservoir_tta.style import extract_style
 
 
@@ -228,17 +229,26 @@ class TestRunEpisode:
         assert len(seen) == plan.total_steps
         assert all(c == m for c, m in seen)
 
-    def test_isolation_of_inactive_entries(self, context):
+    def test_isolation_of_inactive_entries(self, context, monkeypatch):
         plan = replace(context.plan, visits=1, batches_per_domain=2)
+        original = ModelReservoir.write_active
+        written = []
 
-        def watch(rec):
-            before, after = rec.entries_before_adapt, rec.entries_after_adapt
-            assert before.shape == after.shape
-            for idx in range(before.shape[0]):
-                if idx != rec.active_index:
-                    np.testing.assert_array_equal(before[idx], after[idx])
+        def checked(self, index, new_params):
+            inactive = np.arange(self.count) != index
+            before = self.entries_matrix()[inactive].tobytes()
+            original(self, index, new_params)
+            assert self.entries_matrix()[inactive].tobytes() == before
+            written.append(index)
 
-        stream.run_episode(context, self._method(), seed=7, plan=plan, step_callback=watch)
+        monkeypatch.setattr(ModelReservoir, "write_active", checked)
+        active = []
+        stream.run_episode(
+            context, self._method(), seed=7, plan=plan,
+            step_callback=lambda rec: active.append(rec.active_index),
+        )
+        assert written == active
+        assert len(set(active)) > 1
 
     def test_hidden_ids_influence_only_metrics(self, context, monkeypatch):
         plan = replace(context.plan, visits=1, batches_per_domain=2)
