@@ -54,11 +54,134 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="lr-str",
         ),
         pytest.param({"emit_trace": "no"}, "emit_trace: expected bool", id="emit_trace-str"),
+        pytest.param({"nonsense": 1}, "nonsense: unknown field", id="unknown"),
+        # One case per value rule.
+        pytest.param({"seeds": []}, "seeds: must be nonempty", id="seeds-empty"),
+        pytest.param({"seeds": [1, -1]}, "seeds: must be nonnegative", id="seeds-negative"),
+        pytest.param(
+            {"scenario": {"kind": "abc"}}, "scenario.kind: unknown kind 'abc'",
+            id="scenario-kind",
+        ),
+        pytest.param(
+            {"scenario": {"domains": 0}}, "scenario.domains: must be >= 1",
+            id="domains-zero",
+        ),
         pytest.param(
             {"scenario": {"visits": -1}}, "scenario.visits: must be >= 0",
             id="visits-negative",
         ),
-        pytest.param({"nonsense": 1}, "nonsense: unknown field", id="unknown"),
+        pytest.param(
+            {"scenario": {"batch_size": 1}}, "scenario.batch_size: must be >= 2",
+            id="scenario-batch_size",
+        ),
+        pytest.param(
+            {"scenario": {"batches_per_domain": 0}},
+            "scenario.batches_per_domain: must be >= 1",
+            id="batches_per_domain-zero",
+        ),
+        pytest.param(
+            {"scenario": {"severity": -0.5}}, "scenario.severity: must be >= 0",
+            id="severity-negative",
+        ),
+        pytest.param(
+            {"clustering": {"reservoir_size": 0}},
+            "clustering.reservoir_size: must be >= 1",
+            id="reservoir_size-zero",
+        ),
+        pytest.param(
+            {"clustering": {"k_max": 0}}, "clustering.k_max: must be >= 1",
+            id="k_max-zero",
+        ),
+        pytest.param(
+            {"clustering": {"quantile": 0}}, "clustering.quantile: must be in (0, 1]",
+            id="quantile-zero",
+        ),
+        pytest.param(
+            {"clustering": {"centroid_lr": -1e-4}},
+            "clustering.centroid_lr: must be >= 0",
+            id="centroid_lr-negative",
+        ),
+        pytest.param(
+            {"clustering": {"centroid_steps": 0}},
+            "clustering.centroid_steps: must be >= 1",
+            id="centroid_steps-zero",
+        ),
+        pytest.param(
+            {"source": {"classes": 1}}, "source.classes: must be >= 2",
+            id="classes-one",
+        ),
+        pytest.param(
+            {"source": {"samples_per_class": 0}},
+            "source.samples_per_class: must be >= 1",
+            id="samples_per_class-zero",
+        ),
+        pytest.param(
+            {"style": {"calibration_styles": 1}},
+            "style.calibration_styles: must be >= 2",
+            id="calibration_styles-one",
+        ),
+        pytest.param(
+            {"style": {"calibration_batch_size": 1}},
+            "style.calibration_batch_size: must be >= 2",
+            id="calibration_batch_size-one",
+        ),
+        pytest.param(
+            {"style": {"nonlinearity": "relu"}},
+            "style.nonlinearity: unknown kind 'relu'",
+            id="nonlinearity-unknown",
+        ),
+        pytest.param({"methods": []}, "methods: must list at least one method", id="methods-empty"),
+        pytest.param(
+            {"methods": [{"name": "a"}, {"name": "a"}]}, "methods: names must be unique",
+            id="methods-duplicate",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "mystery"}]},
+            "methods[m].kind: unknown objective 'mystery'",
+            id="method-kind",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "lr": -0.1}]}, "methods[m].lr: must be >= 0",
+            id="method-lr",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "filtered_ensemble", "alpha": 1.5}]},
+            "methods[m].alpha: must be in [0, 1]",
+            id="method-alpha",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "fisher_entropy", "fisher_lambda": -1}]},
+            "methods[m].fisher_lambda: must be >= 0",
+            id="method-fisher_lambda",
+        ),
+        pytest.param(
+            {"theory": {"trials": 99}}, "theory: trial counts must be >= 100",
+            id="theory-trials",
+        ),
+        pytest.param(
+            {"theory": {"ensemble_trials": 99}}, "theory: trial counts must be >= 100",
+            id="theory-ensemble_trials",
+        ),
+        pytest.param(
+            {"theory": {"chebyshev_trials": 99}}, "theory: trial counts must be >= 100",
+            id="theory-chebyshev_trials",
+        ),
+        pytest.param(
+            {"theory": {"fisher_cases": [[1.0, 1.0, 1.0]]}},
+            "theory.fisher_cases: (lam=1.0, omega=1.0, eta=1.0) gives alpha=-1.0 "
+            "outside (0, 1]",
+            id="fisher_cases-alpha",
+        ),
+        # Every broken rule of every section is listed in one error.
+        pytest.param(
+            {
+                "scenario": {"domains": 0, "severity": -1},
+                "clustering": {"k_max": 0},
+            },
+            "scenario.domains: must be >= 1; scenario.severity: must be >= 0; "
+            "clustering.k_max: must be >= 1",
+            id="three-rules",
+        ),
         # Options that no longer exist: one recipe per pipeline stage.
         pytest.param(
             {"clustering": {"optimizer": "adam"}}, "clustering.optimizer: unknown field",
@@ -86,10 +209,11 @@ def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
 
 
 @pytest.mark.parametrize("seeds", ["1,x", ",", "-1", "2,-3"])
-def test_bad_seed_override_exits_1(tmp_path, monkeypatch, seeds):
+def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     path = _write_config(tmp_path, SMALL)
     assert cli.main(["run", "--config", path, f"--seeds={seeds}"]) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
