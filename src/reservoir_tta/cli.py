@@ -32,7 +32,6 @@ from .config import (
     calibration_styles,
     default_config,
     load_config,
-    resolve_method,
 )
 from .errors import ConfigurationError, ReservoirTTAError
 from .style import calibrate_threshold, export_styles
@@ -46,14 +45,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()
+        # Every argument is checked before the output directory is created.
+        if args.command == "run" and args.seeds:
+            cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
+        if args.command == "theory":
+            checks = _parse_checks(args.checks)
+        if args.command == "export-styles" and args.count is not None and args.count < 1:
+            raise ConfigurationError(f"count must be positive, got {args.count}")
         out_dir = _output_dir(cfg)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, out_dir)
         if args.command == "run":
-            seeds = _parse_seeds(args.seeds) if args.seeds else cfg.seeds
-            return cmd_run(cfg, out_dir, seeds)
+            return cmd_run(cfg, out_dir)
         if args.command == "theory":
-            checks = _parse_checks(args.checks)
             return cmd_theory(cfg, out_dir, checks)
         if args.command == "export-styles":
             return cmd_export_styles(cfg, Path(args.out), args.count)
@@ -108,14 +112,9 @@ def _output_dir(cfg: RunConfig) -> Path:
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise ConfigurationError(f"unparseable seed list {text!r}")
-    if not seeds:
-        raise ConfigurationError("seed list is empty")
-    if min(seeds) < 0:
-        raise ConfigurationError(f"seeds must be nonnegative, got {text!r}")
-    return seeds
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -159,14 +158,13 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 # run
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
+def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     context = build_context(cfg)
-    methods = [resolve_method(m) for m in cfg.methods]
-
-    all_results: dict[int, dict[str, stream.EpisodeMetrics]] = {}
-    for seed in seeds:
-        results = all_results[seed] = {}
-        for method in methods:
+    # Per method, one entry per seed: only what aggregate.json needs is kept.
+    visit_errors: dict[str, list[np.ndarray]] = {m.name: [] for m in cfg.methods}
+    mean_errors: dict[str, list[float | None]] = {m.name: [] for m in cfg.methods}
+    for seed in cfg.seeds:
+        for method in cfg.methods:
             if cfg.emit_trace:
                 trace_path = out_dir / f"trace_{method.name}_seed{seed}.jsonl"
                 with open(trace_path, "w", encoding="utf-8") as fh:
@@ -176,33 +174,29 @@ def cmd_run(cfg: RunConfig, out_dir: Path, seeds: tuple[int, ...]) -> int:
             else:
                 metrics = stream.run_episode(context, method, seed)
             _write_metrics_csv(out_dir / f"metrics_{method.name}_seed{seed}.csv", metrics)
+            visit_error = metrics.per_visit_error()
             summary = {
                 "method": method.name,
                 "seed": seed,
                 "mean_error": _clean(metrics.per_batch_error.mean()) if metrics.step_count else None,
-                "per_visit_error": [_clean(v) for v in metrics.per_visit_error()],
+                "per_visit_error": [_clean(v) for v in visit_error],
                 "per_visit_domain_error": _nested(metrics.per_visit_domain_error()),
                 "final_detected_domains": int(metrics.detected_domains[-1]) if metrics.step_count else 0,
             }
             _write_json(out_dir / f"summary_{method.name}_seed{seed}.json", summary)
-            results[method.name] = metrics
+            visit_errors[method.name].append(visit_error)
+            mean_errors[method.name].append(summary["mean_error"])
 
-    aggregate = {"seeds": list(seeds), "methods": {}}
-    for method in methods:
-        visit_tables = [all_results[s][method.name].per_visit_error() for s in seeds]
-        stacked = np.stack(visit_tables) if visit_tables and visit_tables[0].size else np.empty((len(seeds), 0))
-        aggregate["methods"][method.name] = {
+    aggregate = {"seeds": list(cfg.seeds), "methods": {}}
+    for name, tables in visit_errors.items():
+        stacked = np.stack(tables) if tables[0].size else np.empty((len(tables), 0))
+        aggregate["methods"][name] = {
             "per_visit_mean": [_clean(v) for v in stacked.mean(axis=0)] if stacked.size else [],
             "per_visit_std": [_clean(v) for v in stacked.std(axis=0)] if stacked.size else [],
-            "per_seed_mean_error": [
-                _clean(all_results[s][method.name].per_batch_error.mean())
-                if all_results[s][method.name].step_count
-                else None
-                for s in seeds
-            ],
+            "per_seed_mean_error": mean_errors[name],
         }
     _write_json(out_dir / "aggregate.json", aggregate)
-    print(f"wrote {len(seeds)} seed(s) x {len(methods)} method(s) to {out_dir}")
+    print(f"wrote {len(cfg.seeds)} seed(s) x {len(cfg.methods)} method(s) to {out_dir}")
     return 0
 
 
@@ -408,12 +402,8 @@ def _run_check(name: str, cfg: RunConfig):
 
 
 def cmd_export_styles(cfg: RunConfig, out_path: Path, count: int | None) -> int:
-    if count is not None:
-        if count < 1:
-            raise ConfigurationError(f"count must be positive, got {count}")
-        cfg = replace(cfg, style=replace(cfg.style, calibration_styles=count))
     dataset, extractor = build_source(cfg)
-    styles = calibration_styles(cfg, dataset.blob, extractor)
+    styles = calibration_styles(cfg, dataset.blob, extractor, count)
     written = export_styles(out_path, styles)
     print(f"wrote {written} style vectors ({extractor.style_dim} dims) to {out_path}")
     return 0

@@ -1,10 +1,16 @@
-"""Run configuration: defaults, YAML loading, validation, context building.
+"""Run configuration: defaults, YAML loading, context building.
 
 One config file drives everything. Paper-derived defaults are pinned here:
 style reservoir size 1024, domain cap 16, threshold quantile 0.99 over 2000
 source style vectors, centroid learning rate 1e-4. Harness-level knobs
 (synthetic data shapes, severities, learning rates) were tuned once on the
 synthetic benchmark and frozen.
+
+Each YAML section builds one type that checks its own values when it is
+constructed (``scenario`` a ``stream.ScenarioPlan``, ``clustering`` a
+``stream.ClusterParams``, each ``methods`` entry a ``stream.MethodConfig``);
+the engine consumes those types directly. ``config_from_dict`` raises one
+``ConfigurationError`` listing every ``<section>.<field>: <rule>`` broken.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 import yaml
 
 from . import stream, tta
-from .errors import ConfigurationError
-from .style import FeatureExtractor, calibrate_threshold, extract_style, mean_style
+from .errors import ConfigurationError, check_fields
+from .style import NONLINEARITIES, FeatureExtractor, calibrate_threshold, extract_style, mean_style
 
 _TAG_CALIBRATION = 10
 _TAG_FISHER = 11
@@ -42,6 +48,15 @@ class SourceParams:
     batch_size: int = 64
     seed: int = 7
 
+    def __post_init__(self):
+        check_fields(
+            ("classes", self.classes >= 2, "must be >= 2"),
+            ("input_dim", self.input_dim >= 1, "must be >= 1"),
+            ("samples_per_class", self.samples_per_class >= 1, "must be >= 1"),
+            ("hidden", self.hidden >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+        )
+
 
 @dataclass(frozen=True)
 class StyleParams:
@@ -59,30 +74,15 @@ class StyleParams:
     calibration_batch_size: int = 32
     fisher_batches: int = 10
 
-
-@dataclass(frozen=True)
-class ScenarioParams:
-    kind: str = "csc"
-    domains: int = 8
-    visits: int = 20
-    batches_per_domain: int = 25
-    batch_size: int = 64
-    severity: float = 1.0
-    domain_seed: int = 23
-    min_separation_factor: float = 1.3
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """One method to run; None fields fall back to regime defaults."""
-
-    name: str
-    kind: str = "entropy"
-    reservoir: bool = False
-    lr: float = tta.DEFAULT_TTA_LR
-    entropy_margin: float | None = None
-    fisher_lambda: float | None = None
-    alpha: float | None = None
+    def __post_init__(self):
+        check_fields(
+            ("channels", min(self.channels, default=0) >= 1, "must be nonempty and positive"),
+            ("calibration_styles", self.calibration_styles >= 2, "must be >= 2"),
+            ("calibration_batch_size", self.calibration_batch_size >= 2, "must be >= 2"),
+            ("nonlinearity", self.nonlinearity in NONLINEARITIES,
+             f"unknown kind {self.nonlinearity!r}"),
+            ("fisher_batches", self.fisher_batches >= 1, "must be >= 1"),
+        )
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,21 @@ class TheoryParams:
     chebyshev_beta_factor: float = 5.0
     seed: int = 101
 
+    def __post_init__(self):
+        rules = [
+            (name, getattr(self, name) >= 100, "must be >= 100")
+            for name in ("trials", "ensemble_trials", "chebyshev_trials")
+        ]
+        for lam, omega, eta in self.fisher_cases:
+            alpha = 1 - 2 * lam * omega * eta
+            case = f"(lam={lam}, omega={omega}, eta={eta}) gives alpha={alpha} outside (0, 1]"
+            rules.append(("fisher_cases", 0 < alpha <= 1, case))
+        alphas_ok = all(0 <= a < 1 for a in self.ensemble_alphas)
+        rules.append(("ensemble_alphas", alphas_ok, "entries must be in [0, 1)"))
+        # The Chebyshev start point sits at distance 1 from the optimum.
+        rules.append(("chebyshev_beta_factor", self.chebyshev_beta_factor > 1, "must be > 1"))
+        check_fields(*rules)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -119,12 +134,21 @@ class RunConfig:
     emit_trace: bool = False
     source: SourceParams = field(default_factory=SourceParams)
     style: StyleParams = field(default_factory=StyleParams)
-    scenario: ScenarioParams = field(default_factory=ScenarioParams)
+    scenario: stream.ScenarioPlan = field(default_factory=stream.ScenarioPlan)
     clustering: stream.ClusterParams = field(default_factory=stream.ClusterParams)
-    methods: tuple[MethodSpec, ...] = (
-        MethodSpec(name="reservoir_eata", kind="filtered_fisher", reservoir=True),
+    methods: tuple[stream.MethodConfig, ...] = (
+        stream.MethodConfig(name="reservoir_eata", kind="filtered_fisher", reservoir=True),
     )
     theory: TheoryParams = field(default_factory=TheoryParams)
+
+    def __post_init__(self):
+        names = [m.name for m in self.methods]
+        check_fields(
+            ("seeds", len(self.seeds) > 0, "must be nonempty"),
+            ("seeds", all(s >= 0 for s in self.seeds), "must be nonnegative"),
+            ("methods", len(self.methods) > 0, "must list at least one method"),
+            ("methods", len(set(names)) == len(names), "names must be unique"),
+        )
 
 
 def default_config() -> RunConfig:
@@ -134,7 +158,7 @@ def default_config() -> RunConfig:
 _SECTIONS = {
     "source": SourceParams,
     "style": StyleParams,
-    "scenario": ScenarioParams,
+    "scenario": stream.ScenarioPlan,
     "clustering": stream.ClusterParams,
     "theory": TheoryParams,
 }
@@ -191,9 +215,11 @@ def _build(cls, data, where: str, problems: list[str]):
     kwargs = _fields(cls, data, where, problems)
     try:
         return cls(**kwargs)
-    except (TypeError, ConfigurationError) as exc:
+    except TypeError as exc:
         problems.append(f"{where.rstrip('.')}: {exc}")
-        return None
+    except ConfigurationError as exc:
+        problems.extend(where + problem for problem in exc.problems)
+    return None
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
@@ -212,86 +238,19 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
         if not isinstance(data["methods"], list):
             problems.append("methods: must be a list")
         else:
-            specs = [
-                _build(MethodSpec, m, f"methods[{i}].", problems)
+            methods = [
+                _build(stream.MethodConfig, m, f"methods[{i}].", problems)
                 for i, m in enumerate(data["methods"])
             ]
-            kwargs["methods"] = tuple(spec for spec in specs if spec is not None)
-    cfg = RunConfig(**kwargs)
-    problems.extend(validate_config(cfg))
+            if None not in methods:
+                kwargs["methods"] = tuple(methods)
+    try:
+        cfg = RunConfig(**kwargs)
+    except ConfigurationError as exc:
+        problems.extend(exc.problems)
     if problems:
         raise ConfigurationError("invalid config: " + "; ".join(problems))
     return cfg
-
-
-def validate_config(cfg: RunConfig) -> list[str]:
-    """Collect every constraint violation (empty list = valid)."""
-    problems = []
-    if not cfg.seeds:
-        problems.append("seeds: must be nonempty")
-    if any(s < 0 for s in cfg.seeds):
-        problems.append("seeds: must be nonnegative")
-    s = cfg.scenario
-    if s.kind not in stream.SCENARIO_KINDS:
-        problems.append(f"scenario.kind: unknown kind {s.kind!r}")
-    if s.domains < 1:
-        problems.append("scenario.domains: must be >= 1")
-    if s.visits < 0:
-        problems.append("scenario.visits: must be >= 0")
-    if s.batch_size < 2:
-        problems.append("scenario.batch_size: must be >= 2")
-    if s.batches_per_domain < 1:
-        problems.append("scenario.batches_per_domain: must be >= 1")
-    if s.severity < 0:
-        problems.append("scenario.severity: must be >= 0")
-    c = cfg.clustering
-    if c.reservoir_size < 1:
-        problems.append("clustering.reservoir_size: must be >= 1")
-    if c.k_max < 1:
-        problems.append("clustering.k_max: must be >= 1")
-    if not 0 < c.quantile <= 1:
-        problems.append("clustering.quantile: must be in (0, 1]")
-    if c.centroid_lr < 0:
-        problems.append("clustering.centroid_lr: must be >= 0")
-    if c.centroid_steps < 1:
-        problems.append("clustering.centroid_steps: must be >= 1")
-    src = cfg.source
-    if src.classes < 2:
-        problems.append("source.classes: must be >= 2")
-    if src.samples_per_class < 1:
-        problems.append("source.samples_per_class: must be >= 1")
-    st = cfg.style
-    if st.calibration_styles < 2:
-        problems.append("style.calibration_styles: must be >= 2")
-    if st.calibration_batch_size < 2:
-        problems.append("style.calibration_batch_size: must be >= 2")
-    if st.nonlinearity not in ("tanh", "identity"):
-        problems.append(f"style.nonlinearity: unknown kind {st.nonlinearity!r}")
-    if not cfg.methods:
-        problems.append("methods: must list at least one method")
-    names = [m.name for m in cfg.methods]
-    if len(set(names)) != len(names):
-        problems.append("methods: names must be unique")
-    for m in cfg.methods:
-        if m.kind not in tta.OBJECTIVE_KINDS:
-            problems.append(f"methods[{m.name}].kind: unknown objective {m.kind!r}")
-        if m.lr < 0:
-            problems.append(f"methods[{m.name}].lr: must be >= 0")
-        if m.alpha is not None and not 0 <= m.alpha <= 1:
-            problems.append(f"methods[{m.name}].alpha: must be in [0, 1]")
-        if m.fisher_lambda is not None and m.fisher_lambda < 0:
-            problems.append(f"methods[{m.name}].fisher_lambda: must be >= 0")
-    t = cfg.theory
-    if t.trials < 100 or t.ensemble_trials < 100 or t.chebyshev_trials < 100:
-        problems.append("theory: trial counts must be >= 100")
-    for lam, omega, eta in t.fisher_cases:
-        alpha = 1 - 2 * lam * omega * eta
-        if not 0 < alpha <= 1:
-            problems.append(
-                f"theory.fisher_cases: (lam={lam}, omega={omega}, eta={eta}) "
-                f"gives alpha={alpha} outside (0, 1]"
-            )
-    return problems
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -301,26 +260,14 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(data or {})
 
 
-def resolve_method(spec: MethodSpec) -> stream.MethodConfig:
-    """Fill regime defaults (anchoring strength depends on the reservoir switch)."""
-    base = tta.default_objective(spec.kind, reservoir=spec.reservoir, lr=spec.lr)
-    lam = spec.fisher_lambda if spec.fisher_lambda is not None else base.fisher_lambda
-    alpha = spec.alpha if spec.alpha is not None else base.alpha
-    objective = tta.TTAObjectiveConfig(
-        kind=spec.kind,
-        lr=spec.lr,
-        entropy_margin=spec.entropy_margin,
-        fisher_lambda=lam,
-        alpha=alpha,
-    )
-    return stream.MethodConfig(name=spec.name, objective=objective, reservoir=spec.reservoir)
-
-
-def calibration_styles(cfg: RunConfig, blob: stream.BlobSpec, extractor: FeatureExtractor):
-    """Seeded source style sample used for threshold calibration."""
+def calibration_styles(
+    cfg: RunConfig, blob: stream.BlobSpec, extractor: FeatureExtractor, count: int | None = None
+):
+    """Seeded source style sample used for threshold calibration: ``count``
+    styles, ``style.calibration_styles`` by default."""
     st = cfg.style
     styles = []
-    for i in range(st.calibration_styles):
+    for i in range(st.calibration_styles if count is None else count):
         rng = np.random.default_rng((st.seed, _TAG_CALIBRATION, i))
         x, _ = blob.sample(rng, st.calibration_batch_size)
         styles.append(extract_style(x, extractor))
@@ -362,32 +309,24 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
     calibration = calibrate_threshold(styles, cfg.clustering.quantile)
     source_mean = mean_style(styles)
 
-    sc = cfg.scenario
+    plan = cfg.scenario
     domains = stream.make_domains(
-        sc.domains,
-        sc.severity,
-        sc.domain_seed,
+        plan.domains,
+        plan.severity,
+        plan.domain_seed,
         blob=dataset.blob,
         extractor=extractor,
         tau=calibration.tau,
         source_style_mean=source_mean,
-        batch_size=sc.batch_size,
-        min_separation_factor=sc.min_separation_factor,
+        batch_size=plan.batch_size,
+        min_separation_factor=plan.min_separation_factor,
     )
     fisher_batches = []
     for i in range(cfg.style.fisher_batches):
         rng = np.random.default_rng((cfg.style.seed, _TAG_FISHER, i))
-        x, _ = dataset.blob.sample(rng, sc.batch_size)
+        x, _ = dataset.blob.sample(rng, plan.batch_size)
         fisher_batches.append(x)
     omega = tta.estimate_fisher(model, fisher_batches)
-
-    plan = stream.ScenarioPlan(
-        kind=sc.kind,
-        domain_count=sc.domains,
-        visits=sc.visits,
-        batches_per_domain=sc.batches_per_domain,
-        batch_size=sc.batch_size,
-    )
     return stream.EpisodeContext(
         blob=dataset.blob,
         model=model,

@@ -35,7 +35,19 @@ class NumericalError(ReservoirTTAError):
 
 
 class ConfigurationError(ReservoirTTAError):
-    """A configuration value violates a documented precondition."""
+    """A configuration value violates a documented precondition; ``problems``
+    holds one message per broken rule (``"<field>: <rule>"`` from a config type)."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
+def check_fields(*rules: tuple[str, bool, str]) -> None:
+    """Raise one ConfigurationError naming every ``(field, holds, rule)`` that fails."""
+    problems = [f"{name}: {rule}" for name, holds, rule in rules if not holds]
+    if problems:
+        raise ConfigurationError(*problems)
 
 
 class GenerationError(ReservoirTTAError):

@@ -59,12 +59,13 @@ class ModelReservoir:
         """All entries stacked as a ``(count, dim)`` matrix (copy)."""
         return np.stack(self._entries)
 
-    def init_new_model(self, batch: np.ndarray, predictor: Predictor) -> np.ndarray:
+    def init_new_model(self, predictor: Predictor) -> np.ndarray:
         """Append a model for a newly detected domain; returns its parameters.
 
-        The new model clones the existing entry whose predictions on
-        ``batch`` minimize the mutual-information loss (confident and
-        diverse); ties go to the lowest index.
+        The new model clones the existing entry whose predictions on the
+        current batch (``predictor`` binds it) minimize the
+        mutual-information loss (confident and diverse); ties go to the
+        lowest index.
         """
         losses = []
         for idx, params in enumerate(self._entries):

@@ -35,6 +35,7 @@ from .errors import (
     GenerationError,
     InputDomainError,
     InsufficientDataError,
+    check_fields,
 )
 from .model_reservoir import ModelReservoir, select_active
 from .style import FeatureExtractor, ThresholdCalibration, extract_style
@@ -323,46 +324,50 @@ def _farthest_point_subset(
 
 @dataclass(frozen=True)
 class ScenarioPlan:
-    """Stream schedule: which domain feeds each batch."""
+    """Stream schedule (which domain feeds each batch) and the domain draw."""
 
     kind: str = "csc"
-    domain_count: int = 8
+    domains: int = 8
     visits: int = 20
     batches_per_domain: int = 25
     batch_size: int = 64
-    order_seed: int = 0
+    severity: float = 1.0
+    domain_seed: int = 23
+    min_separation_factor: float = 1.3
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
-        if self.domain_count < 1 or self.batches_per_domain < 1 or self.batch_size < 2:
-            raise ConfigurationError("plan sizes must be positive (batch_size >= 2)")
-        if self.visits < 0:
-            raise ConfigurationError("visits must be nonnegative")
+        check_fields(
+            ("kind", self.kind in SCENARIO_KINDS, f"unknown kind {self.kind!r}"),
+            ("domains", self.domains >= 1, "must be >= 1"),
+            ("visits", self.visits >= 0, "must be >= 0"),
+            ("batch_size", self.batch_size >= 2, "must be >= 2"),
+            ("batches_per_domain", self.batches_per_domain >= 1, "must be >= 1"),
+            ("severity", self.severity >= 0, "must be >= 0"),
+        )
 
     @property
     def total_steps(self) -> int:
-        return self.domain_count * self.visits * self.batches_per_domain
+        return self.domains * self.visits * self.batches_per_domain
 
     @property
     def steps_per_visit(self) -> int:
-        return self.domain_count * self.batches_per_domain
+        return self.domains * self.batches_per_domain
 
-    def visit_order(self, visit: int) -> np.ndarray:
-        """Domain order within one visit: fixed for CSC, reshuffled for CDC/CCC."""
+    def visit_order(self, visit: int, seed: int) -> np.ndarray:
+        """Domain order within one visit: fixed for CSC, reshuffled per (seed, visit) else."""
         if self.kind == "csc":
-            return np.arange(self.domain_count)
-        rng = np.random.default_rng((self.order_seed, visit))
-        return rng.permutation(self.domain_count)
+            return np.arange(self.domains)
+        rng = np.random.default_rng((seed, visit))
+        return rng.permutation(self.domains)
 
-    def segment_at(self, step: int) -> tuple[int, int, int, float]:
+    def segment_at(self, step: int, seed: int) -> tuple[int, int, int, float]:
         """(visit, primary domain, next domain, blend weight) for one step."""
         if not 0 <= step < self.total_steps:
             raise EndOfStream(f"step {step} outside [0, {self.total_steps})")
         visit = step // self.steps_per_visit
         within = step % self.steps_per_visit
         slot = within // self.batches_per_domain
-        order = self.visit_order(visit)
+        order = self.visit_order(visit, seed)
         primary = int(order[slot])
         if self.kind != "ccc":
             return visit, primary, primary, 0.0
@@ -374,7 +379,7 @@ class ScenarioPlan:
             return visit, primary, primary, 0.0
         nxt_visit = flat // self.steps_per_visit
         nxt_slot = (flat % self.steps_per_visit) // self.batches_per_domain
-        nxt = int(self.visit_order(nxt_visit)[nxt_slot])
+        nxt = int(self.visit_order(nxt_visit, seed)[nxt_slot])
         return visit, primary, nxt, w
 
 
@@ -396,9 +401,9 @@ class DomainStream:
         blob: BlobSpec,
         seed: int,
     ):
-        if len(domains) != plan.domain_count:
+        if len(domains) != plan.domains:
             raise ConfigurationError(
-                f"plan expects {plan.domain_count} domains, got {len(domains)}"
+                f"plan expects {plan.domains} domains, got {len(domains)}"
             )
         self.plan = plan
         self.domains = list(domains)
@@ -406,7 +411,7 @@ class DomainStream:
         self.seed = seed
 
     def next_batch(self, step: int) -> StreamBatch:
-        visit, primary, nxt, w = self.plan.segment_at(step)
+        visit, primary, nxt, w = self.plan.segment_at(step, self.seed)
         # Batch content is keyed by (domain, slot within the domain's visit),
         # so every recurrence of a domain replays the same test data; visit-
         # to-visit error differences then reflect adaptation, not resampling
@@ -431,11 +436,34 @@ class DomainStream:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """One engine variant: a TTA objective plus the reservoir switch."""
+    """One engine variant: a TTA objective plus the reservoir switch.
+
+    ``fisher_lambda`` and ``alpha`` left at None take the defaults of
+    :func:`tta.default_anchoring` for the kind and the reservoir switch.
+    """
 
     name: str
-    objective: tta.TTAObjectiveConfig
-    reservoir: bool = True
+    kind: str = "entropy"
+    reservoir: bool = False
+    lr: float = tta.DEFAULT_TTA_LR
+    entropy_margin: float | None = None
+    fisher_lambda: float | None = None
+    alpha: float | None = None
+
+    def __post_init__(self):
+        self.objective(None)  # raises for a bad kind, lr, margin, lambda or alpha
+
+    def objective(self, fisher_omega: np.ndarray | None) -> tta.TTAObjectiveConfig:
+        """The update rule, with ``fisher_omega`` as the anchor's weights."""
+        lam, alpha = tta.default_anchoring(self.kind, self.reservoir)
+        return tta.TTAObjectiveConfig(
+            kind=self.kind,
+            lr=self.lr,
+            entropy_margin=self.entropy_margin,
+            fisher_lambda=lam if self.fisher_lambda is None else self.fisher_lambda,
+            fisher_omega=fisher_omega,
+            alpha=alpha if self.alpha is None else self.alpha,
+        )
 
 
 @dataclass(frozen=True)
@@ -447,6 +475,15 @@ class ClusterParams:
     quantile: float = 0.99
     centroid_lr: float = 1e-4
     centroid_steps: int = 1
+
+    def __post_init__(self):
+        check_fields(
+            ("reservoir_size", self.reservoir_size >= 1, "must be >= 1"),
+            ("k_max", self.k_max >= 1, "must be >= 1"),
+            ("quantile", 0 < self.quantile <= 1, "must be in (0, 1]"),
+            ("centroid_lr", self.centroid_lr >= 0, "must be >= 0"),
+            ("centroid_steps", self.centroid_steps >= 1, "must be >= 1"),
+        )
 
 
 @dataclass(frozen=True)
@@ -535,10 +572,10 @@ def run_episode(
     the ensembled parameters for reservoir methods, the single model
     otherwise. Deterministic per (plan, method, seed).
     """
-    plan = replace(context.plan, order_seed=seed) if plan is None else plan
+    plan = context.plan if plan is None else plan
     cluster = context.cluster
     k_max = cluster.k_max if method.reservoir else 1
-    objective = _resolve_objective(method.objective, context)
+    objective = method.objective(context.fisher_omega)
 
     stream = DomainStream(plan, context.domains, context.blob, seed)
     style_dim = context.extractor.style_dim
@@ -565,9 +602,7 @@ def run_episode(
         reservoir.offer(s)
         decision = centroids.detect(s, tau)
         if decision.is_new:
-            models.init_new_model(
-                batch.inputs, predictor=lambda p: tta.predict(model, p, batch.inputs)
-            )
+            models.init_new_model(lambda p: tta.predict(model, p, batch.inputs))
         update_centroids(
             centroids, reservoir, lr=cluster.centroid_lr, steps=cluster.centroid_steps
         )
@@ -611,12 +646,3 @@ def run_episode(
         drift_norm=drift,
         predictions=preds,
     )
-
-
-def _resolve_objective(
-    objective: tta.TTAObjectiveConfig, context: EpisodeContext
-) -> tta.TTAObjectiveConfig:
-    """Fill the estimated Fisher weights into anchored objectives."""
-    if objective.fisher and objective.fisher_omega is None:
-        return replace(objective, fisher_omega=context.fisher_omega)
-    return objective

@@ -30,6 +30,7 @@ from .errors import (
 VAR_FLOOR = 1e-12
 
 DEFAULT_LAYER_CHANNELS = (8, 16, 16)
+NONLINEARITIES = ("tanh", "identity")
 
 
 class FeatureExtractor:
@@ -52,7 +53,7 @@ class FeatureExtractor:
             raise InputDomainError(f"input_dim must be positive, got {input_dim}")
         if not layer_channels or any(c < 1 for c in layer_channels):
             raise InputDomainError(f"layer_channels must be positive, got {layer_channels}")
-        if nonlinearity not in ("tanh", "identity"):
+        if nonlinearity not in NONLINEARITIES:
             raise InputDomainError(f"unknown nonlinearity {nonlinearity!r}")
         if weight_scale <= 0:
             raise InputDomainError(f"weight_scale must be positive, got {weight_scale}")

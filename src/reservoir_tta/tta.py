@@ -36,6 +36,7 @@ from .errors import (
     InsufficientDataError,
     NumericalError,
     TrainingError,
+    check_fields,
 )
 
 OBJECTIVE_KINDS = (
@@ -65,23 +66,19 @@ class TTAObjectiveConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ConfigurationError(f"unknown objective kind {self.kind!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.fisher_lambda < 0:
-            raise ConfigurationError(
-                f"fisher_lambda must be nonnegative, got {self.fisher_lambda}"
-            )
         if self.fisher_omega is not None:
             om = np.asarray(self.fisher_omega, dtype=np.float64)
-            if np.any(om < 0):
-                raise ConfigurationError("fisher_omega entries must be nonnegative")
             object.__setattr__(self, "fisher_omega", om)
-        if self.entropy_margin is not None and self.entropy_margin <= 0:
-            raise ConfigurationError(
-                f"entropy_margin must be positive, got {self.entropy_margin}"
-            )
+        check_fields(
+            ("kind", self.kind in OBJECTIVE_KINDS, f"unknown objective {self.kind!r}"),
+            ("lr", self.lr >= 0, "must be >= 0"),
+            ("alpha", 0.0 <= self.alpha <= 1.0, "must be in [0, 1]"),
+            ("fisher_lambda", self.fisher_lambda >= 0, "must be >= 0"),
+            ("entropy_margin", self.entropy_margin is None or self.entropy_margin > 0,
+             "must be > 0"),
+            ("fisher_omega", self.fisher_omega is None or not np.any(self.fisher_omega < 0),
+             "entries must be >= 0"),
+        )
 
     @property
     def filtered(self) -> bool:
@@ -96,18 +93,17 @@ class TTAObjectiveConfig:
         return self.kind in _ENSEMBLE
 
 
-def default_objective(
-    kind: str, reservoir: bool = False, lr: float = DEFAULT_TTA_LR
-) -> TTAObjectiveConfig:
-    """Config with the package's default anchoring strengths.
+def default_anchoring(kind: str, reservoir: bool) -> tuple[float, float]:
+    """The package's default ``(fisher_lambda, alpha)`` for an objective kind.
 
     Single-model runs get the stronger regularization (lambda 2000,
     alpha 0.99); reservoir runs default weaker (lambda 1000, alpha 0.995)
-    since per-domain models need less external variance control.
+    since per-domain models need less external variance control. Kinds
+    without an anchor or ensembling get the neutral (0, 1).
     """
     lam = (1000.0 if reservoir else 2000.0) if kind in _FISHER else 0.0
     alpha = (0.995 if reservoir else 0.99) if kind in _ENSEMBLE else 1.0
-    return TTAObjectiveConfig(kind=kind, lr=lr, fisher_lambda=lam, alpha=alpha)
+    return lam, alpha
 
 
 class AdaptableClassifier:

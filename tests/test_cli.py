@@ -137,33 +137,33 @@ def _write_config(tmp_path, data, name="config.yaml"):
         ),
         pytest.param(
             {"methods": [{"name": "m", "kind": "mystery"}]},
-            "methods[m].kind: unknown objective 'mystery'",
+            "methods[0].kind: unknown objective 'mystery'",
             id="method-kind",
         ),
         pytest.param(
-            {"methods": [{"name": "m", "lr": -0.1}]}, "methods[m].lr: must be >= 0",
+            {"methods": [{"name": "m", "lr": -0.1}]}, "methods[0].lr: must be >= 0",
             id="method-lr",
         ),
         pytest.param(
             {"methods": [{"name": "m", "kind": "filtered_ensemble", "alpha": 1.5}]},
-            "methods[m].alpha: must be in [0, 1]",
+            "methods[0].alpha: must be in [0, 1]",
             id="method-alpha",
         ),
         pytest.param(
             {"methods": [{"name": "m", "kind": "fisher_entropy", "fisher_lambda": -1}]},
-            "methods[m].fisher_lambda: must be >= 0",
+            "methods[0].fisher_lambda: must be >= 0",
             id="method-fisher_lambda",
         ),
         pytest.param(
-            {"theory": {"trials": 99}}, "theory: trial counts must be >= 100",
+            {"theory": {"trials": 99}}, "theory.trials: must be >= 100",
             id="theory-trials",
         ),
         pytest.param(
-            {"theory": {"ensemble_trials": 99}}, "theory: trial counts must be >= 100",
+            {"theory": {"ensemble_trials": 99}}, "theory.ensemble_trials: must be >= 100",
             id="theory-ensemble_trials",
         ),
         pytest.param(
-            {"theory": {"chebyshev_trials": 99}}, "theory: trial counts must be >= 100",
+            {"theory": {"chebyshev_trials": 99}}, "theory.chebyshev_trials: must be >= 100",
             id="theory-chebyshev_trials",
         ),
         pytest.param(
@@ -171,6 +171,47 @@ def _write_config(tmp_path, data, name="config.yaml"):
             "theory.fisher_cases: (lam=1.0, omega=1.0, eta=1.0) gives alpha=-1.0 "
             "outside (0, 1]",
             id="fisher_cases-alpha",
+        ),
+        # Rules that config loading did not check before; each of these
+        # inputs used to fail only after the output directory was created.
+        pytest.param(
+            {"source": {"input_dim": 0}}, "source.input_dim: must be >= 1",
+            id="input_dim-zero",
+        ),
+        pytest.param(
+            {"source": {"hidden": 0}}, "source.hidden: must be >= 1", id="hidden-zero",
+        ),
+        pytest.param(
+            {"source": {"batch_size": 0}}, "source.batch_size: must be >= 1",
+            id="source-batch_size",
+        ),
+        pytest.param(
+            {"style": {"channels": []}}, "style.channels: must be nonempty and positive",
+            id="channels-empty",
+        ),
+        pytest.param(
+            {"style": {"channels": [8, 0]}},
+            "style.channels: must be nonempty and positive",
+            id="channels-zero",
+        ),
+        pytest.param(
+            {"style": {"fisher_batches": 0}}, "style.fisher_batches: must be >= 1",
+            id="fisher_batches-zero",
+        ),
+        pytest.param(
+            {"theory": {"ensemble_alphas": [0.9, 1.0]}},
+            "theory.ensemble_alphas: entries must be in [0, 1)",
+            id="ensemble_alphas-one",
+        ),
+        pytest.param(
+            {"theory": {"chebyshev_beta_factor": 1.0}},
+            "theory.chebyshev_beta_factor: must be > 1",
+            id="chebyshev_beta_factor-one",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "filtered_entropy", "entropy_margin": 0}]},
+            "methods[0].entropy_margin: must be > 0",
+            id="method-entropy_margin",
         ),
         # Every broken rule of every section is listed in one error.
         pytest.param(
@@ -208,12 +249,46 @@ def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("entry", "message"),
+    [
+        pytest.param({"kind": "entropy"}, "missing 1 required positional argument: 'name'",
+                     id="nameless"),
+        pytest.param({"name": "m", "kind": "mystery"}, "methods[0].kind: unknown objective",
+                     id="bad-kind"),
+    ],
+)
+def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, entry, message):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    assert cli.main(["run", "--config", _write_config(tmp_path, {"methods": [entry]})]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "methods: must list at least one method" not in err
+
+
 @pytest.mark.parametrize("seeds", ["1,x", ",", "-1", "2,-3"])
 def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     path = _write_config(tmp_path, SMALL)
     assert cli.main(["run", "--config", path, f"--seeds={seeds}"]) == 1
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["theory", "--checks", "recursion,bogus"], id="checks"),
+        pytest.param(["export-styles", "--out", "styles.txt", "--count", "0"], id="count"),
+    ],
+)
+def test_bad_argument_exits_1_before_output(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "styles.txt").exists()
 
 
 def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):

@@ -42,7 +42,7 @@ class TestSelectActive:
 class TestInitNewModel:
     def test_singleton_clones_source(self):
         res = ModelReservoir(np.array([1.0, 2.0, 3.0]))
-        out = res.init_new_model(np.zeros((4, 2)), _uniform_predictor(3))
+        out = res.init_new_model(_uniform_predictor(3))
         np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
         assert res.count == 2
 
@@ -51,7 +51,7 @@ class TestInitNewModel:
         # (MI loss -ln C, the minimum) -> B is cloned.
         res = ModelReservoir(np.zeros(2))
         res.write_active(0, np.array([10.0, 0.0]))  # entry 0 = "A"
-        res.init_new_model(np.zeros((4, 4)), _uniform_predictor(4))  # appends A copy
+        res.init_new_model(_uniform_predictor(4))  # appends A copy
         res.write_active(1, np.array([0.0, 20.0]))  # entry 1 = "B"
 
         def predictor(params):
@@ -59,7 +59,7 @@ class TestInitNewModel:
                 return np.full((4, 4), 0.25)
             return np.eye(4)  # B: one-hot, balanced
 
-        cloned = res.init_new_model(np.zeros((4, 4)), predictor)
+        cloned = res.init_new_model(predictor)
         np.testing.assert_array_equal(cloned, [0.0, 20.0])
 
     def test_matches_exhaustive_oracle(self):
@@ -67,9 +67,9 @@ class TestInitNewModel:
 
         rng = np.random.default_rng(23)
         res = ModelReservoir(rng.standard_normal(6))
-        res.init_new_model(np.zeros((3, 3)), _uniform_predictor(3))
+        res.init_new_model(_uniform_predictor(3))
         res.write_active(1, rng.standard_normal(6))
-        res.init_new_model(np.zeros((3, 3)), _uniform_predictor(3))
+        res.init_new_model(_uniform_predictor(3))
         res.write_active(2, rng.standard_normal(6))
 
         tables = {}
@@ -84,21 +84,21 @@ class TestInitNewModel:
                     return tables[idx]
             raise AssertionError("unknown entry")
 
-        cloned = res.init_new_model(np.zeros((3, 3)), predictor)
+        cloned = res.init_new_model(predictor)
         oracle = min(range(3), key=lambda i: mi_loss(tables[i]))
         np.testing.assert_array_equal(cloned, entries[oracle])
 
     def test_nonfinite_prediction_names_entry(self):
         res = ModelReservoir(np.zeros(2))
         with pytest.raises(NumericalError, match="entry 0"):
-            res.init_new_model(np.zeros((2, 2)), lambda p: np.full((2, 2), np.nan))
+            res.init_new_model(lambda p: np.full((2, 2), np.nan))
 
 
 class TestEnsembleParams:
     def test_one_hot_returns_exact_entry(self):
         rng = np.random.default_rng(3)
         res = ModelReservoir(rng.standard_normal(5))
-        res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+        res.init_new_model(_uniform_predictor(2))
         res.write_active(1, rng.standard_normal(5))
         q = np.array([0.0, 1.0])
         np.testing.assert_array_equal(res.ensemble_params(q), res.entry(1))
@@ -106,7 +106,7 @@ class TestEnsembleParams:
     def test_opposite_entries_cancel(self):
         theta = np.array([1.0, -2.0, 3.0])
         res = ModelReservoir(theta)
-        res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+        res.init_new_model(_uniform_predictor(2))
         res.write_active(1, -theta)
         np.testing.assert_allclose(
             res.ensemble_params(np.array([0.5, 0.5])), np.zeros(3), atol=1e-16
@@ -116,7 +116,7 @@ class TestEnsembleParams:
         rng = np.random.default_rng(4)
         res = ModelReservoir(rng.standard_normal(7))
         for _ in range(3):
-            res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+            res.init_new_model(_uniform_predictor(2))
         for i in range(4):
             res.write_active(i, rng.standard_normal(7))
         raw = rng.random(4)
@@ -134,7 +134,7 @@ class TestEnsembleParams:
     def test_prediction_path_leaves_entries_untouched(self):
         rng = np.random.default_rng(5)
         res = ModelReservoir(rng.standard_normal(4))
-        res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+        res.init_new_model(_uniform_predictor(2))
         before = res.entries_matrix()
         theta = res.ensemble_params(np.array([0.3, 0.7]))
         theta += 100.0  # mutating the result must not touch the pool
@@ -145,7 +145,7 @@ class TestWriteActive:
     def test_write_then_read(self):
         res = ModelReservoir(np.zeros(3))
         for _ in range(2):
-            res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+            res.init_new_model(_uniform_predictor(2))
         new = np.array([9.0, 9.0, 9.0])
         res.write_active(2, new)
         np.testing.assert_array_equal(res.entry(2), new)
@@ -154,7 +154,7 @@ class TestWriteActive:
         rng = np.random.default_rng(6)
         res = ModelReservoir(rng.standard_normal(4))
         for _ in range(2):
-            res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+            res.init_new_model(_uniform_predictor(2))
         before = res.entries_matrix()
         res.write_active(1, rng.standard_normal(4))
         after = res.entries_matrix()
@@ -165,7 +165,7 @@ class TestWriteActive:
         rng = np.random.default_rng(7)
         res = ModelReservoir(rng.standard_normal(3))
         for _ in range(3):
-            res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+            res.init_new_model(_uniform_predictor(2))
         writes = [(int(rng.integers(0, 4)), rng.standard_normal(3)) for _ in range(40)]
         for idx, params in writes:
             res.write_active(idx, params)
@@ -194,7 +194,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(8)
         res = ModelReservoir(rng.standard_normal(6))
         for _ in range(2):
-            res.init_new_model(np.zeros((2, 2)), _uniform_predictor(2))
+            res.init_new_model(_uniform_predictor(2))
         res.write_active(1, rng.standard_normal(6))
         path = tmp_path / "pool.rtta"
         res.save_checkpoint(path)

@@ -18,7 +18,7 @@ from reservoir_tta.style import extract_style
 
 
 def _small_plan(**kw):
-    base = dict(kind="csc", domain_count=3, visits=2, batches_per_domain=2, batch_size=8)
+    base = dict(kind="csc", domains=3, visits=2, batches_per_domain=2, batch_size=8)
     base.update(kw)
     return stream.ScenarioPlan(**base)
 
@@ -110,37 +110,36 @@ class TestMakeDomains:
 class TestScenarioPlan:
     def test_csc_fixed_cycle(self):
         plan = _small_plan()
-        seq = [plan.segment_at(s)[1] for s in range(plan.total_steps)]
+        seq = [plan.segment_at(s, 0)[1] for s in range(plan.total_steps)]
         assert seq == [0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2]
 
     def test_cdc_shuffles_per_visit_same_multiset(self):
-        plan = _small_plan(kind="cdc", order_seed=1, domain_count=5, visits=4)
-        orders = [tuple(plan.visit_order(v)) for v in range(4)]
+        plan = _small_plan(kind="cdc", domains=5, visits=4)
+        orders = [tuple(plan.visit_order(v, 1)) for v in range(4)]
         assert len(set(orders)) > 1  # orders differ across visits
         for order in orders:
             assert sorted(order) == [0, 1, 2, 3, 4]
 
     def test_cdc_seeds_differ(self):
-        a = _small_plan(kind="cdc", order_seed=1, domain_count=6)
-        b = _small_plan(kind="cdc", order_seed=2, domain_count=6)
+        plan = _small_plan(kind="cdc", domains=6)
         assert any(
-            tuple(a.visit_order(v)) != tuple(b.visit_order(v)) for v in range(2)
+            tuple(plan.visit_order(v, 1)) != tuple(plan.visit_order(v, 2)) for v in range(2)
         )
 
     def test_ccc_blend_ramps_within_segment(self):
         plan = _small_plan(kind="ccc", batches_per_domain=4)
-        _, p0, n0, w0 = plan.segment_at(0)
+        _, p0, n0, w0 = plan.segment_at(0, 0)
         assert w0 == 0.0
-        _, p1, n1, w1 = plan.segment_at(1)
+        _, p1, n1, w1 = plan.segment_at(1, 0)
         assert w1 == pytest.approx(0.25)
-        assert n1 != p1 or plan.domain_count == 1
+        assert n1 != p1 or plan.domains == 1
 
     def test_out_of_range_step(self):
         plan = _small_plan()
         with pytest.raises(EndOfStream):
-            plan.segment_at(plan.total_steps)
+            plan.segment_at(plan.total_steps, 0)
         with pytest.raises(EndOfStream):
-            plan.segment_at(-1)
+            plan.segment_at(-1, 0)
 
     def test_invalid_plan(self):
         with pytest.raises(ConfigurationError):
@@ -164,15 +163,15 @@ class TestDomainStream:
         ds = stream.DomainStream(plan, context.domains, context.blob, seed=4)
         for step in (0, plan.batches_per_domain, 3 * plan.batches_per_domain):
             batch = ds.next_batch(step)
-            assert batch.domain_id == plan.segment_at(step)[1]
+            assert batch.domain_id == plan.segment_at(step, 4)[1]
 
     def test_ccc_endpoints_match_pure_domains(self, context):
         # Style means of segment-start CCC batches sit within tau/10 of the
         # pure domain's style mean, over 100 batches each.
-        plan = replace(context.plan, kind="ccc", visits=2, order_seed=6)
+        plan = replace(context.plan, kind="ccc", visits=2)
         ds = stream.DomainStream(plan, context.domains, context.blob, seed=6)
         start = plan.batches_per_domain  # second segment start, w = 0
-        _, dom_idx, _, w = plan.segment_at(start)
+        _, dom_idx, _, w = plan.segment_at(start, 6)
         assert w == 0.0
         dom = context.domains[dom_idx]
         styles = []
@@ -199,10 +198,7 @@ class TestDomainStream:
 
 class TestRunEpisode:
     def _method(self, reservoir=True, kind="filtered_fisher"):
-        return stream.MethodConfig(
-            name="m", objective=tta.default_objective(kind, reservoir=reservoir),
-            reservoir=reservoir,
-        )
+        return stream.MethodConfig(name="m", kind=kind, reservoir=reservoir)
 
     def test_zero_visits_empty_metrics(self, context):
         plan = replace(context.plan, visits=0)
@@ -283,9 +279,7 @@ class TestRunEpisode:
             scenario=replace(default_config.scenario, domains=1, visits=3),
         )
         ctx = config.build_context(cfg)
-        method = stream.MethodConfig(
-            name="tent", objective=tta.default_objective("entropy"), reservoir=False
-        )
+        method = stream.MethodConfig(name="tent", kind="entropy", reservoir=False)
         met = stream.run_episode(ctx, method, seed=1)
         pv = met.per_visit_error()
         assert pv.size == 3

@@ -363,9 +363,8 @@ class TestObjectiveConfig:
             tta.TTAObjectiveConfig(kind="fisher_entropy", fisher_omega=np.array([-1.0]))
 
     def test_default_regimes(self):
-        single = tta.default_objective("filtered_fisher", reservoir=False)
-        pooled = tta.default_objective("filtered_fisher", reservoir=True)
-        assert single.fisher_lambda == 2000.0 and pooled.fisher_lambda == 1000.0
-        roid = tta.default_objective("filtered_ensemble", reservoir=False)
-        roid_pooled = tta.default_objective("filtered_ensemble", reservoir=True)
-        assert roid.alpha == 0.99 and roid_pooled.alpha == 0.995
+        assert tta.default_anchoring("filtered_fisher", reservoir=False) == (2000.0, 1.0)
+        assert tta.default_anchoring("filtered_fisher", reservoir=True) == (1000.0, 1.0)
+        assert tta.default_anchoring("filtered_ensemble", reservoir=False) == (0.0, 0.99)
+        assert tta.default_anchoring("filtered_ensemble", reservoir=True) == (0.0, 0.995)
+        assert tta.default_anchoring("entropy", reservoir=True) == (0.0, 1.0)
