@@ -385,6 +385,16 @@ GOLDEN_THEORY_STDOUT = (
 )
 
 
+# sha256 of ``rtta calibrate`` and ``rtta export-styles --count 50`` at the
+# default config: the full set-up, 2000 calibration styles of 32 samples.
+GOLDEN_CALIBRATE = {
+    "calibration.json": "ad38b80929f91c7a557d0cd05fc79a9a15ec13b88cc3176b3f5af99b0ebbc680",
+}
+GOLDEN_CALIBRATE_STDOUT = "tau = 3.2387 (q = 0.99, n = 2000)\n"
+GOLDEN_EXPORT_50 = "52e07d6a09a2ab6ef14903cd6083e1f777a75fbe3689c5585f5fbd7ec53f4fb9"
+GOLDEN_EXPORT_50_STDOUT = "wrote 50 style vectors (40 dims) to styles.txt\n"
+
+
 def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
@@ -403,3 +413,20 @@ def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
     assert cli.main(argv + ["--checks", "recursion,fisher_equiv"]) == 0
     assert capsys.readouterr().out == GOLDEN_THEORY_STDOUT
     assert _digests(out) == GOLDEN_THEORY
+
+
+def test_calibrate_default_matches_golden_hash(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    assert cli.main(["calibrate"]) == 0
+    assert capsys.readouterr().out == GOLDEN_CALIBRATE_STDOUT
+    assert _digests(out) == GOLDEN_CALIBRATE
+
+
+def test_export_styles_default_matches_golden_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["export-styles", "--out", "styles.txt", "--count", "50"]) == 0
+    assert capsys.readouterr().out == GOLDEN_EXPORT_50_STDOUT
+    digest = hashlib.sha256((tmp_path / "styles.txt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_EXPORT_50
