@@ -50,8 +50,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
         if args.command == "theory":
             checks = _parse_checks(args.checks)
-        if args.command == "export-styles" and args.count is not None and args.count < 1:
-            raise ConfigurationError(f"count must be positive, got {args.count}")
+        if args.command == "export-styles":
+            # Writes only to --out: no output directory is created.
+            if args.count is not None and args.count < 1:
+                raise ConfigurationError(f"count must be positive, got {args.count}")
+            return cmd_export_styles(cfg, Path(args.out), args.count)
         out_dir = _output_dir(cfg)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, out_dir)
@@ -59,8 +62,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg, out_dir)
         if args.command == "theory":
             return cmd_theory(cfg, out_dir, checks)
-        if args.command == "export-styles":
-            return cmd_export_styles(cfg, Path(args.out), args.count)
         parser.error(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -262,16 +262,20 @@ def load_config(path: str | Path) -> RunConfig:
 
 def calibration_styles(
     cfg: RunConfig, blob: stream.BlobSpec, extractor: FeatureExtractor, count: int | None = None
-):
-    """Seeded source style sample used for threshold calibration: ``count``
-    styles, ``style.calibration_styles`` by default."""
+) -> np.ndarray:
+    """Seeded source style sample used for threshold calibration: a
+    ``(count, style_dim)`` array, ``style.calibration_styles`` rows by default.
+
+    Batch ``i`` is drawn from its own ``(seed, tag, i)`` rng; the batches are
+    stacked and extracted in one call.
+    """
     st = cfg.style
-    styles = []
-    for i in range(st.calibration_styles if count is None else count):
+    count = st.calibration_styles if count is None else count
+    batches = np.empty((count, st.calibration_batch_size, blob.input_dim))
+    for i in range(count):
         rng = np.random.default_rng((st.seed, _TAG_CALIBRATION, i))
-        x, _ = blob.sample(rng, st.calibration_batch_size)
-        styles.append(extract_style(x, extractor))
-    return styles
+        batches[i], _ = blob.sample(rng, st.calibration_batch_size)
+    return extract_style(batches, extractor)
 
 
 def build_source(cfg: RunConfig) -> tuple[stream.LabeledDataset, FeatureExtractor]:

@@ -219,13 +219,14 @@ def domain_style_mean(
     batches: int,
     seed_key: tuple,
 ) -> np.ndarray:
-    """Mean style vector of a domain over freshly sampled batches."""
-    styles = []
+    """Mean style vector of a domain over freshly sampled batches, extracted
+    as one stack."""
+    stack = np.empty((batches, batch_size, blob.input_dim))
     for i in range(batches):
         rng = np.random.default_rng((*seed_key, i))
         x, _ = blob.sample(rng, batch_size)
-        styles.append(extract_style(domain.apply(x, rng), extractor))
-    return np.mean(styles, axis=0)
+        stack[i] = domain.apply(x, rng)
+    return np.mean(extract_style(stack, extractor), axis=0)
 
 
 def make_domains(
@@ -513,7 +514,6 @@ class EpisodeMetrics:
     per_batch_error: np.ndarray
     detected_domains: np.ndarray
     drift_norm: np.ndarray
-    predictions: np.ndarray
 
     @property
     def step_count(self) -> int:
@@ -594,7 +594,6 @@ def run_episode(
     errors = np.zeros(n)
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
-    preds = np.zeros((n, plan.batch_size), dtype=np.int64)
 
     for step in range(n):
         batch = stream.next_batch(step)
@@ -621,7 +620,6 @@ def run_episode(
         errors[step] = float((predicted != batch.labels).mean())
         detected[step] = centroids.count - 1
         drift[step] = float(np.linalg.norm(theta - context.source_params))
-        preds[step] = predicted
         if step_callback is not None:
             step_callback(
                 StepRecord(
@@ -644,5 +642,4 @@ def run_episode(
         per_batch_error=errors,
         detected_domains=detected,
         drift_norm=drift,
-        predictions=preds,
     )

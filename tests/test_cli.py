@@ -430,3 +430,13 @@ def test_export_styles_default_matches_golden_hash(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == GOLDEN_EXPORT_50_STDOUT
     digest = hashlib.sha256((tmp_path / "styles.txt").read_bytes()).hexdigest()
     assert digest == GOLDEN_EXPORT_50
+
+
+def test_export_styles_creates_no_output_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, {"output_dir": "cfg_out"})
+    assert cli.main(["export-styles", "--config", path, "--out", "styles.txt", "--count", "3"]) == 0
+    monkeypatch.delenv("RTTA_OUTPUT_DIR")
+    assert cli.main(["export-styles", "--config", path, "--out", "again.txt", "--count", "3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.txt", "config.yaml", "styles.txt"]

@@ -175,6 +175,29 @@ class TestStyleLoopOracle:
             )
             assert got.tobytes() == want.tobytes()
 
+    @given(
+        stack=st.integers(0, 8),
+        batch_size=st.integers(2, 70),
+        input_dim=st.integers(1, 8),
+        channels=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        scale=st.sampled_from([1e-3, 1.0, 50.0]),
+        seed=st.integers(0, 1000),
+        nonlinearity=st.sampled_from(["tanh", "identity"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_style_equals_single_calls(
+        self, stack, batch_size, input_dim, channels, scale, seed, nonlinearity
+    ):
+        ex = FeatureExtractor(
+            input_dim, layer_channels=channels, seed=seed, nonlinearity=nonlinearity
+        )
+        x = scale * np.random.default_rng(seed).standard_normal((stack, batch_size, input_dim))
+        got = extract_style(x, ex)
+        assert got.shape == (stack, ex.style_dim)
+        for i in range(stack):
+            assert got[i].tobytes() == extract_style(x[i], ex).tobytes()
+            assert got[i].tobytes() == reference_style(x[i], ex).tobytes()
+
     def test_single_batch_style_bit_identical(self):
         ex = FeatureExtractor(16, seed=11)
         for i in range(20):

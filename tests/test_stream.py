@@ -211,7 +211,7 @@ class TestRunEpisode:
         a = stream.run_episode(context, self._method(), seed=5, plan=plan)
         b = stream.run_episode(context, self._method(), seed=5, plan=plan)
         np.testing.assert_array_equal(a.per_batch_error, b.per_batch_error)
-        np.testing.assert_array_equal(a.predictions, b.predictions)
+        np.testing.assert_array_equal(a.assigned_models, b.assigned_models)
         np.testing.assert_array_equal(a.drift_norm, b.drift_norm)
 
     def test_reservoir_centroid_alignment_every_step(self, context):
@@ -260,7 +260,8 @@ class TestRunEpisode:
 
         monkeypatch.setattr(stream.DomainStream, "next_batch", zeroed)
         masked = stream.run_episode(context, self._method(), seed=8, plan=plan)
-        np.testing.assert_array_equal(base.predictions, masked.predictions)
+        np.testing.assert_array_equal(base.assigned_models, masked.assigned_models)
+        np.testing.assert_array_equal(base.drift_norm, masked.drift_norm)
         np.testing.assert_array_equal(base.per_batch_error, masked.per_batch_error)
         assert set(masked.true_domains) == {0}
 

@@ -77,6 +77,26 @@ class TestExtractStyle:
         with pytest.raises(DegenerateBatchError):
             extract_style(np.ones((1, 4)), ex)
 
+    def test_stack_with_one_sample_per_batch_rejected(self):
+        ex = FeatureExtractor(4, seed=3)
+        with pytest.raises(DegenerateBatchError, match="at least 2 samples per batch"):
+            extract_style(np.ones((5, 1, 4)), ex)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4, 4)], ids=["1-D", "4-D"])
+    def test_other_ranks_rejected_naming_both_shapes(self, shape):
+        ex = FeatureExtractor(4, seed=3)
+        with pytest.raises(InputDomainError, match=r"\(b, input_dim\) or a \(B, b, input_dim\)"):
+            extract_style(np.ones(shape), ex)
+        with pytest.raises(InputDomainError, match=r"\(b, 4\) or \(B, b, 4\)"):
+            ex.activations(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 5)], ids=["batch", "stack"])
+    def test_wrong_width_rejected_naming_both_shapes(self, shape):
+        ex = FeatureExtractor(4, seed=3)
+        for call in (lambda x: extract_style(x, ex), ex.activations):
+            with pytest.raises(InputDomainError, match=r"\(b, 4\) or \(B, b, 4\)"):
+                call(np.ones(shape))
+
     def test_nonfinite_batch_rejected(self):
         ex = FeatureExtractor(4, seed=3)
         bad = np.ones((4, 4))
@@ -130,6 +150,8 @@ class TestFeatureExtractor:
         acts = ex.activations(np.zeros((2, 7)))
         assert [a.shape[1] for a in acts] == [3, 9, 2]
         assert ex.style_dim == 14
+        stacked = ex.activations(np.zeros((4, 2, 7)))
+        assert [a.shape for a in stacked] == [(4, 2, 3), (4, 2, 9), (4, 2, 2)]
 
     def test_invalid_construction(self):
         with pytest.raises(InputDomainError):
