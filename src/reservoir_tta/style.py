@@ -219,17 +219,16 @@ def calibrate_threshold(
     # - the exact form rounds each difference and square and sums d terms,
     #   a relative error of (d + 2)*u on a value below 4R^2: (2d + 4)*eps*R^2.
     # The sum, (4d + 11)*eps*R^2, sits below E = (4d + 32)*eps*R^2; the rest
-    # and the factor 2 of the window absorb second-order terms and the
-    # rounding of R^2, E and the window edges.
+    # absorbs second-order terms and the rounding of R^2, E and the window
+    # edges (about 2*eps*R^2 at most).
     err = (2 * d + 16) * np.finfo(np.float64).eps * 2.0 * sq.max()
     a = np.partition(approx, rank - 1)[rank - 1]
     lo, hi = a - 2.0 * err, a + 2.0 * err
     k = rank - np.count_nonzero(approx < lo)  # 1-indexed among the candidates
     cand = np.flatnonzero((approx >= lo) & (approx <= hi))
-    del approx
     if not 1 <= k <= cand.size:
         raise NumericalError(
-            f"threshold screen missed rank {rank}: {k} of {cand.size} candidates"
+            f"threshold screen missed rank {rank}: candidate {k} outside 1..{cand.size}"
         )
     exact = np.empty(cand.size)
     for p0 in range(0, cand.size, _EXACT_PAIRS):

@@ -435,8 +435,9 @@ def test_export_styles_default_matches_golden_hash(tmp_path, monkeypatch, capsys
 def test_export_styles_creates_no_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     monkeypatch.chdir(tmp_path)
-    path = _write_config(tmp_path, {"output_dir": "cfg_out"})
-    assert cli.main(["export-styles", "--config", path, "--out", "styles.txt", "--count", "3"]) == 0
+    argv = ["export-styles", "--config", _write_config(tmp_path, {"output_dir": "cfg_out"})]
+    assert cli.main(argv + ["--out", "styles.txt", "--count", "3"]) == 0
     monkeypatch.delenv("RTTA_OUTPUT_DIR")
-    assert cli.main(["export-styles", "--config", path, "--out", "again.txt", "--count", "3"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.txt", "config.yaml", "styles.txt"]
+    assert cli.main(argv + ["--out", "again.txt", "--count", "3"]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["again.txt", "config.yaml", "styles.txt"]

@@ -191,6 +191,13 @@ class TestCalibrateThreshold:
         with pytest.raises(InsufficientDataError):
             calibrate_threshold([np.zeros(3)], 0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_styles_rejected(self, bad):
+        styles = np.zeros((4, 3))
+        styles[2, 1] = bad
+        with pytest.raises(InputDomainError, match="finite"):
+            calibrate_threshold(styles, 0.5)
+
     def test_quantile_bounds(self):
         pts = [np.zeros(2), np.ones(2)]
         with pytest.raises(InputDomainError):
