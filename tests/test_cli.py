@@ -375,6 +375,22 @@ GOLDEN_RUN = {
     "trace_tent_seed1.jsonl": "23351a391641598587ee35809658d3b95a0d5c8847ab2143857b71255607e73b",
     "trace_tent_seed2.jsonl": "f11bd0fcf5a706e283b315baeb37d4e00880e089bd809e0c7b9911c4a0301be1",
 }
+# The same for SMALL as a CCC stream with the single-model ``tent`` method
+# only: the path a ``reservoir: false`` method takes through the engine.
+SMALL_CCC_TENT = {
+    **SMALL,
+    "scenario": {**SMALL["scenario"], "kind": "ccc"},
+    "methods": [m for m in SMALL["methods"] if m["name"] == "tent"],
+}
+GOLDEN_RUN_CCC_TENT = {
+    "aggregate.json": "43b5bfa238724484b7fbe93d5253d56ac3cc800338d0644da6d7bd50733ef896",
+    "metrics_tent_seed1.csv": "b534ef71226323f85d80553e565cff4b77e51abab447a8647ba4512c2a947ce8",
+    "metrics_tent_seed2.csv": "12aae6d39baf0efbb46a6e209d9c2ba6a090a1a3b05ff5511b2f7b4037d99dcd",
+    "summary_tent_seed1.json": "790145dd79fb20534230ba648c7165937a79f74a3af4e22eb5ffc4954c073cb1",
+    "summary_tent_seed2.json": "684fdddb8fe6caa34280cd1306bcc7871c686b370aadceef9f0a098a16f3607b",
+    "trace_tent_seed1.jsonl": "f90d5c5d69907eb206be12a5f54635145ad8ca13d4994651371b4f01db26f4a7",
+    "trace_tent_seed2.jsonl": "bd5d07d20430331d3ce4c1c92401a1c0f480eaf33fa0d946c2e07462226f7f5f",
+}
 GOLDEN_THEORY = {
     "fisher_equiv.csv": "b3ef21fcf23f3208bc64a48d2c91e65841fced5b25d27abef2a24123c94eba8c",
     "recursion.csv": "fbf2f031716cd647a5792d1c1c8c8d783739e3afac386eecba1a7accdb36d239",
@@ -404,6 +420,13 @@ def test_run_outputs_match_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
     assert cli.main(["run", "--config", _write_config(tmp_path, SMALL)]) == 0
     assert _digests(out) == GOLDEN_RUN
+
+
+def test_ccc_single_model_run_matches_golden_hashes(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    assert cli.main(["run", "--config", _write_config(tmp_path, SMALL_CCC_TENT)]) == 0
+    assert _digests(out) == GOLDEN_RUN_CCC_TENT
 
 
 def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
