@@ -6,8 +6,10 @@ aggregate; with ``emit_trace`` also a per-step JSONL trace, streamed to disk
 while the episode runs), ``theory`` (the verification suite with per-check
 CSVs), and ``export-styles`` (source style vectors in the text format).
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 verification
-failure. All emitted files are byte-reproducible for a fixed config.
+Exit codes: 0 success, 1 configuration error (a bad value or argument, or a
+config file that is not UTF-8 YAML), 2 I/O error (a file that cannot be
+opened or written), 3 verification failure. All emitted files are
+byte-reproducible for a fixed config.
 """
 
 from __future__ import annotations

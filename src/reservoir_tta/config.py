@@ -254,10 +254,18 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a YAML config file into a validated RunConfig."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    return config_from_dict(data or {})
+    """Parse a YAML config file into a validated RunConfig.
+
+    An empty file gives the defaults. A file that is not UTF-8 YAML raises
+    ``ConfigurationError`` naming it; a file that cannot be opened raises
+    ``OSError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: not a UTF-8 YAML file ({exc})") from exc
+    return config_from_dict({} if data is None else data)
 
 
 def calibration_styles(
@@ -301,7 +309,7 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
     """Prepare everything an episode needs: source model, threshold, domains."""
     src = cfg.source
     dataset, extractor = build_source(cfg)
-    model, source_params = tta.train_source(
+    model = tta.train_source(
         src.seed,
         (dataset.inputs, dataset.labels),
         epochs=src.epochs,
@@ -334,7 +342,6 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
     return stream.EpisodeContext(
         blob=dataset.blob,
         model=model,
-        source_params=source_params,
         extractor=extractor,
         calibration=calibration,
         source_style_mean=source_mean,

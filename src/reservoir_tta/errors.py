@@ -3,6 +3,9 @@
 Every error raised by the library derives from :class:`ReservoirTTAError`
 so callers can catch the whole family with one clause. The CLI maps these
 onto its exit-code contract (1 = configuration, 2 = I/O, 3 = verification).
+The only file the package reads is the YAML config: a config file that is
+not valid UTF-8 YAML raises :class:`ConfigurationError` (exit 1), one that
+cannot be opened an ``OSError`` (exit 2).
 """
 
 
@@ -20,14 +23,6 @@ class DegenerateBatchError(InputDomainError):
 
 class InsufficientDataError(ReservoirTTAError):
     """An operation needs more data than it was given."""
-
-
-class FileFormatError(ReservoirTTAError):
-    """A file does not conform to its documented format."""
-
-
-class StyleFileFormatError(FileFormatError):
-    """A style file does not conform to the documented text format."""
 
 
 class NumericalError(ReservoirTTAError):

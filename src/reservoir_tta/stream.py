@@ -139,10 +139,6 @@ class DomainSpec:
         object.__setattr__(self, "offset", self.severity * self.offset_base)
         object.__setattr__(self, "noise_std", self.severity * self.noise_base)
 
-    @property
-    def noise_cov(self) -> np.ndarray:
-        return np.diag(self.noise_std**2)
-
     def apply(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out = inputs @ self.transform.T + self.offset
         if np.any(self.noise_std > 0):
@@ -234,7 +230,7 @@ def make_domains(
     severity: float,
     seed: int,
     *,
-    blob: BlobSpec | None = None,
+    blob: BlobSpec,
     extractor: FeatureExtractor | None = None,
     tau: float | None = None,
     source_style_mean: np.ndarray | None = None,
@@ -253,8 +249,6 @@ def make_domains(
     """
     if count < 1:
         raise InputDomainError(f"domain count must be positive, got {count}")
-    if blob is None:
-        raise InputDomainError("make_domains requires a blob to size the domains")
     check = extractor is not None and tau is not None
     attempts = max_retries if check else 1
     pool_size = 8 * count if check else count
@@ -493,7 +487,6 @@ class EpisodeContext:
 
     blob: BlobSpec
     model: tta.AdaptableClassifier
-    source_params: np.ndarray
     extractor: FeatureExtractor
     calibration: ThresholdCalibration
     source_style_mean: np.ndarray
@@ -561,18 +554,18 @@ def run_episode(
     context: EpisodeContext,
     method: MethodConfig,
     seed: int,
-    plan: ScenarioPlan | None = None,
     step_callback: Callable[[StepRecord], None] | None = None,
 ) -> EpisodeMetrics:
     """Execute one adaptation episode and record its metrics.
 
     The per-batch order is: extract style, offer it to the style reservoir,
     detect the domain (possibly spawning a centroid and a model), refine
-    centroids, soft-assign, adapt the selected model, then predict — with
-    the ensembled parameters for reservoir methods, the single model
-    otherwise. Deterministic per (plan, method, seed).
+    centroids, soft-assign, adapt the selected model, then predict with the
+    soft-assignment ensemble of the models. The reservoir switch only sets
+    the domain cap: without it the cap is 1, and the ensemble is the single
+    model. Deterministic per (context, method, seed).
     """
-    plan = context.plan if plan is None else plan
+    plan = context.plan
     cluster = context.cluster
     k_max = cluster.k_max if method.reservoir else 1
     objective = method.objective(context.fisher_omega)
@@ -583,9 +576,9 @@ def run_episode(
         cluster.reservoir_size, style_dim, seed=(seed, _TAG_RESERVOIR)
     )
     centroids = CentroidSet(context.source_style_mean, k_max=k_max)
-    models = ModelReservoir(context.source_params)
-    tau = context.calibration.tau
     model = context.model
+    models = ModelReservoir(model.source_params)
+    tau = context.calibration.tau
 
     n = plan.total_steps
     visits = np.zeros(n, dtype=np.int64)
@@ -610,7 +603,7 @@ def run_episode(
         new_params = tta.tta_step(model, models.entry(k_star), batch.inputs, objective)
         models.write_active(k_star, new_params)
 
-        theta = models.ensemble_params(q) if method.reservoir else models.entry(k_star)
+        theta = models.ensemble_params(q)
         probs = tta.predict(model, theta, batch.inputs)
         predicted = probs.argmax(axis=1)
 
@@ -619,7 +612,7 @@ def run_episode(
         assigned[step] = k_star
         errors[step] = float((predicted != batch.labels).mean())
         detected[step] = centroids.count - 1
-        drift[step] = float(np.linalg.norm(theta - context.source_params))
+        drift[step] = float(np.linalg.norm(theta - model.source_params))
         if step_callback is not None:
             step_callback(
                 StepRecord(

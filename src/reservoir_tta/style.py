@@ -31,7 +31,6 @@ from .errors import (
     InputDomainError,
     InsufficientDataError,
     NumericalError,
-    StyleFileFormatError,
 )
 
 # Variance floor applied before the logarithm. Keeps style entries finite
@@ -40,6 +39,10 @@ VAR_FLOOR = 1e-12
 
 DEFAULT_LAYER_CHANNELS = (8, 16, 16)
 NONLINEARITIES = ("tanh", "identity")
+
+# Sub-unit weight scale keeps tanh activations out of saturation, where
+# channel variances stay responsive to input changes.
+WEIGHT_SCALE = 0.25
 
 # Rows of the distance matrix the threshold screen holds at once, and pairs
 # its exact recomputation gathers at once: both bound transient memory.
@@ -61,7 +64,6 @@ class FeatureExtractor:
         layer_channels: Sequence[int] = DEFAULT_LAYER_CHANNELS,
         seed: int = 0,
         nonlinearity: str = "tanh",
-        weight_scale: float = 0.25,
     ):
         if input_dim < 1:
             raise InputDomainError(f"input_dim must be positive, got {input_dim}")
@@ -69,22 +71,17 @@ class FeatureExtractor:
             raise InputDomainError(f"layer_channels must be positive, got {layer_channels}")
         if nonlinearity not in NONLINEARITIES:
             raise InputDomainError(f"unknown nonlinearity {nonlinearity!r}")
-        if weight_scale <= 0:
-            raise InputDomainError(f"weight_scale must be positive, got {weight_scale}")
         self.input_dim = int(input_dim)
         self.layer_channels = tuple(int(c) for c in layer_channels)
         self.seed = int(seed)
         self.nonlinearity = nonlinearity
-        self.weight_scale = float(weight_scale)
 
-        # Sub-unit weight scale keeps tanh activations out of saturation,
-        # where channel variances stay responsive to input changes.
         rng = np.random.default_rng(self.seed)
         self._weights: list[np.ndarray] = []
         self._biases: list[np.ndarray] = []
         fan_in = self.input_dim
         for c in self.layer_channels:
-            w = weight_scale * rng.standard_normal((c, fan_in)) / np.sqrt(fan_in)
+            w = WEIGHT_SCALE * rng.standard_normal((c, fan_in)) / np.sqrt(fan_in)
             b = 0.1 * rng.standard_normal(c)
             self._weights.append(w)
             self._biases.append(b)
@@ -251,7 +248,10 @@ def mean_style(source_styles: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _as_style_matrix(styles: Sequence[np.ndarray]) -> np.ndarray:
-    mat = np.asarray(list(styles), dtype=np.float64)
+    try:
+        mat = np.asarray(list(styles), dtype=np.float64)
+    except ValueError as exc:  # numpy refuses rows of different lengths
+        raise InputDomainError(f"style vectors must all share one dimension ({exc})") from exc
     if mat.ndim != 2:
         raise InputDomainError("style vectors must all share one dimension")
     return mat
@@ -272,25 +272,3 @@ def export_styles(path: str | Path, styles: Iterable[np.ndarray]) -> int:
             fh.write("\n")
             count += 1
     return count
-
-
-def import_styles(path: str | Path, expected_dim: int) -> list[np.ndarray]:
-    """Read style vectors from the text format, validating shape and finiteness."""
-    out: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                vec = np.array([float(tok) for tok in stripped.split(",")])
-            except ValueError as exc:
-                raise StyleFileFormatError(f"{path}:{lineno}: unparseable entry ({exc})")
-            if vec.size != expected_dim:
-                raise StyleFileFormatError(
-                    f"{path}:{lineno}: expected {expected_dim} entries, got {vec.size}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise StyleFileFormatError(f"{path}:{lineno}: non-finite entry")
-            out.append(vec)
-    return out

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError
 
 _CHUNK = 2048
 
@@ -183,13 +183,11 @@ def simulate_sgd(
     steps: int,
     trials: int,
     seed: int,
-    theta0: np.ndarray | None = None,
 ) -> VarianceCurve:
-    """Empirical per-step parameter variance under plain SGD."""
+    """Empirical per-step parameter variance under plain SGD from the optimum."""
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
-    start = task.optimum.copy() if theta0 is None else np.asarray(theta0, float)
-    return _run_variance_mc(task, eta, steps, trials, seed, start, alpha=None)
+    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alpha=None)
 
 
 def simulate_weight_ensemble(
@@ -199,7 +197,6 @@ def simulate_weight_ensemble(
     steps: int,
     trials: int,
     seed: int,
-    theta0: np.ndarray | None = None,
 ) -> VarianceCurve:
     """Empirical per-step variance under the source-interpolated update.
 
@@ -212,8 +209,7 @@ def simulate_weight_ensemble(
         raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
     if np.any(task.curvature != 0):
         raise ConfigurationError("closed-form comparison requires zero curvature")
-    start = task.optimum.copy() if theta0 is None else np.asarray(theta0, float)
-    return _run_variance_mc(task, eta, steps, trials, seed, start, alpha=alpha)
+    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alpha=alpha)
 
 
 def fit_slope(curve: VarianceCurve) -> tuple[float, float]:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     ConfigurationError,
@@ -183,27 +182,6 @@ def predict(
     return np.exp(_log_softmax(logits))
 
 
-def row_entropies(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each probability row (0 ln 0 := 0)."""
-    mat = np.asarray(probs, dtype=np.float64)
-    return -xlogy(mat, mat).sum(axis=1)
-
-
-def entropy_loss(probs: np.ndarray) -> float:
-    """Mean Shannon entropy over the batch."""
-    mat = np.asarray(probs, dtype=np.float64)
-    if mat.ndim != 2 or mat.size == 0:
-        raise InputDomainError("probability matrix must be 2-D and nonempty")
-    return float(row_entropies(mat).mean())
-
-
-def sample_filter(probs: np.ndarray, margin: float) -> np.ndarray:
-    """Reliability mask: 1 where the row entropy is below ``margin``."""
-    if margin <= 0:
-        raise InputDomainError(f"margin must be positive, got {margin}")
-    return (row_entropies(probs) < margin).astype(np.int64)
-
-
 def resolve_margin(config: TTAObjectiveConfig, n_classes: int) -> float:
     """Configured margin, defaulting to ``0.4 * ln(classes)``."""
     if config.entropy_margin is not None:
@@ -347,12 +325,11 @@ def train_source(
     lr: float,
     hidden: int = 32,
     batch_size: int = 64,
-) -> tuple[AdaptableClassifier, np.ndarray]:
+) -> AdaptableClassifier:
     """Train the head and affine parameters by cross-entropy SGD.
 
-    Deterministic for a fixed seed. Returns the classifier (with the trained
-    head frozen and ``source_params`` recorded) and a copy of the trained
-    parameter vector.
+    Deterministic for a fixed seed. Returns the classifier with the trained
+    head frozen and the trained parameter vector as ``source_params``.
     """
     inputs, labels = source_data
     x = np.asarray(inputs, dtype=np.float64)
@@ -385,5 +362,5 @@ def train_source(
             params = params - lr * np.concatenate(
                 [(grad_act * feats).sum(axis=0), grad_act.sum(axis=0)]
             )
-    model.source_params = params.copy()
-    return model, params.copy()
+    model.source_params = params
+    return model

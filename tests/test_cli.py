@@ -55,6 +55,8 @@ def _write_config(tmp_path, data, name="config.yaml"):
         ),
         pytest.param({"emit_trace": "no"}, "emit_trace: expected bool", id="emit_trace-str"),
         pytest.param({"nonsense": 1}, "nonsense: unknown field", id="unknown"),
+        pytest.param([], "config root must be a mapping", id="root-empty-list"),
+        pytest.param(0, "config root must be a mapping", id="root-zero"),
         # One case per value rule.
         pytest.param({"seeds": []}, "seeds: must be nonempty", id="seeds-empty"),
         pytest.param({"seeds": [1, -1]}, "seeds: must be nonnegative", id="seeds-negative"),
@@ -289,6 +291,24 @@ def test_bad_argument_exits_1_before_output(tmp_path, monkeypatch, capsys, args)
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "styles.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"seeds: [1", id="yaml-syntax"),
+        pytest.param(b"seeds: [1]\n# \xff\n", id="not-utf8"),
+    ],
+)
+def test_malformed_config_file_exits_1(tmp_path, monkeypatch, capsys, content):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = tmp_path / "config.yaml"
+    path.write_bytes(content)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,9 @@
-"""Parameter pool: MI-based init, selection, ensembling, checkpointing."""
+"""Parameter pool: MI-based init, selection, ensembling, per-entry writes."""
 
 import numpy as np
 import pytest
 
-from reservoir_tta.errors import (
-    FileFormatError,
-    InputDomainError,
-    NumericalError,
-    StyleFileFormatError,
-)
+from reservoir_tta.errors import InputDomainError, NumericalError
 from reservoir_tta.model_reservoir import ModelReservoir, select_active
 
 
@@ -163,14 +158,15 @@ class TestWriteActive:
 
     def test_replay_oracle(self):
         rng = np.random.default_rng(7)
-        res = ModelReservoir(rng.standard_normal(3))
+        source = rng.standard_normal(3)
+        res = ModelReservoir(source)
         for _ in range(3):
             res.init_new_model(_uniform_predictor(2))
         writes = [(int(rng.integers(0, 4)), rng.standard_normal(3)) for _ in range(40)]
         for idx, params in writes:
             res.write_active(idx, params)
         # Replay oracle: last write per index wins, source entry otherwise.
-        expect = {i: res.source_params for i in range(4)}
+        expect = {i: source for i in range(4)}
         for idx, params in writes:
             expect[idx] = params
         for i in range(4):
@@ -188,55 +184,3 @@ class TestWriteActive:
         with pytest.raises(InputDomainError):
             res.write_active(0, np.zeros(3))
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        res = ModelReservoir(rng.standard_normal(6))
-        for _ in range(2):
-            res.init_new_model(_uniform_predictor(2))
-        res.write_active(1, rng.standard_normal(6))
-        path = tmp_path / "pool.rtta"
-        res.save_checkpoint(path)
-        loaded = ModelReservoir.load_checkpoint(path)
-        assert loaded.count == 3 and loaded.dim == 6
-        np.testing.assert_array_equal(loaded.source_params, res.source_params)
-        np.testing.assert_array_equal(loaded.entries_matrix(), res.entries_matrix())
-
-    def test_header_layout(self, tmp_path):
-        res = ModelReservoir(np.arange(4, dtype=float))
-        path = tmp_path / "pool.rtta"
-        res.save_checkpoint(path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"RTTA"
-        assert int.from_bytes(blob[4:8], "little") == 1  # version
-        assert int.from_bytes(blob[8:12], "little") == 1  # entry count
-        assert int.from_bytes(blob[12:20], "little") == 4  # dim
-        assert len(blob) == 20 + 2 * 4 * 8  # header + source + one entry
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.rtta"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FileFormatError):
-            ModelReservoir.load_checkpoint(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        res = ModelReservoir(np.arange(4, dtype=float))
-        path = tmp_path / "pool.rtta"
-        res.save_checkpoint(path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FileFormatError):
-            ModelReservoir.load_checkpoint(path)
-
-    @pytest.mark.parametrize("keep", [0, 3, 4, 12, 19])
-    def test_truncated_header_rejected(self, tmp_path, keep):
-        res = ModelReservoir(np.arange(4, dtype=float))
-        path = tmp_path / "pool.rtta"
-        res.save_checkpoint(path)
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(FileFormatError) as info:
-            ModelReservoir.load_checkpoint(path)
-        assert not isinstance(info.value, StyleFileFormatError)
-
-    def test_style_format_error_is_a_file_format_error(self):
-        assert issubclass(StyleFileFormatError, FileFormatError)

@@ -26,9 +26,9 @@ def _small_plan(**kw):
 class TestSourceDataset:
     def test_separable_blobs_train_well(self):
         ds = stream.make_source_dataset(2, 200, 8, seed=1, separation=10.0)
-        model, params = tta.train_source(1, (ds.inputs, ds.labels), epochs=8, lr=0.05)
+        model = tta.train_source(1, (ds.inputs, ds.labels), epochs=8, lr=0.05)
         held_x, held_y = ds.blob.sample(np.random.default_rng(5), 1000)
-        acc = (tta.predict(model, params, held_x).argmax(axis=1) == held_y).mean()
+        acc = (tta.predict(model, model.source_params, held_x).argmax(axis=1) == held_y).mean()
         assert acc >= 0.99
 
     def test_seeded_determinism(self):
@@ -201,32 +201,32 @@ class TestRunEpisode:
         return stream.MethodConfig(name="m", kind=kind, reservoir=reservoir)
 
     def test_zero_visits_empty_metrics(self, context):
-        plan = replace(context.plan, visits=0)
-        met = stream.run_episode(context, self._method(), seed=1, plan=plan)
+        ctx = replace(context, plan=replace(context.plan, visits=0))
+        met = stream.run_episode(ctx, self._method(), seed=1)
         assert met.step_count == 0
         assert met.per_visit_error().size == 0
 
     def test_episode_determinism(self, context):
-        plan = replace(context.plan, visits=1, batches_per_domain=3)
-        a = stream.run_episode(context, self._method(), seed=5, plan=plan)
-        b = stream.run_episode(context, self._method(), seed=5, plan=plan)
+        ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=3))
+        a = stream.run_episode(ctx, self._method(), seed=5)
+        b = stream.run_episode(ctx, self._method(), seed=5)
         np.testing.assert_array_equal(a.per_batch_error, b.per_batch_error)
         np.testing.assert_array_equal(a.assigned_models, b.assigned_models)
         np.testing.assert_array_equal(a.drift_norm, b.drift_norm)
 
     def test_reservoir_centroid_alignment_every_step(self, context):
-        plan = replace(context.plan, visits=2, batches_per_domain=2)
+        ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
         seen = []
 
         def watch(rec):
             seen.append((rec.centroid_count, rec.model_count))
 
-        stream.run_episode(context, self._method(), seed=6, plan=plan, step_callback=watch)
-        assert len(seen) == plan.total_steps
+        stream.run_episode(ctx, self._method(), seed=6, step_callback=watch)
+        assert len(seen) == ctx.plan.total_steps
         assert all(c == m for c, m in seen)
 
     def test_isolation_of_inactive_entries(self, context, monkeypatch):
-        plan = replace(context.plan, visits=1, batches_per_domain=2)
+        ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
         original = ModelReservoir.write_active
         written = []
 
@@ -240,15 +240,15 @@ class TestRunEpisode:
         monkeypatch.setattr(ModelReservoir, "write_active", checked)
         active = []
         stream.run_episode(
-            context, self._method(), seed=7, plan=plan,
+            ctx, self._method(), seed=7,
             step_callback=lambda rec: active.append(rec.active_index),
         )
         assert written == active
         assert len(set(active)) > 1
 
     def test_hidden_ids_influence_only_metrics(self, context, monkeypatch):
-        plan = replace(context.plan, visits=1, batches_per_domain=2)
-        base = stream.run_episode(context, self._method(), seed=8, plan=plan)
+        ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
+        base = stream.run_episode(ctx, self._method(), seed=8)
 
         original = stream.DomainStream.next_batch
 
@@ -259,16 +259,16 @@ class TestRunEpisode:
             )
 
         monkeypatch.setattr(stream.DomainStream, "next_batch", zeroed)
-        masked = stream.run_episode(context, self._method(), seed=8, plan=plan)
+        masked = stream.run_episode(ctx, self._method(), seed=8)
         np.testing.assert_array_equal(base.assigned_models, masked.assigned_models)
         np.testing.assert_array_equal(base.drift_norm, masked.drift_norm)
         np.testing.assert_array_equal(base.per_batch_error, masked.per_batch_error)
         assert set(masked.true_domains) == {0}
 
     def test_baseline_runs_single_model(self, context):
-        plan = replace(context.plan, visits=1, batches_per_domain=2)
+        ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
         met = stream.run_episode(
-            context, self._method(reservoir=False, kind="entropy"), seed=9, plan=plan
+            ctx, self._method(reservoir=False, kind="entropy"), seed=9
         )
         assert met.detected_domains.max() == 0
         assert set(met.assigned_models) == {0}
@@ -287,8 +287,8 @@ class TestRunEpisode:
         assert pv[0] >= pv[1] >= pv[2]
 
     def test_per_visit_domain_table_shape(self, context):
-        plan = replace(context.plan, visits=2, batches_per_domain=2)
-        met = stream.run_episode(context, self._method(), seed=10, plan=plan)
+        ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
+        met = stream.run_episode(ctx, self._method(), seed=10)
         table = met.per_visit_domain_error()
         assert table.shape == (2, 8)
         assert np.isfinite(table).all()

@@ -9,7 +9,6 @@ from reservoir_tta.errors import (
     DegenerateBatchError,
     InputDomainError,
     InsufficientDataError,
-    StyleFileFormatError,
 )
 from reservoir_tta.style import (
     VAR_FLOOR,
@@ -17,7 +16,6 @@ from reservoir_tta.style import (
     calibrate_threshold,
     export_styles,
     extract_style,
-    import_styles,
     mean_style,
 )
 
@@ -191,6 +189,10 @@ class TestCalibrateThreshold:
         with pytest.raises(InsufficientDataError):
             calibrate_threshold([np.zeros(3)], 0.9)
 
+    def test_ragged_styles_rejected(self):
+        with pytest.raises(InputDomainError, match="share one dimension"):
+            calibrate_threshold([np.zeros(3), np.zeros(4)], 0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_styles_rejected(self, bad):
         styles = np.zeros((4, 3))
@@ -244,20 +246,12 @@ class TestMeanStyle:
         with pytest.raises(InsufficientDataError):
             mean_style([])
 
+    def test_ragged_styles_rejected(self):
+        with pytest.raises(InputDomainError, match="share one dimension"):
+            mean_style([np.zeros(3), np.zeros(4)])
+
 
 class TestStyleFile:
-    def test_empty_file_gives_empty_sequence(self, tmp_path):
-        path = tmp_path / "styles.txt"
-        path.write_text("")
-        assert import_styles(path, 4) == []
-
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "styles.txt"
-        path.write_text("0.0,1.0\n")
-        out = import_styles(path, 2)
-        assert len(out) == 1
-        np.testing.assert_array_equal(out[0], [0.0, 1.0])
-
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(3)
         styles = [
@@ -265,30 +259,9 @@ class TestStyleFile:
         ]
         path = tmp_path / "styles.txt"
         assert export_styles(path, styles) == 50
-        loaded = import_styles(path, 7)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("#")
+        loaded = [np.array([float(tok) for tok in line.split(",")]) for line in lines[1:]]
         assert len(loaded) == 50
         for a, b in zip(styles, loaded):
             np.testing.assert_array_equal(a, b)
-
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "styles.txt"
-        path.write_text("# header\n\n1.0,2.0\n  # another\n3.0,4.0\n")
-        assert len(import_styles(path, 2)) == 2
-
-    def test_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "styles.txt"
-        path.write_text("1.0,2.0,3.0\n")
-        with pytest.raises(StyleFileFormatError):
-            import_styles(path, 2)
-
-    def test_nonfinite_entry(self, tmp_path):
-        path = tmp_path / "styles.txt"
-        path.write_text("1.0,nan\n")
-        with pytest.raises(StyleFileFormatError):
-            import_styles(path, 2)
-
-    def test_unparseable_entry(self, tmp_path):
-        path = tmp_path / "styles.txt"
-        path.write_text("1.0,zap\n")
-        with pytest.raises(StyleFileFormatError):
-            import_styles(path, 2)

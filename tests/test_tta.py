@@ -6,7 +6,6 @@ import pytest
 from reservoir_tta import stream, tta
 from reservoir_tta.errors import (
     ConfigurationError,
-    InputDomainError,
     InsufficientDataError,
     NumericalError,
     TrainingError,
@@ -17,8 +16,8 @@ from reservoir_tta.errors import (
 def small_model():
     """Trained 3-class classifier with h = 4 (the FD-test geometry)."""
     ds = stream.make_source_dataset(3, 200, 6, seed=12, separation=7.0)
-    model, params = tta.train_source(12, (ds.inputs, ds.labels), epochs=10, lr=0.05, hidden=4)
-    return model, params, ds
+    model = tta.train_source(12, (ds.inputs, ds.labels), epochs=10, lr=0.05, hidden=4)
+    return model, model.source_params.copy(), ds
 
 
 def _fd_grad(model, params, batch, cfg, h=1e-5):
@@ -39,10 +38,27 @@ def _rel_err(analytic, fd):
     return float((np.abs(analytic - fd) / scale).max())
 
 
+def _entropy_per_row(probs):
+    """Per-row Shannon entropy by an explicit sum (0 ln 0 := 0)."""
+    return np.array([-sum(v * np.log(v) for v in row if v > 0) for row in probs])
+
+
+ENTROPY = tta.TTAObjectiveConfig(kind="entropy")
+FILTERED = tta.TTAObjectiveConfig(kind="filtered_entropy")
+CONFIDENT = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # gamma = 0, beta = e_0
+
+
+def _confident_model(gap):
+    """Untrained 3-class model (zero head bias) whose logits at ``CONFIDENT``
+    are ``[gap, 0, 0]`` on every row."""
+    model = tta.AdaptableClassifier(4, 3, 3, seed=0)
+    model.head_w = gap * np.eye(3)
+    return model
+
+
 def _mask_margin(model, params, batch, cfg):
     """Distance of every row entropy from the filter margin."""
-    probs = tta.predict(model, params, batch)
-    ent = tta.row_entropies(probs)
+    ent = _entropy_per_row(tta.predict(model, params, batch))
     return float(np.abs(ent - tta.resolve_margin(cfg, model.n_classes)).min())
 
 
@@ -89,44 +105,71 @@ class TestPredict:
 
 
 class TestEntropyLoss:
+    """The engine's data term: the mean Shannon entropy of the predictions."""
+
     def test_uniform_rows(self):
-        assert tta.entropy_loss(np.full((5, 4), 0.25)) == pytest.approx(np.log(4))
+        # An untrained head has zero bias: zero parameters give uniform rows.
+        model = tta.AdaptableClassifier(4, 4, 3, seed=0)
+        batch = np.random.default_rng(1).standard_normal((5, 4))
+        loss = tta.objective_loss(model, np.zeros(model.param_dim), batch, ENTROPY)
+        assert loss == pytest.approx(np.log(4))
 
     def test_one_hot_rows(self):
-        assert tta.entropy_loss(np.eye(4)) == 0.0
+        # A logit gap of 1000 underflows the other classes to exactly 0.
+        model = _confident_model(1000.0)
+        batch = np.random.default_rng(2).standard_normal((4, 4))
+        np.testing.assert_array_equal(
+            tta.predict(model, CONFIDENT, batch), np.tile([1.0, 0.0, 0.0], (4, 1))
+        )
+        assert tta.objective_loss(model, CONFIDENT, batch, ENTROPY) == 0.0
 
-    def test_matches_summation_oracle(self):
+    def test_matches_summation_oracle(self, small_model):
+        model, params, ds = small_model
         rng = np.random.default_rng(5)
-        raw = rng.random((10, 6)) + 1e-9
-        probs = raw / raw.sum(axis=1, keepdims=True)
-        acc = 0.0
-        for row in probs:
-            acc += -sum(p * np.log(p) for p in row)
-        assert tta.entropy_loss(probs) == pytest.approx(acc / 10, rel=1e-12)
+        p = params + 0.5 * rng.standard_normal(params.size)
+        batch = ds.inputs[:10]
+        oracle = _entropy_per_row(tta.predict(model, p, batch)).mean()
+        loss = tta.objective_loss(model, p, batch, ENTROPY)
+        assert loss == pytest.approx(oracle, rel=1e-12)
 
 
 class TestSampleFilter:
+    """The engine's reliability filter: only rows whose entropy is below the
+    margin enter the filtered data term."""
+
     def test_one_hot_rows_all_pass(self):
-        assert tta.sample_filter(np.eye(4), 0.01).tolist() == [1, 1, 1, 1]
+        # Near one-hot rows (logit gap 10) sit far below the default margin.
+        model = _confident_model(10.0)
+        batch = np.random.default_rng(3).standard_normal((6, 4))
+        loss = tta.objective_loss(model, CONFIDENT, batch, FILTERED)
+        assert loss > 0.0
+        assert loss == tta.objective_loss(model, CONFIDENT, batch, ENTROPY)
 
     def test_uniform_rows_all_fail(self):
-        probs = np.full((6, 5), 0.2)
-        margin = 0.4 * np.log(5)
-        assert tta.sample_filter(probs, margin).tolist() == [0] * 6
+        model = tta.AdaptableClassifier(4, 5, 3, seed=0)
+        params = np.zeros(model.param_dim)
+        batch = np.random.default_rng(4).standard_normal((6, 4))
+        assert tta.objective_loss(model, params, batch, FILTERED) == 0.0
+        grad = tta.objective_grad(model, params, batch, FILTERED)
+        np.testing.assert_array_equal(grad, np.zeros(model.param_dim))
 
-    def test_mixed_batch_matches_per_row_oracle(self):
+    def test_mixed_batch_matches_per_row_oracle(self, small_model):
+        model, params, ds = small_model
         rng = np.random.default_rng(6)
-        raw = rng.random((20, 5)) ** 4 + 1e-9
-        probs = raw / raw.sum(axis=1, keepdims=True)
-        margin = 0.7
-        mask = tta.sample_filter(probs, margin)
-        for i, row in enumerate(probs):
-            ent = -sum(p * np.log(p) for p in row)
-            assert mask[i] == (1 if ent < margin else 0)
+        p = params + 0.5 * rng.standard_normal(params.size)
+        batch = ds.inputs[:20]
+        ent = _entropy_per_row(tta.predict(model, p, batch))
+        ranked = np.sort(ent)
+        margin = 0.5 * (ranked[9] + ranked[10])  # half the rows pass
+        cfg = tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=margin)
+        passed = [e for e in ent if e < margin]
+        assert len(passed) == 10
+        oracle = sum(passed) / len(passed)
+        assert tta.objective_loss(model, p, batch, cfg) == pytest.approx(oracle, rel=1e-12)
 
     def test_margin_must_be_positive(self):
-        with pytest.raises(InputDomainError):
-            tta.sample_filter(np.eye(3), 0.0)
+        with pytest.raises(ConfigurationError, match="entropy_margin: must be > 0"):
+            tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=0.0)
 
 
 class TestGradients:
@@ -237,9 +280,8 @@ class TestTTAStep:
         # mixtures with erratic high-entropy gradients. Variance of the
         # filtered batch gradient must not exceed the unfiltered one.
         ds = stream.make_source_dataset(3, 300, 6, seed=12, separation=7.0)
-        model, params = tta.train_source(
-            12, (ds.inputs, ds.labels), epochs=25, lr=0.05, hidden=8
-        )
+        model = tta.train_source(12, (ds.inputs, ds.labels), epochs=25, lr=0.05, hidden=8)
+        params = model.source_params
         cfg_u = tta.TTAObjectiveConfig(kind="entropy")
         cfg_f = tta.TTAObjectiveConfig(kind="filtered_entropy")
         rng = np.random.default_rng(10)
@@ -312,31 +354,31 @@ class TestEstimateFisher:
 class TestTrainSource:
     def test_separable_blobs_reach_99_percent(self):
         ds = stream.make_source_dataset(2, 300, 8, seed=3, separation=10.0)
-        model, params = tta.train_source(3, (ds.inputs, ds.labels), epochs=10, lr=0.05)
+        model = tta.train_source(3, (ds.inputs, ds.labels), epochs=10, lr=0.05)
         held_x, held_y = ds.blob.sample(np.random.default_rng(99), 2000)
-        acc = (tta.predict(model, params, held_x).argmax(axis=1) == held_y).mean()
+        acc = (tta.predict(model, model.source_params, held_x).argmax(axis=1) == held_y).mean()
         assert acc >= 0.99
 
     def test_default_config_reaches_90_percent(self, context, default_config):
         held_x, held_y = context.blob.sample(np.random.default_rng(171), 2000)
         acc = (
-            tta.predict(context.model, context.source_params, held_x).argmax(axis=1)
+            tta.predict(context.model, context.model.source_params, held_x).argmax(axis=1)
             == held_y
         ).mean()
         assert acc >= 0.90
 
     def test_zero_epochs_returns_initialization(self):
         ds = stream.make_source_dataset(3, 50, 5, seed=4)
-        model, params = tta.train_source(4, (ds.inputs, ds.labels), epochs=0, lr=0.1)
-        np.testing.assert_array_equal(params, tta.init_params(model.hidden))
+        model = tta.train_source(4, (ds.inputs, ds.labels), epochs=0, lr=0.1)
+        np.testing.assert_array_equal(model.source_params, tta.init_params(model.hidden))
         fresh = tta.AdaptableClassifier(5, 3, model.hidden, 4)
         np.testing.assert_array_equal(model.head_w, fresh.head_w)
 
     def test_fixed_seed_bit_identical(self):
         ds = stream.make_source_dataset(3, 80, 5, seed=5)
-        m1, p1 = tta.train_source(5, (ds.inputs, ds.labels), epochs=4, lr=0.05)
-        m2, p2 = tta.train_source(5, (ds.inputs, ds.labels), epochs=4, lr=0.05)
-        np.testing.assert_array_equal(p1, p2)
+        m1 = tta.train_source(5, (ds.inputs, ds.labels), epochs=4, lr=0.05)
+        m2 = tta.train_source(5, (ds.inputs, ds.labels), epochs=4, lr=0.05)
+        np.testing.assert_array_equal(m1.source_params, m2.source_params)
         np.testing.assert_array_equal(m1.head_w, m2.head_w)
 
     def test_divergence_raises(self):
