@@ -28,6 +28,7 @@ import numpy as np
 
 from . import stream, theory
 from .config import (
+    THRESHOLD_QUANTILE,
     RunConfig,
     build_context,
     build_source,
@@ -40,6 +41,9 @@ from .style import calibrate_threshold, export_styles
 
 THEORY_CHECKS = ("sgd_var", "ensemble_var", "recursion", "fisher_equiv", "chebyshev")
 _CSV_COLUMNS = ("t", "empirical_var", "closed_form_var", "bound", "empirical_rate", "discrepancy")
+# Step size and seed of every theory check.
+THEORY_ETA = 0.1
+THEORY_SEED = 101
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,7 +149,7 @@ def _write_json(path: Path, payload) -> None:
 def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
     dataset, extractor = build_source(cfg)
     styles = calibration_styles(cfg, dataset.blob, extractor)
-    cal = calibrate_threshold(styles, cfg.clustering.quantile)
+    cal = calibrate_threshold(styles, THRESHOLD_QUANTILE)
     payload = {
         "tau": cal.tau,
         "quantile": cal.quantile,
@@ -287,12 +291,13 @@ def _fmt(value) -> str:
 
 def _run_check(name: str, cfg: RunConfig):
     t = cfg.theory
+    eta, seed = THEORY_ETA, THEORY_SEED
     if name == "sgd_var":
-        task = theory.pure_noise_task(t.dim, t.noise_std)
-        curve = theory.simulate_sgd(task, t.eta, t.steps, t.trials, t.seed)
+        task = theory.pure_noise_task()
+        curve = theory.simulate_sgd(task, eta, t.steps, t.trials, seed)
         slope, r2 = theory.fit_slope(curve)
-        target = t.eta**2 * task.total_noise_variance
-        closed = theory.linear_variance_closed_form(t.eta, task.total_noise_variance, curve.steps)
+        target = eta**2 * task.total_noise_variance
+        closed = theory.linear_variance_closed_form(eta, task.total_noise_variance, curve.steps)
         passed = abs(slope - target) <= 0.1 * target and r2 > 0.99
         detail = (
             f"slope {slope:.6g} vs eta^2*vbar {target:.6g} "
@@ -305,17 +310,17 @@ def _run_check(name: str, cfg: RunConfig):
         return passed, detail, rows
 
     if name == "ensemble_var":
-        task = theory.pure_noise_task(t.dim, t.noise_std)
+        task = theory.pure_noise_task()
         vbar = task.total_noise_variance
         rows: list[dict] = []
         worst_rel = 0.0
         bound_ok = True
         for alpha in t.ensemble_alphas:
             curve = theory.simulate_weight_ensemble(
-                task, t.eta, alpha, t.steps, t.ensemble_trials, t.seed
+                task, eta, alpha, t.steps, t.ensemble_trials, seed
             )
-            closed = theory.ensemble_variance_closed_form(t.eta, alpha, vbar, curve.steps)
-            bound = t.eta**2 * vbar * alpha**2 / (1.0 - alpha**2)
+            closed = theory.ensemble_variance_closed_form(eta, alpha, vbar, curve.steps)
+            bound = eta**2 * vbar * alpha**2 / (1.0 - alpha**2)
             rel = np.abs(curve.variance[1:] - closed[1:]) / closed[1:]
             worst_rel = max(worst_rel, float(rel.max()))
             # The true curve sits strictly below the asymptote; the empirical
@@ -340,10 +345,10 @@ def _run_check(name: str, cfg: RunConfig):
         return passed, detail, rows
 
     if name == "recursion":
-        rng = np.random.default_rng((t.seed, 3))
-        grads = rng.standard_normal((t.recursion_steps, t.recursion_dim))
-        theta0 = np.random.default_rng((t.seed, 4)).standard_normal(t.recursion_dim)
-        disc = theory.check_recursion(grads, t.eta, t.recursion_alpha, theta0)
+        rng = np.random.default_rng((seed, 3))
+        grads = rng.standard_normal((t.recursion_steps, 8))
+        theta0 = np.random.default_rng((seed, 4)).standard_normal(8)
+        disc = theory.check_recursion(grads, eta, 0.97, theta0)
         passed = disc < 1e-10
         detail = f"max discrepancy {disc:.3e} (< 1e-10 required)"
         rows = [{"t": t.recursion_steps, "discrepancy": disc}]
@@ -352,14 +357,13 @@ def _run_check(name: str, cfg: RunConfig):
     if name == "fisher_equiv":
         rows = []
         worst = 0.0
-        for lam, omega, eta in t.fisher_cases:
-            task = theory.NoisyQuadraticTask(
-                optimum=np.zeros(t.fisher_dim),
-                curvature=np.full(t.fisher_dim, 0.3),
-                noise_std=np.ones(t.fisher_dim),
-            )
+        task = theory.NoisyQuadraticTask(
+            optimum=np.zeros(4), curvature=np.full(4, 0.3), noise_std=np.ones(4)
+        )
+        # (lambda, omega, eta) cases, each with alpha = 1 - 2 lambda omega eta in (0, 1].
+        for lam, omega, case_eta in ((0.5, 1.0, 0.1), (1.0, 0.5, 0.2), (0.25, 2.0, 0.05)):
             disc = theory.check_fisher_trajectory(
-                task, lam, omega, eta, t.fisher_steps, t.seed
+                task, lam, omega, case_eta, t.fisher_steps, seed
             )
             worst = max(worst, disc)
             rows.append({"t": t.fisher_steps, "discrepancy": disc})
@@ -368,18 +372,15 @@ def _run_check(name: str, cfg: RunConfig):
         return passed, detail, rows
 
     if name == "chebyshev":
-        dim = t.chebyshev_dim
         task = theory.NoisyQuadraticTask(
-            optimum=np.zeros(dim),
-            curvature=np.full(dim, t.chebyshev_curvature),
-            noise_std=np.full(dim, t.noise_std),
+            optimum=np.zeros(4), curvature=np.full(4, 0.5), noise_std=np.ones(4)
         )
-        theta0 = np.full(dim, 1.0 / np.sqrt(dim))
-        spec = theory.StabilitySpec(beta=t.chebyshev_beta_factor, theta0=theta0)
+        # The start point sits at distance 1 from the optimum, inside beta.
+        spec = theory.StabilitySpec(beta=5.0, theta0=np.full(4, 0.5))
         report = theory.check_chebyshev(
-            task, spec, t.eta, t.chebyshev_steps, t.chebyshev_trials, t.seed
+            task, spec, eta, t.chebyshev_steps, t.chebyshev_trials, seed
         )
-        closed = theory.contractive_variance_closed_form(task, t.eta, report.steps)
+        closed = theory.contractive_variance_closed_form(task, eta, report.steps)
         passed = report.holds
         detail = (
             f"max (rate - bound - slack) {report.max_violation:.3e} "

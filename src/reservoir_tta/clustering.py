@@ -303,21 +303,15 @@ def update_centroids(
     centroids: CentroidSet,
     reservoir: StyleReservoir,
     lr: float = DEFAULT_CENTROID_LR,
-    steps: int = 1,
 ) -> None:
-    """Run ``steps`` plain gradient-descent steps on the MI loss in place.
+    """One plain gradient-descent step on the MI loss, in place.
 
     Every centroid is updated, the source centroid included.
     """
-    if steps < 1:
-        raise InputDomainError(f"steps must be positive, got {steps}")
     if lr < 0:
         raise InputDomainError(f"lr must be nonnegative, got {lr}")
-    for _ in range(steps):
-        grad = mi_grad_centroids(reservoir, centroids)
-        if not np.all(np.isfinite(grad)):
-            bad = np.argwhere(~np.isfinite(grad))
-            raise NumericalError(
-                f"non-finite centroid gradient at entries {bad[:4].tolist()}"
-            )
-        centroids.set_centroids(centroids.centroids - lr * grad)
+    grad = mi_grad_centroids(reservoir, centroids)
+    if not np.all(np.isfinite(grad)):
+        bad = np.argwhere(~np.isfinite(grad))
+        raise NumericalError(f"non-finite centroid gradient at entries {bad[:4].tolist()}")
+    centroids.set_centroids(centroids.centroids - lr * grad)

@@ -24,6 +24,7 @@ from scipy.linalg import expm
 
 from . import tta
 from .clustering import (
+    DEFAULT_K_MAX,
     CentroidSet,
     StyleReservoir,
     soft_assign_vector,
@@ -165,7 +166,7 @@ def _draw_domain(
     severity: float,
     rng: np.random.Generator,
     dim: int,
-    tier: np.ndarray = np.zeros(3),
+    tier: np.ndarray,
 ) -> DomainSpec:
     """One random distortion around a structured per-domain tier point.
 
@@ -231,47 +232,39 @@ def make_domains(
     seed: int,
     *,
     blob: BlobSpec,
-    extractor: FeatureExtractor | None = None,
-    tau: float | None = None,
-    source_style_mean: np.ndarray | None = None,
+    extractor: FeatureExtractor,
+    tau: float,
+    source_style_mean: np.ndarray,
     batch_size: int = 64,
     style_batches: int = 16,
     min_separation_factor: float = 1.3,
     max_retries: int = 10,
 ) -> list[DomainSpec]:
-    """Draw ``count`` distinct domains, enforcing style separation when possible.
+    """Draw ``count`` domains whose styles are pairwise well separated.
 
-    When an extractor and threshold are supplied, the candidate set is
-    rejected unless every pair of domain style means (the source style mean
-    included, if given) is separated by more than
-    ``min_separation_factor * tau``; rejected sets are redrawn with a fresh
+    ``count`` domains are picked from a pool of ``8 * count`` candidates by
+    their style means. The pick is rejected unless every pair of domain
+    style means, the source style mean included, is separated by more than
+    ``min_separation_factor * tau``; a rejected pool is redrawn with a fresh
     sub-seed up to ``max_retries`` times before raising.
     """
     if count < 1:
         raise InputDomainError(f"domain count must be positive, got {count}")
-    check = extractor is not None and tau is not None
-    attempts = max_retries if check else 1
-    pool_size = 8 * count if check else count
-    for attempt in range(attempts):
+    pool_size = 8 * count
+    for attempt in range(max_retries):
         rng = np.random.default_rng((seed, attempt))
-        if pool_size > 1:
-            # Spread tier points on an ellipsoid in (input gain, log noise
-            # level, log rotation angle) space: candidates differ in their
-            # global style signature, akin to corruption types at distinct
-            # severities, and any point is extreme along some axis. The gain
-            # axis is stretched because it moves style without hurting the
-            # class structure.
-            tiers = np.array([-0.8, 0.0, 0.0]) + np.array(
-                [0.9, 1.0, 1.0]
-            ) * _sphere_points(pool_size, rng)
-        else:
-            tiers = np.zeros((1, 3))
+        # Spread tier points on an ellipsoid in (input gain, log noise level,
+        # log rotation angle) space: candidates differ in their global style
+        # signature, akin to corruption types at distinct severities, and any
+        # point is extreme along some axis. The gain axis is stretched
+        # because it moves style without hurting the class structure.
+        tiers = np.array([-0.8, 0.0, 0.0]) + np.array(
+            [0.9, 1.0, 1.0]
+        ) * _sphere_points(pool_size, rng)
         pool = [
             _draw_domain(k, severity, rng, blob.input_dim, tier=tiers[k])
             for k in range(pool_size)
         ]
-        if not check:
-            return pool
         means = np.stack(
             [
                 domain_style_mean(
@@ -282,9 +275,7 @@ def make_domains(
             ]
         )
         chosen = _farthest_point_subset(means, count, source_style_mean)
-        mat = means[chosen]
-        if source_style_mean is not None:
-            mat = np.vstack([mat, np.asarray(source_style_mean)])
+        mat = np.vstack([means[chosen], np.asarray(source_style_mean)])
         dists = np.linalg.norm(mat[:, None, :] - mat[None, :, :], axis=2)
         off_diag = dists[np.triu_indices(mat.shape[0], k=1)]
         if np.all(off_diag > min_separation_factor * tau):
@@ -293,20 +284,18 @@ def make_domains(
             ]
     raise GenerationError(
         f"could not draw {count} domains separated by more than "
-        f"{min_separation_factor} * tau after {attempts} attempts"
+        f"{min_separation_factor} * tau after {max_retries} attempts"
     )
 
 
 def _farthest_point_subset(
-    means: np.ndarray, count: int, source_mean: np.ndarray | None
+    means: np.ndarray, count: int, source_mean: np.ndarray
 ) -> list[int]:
-    """Greedy max-min-distance selection from a candidate pool."""
+    """Greedy max-min-distance selection from a candidate pool, starting
+    from the candidate farthest from the source."""
     dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-    if source_mean is not None:
-        to_source = np.linalg.norm(means - np.asarray(source_mean), axis=1)
-    else:
-        to_source = np.full(means.shape[0], np.inf)
-    chosen = [int(np.argmax(to_source)) if source_mean is not None else 0]
+    to_source = np.linalg.norm(means - np.asarray(source_mean), axis=1)
+    chosen = [int(np.argmax(to_source))]
     min_d = np.minimum(dists[chosen[0]], to_source)
     min_d[chosen[0]] = -np.inf
     while len(chosen) < count:
@@ -319,7 +308,7 @@ def _farthest_point_subset(
 
 @dataclass(frozen=True)
 class ScenarioPlan:
-    """Stream schedule (which domain feeds each batch) and the domain draw."""
+    """Stream schedule (which domain feeds each batch) and the domains' severity."""
 
     kind: str = "csc"
     domains: int = 8
@@ -327,8 +316,6 @@ class ScenarioPlan:
     batches_per_domain: int = 25
     batch_size: int = 64
     severity: float = 1.0
-    domain_seed: int = 23
-    min_separation_factor: float = 1.3
 
     def __post_init__(self):
         check_fields(
@@ -337,7 +324,8 @@ class ScenarioPlan:
             ("visits", self.visits >= 0, "must be >= 0"),
             ("batch_size", self.batch_size >= 2, "must be >= 2"),
             ("batches_per_domain", self.batches_per_domain >= 1, "must be >= 1"),
-            ("severity", self.severity >= 0, "must be >= 0"),
+            ("severity", bool(np.isfinite(self.severity)) and self.severity >= 0,
+             "must be finite and >= 0"),
         )
 
     @property
@@ -431,22 +419,21 @@ class DomainStream:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """One engine variant: a TTA objective plus the reservoir switch.
+    """One engine variant: a TTA objective kind, its learning rate and the
+    reservoir switch.
 
-    ``fisher_lambda`` and ``alpha`` left at None take the defaults of
-    :func:`tta.default_anchoring` for the kind and the reservoir switch.
+    The anchor strength and ensembling rate are those of
+    :func:`tta.default_anchoring` for the kind and the reservoir switch; the
+    entropy margin is :func:`tta.resolve_margin`'s default.
     """
 
     name: str
     kind: str = "entropy"
     reservoir: bool = False
     lr: float = tta.DEFAULT_TTA_LR
-    entropy_margin: float | None = None
-    fisher_lambda: float | None = None
-    alpha: float | None = None
 
     def __post_init__(self):
-        self.objective(None)  # raises for a bad kind, lr, margin, lambda or alpha
+        self.objective(None)  # raises for a bad kind or lr
 
     def objective(self, fisher_omega: np.ndarray | None) -> tta.TTAObjectiveConfig:
         """The update rule, with ``fisher_omega`` as the anchor's weights."""
@@ -454,31 +441,26 @@ class MethodConfig:
         return tta.TTAObjectiveConfig(
             kind=self.kind,
             lr=self.lr,
-            entropy_margin=self.entropy_margin,
-            fisher_lambda=lam if self.fisher_lambda is None else self.fisher_lambda,
+            fisher_lambda=lam,
             fisher_omega=fisher_omega,
-            alpha=alpha if self.alpha is None else self.alpha,
+            alpha=alpha,
         )
 
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Clustering knobs used by the engine."""
+    """Size of the style reservoir the centroids are refined over.
+
+    The domain cap is ``clustering.DEFAULT_K_MAX`` (16; 1 without the
+    reservoir switch), and the centroids take one step of
+    :func:`clustering.update_centroids` per batch, at its default learning
+    rate 1e-4.
+    """
 
     reservoir_size: int = 1024
-    k_max: int = 16
-    quantile: float = 0.99
-    centroid_lr: float = 1e-4
-    centroid_steps: int = 1
 
     def __post_init__(self):
-        check_fields(
-            ("reservoir_size", self.reservoir_size >= 1, "must be >= 1"),
-            ("k_max", self.k_max >= 1, "must be >= 1"),
-            ("quantile", 0 < self.quantile <= 1, "must be in (0, 1]"),
-            ("centroid_lr", self.centroid_lr >= 0, "must be >= 0"),
-            ("centroid_steps", self.centroid_steps >= 1, "must be >= 1"),
-        )
+        check_fields(("reservoir_size", self.reservoir_size >= 1, "must be >= 1"))
 
 
 @dataclass(frozen=True)
@@ -566,14 +548,13 @@ def run_episode(
     model. Deterministic per (context, method, seed).
     """
     plan = context.plan
-    cluster = context.cluster
-    k_max = cluster.k_max if method.reservoir else 1
+    k_max = DEFAULT_K_MAX if method.reservoir else 1
     objective = method.objective(context.fisher_omega)
 
     stream = DomainStream(plan, context.domains, context.blob, seed)
     style_dim = context.extractor.style_dim
     reservoir = StyleReservoir(
-        cluster.reservoir_size, style_dim, seed=(seed, _TAG_RESERVOIR)
+        context.cluster.reservoir_size, style_dim, seed=(seed, _TAG_RESERVOIR)
     )
     centroids = CentroidSet(context.source_style_mean, k_max=k_max)
     model = context.model
@@ -595,9 +576,7 @@ def run_episode(
         decision = centroids.detect(s, tau)
         if decision.is_new:
             models.init_new_model(lambda p: tta.predict(model, p, batch.inputs))
-        update_centroids(
-            centroids, reservoir, lr=cluster.centroid_lr, steps=cluster.centroid_steps
-        )
+        update_centroids(centroids, reservoir)
         q = soft_assign_vector(s, centroids)
         k_star = select_active(q)
         new_params = tta.tta_step(model, models.entry(k_star), batch.inputs, objective)

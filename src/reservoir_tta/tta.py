@@ -70,7 +70,7 @@ class TTAObjectiveConfig:
             object.__setattr__(self, "fisher_omega", om)
         check_fields(
             ("kind", self.kind in OBJECTIVE_KINDS, f"unknown objective {self.kind!r}"),
-            ("lr", self.lr >= 0, "must be >= 0"),
+            ("lr", bool(np.isfinite(self.lr)) and self.lr >= 0, "must be finite and >= 0"),
             ("alpha", 0.0 <= self.alpha <= 1.0, "must be in [0, 1]"),
             ("fisher_lambda", self.fisher_lambda >= 0, "must be >= 0"),
             ("entropy_margin", self.entropy_margin is None or self.entropy_margin > 0,

@@ -38,16 +38,16 @@ def _write_config(tmp_path, data, name="config.yaml"):
         pytest.param({"seeds": ["a"]}, "seeds: expected", id="seeds-str"),
         pytest.param({"methods": 5}, "methods: must be a list", id="methods-int"),
         pytest.param(
-            {"clustering": {"k_max": None}}, "clustering.k_max: expected int",
-            id="k_max-null",
+            {"clustering": {"reservoir_size": None}},
+            "clustering.reservoir_size: expected int",
+            id="reservoir_size-null",
         ),
         pytest.param(
             {"scenario": {"domains": 2.5}}, "scenario.domains: expected int",
             id="domains-float",
         ),
         pytest.param(
-            {"source": {"classes": "x"}}, "source.classes: expected int",
-            id="classes-str",
+            {"source": {"epochs": "x"}}, "source.epochs: expected int", id="epochs-str",
         ),
         pytest.param(
             {"methods": [{"name": "m", "lr": "x"}]}, "methods[0].lr: expected float",
@@ -60,6 +60,7 @@ def _write_config(tmp_path, data, name="config.yaml"):
         # One case per value rule.
         pytest.param({"seeds": []}, "seeds: must be nonempty", id="seeds-empty"),
         pytest.param({"seeds": [1, -1]}, "seeds: must be nonnegative", id="seeds-negative"),
+        pytest.param({"seeds": [1, 1]}, "seeds: must be unique", id="seeds-duplicate"),
         pytest.param(
             {"scenario": {"kind": "abc"}}, "scenario.kind: unknown kind 'abc'",
             id="scenario-kind",
@@ -82,35 +83,18 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="batches_per_domain-zero",
         ),
         pytest.param(
-            {"scenario": {"severity": -0.5}}, "scenario.severity: must be >= 0",
+            {"scenario": {"severity": -0.5}}, "scenario.severity: must be finite and >= 0",
             id="severity-negative",
+        ),
+        pytest.param(
+            {"scenario": {"severity": float("inf")}},
+            "scenario.severity: must be finite and >= 0",
+            id="severity-inf",
         ),
         pytest.param(
             {"clustering": {"reservoir_size": 0}},
             "clustering.reservoir_size: must be >= 1",
             id="reservoir_size-zero",
-        ),
-        pytest.param(
-            {"clustering": {"k_max": 0}}, "clustering.k_max: must be >= 1",
-            id="k_max-zero",
-        ),
-        pytest.param(
-            {"clustering": {"quantile": 0}}, "clustering.quantile: must be in (0, 1]",
-            id="quantile-zero",
-        ),
-        pytest.param(
-            {"clustering": {"centroid_lr": -1e-4}},
-            "clustering.centroid_lr: must be >= 0",
-            id="centroid_lr-negative",
-        ),
-        pytest.param(
-            {"clustering": {"centroid_steps": 0}},
-            "clustering.centroid_steps: must be >= 1",
-            id="centroid_steps-zero",
-        ),
-        pytest.param(
-            {"source": {"classes": 1}}, "source.classes: must be >= 2",
-            id="classes-one",
         ),
         pytest.param(
             {"source": {"samples_per_class": 0}},
@@ -121,16 +105,6 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"style": {"calibration_styles": 1}},
             "style.calibration_styles: must be >= 2",
             id="calibration_styles-one",
-        ),
-        pytest.param(
-            {"style": {"calibration_batch_size": 1}},
-            "style.calibration_batch_size: must be >= 2",
-            id="calibration_batch_size-one",
-        ),
-        pytest.param(
-            {"style": {"nonlinearity": "relu"}},
-            "style.nonlinearity: unknown kind 'relu'",
-            id="nonlinearity-unknown",
         ),
         pytest.param({"methods": []}, "methods: must list at least one method", id="methods-empty"),
         pytest.param(
@@ -143,18 +117,13 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="method-kind",
         ),
         pytest.param(
-            {"methods": [{"name": "m", "lr": -0.1}]}, "methods[0].lr: must be >= 0",
+            {"methods": [{"name": "m", "lr": -0.1}]}, "methods[0].lr: must be finite and >= 0",
             id="method-lr",
         ),
         pytest.param(
-            {"methods": [{"name": "m", "kind": "filtered_ensemble", "alpha": 1.5}]},
-            "methods[0].alpha: must be in [0, 1]",
-            id="method-alpha",
-        ),
-        pytest.param(
-            {"methods": [{"name": "m", "kind": "fisher_entropy", "fisher_lambda": -1}]},
-            "methods[0].fisher_lambda: must be >= 0",
-            id="method-fisher_lambda",
+            {"methods": [{"name": "m", "lr": float("inf")}]},
+            "methods[0].lr: must be finite and >= 0",
+            id="method-lr-inf",
         ),
         pytest.param(
             {"theory": {"trials": 99}}, "theory.trials: must be >= 100",
@@ -169,34 +138,6 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="theory-chebyshev_trials",
         ),
         pytest.param(
-            {"theory": {"fisher_cases": [[1.0, 1.0, 1.0]]}},
-            "theory.fisher_cases: (lam=1.0, omega=1.0, eta=1.0) gives alpha=-1.0 "
-            "outside (0, 1]",
-            id="fisher_cases-alpha",
-        ),
-        # Rules that config loading did not check before; each of these
-        # inputs used to fail only after the output directory was created.
-        pytest.param(
-            {"source": {"input_dim": 0}}, "source.input_dim: must be >= 1",
-            id="input_dim-zero",
-        ),
-        pytest.param(
-            {"source": {"hidden": 0}}, "source.hidden: must be >= 1", id="hidden-zero",
-        ),
-        pytest.param(
-            {"source": {"batch_size": 0}}, "source.batch_size: must be >= 1",
-            id="source-batch_size",
-        ),
-        pytest.param(
-            {"style": {"channels": []}}, "style.channels: must be nonempty and positive",
-            id="channels-empty",
-        ),
-        pytest.param(
-            {"style": {"channels": [8, 0]}},
-            "style.channels: must be nonempty and positive",
-            id="channels-zero",
-        ),
-        pytest.param(
             {"style": {"fisher_batches": 0}}, "style.fisher_batches: must be >= 1",
             id="fisher_batches-zero",
         ),
@@ -205,24 +146,14 @@ def _write_config(tmp_path, data, name="config.yaml"):
             "theory.ensemble_alphas: entries must be in [0, 1)",
             id="ensemble_alphas-one",
         ),
-        pytest.param(
-            {"theory": {"chebyshev_beta_factor": 1.0}},
-            "theory.chebyshev_beta_factor: must be > 1",
-            id="chebyshev_beta_factor-one",
-        ),
-        pytest.param(
-            {"methods": [{"name": "m", "kind": "filtered_entropy", "entropy_margin": 0}]},
-            "methods[0].entropy_margin: must be > 0",
-            id="method-entropy_margin",
-        ),
         # Every broken rule of every section is listed in one error.
         pytest.param(
             {
                 "scenario": {"domains": 0, "severity": -1},
-                "clustering": {"k_max": 0},
+                "clustering": {"reservoir_size": 0},
             },
-            "scenario.domains: must be >= 1; scenario.severity: must be >= 0; "
-            "clustering.k_max: must be >= 1",
+            "scenario.domains: must be >= 1; scenario.severity: must be finite and >= 0; "
+            "clustering.reservoir_size: must be >= 1",
             id="three-rules",
         ),
         # Options that no longer exist: one recipe per pipeline stage.
@@ -239,6 +170,89 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"methods": [{"name": "m", "init_policy": "source"}]},
             "methods[0].init_policy: unknown field",
             id="init_policy-removed",
+        ),
+        # Values pinned in the code, no longer settable. These cases keep the
+        # inputs and ids they had when each field was checked by a value
+        # rule (or, for k_max-null and classes-str, by its type).
+        pytest.param(
+            {"source": {"classes": "x"}}, "source.classes: unknown field", id="classes-str",
+        ),
+        pytest.param(
+            {"source": {"classes": 1}}, "source.classes: unknown field", id="classes-one",
+        ),
+        pytest.param(
+            {"source": {"input_dim": 0}}, "source.input_dim: unknown field",
+            id="input_dim-zero",
+        ),
+        pytest.param(
+            {"source": {"hidden": 0}}, "source.hidden: unknown field", id="hidden-zero",
+        ),
+        pytest.param(
+            {"source": {"batch_size": 0}}, "source.batch_size: unknown field",
+            id="source-batch_size",
+        ),
+        pytest.param(
+            {"style": {"calibration_batch_size": 1}},
+            "style.calibration_batch_size: unknown field",
+            id="calibration_batch_size-one",
+        ),
+        pytest.param(
+            {"style": {"nonlinearity": "relu"}}, "style.nonlinearity: unknown field",
+            id="nonlinearity-unknown",
+        ),
+        pytest.param(
+            {"style": {"channels": []}}, "style.channels: unknown field", id="channels-empty",
+        ),
+        pytest.param(
+            {"style": {"channels": [8, 0]}}, "style.channels: unknown field",
+            id="channels-zero",
+        ),
+        pytest.param(
+            {"scenario": {"domain_seed": 5}}, "scenario.domain_seed: unknown field",
+            id="domain_seed-removed",
+        ),
+        pytest.param(
+            {"clustering": {"k_max": None}}, "clustering.k_max: unknown field",
+            id="k_max-null",
+        ),
+        pytest.param(
+            {"clustering": {"k_max": 0}}, "clustering.k_max: unknown field", id="k_max-zero",
+        ),
+        pytest.param(
+            {"clustering": {"quantile": 0}}, "clustering.quantile: unknown field",
+            id="quantile-zero",
+        ),
+        pytest.param(
+            {"clustering": {"centroid_lr": -1e-4}}, "clustering.centroid_lr: unknown field",
+            id="centroid_lr-negative",
+        ),
+        pytest.param(
+            {"clustering": {"centroid_steps": 0}}, "clustering.centroid_steps: unknown field",
+            id="centroid_steps-zero",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "filtered_ensemble", "alpha": 1.5}]},
+            "methods[0].alpha: unknown field",
+            id="method-alpha",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "fisher_entropy", "fisher_lambda": -1}]},
+            "methods[0].fisher_lambda: unknown field",
+            id="method-fisher_lambda",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "kind": "filtered_entropy", "entropy_margin": 0}]},
+            "methods[0].entropy_margin: unknown field",
+            id="method-entropy_margin",
+        ),
+        pytest.param(
+            {"theory": {"fisher_cases": [[1.0, 1.0, 1.0]]}}, "theory.fisher_cases: unknown field",
+            id="fisher_cases-alpha",
+        ),
+        pytest.param(
+            {"theory": {"chebyshev_beta_factor": 1.0}},
+            "theory.chebyshev_beta_factor: unknown field",
+            id="chebyshev_beta_factor-one",
         ),
     ],
 )
@@ -268,7 +282,7 @@ def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, ent
     assert "methods: must list at least one method" not in err
 
 
-@pytest.mark.parametrize("seeds", ["1,x", ",", "-1", "2,-3"])
+@pytest.mark.parametrize("seeds", ["1,x", ",", "-1", "2,-3", "1,1"])
 def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     path = _write_config(tmp_path, SMALL)

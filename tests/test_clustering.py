@@ -346,14 +346,15 @@ class TestUpdateCentroids:
         cs = _grown_centroids([np.zeros(3), np.ones(3)])
         res = _filled_reservoir(8, 3, seed=1)
         before = cs.centroids
-        update_centroids(cs, res, lr=0.0, steps=3)
+        for _ in range(3):
+            update_centroids(cs, res, lr=0.0)
         np.testing.assert_array_equal(cs.centroids, before)
 
     def test_one_step_equals_gradient_times_lr(self):
         cs = _grown_centroids([np.zeros(4), np.full(4, 2.0)])
         res = _filled_reservoir(10, 4, seed=2, spread=1.5)
         expect = cs.centroids - 0.05 * mi_grad_centroids(res, cs)
-        update_centroids(cs, res, lr=0.05, steps=1)
+        update_centroids(cs, res, lr=0.05)
         np.testing.assert_array_equal(cs.centroids, expect)
 
     def test_monitored_descent_nonincreasing(self):
@@ -365,7 +366,7 @@ class TestUpdateCentroids:
         cs = _grown_centroids([c + 0.3 * rng.standard_normal(4) for c in centers])
         losses = [mi_loss(soft_assign_matrix(res, cs))]
         for _ in range(200):
-            update_centroids(cs, res, lr=1e-4, steps=1)
+            update_centroids(cs, res, lr=1e-4)
             losses.append(mi_loss(soft_assign_matrix(res, cs)))
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)

@@ -44,12 +44,11 @@ def reference_style(batch, extractor):
     return np.concatenate(parts)
 
 
-def reference_calibration_styles(cfg, blob, extractor, count):
-    params = cfg.style
+def reference_calibration_styles(blob, extractor, count):
     styles = []
     for i in range(count):
-        rng = np.random.default_rng((params.seed, config._TAG_CALIBRATION, i))
-        x, _ = blob.sample(rng, params.calibration_batch_size)
+        rng = np.random.default_rng((config.STYLE_SEED, config._TAG_CALIBRATION, i))
+        x, _ = blob.sample(rng, config.CALIBRATION_BATCH_SIZE)
         styles.append(reference_style(x, extractor))
     return np.stack(styles)
 
@@ -115,27 +114,18 @@ class TestThresholdOracle:
 class TestStyleLoopOracle:
     @given(
         count=st.integers(1, 40),
-        batch_size=st.integers(2, 40),
         input_dim=st.integers(1, 8),
         seed=st.integers(0, 1000),
         nonlinearity=st.sampled_from(["tanh", "identity"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_calibration_styles_bit_identical(
-        self, count, batch_size, input_dim, seed, nonlinearity
-    ):
-        cfg = config.RunConfig(
-            style=config.StyleParams(
-                channels=(3, 5), seed=seed, nonlinearity=nonlinearity,
-                calibration_batch_size=batch_size,
-            )
-        )
+    def test_calibration_styles_bit_identical(self, count, input_dim, seed, nonlinearity):
         blob = stream.make_blob(3, input_dim, seed)
         extractor = FeatureExtractor(
             input_dim, layer_channels=(3, 5), seed=seed, nonlinearity=nonlinearity
         )
-        got = np.asarray(config.calibration_styles(cfg, blob, extractor, count))
-        want = reference_calibration_styles(cfg, blob, extractor, count)
+        got = config.calibration_styles(config.RunConfig(), blob, extractor, count)
+        want = reference_calibration_styles(blob, extractor, count)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -166,7 +156,7 @@ class TestStyleLoopOracle:
         # Two of the default config's domains at the default batch size.
         plan = context.plan
         for d in context.domains[:2]:
-            key = (plan.domain_seed, 99, d.id)
+            key = (config.DOMAIN_SEED, 99, d.id)
             got = stream.domain_style_mean(
                 d, context.blob, context.extractor, plan.batch_size, 16, key
             )

@@ -46,7 +46,8 @@ class TestSourceDataset:
 
 class TestMakeDomains:
     def test_identity_at_zero_severity(self, context):
-        (dom,) = stream.make_domains(1, 0.0, seed=3, blob=context.blob)
+        rng = np.random.default_rng(3)
+        dom = stream._draw_domain(0, 0.0, rng, context.blob.input_dim, tier=np.zeros(3))
         np.testing.assert_allclose(dom.transform, np.eye(context.blob.input_dim), atol=1e-12)
         np.testing.assert_array_equal(dom.offset, 0.0)
         np.testing.assert_array_equal(dom.noise_std, 0.0)
@@ -87,8 +88,14 @@ class TestMakeDomains:
         assert np.all(dists[iu] > context.calibration.tau)
 
     def test_same_seed_identical_specs(self, context):
-        a = stream.make_domains(4, 0.8, seed=77, blob=context.blob)
-        b = stream.make_domains(4, 0.8, seed=77, blob=context.blob)
+        checked = dict(
+            blob=context.blob,
+            extractor=context.extractor,
+            tau=context.calibration.tau,
+            source_style_mean=context.source_style_mean,
+        )
+        a = stream.make_domains(4, 0.8, seed=77, **checked)
+        b = stream.make_domains(4, 0.8, seed=77, **checked)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.transform, db.transform)
             np.testing.assert_array_equal(da.noise_std, db.noise_std)
