@@ -211,7 +211,13 @@ def soft_assign_matrix(reservoir: StyleReservoir, centroids: CentroidSet) -> np.
 
 
 def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
-    """Single-vector specialization of :func:`soft_assign_matrix`."""
+    """Single-vector specialization of :func:`soft_assign_matrix`.
+
+    At K = 1 this is ``[1.0]`` without computing a distance: the softmax of
+    one finite logit is exactly 1.
+    """
+    if centroids.count == 1:
+        return np.ones(1)
     vec = np.asarray(s, dtype=np.float64).reshape(1, -1)
     logits = _assignment_logits(vec, centroids.centroids)
     return np.exp(_log_softmax(logits))[0]
@@ -306,10 +312,16 @@ def update_centroids(
 ) -> None:
     """One plain gradient-descent step on the MI loss, in place.
 
-    Every centroid is updated, the source centroid included.
+    Every centroid is updated, the source centroid included. At K = 1 the
+    gradient is exactly zero (:func:`mi_grad_centroids`), so after the
+    argument checks the step leaves the centroid as it is.
     """
-    if lr < 0:
-        raise InputDomainError(f"lr must be nonnegative, got {lr}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise InputDomainError(f"lr must be finite and nonnegative, got {lr}")
+    if len(reservoir) == 0:
+        raise InsufficientDataError("centroid update needs a nonempty reservoir")
+    if centroids.count == 1:
+        return
     grad = mi_grad_centroids(reservoir, centroids)
     if not np.all(np.isfinite(grad)):
         bad = np.argwhere(~np.isfinite(grad))

@@ -140,14 +140,19 @@ _SECTIONS = {
 
 
 def _conforms(value, hint) -> bool:
-    """Whether ``value`` has a field's annotated type (an int passes as float)."""
+    """Whether ``value`` has a field's annotated type (an int passes as float
+    if a float can hold it)."""
     if typing.get_origin(hint) is tuple:  # tuple[X, ...], the only sequence type
         item = typing.get_args(hint)[0]
         return isinstance(value, tuple) and all(_conforms(v, item) for v in value)
     if isinstance(value, bool) and hint is not bool:
         return False
-    if hint is float:
-        return isinstance(value, (int, float))
+    if hint is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
     return isinstance(value, hint)
 
 

@@ -10,7 +10,9 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 
 ``run_episode`` executes the full per-batch loop: style extraction,
 reservoir update, domain detection, centroid refinement, model selection
-and adaptation, parameter ensembling, prediction. Hidden ground-truth
+and adaptation, parameter ensembling, prediction. The batch's frozen
+features are computed once per step and shared by the adaptation step, a
+spawned model's clone choice and the prediction. Hidden ground-truth
 labels and domain ids feed the metrics only, never the adaptation path.
 """
 
@@ -345,13 +347,18 @@ class ScenarioPlan:
 
     def segment_at(self, step: int, seed: int) -> tuple[int, int, int, float]:
         """(visit, primary domain, next domain, blend weight) for one step."""
+        return self._segment(step, lambda visit: self.visit_order(visit, seed))
+
+    def _segment(
+        self, step: int, order_of: Callable[[int], np.ndarray]
+    ) -> tuple[int, int, int, float]:
+        """:meth:`segment_at` with ``order_of(visit)`` giving each visit's order."""
         if not 0 <= step < self.total_steps:
             raise EndOfStream(f"step {step} outside [0, {self.total_steps})")
         visit = step // self.steps_per_visit
         within = step % self.steps_per_visit
         slot = within // self.batches_per_domain
-        order = self.visit_order(visit, seed)
-        primary = int(order[slot])
+        primary = int(order_of(visit)[slot])
         if self.kind != "ccc":
             return visit, primary, primary, 0.0
         # Continuous path: ramp linearly toward the next scheduled domain.
@@ -362,7 +369,7 @@ class ScenarioPlan:
             return visit, primary, primary, 0.0
         nxt_visit = flat // self.steps_per_visit
         nxt_slot = (flat % self.steps_per_visit) // self.batches_per_domain
-        nxt = int(self.visit_order(nxt_visit, seed)[nxt_slot])
+        nxt = int(order_of(nxt_visit)[nxt_slot])
         return visit, primary, nxt, w
 
 
@@ -375,7 +382,12 @@ class StreamBatch:
 
 
 class DomainStream:
-    """Deterministic batch generator for a plan over a fixed domain set."""
+    """Deterministic batch generator for a plan over a fixed domain set.
+
+    Every visit's domain order is drawn once, at construction, into a
+    ``(visits, domains)`` table; ``next_batch(step)`` gives the batch of
+    ``plan.segment_at(step, seed)`` without drawing an order again.
+    """
 
     def __init__(
         self,
@@ -392,9 +404,13 @@ class DomainStream:
         self.domains = list(domains)
         self.blob = blob
         self.seed = seed
+        self._orders = np.array(
+            [plan.visit_order(visit, seed) for visit in range(plan.visits)],
+            dtype=np.int64,
+        ).reshape(plan.visits, plan.domains)
 
     def next_batch(self, step: int) -> StreamBatch:
-        visit, primary, nxt, w = self.plan.segment_at(step, self.seed)
+        visit, primary, nxt, w = self.plan._segment(step, self._orders.__getitem__)
         # Batch content is keyed by (domain, slot within the domain's visit),
         # so every recurrence of a domain replays the same test data; visit-
         # to-visit error differences then reflect adaptation, not resampling
@@ -543,9 +559,12 @@ def run_episode(
     The per-batch order is: extract style, offer it to the style reservoir,
     detect the domain (possibly spawning a centroid and a model), refine
     centroids, soft-assign, adapt the selected model, then predict with the
-    soft-assignment ensemble of the models. The reservoir switch only sets
-    the domain cap: without it the cap is 1, and the ensemble is the single
-    model. Deterministic per (context, method, seed).
+    soft-assignment ensemble of the models. The batch's frozen features,
+    ``model.features(batch.inputs)``, are computed once per step and shared
+    by the adaptation step, a spawned model's clone choice and the
+    prediction, since none of them changes the features. The reservoir
+    switch only sets the domain cap: without it the cap is 1, and the
+    ensemble is the single model. Deterministic per (context, method, seed).
     """
     plan = context.plan
     k_max = DEFAULT_K_MAX if method.reservoir else 1
@@ -571,19 +590,20 @@ def run_episode(
 
     for step in range(n):
         batch = stream.next_batch(step)
+        feats = model.features(batch.inputs)
         s = extract_style(batch.inputs, context.extractor)
         reservoir.offer(s)
         decision = centroids.detect(s, tau)
         if decision.is_new:
-            models.init_new_model(lambda p: tta.predict(model, p, batch.inputs))
+            models.init_new_model(lambda p: tta.predict(model, p, feats))
         update_centroids(centroids, reservoir)
         q = soft_assign_vector(s, centroids)
         k_star = select_active(q)
-        new_params = tta.tta_step(model, models.entry(k_star), batch.inputs, objective)
+        new_params = tta.tta_step(model, models.entry(k_star), feats, objective)
         models.write_active(k_star, new_params)
 
         theta = models.ensemble_params(q)
-        probs = tta.predict(model, theta, batch.inputs)
+        probs = tta.predict(model, theta, feats)
         predicted = probs.argmax(axis=1)
 
         visits[step] = batch.visit

@@ -4,7 +4,10 @@ The classifier is a frozen random feature map followed by a trained linear
 head; the only test-time trainable parameters are a per-feature scale and
 shift (``gamma``, ``beta``) packed into one flat vector of length ``2h``.
 All objective gradients are derived in closed form, so adaptation needs no
-autodiff framework.
+autodiff framework. Prediction, the objectives and the adaptation step take
+a batch's frozen features, ``model.features(batch)``, rather than the batch:
+the features do not depend on the parameters, so an engine step computes
+them once and shares them.
 
 Objectives compose three ingredients:
 
@@ -147,10 +150,14 @@ class AdaptableClassifier:
         std = raw.std(axis=0)
         return (raw - mean) / (std + self.BN_EPS)
 
-    def logits(self, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    def logits(self, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """Head outputs for the frozen features ``feats`` of a batch."""
         gamma, beta = split_params(params, self.hidden)
-        act = gamma * self.features(batch) + beta
-        return act @ self.head_w.T + self.head_b
+        if feats.ndim != 2 or feats.shape[1] != self.hidden:
+            raise InputDomainError(
+                f"features must have shape (b, {self.hidden}), got {feats.shape}"
+            )
+        return (gamma * feats + beta) @ self.head_w.T + self.head_b
 
 
 def init_params(hidden: int) -> np.ndarray:
@@ -173,10 +180,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def predict(
-    model: AdaptableClassifier, params: np.ndarray, batch: np.ndarray
+    model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray
 ) -> np.ndarray:
-    """Row-softmax class probabilities, shape ``(b, n_classes)``."""
-    logits = model.logits(params, batch)
+    """Row-softmax class probabilities, shape ``(b, n_classes)``, of the batch
+    whose frozen features are ``feats`` (``model.features(batch)``)."""
+    logits = model.logits(params, feats)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("prediction produced non-finite logits")
     return np.exp(_log_softmax(logits))
@@ -192,14 +200,12 @@ def resolve_margin(config: TTAObjectiveConfig, n_classes: int) -> float:
 def _data_loss_and_grad(
     model: AdaptableClassifier,
     params: np.ndarray,
-    batch: np.ndarray,
+    feats: np.ndarray,
     config: TTAObjectiveConfig,
     want_grad: bool,
 ) -> tuple[float, np.ndarray | None]:
     """Entropy objective (optionally filtered): value and gradient in (gamma, beta)."""
-    gamma, beta = split_params(params, model.hidden)
-    feats = model.features(batch)
-    logits = (gamma * feats + beta) @ model.head_w.T + model.head_b
+    logits = model.logits(params, feats)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("objective evaluation produced non-finite logits")
     logp = _log_softmax(logits)
@@ -242,11 +248,12 @@ def _omega(config: TTAObjectiveConfig, dim: int) -> np.ndarray:
 def objective_loss(
     model: AdaptableClassifier,
     params: np.ndarray,
-    batch: np.ndarray,
+    feats: np.ndarray,
     config: TTAObjectiveConfig,
 ) -> float:
-    """Full objective value: data term plus the quadratic anchor if configured."""
-    loss, _ = _data_loss_and_grad(model, params, batch, config, want_grad=False)
+    """Full objective value on the batch whose frozen features are ``feats``:
+    data term plus the quadratic anchor if configured."""
+    loss, _ = _data_loss_and_grad(model, params, feats, config, want_grad=False)
     if config.fisher:
         diff = np.asarray(params, dtype=np.float64) - model.source_params
         loss += float(config.fisher_lambda * (_omega(config, params.size) * diff**2).sum())
@@ -256,11 +263,11 @@ def objective_loss(
 def objective_grad(
     model: AdaptableClassifier,
     params: np.ndarray,
-    batch: np.ndarray,
+    feats: np.ndarray,
     config: TTAObjectiveConfig,
 ) -> np.ndarray:
     """Analytic gradient of :func:`objective_loss` with respect to ``params``."""
-    _, grad = _data_loss_and_grad(model, params, batch, config, want_grad=True)
+    _, grad = _data_loss_and_grad(model, params, feats, config, want_grad=True)
     if config.fisher:
         diff = np.asarray(params, dtype=np.float64) - model.source_params
         grad = grad + 2.0 * config.fisher_lambda * _omega(config, params.size) * diff
@@ -270,10 +277,11 @@ def objective_grad(
 def tta_step(
     model: AdaptableClassifier,
     params: np.ndarray,
-    batch: np.ndarray,
+    feats: np.ndarray,
     config: TTAObjectiveConfig,
 ) -> np.ndarray:
-    """One adaptation step; returns new parameters, inputs untouched.
+    """One adaptation step on the batch whose frozen features are ``feats``
+    (``model.features(batch)``); returns new parameters, inputs untouched.
 
     The data gradient is applied first. A configured quadratic anchor then
     shrinks the step's result toward the source parameters coordinate-wise
@@ -284,7 +292,7 @@ def tta_step(
     """
     theta = np.asarray(params, dtype=np.float64).copy()
     # The data term alone: the anchor is applied below in decoupled form.
-    _, grad = _data_loss_and_grad(model, theta, batch, config, want_grad=True)
+    _, grad = _data_loss_and_grad(model, theta, feats, config, want_grad=True)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("TTA gradient is non-finite")
     theta = theta - config.lr * grad
@@ -313,7 +321,7 @@ def estimate_fisher(
     cfg = TTAObjectiveConfig(kind="entropy")
     acc = np.zeros(model.param_dim)
     for batch in source_batches:
-        g = objective_grad(model, model.source_params, batch, cfg)
+        g = objective_grad(model, model.source_params, model.features(batch), cfg)
         acc += g**2
     return acc / len(source_batches)
 

@@ -21,7 +21,7 @@ from reservoir_tta.clustering import (
     soft_assign_vector,
     update_centroids,
 )
-from reservoir_tta.errors import NumericalError
+from reservoir_tta.errors import InputDomainError, InsufficientDataError, NumericalError
 
 
 def reference_logits(styles, cents):
@@ -214,6 +214,67 @@ class TestSoftAssignBitIdentity:
         q = soft_assign_matrix(res, cs)
         np.testing.assert_array_equal(q, expect)
         assert q[0, 0] == q[0, 1] and q[0, 2] == 0.0
+
+
+# Finite style entries small enough that every distance between two of them
+# is finite too: the former full computation then gives the exact results
+# that the K = 1 shortcuts return.
+_finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@st.composite
+def _k1_case(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=8))
+    vec = st.lists(_finite, min_size=dim, max_size=dim)
+    source = np.array(draw(vec))
+    styles = np.array(draw(st.lists(vec, min_size=n, max_size=n)))
+    return source, styles
+
+
+class TestSingleCentroidIdentity:
+    """At K = 1 the soft assignment and the centroid step skip their
+    arithmetic; their results stay those of the full computation."""
+
+    @given(case=_k1_case())
+    @settings(max_examples=80, deadline=None)
+    def test_soft_assign_is_exactly_one(self, case):
+        source, styles = case
+        cs = CentroidSet(source, k_max=1)
+        logits, _ = reference_logits(styles, cs.centroids)
+        expect = np.exp(reference_log_softmax_rows(logits))
+        for s in styles:
+            q = soft_assign_vector(s, cs)
+            assert q.dtype == np.float64 and q.tobytes() == np.array([1.0]).tobytes()
+        np.testing.assert_array_equal(expect, np.ones((len(styles), 1)))
+        np.testing.assert_array_equal(soft_assign_matrix(_reservoir(styles), cs), expect)
+
+    @given(case=_k1_case(), lr=st.floats(min_value=0.0, max_value=1e300))
+    @settings(max_examples=80, deadline=None)
+    def test_update_leaves_source_centroid_bit_identical(self, case, lr):
+        source, styles = case
+        cs = CentroidSet(source, k_max=1)
+        res = _reservoir(styles)
+        before = cs.centroids
+        full = before - lr * mi_grad_centroids(res, cs)
+        update_centroids(cs, res, lr=lr)
+        assert cs.centroids.tobytes() == before.tobytes() == full.tobytes()
+
+    @given(case=_k1_case())
+    @settings(max_examples=20, deadline=None)
+    def test_empty_reservoir_still_raises(self, case):
+        source, _ = case
+        cs = CentroidSet(source, k_max=1)
+        with pytest.raises(InsufficientDataError):
+            update_centroids(cs, StyleReservoir(4, source.size, seed=0))
+
+    @given(case=_k1_case(), lr=st.floats(max_value=0.0, exclude_max=True))
+    @settings(max_examples=40, deadline=None)
+    def test_negative_lr_still_raises(self, case, lr):
+        source, styles = case
+        cs = CentroidSet(source, k_max=1)
+        with pytest.raises(InputDomainError):
+            update_centroids(cs, _reservoir(styles), lr=lr)
 
 
 class TestReservoirReplay:

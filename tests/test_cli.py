@@ -92,6 +92,10 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="severity-inf",
         ),
         pytest.param(
+            {"scenario": {"severity": 10**400}}, "scenario.severity: expected float",
+            id="severity-int-beyond-float",
+        ),
+        pytest.param(
             {"clustering": {"reservoir_size": 0}},
             "clustering.reservoir_size: must be >= 1",
             id="reservoir_size-zero",
@@ -124,6 +128,10 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"methods": [{"name": "m", "lr": float("inf")}]},
             "methods[0].lr: must be finite and >= 0",
             id="method-lr-inf",
+        ),
+        pytest.param(
+            {"methods": [{"name": "m", "lr": -(10**400)}]}, "methods[0].lr: expected float",
+            id="method-lr-int-beyond-float",
         ),
         pytest.param(
             {"theory": {"trials": 99}}, "theory.trials: must be >= 100",

@@ -371,6 +371,13 @@ class TestUpdateCentroids:
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("lr", [np.inf, np.nan])
+    def test_nonfinite_lr_rejected(self, k, lr):
+        cs = _grown_centroids([np.zeros(3), np.ones(3)][:k])
+        with pytest.raises(InputDomainError, match="finite"):
+            update_centroids(cs, _filled_reservoir(4, 3, seed=3), lr=lr)
+
     def test_nonfinite_centroids_rejected(self):
         cs = CentroidSet(np.zeros(2), k_max=2)
         with pytest.raises(NumericalError):

@@ -28,7 +28,8 @@ class TestSourceDataset:
         ds = stream.make_source_dataset(2, 200, 8, seed=1, separation=10.0)
         model = tta.train_source(1, (ds.inputs, ds.labels), epochs=8, lr=0.05)
         held_x, held_y = ds.blob.sample(np.random.default_rng(5), 1000)
-        acc = (tta.predict(model, model.source_params, held_x).argmax(axis=1) == held_y).mean()
+        probs = tta.predict(model, model.source_params, model.features(held_x))
+        acc = (probs.argmax(axis=1) == held_y).mean()
         assert acc >= 0.99
 
     def test_seeded_determinism(self):
@@ -201,6 +202,76 @@ class TestDomainStream:
         blended = stream.blend_domains(a, b, 0.0)
         np.testing.assert_allclose(blended.transform, a.transform, atol=1e-12)
         np.testing.assert_array_equal(blended.offset, a.offset)
+
+
+def _batch_from_segment(plan, domains, blob, seed, step):
+    """The batch of one step, built from ``plan.segment_at(step, seed)`` alone."""
+    visit, primary, nxt, w = plan.segment_at(step, seed)
+    slot = step % plan.batches_per_domain
+    rng = np.random.default_rng((seed, stream._TAG_STREAM, primary, slot))
+    inputs, labels = blob.sample(rng, plan.batch_size)
+    if w == 0.0 or primary == nxt:
+        domain, hidden = domains[primary], primary
+    else:
+        domain = stream.blend_domains(domains[primary], domains[nxt], w)
+        hidden = primary if w < 0.5 else nxt
+    return domain.apply(inputs, rng), labels, hidden, visit
+
+
+class TestStepWork:
+    """Each step's batch work is done once: one batch, one feature pass, and
+    every visit's order drawn once per stream."""
+
+    def test_reservoir_episode_counts(self, context, monkeypatch):
+        ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
+        calls = {"features": 0}
+        steps = []
+        features = tta.AdaptableClassifier.features
+        next_batch = stream.DomainStream.next_batch
+
+        def counted_features(self, batch):
+            calls["features"] += 1
+            return features(self, batch)
+
+        def counted_next_batch(self, step):
+            steps.append(step)
+            return next_batch(self, step)
+
+        monkeypatch.setattr(tta.AdaptableClassifier, "features", counted_features)
+        monkeypatch.setattr(stream.DomainStream, "next_batch", counted_next_batch)
+        kinds = []
+        method = stream.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        stream.run_episode(
+            ctx, method, seed=11, step_callback=lambda rec: kinds.append(rec.decision_kind)
+        )
+        n = ctx.plan.total_steps
+        assert kinds.count("new_domain") > 0
+        assert calls["features"] == n
+        assert steps == list(range(n))
+
+    @pytest.mark.parametrize("kind", ["ccc", "cdc"])
+    def test_orders_drawn_once_and_batches_follow_segment_at(
+        self, context, monkeypatch, kind
+    ):
+        plan = replace(context.plan, kind=kind, visits=3, batches_per_domain=3, batch_size=8)
+        drawn = []
+        visit_order = stream.ScenarioPlan.visit_order
+
+        def counted(self, visit, seed):
+            drawn.append(visit)
+            return visit_order(self, visit, seed)
+
+        monkeypatch.setattr(stream.ScenarioPlan, "visit_order", counted)
+        ds = stream.DomainStream(plan, context.domains, context.blob, seed=12)
+        batches = [ds.next_batch(step) for step in range(plan.total_steps)]
+        assert sorted(drawn) == list(range(plan.visits))
+        for step, batch in enumerate(batches):
+            inputs, labels, hidden, visit = _batch_from_segment(
+                plan, context.domains, context.blob, 12, step
+            )
+            np.testing.assert_array_equal(batch.inputs, inputs)
+            np.testing.assert_array_equal(batch.labels, labels)
+            assert (batch.domain_id, batch.visit) == (hidden, visit)
 
 
 class TestRunEpisode:

@@ -6,6 +6,7 @@ import pytest
 from reservoir_tta import stream, tta
 from reservoir_tta.errors import (
     ConfigurationError,
+    InputDomainError,
     InsufficientDataError,
     NumericalError,
     TrainingError,
@@ -20,15 +21,15 @@ def small_model():
     return model, model.source_params.copy(), ds
 
 
-def _fd_grad(model, params, batch, cfg, h=1e-5):
+def _fd_grad(model, params, feats, cfg, h=1e-5):
     g = np.zeros_like(params)
     for i in range(params.size):
         hi, lo = params.copy(), params.copy()
         hi[i] += h
         lo[i] -= h
         g[i] = (
-            tta.objective_loss(model, hi, batch, cfg)
-            - tta.objective_loss(model, lo, batch, cfg)
+            tta.objective_loss(model, hi, feats, cfg)
+            - tta.objective_loss(model, lo, feats, cfg)
         ) / (2 * h)
     return g
 
@@ -56,24 +57,24 @@ def _confident_model(gap):
     return model
 
 
-def _mask_margin(model, params, batch, cfg):
+def _mask_margin(model, params, feats, cfg):
     """Distance of every row entropy from the filter margin."""
-    ent = _entropy_per_row(tta.predict(model, params, batch))
+    ent = _entropy_per_row(tta.predict(model, params, feats))
     return float(np.abs(ent - tta.resolve_margin(cfg, model.n_classes)).min())
 
 
 class TestPredict:
     def test_identity_affine_matches_source(self, small_model):
         model, params, ds = small_model
-        batch = ds.inputs[:16]
+        feats = model.features(ds.inputs[:16])
         np.testing.assert_array_equal(
-            tta.predict(model, model.source_params, batch),
-            tta.predict(model, params, batch),
+            tta.predict(model, model.source_params, feats),
+            tta.predict(model, params, feats),
         )
 
     def test_zeroed_params_give_constant_rows(self, small_model):
         model, _, ds = small_model
-        probs = tta.predict(model, np.zeros(model.param_dim), ds.inputs[:8])
+        probs = tta.predict(model, np.zeros(model.param_dim), model.features(ds.inputs[:8]))
         bias = np.exp(model.head_b) / np.exp(model.head_b).sum()
         for row in probs:
             np.testing.assert_allclose(row, bias, rtol=1e-12)
@@ -82,8 +83,9 @@ class TestPredict:
         model, params, ds = small_model
         rng = np.random.default_rng(3)
         p = params + 0.5 * rng.standard_normal(params.size)
-        a = tta.predict(model, p, ds.inputs[:32])
-        b = tta.predict(model, p, ds.inputs[:32])
+        feats = model.features(ds.inputs[:32])
+        a = tta.predict(model, p, feats)
+        b = tta.predict(model, p, feats)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
 
@@ -91,17 +93,26 @@ class TestPredict:
         model, params, ds = small_model
         rng = np.random.default_rng(4)
         p = params + rng.standard_normal(params.size)
-        batch = ds.inputs[:8]
-        probs = tta.predict(model, p, batch)
-        feats = model.features(batch)
+        feats = model.features(ds.inputs[:8])
+        probs = tta.predict(model, p, feats)
         logits = (p[:4] * feats + p[4:]) @ model.head_w.T + model.head_b
         expect = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, expect, rtol=1e-12)
 
+    def test_raw_batch_in_place_of_features_rejected(self, small_model):
+        # The batch has 6 input columns, the features h = 4.
+        model, params, ds = small_model
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.predict(model, params, ds.inputs[:8])
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.tta_step(model, params, ds.inputs[:8], ENTROPY)
+
     def test_nonfinite_logits_rejected(self, small_model):
         model, _, ds = small_model
         with pytest.raises(NumericalError):
-            tta.predict(model, np.full(model.param_dim, 1e308), ds.inputs[:4])
+            tta.predict(
+                model, np.full(model.param_dim, 1e308), model.features(ds.inputs[:4])
+            )
 
 
 class TestEntropyLoss:
@@ -110,26 +121,26 @@ class TestEntropyLoss:
     def test_uniform_rows(self):
         # An untrained head has zero bias: zero parameters give uniform rows.
         model = tta.AdaptableClassifier(4, 4, 3, seed=0)
-        batch = np.random.default_rng(1).standard_normal((5, 4))
-        loss = tta.objective_loss(model, np.zeros(model.param_dim), batch, ENTROPY)
+        feats = model.features(np.random.default_rng(1).standard_normal((5, 4)))
+        loss = tta.objective_loss(model, np.zeros(model.param_dim), feats, ENTROPY)
         assert loss == pytest.approx(np.log(4))
 
     def test_one_hot_rows(self):
         # A logit gap of 1000 underflows the other classes to exactly 0.
         model = _confident_model(1000.0)
-        batch = np.random.default_rng(2).standard_normal((4, 4))
+        feats = model.features(np.random.default_rng(2).standard_normal((4, 4)))
         np.testing.assert_array_equal(
-            tta.predict(model, CONFIDENT, batch), np.tile([1.0, 0.0, 0.0], (4, 1))
+            tta.predict(model, CONFIDENT, feats), np.tile([1.0, 0.0, 0.0], (4, 1))
         )
-        assert tta.objective_loss(model, CONFIDENT, batch, ENTROPY) == 0.0
+        assert tta.objective_loss(model, CONFIDENT, feats, ENTROPY) == 0.0
 
     def test_matches_summation_oracle(self, small_model):
         model, params, ds = small_model
         rng = np.random.default_rng(5)
         p = params + 0.5 * rng.standard_normal(params.size)
-        batch = ds.inputs[:10]
-        oracle = _entropy_per_row(tta.predict(model, p, batch)).mean()
-        loss = tta.objective_loss(model, p, batch, ENTROPY)
+        feats = model.features(ds.inputs[:10])
+        oracle = _entropy_per_row(tta.predict(model, p, feats)).mean()
+        loss = tta.objective_loss(model, p, feats, ENTROPY)
         assert loss == pytest.approx(oracle, rel=1e-12)
 
 
@@ -140,32 +151,32 @@ class TestSampleFilter:
     def test_one_hot_rows_all_pass(self):
         # Near one-hot rows (logit gap 10) sit far below the default margin.
         model = _confident_model(10.0)
-        batch = np.random.default_rng(3).standard_normal((6, 4))
-        loss = tta.objective_loss(model, CONFIDENT, batch, FILTERED)
+        feats = model.features(np.random.default_rng(3).standard_normal((6, 4)))
+        loss = tta.objective_loss(model, CONFIDENT, feats, FILTERED)
         assert loss > 0.0
-        assert loss == tta.objective_loss(model, CONFIDENT, batch, ENTROPY)
+        assert loss == tta.objective_loss(model, CONFIDENT, feats, ENTROPY)
 
     def test_uniform_rows_all_fail(self):
         model = tta.AdaptableClassifier(4, 5, 3, seed=0)
         params = np.zeros(model.param_dim)
-        batch = np.random.default_rng(4).standard_normal((6, 4))
-        assert tta.objective_loss(model, params, batch, FILTERED) == 0.0
-        grad = tta.objective_grad(model, params, batch, FILTERED)
+        feats = model.features(np.random.default_rng(4).standard_normal((6, 4)))
+        assert tta.objective_loss(model, params, feats, FILTERED) == 0.0
+        grad = tta.objective_grad(model, params, feats, FILTERED)
         np.testing.assert_array_equal(grad, np.zeros(model.param_dim))
 
     def test_mixed_batch_matches_per_row_oracle(self, small_model):
         model, params, ds = small_model
         rng = np.random.default_rng(6)
         p = params + 0.5 * rng.standard_normal(params.size)
-        batch = ds.inputs[:20]
-        ent = _entropy_per_row(tta.predict(model, p, batch))
+        feats = model.features(ds.inputs[:20])
+        ent = _entropy_per_row(tta.predict(model, p, feats))
         ranked = np.sort(ent)
         margin = 0.5 * (ranked[9] + ranked[10])  # half the rows pass
         cfg = tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=margin)
         passed = [e for e in ent if e < margin]
         assert len(passed) == 10
         oracle = sum(passed) / len(passed)
-        assert tta.objective_loss(model, p, batch, cfg) == pytest.approx(oracle, rel=1e-12)
+        assert tta.objective_loss(model, p, feats, cfg) == pytest.approx(oracle, rel=1e-12)
 
     def test_margin_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="entropy_margin: must be > 0"):
@@ -177,10 +188,10 @@ class TestGradients:
         # 8-sample batch, h = 4, |Y| = 3, relative error < 1e-5.
         model, params, _ = small_model
         rng = np.random.default_rng(7)
-        batch = rng.standard_normal((8, 6)) * 2
+        feats = model.features(rng.standard_normal((8, 6)) * 2)
         cfg = tta.TTAObjectiveConfig(kind="entropy")
         p = params + 0.3 * rng.standard_normal(params.size)
-        assert _rel_err(tta.objective_grad(model, p, batch, cfg), _fd_grad(model, p, batch, cfg)) < 1e-5
+        assert _rel_err(tta.objective_grad(model, p, feats, cfg), _fd_grad(model, p, feats, cfg)) < 1e-5
 
     @pytest.mark.parametrize("kind", tta.OBJECTIVE_KINDS)
     def test_all_objectives_match_fd(self, small_model, kind):
@@ -190,28 +201,28 @@ class TestGradients:
         trial = 0
         while checked < 10:
             trial += 1
-            batch = rng.standard_normal((8, 6)) * rng.uniform(0.5, 3.0)
+            feats = model.features(rng.standard_normal((8, 6)) * rng.uniform(0.5, 3.0))
             omega = np.abs(rng.standard_normal(model.param_dim))
             cfg = tta.TTAObjectiveConfig(
                 kind=kind, fisher_lambda=0.5, fisher_omega=omega, alpha=0.9
             )
             p = params + 0.4 * rng.standard_normal(params.size)
-            if cfg.filtered and _mask_margin(model, p, batch, cfg) < 1e-3:
+            if cfg.filtered and _mask_margin(model, p, feats, cfg) < 1e-3:
                 assert trial < 200
                 continue
             assert _rel_err(
-                tta.objective_grad(model, p, batch, cfg),
-                _fd_grad(model, p, batch, cfg),
+                tta.objective_grad(model, p, feats, cfg),
+                _fd_grad(model, p, feats, cfg),
             ) < 1e-5
             checked += 1
 
     def test_empty_filter_mask_gives_zero_gradient(self, small_model):
         model, params, _ = small_model
         cfg = tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=1e-9)
-        batch = np.random.default_rng(8).standard_normal((6, 6))
-        grad = tta.objective_grad(model, params, batch, cfg)
+        feats = model.features(np.random.default_rng(8).standard_normal((6, 6)))
+        grad = tta.objective_grad(model, params, feats, cfg)
         np.testing.assert_array_equal(grad, np.zeros_like(params))
-        assert tta.objective_loss(model, params, batch, cfg) == 0.0
+        assert tta.objective_loss(model, params, feats, cfg) == 0.0
 
 
 class TestTTAStep:
@@ -219,21 +230,21 @@ class TestTTAStep:
         model, params, ds = small_model
         for kind in ("entropy", "filtered_fisher"):
             cfg = tta.TTAObjectiveConfig(kind=kind, lr=0.0, fisher_lambda=5.0)
-            out = tta.tta_step(model, params, ds.inputs[:8], cfg)
+            out = tta.tta_step(model, params, model.features(ds.inputs[:8]), cfg)
             np.testing.assert_array_equal(out, params)
 
     def test_alpha_zero_returns_source(self, small_model):
         model, params, ds = small_model
         cfg = tta.TTAObjectiveConfig(kind="weight_ensemble_entropy", lr=0.1, alpha=0.0)
         start = params + 3.0
-        out = tta.tta_step(model, start, ds.inputs[:8], cfg)
+        out = tta.tta_step(model, start, model.features(ds.inputs[:8]), cfg)
         np.testing.assert_array_equal(out, model.source_params)
 
     def test_inputs_not_mutated(self, small_model):
         model, params, ds = small_model
         cfg = tta.TTAObjectiveConfig(kind="entropy", lr=0.1)
         snap = params.copy()
-        tta.tta_step(model, params, ds.inputs[:8], cfg)
+        tta.tta_step(model, params, model.features(ds.inputs[:8]), cfg)
         np.testing.assert_array_equal(params, snap)
 
     def test_fisher_step_equals_entropy_step_plus_interpolation(self, small_model):
@@ -241,7 +252,7 @@ class TestTTAStep:
         # alpha_i = 1 - 2 * lam * omega_i * lr.
         model, params, ds = small_model
         rng = np.random.default_rng(9)
-        batch = ds.inputs[:16]
+        feats = model.features(ds.inputs[:16])
         for _ in range(20):
             lam, lr = rng.uniform(0.05, 2.0), rng.uniform(0.001, 0.1)
             omega = rng.uniform(0.0, 1.0, model.param_dim)
@@ -249,12 +260,12 @@ class TestTTAStep:
             assert np.all(alpha_i > 0)
             p = params + 0.5 * rng.standard_normal(params.size)
             fisher = tta.tta_step(
-                model, p, batch,
+                model, p, feats,
                 tta.TTAObjectiveConfig(kind="fisher_entropy", lr=lr,
                                        fisher_lambda=lam, fisher_omega=omega),
             )
             hat = tta.tta_step(
-                model, p, batch, tta.TTAObjectiveConfig(kind="entropy", lr=lr)
+                model, p, feats, tta.TTAObjectiveConfig(kind="entropy", lr=lr)
             )
             interp = alpha_i * hat + (1 - alpha_i) * model.source_params
             assert np.abs(fisher - interp).max() < 1e-12
@@ -269,9 +280,10 @@ class TestTTAStep:
             kind="filtered_ensemble", lr=0.5, alpha=alpha, entropy_margin=1e-12
         )
         start = params + np.linspace(1.0, 2.0, params.size)
+        feats = model.features(ds.inputs[:8])
         theta = start.copy()
         for t in range(1, 51):
-            theta = tta.tta_step(model, theta, ds.inputs[:8], cfg)
+            theta = tta.tta_step(model, theta, feats, cfg)
             expect = model.source_params + alpha**t * (start - model.source_params)
             np.testing.assert_allclose(theta, expect, rtol=1e-9, atol=1e-12)
 
@@ -292,9 +304,9 @@ class TestTTAStep:
             pair = rng.integers(0, 3, size=(16, 2))
             fuzzy = 0.5 * (means[pair[:, 0]] + means[pair[:, 1]])
             fuzzy = fuzzy + 1.5 * rng.standard_normal((16, 6))
-            batch = np.vstack([easy, fuzzy])
-            draws_u.append(tta.objective_grad(model, params, batch, cfg_u))
-            draws_f.append(tta.objective_grad(model, params, batch, cfg_f))
+            feats = model.features(np.vstack([easy, fuzzy]))
+            draws_u.append(tta.objective_grad(model, params, feats, cfg_u))
+            draws_f.append(tta.objective_grad(model, params, feats, cfg_f))
         gu, gf = np.stack(draws_u), np.stack(draws_f)
 
         def trace_var(g):
@@ -327,7 +339,7 @@ class TestEstimateFisher:
         model, _, ds = small_model
         batch = ds.inputs[:32]
         g = tta.objective_grad(
-            model, model.source_params, batch, tta.TTAObjectiveConfig(kind="entropy")
+            model, model.source_params, model.features(batch), ENTROPY
         )
         np.testing.assert_allclose(tta.estimate_fisher(model, [batch]), g**2, rtol=1e-12)
 
@@ -338,7 +350,7 @@ class TestEstimateFisher:
         acc = np.zeros(model.param_dim)
         for b in batches:
             g = tta.objective_grad(
-                model, model.source_params, b, tta.TTAObjectiveConfig(kind="entropy")
+                model, model.source_params, model.features(b), ENTROPY
             )
             acc += g**2
         np.testing.assert_allclose(
@@ -356,13 +368,15 @@ class TestTrainSource:
         ds = stream.make_source_dataset(2, 300, 8, seed=3, separation=10.0)
         model = tta.train_source(3, (ds.inputs, ds.labels), epochs=10, lr=0.05)
         held_x, held_y = ds.blob.sample(np.random.default_rng(99), 2000)
-        acc = (tta.predict(model, model.source_params, held_x).argmax(axis=1) == held_y).mean()
+        probs = tta.predict(model, model.source_params, model.features(held_x))
+        acc = (probs.argmax(axis=1) == held_y).mean()
         assert acc >= 0.99
 
     def test_default_config_reaches_90_percent(self, context, default_config):
+        model = context.model
         held_x, held_y = context.blob.sample(np.random.default_rng(171), 2000)
         acc = (
-            tta.predict(context.model, context.model.source_params, held_x).argmax(axis=1)
+            tta.predict(model, model.source_params, model.features(held_x)).argmax(axis=1)
             == held_y
         ).mean()
         assert acc >= 0.90
