@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         # Every argument is checked before the output directory is created.
-        if args.command == "run" and args.seeds:
+        if args.command == "run" and args.seeds is not None:
             cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
         if args.command == "theory":
             checks = _parse_checks(args.checks)

@@ -13,12 +13,13 @@ reservoir, which sharpens assignments while penalizing collapse onto a
 single centroid.
 
 The per-step centroid stage is the engine's hot path, so
-:func:`mi_grad_centroids` works on ``(n, K)`` matrices only: distances come
+:func:`mi_grad_centroids` works on ``(K, n)`` matrices only: distances come
 from one Gram product, pairs too close for its cancellation error (a spawned
 centroid is a copy of a reservoir row) are redone from exact differences,
 and the gradient is contracted as ``c_j sum_i w_ij - sum_i w_ij s_i`` (one
-matrix product) instead of through an ``(n, K, dim)`` broadcast. Log-sum-exp is plain numpy, in the
-same max-split form as ``scipy.special.logsumexp`` and bit-identical to it.
+matrix product) instead of through an ``(n, K, dim)`` broadcast. Log-sum-exp
+is plain numpy, in the same max-split form as ``scipy.special.logsumexp`` and
+bit-identical to it.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 
 ``run_episode`` executes the full per-batch loop: style extraction,
 reservoir update, domain detection, centroid refinement, model selection
-and adaptation, parameter ensembling, prediction. The batch's frozen
-features are computed once per step and shared by the adaptation step, a
-spawned model's clone choice and the prediction. Hidden ground-truth
-labels and domain ids feed the metrics only, never the adaptation path.
+and adaptation, parameter ensembling, prediction. A recurring stream
+replays the same test batch for a (domain, slot) pair on every visit, so
+each distinct batch is drawn and distorted once per episode, and its style
+vector and frozen features are computed once; the features are shared by
+the adaptation step, a spawned model's clone choice and the prediction.
+Hidden ground-truth labels and domain ids feed the metrics only, never the
+adaptation path.
 """
 
 from __future__ import annotations
@@ -375,10 +378,28 @@ class ScenarioPlan:
 
 @dataclass(frozen=True)
 class StreamBatch:
+    """One test batch of a stream.
+
+    ``key`` is the batch's (domain, slot within the domain's visit) when the
+    stream's replay table holds it, i.e. when a later visit replays the
+    same pure-domain batch; ``inputs`` and ``labels`` are then the table's
+    read-only arrays, shared by every step that replays the key. ``key`` is
+    None for a batch served once: a blended CCC batch, or a pure batch that
+    no later visit replays.
+    """
+
     inputs: np.ndarray
     labels: np.ndarray
     domain_id: int
     visit: int
+    key: tuple[int, int] | None = None
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays shared between steps read-only, so a write raises."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class DomainStream:
@@ -387,6 +408,13 @@ class DomainStream:
     Every visit's domain order is drawn once, at construction, into a
     ``(visits, domains)`` table; ``next_batch(step)`` gives the batch of
     ``plan.segment_at(step, seed)`` without drawing an order again.
+
+    A pure-domain batch (every CSC and CDC batch, and a CCC batch with blend
+    weight 0 or with the same domain on both ends) depends only on its
+    (domain, slot) key. The first time a key is drawn, the stream stores its
+    inputs and labels, read-only, in a replay table if a later visit draws
+    the key again, and serves every later occurrence from that entry. The
+    table holds at most one visit's distinct batches.
     """
 
     def __init__(
@@ -408,6 +436,16 @@ class DomainStream:
             [plan.visit_order(visit, seed) for visit in range(plan.visits)],
             dtype=np.int64,
         ).reshape(plan.visits, plan.domains)
+        # Last visit that draws each pure (domain, slot) batch: a whole
+        # segment is pure when both its ends are the same domain, else only
+        # its blend-weight-0 first slot is.
+        self._last_visit: dict[tuple[int, int], int] = {}
+        per_domain = plan.batches_per_domain
+        for start in range(0, plan.total_steps, per_domain):
+            visit, primary, nxt, _ = plan._segment(start, self._orders.__getitem__)
+            for slot in range(per_domain if primary == nxt else 1):
+                self._last_visit[(primary, slot)] = visit
+        self._replay: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
         visit, primary, nxt, w = self.plan._segment(step, self._orders.__getitem__)
@@ -417,20 +455,24 @@ class DomainStream:
         # (recurring corruption benchmarks revisit a fixed test set the same
         # way).
         slot = step % self.plan.batches_per_domain
+        pure = w == 0.0 or primary == nxt
+        key = (primary, slot)
+        if pure and key in self._replay:
+            inputs, labels = self._replay[key]
+            return StreamBatch(inputs, labels, domain_id=primary, visit=visit, key=key)
         rng = np.random.default_rng((self.seed, _TAG_STREAM, primary, slot))
         inputs, labels = self.blob.sample(rng, self.plan.batch_size)
-        if w == 0.0 or primary == nxt:
+        if pure:
             domain = self.domains[primary]
             hidden = primary
         else:
             domain = blend_domains(self.domains[primary], self.domains[nxt], w)
             hidden = primary if w < 0.5 else nxt
-        return StreamBatch(
-            inputs=domain.apply(inputs, rng),
-            labels=labels,
-            domain_id=hidden,
-            visit=visit,
-        )
+        inputs = domain.apply(inputs, rng)
+        if not pure or visit == self._last_visit[key]:
+            return StreamBatch(inputs, labels, domain_id=hidden, visit=visit)
+        self._replay[key] = _read_only(inputs, labels)
+        return StreamBatch(inputs, labels, domain_id=hidden, visit=visit, key=key)
 
 
 @dataclass(frozen=True)
@@ -559,12 +601,15 @@ def run_episode(
     The per-batch order is: extract style, offer it to the style reservoir,
     detect the domain (possibly spawning a centroid and a model), refine
     centroids, soft-assign, adapt the selected model, then predict with the
-    soft-assignment ensemble of the models. The batch's frozen features,
-    ``model.features(batch.inputs)``, are computed once per step and shared
-    by the adaptation step, a spawned model's clone choice and the
-    prediction, since none of them changes the features. The reservoir
-    switch only sets the domain cap: without it the cap is 1, and the
-    ensemble is the single model. Deterministic per (context, method, seed).
+    soft-assignment ensemble of the models. The batch's style vector and
+    frozen features, ``model.features(batch.inputs)``, are computed once per
+    distinct batch: a batch the stream replays (``batch.key`` set) keeps
+    them, read-only, in a per-episode table for every later step that
+    replays the key. The features are shared by the adaptation step, a
+    spawned model's clone choice and the prediction, since none of them
+    changes the features. The reservoir switch only sets the domain cap:
+    without it the cap is 1, and the ensemble is the single model.
+    Deterministic per (context, method, seed).
     """
     plan = context.plan
     k_max = DEFAULT_K_MAX if method.reservoir else 1
@@ -587,11 +632,20 @@ def run_episode(
     errors = np.zeros(n)
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
+    # (features, style) of every replayed batch, by its key.
+    batch_work: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     for step in range(n):
         batch = stream.next_batch(step)
-        feats = model.features(batch.inputs)
-        s = extract_style(batch.inputs, context.extractor)
+        work = batch_work.get(batch.key)
+        if work is None:
+            work = (
+                model.features(batch.inputs),
+                extract_style(batch.inputs, context.extractor),
+            )
+            if batch.key is not None:
+                batch_work[batch.key] = _read_only(*work)
+        feats, s = work
         reservoir.offer(s)
         decision = centroids.detect(s, tau)
         if decision.is_new:

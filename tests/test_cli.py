@@ -290,7 +290,7 @@ def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, ent
     assert "methods: must list at least one method" not in err
 
 
-@pytest.mark.parametrize("seeds", ["1,x", ",", "-1", "2,-3", "1,1"])
+@pytest.mark.parametrize("seeds", ["1,x", ",", "", "-1", "2,-3", "1,1"])
 def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     path = _write_config(tmp_path, SMALL)

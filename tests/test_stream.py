@@ -1,6 +1,6 @@
 """Scenario schedules, domain generation, streams, and the episode engine."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -218,27 +218,42 @@ def _batch_from_segment(plan, domains, blob, seed, step):
     return domain.apply(inputs, rng), labels, hidden, visit
 
 
+def _bits(value):
+    """A value's dtype, shape and bytes, for bit-for-bit comparison."""
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 class TestStepWork:
-    """Each step's batch work is done once: one batch, one feature pass, and
-    every visit's order drawn once per stream."""
+    """Each step's batch work is done once: one batch per step, one style
+    and feature pass per distinct replayed batch, and every visit's order
+    drawn once per stream."""
 
     def test_reservoir_episode_counts(self, context, monkeypatch):
         ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
-        calls = {"features": 0}
+        made = {"features": [], "style": [], "inputs": []}
         steps = []
         features = tta.AdaptableClassifier.features
         next_batch = stream.DomainStream.next_batch
+        extract = stream.extract_style
 
-        def counted_features(self, batch):
-            calls["features"] += 1
-            return features(self, batch)
+        def kept_features(self, batch):
+            made["features"].append(features(self, batch))
+            return made["features"][-1]
 
-        def counted_next_batch(self, step):
+        def kept_style(batch, extractor):
+            made["style"].append(extract(batch, extractor))
+            return made["style"][-1]
+
+        def kept_next_batch(self, step):
             steps.append(step)
-            return next_batch(self, step)
+            batch = next_batch(self, step)
+            made["inputs"].append(batch.inputs)
+            return batch
 
-        monkeypatch.setattr(tta.AdaptableClassifier, "features", counted_features)
-        monkeypatch.setattr(stream.DomainStream, "next_batch", counted_next_batch)
+        monkeypatch.setattr(tta.AdaptableClassifier, "features", kept_features)
+        monkeypatch.setattr(stream, "extract_style", kept_style)
+        monkeypatch.setattr(stream.DomainStream, "next_batch", kept_next_batch)
         kinds = []
         method = stream.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
         stream.run_episode(
@@ -246,10 +261,17 @@ class TestStepWork:
         )
         n = ctx.plan.total_steps
         assert kinds.count("new_domain") > 0
-        assert calls["features"] == n
         assert steps == list(range(n))
+        # A CSC visit draws every (domain, slot) batch once; later visits
+        # replay them.
+        assert len(made["features"]) == len(made["style"]) == ctx.plan.steps_per_visit
+        # Every array the tables hand out is read-only.
+        for arrays in made.values():
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
-    @pytest.mark.parametrize("kind", ["ccc", "cdc"])
+    @pytest.mark.parametrize("kind", ["csc", "ccc", "cdc"])
     def test_orders_drawn_once_and_batches_follow_segment_at(
         self, context, monkeypatch, kind
     ):
@@ -262,16 +284,77 @@ class TestStepWork:
             return visit_order(self, visit, seed)
 
         monkeypatch.setattr(stream.ScenarioPlan, "visit_order", counted)
-        ds = stream.DomainStream(plan, context.domains, context.blob, seed=12)
+        # At seed 21 the last CCC segment of visit 0 and the first of visit 1
+        # are the same domain, so that segment is pure throughout.
+        ds = stream.DomainStream(plan, context.domains, context.blob, seed=21)
         batches = [ds.next_batch(step) for step in range(plan.total_steps)]
         assert sorted(drawn) == list(range(plan.visits))
+        first_of = {}
         for step, batch in enumerate(batches):
             inputs, labels, hidden, visit = _batch_from_segment(
-                plan, context.domains, context.blob, 12, step
+                plan, context.domains, context.blob, 21, step
             )
-            np.testing.assert_array_equal(batch.inputs, inputs)
-            np.testing.assert_array_equal(batch.labels, labels)
+            assert _bits(batch.inputs) == _bits(inputs)
+            assert _bits(batch.labels) == _bits(labels)
             assert (batch.domain_id, batch.visit) == (hidden, visit)
+            if batch.key is not None:
+                first = first_of.setdefault(batch.key, batch)
+                assert batch.inputs is first.inputs and batch.labels is first.labels
+        # Every CSC and CDC batch recurs on a later visit; CCC blends most of
+        # its batches, which are served once.
+        keyed = [batch.key is not None for batch in batches]
+        assert all(keyed) if kind != "ccc" else any(keyed) and not all(keyed)
+
+    def test_batches_without_a_later_visit_are_not_kept(self, context):
+        plan = replace(context.plan, visits=1, batches_per_domain=3, batch_size=8)
+        ds = stream.DomainStream(plan, context.domains, context.blob, seed=12)
+        batches = [ds.next_batch(step) for step in range(plan.total_steps)]
+        assert all(batch.key is None for batch in batches)
+        assert all(batch.inputs.flags.writeable for batch in batches)
+
+
+class TestReplayOracle:
+    """The replay tables change no bit of an episode: the same episodes run
+    on freshly built batches without a key give identical metrics and step
+    records."""
+
+    @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
+    def test_tabled_episode_equals_fresh_batches(self, context, monkeypatch, kind):
+        ctx = replace(
+            context, plan=replace(context.plan, kind=kind, visits=3, batches_per_domain=3)
+        )
+        method = stream.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        keys = []
+        next_batch = stream.DomainStream.next_batch
+
+        def keyed(self, step):
+            batch = next_batch(self, step)
+            keys.append(batch.key)
+            return batch
+
+        monkeypatch.setattr(stream.DomainStream, "next_batch", keyed)
+        tabled_records = []
+        tabled = stream.run_episode(ctx, method, seed=14, step_callback=tabled_records.append)
+        served = [key for key in keys if key is not None]
+        assert len(set(served)) < len(served)
+
+        def fresh(self, step):
+            inputs, labels, hidden, visit = _batch_from_segment(
+                self.plan, self.domains, self.blob, self.seed, step
+            )
+            return stream.StreamBatch(inputs, labels, domain_id=hidden, visit=visit)
+
+        monkeypatch.setattr(stream.DomainStream, "next_batch", fresh)
+        fresh_records = []
+        untabled = stream.run_episode(ctx, method, seed=14, step_callback=fresh_records.append)
+
+        assert any(rec.decision_kind == "new_domain" for rec in tabled_records)
+        for f in fields(stream.EpisodeMetrics):
+            assert _bits(getattr(tabled, f.name)) == _bits(getattr(untabled, f.name)), f.name
+        assert len(tabled_records) == len(fresh_records) == ctx.plan.total_steps
+        for a, b in zip(tabled_records, fresh_records):
+            for f in fields(stream.StepRecord):
+                assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), f.name
 
 
 class TestRunEpisode:
