@@ -117,9 +117,17 @@ def _output_dir(cfg: RunConfig) -> Path:
     return path
 
 
+def _split_list(text: str, what: str) -> tuple[str, ...]:
+    """The stripped tokens of a comma list; an empty token is an error."""
+    tokens = tuple(tok.strip() for tok in text.split(","))
+    if "" in tokens:
+        raise ConfigurationError(f"{what}: empty entry in {text!r}")
+    return tokens
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in _split_list(text, "seeds"))
     except ValueError:
         raise ConfigurationError(f"unparseable seed list {text!r}")
 
@@ -129,12 +137,14 @@ def _parse_checks(text: str) -> tuple[str, ...]:
         return ()
     if text.strip() == "all":
         return THEORY_CHECKS
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    names = _split_list(text, "checks")
     for name in names:
         if name not in THEORY_CHECKS:
             raise ConfigurationError(
                 f"unknown theory check {name!r} (choose from {THEORY_CHECKS})"
             )
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"checks: repeated name in {text!r}")
     return names
 
 
@@ -234,7 +244,7 @@ def _write_metrics_csv(path: Path, metrics: stream.EpisodeMetrics) -> None:
         for i in range(metrics.step_count):
             writer.writerow(
                 [
-                    int(metrics.steps[i]),
+                    i,
                     int(metrics.visits[i]),
                     int(metrics.true_domains[i]),
                     int(metrics.assigned_models[i]),

@@ -95,9 +95,13 @@ class TheoryParams:
         rules = [
             (name, getattr(self, name) >= 100, "must be >= 100")
             for name in ("trials", "ensemble_trials", "chebyshev_trials")
+        ] + [
+            (name, getattr(self, name) >= 1, "must be >= 1")
+            for name in ("steps", "recursion_steps", "fisher_steps", "chebyshev_steps")
         ]
         alphas_ok = all(0 <= a < 1 for a in self.ensemble_alphas)
         rules.append(("ensemble_alphas", alphas_ok, "entries must be in [0, 1)"))
+        rules.append(("ensemble_alphas", len(self.ensemble_alphas) > 0, "must be nonempty"))
         check_fields(*rules)
 
 

@@ -8,21 +8,20 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 (CDC), or a continuous path that linearly blends consecutive domains
 (CCC).
 
-``run_episode`` executes the full per-batch loop: style extraction,
-reservoir update, domain detection, centroid refinement, model selection
-and adaptation, parameter ensembling, prediction. A recurring stream
-replays the same test batch for a (domain, slot) pair on every visit, so
-each distinct batch is drawn and distorted once per episode, and its style
-vector and frozen features are computed once; the features are shared by
-the adaptation step, a spawned model's clone choice and the prediction.
-Hidden ground-truth labels and domain ids feed the metrics only, never the
-adaptation path.
+``DomainStream`` serves each step's batch with its frozen features and style
+vector already computed; a recurring stream replays the same test batch for
+a (domain, slot) pair on every visit, so each distinct batch is drawn,
+distorted and prepared once per episode. ``run_episode`` executes the
+per-batch loop on those batches: reservoir update, domain detection,
+centroid refinement, model selection and adaptation, parameter ensembling,
+prediction. Hidden ground-truth labels and domain ids feed the metrics
+only, never the adaptation path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -348,131 +347,101 @@ class ScenarioPlan:
         rng = np.random.default_rng((seed, visit))
         return rng.permutation(self.domains)
 
-    def segment_at(self, step: int, seed: int) -> tuple[int, int, int, float]:
-        """(visit, primary domain, next domain, blend weight) for one step."""
-        return self._segment(step, lambda visit: self.visit_order(visit, seed))
+    def schedule(self, seed: int) -> tuple[np.ndarray, ...]:
+        """Every step's visit, primary domain, next domain and blend weight,
+        as four arrays of ``total_steps`` entries.
 
-    def _segment(
-        self, step: int, order_of: Callable[[int], np.ndarray]
-    ) -> tuple[int, int, int, float]:
-        """:meth:`segment_at` with ``order_of(visit)`` giving each visit's order."""
-        if not 0 <= step < self.total_steps:
-            raise EndOfStream(f"step {step} outside [0, {self.total_steps})")
-        visit = step // self.steps_per_visit
-        within = step % self.steps_per_visit
-        slot = within // self.batches_per_domain
-        primary = int(order_of(visit)[slot])
-        if self.kind != "ccc":
-            return visit, primary, primary, 0.0
-        # Continuous path: ramp linearly toward the next scheduled domain.
-        j = within % self.batches_per_domain
-        w = j / self.batches_per_domain
-        flat = visit * self.steps_per_visit + (slot + 1) * self.batches_per_domain
-        if flat >= self.total_steps:
-            return visit, primary, primary, 0.0
-        nxt_visit = flat // self.steps_per_visit
-        nxt_slot = (flat % self.steps_per_visit) // self.batches_per_domain
-        nxt = int(order_of(nxt_visit)[nxt_slot])
-        return visit, primary, nxt, w
+        Each visit's order is drawn once. A segment is one domain's
+        ``batches_per_domain`` steps within a visit. CSC and CDC steps have
+        ``next == primary`` and weight 0; a CCC segment ramps its weight
+        ``j / batches_per_domain`` toward the next segment's domain, except
+        the stream's last segment, which stays pure.
+        """
+        per = self.batches_per_domain
+        order = np.array(
+            [self.visit_order(visit, seed) for visit in range(self.visits)], dtype=np.int64
+        ).reshape(-1)
+        nxt, weight = order, np.zeros(self.total_steps)
+        if self.kind == "ccc" and order.size:
+            nxt = np.append(order[1:], order[-1])
+            weight = np.tile(np.arange(per) / per, order.size)
+            weight[-per:] = 0.0
+        visit = np.arange(self.total_steps) // self.steps_per_visit
+        return visit, np.repeat(order, per), np.repeat(nxt, per), weight
 
 
 @dataclass(frozen=True)
 class StreamBatch:
-    """One test batch of a stream.
+    """One test batch, prepared for the engine: its hidden labels, frozen
+    features ``model.features(inputs)`` and style vector. A replayed
+    batch's arrays are the replay table's, read-only."""
 
-    ``key`` is the batch's (domain, slot within the domain's visit) when the
-    stream's replay table holds it, i.e. when a later visit replays the
-    same pure-domain batch; ``inputs`` and ``labels`` are then the table's
-    read-only arrays, shared by every step that replays the key. ``key`` is
-    None for a batch served once: a blended CCC batch, or a pure batch that
-    no later visit replays.
-    """
-
-    inputs: np.ndarray
     labels: np.ndarray
+    features: np.ndarray
+    style: np.ndarray
     domain_id: int
     visit: int
-    key: tuple[int, int] | None = None
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mark arrays shared between steps read-only, so a write raises."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 class DomainStream:
-    """Deterministic batch generator for a plan over a fixed domain set.
+    """The seeded batches of one episode over a context's plan and domains.
 
-    Every visit's domain order is drawn once, at construction, into a
-    ``(visits, domains)`` table; ``next_batch(step)`` gives the batch of
-    ``plan.segment_at(step, seed)`` without drawing an order again.
+    ``plan.schedule(seed)`` is built once, at construction. ``next_batch``
+    draws a step's batch, distorts it, and runs the feature and style
+    passes; the engine never reads raw inputs.
 
-    A pure-domain batch (every CSC and CDC batch, and a CCC batch with blend
-    weight 0 or with the same domain on both ends) depends only on its
-    (domain, slot) key. The first time a key is drawn, the stream stores its
-    inputs and labels, read-only, in a replay table if a later visit draws
-    the key again, and serves every later occurrence from that entry. The
-    table holds at most one visit's distinct batches.
+    A pure-domain step (blend weight 0, or the same domain at both segment
+    ends: every CSC and CDC step) depends only on its (domain, slot) key,
+    so every recurrence of a domain replays the same test data; visit-to-
+    visit error differences then reflect adaptation, not resampling, as
+    in recurring corruption benchmarks. The first draw of a key that a
+    later visit draws again goes, read-only, into the replay table, which
+    serves every later occurrence with no draw, feature or style pass and
+    holds at most one visit's distinct batches.
     """
 
-    def __init__(
-        self,
-        plan: ScenarioPlan,
-        domains: Sequence[DomainSpec],
-        blob: BlobSpec,
-        seed: int,
-    ):
-        if len(domains) != plan.domains:
+    def __init__(self, context: EpisodeContext, seed: int):
+        plan = context.plan
+        if len(context.domains) != plan.domains:
             raise ConfigurationError(
-                f"plan expects {plan.domains} domains, got {len(domains)}"
+                f"plan expects {plan.domains} domains, got {len(context.domains)}"
             )
-        self.plan = plan
-        self.domains = list(domains)
-        self.blob = blob
+        self.context = context
         self.seed = seed
-        self._orders = np.array(
-            [plan.visit_order(visit, seed) for visit in range(plan.visits)],
-            dtype=np.int64,
-        ).reshape(plan.visits, plan.domains)
-        # Last visit that draws each pure (domain, slot) batch: a whole
-        # segment is pure when both its ends are the same domain, else only
-        # its blend-weight-0 first slot is.
-        self._last_visit: dict[tuple[int, int], int] = {}
-        per_domain = plan.batches_per_domain
-        for start in range(0, plan.total_steps, per_domain):
-            visit, primary, nxt, _ = plan._segment(start, self._orders.__getitem__)
-            for slot in range(per_domain if primary == nxt else 1):
-                self._last_visit[(primary, slot)] = visit
-        self._replay: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.schedule = plan.schedule(seed)
+        visit, primary, nxt, weight = self.schedule
+        # Last visit that draws each pure (domain, slot) batch.
+        pure = (weight == 0.0) | (primary == nxt)
+        slot = np.arange(plan.total_steps) % plan.batches_per_domain
+        self._last_visit = np.full((plan.domains, plan.batches_per_domain), -1)
+        np.maximum.at(self._last_visit, (primary[pure], slot[pure]), visit[pure])
+        self._replay: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
-        visit, primary, nxt, w = self.plan._segment(step, self._orders.__getitem__)
-        # Batch content is keyed by (domain, slot within the domain's visit),
-        # so every recurrence of a domain replays the same test data; visit-
-        # to-visit error differences then reflect adaptation, not resampling
-        # (recurring corruption benchmarks revisit a fixed test set the same
-        # way).
-        slot = step % self.plan.batches_per_domain
+        ctx = self.context
+        if not 0 <= step < ctx.plan.total_steps:
+            raise EndOfStream(f"step {step} outside [0, {ctx.plan.total_steps})")
+        visit, primary, nxt, w = [column[step].item() for column in self.schedule]
+        slot = step % ctx.plan.batches_per_domain
         pure = w == 0.0 or primary == nxt
         key = (primary, slot)
         if pure and key in self._replay:
-            inputs, labels = self._replay[key]
-            return StreamBatch(inputs, labels, domain_id=primary, visit=visit, key=key)
+            return StreamBatch(*self._replay[key], domain_id=primary, visit=visit)
         rng = np.random.default_rng((self.seed, _TAG_STREAM, primary, slot))
-        inputs, labels = self.blob.sample(rng, self.plan.batch_size)
+        inputs, labels = ctx.blob.sample(rng, ctx.plan.batch_size)
         if pure:
-            domain = self.domains[primary]
+            domain = ctx.domains[primary]
             hidden = primary
         else:
-            domain = blend_domains(self.domains[primary], self.domains[nxt], w)
+            domain = blend_domains(ctx.domains[primary], ctx.domains[nxt], w)
             hidden = primary if w < 0.5 else nxt
         inputs = domain.apply(inputs, rng)
-        if not pure or visit == self._last_visit[key]:
-            return StreamBatch(inputs, labels, domain_id=hidden, visit=visit)
-        self._replay[key] = _read_only(inputs, labels)
-        return StreamBatch(inputs, labels, domain_id=hidden, visit=visit, key=key)
+        prepared = (labels, ctx.model.features(inputs), extract_style(inputs, ctx.extractor))
+        if pure and visit < self._last_visit[key]:
+            for array in prepared:  # shared by every replay, so a write raises
+                array.flags.writeable = False
+            self._replay[key] = prepared
+        return StreamBatch(*prepared, domain_id=hidden, visit=visit)
 
 
 @dataclass(frozen=True)
@@ -491,6 +460,9 @@ class MethodConfig:
     lr: float = tta.DEFAULT_TTA_LR
 
     def __post_init__(self):
+        # The name is part of every output file name.
+        check_fields(("name", self.name != "" and "/" not in self.name,
+                      "must be nonempty and contain no '/'"))
         self.objective(None)  # raises for a bad kind or lr
 
     def objective(self, fisher_omega: np.ndarray | None) -> tta.TTAObjectiveConfig:
@@ -540,7 +512,6 @@ class EpisodeContext:
 class EpisodeMetrics:
     """Per-step records of one episode plus derived per-visit summaries."""
 
-    steps: np.ndarray
     visits: np.ndarray
     true_domains: np.ndarray
     assigned_models: np.ndarray
@@ -550,7 +521,7 @@ class EpisodeMetrics:
 
     @property
     def step_count(self) -> int:
-        return int(self.steps.size)
+        return int(self.per_batch_error.size)
 
     def per_visit_error(self) -> np.ndarray:
         """Mean error per visit (empty array for an empty episode)."""
@@ -582,7 +553,6 @@ class StepRecord:
 
     step: int
     decision_kind: str
-    decision_index: int
     min_distance: float
     active_index: int
     soft_assignment: np.ndarray
@@ -598,15 +568,12 @@ def run_episode(
 ) -> EpisodeMetrics:
     """Execute one adaptation episode and record its metrics.
 
-    The per-batch order is: extract style, offer it to the style reservoir,
-    detect the domain (possibly spawning a centroid and a model), refine
-    centroids, soft-assign, adapt the selected model, then predict with the
-    soft-assignment ensemble of the models. The batch's style vector and
-    frozen features, ``model.features(batch.inputs)``, are computed once per
-    distinct batch: a batch the stream replays (``batch.key`` set) keeps
-    them, read-only, in a per-episode table for every later step that
-    replays the key. The features are shared by the adaptation step, a
-    spawned model's clone choice and the prediction, since none of them
+    Each step takes the :class:`DomainStream`'s prepared batch, offers its
+    style to the style reservoir, detects the domain (possibly spawning a
+    centroid and a model), refines the centroids, soft-assigns, adapts the
+    selected model, then predicts with the soft-assignment ensemble of the
+    models. The batch's frozen features are shared by the adaptation step,
+    a spawned model's clone choice and the prediction, since none of them
     changes the features. The reservoir switch only sets the domain cap:
     without it the cap is 1, and the ensemble is the single model.
     Deterministic per (context, method, seed).
@@ -615,7 +582,7 @@ def run_episode(
     k_max = DEFAULT_K_MAX if method.reservoir else 1
     objective = method.objective(context.fisher_omega)
 
-    stream = DomainStream(plan, context.domains, context.blob, seed)
+    stream = DomainStream(context, seed)
     style_dim = context.extractor.style_dim
     reservoir = StyleReservoir(
         context.cluster.reservoir_size, style_dim, seed=(seed, _TAG_RESERVOIR)
@@ -632,20 +599,10 @@ def run_episode(
     errors = np.zeros(n)
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
-    # (features, style) of every replayed batch, by its key.
-    batch_work: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     for step in range(n):
         batch = stream.next_batch(step)
-        work = batch_work.get(batch.key)
-        if work is None:
-            work = (
-                model.features(batch.inputs),
-                extract_style(batch.inputs, context.extractor),
-            )
-            if batch.key is not None:
-                batch_work[batch.key] = _read_only(*work)
-        feats, s = work
+        feats, s = batch.features, batch.style
         reservoir.offer(s)
         decision = centroids.detect(s, tau)
         if decision.is_new:
@@ -671,7 +628,6 @@ def run_episode(
                 StepRecord(
                     step=step,
                     decision_kind=decision.kind,
-                    decision_index=decision.index,
                     min_distance=decision.distance,
                     active_index=k_star,
                     soft_assignment=q,
@@ -681,7 +637,6 @@ def run_episode(
             )
 
     return EpisodeMetrics(
-        steps=np.arange(n),
         visits=visits,
         true_domains=true_domains,
         assigned_models=assigned,

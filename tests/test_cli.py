@@ -262,6 +262,23 @@ def _write_config(tmp_path, data, name="config.yaml"):
             "theory.chebyshev_beta_factor: unknown field",
             id="chebyshev_beta_factor-one",
         ),
+        pytest.param({"theory": {"steps": 0}}, "theory.steps: must be >= 1", id="steps-zero"),
+        pytest.param(
+            {"theory": {"recursion_steps": 0}}, "theory.recursion_steps: must be >= 1",
+            id="recursion_steps-zero",
+        ),
+        pytest.param(
+            {"theory": {"fisher_steps": -1}}, "theory.fisher_steps: must be >= 1",
+            id="fisher_steps-negative",
+        ),
+        pytest.param(
+            {"theory": {"chebyshev_steps": 0}}, "theory.chebyshev_steps: must be >= 1",
+            id="chebyshev_steps-zero",
+        ),
+        pytest.param(
+            {"theory": {"ensemble_alphas": []}}, "theory.ensemble_alphas: must be nonempty",
+            id="ensemble_alphas-empty",
+        ),
     ],
 )
 def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
@@ -280,17 +297,23 @@ def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
                      id="nameless"),
         pytest.param({"name": "m", "kind": "mystery"}, "methods[0].kind: unknown objective",
                      id="bad-kind"),
+        pytest.param({"name": "a/b"}, "methods[0].name: must be nonempty and contain no '/'",
+                     id="name-slash"),
+        pytest.param({"name": ""}, "methods[0].name: must be nonempty and contain no '/'",
+                     id="name-empty"),
     ],
 )
 def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, entry, message):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     assert cli.main(["run", "--config", _write_config(tmp_path, {"methods": [entry]})]) == 1
     err = capsys.readouterr().err
+    assert "configuration error" in err
     assert message in err
     assert "methods: must list at least one method" not in err
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("seeds", ["1,x", ",", "", "-1", "2,-3", "1,1"])
+@pytest.mark.parametrize("seeds", ["1,x", ",", "", "-1", "2,-3", "1,1", "1,,2", "3,", " ,1"])
 def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     path = _write_config(tmp_path, SMALL)
@@ -303,6 +326,10 @@ def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     "args",
     [
         pytest.param(["theory", "--checks", "recursion,bogus"], id="checks"),
+        pytest.param(["theory", "--checks", "recursion,recursion"], id="checks-repeated"),
+        pytest.param(["theory", "--checks", "recursion, recursion "], id="checks-repeated-spaced"),
+        pytest.param(["theory", "--checks", "recursion,,sgd_var"], id="checks-empty-entry"),
+        pytest.param(["theory", "--checks", "recursion,"], id="checks-trailing-comma"),
         pytest.param(["export-styles", "--out", "styles.txt", "--count", "0"], id="count"),
     ],
 )

@@ -115,11 +115,29 @@ class TestMakeDomains:
             )
 
 
+def _fixed_orders(monkeypatch, orders):
+    """Make every visit's domain order the given literal one."""
+    monkeypatch.setattr(
+        stream.ScenarioPlan, "visit_order", lambda self, visit, seed: np.array(orders[visit])
+    )
+
+
+def _rows(schedule):
+    """A schedule's (visit, primary, next, weight) rows as Python tuples."""
+    return [tuple(col[i].item() for col in schedule) for i in range(schedule[0].size)]
+
+
+def _context_with(context, **plan_fields):
+    plan = replace(context.plan, **plan_fields)
+    return replace(context, plan=plan, domains=context.domains[: plan.domains])
+
+
 class TestScenarioPlan:
     def test_csc_fixed_cycle(self):
         plan = _small_plan()
-        seq = [plan.segment_at(s, 0)[1] for s in range(plan.total_steps)]
-        assert seq == [0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2]
+        rows = [(v, d, d, 0.0) for v in (0, 1) for d in (0, 1, 2) for _ in (0, 1)]
+        assert _rows(plan.schedule(0)) == rows
+        assert _rows(plan.schedule(5)) == rows
 
     def test_cdc_shuffles_per_visit_same_multiset(self):
         plan = _small_plan(kind="cdc", domains=5, visits=4)
@@ -134,20 +152,27 @@ class TestScenarioPlan:
             tuple(plan.visit_order(v, 1)) != tuple(plan.visit_order(v, 2)) for v in range(2)
         )
 
-    def test_ccc_blend_ramps_within_segment(self):
-        plan = _small_plan(kind="ccc", batches_per_domain=4)
-        _, p0, n0, w0 = plan.segment_at(0, 0)
-        assert w0 == 0.0
-        _, p1, n1, w1 = plan.segment_at(1, 0)
-        assert w1 == pytest.approx(0.25)
-        assert n1 != p1 or plan.domains == 1
+    def test_ccc_blend_ramps_within_segment(self, monkeypatch):
+        _fixed_orders(monkeypatch, [[2, 0, 1], [1, 2, 0]])
+        plan = _small_plan(kind="ccc", batches_per_domain=3)
+        ramp = (0.0, 1 / 3, 2 / 3)
+        # Visit 0 ends on domain 1 and visit 1 starts on it; the stream's last
+        # segment has no next domain and stays pure.
+        segments = [(0, 2, 0), (0, 0, 1), (0, 1, 1), (1, 1, 2), (1, 2, 0)]
+        rows = [(v, p, n, w) for v, p, n in segments for w in ramp] + [(1, 0, 0, 0.0)] * 3
+        assert _rows(plan.schedule(0)) == rows
 
-    def test_out_of_range_step(self):
-        plan = _small_plan()
-        with pytest.raises(EndOfStream):
-            plan.segment_at(plan.total_steps, 0)
-        with pytest.raises(EndOfStream):
-            plan.segment_at(-1, 0)
+    def test_empty_plan_has_empty_schedule(self):
+        for kind in stream.SCENARIO_KINDS:
+            assert _rows(_small_plan(kind=kind, visits=0).schedule(1)) == []
+
+    def test_out_of_range_step(self, context):
+        ds = stream.DomainStream(_context_with(context, visits=1, batches_per_domain=2), 0)
+        ds.next_batch(ds.context.plan.total_steps - 1)
+        # A numpy index of -1 would quietly serve the last step.
+        for step in (-1, ds.context.plan.total_steps):
+            with pytest.raises(EndOfStream):
+                ds.next_batch(step)
 
     def test_invalid_plan(self):
         with pytest.raises(ConfigurationError):
@@ -156,32 +181,64 @@ class TestScenarioPlan:
             _small_plan(batch_size=1)
 
 
+def _prepared_batch(context, seed, step):
+    """A step's batch built from its schedule row alone: its own draw,
+    distortion, feature pass and style pass."""
+    plan = context.plan
+    visit, primary, nxt, w = _rows(plan.schedule(seed))[step]
+    slot = step % plan.batches_per_domain
+    rng = np.random.default_rng((seed, stream._TAG_STREAM, primary, slot))
+    inputs, labels = context.blob.sample(rng, plan.batch_size)
+    if w == 0.0 or primary == nxt:
+        domain, hidden = context.domains[primary], primary
+    else:
+        domain = stream.blend_domains(context.domains[primary], context.domains[nxt], w)
+        hidden = primary if w < 0.5 else nxt
+    inputs = domain.apply(inputs, rng)
+    return stream.StreamBatch(
+        labels,
+        context.model.features(inputs),
+        extract_style(inputs, context.extractor),
+        domain_id=hidden,
+        visit=visit,
+    )
+
+
+def _bits(value):
+    """A value's dtype, shape and bytes, for bit-for-bit comparison."""
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_same_batch(a, b):
+    for f in fields(stream.StreamBatch):
+        assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), f.name
+
+
 class TestDomainStream:
     def test_recurrences_replay_identical_data(self, context):
-        plan = replace(context.plan, visits=2, batches_per_domain=3)
-        ds = stream.DomainStream(plan, context.domains, context.blob, seed=3)
+        ctx = _context_with(context, visits=2, batches_per_domain=3)
+        ds = stream.DomainStream(ctx, seed=3)
         first = ds.next_batch(0)
-        again = ds.next_batch(plan.steps_per_visit)  # same domain slot, visit 2
-        np.testing.assert_array_equal(first.inputs, again.inputs)
-        np.testing.assert_array_equal(first.labels, again.labels)
+        again = ds.next_batch(ctx.plan.steps_per_visit)  # same domain slot, visit 2
         assert first.visit == 0 and again.visit == 1
+        _assert_same_batch(first, replace(again, visit=0))
 
     def test_hidden_id_matches_schedule(self, context):
-        plan = replace(context.plan, visits=1)
-        ds = stream.DomainStream(plan, context.domains, context.blob, seed=4)
-        for step in (0, plan.batches_per_domain, 3 * plan.batches_per_domain):
-            batch = ds.next_batch(step)
-            assert batch.domain_id == plan.segment_at(step, 4)[1]
+        ctx = _context_with(context, visits=1)
+        ds = stream.DomainStream(ctx, seed=4)
+        per = ctx.plan.batches_per_domain
+        for step in (0, per, 3 * per, 5 * per + 2):
+            assert ds.next_batch(step).domain_id == step // per  # CSC: fixed order
 
     def test_ccc_endpoints_match_pure_domains(self, context):
         # Style means of segment-start CCC batches sit within tau/10 of the
         # pure domain's style mean, over 100 batches each.
         plan = replace(context.plan, kind="ccc", visits=2)
-        ds = stream.DomainStream(plan, context.domains, context.blob, seed=6)
         start = plan.batches_per_domain  # second segment start, w = 0
-        _, dom_idx, _, w = plan.segment_at(start, 6)
-        assert w == 0.0
-        dom = context.domains[dom_idx]
+        _, primary, _, weight = plan.schedule(6)
+        assert weight[start] == 0.0
+        dom = context.domains[primary[start]]
         styles = []
         for i in range(100):
             r = np.random.default_rng((61, i))
@@ -203,25 +260,24 @@ class TestDomainStream:
         np.testing.assert_allclose(blended.transform, a.transform, atol=1e-12)
         np.testing.assert_array_equal(blended.offset, a.offset)
 
-
-def _batch_from_segment(plan, domains, blob, seed, step):
-    """The batch of one step, built from ``plan.segment_at(step, seed)`` alone."""
-    visit, primary, nxt, w = plan.segment_at(step, seed)
-    slot = step % plan.batches_per_domain
-    rng = np.random.default_rng((seed, stream._TAG_STREAM, primary, slot))
-    inputs, labels = blob.sample(rng, plan.batch_size)
-    if w == 0.0 or primary == nxt:
-        domain, hidden = domains[primary], primary
-    else:
-        domain = stream.blend_domains(domains[primary], domains[nxt], w)
-        hidden = primary if w < 0.5 else nxt
-    return domain.apply(inputs, rng), labels, hidden, visit
-
-
-def _bits(value):
-    """A value's dtype, shape and bytes, for bit-for-bit comparison."""
-    a = np.asarray(value)
-    return a.dtype.str, a.shape, a.tobytes()
+    def test_replay_table_keeps_pure_batches_a_later_visit_draws(self, context, monkeypatch):
+        _fixed_orders(monkeypatch, [[2, 0, 1], [1, 2, 0]])
+        ctx = _context_with(context, kind="ccc", domains=3, visits=2, batches_per_domain=3)
+        ds = stream.DomainStream(ctx, seed=8)
+        batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
+        # The weight-0 slots of visit 0 (steps 0, 3, 6) recur on visit 1
+        # (steps 12, 15, 9). Domain 1's pure segment at steps 6-8 and domain
+        # 0's last segment (steps 15-17) have no later visit: of those only
+        # step 15, a replay, comes from the table.
+        replays = {12: 0, 15: 3, 9: 6}
+        tabled = {0, 3, 6, *replays}
+        for step, batch in enumerate(batches):
+            _assert_same_batch(batch, _prepared_batch(ctx, 8, step))
+            for name in ("labels", "features", "style"):
+                array = getattr(batch, name)
+                assert array.flags.writeable == (step not in tabled), (step, name)
+                if step in replays:
+                    assert array is getattr(batches[replays[step]], name)
 
 
 class TestStepWork:
@@ -231,7 +287,8 @@ class TestStepWork:
 
     def test_reservoir_episode_counts(self, context, monkeypatch):
         ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
-        made = {"features": [], "style": [], "inputs": []}
+        made = {"features": [], "style": []}
+        served = []
         steps = []
         features = tta.AdaptableClassifier.features
         next_batch = stream.DomainStream.next_batch
@@ -248,7 +305,7 @@ class TestStepWork:
         def kept_next_batch(self, step):
             steps.append(step)
             batch = next_batch(self, step)
-            made["inputs"].append(batch.inputs)
+            served.extend((batch.labels, batch.features, batch.style))
             return batch
 
         monkeypatch.setattr(tta.AdaptableClassifier, "features", kept_features)
@@ -265,17 +322,17 @@ class TestStepWork:
         # A CSC visit draws every (domain, slot) batch once; later visits
         # replay them.
         assert len(made["features"]) == len(made["style"]) == ctx.plan.steps_per_visit
-        # Every array the tables hand out is read-only.
-        for arrays in made.values():
-            for a in arrays:
-                with pytest.raises(ValueError):
-                    a[0] = 0.0
+        # Every array the replay table hands out is read-only.
+        for a in served:
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     @pytest.mark.parametrize("kind", ["csc", "ccc", "cdc"])
-    def test_orders_drawn_once_and_batches_follow_segment_at(
-        self, context, monkeypatch, kind
-    ):
-        plan = replace(context.plan, kind=kind, visits=3, batches_per_domain=3, batch_size=8)
+    def test_orders_drawn_once_and_batches_follow_schedule(self, context, monkeypatch, kind):
+        ctx = replace(
+            context,
+            plan=replace(context.plan, kind=kind, visits=3, batches_per_domain=3, batch_size=8),
+        )
         drawn = []
         visit_order = stream.ScenarioPlan.visit_order
 
@@ -286,37 +343,34 @@ class TestStepWork:
         monkeypatch.setattr(stream.ScenarioPlan, "visit_order", counted)
         # At seed 21 the last CCC segment of visit 0 and the first of visit 1
         # are the same domain, so that segment is pure throughout.
-        ds = stream.DomainStream(plan, context.domains, context.blob, seed=21)
-        batches = [ds.next_batch(step) for step in range(plan.total_steps)]
-        assert sorted(drawn) == list(range(plan.visits))
+        ds = stream.DomainStream(ctx, seed=21)
+        batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
+        assert sorted(drawn) == list(range(ctx.plan.visits))
         first_of = {}
         for step, batch in enumerate(batches):
-            inputs, labels, hidden, visit = _batch_from_segment(
-                plan, context.domains, context.blob, 21, step
-            )
-            assert _bits(batch.inputs) == _bits(inputs)
-            assert _bits(batch.labels) == _bits(labels)
-            assert (batch.domain_id, batch.visit) == (hidden, visit)
-            if batch.key is not None:
-                first = first_of.setdefault(batch.key, batch)
-                assert batch.inputs is first.inputs and batch.labels is first.labels
+            _assert_same_batch(batch, _prepared_batch(ctx, 21, step))
+            if not batch.features.flags.writeable:
+                key = (batch.domain_id, step % ctx.plan.batches_per_domain)
+                first = first_of.setdefault(key, batch)
+                assert batch.features is first.features and batch.style is first.style
         # Every CSC and CDC batch recurs on a later visit; CCC blends most of
         # its batches, which are served once.
-        keyed = [batch.key is not None for batch in batches]
-        assert all(keyed) if kind != "ccc" else any(keyed) and not all(keyed)
+        tabled = [not batch.features.flags.writeable for batch in batches]
+        assert all(tabled) if kind != "ccc" else any(tabled) and not all(tabled)
 
     def test_batches_without_a_later_visit_are_not_kept(self, context):
-        plan = replace(context.plan, visits=1, batches_per_domain=3, batch_size=8)
-        ds = stream.DomainStream(plan, context.domains, context.blob, seed=12)
-        batches = [ds.next_batch(step) for step in range(plan.total_steps)]
-        assert all(batch.key is None for batch in batches)
-        assert all(batch.inputs.flags.writeable for batch in batches)
+        ctx = replace(
+            context, plan=replace(context.plan, visits=1, batches_per_domain=3, batch_size=8)
+        )
+        ds = stream.DomainStream(ctx, seed=12)
+        batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
+        assert ds._replay == {}
+        assert all(batch.features.flags.writeable for batch in batches)
 
 
 class TestReplayOracle:
-    """The replay tables change no bit of an episode: the same episodes run
-    on freshly built batches without a key give identical metrics and step
-    records."""
+    """The replay table changes no bit of an episode: the same episodes run
+    on freshly prepared batches give identical metrics and step records."""
 
     @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
     def test_tabled_episode_equals_fresh_batches(self, context, monkeypatch, kind):
@@ -324,27 +378,24 @@ class TestReplayOracle:
             context, plan=replace(context.plan, kind=kind, visits=3, batches_per_domain=3)
         )
         method = stream.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
-        keys = []
+        served = []
         next_batch = stream.DomainStream.next_batch
 
-        def keyed(self, step):
+        def kept(self, step):
             batch = next_batch(self, step)
-            keys.append(batch.key)
+            served.append(batch.features)
             return batch
 
-        monkeypatch.setattr(stream.DomainStream, "next_batch", keyed)
+        monkeypatch.setattr(stream.DomainStream, "next_batch", kept)
         tabled_records = []
         tabled = stream.run_episode(ctx, method, seed=14, step_callback=tabled_records.append)
-        served = [key for key in keys if key is not None]
-        assert len(set(served)) < len(served)
+        assert len({id(f) for f in served}) < len(served)
 
-        def fresh(self, step):
-            inputs, labels, hidden, visit = _batch_from_segment(
-                self.plan, self.domains, self.blob, self.seed, step
-            )
-            return stream.StreamBatch(inputs, labels, domain_id=hidden, visit=visit)
-
-        monkeypatch.setattr(stream.DomainStream, "next_batch", fresh)
+        monkeypatch.setattr(
+            stream.DomainStream,
+            "next_batch",
+            lambda self, step: _prepared_batch(self.context, self.seed, step),
+        )
         fresh_records = []
         untabled = stream.run_episode(ctx, method, seed=14, step_callback=fresh_records.append)
 
@@ -414,10 +465,7 @@ class TestRunEpisode:
         original = stream.DomainStream.next_batch
 
         def zeroed(self, step):
-            batch = original(self, step)
-            return stream.StreamBatch(
-                inputs=batch.inputs, labels=batch.labels, domain_id=0, visit=batch.visit
-            )
+            return replace(original(self, step), domain_id=0)
 
         monkeypatch.setattr(stream.DomainStream, "next_batch", zeroed)
         masked = stream.run_episode(ctx, self._method(), seed=8)
