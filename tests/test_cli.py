@@ -498,6 +498,21 @@ def test_ccc_single_model_run_matches_golden_hashes(tmp_path, monkeypatch):
     assert _digests(out) == GOLDEN_RUN_CCC_TENT
 
 
+@pytest.mark.parametrize(
+    ("config", "golden"),
+    [(SMALL, GOLDEN_RUN), (SMALL_CCC_TENT, GOLDEN_RUN_CCC_TENT)],
+    ids=["small", "ccc_tent"],
+)
+def test_untraced_run_matches_golden_hashes(tmp_path, monkeypatch, config, golden):
+    """Without a trace the engine may skip work that only the trace reads;
+    every file it still writes keeps the traced run's bytes."""
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    path = _write_config(tmp_path, {**config, "emit_trace": False})
+    assert cli.main(["run", "--config", path]) == 0
+    assert _digests(out) == {k: v for k, v in golden.items() if not k.startswith("trace_")}
+
+
 def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
