@@ -9,13 +9,16 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 (CCC).
 
 ``DomainStream`` serves each step's batch with its frozen features and style
-vector already computed; a recurring stream replays the same test batch for
-a (domain, slot) pair on every visit, so each distinct batch is drawn,
-distorted and prepared once per episode. ``run_episode`` executes the
-per-batch loop on those batches: reservoir update, domain detection,
-centroid refinement, model selection and adaptation, parameter ensembling,
-prediction. Hidden ground-truth labels and domain ids feed the metrics
-only, never the adaptation path.
+vector already computed. Every step of a (domain, slot) pair draws the same
+raw batch, so each pair's raw batch is drawn once per episode; a recurring
+stream replays the same test batch for a pair on every visit, so each
+distinct pure-domain batch is also distorted and prepared once.
+``run_episode`` executes the per-batch loop on those batches: reservoir
+update, domain detection, centroid refinement, model selection and
+adaptation, parameter ensembling, prediction. A single-model episode with
+no step observer skips the routing stages, whose outcome is then constant.
+Hidden ground-truth labels and domain ids feed the metrics only, never the
+adaptation path.
 """
 
 from __future__ import annotations
@@ -144,10 +147,17 @@ class DomainSpec:
         object.__setattr__(self, "offset", self.severity * self.offset_base)
         object.__setattr__(self, "noise_std", self.severity * self.noise_base)
 
-    def apply(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def apply(self, inputs: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Distort ``inputs`` with ``noise``, a standard-normal draw of their
+        shape, as the input noise.
+
+        ``0.0 + noise_std * noise`` is the arithmetic of
+        ``rng.normal(0.0, noise_std, size)``, so a draw taken from ``rng``
+        gives that call's bits, and one draw can serve several domains.
+        """
         out = inputs @ self.transform.T + self.offset
         if np.any(self.noise_std > 0):
-            out = out + rng.normal(0.0, self.noise_std, size=out.shape)
+            out = out + (0.0 + self.noise_std * noise)
         return out
 
 
@@ -226,7 +236,7 @@ def domain_style_mean(
     for i in range(batches):
         rng = np.random.default_rng((*seed_key, i))
         x, _ = blob.sample(rng, batch_size)
-        stack[i] = domain.apply(x, rng)
+        stack[i] = domain.apply(x, rng.standard_normal(x.shape))
     return np.mean(extract_style(stack, extractor), axis=0)
 
 
@@ -373,34 +383,52 @@ class ScenarioPlan:
 @dataclass(frozen=True)
 class StreamBatch:
     """One test batch, prepared for the engine: its hidden labels, frozen
-    features ``model.features(inputs)`` and style vector. A replayed
-    batch's arrays are the replay table's, read-only."""
+    features ``model.features(inputs)`` and style vector (``None`` from a
+    stream built without styles). A tabled batch's arrays are read-only."""
 
     labels: np.ndarray
     features: np.ndarray
-    style: np.ndarray
+    style: np.ndarray | None
     domain_id: int
     visit: int
+
+
+def _freeze(arrays: tuple) -> tuple:
+    """Make a tabled entry's arrays read-only: every step it serves shares
+    them, so a write raises instead of changing a later batch."""
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return arrays
 
 
 class DomainStream:
     """The seeded batches of one episode over a context's plan and domains.
 
     ``plan.schedule(seed)`` is built once, at construction. ``next_batch``
-    draws a step's batch, distorts it, and runs the feature and style
-    passes; the engine never reads raw inputs.
+    draws a step's batch, distorts it, and runs the feature pass and, if
+    ``styles`` is set, the style pass; the engine never reads raw inputs.
 
-    A pure-domain step (blend weight 0, or the same domain at both segment
-    ends: every CSC and CDC step) depends only on its (domain, slot) key,
-    so every recurrence of a domain replays the same test data; visit-to-
-    visit error differences then reflect adaptation, not resampling, as
-    in recurring corruption benchmarks. The first draw of a key that a
-    later visit draws again goes, read-only, into the replay table, which
-    serves every later occurrence with no draw, feature or style pass and
-    holds at most one visit's distinct batches.
+    Every step of a (domain, slot) key draws the same raw batch: the same
+    inputs, labels and standard-normal noise, from the key's own rng. A
+    pure-domain step (blend weight 0, or the same domain at both segment
+    ends: every CSC and CDC step) depends on its key alone, so every
+    recurrence of a domain replays the same test data; visit-to-visit error
+    differences then reflect adaptation, not resampling, as in recurring
+    corruption benchmarks.
+
+    Two tables, each holding at most one entry per key, keep a draw that a
+    later visit needs again, read-only:
+
+    - the replay table keeps a pure step's prepared batch, which serves
+      every later pure occurrence of its key with no draw, feature or style
+      pass;
+    - the raw table keeps a key's raw batch while a later visit still draws
+      it (a CCC blend, or a key's first pure occurrence), which then skips
+      the sampling and only distorts and prepares the batch.
     """
 
-    def __init__(self, context: EpisodeContext, seed: int):
+    def __init__(self, context: EpisodeContext, seed: int, styles: bool = True):
         plan = context.plan
         if len(context.domains) != plan.domains:
             raise ConfigurationError(
@@ -408,14 +436,28 @@ class DomainStream:
             )
         self.context = context
         self.seed = seed
+        self.styles = styles
         self.schedule = plan.schedule(seed)
         visit, primary, nxt, weight = self.schedule
-        # Last visit that draws each pure (domain, slot) batch.
+        per = plan.batches_per_domain
         pure = (weight == 0.0) | (primary == nxt)
-        slot = np.arange(plan.total_steps) % plan.batches_per_domain
-        self._last_visit = np.full((plan.domains, plan.batches_per_domain), -1)
-        np.maximum.at(self._last_visit, (primary[pure], slot[pure]), visit[pure])
+        key = primary * per + np.arange(plan.total_steps) % per  # flat (domain, slot)
+        # A step draws its key unless the replay table serves it: every
+        # blended step, and a key's first pure occurrence.
+        first_pure = np.flatnonzero(pure)[np.unique(key[pure], return_index=True)[1]]
+        draws = ~pure
+        draws[first_pure] = True
+
+        def last_visit(steps: np.ndarray) -> np.ndarray:
+            """Last visit of each (domain, slot) key among ``steps``; -1 if none."""
+            last = np.full((plan.domains, per), -1)
+            np.maximum.at(last.reshape(-1), key[steps], visit[steps])
+            return last
+
+        self._last_pure = last_visit(pure)
+        self._last_draw = last_visit(draws)
         self._replay: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._raw: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
         ctx = self.context
@@ -427,20 +469,25 @@ class DomainStream:
         key = (primary, slot)
         if pure and key in self._replay:
             return StreamBatch(*self._replay[key], domain_id=primary, visit=visit)
-        rng = np.random.default_rng((self.seed, _TAG_STREAM, primary, slot))
-        inputs, labels = ctx.blob.sample(rng, ctx.plan.batch_size)
+        raw = self._raw.get(key)
+        if raw is None:
+            rng = np.random.default_rng((self.seed, _TAG_STREAM, primary, slot))
+            inputs, labels = ctx.blob.sample(rng, ctx.plan.batch_size)
+            raw = (inputs, labels, rng.standard_normal(inputs.shape))
+            if visit < self._last_draw[key]:
+                self._raw[key] = _freeze(raw)
+        inputs, labels, noise = raw
         if pure:
             domain = ctx.domains[primary]
             hidden = primary
         else:
             domain = blend_domains(ctx.domains[primary], ctx.domains[nxt], w)
             hidden = primary if w < 0.5 else nxt
-        inputs = domain.apply(inputs, rng)
-        prepared = (labels, ctx.model.features(inputs), extract_style(inputs, ctx.extractor))
-        if pure and visit < self._last_visit[key]:
-            for array in prepared:  # shared by every replay, so a write raises
-                array.flags.writeable = False
-            self._replay[key] = prepared
+        inputs = domain.apply(inputs, noise)
+        style = extract_style(inputs, ctx.extractor) if self.styles else None
+        prepared = (labels, ctx.model.features(inputs), style)
+        if pure and visit < self._last_pure[key]:
+            self._replay[key] = _freeze(prepared)
         return StreamBatch(*prepared, domain_id=hidden, visit=visit)
 
 
@@ -576,13 +623,19 @@ def run_episode(
     a spawned model's clone choice and the prediction, since none of them
     changes the features. The reservoir switch only sets the domain cap:
     without it the cap is 1, and the ensemble is the single model.
+
+    At cap 1 the routing is constant: q = [1] and k* = 0 on every step, and
+    the style pass, the reservoir offer and the detection feed only the
+    step records. Without a ``step_callback`` such an episode skips them,
+    and its stream skips the style pass; its metrics are the same bits.
     Deterministic per (context, method, seed).
     """
     plan = context.plan
     k_max = DEFAULT_K_MAX if method.reservoir else 1
     objective = method.objective(context.fisher_omega)
+    route = k_max > 1 or step_callback is not None
 
-    stream = DomainStream(context, seed)
+    stream = DomainStream(context, seed, styles=route)
     style_dim = context.extractor.style_dim
     reservoir = StyleReservoir(
         context.cluster.reservoir_size, style_dim, seed=(seed, _TAG_RESERVOIR)
@@ -600,16 +653,18 @@ def run_episode(
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
 
+    q, k_star = np.ones(1), 0  # the constant routing of an unrouted episode
     for step in range(n):
         batch = stream.next_batch(step)
         feats, s = batch.features, batch.style
-        reservoir.offer(s)
-        decision = centroids.detect(s, tau)
-        if decision.is_new:
-            models.init_new_model(lambda p: tta.predict(model, p, feats))
-        update_centroids(centroids, reservoir)
-        q = soft_assign_vector(s, centroids)
-        k_star = select_active(q)
+        if route:
+            reservoir.offer(s)
+            decision = centroids.detect(s, tau)
+            if decision.is_new:
+                models.init_new_model(lambda p: tta.predict(model, p, feats))
+            update_centroids(centroids, reservoir)
+            q = soft_assign_vector(s, centroids)
+            k_star = select_active(q)
         new_params = tta.tta_step(model, models.entry(k_star), feats, objective)
         models.write_active(k_star, new_params)
 

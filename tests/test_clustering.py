@@ -197,7 +197,8 @@ class TestDetect:
             true = int(rng.integers(0, 15))
             r = np.random.default_rng((92, i))
             x, _ = context.blob.sample(r, 64)
-            s = extract_style(domains[true].apply(x, r), context.extractor)
+            noise = r.standard_normal(x.shape)
+            s = extract_style(domains[true].apply(x, noise), context.extractor)
             d = cs.detect(s, tau=context.calibration.tau)
             assert not d.is_new
             # Independent nearest-centroid oracle.

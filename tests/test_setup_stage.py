@@ -58,7 +58,8 @@ def reference_domain_style_mean(domain, blob, extractor, batch_size, batches, se
     for i in range(batches):
         rng = np.random.default_rng((*seed_key, i))
         x, _ = blob.sample(rng, batch_size)
-        styles.append(reference_style(domain.apply(x, rng), extractor))
+        noise = rng.standard_normal(x.shape)
+        styles.append(reference_style(domain.apply(x, noise), extractor))
     return np.mean(styles, axis=0)
 
 

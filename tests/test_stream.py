@@ -1,5 +1,6 @@
 """Scenario schedules, domain generation, streams, and the episode engine."""
 
+import collections
 from dataclasses import fields, replace
 
 import numpy as np
@@ -181,7 +182,16 @@ class TestScenarioPlan:
             _small_plan(batch_size=1)
 
 
-def _prepared_batch(context, seed, step):
+def _apply_with_rng(domain, inputs, rng):
+    """A domain's distortion with its noise drawn by ``rng.normal``: the
+    reference for ``DomainSpec.apply`` with a caller's standard-normal draw."""
+    out = inputs @ domain.transform.T + domain.offset
+    if np.any(domain.noise_std > 0):
+        out = out + rng.normal(0.0, domain.noise_std, size=out.shape)
+    return out
+
+
+def _prepared_batch(context, seed, step, styles=True):
     """A step's batch built from its schedule row alone: its own draw,
     distortion, feature pass and style pass."""
     plan = context.plan
@@ -194,11 +204,11 @@ def _prepared_batch(context, seed, step):
     else:
         domain = stream.blend_domains(context.domains[primary], context.domains[nxt], w)
         hidden = primary if w < 0.5 else nxt
-    inputs = domain.apply(inputs, rng)
+    inputs = _apply_with_rng(domain, inputs, rng)
     return stream.StreamBatch(
         labels,
         context.model.features(inputs),
-        extract_style(inputs, context.extractor),
+        extract_style(inputs, context.extractor) if styles else None,
         domain_id=hidden,
         visit=visit,
     )
@@ -243,14 +253,16 @@ class TestDomainStream:
         for i in range(100):
             r = np.random.default_rng((61, i))
             x, _ = context.blob.sample(r, plan.batch_size)
-            styles.append(extract_style(dom.apply(x, r), context.extractor))
+            noise = r.standard_normal(x.shape)
+            styles.append(extract_style(dom.apply(x, noise), context.extractor))
         pure_mean = np.mean(styles, axis=0)
         ccc_styles = []
         for i in range(100):
             r = np.random.default_rng((62, i))
             x, _ = context.blob.sample(r, plan.batch_size)
             blended = stream.blend_domains(dom, dom, 0.0)
-            ccc_styles.append(extract_style(blended.apply(x, r), context.extractor))
+            noise = r.standard_normal(x.shape)
+            ccc_styles.append(extract_style(blended.apply(x, noise), context.extractor))
         dist = np.linalg.norm(np.mean(ccc_styles, axis=0) - pure_mean)
         assert dist < context.calibration.tau / 10
 
@@ -259,6 +271,31 @@ class TestDomainStream:
         blended = stream.blend_domains(a, b, 0.0)
         np.testing.assert_allclose(blended.transform, a.transform, atol=1e-12)
         np.testing.assert_array_equal(blended.offset, a.offset)
+
+    def test_apply_with_a_callers_draw_matches_rng_normal(self, context):
+        a, b = context.domains[:2]
+        clean = replace(a, severity=0.0)
+        assert not np.any(clean.noise_std > 0)
+        for i, domain in enumerate([a, stream.blend_domains(a, b, 0.4), clean]):
+            outs = []
+            for with_draw in (False, True):
+                rng = np.random.default_rng((30, i))
+                x, _ = context.blob.sample(rng, 64)
+                if with_draw:
+                    outs.append(domain.apply(x, rng.standard_normal(x.shape)))
+                else:
+                    outs.append(_apply_with_rng(domain, x, rng))
+            assert _bits(outs[0]) == _bits(outs[1]), i
+
+    @pytest.mark.parametrize("styles", [True, False])
+    def test_ccc_raw_table_matches_fresh_draws(self, context, styles):
+        ctx = _context_with(context, kind="ccc", visits=3, batches_per_domain=4)
+        ds = stream.DomainStream(ctx, seed=9, styles=styles)
+        for step in range(ctx.plan.total_steps):
+            _assert_same_batch(ds.next_batch(step), _prepared_batch(ctx, 9, step, styles))
+        # Every blended slot recurs on a later visit; weight-0 slots are
+        # replayed whole instead.
+        assert sorted(ds._raw) == [(d, s) for d in range(8) for s in (1, 2, 3)]
 
     def test_replay_table_keeps_pure_batches_a_later_visit_draws(self, context, monkeypatch):
         _fixed_orders(monkeypatch, [[2, 0, 1], [1, 2, 0]])
@@ -271,13 +308,21 @@ class TestDomainStream:
         # step 15, a replay, comes from the table.
         replays = {12: 0, 15: 3, 9: 6}
         tabled = {0, 3, 6, *replays}
+        # Slots 1 and 2 of each domain are drawn on both visits (a blend, or
+        # the key's first pure occurrence): the raw table keeps the visit-0
+        # draw, so its labels are shared, read-only, as well.
+        raw_shares = {13: 1, 14: 2, 16: 4, 17: 5, 10: 7, 11: 8}
         for step, batch in enumerate(batches):
             _assert_same_batch(batch, _prepared_batch(ctx, 8, step))
-            for name in ("labels", "features", "style"):
+            for name in ("features", "style"):
                 array = getattr(batch, name)
                 assert array.flags.writeable == (step not in tabled), (step, name)
                 if step in replays:
                     assert array is getattr(batches[replays[step]], name)
+            assert not batch.labels.flags.writeable, step
+        for step, first in {**replays, **raw_shares}.items():
+            assert batches[step].labels is batches[first].labels, step
+        assert sorted(ds._raw) == [(d, s) for d in range(3) for s in (1, 2)]
 
 
 class TestStepWork:
@@ -494,6 +539,44 @@ class TestRunEpisode:
         pv = met.per_visit_error()
         assert pv.size == 3
         assert pv[0] >= pv[1] >= pv[2]
+
+    @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
+    def test_single_model_metrics_do_not_depend_on_a_step_callback(self, context, kind):
+        ctx = _context_with(context, kind=kind, visits=3, batches_per_domain=3)
+        method = self._method(reservoir=False, kind="entropy")
+        records = []
+        observed = stream.run_episode(ctx, method, seed=15, step_callback=records.append)
+        unobserved = stream.run_episode(ctx, method, seed=15)
+        assert len(records) == ctx.plan.total_steps
+        for f in fields(stream.EpisodeMetrics):
+            assert _bits(getattr(observed, f.name)) == _bits(getattr(unobserved, f.name)), f.name
+
+    def test_unobserved_single_model_episode_skips_routing(self, context, monkeypatch):
+        ctx = _context_with(context, kind="ccc", visits=2, batches_per_domain=3)
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(stream, "extract_style")
+        count(stream.StyleReservoir, "offer")
+        count(stream.CentroidSet, "detect")
+        count(stream, "update_centroids")
+        count(stream, "soft_assign_vector")
+        method = self._method(reservoir=False, kind="entropy")
+        stream.run_episode(ctx, method, seed=16)
+        assert calls == {}
+        stream.run_episode(ctx, method, seed=16, step_callback=lambda rec: None)
+        n = ctx.plan.total_steps
+        routed = ("offer", "detect", "update_centroids", "soft_assign_vector")
+        assert [calls[name] for name in routed] == [n] * 4
+        assert 0 < calls["extract_style"] <= n
 
     def test_per_visit_domain_table_shape(self, context):
         ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
