@@ -199,20 +199,9 @@ def _log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
     return shifted - _logsumexp(shifted, axis=axis)
 
 
-def soft_assign_matrix(reservoir: StyleReservoir, centroids: CentroidSet) -> np.ndarray:
-    """Row-softmax of scaled negative style-to-centroid distances.
-
-    Row i gives the assignment probabilities of the i-th reservoir vector
-    over all centroids; every row sums to 1.
-    """
-    if len(reservoir) == 0:
-        raise InsufficientDataError("soft assignment needs a nonempty reservoir")
-    logits = _assignment_logits(reservoir.styles, centroids.centroids)
-    return np.exp(_log_softmax(logits))
-
-
 def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
-    """Single-vector specialization of :func:`soft_assign_matrix`.
+    """Soft assignment of one style vector: the softmax over the centroids
+    of its scaled negative distances ``-|s - c_j| / sqrt(dim)``.
 
     At K = 1 this is ``[1.0]`` without computing a distance: the softmax of
     one finite logit is exactly 1.
@@ -244,9 +233,11 @@ def mi_loss(q: np.ndarray) -> float:
 
 
 def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.ndarray:
-    """Analytic gradient of ``mi_loss(soft_assign_matrix(R, C))`` w.r.t. centroids.
+    """Analytic gradient of the MI loss of the reservoir's assignment w.r.t. centroids.
 
-    Chains through the row softmax and the Euclidean distance; at a
+    The loss is ``mi_loss(Q)``, where row i of ``Q`` is the soft assignment
+    (:func:`soft_assign_vector`) of the i-th reservoir style. The gradient
+    chains through the row softmax and the Euclidean distance; at a
     zero-distance pair the norm's subgradient 0 is used. Returns a
     ``(K, dim)`` matrix of per-centroid gradients, exactly zero for K = 1
     (every row softmax is then the constant 1).

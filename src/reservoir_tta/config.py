@@ -31,7 +31,7 @@ import yaml
 
 from . import stream, tta
 from .errors import ConfigurationError, check_fields
-from .style import FeatureExtractor, calibrate_threshold, extract_style, mean_style
+from .style import FeatureExtractor, calibrate_threshold, extract_style
 
 _TAG_CALIBRATION = 10
 _TAG_FISHER = 11
@@ -278,7 +278,7 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
     )
     styles = calibration_styles(cfg, dataset.blob, extractor)
     calibration = calibrate_threshold(styles, THRESHOLD_QUANTILE)
-    source_mean = mean_style(styles)
+    source_mean = styles.mean(axis=0)
 
     plan = cfg.scenario
     domains = stream.make_domains(

@@ -48,10 +48,6 @@ class ModelReservoir:
         self._check_index(index)
         return self._entries[index].copy()
 
-    def entries_matrix(self) -> np.ndarray:
-        """All entries as a ``(count, dim)`` matrix (copy)."""
-        return self._entries.copy()
-
     def init_new_model(self, predictor: Predictor) -> np.ndarray:
         """Append a model for a newly detected domain; returns its parameters.
 

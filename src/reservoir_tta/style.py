@@ -240,13 +240,6 @@ def calibrate_threshold(
     )
 
 
-def mean_style(source_styles: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise arithmetic mean of a nonempty style collection."""
-    if len(source_styles) == 0:
-        raise InsufficientDataError("mean_style needs at least one style vector")
-    return _as_style_matrix(source_styles).mean(axis=0)
-
-
 def _as_style_matrix(styles: Sequence[np.ndarray]) -> np.ndarray:
     try:
         mat = np.asarray(list(styles), dtype=np.float64)

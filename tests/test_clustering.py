@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from reservoir_tta import stream
 from reservoir_tta.clustering import (
@@ -11,7 +12,6 @@ from reservoir_tta.clustering import (
     StyleReservoir,
     mi_grad_centroids,
     mi_loss,
-    soft_assign_matrix,
     soft_assign_vector,
     update_centroids,
 )
@@ -21,6 +21,17 @@ from reservoir_tta.errors import (
     NumericalError,
 )
 from reservoir_tta.style import extract_style
+
+
+def soft_assign_matrix(reservoir, centroids):
+    """Row-softmax of every reservoir style's scaled negative distances to
+    the centroids: the assignment whose ``mi_loss`` ``mi_grad_centroids``
+    differentiates, and row by row what ``soft_assign_vector`` returns."""
+    styles, cents = reservoir.styles, centroids.centroids
+    diff = styles[:, None, :] - cents[None, :, :]
+    logits = -np.linalg.norm(diff, axis=2) / np.sqrt(styles.shape[1])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return np.exp(shifted - logsumexp(shifted, axis=1, keepdims=True))
 
 
 def _filled_reservoir(n, dim, seed=0, spread=1.0, centers=None):
@@ -212,23 +223,21 @@ class TestDetect:
 class TestSoftAssign:
     def test_equidistant_two_centroids(self):
         cs = _grown_centroids([np.array([-1.0, 0.0]), np.array([1.0, 0.0])])
-        res = StyleReservoir(1, 2, seed=0)
-        res.offer(np.array([0.0, 5.0]))
-        q = soft_assign_matrix(res, cs)
-        np.testing.assert_allclose(q, [[0.5, 0.5]])
+        q = soft_assign_vector(np.array([0.0, 5.0]), cs)
+        np.testing.assert_allclose(q, [0.5, 0.5])
 
     def test_single_centroid_rows_are_one(self):
         cs = CentroidSet(np.zeros(3), k_max=4)
         res = _filled_reservoir(6, 3, seed=1)
-        q = soft_assign_matrix(res, cs)
+        q = np.stack([soft_assign_vector(s, cs) for s in res.styles])
         np.testing.assert_array_equal(q, np.ones((6, 1)))
 
     def test_matches_direct_softmax_oracle(self):
         rng = np.random.default_rng(8)
         cs = _grown_centroids([rng.standard_normal(5) for _ in range(3)])
         res = _filled_reservoir(8, 5, seed=9, spread=2.0)
-        q = soft_assign_matrix(res, cs)
         styles, cents = res.styles, cs.centroids
+        q = np.stack([soft_assign_vector(s, cs) for s in styles])
         for i in range(8):
             logits = np.array(
                 [-np.linalg.norm(styles[i] - c) / np.sqrt(5) for c in cents]
@@ -257,9 +266,11 @@ class TestSoftAssign:
         assert q[0] == pytest.approx(q[2])
 
     def test_empty_reservoir_rejected(self):
-        cs = CentroidSet(np.zeros(2), k_max=2)
+        # The reservoir-wide assignment exists only inside the centroid
+        # gradient, which needs at least one style.
+        cs = _grown_centroids([np.zeros(2), np.ones(2)])
         with pytest.raises(InsufficientDataError):
-            soft_assign_matrix(StyleReservoir(4, 2, seed=0), cs)
+            mi_grad_centroids(StyleReservoir(4, 2, seed=0), cs)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -272,7 +283,7 @@ class TestSoftAssign:
         rng = np.random.default_rng(seed)
         cs = _grown_centroids([10 * rng.standard_normal(dim) for _ in range(k)])
         res = _filled_reservoir(n, dim, seed=seed, spread=5.0)
-        q = soft_assign_matrix(res, cs)
+        q = np.stack([soft_assign_vector(s, cs) for s in res.styles])
         assert np.all(q >= 0) and np.all(q <= 1)
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
 

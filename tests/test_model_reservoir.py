@@ -7,6 +7,12 @@ from reservoir_tta.errors import InputDomainError, NumericalError
 from reservoir_tta.model_reservoir import ModelReservoir, select_active
 
 
+def _entries(res):
+    """Every entry's parameters as a ``(count, dim)`` matrix, read through
+    the public per-entry copy."""
+    return np.stack([res.entry(i) for i in range(res.count)])
+
+
 def _uniform_predictor(classes):
     return lambda params: np.full((4, classes), 1.0 / classes)
 
@@ -71,7 +77,7 @@ class TestInitNewModel:
         for idx in range(3):
             raw = rng.random((5, 3)) + 0.05
             tables[idx] = raw / raw.sum(axis=1, keepdims=True)
-        entries = res.entries_matrix()
+        entries = _entries(res)
 
         def predictor(params):
             for idx in range(3):
@@ -130,10 +136,10 @@ class TestEnsembleParams:
         rng = np.random.default_rng(5)
         res = ModelReservoir(rng.standard_normal(4))
         res.init_new_model(_uniform_predictor(2))
-        before = res.entries_matrix()
+        before = _entries(res)
         theta = res.ensemble_params(np.array([0.3, 0.7]))
         theta += 100.0  # mutating the result must not touch the pool
-        np.testing.assert_array_equal(res.entries_matrix(), before)
+        np.testing.assert_array_equal(_entries(res), before)
 
 
 class TestWriteActive:
@@ -150,9 +156,9 @@ class TestWriteActive:
         res = ModelReservoir(rng.standard_normal(4))
         for _ in range(2):
             res.init_new_model(_uniform_predictor(2))
-        before = res.entries_matrix()
+        before = _entries(res)
         res.write_active(1, rng.standard_normal(4))
-        after = res.entries_matrix()
+        after = _entries(res)
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[2], before[2])
 

@@ -489,9 +489,9 @@ class TestRunEpisode:
 
         def checked(self, index, new_params):
             inactive = np.arange(self.count) != index
-            before = self.entries_matrix()[inactive].tobytes()
+            before = [self.entry(i).tobytes() for i in np.flatnonzero(inactive)]
             original(self, index, new_params)
-            assert self.entries_matrix()[inactive].tobytes() == before
+            assert [self.entry(i).tobytes() for i in np.flatnonzero(inactive)] == before
             written.append(index)
 
         monkeypatch.setattr(ModelReservoir, "write_active", checked)

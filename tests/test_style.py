@@ -16,7 +16,6 @@ from reservoir_tta.style import (
     calibrate_threshold,
     export_styles,
     extract_style,
-    mean_style,
 )
 
 # ||s(B) - s(B + noise)|| for the fixed batches below, computed once with an
@@ -224,31 +223,6 @@ class TestCalibrateThreshold:
         styles = [rng.standard_normal(6) for _ in range(40)]
         taus = [calibrate_threshold(styles, q).tau for q in (0.1, 0.5, 0.9, 0.99, 1.0)]
         assert all(a <= b for a, b in zip(taus, taus[1:]))
-
-
-class TestMeanStyle:
-    def test_singleton(self):
-        np.testing.assert_array_equal(mean_style([np.array([1.0, 1.0])]), [1.0, 1.0])
-
-    def test_midpoint(self):
-        out = mean_style([np.array([0.0, 0.0]), np.array([2.0, 4.0])])
-        np.testing.assert_array_equal(out, [1.0, 2.0])
-
-    def test_matches_accumulation_oracle(self):
-        rng = np.random.default_rng(13)
-        styles = [rng.standard_normal(5) for _ in range(100)]
-        acc = np.zeros(5)
-        for s in styles:
-            acc += s
-        np.testing.assert_allclose(mean_style(styles), acc / 100, rtol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            mean_style([])
-
-    def test_ragged_styles_rejected(self):
-        with pytest.raises(InputDomainError, match="share one dimension"):
-            mean_style([np.zeros(3), np.zeros(4)])
 
 
 class TestStyleFile:
