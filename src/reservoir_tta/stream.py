@@ -9,16 +9,15 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 (CCC).
 
 ``DomainStream`` serves each step's batch with its frozen features and style
-vector already computed. Every step of a (domain, slot) pair draws the same
-raw batch, so each pair's raw batch is drawn once per episode; a recurring
-stream replays the same test batch for a pair on every visit, so each
-distinct pure-domain batch is also distorted and prepared once.
-``run_episode`` executes the per-batch loop on those batches: reservoir
-update, domain detection, centroid refinement, model selection and
-adaptation, parameter ensembling, prediction. A single-model episode with
-no step observer skips the routing stages, whose outcome is then constant.
-Hidden ground-truth labels and domain ids feed the metrics only, never the
-adaptation path.
+vector already computed. Every step of a (domain, slot) pair uses the same
+raw batch: a recurring stream replays a pure-domain pair's prepared batch on
+every later visit, and a CCC stream keeps a pair's raw draw for the blends
+of later visits, so neither is drawn again. ``run_episode`` executes the
+per-batch loop on those batches: reservoir update, domain detection,
+centroid refinement, model selection and adaptation, parameter ensembling,
+prediction. A single-model episode with no step observer skips the routing
+stages, whose outcome is then constant. Hidden ground-truth labels and
+domain ids feed the metrics only, never the adaptation path.
 """
 
 from __future__ import annotations
@@ -423,9 +422,9 @@ class DomainStream:
     - the replay table keeps a pure step's prepared batch, which serves
       every later pure occurrence of its key with no draw, feature or style
       pass;
-    - the raw table keeps a key's raw batch while a later visit still draws
-      it (a CCC blend, or a key's first pure occurrence), which then skips
-      the sampling and only distorts and prepares the batch.
+    - the raw table keeps a key's raw batch while a later visit blends it
+      (CCC only); a step that finds its key there skips the sampling and
+      only distorts and prepares the batch.
     """
 
     def __init__(self, context: EpisodeContext, seed: int, styles: bool = True):
@@ -442,11 +441,6 @@ class DomainStream:
         per = plan.batches_per_domain
         pure = (weight == 0.0) | (primary == nxt)
         key = primary * per + np.arange(plan.total_steps) % per  # flat (domain, slot)
-        # A step draws its key unless the replay table serves it: every
-        # blended step, and a key's first pure occurrence.
-        first_pure = np.flatnonzero(pure)[np.unique(key[pure], return_index=True)[1]]
-        draws = ~pure
-        draws[first_pure] = True
 
         def last_visit(steps: np.ndarray) -> np.ndarray:
             """Last visit of each (domain, slot) key among ``steps``; -1 if none."""
@@ -455,7 +449,7 @@ class DomainStream:
             return last
 
         self._last_pure = last_visit(pure)
-        self._last_draw = last_visit(draws)
+        self._last_blend = last_visit(~pure)
         self._replay: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._raw: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
@@ -474,7 +468,7 @@ class DomainStream:
             rng = np.random.default_rng((self.seed, _TAG_STREAM, primary, slot))
             inputs, labels = ctx.blob.sample(rng, ctx.plan.batch_size)
             raw = (inputs, labels, rng.standard_normal(inputs.shape))
-            if visit < self._last_draw[key]:
+            if visit < self._last_blend[key]:
                 self._raw[key] = _freeze(raw)
         inputs, labels, noise = raw
         if pure:
