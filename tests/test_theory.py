@@ -202,3 +202,80 @@ class TestReproducibility:
         a = theory.simulate_sgd(task, 0.1, 20, 500, seed=42)
         b = theory.simulate_sgd(task, 0.1, 20, 500, seed=43)
         assert not np.array_equal(a.variance, b.variance)
+
+
+def _oracle_noise(seed, trial, steps, std):
+    """The per-trial noise as first specified: a tuple-seeded generator's
+    ``normal`` draw with the per-coordinate stds as the scale array."""
+    return np.random.default_rng((seed, trial)).normal(0.0, std, size=(steps, std.size))
+
+
+_NOISE_TASKS = [
+    pytest.param(
+        theory.NoisyQuadraticTask(np.zeros(1), np.zeros(1), np.array([0.37])), id="dim1"
+    ),
+    pytest.param(
+        theory.NoisyQuadraticTask(
+            np.array([0.5, -1.0, 0.0, 2.0]),
+            np.array([0.3, 0.0, 1.1, 0.05]),
+            np.array([0.25, 1.7, 0.0, 3.1]),
+        ),
+        id="dim4",
+    ),
+]
+
+
+class TestNoiseOracle:
+    """The Monte-Carlo noise is bit-identical to the original per-trial draw."""
+
+    @pytest.mark.parametrize("task", _NOISE_TASKS)
+    def test_trial_noise_matches_oracle(self, task):
+        for seed, trial in ((0, 0), (101, 7), (2**32 - 1, 12345)):
+            np.testing.assert_array_equal(
+                theory._trial_noise(seed, trial, 30, task),
+                _oracle_noise(seed, trial, 30, task.noise_std),
+            )
+
+    @pytest.mark.parametrize("alpha", [None, 0.9])
+    @pytest.mark.parametrize("task", _NOISE_TASKS)
+    def test_every_chunk_matches_oracle(self, monkeypatch, task, alpha):
+        # 7 does not divide 17: the last chunk holds 3 trials.
+        monkeypatch.setattr(theory, "_CHUNK", 7)
+        eta, steps, trials, seed = 0.3, 12, 17, 5
+        theta0 = task.optimum + 0.25
+        iterates = theory._mc_iterates(task, eta, steps, trials, seed, theta0, alpha)
+        for start in range(0, trials, 7):
+            n = min(7, trials - start)
+            noise = np.stack(
+                [_oracle_noise(seed, start + i, steps, task.noise_std) for i in range(n)]
+            )
+            x = np.tile(theta0, (n, 1))
+            t, got = next(iterates)
+            assert t == 0
+            np.testing.assert_array_equal(got, x)
+            for step in range(steps):
+                grad = task.curvature * (x - task.optimum) + noise[:, step, :]
+                x = x - eta * grad
+                if alpha is not None:
+                    x = alpha * x + (1.0 - alpha) * theta0
+                t, got = next(iterates)
+                assert t == step + 1
+                np.testing.assert_array_equal(got, x)
+        assert next(iterates, None) is None
+
+    def test_one_generator_per_trial(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(theory, "_CHUNK", 64)
+        theory.simulate_sgd(theory.pure_noise_task(2, 1.0), 0.1, 5, 150, seed=3)
+        assert len(calls) == 150
+        calls.clear()
+        task = theory.NoisyQuadraticTask(np.zeros(4), np.full(4, 0.3), np.ones(4))
+        theory.check_fisher_trajectory(task, 0.5, 1.0, 0.1, 20, seed=3)
+        assert len(calls) == 1
