@@ -8,10 +8,21 @@ Public surface, by area:
 * ``tta`` — the adaptable classifier and adaptation objectives
 * ``theory`` — numerical checks of the parameter-variance analysis
 * ``stream`` — synthetic domain streams and the episode engine
+* ``seeding`` — one generator per key of small nonnegative ints
 * ``config`` / ``cli`` — run configuration and the ``rtta`` command
 """
 
-from . import clustering, config, errors, model_reservoir, stream, style, theory, tta
+from . import (
+    clustering,
+    config,
+    errors,
+    model_reservoir,
+    seeding,
+    stream,
+    style,
+    theory,
+    tta,
+)
 
 __version__ = "0.1.0"
 
@@ -20,6 +31,7 @@ __all__ = [
     "config",
     "errors",
     "model_reservoir",
+    "seeding",
     "stream",
     "style",
     "theory",

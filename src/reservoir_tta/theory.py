@@ -14,9 +14,15 @@ Variance of a parameter vector is summarized as the trace of its empirical
 covariance across trials; correspondingly the task's gradient-noise level
 ``vbar`` is the total (summed per-coordinate) noise variance, which makes
 the scalar formulas dimension-free. Every Monte-Carlo routine derives one
-rng stream per trial from ``(seed, trial_index)``: trial trajectories are
-bit-identical no matter how execution is chunked or parallelized, and the
-cross-trial moment reductions agree to float summation-order tolerance.
+rng stream per trial from the key ``(seed, trial_index)``
+(``seeding.keyed_rng``): trial trajectories are bit-identical no matter how
+execution is chunked or parallelized, and the cross-trial moment
+reductions agree to float summation-order tolerance.
+
+A trial's gradient noise is ``rng.normal(0.0, noise_std, (steps, dim))``,
+taken as its arithmetic: the driver fills a chunk's trials with
+``standard_normal`` draws in place and scales the whole chunk once by
+``0.0 + noise_std * z``, which gives that call's bits.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
+from .seeding import keyed_rng
 
 _CHUNK = 2048
 
@@ -114,11 +121,18 @@ def ensemble_variance_closed_form(
     return eta**2 * vbar * alpha**2 * (1.0 - alpha ** (2 * tt)) / (1.0 - alpha**2)
 
 
+def _scale_noise(noise: np.ndarray, task: NoisyQuadraticTask) -> np.ndarray:
+    """``0.0 + noise_std * noise`` in place: the bits of ``rng.normal(0.0,
+    noise_std, size)`` from the standard-normal draw of the same rng."""
+    np.multiply(noise, task.noise_std, out=noise)
+    return np.add(noise, 0.0, out=noise)
+
+
 def _trial_noise(
     seed: int, trial: int, steps: int, task: NoisyQuadraticTask
 ) -> np.ndarray:
-    rng = np.random.default_rng((seed, trial))
-    return rng.normal(0.0, task.noise_std, size=(steps, task.dim))
+    """One trial's ``(steps, dim)`` gradient noise."""
+    return _scale_noise(keyed_rng(seed, trial).standard_normal((steps, task.dim)), task)
 
 
 def _mc_iterates(
@@ -138,9 +152,10 @@ def _mc_iterates(
     """
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
-        noise = np.stack(
-            [_trial_noise(seed, start + i, steps, task) for i in range(n)]
-        )
+        noise = np.empty((n, steps, task.dim))
+        for i in range(n):
+            keyed_rng(seed, start + i).standard_normal(out=noise[i])
+        _scale_noise(noise, task)
         x = np.tile(theta0, (n, 1))
         yield 0, x
         for t in range(steps):
