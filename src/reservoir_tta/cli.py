@@ -37,6 +37,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigurationError, ReservoirTTAError
+from .seeding import keyed_rng
 from .style import calibrate_threshold, export_styles
 
 THEORY_CHECKS = ("sgd_var", "ensemble_var", "recursion", "fisher_equiv", "chebyshev")
@@ -355,9 +356,8 @@ def _run_check(name: str, cfg: RunConfig):
         return passed, detail, rows
 
     if name == "recursion":
-        rng = np.random.default_rng((seed, 3))
-        grads = rng.standard_normal((t.recursion_steps, 8))
-        theta0 = np.random.default_rng((seed, 4)).standard_normal(8)
+        grads = keyed_rng(seed, 3).standard_normal((t.recursion_steps, 8))
+        theta0 = keyed_rng(seed, 4).standard_normal(8)
         disc = theory.check_recursion(grads, eta, 0.97, theta0)
         passed = disc < 1e-10
         detail = f"max discrepancy {disc:.3e} (< 1e-10 required)"

@@ -31,6 +31,7 @@ import yaml
 
 from . import stream, tta
 from .errors import ConfigurationError, check_fields
+from .seeding import KEY_BOUND, keyed_rng
 from .style import FeatureExtractor, calibrate_threshold, extract_style
 
 _TAG_CALIBRATION = 10
@@ -124,6 +125,8 @@ class RunConfig:
         check_fields(
             ("seeds", len(self.seeds) > 0, "must be nonempty"),
             ("seeds", all(s >= 0 for s in self.seeds), "must be nonnegative"),
+            # A stream seed is an entry of keyed_rng's keys.
+            ("seeds", all(s < KEY_BOUND for s in self.seeds), "must be < 2**32"),
             ("seeds", len(set(self.seeds)) == len(self.seeds), "must be unique"),
             ("methods", len(self.methods) > 0, "must list at least one method"),
             ("methods", len(set(names)) == len(names), "names must be unique"),
@@ -252,8 +255,9 @@ def calibration_styles(
     count = cfg.style.calibration_styles if count is None else count
     batches = np.empty((count, CALIBRATION_BATCH_SIZE, blob.input_dim))
     for i in range(count):
-        rng = np.random.default_rng((STYLE_SEED, _TAG_CALIBRATION, i))
-        batches[i], _ = blob.sample(rng, CALIBRATION_BATCH_SIZE)
+        batches[i], _ = blob.sample(
+            keyed_rng(STYLE_SEED, _TAG_CALIBRATION, i), CALIBRATION_BATCH_SIZE
+        )
     return extract_style(batches, extractor)
 
 
@@ -293,8 +297,7 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
     )
     fisher_batches = []
     for i in range(cfg.style.fisher_batches):
-        rng = np.random.default_rng((STYLE_SEED, _TAG_FISHER, i))
-        x, _ = dataset.blob.sample(rng, plan.batch_size)
+        x, _ = dataset.blob.sample(keyed_rng(STYLE_SEED, _TAG_FISHER, i), plan.batch_size)
         fisher_batches.append(x)
     omega = tta.estimate_fisher(model, fisher_batches)
     return stream.EpisodeContext(

@@ -45,6 +45,7 @@ from .errors import (
     check_fields,
 )
 from .model_reservoir import ModelReservoir, select_active
+from .seeding import keyed_rng
 from .style import FeatureExtractor, ThresholdCalibration, extract_style
 
 # Sub-stream tags for counter-based seeding; one tag per independent rng use.
@@ -113,7 +114,7 @@ def make_source_dataset(
         )
     blob = make_blob(classes, input_dim, seed, separation)
     inputs, labels = blob.sample(
-        np.random.default_rng((seed, 1)), classes * samples_per_class
+        keyed_rng(seed, 1), classes * samples_per_class
     )
     return LabeledDataset(inputs=inputs, labels=labels, blob=blob)
 
@@ -233,7 +234,7 @@ def domain_style_mean(
     as one stack."""
     stack = np.empty((batches, batch_size, blob.input_dim))
     for i in range(batches):
-        rng = np.random.default_rng((*seed_key, i))
+        rng = keyed_rng(*seed_key, i)
         x, _ = blob.sample(rng, batch_size)
         stack[i] = domain.apply(x, rng.standard_normal(x.shape))
     return np.mean(extract_style(stack, extractor), axis=0)
@@ -265,7 +266,7 @@ def make_domains(
         raise InputDomainError(f"domain count must be positive, got {count}")
     pool_size = 8 * count
     for attempt in range(max_retries):
-        rng = np.random.default_rng((seed, attempt))
+        rng = keyed_rng(seed, attempt)
         # Spread tier points on an ellipsoid in (input gain, log noise level,
         # log rotation angle) space: candidates differ in their global style
         # signature, akin to corruption types at distinct severities, and any
@@ -353,8 +354,7 @@ class ScenarioPlan:
         """Domain order within one visit: fixed for CSC, reshuffled per (seed, visit) else."""
         if self.kind == "csc":
             return np.arange(self.domains)
-        rng = np.random.default_rng((seed, visit))
-        return rng.permutation(self.domains)
+        return keyed_rng(seed, visit).permutation(self.domains)
 
     def schedule(self, seed: int) -> tuple[np.ndarray, ...]:
         """Every step's visit, primary domain, next domain and blend weight,
@@ -465,7 +465,7 @@ class DomainStream:
             return StreamBatch(*self._replay[key], domain_id=primary, visit=visit)
         raw = self._raw.get(key)
         if raw is None:
-            rng = np.random.default_rng((self.seed, _TAG_STREAM, primary, slot))
+            rng = keyed_rng(self.seed, _TAG_STREAM, primary, slot)
             inputs, labels = ctx.blob.sample(rng, ctx.plan.batch_size)
             raw = (inputs, labels, rng.standard_normal(inputs.shape))
             if visit < self._last_blend[key]:

@@ -61,6 +61,7 @@ def _write_config(tmp_path, data, name="config.yaml"):
         pytest.param({"seeds": []}, "seeds: must be nonempty", id="seeds-empty"),
         pytest.param({"seeds": [1, -1]}, "seeds: must be nonnegative", id="seeds-negative"),
         pytest.param({"seeds": [1, 1]}, "seeds: must be unique", id="seeds-duplicate"),
+        pytest.param({"seeds": [1, 2**32]}, "seeds: must be < 2**32", id="seeds-beyond-uint32"),
         pytest.param(
             {"scenario": {"kind": "abc"}}, "scenario.kind: unknown kind 'abc'",
             id="scenario-kind",
@@ -313,7 +314,9 @@ def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, ent
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("seeds", ["1,x", ",", "", "-1", "2,-3", "1,1", "1,,2", "3,", " ,1"])
+@pytest.mark.parametrize(
+    "seeds", ["1,x", ",", "", "-1", "2,-3", "1,1", "1,,2", "3,", " ,1", "4294967296"]
+)
 def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     path = _write_config(tmp_path, SMALL)
