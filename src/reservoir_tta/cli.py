@@ -4,7 +4,7 @@ Subcommands: ``calibrate`` (threshold from source styles), ``run`` (episodes
 over seeds, metrics CSV + summary JSON per seed plus a cross-seed
 aggregate; with ``emit_trace`` also a per-step JSONL trace, streamed to disk
 while the episode runs), ``theory`` (the verification suite with per-check
-CSVs), and ``export-styles`` (source style vectors in the text format).
+CSVs).
 
 Exit codes: 0 success, 1 configuration error (a bad value or argument, or a
 config file that is not UTF-8 YAML), 2 I/O error (a file that cannot be
@@ -38,7 +38,7 @@ from .config import (
 )
 from .errors import ConfigurationError, ReservoirTTAError
 from .seeding import keyed_rng
-from .style import calibrate_threshold, export_styles
+from .style import calibrate_threshold
 
 THEORY_CHECKS = ("sgd_var", "ensemble_var", "recursion", "fisher_equiv", "chebyshev")
 _CSV_COLUMNS = ("t", "empirical_var", "closed_form_var", "bound", "empirical_rate", "discrepancy")
@@ -57,11 +57,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
         if args.command == "theory":
             checks = _parse_checks(args.checks)
-        if args.command == "export-styles":
-            # Writes only to --out: no output directory is created.
-            if args.count is not None and args.count < 1:
-                raise ConfigurationError(f"count must be positive, got {args.count}")
-            return cmd_export_styles(cfg, Path(args.out), args.count)
         out_dir = _output_dir(cfg)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, out_dir)
@@ -103,11 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"'all', '', or comma-separated subset of {','.join(THEORY_CHECKS)}",
     )
-
-    p_exp = sub.add_parser("export-styles", help="write source style vectors")
-    p_exp.add_argument("--config")
-    p_exp.add_argument("--out", required=True)
-    p_exp.add_argument("--count", type=int, default=None)
     return parser
 
 
@@ -409,18 +399,6 @@ def _run_check(name: str, cfg: RunConfig):
         return passed, detail, rows
 
     raise ConfigurationError(f"unknown theory check {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# export-styles
-
-
-def cmd_export_styles(cfg: RunConfig, out_path: Path, count: int | None) -> int:
-    dataset, extractor = build_source(cfg)
-    styles = calibration_styles(cfg, dataset.blob, extractor, count)
-    written = export_styles(out_path, styles)
-    print(f"wrote {written} style vectors ({extractor.style_dim} dims) to {out_path}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -244,15 +244,15 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def calibration_styles(
-    cfg: RunConfig, blob: stream.BlobSpec, extractor: FeatureExtractor, count: int | None = None
+    cfg: RunConfig, blob: stream.BlobSpec, extractor: FeatureExtractor
 ) -> np.ndarray:
     """Seeded source style sample used for threshold calibration: a
-    ``(count, style_dim)`` array, ``style.calibration_styles`` rows by default.
+    ``(style.calibration_styles, style_dim)`` array.
 
     Batch ``i`` is drawn from its own ``(STYLE_SEED, tag, i)`` rng; the
     batches are stacked and extracted in one call.
     """
-    count = cfg.style.calibration_styles if count is None else count
+    count = cfg.style.calibration_styles
     batches = np.empty((count, CALIBRATION_BATCH_SIZE, blob.input_dim))
     for i in range(count):
         batches[i], _ = blob.sample(

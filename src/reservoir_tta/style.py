@@ -21,8 +21,7 @@ proven rounding bound picks the few pairs that can hold it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -248,20 +247,3 @@ def _as_style_matrix(styles: Sequence[np.ndarray]) -> np.ndarray:
     if mat.ndim != 2:
         raise InputDomainError("style vectors must all share one dimension")
     return mat
-
-
-def export_styles(path: str | Path, styles: Iterable[np.ndarray]) -> int:
-    """Write style vectors to the text format; returns the number written.
-
-    Format: UTF-8, one vector per line, comma-separated decimals with 17
-    significant digits (float64 round-trips exactly); '#' lines are comments.
-    """
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# style vectors, one per line, comma-separated\n")
-        for s in styles:
-            vec = np.asarray(s, dtype=np.float64)
-            fh.write(",".join(f"{v:.17g}" for v in vec))
-            fh.write("\n")
-            count += 1
-    return count

@@ -333,16 +333,13 @@ def test_bad_seed_override_exits_1(tmp_path, monkeypatch, capsys, seeds):
         pytest.param(["theory", "--checks", "recursion, recursion "], id="checks-repeated-spaced"),
         pytest.param(["theory", "--checks", "recursion,,sgd_var"], id="checks-empty-entry"),
         pytest.param(["theory", "--checks", "recursion,"], id="checks-trailing-comma"),
-        pytest.param(["export-styles", "--out", "styles.txt", "--count", "0"], id="count"),
     ],
 )
 def test_bad_argument_exits_1_before_output(tmp_path, monkeypatch, capsys, args):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
-    monkeypatch.chdir(tmp_path)
     assert cli.main(args) == 1
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "styles.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -473,14 +470,12 @@ GOLDEN_THEORY_STDOUT = (
 )
 
 
-# sha256 of ``rtta calibrate`` and ``rtta export-styles --count 50`` at the
-# default config: the full set-up, 2000 calibration styles of 32 samples.
+# sha256 of ``rtta calibrate`` at the default config: the full set-up, 2000
+# calibration styles of 32 samples.
 GOLDEN_CALIBRATE = {
     "calibration.json": "ad38b80929f91c7a557d0cd05fc79a9a15ec13b88cc3176b3f5af99b0ebbc680",
 }
 GOLDEN_CALIBRATE_STDOUT = "tau = 3.2387 (q = 0.99, n = 2000)\n"
-GOLDEN_EXPORT_50 = "52e07d6a09a2ab6ef14903cd6083e1f777a75fbe3689c5585f5fbd7ec53f4fb9"
-GOLDEN_EXPORT_50_STDOUT = "wrote 50 style vectors (40 dims) to styles.txt\n"
 
 
 def _digests(out):
@@ -531,23 +526,3 @@ def test_calibrate_default_matches_golden_hash(tmp_path, monkeypatch, capsys):
     assert cli.main(["calibrate"]) == 0
     assert capsys.readouterr().out == GOLDEN_CALIBRATE_STDOUT
     assert _digests(out) == GOLDEN_CALIBRATE
-
-
-def test_export_styles_default_matches_golden_hash(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["export-styles", "--out", "styles.txt", "--count", "50"]) == 0
-    assert capsys.readouterr().out == GOLDEN_EXPORT_50_STDOUT
-    digest = hashlib.sha256((tmp_path / "styles.txt").read_bytes()).hexdigest()
-    assert digest == GOLDEN_EXPORT_50
-
-
-def test_export_styles_creates_no_output_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
-    monkeypatch.chdir(tmp_path)
-    argv = ["export-styles", "--config", _write_config(tmp_path, {"output_dir": "cfg_out"})]
-    assert cli.main(argv + ["--out", "styles.txt", "--count", "3"]) == 0
-    monkeypatch.delenv("RTTA_OUTPUT_DIR")
-    assert cli.main(argv + ["--out", "again.txt", "--count", "3"]) == 0
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["again.txt", "config.yaml", "styles.txt"]

@@ -114,7 +114,8 @@ class TestThresholdOracle:
 
 class TestStyleLoopOracle:
     @given(
-        count=st.integers(1, 40),
+        # The config's smallest calibration sample is 2 styles.
+        count=st.integers(2, 40),
         input_dim=st.integers(1, 8),
         seed=st.integers(0, 1000),
         nonlinearity=st.sampled_from(["tanh", "identity"]),
@@ -125,7 +126,8 @@ class TestStyleLoopOracle:
         extractor = FeatureExtractor(
             input_dim, layer_channels=(3, 5), seed=seed, nonlinearity=nonlinearity
         )
-        got = config.calibration_styles(config.RunConfig(), blob, extractor, count)
+        cfg = config.RunConfig(style=config.StyleParams(calibration_styles=count))
+        got = config.calibration_styles(cfg, blob, extractor)
         want = reference_calibration_styles(blob, extractor, count)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -1,4 +1,4 @@
-"""Style extraction, threshold calibration, and the style file format."""
+"""Style extraction and threshold calibration."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from reservoir_tta.style import (
     VAR_FLOOR,
     FeatureExtractor,
     calibrate_threshold,
-    export_styles,
     extract_style,
 )
 
@@ -223,19 +222,3 @@ class TestCalibrateThreshold:
         styles = [rng.standard_normal(6) for _ in range(40)]
         taus = [calibrate_threshold(styles, q).tau for q in (0.1, 0.5, 0.9, 0.99, 1.0)]
         assert all(a <= b for a, b in zip(taus, taus[1:]))
-
-
-class TestStyleFile:
-    def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(3)
-        styles = [
-            rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8) for _ in range(50)
-        ]
-        path = tmp_path / "styles.txt"
-        assert export_styles(path, styles) == 50
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("#")
-        loaded = [np.array([float(tok) for tok in line.split(",")]) for line in lines[1:]]
-        assert len(loaded) == 50
-        for a, b in zip(styles, loaded):
-            np.testing.assert_array_equal(a, b)
