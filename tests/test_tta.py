@@ -109,7 +109,8 @@ class TestPredict:
 
     def test_nonfinite_logits_rejected(self, small_model):
         model, _, ds = small_model
-        with pytest.raises(NumericalError):
+        # The huge head overflows the logits on purpose.
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalError):
             tta.predict(
                 model, np.full(model.param_dim, 1e308), model.features(ds.inputs[:4])
             )
@@ -397,7 +398,8 @@ class TestTrainSource:
 
     def test_divergence_raises(self):
         ds = stream.make_source_dataset(2, 40, 4, seed=6)
-        with pytest.raises(TrainingError):
+        # The huge rate overflows the parameters on purpose.
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingError):
             tta.train_source(6, (ds.inputs, ds.labels), epochs=60, lr=1e6)
 
 
