@@ -12,17 +12,7 @@ Public surface, by area:
 * ``config`` / ``cli`` — run configuration and the ``rtta`` command
 """
 
-from . import (
-    clustering,
-    config,
-    errors,
-    model_reservoir,
-    seeding,
-    stream,
-    style,
-    theory,
-    tta,
-)
+from . import clustering, config, errors, model_reservoir, seeding, stream, style, theory, tta
 
 __version__ = "0.1.0"
 
