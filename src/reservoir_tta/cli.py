@@ -3,8 +3,8 @@
 Subcommands: ``calibrate`` (threshold from source styles), ``run`` (episodes
 over seeds, metrics CSV + summary JSON per seed plus a cross-seed
 aggregate; with ``emit_trace`` also a per-step JSONL trace, streamed to disk
-while the episode runs), ``theory`` (the verification suite with per-check
-CSVs).
+while the episode runs) and ``theory`` (the verification suite with
+per-check CSVs).
 
 Exit codes: 0 success, 1 configuration error (a bad value or argument, or a
 config file that is not UTF-8 YAML), 2 I/O error (a file that cannot be

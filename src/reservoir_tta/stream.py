@@ -113,9 +113,7 @@ def make_source_dataset(
             f"samples_per_class must be positive, got {samples_per_class}"
         )
     blob = make_blob(classes, input_dim, seed, separation)
-    inputs, labels = blob.sample(
-        keyed_rng(seed, 1), classes * samples_per_class
-    )
+    inputs, labels = blob.sample(keyed_rng(seed, 1), classes * samples_per_class)
     return LabeledDataset(inputs=inputs, labels=labels, blob=blob)
 
 
