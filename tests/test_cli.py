@@ -460,6 +460,46 @@ GOLDEN_RUN_CCC_TENT = {
     "trace_tent_seed1.jsonl": "f90d5c5d69907eb206be12a5f54635145ad8ca13d4994651371b4f01db26f4a7",
     "trace_tent_seed2.jsonl": "bd5d07d20430331d3ce4c1c92401a1c0f480eaf33fa0d946c2e07462226f7f5f",
 }
+# The same for SMALL as a CDC stream with the objective kinds the two runs
+# above leave out: the margin filter, the anchor and the ensembling, alone
+# and (filtered_ensemble) with the reservoir.
+SMALL_CDC_KINDS = {
+    **SMALL,
+    "scenario": {**SMALL["scenario"], "kind": "cdc"},
+    "methods": [
+        {"name": "eata", "kind": "filtered_entropy"},
+        {"name": "fisher", "kind": "fisher_entropy"},
+        {"name": "ensemble", "kind": "weight_ensemble_entropy"},
+        {"name": "reservoir_ensemble", "kind": "filtered_ensemble", "reservoir": True},
+    ],
+}
+GOLDEN_RUN_CDC_KINDS = {
+    "aggregate.json": "76afba5b1c70a57c72351fb379378ea67d62d419fbab73be1106f37adce0c47a",
+    "metrics_eata_seed1.csv": "d18b6a007ae5f7d5fd52603c1b71c6ede9d510ea0d86359ce9e8a3bb3b3662aa",
+    "metrics_eata_seed2.csv": "30877fd3dc4ea51175bf901470fb6973a6111d061bc84c987b2d5426eac8148e",
+    "metrics_ensemble_seed1.csv": "065884bc533ddd488a8ec9f8b9b04be90273dda7350a2382a4b904b9302bfa71",
+    "metrics_ensemble_seed2.csv": "0121b70a51f177abea41777d4ae600394e0dee4ed74b82788e3c64208219f2f9",
+    "metrics_fisher_seed1.csv": "d2bb1ba2ad2804ea3fef5dd7f8520fe45e0e693669874dc5d4a363c18e4f2817",
+    "metrics_fisher_seed2.csv": "53076ffa0f57d1e5d02229af5e09179669eb4a37c433d6410c36eb5bdd99866b",
+    "metrics_reservoir_ensemble_seed1.csv": "04f02f98bbc5dd6b1f85eab11c6e6cb89d47146684676f888680099c97883813",
+    "metrics_reservoir_ensemble_seed2.csv": "5bad90d826b1256ee4865144e45f5e4cb543187fa19f4b7d123a7ff9dbab8e4b",
+    "summary_eata_seed1.json": "52cb623810ae4c5370dbd64e883848751f92c37b0d6556511ebedae60145872c",
+    "summary_eata_seed2.json": "474b3dfccc88e11124cb1e7f360c0e5208b444b6d3398528be81946833b6b10d",
+    "summary_ensemble_seed1.json": "69bcbd02e940baf58c547b95702a85603aa8b99634bf1c438033d47637793c4d",
+    "summary_ensemble_seed2.json": "9f93460f888fc3f90c1a2824667242ddc135d7c7369b9d524db3fe8eed2a98b5",
+    "summary_fisher_seed1.json": "9c0a4d537d3ed9170c70c63f989e5a67cf9f3adc72d27d33b8eb72ced2b24158",
+    "summary_fisher_seed2.json": "2b97a7fbbda7af6f1966a01e39ec1a321ac7745c0875ee6794ed95b8fcd07392",
+    "summary_reservoir_ensemble_seed1.json": "5da2ba75506e7e1df410d88fef0cdfeee3969372809510b3396d44c2bb1e0824",
+    "summary_reservoir_ensemble_seed2.json": "2f87b23e82ae88e01d6c7bf1c6f2aeaa74a7ddb6da130c1d7bbe802c9a22a24c",
+    "trace_eata_seed1.jsonl": "6f3bd5ce8bb9488e7186430ddb17c92a27c7dbac2112610d13c32551b2b298c9",
+    "trace_eata_seed2.jsonl": "e5bb96d7f5a045e5053898b437f610ce33dd6ae91a19677c636470f8efd44a6c",
+    "trace_ensemble_seed1.jsonl": "6f3bd5ce8bb9488e7186430ddb17c92a27c7dbac2112610d13c32551b2b298c9",
+    "trace_ensemble_seed2.jsonl": "e5bb96d7f5a045e5053898b437f610ce33dd6ae91a19677c636470f8efd44a6c",
+    "trace_fisher_seed1.jsonl": "6f3bd5ce8bb9488e7186430ddb17c92a27c7dbac2112610d13c32551b2b298c9",
+    "trace_fisher_seed2.jsonl": "e5bb96d7f5a045e5053898b437f610ce33dd6ae91a19677c636470f8efd44a6c",
+    "trace_reservoir_ensemble_seed1.jsonl": "273e69997c75e04ae291bbc73006f8ed7abf051379e995bc973b231e19c93df7",
+    "trace_reservoir_ensemble_seed2.jsonl": "7a556a01768a19e1c716baa48f6e94488f8b37337c90b83196beb1a5f36682c9",
+}
 GOLDEN_THEORY = {
     "fisher_equiv.csv": "b3ef21fcf23f3208bc64a48d2c91e65841fced5b25d27abef2a24123c94eba8c",
     "recursion.csv": "fbf2f031716cd647a5792d1c1c8c8d783739e3afac386eecba1a7accdb36d239",
@@ -494,6 +534,13 @@ def test_ccc_single_model_run_matches_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
     assert cli.main(["run", "--config", _write_config(tmp_path, SMALL_CCC_TENT)]) == 0
     assert _digests(out) == GOLDEN_RUN_CCC_TENT
+
+
+def test_cdc_objective_kinds_run_matches_golden_hashes(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    assert cli.main(["run", "--config", _write_config(tmp_path, SMALL_CDC_KINDS)]) == 0
+    assert _digests(out) == GOLDEN_RUN_CDC_KINDS
 
 
 @pytest.mark.parametrize(
