@@ -3,8 +3,7 @@
 State lives in two small containers: a :class:`CentroidSet` of discovered
 domain centroids (seeded with the mean source style) and a fixed-capacity
 :class:`StyleReservoir` of past style vectors maintained by reservoir
-sampling in a preallocated ``(capacity, dim)`` array (grown by doubling
-past the default capacity). A new centroid is
+sampling in a ``(capacity, dim)`` array allocated once. A new centroid is
 spawned whenever an incoming style vector is farther than the calibrated
 threshold from every existing centroid and the cap has not been reached;
 otherwise the vector is assigned to its nearest centroid. Centroids are
@@ -31,7 +30,6 @@ from scipy.special import xlogy
 
 from .errors import InputDomainError, InsufficientDataError, NumericalError
 
-DEFAULT_RESERVOIR_CAPACITY = 1024
 DEFAULT_K_MAX = 16
 DEFAULT_CENTROID_LR = 1e-4
 
@@ -49,7 +47,7 @@ class StyleReservoir:
     every past vector is present with equal probability ``capacity / t``.
     """
 
-    def __init__(self, capacity: int, dim: int, seed: int = 0):
+    def __init__(self, capacity: int, dim: int, rng: np.random.Generator):
         if capacity < 1:
             raise InputDomainError(f"capacity must be positive, got {capacity}")
         if dim < 1:
@@ -57,22 +55,15 @@ class StyleReservoir:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.seen_count = 0
-        # Rows are allocated up front up to the default capacity and grown
-        # by doubling beyond it, so a huge capacity costs nothing until used.
-        rows = min(self.capacity, DEFAULT_RESERVOIR_CAPACITY)
-        self._buffer = np.empty((rows, self.dim))
+        self._buffer = np.empty((self.capacity, self.dim))
         self._size = 0
-        self._rng = np.random.default_rng(seed)
+        self._rng = rng
 
     def __len__(self) -> int:
         return self._size
 
     @property
     def styles(self) -> np.ndarray:
-        """Current buffer contents as an ``(n, dim)`` matrix (copy)."""
-        return self._buffer[: self._size].copy()
-
-    def view(self) -> np.ndarray:
         """Read-only ``(n, dim)`` view of the filled rows, valid until the next offer."""
         filled = self._buffer[: self._size]
         filled.flags.writeable = False
@@ -87,10 +78,6 @@ class StyleReservoir:
             )
         self.seen_count += 1
         if self._size < self.capacity:
-            if self._size == len(self._buffer):
-                grown = np.empty((min(2 * self._size, self.capacity), self.dim))
-                grown[: self._size] = self._buffer
-                self._buffer = grown
             self._buffer[self._size] = vec
             self._size += 1
             return
@@ -244,7 +231,7 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     """
     if len(reservoir) == 0:
         raise InsufficientDataError("gradient needs a nonempty reservoir")
-    styles = reservoir.view()
+    styles = reservoir.styles
     cents = centroids._centroids
     if cents.shape[0] == 1:
         return np.zeros_like(cents)

@@ -6,9 +6,9 @@ domain cap and the centroid step are given in ``stream.ClusterParams``, the
 style extractor in ``StyleParams`` and the update rules in
 ``stream.MethodConfig``. The synthetic source task (5 classes in 16
 dimensions, separation 8, training rate 0.03, seed ``SOURCE_SEED``) is fixed
-in ``build_source`` and ``build_context``; its hidden width and batch size
-are the defaults of ``tta.train_source``. Domains are drawn at
-``DOMAIN_SEED`` with the separation factor of ``stream.make_domains``. The
+in ``build_source`` and ``build_context``; its hidden width is the default
+of ``tta.train_source`` and its batch size ``tta.SOURCE_BATCH_SIZE``.
+Domains are drawn at ``DOMAIN_SEED`` with ``stream.MIN_SEPARATION_FACTOR``. The
 theory suite's step size and seed are ``cli.THEORY_ETA`` and
 ``cli.THEORY_SEED``, its task shapes literals in ``cli._run_check``.
 
@@ -100,8 +100,8 @@ class TheoryParams:
             (name, getattr(self, name) >= 1, "must be >= 1")
             for name in ("steps", "recursion_steps", "fisher_steps", "chebyshev_steps")
         ]
-        alphas_ok = all(0 <= a < 1 for a in self.ensemble_alphas)
-        rules.append(("ensemble_alphas", alphas_ok, "entries must be in [0, 1)"))
+        alphas_ok = all(0 < a < 1 for a in self.ensemble_alphas)
+        rules.append(("ensemble_alphas", alphas_ok, "entries must be in (0, 1)"))
         rules.append(("ensemble_alphas", len(self.ensemble_alphas) > 0, "must be nonempty"))
         check_fields(*rules)
 

@@ -54,6 +54,11 @@ _TAG_RESERVOIR = 1
 _TAG_DOMAIN_CHECK = 2
 
 SCENARIO_KINDS = ("csc", "cdc", "ccc")
+# make_domains: batches per candidate's style mean, the required style
+# separation in units of tau, and the pool redraws before giving up.
+DOMAIN_STYLE_BATCHES = 16
+MIN_SEPARATION_FACTOR = 1.3
+DOMAIN_MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,6 @@ class BlobSpec:
     """Source input distribution: one unit-variance Gaussian blob per class."""
 
     class_means: np.ndarray  # (classes, input_dim)
-    within_std: float = 1.0
 
     @property
     def classes(self) -> int:
@@ -73,9 +77,7 @@ class BlobSpec:
 
     def sample(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, self.classes, size=count)
-        inputs = self.class_means[labels] + self.within_std * rng.standard_normal(
-            (count, self.input_dim)
-        )
+        inputs = self.class_means[labels] + rng.standard_normal((count, self.input_dim))
         return inputs, labels
 
 
@@ -248,22 +250,20 @@ def make_domains(
     tau: float,
     source_style_mean: np.ndarray,
     batch_size: int = 64,
-    style_batches: int = 16,
-    min_separation_factor: float = 1.3,
-    max_retries: int = 10,
 ) -> list[DomainSpec]:
     """Draw ``count`` domains whose styles are pairwise well separated.
 
     ``count`` domains are picked from a pool of ``8 * count`` candidates by
-    their style means. The pick is rejected unless every pair of domain
-    style means, the source style mean included, is separated by more than
-    ``min_separation_factor * tau``; a rejected pool is redrawn with a fresh
-    sub-seed up to ``max_retries`` times before raising.
+    their style means, each over ``DOMAIN_STYLE_BATCHES`` batches. The pick
+    is rejected unless every pair of domain style means, the source style
+    mean included, is separated by more than ``MIN_SEPARATION_FACTOR * tau``;
+    a rejected pool is redrawn with a fresh sub-seed up to
+    ``DOMAIN_MAX_RETRIES`` times before raising.
     """
     if count < 1:
         raise InputDomainError(f"domain count must be positive, got {count}")
     pool_size = 8 * count
-    for attempt in range(max_retries):
+    for attempt in range(DOMAIN_MAX_RETRIES):
         rng = keyed_rng(seed, attempt)
         # Spread tier points on an ellipsoid in (input gain, log noise level,
         # log rotation angle) space: candidates differ in their global style
@@ -280,7 +280,7 @@ def make_domains(
         means = np.stack(
             [
                 domain_style_mean(
-                    d, blob, extractor, batch_size, style_batches,
+                    d, blob, extractor, batch_size, DOMAIN_STYLE_BATCHES,
                     seed_key=(seed, _TAG_DOMAIN_CHECK, attempt, d.id),
                 )
                 for d in pool
@@ -290,13 +290,13 @@ def make_domains(
         mat = np.vstack([means[chosen], np.asarray(source_style_mean)])
         dists = np.linalg.norm(mat[:, None, :] - mat[None, :, :], axis=2)
         off_diag = dists[np.triu_indices(mat.shape[0], k=1)]
-        if np.all(off_diag > min_separation_factor * tau):
+        if np.all(off_diag > MIN_SEPARATION_FACTOR * tau):
             return [
                 replace(pool[idx], id=new_id) for new_id, idx in enumerate(chosen)
             ]
     raise GenerationError(
         f"could not draw {count} domains separated by more than "
-        f"{min_separation_factor} * tau after {max_retries} attempts"
+        f"{MIN_SEPARATION_FACTOR} * tau after {DOMAIN_MAX_RETRIES} attempts"
     )
 
 
@@ -489,8 +489,8 @@ class MethodConfig:
     reservoir switch.
 
     The anchor strength and ensembling rate are those of
-    :func:`tta.default_anchoring` for the kind and the reservoir switch; the
-    entropy margin is :func:`tta.resolve_margin`'s default.
+    :func:`tta.default_anchoring` for the kind and the reservoir switch; a
+    filtered kind keeps rows whose entropy is below ``0.4 * ln(classes)``.
     """
 
     name: str
@@ -627,17 +627,19 @@ def run_episode(
     objective = method.objective(context.fisher_omega)
     route = k_max > 1 or step_callback is not None
 
+    n = plan.total_steps
     stream = DomainStream(context, seed, styles=route)
-    style_dim = context.extractor.style_dim
+    # A reservoir never holds more styles than the episode offers.
     reservoir = StyleReservoir(
-        context.cluster.reservoir_size, style_dim, seed=(seed, _TAG_RESERVOIR)
+        max(1, min(context.cluster.reservoir_size, n)),
+        context.extractor.style_dim,
+        keyed_rng(seed, _TAG_RESERVOIR),
     )
     centroids = CentroidSet(context.source_style_mean, k_max=k_max)
     model = context.model
     models = ModelReservoir(model.source_params)
     tau = context.calibration.tau
 
-    n = plan.total_steps
     visits = np.zeros(n, dtype=np.int64)
     true_domains = np.zeros(n, dtype=np.int64)
     assigned = np.zeros(n, dtype=np.int64)

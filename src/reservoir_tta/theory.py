@@ -114,10 +114,9 @@ def linear_variance_closed_form(eta: float, vbar: float, t: np.ndarray) -> np.nd
 def ensemble_variance_closed_form(
     eta: float, alpha: float, vbar: float, t: np.ndarray
 ) -> np.ndarray:
-    """Weight-ensembling variance ``eta^2 vbar alpha^2 (1 - alpha^(2t)) / (1 - alpha^2)``."""
+    """Weight-ensembling variance ``eta^2 vbar alpha^2 (1 - alpha^(2t)) / (1 - alpha^2)``
+    for ``alpha`` in [0, 1)."""
     tt = np.asarray(t, dtype=np.float64)
-    if alpha == 1.0:
-        return linear_variance_closed_form(eta, vbar, tt)
     return eta**2 * vbar * alpha**2 * (1.0 - alpha ** (2 * tt)) / (1.0 - alpha**2)
 
 
@@ -270,22 +269,20 @@ def check_fisher_trajectory(
     eta: float,
     steps: int,
     seed: int,
-    theta0: np.ndarray | None = None,
 ) -> float:
     """Max per-step gap between the anchored and the interpolated trajectory.
 
-    Both paths see identical noise. The anchored path applies the quadratic
-    penalty's pull ``2 * lam * omega * eta`` toward the start after each data
-    step; the other interpolates with ``alpha = 1 - 2 * lam * omega * eta``.
+    Both paths start at ``optimum + 1`` and see identical noise. The anchored
+    path applies the quadratic penalty's pull ``2 * lam * omega * eta``
+    toward the start after each data step; the other interpolates with
+    ``alpha = 1 - 2 * lam * omega * eta``.
     """
     alpha = 1.0 - 2.0 * lam * omega * eta
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(
             f"1 - 2*lam*omega*eta = {alpha} is outside (0, 1]"
         )
-    start = (
-        task.optimum + 1.0 if theta0 is None else np.asarray(theta0, dtype=np.float64)
-    )
+    start = task.optimum + 1.0
     noise = _trial_noise(seed, 0, steps, task)
 
     theta_fis = start.copy()

@@ -9,20 +9,20 @@ a batch's frozen features, ``model.features(batch)``, rather than the batch:
 the features do not depend on the parameters, so an engine step computes
 them once and shares them.
 
-Objectives compose three ingredients:
+The objective is the data term alone: the mean prediction entropy of the
+batch, optionally restricted to rows whose entropy falls below EATA's
+reliability margin ``0.4 * ln(classes)``. The update step then applies two
+contractions toward the source parameters ``theta0``:
 
-* entropy minimization over the batch (optionally restricted to rows whose
-  entropy falls below a reliability margin),
-* a quadratic anchor ``lambda * (theta - theta0)^T Omega (theta - theta0)``
-  toward the source parameters, applied in decoupled form after the data
-  step so that it coincides exactly with
-* weight ensembling, the post-step interpolation
+* the quadratic anchor ``lambda * (theta - theta0)^T Omega (theta - theta0)``,
+  in decoupled form: one shrink of the data step's result by
+  ``alpha_i = 1 - 2 * lambda * omega_i * lr`` per coordinate,
+* weight ensembling, the interpolation
   ``theta <- alpha * theta + (1 - alpha) * theta0``.
 
-The decoupled application makes an anchored step and an entropy step
-followed by interpolation with ``alpha_i = 1 - 2 * lambda * omega_i * lr``
-produce identical parameters, which is the equivalence the update is
-designed around.
+An anchored step is therefore exactly an entropy step followed by
+interpolation with ``alpha_i``, which is the equivalence the update is
+designed around; the anchor never enters the objective.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ _FISHER = {"fisher_entropy", "filtered_fisher"}
 _ENSEMBLE = {"weight_ensemble_entropy", "filtered_ensemble"}
 
 DEFAULT_TTA_LR = 2.5e-3
+SOURCE_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class TTAObjectiveConfig:
 
     kind: str = "entropy"
     lr: float = DEFAULT_TTA_LR
-    entropy_margin: float | None = None  # None -> 0.4 * ln(classes)
     fisher_lambda: float = 0.0
     fisher_omega: np.ndarray | None = None  # None -> uniform weights of 1
     alpha: float = 1.0
@@ -76,8 +76,6 @@ class TTAObjectiveConfig:
             ("lr", bool(np.isfinite(self.lr)) and self.lr >= 0, "must be finite and >= 0"),
             ("alpha", 0.0 <= self.alpha <= 1.0, "must be in [0, 1]"),
             ("fisher_lambda", self.fisher_lambda >= 0, "must be >= 0"),
-            ("entropy_margin", self.entropy_margin is None or self.entropy_margin > 0,
-             "must be > 0"),
             ("fisher_omega", self.fisher_omega is None or not np.any(self.fisher_omega < 0),
              "entries must be >= 0"),
         )
@@ -190,20 +188,12 @@ def predict(
     return np.exp(_log_softmax(logits))
 
 
-def resolve_margin(config: TTAObjectiveConfig, n_classes: int) -> float:
-    """Configured margin, defaulting to ``0.4 * ln(classes)``."""
-    if config.entropy_margin is not None:
-        return config.entropy_margin
-    return 0.4 * np.log(n_classes)
-
-
 def _data_loss_and_grad(
     model: AdaptableClassifier,
     params: np.ndarray,
     feats: np.ndarray,
     config: TTAObjectiveConfig,
-    want_grad: bool,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     """Entropy objective (optionally filtered): value and gradient in (gamma, beta)."""
     logits = model.logits(params, feats)
     if not np.all(np.isfinite(logits)):
@@ -213,16 +203,13 @@ def _data_loss_and_grad(
     ent = -(p * logp).sum(axis=1)
 
     if config.filtered:
-        mask = ent < resolve_margin(config, model.n_classes)
+        mask = ent < 0.4 * np.log(model.n_classes)
         if not mask.any():
-            zero = np.zeros(2 * model.hidden) if want_grad else None
-            return 0.0, zero
+            return 0.0, np.zeros(2 * model.hidden)
     else:
         mask = np.ones(ent.shape[0], dtype=bool)
     m = int(mask.sum())
     loss = float(ent[mask].mean())
-    if not want_grad:
-        return loss, None
 
     # dH/du_y = -p_y (ln p_y + H), averaged over the rows that pass the filter.
     dl_du = -p * (logp + ent[:, None])
@@ -251,13 +238,8 @@ def objective_loss(
     feats: np.ndarray,
     config: TTAObjectiveConfig,
 ) -> float:
-    """Full objective value on the batch whose frozen features are ``feats``:
-    data term plus the quadratic anchor if configured."""
-    loss, _ = _data_loss_and_grad(model, params, feats, config, want_grad=False)
-    if config.fisher:
-        diff = np.asarray(params, dtype=np.float64) - model.source_params
-        loss += float(config.fisher_lambda * (_omega(config, params.size) * diff**2).sum())
-    return loss
+    """Data-term value on the batch whose frozen features are ``feats``."""
+    return _data_loss_and_grad(model, params, feats, config)[0]
 
 
 def objective_grad(
@@ -267,11 +249,7 @@ def objective_grad(
     config: TTAObjectiveConfig,
 ) -> np.ndarray:
     """Analytic gradient of :func:`objective_loss` with respect to ``params``."""
-    _, grad = _data_loss_and_grad(model, params, feats, config, want_grad=True)
-    if config.fisher:
-        diff = np.asarray(params, dtype=np.float64) - model.source_params
-        grad = grad + 2.0 * config.fisher_lambda * _omega(config, params.size) * diff
-    return grad
+    return _data_loss_and_grad(model, params, feats, config)[1]
 
 
 def tta_step(
@@ -291,8 +269,7 @@ def tta_step(
     contraction.
     """
     theta = np.asarray(params, dtype=np.float64).copy()
-    # The data term alone: the anchor is applied below in decoupled form.
-    _, grad = _data_loss_and_grad(model, theta, feats, config, want_grad=True)
+    grad = objective_grad(model, theta, feats, config)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("TTA gradient is non-finite")
     theta = theta - config.lr * grad
@@ -332,9 +309,9 @@ def train_source(
     epochs: int,
     lr: float,
     hidden: int = 32,
-    batch_size: int = 64,
 ) -> AdaptableClassifier:
-    """Train the head and affine parameters by cross-entropy SGD.
+    """Train the head and affine parameters by cross-entropy SGD on
+    minibatches of ``SOURCE_BATCH_SIZE``.
 
     Deterministic for a fixed seed. Returns the classifier with the trained
     head frozen and the trained parameter vector as ``source_params``.
@@ -354,8 +331,8 @@ def train_source(
     onehot = np.eye(n_classes)[y]
     for _ in range(epochs):
         order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, x.shape[0], SOURCE_BATCH_SIZE):
+            idx = order[start : start + SOURCE_BATCH_SIZE]
             feats = model.features(x[idx])
             gamma, beta = params[:hidden], params[hidden:]
             act = gamma * feats + beta

@@ -7,6 +7,8 @@ to rounding, not bit for bit; the soft assignment and the style reservoir
 are expected to stay bit-identical to their former versions.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from reservoir_tta.clustering import (
     update_centroids,
 )
 from reservoir_tta.errors import InputDomainError, InsufficientDataError, NumericalError
+from reservoir_tta.stream import ClusterParams, EpisodeMetrics, MethodConfig, run_episode
 
 
 def reference_logits(styles, cents):
@@ -81,7 +84,7 @@ class ListReservoir:
 
 
 def _reservoir(styles, seed=0):
-    res = StyleReservoir(styles.shape[0], styles.shape[1], seed=seed)
+    res = StyleReservoir(styles.shape[0], styles.shape[1], np.random.default_rng(seed))
     for s in styles:
         res.offer(s)
     return res
@@ -264,7 +267,7 @@ class TestSingleCentroidIdentity:
         source, _ = case
         cs = CentroidSet(source, k_max=1)
         with pytest.raises(InsufficientDataError):
-            update_centroids(cs, StyleReservoir(4, source.size, seed=0))
+            update_centroids(cs, StyleReservoir(4, source.size, np.random.default_rng(0)))
 
     @given(case=_k1_case(), lr=st.floats(max_value=0.0, exclude_max=True))
     @settings(max_examples=40, deadline=None)
@@ -286,7 +289,7 @@ class TestReservoirReplay:
     def test_bit_identical_to_list_replay(self, capacity, dim, offers, seed):
         # Same seed, same offers: fill phase and replace phase both match the
         # list-backed reservoir after every offer.
-        res = StyleReservoir(capacity, dim, seed=(seed, 1))
+        res = StyleReservoir(capacity, dim, np.random.default_rng((seed, 1)))
         ref = ListReservoir(capacity, (seed, 1))
         data = np.random.default_rng(seed).standard_normal((offers, dim))
         for vec in data:
@@ -299,25 +302,33 @@ class TestReservoirReplay:
 
     @pytest.mark.parametrize("capacity", [1024, 2500])
     def test_replace_phase_at_large_capacity(self, capacity):
-        # 2500 rows outgrow the initial allocation and are grown into.
-        res = StyleReservoir(capacity, 3, seed=(7, 1))
+        # Both capacities reach the replace phase within 4000 offers.
+        res = StyleReservoir(capacity, 3, np.random.default_rng((7, 1)))
         ref = ListReservoir(capacity, (7, 1))
         for vec in np.random.default_rng(7).standard_normal((4000, 3)):
             res.offer(vec)
             ref.offer(vec)
         np.testing.assert_array_equal(res.styles, np.stack(ref.buffer))
 
-    def test_huge_capacity_allocates_lazily(self):
-        res = StyleReservoir(10**12, 40, seed=0)
-        res.offer(np.ones(40))
-        assert len(res) == 1 and res.styles.shape == (1, 40)
+    def test_huge_capacity_allocates_lazily(self, context):
+        # The engine sizes the reservoir by the episode's offers, so a huge
+        # configured size allocates no more and changes no bit.
+        ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
+        method = MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        default = run_episode(ctx, method, seed=3)
+        huge_ctx = replace(ctx, cluster=ClusterParams(reservoir_size=10**12))
+        huge = run_episode(huge_ctx, method, seed=3)
+        assert ctx.cluster.reservoir_size < 10**12
+        for f in fields(EpisodeMetrics):
+            a, b = getattr(default, f.name), getattr(huge, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
-    def test_styles_is_a_copy_and_view_is_read_only(self):
-        res = _reservoir(np.arange(6.0).reshape(3, 2))
-        copy = res.styles
-        copy[0, 0] = 99.0
-        assert res.styles[0, 0] == 0.0
-        view = res.view()
+    def test_styles_is_a_read_only_view_of_copied_offers(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        res = _reservoir(rows)
+        rows[:] = -1.0  # the fill phase copied every offer
+        view = res.styles
+        np.testing.assert_array_equal(view, np.arange(6.0).reshape(3, 2))
         with pytest.raises(ValueError):
             view[0, 0] = 99.0
         offered = np.array([7.0, 8.0])
@@ -326,6 +337,5 @@ class TestReservoirReplay:
         assert not np.any(res.styles == -1.0)
 
     def test_empty_reservoir_shapes(self):
-        res = StyleReservoir(4, 3, seed=0)
+        res = StyleReservoir(4, 3, np.random.default_rng(0))
         assert res.styles.shape == (0, 3)
-        assert res.view().shape == (0, 3)

@@ -152,8 +152,15 @@ def _write_config(tmp_path, data, name="config.yaml"):
         ),
         pytest.param(
             {"theory": {"ensemble_alphas": [0.9, 1.0]}},
-            "theory.ensemble_alphas: entries must be in [0, 1)",
+            "theory.ensemble_alphas: entries must be in (0, 1)",
             id="ensemble_alphas-one",
+        ),
+        # alpha = 0 keeps every trial at the start: a zero closed form that
+        # the relative deviation would divide by.
+        pytest.param(
+            {"theory": {"ensemble_alphas": [0.0]}},
+            "theory.ensemble_alphas: entries must be in (0, 1)",
+            id="ensemble_alphas-zero",
         ),
         # Every broken rule of every section is listed in one error.
         pytest.param(

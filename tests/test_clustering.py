@@ -36,7 +36,7 @@ def soft_assign_matrix(reservoir, centroids):
 
 def _filled_reservoir(n, dim, seed=0, spread=1.0, centers=None):
     rng = np.random.default_rng(seed)
-    res = StyleReservoir(max(n, 1), dim, seed=seed)
+    res = StyleReservoir(max(n, 1), dim, np.random.default_rng(seed))
     for i in range(n):
         base = np.zeros(dim) if centers is None else centers[i % len(centers)]
         res.offer(base + spread * rng.standard_normal(dim))
@@ -69,14 +69,14 @@ class _AlwaysReject:
 
 class TestStyleReservoir:
     def test_first_offers_kept_in_order(self):
-        res = StyleReservoir(4, 2, seed=0)
+        res = StyleReservoir(4, 2, np.random.default_rng(0))
         vecs = [np.array([float(i), 0.0]) for i in range(4)]
         for v in vecs:
             res.offer(v)
         np.testing.assert_array_equal(res.styles, np.stack(vecs))
 
     def test_buffer_length_invariant(self):
-        res = StyleReservoir(8, 3, seed=1)
+        res = StyleReservoir(8, 3, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         for t in range(1, 40):
             res.offer(rng.standard_normal(3))
@@ -84,12 +84,12 @@ class TestStyleReservoir:
             assert res.seen_count == t
 
     def test_dimension_mismatch(self):
-        res = StyleReservoir(4, 3, seed=0)
+        res = StyleReservoir(4, 3, np.random.default_rng(0))
         with pytest.raises(InputDomainError):
             res.offer(np.zeros(2))
 
     def test_forced_accept_degenerates_to_replace(self):
-        res = StyleReservoir(3, 1, seed=0)
+        res = StyleReservoir(3, 1, np.random.default_rng(0))
         for i in range(3):
             res.offer(np.array([float(i)]))
         res._rng = _AlwaysAccept()
@@ -99,7 +99,7 @@ class TestStyleReservoir:
         np.testing.assert_array_equal(res.styles.ravel(), [10.0, 11.0, 2.0])
 
     def test_forced_reject_freezes_buffer(self):
-        res = StyleReservoir(3, 1, seed=0)
+        res = StyleReservoir(3, 1, np.random.default_rng(0))
         for i in range(3):
             res.offer(np.array([float(i)]))
         res._rng = _AlwaysReject()
@@ -113,7 +113,7 @@ class TestStyleReservoir:
         trials, n = 10_000, 1000
         wins = np.zeros(n, dtype=np.int64)
         for trial in range(trials):
-            res = StyleReservoir(1, 1, seed=(555, trial))
+            res = StyleReservoir(1, 1, np.random.default_rng((555, trial)))
             for i in range(n):
                 res.offer(np.array([float(i)]))
             wins[int(res.styles[0, 0])] += 1
@@ -128,7 +128,7 @@ class TestStyleReservoir:
         trials = 4000
         counts = np.zeros(32)
         for trial in range(trials):
-            res = StyleReservoir(8, 1, seed=(777, trial))
+            res = StyleReservoir(8, 1, np.random.default_rng((777, trial)))
             for i in range(32):
                 res.offer(np.array([float(i)]))
             for v in res.styles.ravel():
@@ -181,9 +181,10 @@ class TestDetect:
             assert 1 <= cs.count <= 5
         assert cs.count == 5
 
-    def test_decisions_match_generator_labels(self, context, default_config):
+    def test_decisions_match_generator_labels(self, context, default_config, monkeypatch):
         # Centroids planted on the true style means of 15 synthetic domains:
         # no new clusters form and decisions track the hidden domain ids.
+        monkeypatch.setattr(stream, "MIN_SEPARATION_FACTOR", 1.0)
         domains = stream.make_domains(
             15,
             default_config.scenario.severity,
@@ -193,7 +194,6 @@ class TestDetect:
             tau=context.calibration.tau,
             source_style_mean=context.source_style_mean,
             batch_size=64,
-            min_separation_factor=1.0,
         )
         means = [
             stream.domain_style_mean(
@@ -270,7 +270,7 @@ class TestSoftAssign:
         # gradient, which needs at least one style.
         cs = _grown_centroids([np.zeros(2), np.ones(2)])
         with pytest.raises(InsufficientDataError):
-            mi_grad_centroids(StyleReservoir(4, 2, seed=0), cs)
+            mi_grad_centroids(StyleReservoir(4, 2, np.random.default_rng(0)), cs)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -325,7 +325,7 @@ class TestMiGrad:
     def test_mirror_symmetry(self):
         # Mirror-image centroids over a mirror-symmetric reservoir.
         cs = _grown_centroids([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
-        res = StyleReservoir(4, 2, seed=0)
+        res = StyleReservoir(4, 2, np.random.default_rng(0))
         for v in ([2.0, 0.5], [-2.0, 0.5], [0.7, -1.0], [-0.7, -1.0]):
             res.offer(np.array(v))
         g = mi_grad_centroids(res, cs)

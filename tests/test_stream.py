@@ -64,8 +64,9 @@ class TestMakeDomains:
             s = np.linalg.svd(d.transform, compute_uv=False)
             assert s.min() > 1e-4  # well away from singular
 
-    def test_separation_exceeds_tau(self, context, default_config):
+    def test_separation_exceeds_tau(self, context, default_config, monkeypatch):
         # 15 domains: all pairwise style-mean distances above the threshold.
+        monkeypatch.setattr(stream, "MIN_SEPARATION_FACTOR", 1.0)
         domains = stream.make_domains(
             15,
             default_config.scenario.severity,
@@ -74,7 +75,6 @@ class TestMakeDomains:
             extractor=context.extractor,
             tau=context.calibration.tau,
             source_style_mean=context.source_style_mean,
-            min_separation_factor=1.0,
         )
         means = np.stack(
             [
@@ -102,7 +102,8 @@ class TestMakeDomains:
             np.testing.assert_array_equal(da.transform, db.transform)
             np.testing.assert_array_equal(da.noise_std, db.noise_std)
 
-    def test_unreachable_separation_raises(self, context):
+    def test_unreachable_separation_raises(self, context, monkeypatch):
+        monkeypatch.setattr(stream, "DOMAIN_MAX_RETRIES", 2)
         with pytest.raises(GenerationError):
             stream.make_domains(
                 8,
@@ -112,7 +113,6 @@ class TestMakeDomains:
                 extractor=context.extractor,
                 tau=context.calibration.tau,
                 source_style_mean=context.source_style_mean,
-                max_retries=2,
             )
 
 

@@ -125,12 +125,10 @@ class TestFisherTrajectory:
         disc = theory.check_fisher_trajectory(task, 0.5, 1.0, 0.1, 100, seed=8)
         assert disc < 1e-10
 
-    def test_fixed_point_at_optimum_no_noise(self):
-        task = theory.NoisyQuadraticTask(np.zeros(3), np.full(3, 0.5), np.zeros(3))
-        disc = theory.check_fisher_trajectory(
-            task, 0.5, 1.0, 0.1, 50, seed=9, theta0=np.zeros(3)
-        )
-        assert disc == 0.0
+    def test_no_drift_stays_at_start(self):
+        # Zero curvature and zero noise: both paths rest at the start.
+        task = theory.NoisyQuadraticTask(np.zeros(3), np.zeros(3), np.zeros(3))
+        assert theory.check_fisher_trajectory(task, 0.5, 1.0, 0.1, 50, seed=9) == 0.0
 
     def test_inadmissible_alpha_rejected(self):
         task = theory.pure_noise_task(2)

@@ -57,10 +57,10 @@ def _confident_model(gap):
     return model
 
 
-def _mask_margin(model, params, feats, cfg):
-    """Distance of every row entropy from the filter margin."""
+def _mask_margin(model, params, feats):
+    """Distance of every row entropy from the filter margin 0.4 ln C."""
     ent = _entropy_per_row(tta.predict(model, params, feats))
-    return float(np.abs(ent - tta.resolve_margin(cfg, model.n_classes)).min())
+    return float(np.abs(ent - 0.4 * np.log(model.n_classes)).min())
 
 
 class TestPredict:
@@ -171,17 +171,10 @@ class TestSampleFilter:
         p = params + 0.5 * rng.standard_normal(params.size)
         feats = model.features(ds.inputs[:20])
         ent = _entropy_per_row(tta.predict(model, p, feats))
-        ranked = np.sort(ent)
-        margin = 0.5 * (ranked[9] + ranked[10])  # half the rows pass
-        cfg = tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=margin)
-        passed = [e for e in ent if e < margin]
-        assert len(passed) == 10
+        passed = [e for e in ent if e < 0.4 * np.log(3)]  # the margin 0.4 ln C
+        assert 0 < len(passed) < len(ent)
         oracle = sum(passed) / len(passed)
-        assert tta.objective_loss(model, p, feats, cfg) == pytest.approx(oracle, rel=1e-12)
-
-    def test_margin_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="entropy_margin: must be > 0"):
-            tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=0.0)
+        assert tta.objective_loss(model, p, feats, FILTERED) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestGradients:
@@ -208,7 +201,7 @@ class TestGradients:
                 kind=kind, fisher_lambda=0.5, fisher_omega=omega, alpha=0.9
             )
             p = params + 0.4 * rng.standard_normal(params.size)
-            if cfg.filtered and _mask_margin(model, p, feats, cfg) < 1e-3:
+            if cfg.filtered and _mask_margin(model, p, feats) < 1e-3:
                 assert trial < 200
                 continue
             assert _rel_err(
@@ -216,14 +209,6 @@ class TestGradients:
                 _fd_grad(model, p, feats, cfg),
             ) < 1e-5
             checked += 1
-
-    def test_empty_filter_mask_gives_zero_gradient(self, small_model):
-        model, params, _ = small_model
-        cfg = tta.TTAObjectiveConfig(kind="filtered_entropy", entropy_margin=1e-9)
-        feats = model.features(np.random.default_rng(8).standard_normal((6, 6)))
-        grad = tta.objective_grad(model, params, feats, cfg)
-        np.testing.assert_array_equal(grad, np.zeros_like(params))
-        assert tta.objective_loss(model, params, feats, cfg) == 0.0
 
 
 class TestTTAStep:
@@ -272,14 +257,11 @@ class TestTTAStep:
             assert np.abs(fisher - interp).max() < 1e-12
 
     def test_weight_ensembling_contracts_geometrically(self, small_model):
-        # A margin that filters out every sample makes the data gradient
-        # exactly zero; the iteration must then contract to the source with
-        # ratio alpha per step.
+        # A zero learning rate makes the data step exactly zero; the
+        # iteration must then contract to the source with ratio alpha per step.
         model, params, ds = small_model
         alpha = 0.9
-        cfg = tta.TTAObjectiveConfig(
-            kind="filtered_ensemble", lr=0.5, alpha=alpha, entropy_margin=1e-12
-        )
+        cfg = tta.TTAObjectiveConfig(kind="filtered_ensemble", lr=0.0, alpha=alpha)
         start = params + np.linspace(1.0, 2.0, params.size)
         feats = model.features(ds.inputs[:8])
         theta = start.copy()
