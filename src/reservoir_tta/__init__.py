@@ -5,7 +5,7 @@ Public surface, by area:
 * ``style`` — batch style fingerprints and threshold calibration
 * ``clustering`` — online domain discovery over style vectors
 * ``model_reservoir`` — per-domain parameter pool and ensembling
-* ``tta`` — the adaptable classifier and adaptation objectives
+* ``tta`` — the adaptable classifier, the method records and their update rule
 * ``theory`` — numerical checks of the parameter-variance analysis
 * ``stream`` — synthetic domain streams and the episode engine
 * ``seeding`` — one generator per key of small nonnegative ints

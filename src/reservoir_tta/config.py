@@ -3,18 +3,19 @@
 A config file sets only what a study varies; every other value is pinned in
 one place. The paper's threshold quantile is ``THRESHOLD_QUANTILE``; the
 domain cap and the centroid step are given in ``stream.ClusterParams``, the
-style extractor in ``StyleParams`` and the update rules in
-``stream.MethodConfig``. The synthetic source task (5 classes in 16
-dimensions, separation 8, training rate 0.03, seed ``SOURCE_SEED``) is fixed
-in ``build_source`` and ``build_context``; its hidden width is the default
-of ``tta.train_source`` and its batch size ``tta.SOURCE_BATCH_SIZE``.
+style extractor in ``StyleParams`` and the anchor strengths and ensembling
+rates of the update rules in ``tta.MethodConfig``. The synthetic source
+task (5 classes in 16 dimensions, separation 8, training rate 0.03, seed
+``SOURCE_SEED``) is fixed in ``build_source`` and ``build_context``; its
+hidden width is the default of ``tta.train_source`` and its batch size
+``tta.SOURCE_BATCH_SIZE``.
 Domains are drawn at ``DOMAIN_SEED`` with ``stream.MIN_SEPARATION_FACTOR``. The
 theory suite's step size and seed are ``cli.THEORY_ETA`` and
 ``cli.THEORY_SEED``, its task shapes literals in ``cli._run_check``.
 
 Each YAML section builds one type that checks its own values when it is
 constructed (``scenario`` a ``stream.ScenarioPlan``, ``clustering`` a
-``stream.ClusterParams``, each ``methods`` entry a ``stream.MethodConfig``);
+``stream.ClusterParams``, each ``methods`` entry a ``tta.MethodConfig``);
 the engine consumes those types directly. ``config_from_dict`` raises one
 ``ConfigurationError`` listing every ``<section>.<field>: <rule>`` broken.
 """
@@ -56,7 +57,10 @@ class SourceParams:
     epochs: int = 12
 
     def __post_init__(self):
-        check_fields(("samples_per_class", self.samples_per_class >= 1, "must be >= 1"))
+        check_fields(
+            ("samples_per_class", self.samples_per_class >= 1, "must be >= 1"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
+        )
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,8 @@ class RunConfig:
     style: StyleParams = field(default_factory=StyleParams)
     scenario: stream.ScenarioPlan = field(default_factory=stream.ScenarioPlan)
     clustering: stream.ClusterParams = field(default_factory=stream.ClusterParams)
-    methods: tuple[stream.MethodConfig, ...] = (
-        stream.MethodConfig(name="reservoir_eata", kind="filtered_fisher", reservoir=True),
+    methods: tuple[tta.MethodConfig, ...] = (
+        tta.MethodConfig(name="reservoir_eata", kind="filtered_fisher", reservoir=True),
     )
     theory: TheoryParams = field(default_factory=TheoryParams)
 
@@ -128,6 +132,8 @@ class RunConfig:
             # A stream seed is an entry of keyed_rng's keys.
             ("seeds", all(s < KEY_BOUND for s in self.seeds), "must be < 2**32"),
             ("seeds", len(set(self.seeds)) == len(self.seeds), "must be unique"),
+            # The output directory is a path.
+            ("output_dir", "\0" not in self.output_dir, "must not contain a NUL character"),
             ("methods", len(self.methods) > 0, "must list at least one method"),
             ("methods", len(set(names)) == len(names), "names must be unique"),
         )
@@ -214,7 +220,7 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
             problems.append("methods: must be a list")
         else:
             methods = [
-                _build(stream.MethodConfig, m, f"methods[{i}].", problems)
+                _build(tta.MethodConfig, m, f"methods[{i}].", problems)
                 for i, m in enumerate(data["methods"])
             ]
             if None not in methods:

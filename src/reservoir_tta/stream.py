@@ -484,39 +484,6 @@ class DomainStream:
 
 
 @dataclass(frozen=True)
-class MethodConfig:
-    """One engine variant: a TTA objective kind, its learning rate and the
-    reservoir switch.
-
-    The anchor strength and ensembling rate are those of
-    :func:`tta.default_anchoring` for the kind and the reservoir switch; a
-    filtered kind keeps rows whose entropy is below ``0.4 * ln(classes)``.
-    """
-
-    name: str
-    kind: str = "entropy"
-    reservoir: bool = False
-    lr: float = tta.DEFAULT_TTA_LR
-
-    def __post_init__(self):
-        # The name is part of every output file name.
-        check_fields(("name", self.name != "" and "/" not in self.name,
-                      "must be nonempty and contain no '/'"))
-        self.objective(None)  # raises for a bad kind or lr
-
-    def objective(self, fisher_omega: np.ndarray | None) -> tta.TTAObjectiveConfig:
-        """The update rule, with ``fisher_omega`` as the anchor's weights."""
-        lam, alpha = tta.default_anchoring(self.kind, self.reservoir)
-        return tta.TTAObjectiveConfig(
-            kind=self.kind,
-            lr=self.lr,
-            fisher_lambda=lam,
-            fisher_omega=fisher_omega,
-            alpha=alpha,
-        )
-
-
-@dataclass(frozen=True)
 class ClusterParams:
     """Size of the style reservoir the centroids are refined over.
 
@@ -601,7 +568,7 @@ class StepRecord:
 
 def run_episode(
     context: EpisodeContext,
-    method: MethodConfig,
+    method: tta.MethodConfig,
     seed: int,
     step_callback: Callable[[StepRecord], None] | None = None,
 ) -> EpisodeMetrics:
@@ -610,11 +577,13 @@ def run_episode(
     Each step takes the :class:`DomainStream`'s prepared batch, offers its
     style to the style reservoir, detects the domain (possibly spawning a
     centroid and a model), refines the centroids, soft-assigns, adapts the
-    selected model, then predicts with the soft-assignment ensemble of the
-    models. The batch's frozen features are shared by the adaptation step,
-    a spawned model's clone choice and the prediction, since none of them
-    changes the features. The reservoir switch only sets the domain cap:
-    without it the cap is 1, and the ensemble is the single model.
+    selected model by one :func:`tta.tta_step` of ``method``, anchored by
+    the context's ``fisher_omega``, then predicts with the soft-assignment
+    ensemble of the models. The batch's frozen features are shared by the
+    adaptation step, a spawned model's clone choice and the prediction,
+    since none of them changes the features. The reservoir switch only sets
+    the domain cap: without it the cap is 1, and the ensemble is the single
+    model.
 
     At cap 1 the routing is constant: q = [1] and k* = 0 on every step, and
     the style pass, the reservoir offer and the detection feed only the
@@ -624,7 +593,6 @@ def run_episode(
     """
     plan = context.plan
     k_max = DEFAULT_K_MAX if method.reservoir else 1
-    objective = method.objective(context.fisher_omega)
     route = k_max > 1 or step_callback is not None
 
     n = plan.total_steps
@@ -659,7 +627,9 @@ def run_episode(
             update_centroids(centroids, reservoir)
             q = soft_assign_vector(s, centroids)
             k_star = select_active(q)
-        new_params = tta.tta_step(model, models.entry(k_star), feats, objective)
+        new_params = tta.tta_step(
+            model, models.entry(k_star), feats, method, context.fisher_omega
+        )
         models.write_active(k_star, new_params)
 
         theta = models.ensemble_params(q)

@@ -1,16 +1,17 @@
-"""Desk-scale adaptable classifier and the test-time adaptation objectives.
+"""Desk-scale adaptable classifier and the test-time adaptation update rule.
 
 The classifier is a frozen random feature map followed by a trained linear
 head; the only test-time trainable parameters are a per-feature scale and
 shift (``gamma``, ``beta``) packed into one flat vector of length ``2h``.
-All objective gradients are derived in closed form, so adaptation needs no
-autodiff framework. Prediction, the objectives and the adaptation step take
-a batch's frozen features, ``model.features(batch)``, rather than the batch:
-the features do not depend on the parameters, so an engine step computes
-them once and shares them.
+All gradients are derived in closed form, so adaptation needs no autodiff
+framework. Prediction, the data term and the adaptation step take a batch's
+frozen features, ``model.features(batch)``, rather than the batch: the
+features do not depend on the parameters, so an engine step computes them
+once and shares them.
 
-The objective is the data term alone: the mean prediction entropy of the
-batch, optionally restricted to rows whose entropy falls below EATA's
+A ``MethodConfig`` is one ``methods`` entry of a run config and the update
+rule it names. Its data term is the mean prediction entropy of the batch,
+for a filtered kind restricted to rows whose entropy falls below EATA's
 reliability margin ``0.4 * ln(classes)``. The update step then applies two
 contractions toward the source parameters ``theta0``:
 
@@ -22,7 +23,7 @@ contractions toward the source parameters ``theta0``:
 
 An anchored step is therefore exactly an entropy step followed by
 interpolation with ``alpha_i``, which is the equivalence the update is
-designed around; the anchor never enters the objective.
+designed around; the anchor never enters the data term.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     InputDomainError,
     InsufficientDataError,
     NumericalError,
@@ -58,26 +58,31 @@ SOURCE_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
-class TTAObjectiveConfig:
-    """One TTA update rule: data term plus optional anchor/ensembling."""
+class MethodConfig:
+    """One engine variant: an objective kind, its learning rate and the
+    reservoir switch.
 
+    The kind fixes the data term (``filtered``) and which contraction
+    follows the step. The anchor strength and ensembling rate are fixed per
+    kind: single-model runs get the stronger regularization (lambda 2000,
+    alpha 0.99); reservoir runs default weaker (lambda 1000, alpha 0.995)
+    since per-domain models need less external variance control. Kinds
+    without an anchor or ensembling get the neutral (0, 1).
+    """
+
+    name: str
     kind: str = "entropy"
+    reservoir: bool = False
     lr: float = DEFAULT_TTA_LR
-    fisher_lambda: float = 0.0
-    fisher_omega: np.ndarray | None = None  # None -> uniform weights of 1
-    alpha: float = 1.0
 
     def __post_init__(self):
-        if self.fisher_omega is not None:
-            om = np.asarray(self.fisher_omega, dtype=np.float64)
-            object.__setattr__(self, "fisher_omega", om)
+        # The name is part of every output file name.
         check_fields(
+            ("name", self.name != "" and "/" not in self.name,
+             "must be nonempty and contain no '/'"),
+            ("name", "\0" not in self.name, "must not contain a NUL character"),
             ("kind", self.kind in OBJECTIVE_KINDS, f"unknown objective {self.kind!r}"),
             ("lr", bool(np.isfinite(self.lr)) and self.lr >= 0, "must be finite and >= 0"),
-            ("alpha", 0.0 <= self.alpha <= 1.0, "must be in [0, 1]"),
-            ("fisher_lambda", self.fisher_lambda >= 0, "must be >= 0"),
-            ("fisher_omega", self.fisher_omega is None or not np.any(self.fisher_omega < 0),
-             "entries must be >= 0"),
         )
 
     @property
@@ -85,25 +90,16 @@ class TTAObjectiveConfig:
         return self.kind in _FILTERED
 
     @property
-    def fisher(self) -> bool:
-        return self.kind in _FISHER
+    def fisher_lambda(self) -> float:
+        if self.kind not in _FISHER:
+            return 0.0
+        return 1000.0 if self.reservoir else 2000.0
 
     @property
-    def ensembled(self) -> bool:
-        return self.kind in _ENSEMBLE
-
-
-def default_anchoring(kind: str, reservoir: bool) -> tuple[float, float]:
-    """The package's default ``(fisher_lambda, alpha)`` for an objective kind.
-
-    Single-model runs get the stronger regularization (lambda 2000,
-    alpha 0.99); reservoir runs default weaker (lambda 1000, alpha 0.995)
-    since per-domain models need less external variance control. Kinds
-    without an anchor or ensembling get the neutral (0, 1).
-    """
-    lam = (1000.0 if reservoir else 2000.0) if kind in _FISHER else 0.0
-    alpha = (0.995 if reservoir else 0.99) if kind in _ENSEMBLE else 1.0
-    return lam, alpha
+    def alpha(self) -> float:
+        if self.kind not in _ENSEMBLE:
+            return 1.0
+        return 0.995 if self.reservoir else 0.99
 
 
 class AdaptableClassifier:
@@ -188,13 +184,15 @@ def predict(
     return np.exp(_log_softmax(logits))
 
 
-def _data_loss_and_grad(
-    model: AdaptableClassifier,
-    params: np.ndarray,
-    feats: np.ndarray,
-    config: TTAObjectiveConfig,
+def entropy_loss_and_grad(
+    model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray, filtered: bool
 ) -> tuple[float, np.ndarray]:
-    """Entropy objective (optionally filtered): value and gradient in (gamma, beta)."""
+    """Mean prediction entropy of the batch whose frozen features are
+    ``feats``, and its gradient in (gamma, beta).
+
+    ``filtered`` keeps only the rows whose entropy is below the margin
+    ``0.4 * ln(classes)``; a batch with no such row gives ``(0, 0)``.
+    """
     logits = model.logits(params, feats)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("objective evaluation produced non-finite logits")
@@ -202,7 +200,7 @@ def _data_loss_and_grad(
     p = np.exp(logp)
     ent = -(p * logp).sum(axis=1)
 
-    if config.filtered:
+    if filtered:
         mask = ent < 0.4 * np.log(model.n_classes)
         if not mask.any():
             return 0.0, np.zeros(2 * model.hidden)
@@ -221,67 +219,35 @@ def _data_loss_and_grad(
     return loss, np.concatenate([grad_gamma, grad_beta])
 
 
-def _omega(config: TTAObjectiveConfig, dim: int) -> np.ndarray:
-    if config.fisher_omega is None:
-        return np.ones(dim)
-    om = np.asarray(config.fisher_omega, dtype=np.float64)
-    if om.shape != (dim,):
-        raise ConfigurationError(
-            f"fisher_omega has shape {om.shape}, expected ({dim},)"
-        )
-    return om
-
-
-def objective_loss(
-    model: AdaptableClassifier,
-    params: np.ndarray,
-    feats: np.ndarray,
-    config: TTAObjectiveConfig,
-) -> float:
-    """Data-term value on the batch whose frozen features are ``feats``."""
-    return _data_loss_and_grad(model, params, feats, config)[0]
-
-
-def objective_grad(
-    model: AdaptableClassifier,
-    params: np.ndarray,
-    feats: np.ndarray,
-    config: TTAObjectiveConfig,
-) -> np.ndarray:
-    """Analytic gradient of :func:`objective_loss` with respect to ``params``."""
-    return _data_loss_and_grad(model, params, feats, config)[1]
-
-
 def tta_step(
     model: AdaptableClassifier,
     params: np.ndarray,
     feats: np.ndarray,
-    config: TTAObjectiveConfig,
+    method: MethodConfig,
+    omega: np.ndarray,
 ) -> np.ndarray:
     """One adaptation step on the batch whose frozen features are ``feats``
     (``model.features(batch)``); returns new parameters, inputs untouched.
 
-    The data gradient is applied first. A configured quadratic anchor then
-    shrinks the step's result toward the source parameters coordinate-wise
-    by ``1 - 2 * lambda * omega_i * lr`` (clipped at 0 for stability), and a
-    configured ensembling interpolates by ``alpha``. Anchor and ensembling
+    The data gradient is applied first. A method with a quadratic anchor
+    then shrinks the step's result toward the source parameters
+    coordinate-wise by ``1 - 2 * lambda * omega_i * lr`` (clipped at 0 for
+    stability), with ``omega`` the anchor's per-coordinate weights; a
+    method with ensembling interpolates by ``alpha``. Anchor and ensembling
     are therefore exactly interchangeable parameterizations of the same
     contraction.
     """
     theta = np.asarray(params, dtype=np.float64).copy()
-    grad = objective_grad(model, theta, feats, config)
+    _, grad = entropy_loss_and_grad(model, theta, feats, method.filtered)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("TTA gradient is non-finite")
-    theta = theta - config.lr * grad
-    if config.fisher:
-        shrink = np.clip(
-            1.0 - 2.0 * config.fisher_lambda * config.lr * _omega(config, theta.size),
-            0.0,
-            1.0,
-        )
+    lr, lam, alpha = method.lr, method.fisher_lambda, method.alpha
+    theta = theta - lr * grad
+    if lam:
+        shrink = np.clip(1.0 - 2.0 * lam * lr * omega, 0.0, 1.0)
         theta = model.source_params + shrink * (theta - model.source_params)
-    if config.ensembled:
-        theta = config.alpha * theta + (1.0 - config.alpha) * model.source_params
+    if alpha != 1.0:
+        theta = alpha * theta + (1.0 - alpha) * model.source_params
     return theta
 
 
@@ -295,10 +261,11 @@ def estimate_fisher(
     """
     if len(source_batches) == 0:
         raise InsufficientDataError("Fisher estimation needs at least one batch")
-    cfg = TTAObjectiveConfig(kind="entropy")
     acc = np.zeros(model.param_dim)
     for batch in source_batches:
-        g = objective_grad(model, model.source_params, model.features(batch), cfg)
+        _, g = entropy_loss_and_grad(
+            model, model.source_params, model.features(batch), filtered=False
+        )
         acc += g**2
     return acc / len(source_batches)
 

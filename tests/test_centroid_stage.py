@@ -23,7 +23,8 @@ from reservoir_tta.clustering import (
     update_centroids,
 )
 from reservoir_tta.errors import InputDomainError, InsufficientDataError, NumericalError
-from reservoir_tta.stream import ClusterParams, EpisodeMetrics, MethodConfig, run_episode
+from reservoir_tta.stream import ClusterParams, EpisodeMetrics, run_episode
+from reservoir_tta.tta import MethodConfig
 
 
 def reference_logits(styles, cents):

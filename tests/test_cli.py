@@ -63,6 +63,13 @@ def _write_config(tmp_path, data, name="config.yaml"):
         pytest.param({"seeds": [1, 1]}, "seeds: must be unique", id="seeds-duplicate"),
         pytest.param({"seeds": [1, 2**32]}, "seeds: must be < 2**32", id="seeds-beyond-uint32"),
         pytest.param(
+            {"output_dir": "o\0x"}, "output_dir: must not contain a NUL character",
+            id="output_dir-nul",
+        ),
+        pytest.param(
+            {"source": {"epochs": -5}}, "source.epochs: must be >= 0", id="epochs-negative",
+        ),
+        pytest.param(
             {"scenario": {"kind": "abc"}}, "scenario.kind: unknown kind 'abc'",
             id="scenario-kind",
         ),
@@ -309,6 +316,8 @@ def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
                      id="name-slash"),
         pytest.param({"name": ""}, "methods[0].name: must be nonempty and contain no '/'",
                      id="name-empty"),
+        pytest.param({"name": "a\0b"}, "methods[0].name: must not contain a NUL character",
+                     id="name-nul"),
     ],
 )
 def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, entry, message):

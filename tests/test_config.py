@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from reservoir_tta import config, stream
+from reservoir_tta import config, tta
 from reservoir_tta.errors import ConfigurationError
 
 # Every settable value, section by section. A new knob must be added here.
@@ -57,7 +57,7 @@ def settable_names() -> list[str]:
         if f.name in config._SECTIONS:
             names += [f"{f.name}.{g.name}" for g in fields(config._SECTIONS[f.name])]
         elif f.name == "methods":
-            names += [f"methods[].{g.name}" for g in fields(stream.MethodConfig)]
+            names += [f"methods[].{g.name}" for g in fields(tta.MethodConfig)]
         else:
             names.append(f.name)
     return names

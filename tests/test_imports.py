@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it or exported by it."""
+"""Every name a package module or a test file imports is used in it or
+exported by it."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import reservoir_tta
 
 PACKAGE_DIR = Path(reservoir_tta.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+CHECKED = MODULES + TEST_FILES
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -43,7 +46,7 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", CHECKED, ids=[p.stem for p in CHECKED])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

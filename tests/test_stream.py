@@ -359,7 +359,7 @@ class TestStepWork:
         monkeypatch.setattr(stream, "extract_style", kept_style)
         monkeypatch.setattr(stream.DomainStream, "next_batch", kept_next_batch)
         kinds = []
-        method = stream.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
         stream.run_episode(
             ctx, method, seed=11, step_callback=lambda rec: kinds.append(rec.decision_kind)
         )
@@ -424,7 +424,7 @@ class TestReplayOracle:
         ctx = replace(
             context, plan=replace(context.plan, kind=kind, visits=3, batches_per_domain=3)
         )
-        method = stream.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
         served = []
         next_batch = stream.DomainStream.next_batch
 
@@ -457,7 +457,7 @@ class TestReplayOracle:
 
 class TestRunEpisode:
     def _method(self, reservoir=True, kind="filtered_fisher"):
-        return stream.MethodConfig(name="m", kind=kind, reservoir=reservoir)
+        return tta.MethodConfig(name="m", kind=kind, reservoir=reservoir)
 
     def test_zero_visits_empty_metrics(self, context):
         ctx = replace(context, plan=replace(context.plan, visits=0))
@@ -536,7 +536,7 @@ class TestRunEpisode:
             scenario=replace(default_config.scenario, domains=1, visits=3),
         )
         ctx = config.build_context(cfg)
-        method = stream.MethodConfig(name="tent", kind="entropy", reservoir=False)
+        method = tta.MethodConfig(name="tent", kind="entropy", reservoir=False)
         met = stream.run_episode(ctx, method, seed=1)
         pv = met.per_visit_error()
         assert pv.size == 3

@@ -1,4 +1,5 @@
-"""Classifier, objectives, analytic gradients, and update-rule properties."""
+"""Classifier, data terms, analytic gradients, method records and update-rule
+properties."""
 
 import numpy as np
 import pytest
@@ -21,16 +22,21 @@ def small_model():
     return model, model.source_params.copy(), ds
 
 
-def _fd_grad(model, params, feats, cfg, h=1e-5):
+def _loss(model, params, feats, filtered=False):
+    return tta.entropy_loss_and_grad(model, params, feats, filtered)[0]
+
+
+def _grad(model, params, feats, filtered=False):
+    return tta.entropy_loss_and_grad(model, params, feats, filtered)[1]
+
+
+def _fd_grad(model, params, feats, filtered, h=1e-5):
     g = np.zeros_like(params)
     for i in range(params.size):
         hi, lo = params.copy(), params.copy()
         hi[i] += h
         lo[i] -= h
-        g[i] = (
-            tta.objective_loss(model, hi, feats, cfg)
-            - tta.objective_loss(model, lo, feats, cfg)
-        ) / (2 * h)
+        g[i] = (_loss(model, hi, feats, filtered) - _loss(model, lo, feats, filtered)) / (2 * h)
     return g
 
 
@@ -44,8 +50,7 @@ def _entropy_per_row(probs):
     return np.array([-sum(v * np.log(v) for v in row if v > 0) for row in probs])
 
 
-ENTROPY = tta.TTAObjectiveConfig(kind="entropy")
-FILTERED = tta.TTAObjectiveConfig(kind="filtered_entropy")
+TENT = tta.MethodConfig(name="tent")
 CONFIDENT = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # gamma = 0, beta = e_0
 
 
@@ -105,7 +110,7 @@ class TestPredict:
         with pytest.raises(InputDomainError, match="features must have shape"):
             tta.predict(model, params, ds.inputs[:8])
         with pytest.raises(InputDomainError, match="features must have shape"):
-            tta.tta_step(model, params, ds.inputs[:8], ENTROPY)
+            tta.tta_step(model, params, ds.inputs[:8], TENT, np.ones(model.param_dim))
 
     def test_nonfinite_logits_rejected(self, small_model):
         model, _, ds = small_model
@@ -123,7 +128,7 @@ class TestEntropyLoss:
         # An untrained head has zero bias: zero parameters give uniform rows.
         model = tta.AdaptableClassifier(4, 4, 3, seed=0)
         feats = model.features(np.random.default_rng(1).standard_normal((5, 4)))
-        loss = tta.objective_loss(model, np.zeros(model.param_dim), feats, ENTROPY)
+        loss = _loss(model, np.zeros(model.param_dim), feats)
         assert loss == pytest.approx(np.log(4))
 
     def test_one_hot_rows(self):
@@ -133,7 +138,7 @@ class TestEntropyLoss:
         np.testing.assert_array_equal(
             tta.predict(model, CONFIDENT, feats), np.tile([1.0, 0.0, 0.0], (4, 1))
         )
-        assert tta.objective_loss(model, CONFIDENT, feats, ENTROPY) == 0.0
+        assert _loss(model, CONFIDENT, feats) == 0.0
 
     def test_matches_summation_oracle(self, small_model):
         model, params, ds = small_model
@@ -141,7 +146,7 @@ class TestEntropyLoss:
         p = params + 0.5 * rng.standard_normal(params.size)
         feats = model.features(ds.inputs[:10])
         oracle = _entropy_per_row(tta.predict(model, p, feats)).mean()
-        loss = tta.objective_loss(model, p, feats, ENTROPY)
+        loss = _loss(model, p, feats)
         assert loss == pytest.approx(oracle, rel=1e-12)
 
 
@@ -153,16 +158,16 @@ class TestSampleFilter:
         # Near one-hot rows (logit gap 10) sit far below the default margin.
         model = _confident_model(10.0)
         feats = model.features(np.random.default_rng(3).standard_normal((6, 4)))
-        loss = tta.objective_loss(model, CONFIDENT, feats, FILTERED)
+        loss = _loss(model, CONFIDENT, feats, filtered=True)
         assert loss > 0.0
-        assert loss == tta.objective_loss(model, CONFIDENT, feats, ENTROPY)
+        assert loss == _loss(model, CONFIDENT, feats)
 
     def test_uniform_rows_all_fail(self):
         model = tta.AdaptableClassifier(4, 5, 3, seed=0)
         params = np.zeros(model.param_dim)
         feats = model.features(np.random.default_rng(4).standard_normal((6, 4)))
-        assert tta.objective_loss(model, params, feats, FILTERED) == 0.0
-        grad = tta.objective_grad(model, params, feats, FILTERED)
+        loss, grad = tta.entropy_loss_and_grad(model, params, feats, filtered=True)
+        assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros(model.param_dim))
 
     def test_mixed_batch_matches_per_row_oracle(self, small_model):
@@ -174,7 +179,7 @@ class TestSampleFilter:
         passed = [e for e in ent if e < 0.4 * np.log(3)]  # the margin 0.4 ln C
         assert 0 < len(passed) < len(ent)
         oracle = sum(passed) / len(passed)
-        assert tta.objective_loss(model, p, feats, FILTERED) == pytest.approx(oracle, rel=1e-12)
+        assert _loss(model, p, feats, filtered=True) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestGradients:
@@ -183,30 +188,26 @@ class TestGradients:
         model, params, _ = small_model
         rng = np.random.default_rng(7)
         feats = model.features(rng.standard_normal((8, 6)) * 2)
-        cfg = tta.TTAObjectiveConfig(kind="entropy")
         p = params + 0.3 * rng.standard_normal(params.size)
-        assert _rel_err(tta.objective_grad(model, p, feats, cfg), _fd_grad(model, p, feats, cfg)) < 1e-5
+        assert _rel_err(_grad(model, p, feats), _fd_grad(model, p, feats, False)) < 1e-5
 
-    @pytest.mark.parametrize("kind", tta.OBJECTIVE_KINDS)
-    def test_all_objectives_match_fd(self, small_model, kind):
+    # The anchor and the ensembling never enter the data term, so the six
+    # objective kinds share these two gradients.
+    @pytest.mark.parametrize("filtered", [False, True], ids=["entropy", "filtered_entropy"])
+    def test_all_objectives_match_fd(self, small_model, filtered):
         model, params, _ = small_model
-        rng = np.random.default_rng(hash(kind) % 2**31)
+        rng = np.random.default_rng(8 + filtered)
         checked = 0
         trial = 0
         while checked < 10:
             trial += 1
             feats = model.features(rng.standard_normal((8, 6)) * rng.uniform(0.5, 3.0))
-            omega = np.abs(rng.standard_normal(model.param_dim))
-            cfg = tta.TTAObjectiveConfig(
-                kind=kind, fisher_lambda=0.5, fisher_omega=omega, alpha=0.9
-            )
             p = params + 0.4 * rng.standard_normal(params.size)
-            if cfg.filtered and _mask_margin(model, p, feats) < 1e-3:
+            if filtered and _mask_margin(model, p, feats) < 1e-3:
                 assert trial < 200
                 continue
             assert _rel_err(
-                tta.objective_grad(model, p, feats, cfg),
-                _fd_grad(model, p, feats, cfg),
+                _grad(model, p, feats, filtered), _fd_grad(model, p, feats, filtered)
             ) < 1e-5
             checked += 1
 
@@ -214,61 +215,61 @@ class TestGradients:
 class TestTTAStep:
     def test_zero_lr_identity(self, small_model):
         model, params, ds = small_model
+        omega = np.ones(model.param_dim)
         for kind in ("entropy", "filtered_fisher"):
-            cfg = tta.TTAObjectiveConfig(kind=kind, lr=0.0, fisher_lambda=5.0)
-            out = tta.tta_step(model, params, model.features(ds.inputs[:8]), cfg)
+            method = tta.MethodConfig(name="m", kind=kind, lr=0.0)
+            out = tta.tta_step(model, params, model.features(ds.inputs[:8]), method, omega)
             np.testing.assert_array_equal(out, params)
-
-    def test_alpha_zero_returns_source(self, small_model):
-        model, params, ds = small_model
-        cfg = tta.TTAObjectiveConfig(kind="weight_ensemble_entropy", lr=0.1, alpha=0.0)
-        start = params + 3.0
-        out = tta.tta_step(model, start, model.features(ds.inputs[:8]), cfg)
-        np.testing.assert_array_equal(out, model.source_params)
 
     def test_inputs_not_mutated(self, small_model):
         model, params, ds = small_model
-        cfg = tta.TTAObjectiveConfig(kind="entropy", lr=0.1)
-        snap = params.copy()
-        tta.tta_step(model, params, model.features(ds.inputs[:8]), cfg)
+        method = tta.MethodConfig(name="m", kind="filtered_fisher", lr=0.1)
+        snap, omega = params.copy(), np.ones(model.param_dim)
+        tta.tta_step(model, params, model.features(ds.inputs[:8]), method, omega)
         np.testing.assert_array_equal(params, snap)
+        np.testing.assert_array_equal(omega, np.ones(model.param_dim))
 
     def test_fisher_step_equals_entropy_step_plus_interpolation(self, small_model):
         # Per-coordinate equivalence with diagonal weights:
-        # alpha_i = 1 - 2 * lam * omega_i * lr.
+        # alpha_i = 1 - 2 * lam * omega_i * lr, at the method's own lam; the
+        # rates keep every alpha_i inside (0, 1).
         model, params, ds = small_model
         rng = np.random.default_rng(9)
         feats = model.features(ds.inputs[:16])
-        for _ in range(20):
-            lam, lr = rng.uniform(0.05, 2.0), rng.uniform(0.001, 0.1)
-            omega = rng.uniform(0.0, 1.0, model.param_dim)
-            alpha_i = 1 - 2 * lam * omega * lr
-            assert np.all(alpha_i > 0)
-            p = params + 0.5 * rng.standard_normal(params.size)
-            fisher = tta.tta_step(
-                model, p, feats,
-                tta.TTAObjectiveConfig(kind="fisher_entropy", lr=lr,
-                                       fisher_lambda=lam, fisher_omega=omega),
-            )
-            hat = tta.tta_step(
-                model, p, feats, tta.TTAObjectiveConfig(kind="entropy", lr=lr)
-            )
-            interp = alpha_i * hat + (1 - alpha_i) * model.source_params
-            assert np.abs(fisher - interp).max() < 1e-12
+        for reservoir, lam in ((False, 2000.0), (True, 1000.0)):
+            for _ in range(10):
+                lr = rng.uniform(1e-5, 2e-4)
+                omega = rng.uniform(0.1, 1.0, model.param_dim)
+                alpha_i = 1 - 2 * lam * omega * lr
+                assert np.all((alpha_i > 0) & (alpha_i < 1))
+                p = params + 0.5 * rng.standard_normal(params.size)
+                fisher = tta.tta_step(
+                    model, p, feats,
+                    tta.MethodConfig(name="m", kind="fisher_entropy", reservoir=reservoir, lr=lr),
+                    omega,
+                )
+                hat = tta.tta_step(
+                    model, p, feats, tta.MethodConfig(name="m", lr=lr), omega
+                )
+                interp = alpha_i * hat + (1 - alpha_i) * model.source_params
+                assert np.abs(fisher - interp).max() < 1e-12
 
     def test_weight_ensembling_contracts_geometrically(self, small_model):
         # A zero learning rate makes the data step exactly zero; the
         # iteration must then contract to the source with ratio alpha per step.
         model, params, ds = small_model
-        alpha = 0.9
-        cfg = tta.TTAObjectiveConfig(kind="filtered_ensemble", lr=0.0, alpha=alpha)
         start = params + np.linspace(1.0, 2.0, params.size)
         feats = model.features(ds.inputs[:8])
-        theta = start.copy()
-        for t in range(1, 51):
-            theta = tta.tta_step(model, theta, feats, cfg)
-            expect = model.source_params + alpha**t * (start - model.source_params)
-            np.testing.assert_allclose(theta, expect, rtol=1e-9, atol=1e-12)
+        omega = np.ones(model.param_dim)
+        for reservoir, alpha in ((False, 0.99), (True, 0.995)):
+            method = tta.MethodConfig(
+                name="m", kind="filtered_ensemble", reservoir=reservoir, lr=0.0
+            )
+            theta = start.copy()
+            for t in range(1, 51):
+                theta = tta.tta_step(model, theta, feats, method, omega)
+                expect = model.source_params + alpha**t * (start - model.source_params)
+                np.testing.assert_allclose(theta, expect, rtol=1e-9, atol=1e-12)
 
     def test_filtering_reduces_gradient_variance(self):
         # Mixed-reliability draws: blob-core samples plus fuzzy inter-class
@@ -277,8 +278,6 @@ class TestTTAStep:
         ds = stream.make_source_dataset(3, 300, 6, seed=12, separation=7.0)
         model = tta.train_source(12, (ds.inputs, ds.labels), epochs=25, lr=0.05, hidden=8)
         params = model.source_params
-        cfg_u = tta.TTAObjectiveConfig(kind="entropy")
-        cfg_f = tta.TTAObjectiveConfig(kind="filtered_entropy")
         rng = np.random.default_rng(10)
         means = ds.blob.class_means
         draws_u, draws_f = [], []
@@ -288,8 +287,8 @@ class TestTTAStep:
             fuzzy = 0.5 * (means[pair[:, 0]] + means[pair[:, 1]])
             fuzzy = fuzzy + 1.5 * rng.standard_normal((16, 6))
             feats = model.features(np.vstack([easy, fuzzy]))
-            draws_u.append(tta.objective_grad(model, params, feats, cfg_u))
-            draws_f.append(tta.objective_grad(model, params, feats, cfg_f))
+            draws_u.append(_grad(model, params, feats))
+            draws_f.append(_grad(model, params, feats, filtered=True))
         gu, gf = np.stack(draws_u), np.stack(draws_f)
 
         def trace_var(g):
@@ -321,9 +320,7 @@ class TestEstimateFisher:
     def test_single_batch_is_square_of_gradient(self, small_model):
         model, _, ds = small_model
         batch = ds.inputs[:32]
-        g = tta.objective_grad(
-            model, model.source_params, model.features(batch), ENTROPY
-        )
+        g = _grad(model, model.source_params, model.features(batch))
         np.testing.assert_allclose(tta.estimate_fisher(model, [batch]), g**2, rtol=1e-12)
 
     def test_matches_accumulate_and_divide_oracle(self, small_model):
@@ -332,9 +329,7 @@ class TestEstimateFisher:
         batches = [ds.blob.sample(rng, 16)[0] for _ in range(10)]
         acc = np.zeros(model.param_dim)
         for b in batches:
-            g = tta.objective_grad(
-                model, model.source_params, model.features(b), ENTROPY
-            )
+            g = _grad(model, model.source_params, model.features(b))
             acc += g**2
         np.testing.assert_allclose(
             tta.estimate_fisher(model, batches), acc / 10, rtol=1e-12
@@ -385,26 +380,33 @@ class TestTrainSource:
             tta.train_source(6, (ds.inputs, ds.labels), epochs=60, lr=1e6)
 
 
-class TestObjectiveConfig:
+class TestMethodConfig:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            tta.TTAObjectiveConfig(kind="mystery")
+        with pytest.raises(ConfigurationError, match="^kind: unknown objective 'mystery'$"):
+            tta.MethodConfig(name="m", kind="mystery")
 
-    def test_alpha_range(self):
-        with pytest.raises(ConfigurationError):
-            tta.TTAObjectiveConfig(kind="weight_ensemble_entropy", alpha=1.5)
-
-    def test_negative_lambda(self):
-        with pytest.raises(ConfigurationError):
-            tta.TTAObjectiveConfig(kind="fisher_entropy", fisher_lambda=-1.0)
-
-    def test_negative_omega(self):
-        with pytest.raises(ConfigurationError):
-            tta.TTAObjectiveConfig(kind="fisher_entropy", fisher_omega=np.array([-1.0]))
+    @pytest.mark.parametrize("lr", [-1e-3, float("nan")], ids=["negative", "nan"])
+    def test_bad_lr(self, lr):
+        with pytest.raises(ConfigurationError, match="^lr: must be finite and >= 0$"):
+            tta.MethodConfig(name="m", lr=lr)
 
     def test_default_regimes(self):
-        assert tta.default_anchoring("filtered_fisher", reservoir=False) == (2000.0, 1.0)
-        assert tta.default_anchoring("filtered_fisher", reservoir=True) == (1000.0, 1.0)
-        assert tta.default_anchoring("filtered_ensemble", reservoir=False) == (0.0, 0.99)
-        assert tta.default_anchoring("filtered_ensemble", reservoir=True) == (0.0, 0.995)
-        assert tta.default_anchoring("entropy", reservoir=True) == (0.0, 1.0)
+        # (kind, reservoir) -> (filtered, fisher_lambda, alpha)
+        table = {
+            ("entropy", False): (False, 0.0, 1.0),
+            ("entropy", True): (False, 0.0, 1.0),
+            ("filtered_entropy", False): (True, 0.0, 1.0),
+            ("filtered_entropy", True): (True, 0.0, 1.0),
+            ("fisher_entropy", False): (False, 2000.0, 1.0),
+            ("fisher_entropy", True): (False, 1000.0, 1.0),
+            ("weight_ensemble_entropy", False): (False, 0.0, 0.99),
+            ("weight_ensemble_entropy", True): (False, 0.0, 0.995),
+            ("filtered_fisher", False): (True, 2000.0, 1.0),
+            ("filtered_fisher", True): (True, 1000.0, 1.0),
+            ("filtered_ensemble", False): (True, 0.0, 0.99),
+            ("filtered_ensemble", True): (True, 0.0, 0.995),
+        }
+        assert {kind for kind, _ in table} == set(tta.OBJECTIVE_KINDS)
+        for (kind, reservoir), regime in table.items():
+            m = tta.MethodConfig(name="m", kind=kind, reservoir=reservoir)
+            assert (m.filtered, m.fisher_lambda, m.alpha) == regime, (kind, reservoir)
