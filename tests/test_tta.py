@@ -191,12 +191,14 @@ class TestGradients:
         p = params + 0.3 * rng.standard_normal(params.size)
         assert _rel_err(_grad(model, p, feats), _fd_grad(model, p, feats, False)) < 1e-5
 
-    # The anchor and the ensembling never enter the data term, so the six
-    # objective kinds share these two gradients.
-    @pytest.mark.parametrize("filtered", [False, True], ids=["entropy", "filtered_entropy"])
-    def test_all_objectives_match_fd(self, small_model, filtered):
+    # The anchor and the ensembling never enter the data term, so each kind's
+    # gradient is the filtered or the plain entropy gradient, checked on its
+    # own random draws.
+    @pytest.mark.parametrize("kind", tta.OBJECTIVE_KINDS)
+    def test_all_objectives_match_fd(self, small_model, kind):
         model, params, _ = small_model
-        rng = np.random.default_rng(8 + filtered)
+        filtered = tta.MethodConfig(name="m", kind=kind).filtered
+        rng = np.random.default_rng(8 + tta.OBJECTIVE_KINDS.index(kind))
         checked = 0
         trial = 0
         while checked < 10:
