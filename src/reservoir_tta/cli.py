@@ -2,9 +2,9 @@
 
 Subcommands: ``calibrate`` (threshold from source styles), ``run`` (episodes
 over seeds, metrics CSV + summary JSON per seed plus a cross-seed
-aggregate; with ``emit_trace`` also a per-step JSONL trace, streamed to disk
-while the episode runs) and ``theory`` (the verification suite with
-per-check CSVs).
+aggregate; with ``emit_trace`` also a per-step JSONL trace, written from the
+episode's metrics after the episode, so a failed episode leaves no trace
+file) and ``theory`` (the verification suite with per-check CSVs).
 
 Exit codes: 0 success, 1 configuration error (a bad value or argument, or a
 config file that is not UTF-8 YAML), 2 I/O error (a file that cannot be
@@ -22,7 +22,6 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, TextIO
 
 import numpy as np
 
@@ -173,14 +172,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     mean_errors: dict[str, list[float | None]] = {m.name: [] for m in cfg.methods}
     for seed in cfg.seeds:
         for method in cfg.methods:
+            metrics = stream.run_episode(context, method, seed, trace=cfg.emit_trace)
             if cfg.emit_trace:
-                trace_path = out_dir / f"trace_{method.name}_seed{seed}.jsonl"
-                with open(trace_path, "w", encoding="utf-8") as fh:
-                    metrics = stream.run_episode(
-                        context, method, seed, step_callback=_trace_writer(fh)
-                    )
-            else:
-                metrics = stream.run_episode(context, method, seed)
+                _write_trace(out_dir / f"trace_{method.name}_seed{seed}.jsonl", metrics)
             _write_metrics_csv(out_dir / f"metrics_{method.name}_seed{seed}.csv", metrics)
             visit_error = metrics.per_visit_error()
             summary = {
@@ -208,21 +202,23 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _trace_writer(fh: TextIO) -> Callable[[stream.StepRecord], None]:
-    """Step callback that streams one JSON line per step into ``fh``."""
-
-    def write(rec: stream.StepRecord) -> None:
-        line = {
-            "step": rec.step,
-            "decision_kind": rec.decision_kind,
-            "chosen_index": rec.active_index,
-            "min_distance": rec.min_distance,
-            "centroid_count": rec.centroid_count,
-            "soft_assignment": [float(v) for v in rec.soft_assignment],
-        }
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
-
-    return write
+def _write_trace(path: Path, metrics: stream.EpisodeMetrics) -> None:
+    """One JSON line per step of a traced episode. A step's decision is
+    ``new_domain`` when its centroid count grew; the count is 1 before step 0."""
+    counts = metrics.detected_domains + 1
+    grew = np.diff(counts, prepend=1) > 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(metrics.step_count):
+            count = int(counts[i])
+            line = {
+                "step": i,
+                "decision_kind": "new_domain" if grew[i] else "existing",
+                "chosen_index": int(metrics.assigned_models[i]),
+                "min_distance": float(metrics.min_distance[i]),
+                "centroid_count": count,
+                "soft_assignment": [float(v) for v in metrics.soft_assignment[i, :count]],
+            }
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def _write_metrics_csv(path: Path, metrics: stream.EpisodeMetrics) -> None:

@@ -5,8 +5,8 @@ domain centroids (seeded with the mean source style) and a fixed-capacity
 :class:`StyleReservoir` of past style vectors maintained by reservoir
 sampling in a ``(capacity, dim)`` array allocated once. A new centroid is
 spawned whenever an incoming style vector is farther than the calibrated
-threshold from every existing centroid and the cap has not been reached;
-otherwise the vector is assigned to its nearest centroid. Centroids are
+threshold from every existing centroid and the cap has not been reached.
+Either way the vector is then soft-assigned over the centroids. Centroids are
 refined by gradient descent on a mutual-information objective over the
 reservoir, which sharpens assignments while penalizing collapse onto a
 single centroid.
@@ -91,7 +91,6 @@ class DomainDecision:
     """Outcome of routing one style vector against the current centroids."""
 
     kind: str  # "existing" | "new_domain"
-    index: int
     distance: float
 
     @property
@@ -134,29 +133,24 @@ class CentroidSet:
         self._centroids = vals.copy()
 
     def detect(self, s: np.ndarray, tau: float) -> DomainDecision:
-        """Route a style vector: nearest existing centroid, or a new domain.
+        """Decide whether a style vector opens a new domain.
 
         A new centroid (a copy of ``s``) is appended iff the minimum
-        Euclidean distance exceeds ``tau`` and the cap ``k_max`` has not been
-        reached. Ties in the nearest-centroid choice go to the lowest index.
-        The soft assignment is left to the caller, which needs it only after
-        the centroid update (:func:`soft_assign_vector`).
+        Euclidean distance to the centroids exceeds ``tau`` and the cap
+        ``k_max`` has not been reached. The routing itself is left to the
+        caller, which soft-assigns after the centroid update
+        (:func:`soft_assign_vector`).
         """
         vec = np.asarray(s, dtype=np.float64)
         if vec.shape != (self.dim,):
             raise InputDomainError(
                 f"style vector has shape {vec.shape}, centroids expect ({self.dim},)"
             )
-        dists = np.linalg.norm(self._centroids - vec, axis=1)
-        delta = float(dists.min())
+        delta = float(np.linalg.norm(self._centroids - vec, axis=1).min())
         if delta > tau and self.count < self.k_max:
             self._centroids = np.vstack([self._centroids, vec])
-            index = self.count - 1
-            kind = "new_domain"
-        else:
-            index = int(np.argmin(dists))
-            kind = "existing"
-        return DomainDecision(kind=kind, index=index, distance=delta)
+            return DomainDecision(kind="new_domain", distance=delta)
+        return DomainDecision(kind="existing", distance=delta)
 
 
 def _assignment_logits(styles: np.ndarray, centroids: np.ndarray) -> np.ndarray:

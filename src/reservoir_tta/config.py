@@ -22,8 +22,9 @@ the engine consumes those types directly. ``config_from_dict`` raises one
 
 from __future__ import annotations
 
+import re
 import typing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -189,15 +190,22 @@ def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
 
 
 def _build(cls, data, where: str, problems: list[str]):
-    """One config dataclass from a mapping; None (with problems noted) if invalid."""
+    """One config dataclass from a mapping; None (with problems noted) if invalid.
+
+    A required field absent from the mapping is noted as required; while a
+    required field is absent or rejected, ``cls`` is not constructed.
+    """
     if not isinstance(data, dict):
         problems.append(f"{where.rstrip('.')}: must be a mapping")
         return None
     kwargs = _fields(cls, data, where, problems)
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    problems.extend(f"{where}{name}: required" for name in required if name not in data)
+    if any(name not in kwargs for name in required):
+        return None
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        problems.append(f"{where.rstrip('.')}: {exc}")
     except ConfigurationError as exc:
         problems.extend(where + problem for problem in exc.problems)
     return None
@@ -234,6 +242,18 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     return cfg
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe YAML loader, plus floats with an exponent but no dot or no
+    exponent sign (``1e-3``, ``1.0e3``), which YAML 1.1 reads as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse a YAML config file into a validated RunConfig.
 
@@ -243,7 +263,7 @@ def load_config(path: str | Path) -> RunConfig:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: not a UTF-8 YAML file ({exc})") from exc
     return config_from_dict({} if data is None else data)

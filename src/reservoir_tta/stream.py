@@ -15,15 +15,16 @@ every later visit, and a CCC stream keeps a pair's raw draw for the blends
 of later visits, so neither is drawn again. ``run_episode`` executes the
 per-batch loop on those batches: reservoir update, domain detection,
 centroid refinement, model selection and adaptation, parameter ensembling,
-prediction. A single-model episode with no step observer skips the routing
-stages, whose outcome is then constant. Hidden ground-truth labels and
-domain ids feed the metrics only, never the adaptation path.
+prediction. Its ``EpisodeMetrics`` is the one per-step record, behind the
+metrics CSV, the trace and the tests. An untraced single-model episode
+skips the routing stages, whose outcome is then constant. Hidden labels
+and the schedule's domain ids feed the metrics only, never the adaptation
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -381,13 +382,12 @@ class ScenarioPlan:
 class StreamBatch:
     """One test batch, prepared for the engine: its hidden labels, frozen
     features ``model.features(inputs)`` and style vector (``None`` from a
-    stream built without styles). A tabled batch's arrays are read-only."""
+    stream built without styles). A tabled batch's arrays are read-only.
+    The step's visit and hidden domain are in the stream's schedule."""
 
     labels: np.ndarray
     features: np.ndarray
     style: np.ndarray | None
-    domain_id: int
-    visit: int
 
 
 def _freeze(arrays: tuple) -> tuple:
@@ -460,7 +460,7 @@ class DomainStream:
         pure = w == 0.0 or primary == nxt
         key = (primary, slot)
         if pure and key in self._replay:
-            return StreamBatch(*self._replay[key], domain_id=primary, visit=visit)
+            return StreamBatch(*self._replay[key])
         raw = self._raw.get(key)
         if raw is None:
             rng = keyed_rng(self.seed, _TAG_STREAM, primary, slot)
@@ -471,16 +471,14 @@ class DomainStream:
         inputs, labels, noise = raw
         if pure:
             domain = ctx.domains[primary]
-            hidden = primary
         else:
             domain = blend_domains(ctx.domains[primary], ctx.domains[nxt], w)
-            hidden = primary if w < 0.5 else nxt
         inputs = domain.apply(inputs, noise)
         style = extract_style(inputs, ctx.extractor) if self.styles else None
         prepared = (labels, ctx.model.features(inputs), style)
         if pure and visit < self._last_pure[key]:
             self._replay[key] = _freeze(prepared)
-        return StreamBatch(*prepared, domain_id=hidden, visit=visit)
+        return StreamBatch(*prepared)
 
 
 @dataclass(frozen=True)
@@ -516,7 +514,15 @@ class EpisodeContext:
 
 @dataclass
 class EpisodeMetrics:
-    """Per-step records of one episode plus derived per-visit summaries."""
+    """The one per-step record of an episode: row i of every column is step i.
+
+    ``visits`` and ``true_domains`` are hidden, read from the stream's
+    schedule; the hidden domain of a CCC blend is the nearer segment end.
+    A traced episode also fills ``min_distance``, each step's ``detect``
+    distance, and ``soft_assignment``, each step's q zero-padded to the
+    domain cap; an untraced one leaves both ``None``. The per-visit
+    summaries are derived from the columns.
+    """
 
     visits: np.ndarray
     true_domains: np.ndarray
@@ -524,6 +530,8 @@ class EpisodeMetrics:
     per_batch_error: np.ndarray
     detected_domains: np.ndarray
     drift_norm: np.ndarray
+    min_distance: np.ndarray | None
+    soft_assignment: np.ndarray | None
 
     @property
     def step_count(self) -> int:
@@ -553,24 +561,11 @@ class EpisodeMetrics:
         return table
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Engine state handed to a per-step observer during an episode."""
-
-    step: int
-    decision_kind: str
-    min_distance: float
-    active_index: int
-    soft_assignment: np.ndarray
-    centroid_count: int
-    model_count: int
-
-
 def run_episode(
     context: EpisodeContext,
     method: tta.MethodConfig,
     seed: int,
-    step_callback: Callable[[StepRecord], None] | None = None,
+    trace: bool = False,
 ) -> EpisodeMetrics:
     """Execute one adaptation episode and record its metrics.
 
@@ -587,13 +582,13 @@ def run_episode(
 
     At cap 1 the routing is constant: q = [1] and k* = 0 on every step, and
     the style pass, the reservoir offer and the detection feed only the
-    step records. Without a ``step_callback`` such an episode skips them,
-    and its stream skips the style pass; its metrics are the same bits.
+    trace columns. Without ``trace`` such an episode skips them, and its
+    stream skips the style pass; every other column is the same bits.
     Deterministic per (context, method, seed).
     """
     plan = context.plan
     k_max = DEFAULT_K_MAX if method.reservoir else 1
-    route = k_max > 1 or step_callback is not None
+    route = k_max > 1 or trace
 
     n = plan.total_steps
     stream = DomainStream(context, seed, styles=route)
@@ -608,12 +603,13 @@ def run_episode(
     models = ModelReservoir(model.source_params)
     tau = context.calibration.tau
 
-    visits = np.zeros(n, dtype=np.int64)
-    true_domains = np.zeros(n, dtype=np.int64)
+    visits, primary, nxt, weight = stream.schedule
     assigned = np.zeros(n, dtype=np.int64)
     errors = np.zeros(n)
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
+    min_distance = np.zeros(n) if trace else None
+    soft = np.zeros((n, k_max)) if trace else None
 
     q, k_star = np.ones(1), 0  # the constant routing of an unrouted episode
     for step in range(n):
@@ -636,30 +632,21 @@ def run_episode(
         probs = tta.predict(model, theta, feats)
         predicted = probs.argmax(axis=1)
 
-        visits[step] = batch.visit
-        true_domains[step] = batch.domain_id
         assigned[step] = k_star
         errors[step] = float((predicted != batch.labels).mean())
         detected[step] = centroids.count - 1
         drift[step] = float(np.linalg.norm(theta - model.source_params))
-        if step_callback is not None:
-            step_callback(
-                StepRecord(
-                    step=step,
-                    decision_kind=decision.kind,
-                    min_distance=decision.distance,
-                    active_index=k_star,
-                    soft_assignment=q,
-                    centroid_count=centroids.count,
-                    model_count=models.count,
-                )
-            )
+        if trace:
+            min_distance[step] = decision.distance
+            soft[step, : q.size] = q
 
     return EpisodeMetrics(
         visits=visits,
-        true_domains=true_domains,
+        true_domains=np.where(weight < 0.5, primary, nxt),
         assigned_models=assigned,
         per_batch_error=errors,
         detected_domains=detected,
         drift_norm=drift,
+        min_distance=min_distance,
+        soft_assignment=soft,
     )

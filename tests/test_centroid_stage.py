@@ -322,6 +322,9 @@ class TestReservoirReplay:
         assert ctx.cluster.reservoir_size < 10**12
         for f in fields(EpisodeMetrics):
             a, b = getattr(default, f.name), getattr(huge, f.name)
+            if a is None:  # a trace column of an untraced episode
+                assert b is None, f.name
+                continue
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
     def test_styles_is_a_read_only_view_of_copied_offers(self):

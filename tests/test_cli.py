@@ -308,8 +308,8 @@ def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
 @pytest.mark.parametrize(
     ("entry", "message"),
     [
-        pytest.param({"kind": "entropy"}, "missing 1 required positional argument: 'name'",
-                     id="nameless"),
+        pytest.param({"kind": "entropy"}, "methods[0].name: required", id="nameless"),
+        pytest.param({"name": 5}, "methods[0].name: expected str, got 5", id="name-int"),
         pytest.param({"name": "m", "kind": "mystery"}, "methods[0].kind: unknown objective",
                      id="bad-kind"),
         pytest.param({"name": "a/b"}, "methods[0].name: must be nonempty and contain no '/'",
@@ -327,6 +327,7 @@ def test_bad_method_entry_reports_only_itself(tmp_path, monkeypatch, capsys, ent
     assert "configuration error" in err
     assert message in err
     assert "methods: must list at least one method" not in err
+    assert "positional argument" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -399,13 +400,17 @@ def test_run_trace_has_one_line_per_step(tmp_path, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
     assert cli.main(["run", "--config", _write_config(tmp_path, SMALL), "--seeds", "1"]) == 0
+    spawned = {}
     for method in ("reservoir_eata", "tent"):
         lines = (out / f"trace_{method}_seed1.jsonl").read_text().splitlines()
         with open(out / f"metrics_{method}_seed1.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        summary = json.loads((out / f"summary_{method}_seed1.json").read_text())
         assert len(lines) == len(rows) == 3 * 2 * 3
+        kinds = []
         for step, (line, row) in enumerate(zip(lines, rows)):
             record = json.loads(line)
+            kinds.append(record["decision_kind"])
             assert set(record) == {
                 "step", "decision_kind", "chosen_index", "min_distance",
                 "centroid_count", "soft_assignment",
@@ -414,6 +419,10 @@ def test_run_trace_has_one_line_per_step(tmp_path, monkeypatch):
             assert record["chosen_index"] == int(row["assigned_model"])
             assert record["centroid_count"] == int(row["detected_domains"]) + 1
             assert len(record["soft_assignment"]) == record["centroid_count"]
+            assert sum(record["soft_assignment"]) == pytest.approx(1.0)
+        assert kinds.count("new_domain") == summary["final_detected_domains"]
+        spawned[method] = summary["final_detected_domains"]
+    assert spawned["reservoir_eata"] > 0 and spawned["tent"] == 0
 
 
 def test_run_outputs_are_byte_reproducible(tmp_path, monkeypatch):

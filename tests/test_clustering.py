@@ -20,6 +20,7 @@ from reservoir_tta.errors import (
     InsufficientDataError,
     NumericalError,
 )
+from reservoir_tta.model_reservoir import select_active
 from reservoir_tta.style import extract_style
 
 
@@ -141,12 +142,13 @@ class TestDetect:
     def test_zero_distance_existing(self):
         cs = CentroidSet(np.zeros(2), k_max=4)
         d = cs.detect(np.zeros(2), tau=1.0)
-        assert d.kind == "existing" and d.index == 0 and d.distance == 0.0
+        assert d.kind == "existing" and d.distance == 0.0
+        assert cs.count == 1
 
     def test_new_domain_appended(self):
         cs = CentroidSet(np.zeros(2), k_max=16)
         d = cs.detect(np.array([3.0, 4.0]), tau=2.0)
-        assert d.is_new and d.index == 1
+        assert d.is_new
         assert cs.count == 2
         np.testing.assert_array_equal(cs.centroids[1], [3.0, 4.0])
         assert d.distance == pytest.approx(5.0)
@@ -154,13 +156,8 @@ class TestDetect:
     def test_cap_reached_assigns_nearest(self):
         cs = CentroidSet(np.zeros(2), k_max=1)
         d = cs.detect(np.array([9.0, 0.0]), tau=0.5)
-        assert d.kind == "existing" and d.index == 0
+        assert d.kind == "existing" and d.distance == 9.0
         assert cs.count == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        cs = _grown_centroids([np.array([-1.0, 0.0]), np.array([1.0, 0.0])])
-        d = cs.detect(np.zeros(2), tau=10.0)
-        assert d.index == 0
 
     def test_soft_assignment_attached(self):
         # The decision carries no assignment; the engine soft-assigns once,
@@ -171,7 +168,8 @@ class TestDetect:
         q = soft_assign_vector(np.ones(3) * 4, cs)
         assert q.shape == (2,)
         assert q.sum() == pytest.approx(1.0)
-        assert int(np.argmax(q)) == d.index == 1
+        assert d.kind == "existing" and d.distance == 0.0
+        assert select_active(q) == 1
 
     def test_never_exceeds_cap_never_removes(self):
         rng = np.random.default_rng(4)
@@ -183,7 +181,7 @@ class TestDetect:
 
     def test_decisions_match_generator_labels(self, context, default_config, monkeypatch):
         # Centroids planted on the true style means of 15 synthetic domains:
-        # no new clusters form and decisions track the hidden domain ids.
+        # no new clusters form and the routing tracks the hidden domain ids.
         monkeypatch.setattr(stream, "MIN_SEPARATION_FACTOR", 1.0)
         domains = stream.make_domains(
             15,
@@ -212,10 +210,11 @@ class TestDetect:
             s = extract_style(domains[true].apply(x, noise), context.extractor)
             d = cs.detect(s, tau=context.calibration.tau)
             assert not d.is_new
+            routed = select_active(soft_assign_vector(s, cs))
             # Independent nearest-centroid oracle.
             oracle = int(np.argmin([np.linalg.norm(s - m) for m in means]))
-            assert d.index == oracle
-            hits += d.index == true
+            assert routed == oracle
+            hits += routed == true
         assert cs.count == 15
         assert hits / 150 >= 0.95
 

@@ -1,10 +1,12 @@
-"""The config surface: the values a YAML config can set, pinned by name."""
+"""The config surface: the values a YAML config can set, pinned by name, and
+how their YAML is read."""
 
 from dataclasses import fields
 
 import pytest
+import yaml
 
-from reservoir_tta import config, tta
+from reservoir_tta import cli, config, tta
 from reservoir_tta.errors import ConfigurationError
 
 # Every settable value, section by section. A new knob must be added here.
@@ -80,3 +82,33 @@ def test_pinned_values_are_unknown_fields():
     ]
     assert problems == expected
     assert len(expected) == 31
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    return config.load_config(path)
+
+
+def test_exponent_floats_load_as_floats(tmp_path):
+    cfg = _load(tmp_path, "methods: [{name: m, lr: 1e-3}]\nscenario: {severity: 1.0e3}\n")
+    assert cfg.methods[0].lr == 0.001
+    assert type(cfg.scenario.severity) is float and cfg.scenario.severity == 1000.0
+
+
+def test_exponent_int_is_still_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = tmp_path / "config.yaml"
+    path.write_text("theory: {trials: 1e4}\n", encoding="utf-8")
+    assert cli.main(["theory", "--config", str(path)]) == 1
+    assert "theory.trials: expected int, got 10000.0" in capsys.readouterr().err
+
+
+def test_quoted_and_digitless_exponents_stay_strings(tmp_path):
+    assert _load(tmp_path, "methods: [{name: e5}]\n").methods[0].name == "e5"
+    with pytest.raises(ConfigurationError, match="methods\\[0\\].lr: expected float, got '1e-3'"):
+        _load(tmp_path, 'methods: [{name: m, lr: "1e-3"}]\n')
+
+
+def test_safe_load_is_unchanged():
+    assert yaml.safe_load("[1e-3, 1.0e3, 2e0]") == ["1e-3", "1.0e3", "2e0"]

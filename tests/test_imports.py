@@ -1,5 +1,6 @@
 """Every name a package module or a test file imports is used in it or
-exported by it."""
+exported by it, and every top-level name a package module defines is read
+by some package module."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,64 @@ def test_check_sees_unused_and_exported_names():
         "x = np.zeros(1)\n"
     )
     assert unused_imports(source) == [("GenerationError", 5), ("Path", 4), ("json", 2)]
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Top-level functions, classes and assigned names (dunders excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names read as a loaded name, an attribute or an imported name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads |= {alias.name for alias in node.names}
+    return reads
+
+
+def unreferenced_names(sources: list[str]) -> list[str]:
+    """Top-level names defined in one of ``sources`` that none of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    reads = set().union(*(_read_names(tree) for tree in trees))
+    defined = set().union(*(_defined_names(tree) for tree in trees))
+    return sorted(defined - reads)
+
+
+def test_package_has_no_unreferenced_names():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unreferenced_names(sources) == []
+
+
+def test_check_sees_unreferenced_names():
+    module_a = (
+        "from dataclasses import dataclass\n"
+        "LIMIT = 3\n"
+        "UNUSED: int = 4\n"
+        "__all__ = []\n"
+        "def helper():\n"
+        "    return LIMIT\n"
+        "def orphan():\n"
+        "    stored = 1\n"
+        "    return stored\n"
+        "class Record:\n"
+        "    pass\n"
+        "class Leftover:\n"
+        "    pass\n"
+    )
+    # Read by an import, an attribute and a name load; STATE is only stored.
+    module_b = "from .a import Record\nimport a\nSTATE = a.helper\nSTATE = 2\n"
+    assert unreferenced_names([module_a, module_b]) == [
+        "Leftover", "STATE", "UNUSED", "orphan"
+    ]

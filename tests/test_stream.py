@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reservoir_tta import config, stream, tta
+from reservoir_tta.clustering import DEFAULT_K_MAX
 from reservoir_tta.errors import (
     ConfigurationError,
     EndOfStream,
@@ -195,22 +196,19 @@ def _prepared_batch(context, seed, step, styles=True):
     """A step's batch built from its schedule row alone: its own draw,
     distortion, feature pass and style pass."""
     plan = context.plan
-    visit, primary, nxt, w = _rows(plan.schedule(seed))[step]
+    _, primary, nxt, w = _rows(plan.schedule(seed))[step]
     slot = step % plan.batches_per_domain
     rng = np.random.default_rng((seed, stream._TAG_STREAM, primary, slot))
     inputs, labels = context.blob.sample(rng, plan.batch_size)
     if w == 0.0 or primary == nxt:
-        domain, hidden = context.domains[primary], primary
+        domain = context.domains[primary]
     else:
         domain = stream.blend_domains(context.domains[primary], context.domains[nxt], w)
-        hidden = primary if w < 0.5 else nxt
     inputs = _apply_with_rng(domain, inputs, rng)
     return stream.StreamBatch(
         labels,
         context.model.features(inputs),
         extract_style(inputs, context.extractor) if styles else None,
-        domain_id=hidden,
-        visit=visit,
     )
 
 
@@ -229,17 +227,19 @@ class TestDomainStream:
     def test_recurrences_replay_identical_data(self, context):
         ctx = _context_with(context, visits=2, batches_per_domain=3)
         ds = stream.DomainStream(ctx, seed=3)
-        first = ds.next_batch(0)
-        again = ds.next_batch(ctx.plan.steps_per_visit)  # same domain slot, visit 2
-        assert first.visit == 0 and again.visit == 1
-        _assert_same_batch(first, replace(again, visit=0))
+        again = ctx.plan.steps_per_visit  # same domain slot, visit 2
+        visits = ds.schedule[0]
+        assert visits[0] == 0 and visits[again] == 1
+        _assert_same_batch(ds.next_batch(0), ds.next_batch(again))
 
     def test_hidden_id_matches_schedule(self, context):
-        ctx = _context_with(context, visits=1)
-        ds = stream.DomainStream(ctx, seed=4)
-        per = ctx.plan.batches_per_domain
-        for step in (0, per, 3 * per, 5 * per + 2):
-            assert ds.next_batch(step).domain_id == step // per  # CSC: fixed order
+        ctx = _context_with(context, visits=1, batches_per_domain=3)
+        method = tta.MethodConfig(name="m", kind="entropy")
+        met = stream.run_episode(ctx, method, seed=4)
+        steps = np.arange(ctx.plan.total_steps)
+        # CSC: fixed order, one visit.
+        assert _bits(met.true_domains) == _bits(steps // 3)
+        assert _bits(met.visits) == _bits(np.zeros_like(steps))
 
     def test_ccc_endpoints_match_pure_domains(self, context):
         # Style means of segment-start CCC batches sit within tau/10 of the
@@ -358,13 +358,10 @@ class TestStepWork:
         monkeypatch.setattr(tta.AdaptableClassifier, "features", kept_features)
         monkeypatch.setattr(stream, "extract_style", kept_style)
         monkeypatch.setattr(stream.DomainStream, "next_batch", kept_next_batch)
-        kinds = []
         method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
-        stream.run_episode(
-            ctx, method, seed=11, step_callback=lambda rec: kinds.append(rec.decision_kind)
-        )
+        met = stream.run_episode(ctx, method, seed=11)
         n = ctx.plan.total_steps
-        assert kinds.count("new_domain") > 0
+        assert met.detected_domains[-1] > 0
         assert steps == list(range(n))
         # A CSC visit draws every (domain, slot) batch once; later visits
         # replay them.
@@ -394,10 +391,11 @@ class TestStepWork:
         batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
         assert sorted(drawn) == list(range(ctx.plan.visits))
         first_of = {}
+        primary = ds.schedule[1]
         for step, batch in enumerate(batches):
             _assert_same_batch(batch, _prepared_batch(ctx, 21, step))
             if not batch.features.flags.writeable:
-                key = (batch.domain_id, step % ctx.plan.batches_per_domain)
+                key = (primary[step], step % ctx.plan.batches_per_domain)
                 first = first_of.setdefault(key, batch)
                 assert batch.features is first.features and batch.style is first.style
         # Every CSC and CDC batch recurs on a later visit; CCC blends most of
@@ -416,8 +414,9 @@ class TestStepWork:
 
 
 class TestReplayOracle:
-    """The replay table changes no bit of an episode: the same episodes run
-    on freshly prepared batches give identical metrics and step records."""
+    """The replay table changes no bit of an episode: the same traced
+    episodes run on freshly prepared batches give identical metrics, the
+    trace columns included."""
 
     @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
     def test_tabled_episode_equals_fresh_batches(self, context, monkeypatch, kind):
@@ -434,8 +433,7 @@ class TestReplayOracle:
             return batch
 
         monkeypatch.setattr(stream.DomainStream, "next_batch", kept)
-        tabled_records = []
-        tabled = stream.run_episode(ctx, method, seed=14, step_callback=tabled_records.append)
+        tabled = stream.run_episode(ctx, method, seed=14, trace=True)
         assert len({id(f) for f in served}) < len(served)
 
         monkeypatch.setattr(
@@ -443,16 +441,12 @@ class TestReplayOracle:
             "next_batch",
             lambda self, step: _prepared_batch(self.context, self.seed, step),
         )
-        fresh_records = []
-        untabled = stream.run_episode(ctx, method, seed=14, step_callback=fresh_records.append)
+        untabled = stream.run_episode(ctx, method, seed=14, trace=True)
 
-        assert any(rec.decision_kind == "new_domain" for rec in tabled_records)
+        assert tabled.detected_domains[-1] > 0
+        assert tabled.soft_assignment.shape == (ctx.plan.total_steps, DEFAULT_K_MAX)
         for f in fields(stream.EpisodeMetrics):
             assert _bits(getattr(tabled, f.name)) == _bits(getattr(untabled, f.name)), f.name
-        assert len(tabled_records) == len(fresh_records) == ctx.plan.total_steps
-        for a, b in zip(tabled_records, fresh_records):
-            for f in fields(stream.StepRecord):
-                assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), f.name
 
 
 class TestRunEpisode:
@@ -473,16 +467,19 @@ class TestRunEpisode:
         np.testing.assert_array_equal(a.assigned_models, b.assigned_models)
         np.testing.assert_array_equal(a.drift_norm, b.drift_norm)
 
-    def test_reservoir_centroid_alignment_every_step(self, context):
+    def test_reservoir_centroid_alignment_every_step(self, context, monkeypatch):
         ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
-        seen = []
+        original = ModelReservoir.write_active
+        models = []
 
-        def watch(rec):
-            seen.append((rec.centroid_count, rec.model_count))
+        def counted(self, index, new_params):
+            models.append(self.count)
+            original(self, index, new_params)
 
-        stream.run_episode(ctx, self._method(), seed=6, step_callback=watch)
-        assert len(seen) == ctx.plan.total_steps
-        assert all(c == m for c, m in seen)
+        monkeypatch.setattr(ModelReservoir, "write_active", counted)
+        met = stream.run_episode(ctx, self._method(), seed=6)
+        assert models == list(met.detected_domains + 1)
+        assert max(models) > 1
 
     def test_isolation_of_inactive_entries(self, context, monkeypatch):
         ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
@@ -497,29 +494,22 @@ class TestRunEpisode:
             written.append(index)
 
         monkeypatch.setattr(ModelReservoir, "write_active", checked)
-        active = []
-        stream.run_episode(
-            ctx, self._method(), seed=7,
-            step_callback=lambda rec: active.append(rec.active_index),
-        )
-        assert written == active
-        assert len(set(active)) > 1
+        met = stream.run_episode(ctx, self._method(), seed=7)
+        assert written == list(met.assigned_models)
+        assert len(set(written)) > 1
 
-    def test_hidden_ids_influence_only_metrics(self, context, monkeypatch):
-        ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
-        base = stream.run_episode(ctx, self._method(), seed=8)
-
-        original = stream.DomainStream.next_batch
-
-        def zeroed(self, step):
-            return replace(original(self, step), domain_id=0)
-
-        monkeypatch.setattr(stream.DomainStream, "next_batch", zeroed)
-        masked = stream.run_episode(ctx, self._method(), seed=8)
-        np.testing.assert_array_equal(base.assigned_models, masked.assigned_models)
-        np.testing.assert_array_equal(base.drift_norm, masked.drift_norm)
-        np.testing.assert_array_equal(base.per_batch_error, masked.per_batch_error)
-        assert set(masked.true_domains) == {0}
+    def test_hidden_ids_influence_only_metrics(self, context):
+        # A batch carries no visit or domain id; the metrics read them from
+        # the schedule, a CCC blend's domain being the id of its blend.
+        assert [f.name for f in fields(stream.StreamBatch)] == ["labels", "features", "style"]
+        ctx = _context_with(context, kind="ccc", visits=2, batches_per_domain=4)
+        met = stream.run_episode(ctx, self._method(), seed=8)
+        visit, primary, nxt, weight = ctx.plan.schedule(8)
+        assert _bits(met.visits) == _bits(visit)
+        assert np.any(primary != nxt)
+        for step, hidden in enumerate(met.true_domains):
+            a, b = ctx.domains[primary[step]], ctx.domains[nxt[step]]
+            assert hidden == stream.blend_domains(a, b, weight[step]).id, step
 
     def test_baseline_runs_single_model(self, context):
         ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))
@@ -542,16 +532,23 @@ class TestRunEpisode:
         assert pv.size == 3
         assert pv[0] >= pv[1] >= pv[2]
 
+    @pytest.mark.parametrize("reservoir", [False, True], ids=["single", "reservoir"])
     @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
-    def test_single_model_metrics_do_not_depend_on_a_step_callback(self, context, kind):
+    def test_metrics_do_not_depend_on_the_trace(self, context, kind, reservoir):
         ctx = _context_with(context, kind=kind, visits=3, batches_per_domain=3)
-        method = self._method(reservoir=False, kind="entropy")
-        records = []
-        observed = stream.run_episode(ctx, method, seed=15, step_callback=records.append)
-        unobserved = stream.run_episode(ctx, method, seed=15)
-        assert len(records) == ctx.plan.total_steps
+        method = self._method(reservoir=reservoir, kind="entropy")
+        traced = stream.run_episode(ctx, method, seed=15, trace=True)
+        untraced = stream.run_episode(ctx, method, seed=15)
+        trace_columns = ("min_distance", "soft_assignment")
+        for name in trace_columns:
+            assert getattr(untraced, name) is None, name
+        n, k_max = ctx.plan.total_steps, DEFAULT_K_MAX if reservoir else 1
+        assert traced.min_distance.shape == (n,)
+        assert traced.soft_assignment.shape == (n, k_max)
+        np.testing.assert_allclose(traced.soft_assignment.sum(axis=1), 1.0)
         for f in fields(stream.EpisodeMetrics):
-            assert _bits(getattr(observed, f.name)) == _bits(getattr(unobserved, f.name)), f.name
+            if f.name not in trace_columns:
+                assert _bits(getattr(traced, f.name)) == _bits(getattr(untraced, f.name)), f.name
 
     def test_unobserved_single_model_episode_skips_routing(self, context, monkeypatch):
         ctx = _context_with(context, kind="ccc", visits=2, batches_per_domain=3)
@@ -574,7 +571,7 @@ class TestRunEpisode:
         method = self._method(reservoir=False, kind="entropy")
         stream.run_episode(ctx, method, seed=16)
         assert calls == {}
-        stream.run_episode(ctx, method, seed=16, step_callback=lambda rec: None)
+        stream.run_episode(ctx, method, seed=16, trace=True)
         n = ctx.plan.total_steps
         routed = ("offer", "detect", "update_centroids", "soft_assign_vector")
         assert [calls[name] for name in routed] == [n] * 4
