@@ -33,7 +33,7 @@ import yaml
 
 from . import stream, tta
 from .errors import ConfigurationError, check_fields
-from .seeding import KEY_BOUND, keyed_rng
+from .seeding import KEY_BOUND, keyed_rngs
 from .style import FeatureExtractor, calibrate_threshold, extract_style
 
 _TAG_CALIBRATION = 10
@@ -170,6 +170,30 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+@dataclass(frozen=True, repr=False)
+class _YamlBool:
+    """A plain YAML 1.1 boolean word (``yes``, ``off``, ``true`` ...) with
+    its text, until the field it sets says which of the two it means."""
+
+    text: str
+    value: bool
+
+    def __repr__(self) -> str:  # messages show the word as YAML reads it
+        return repr(self.value)
+
+
+def _resolve_yaml_bools(value, hint):
+    """``value`` with each YAML boolean word as the field's type wants it: a
+    str field takes the word's text (``name: no`` is ``"no"``), any other
+    field its bool (``emit_trace: yes`` is ``True``)."""
+    if isinstance(value, tuple):
+        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
+        return tuple(_resolve_yaml_bools(v, item) for v in value)
+    if isinstance(value, _YamlBool):
+        return value.text if hint is str else value.value
+    return value
+
+
 def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
     """Keyword arguments for ``cls``: known fields of the annotated type only."""
     hints = typing.get_type_hints(cls)
@@ -181,6 +205,7 @@ def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
         if isinstance(value, list):  # every sequence field is a tuple
             value = tuple(value)
         hint = hints[key]
+        value = _resolve_yaml_bools(value, hint)
         if not _conforms(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             problems.append(f"{where}{key}: expected {expected}, got {value!r}")
@@ -244,13 +269,19 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
 
 class _Loader(yaml.SafeLoader):
     """The safe YAML loader, plus floats with an exponent but no dot or no
-    exponent sign (``1e-3``, ``1.0e3``), which YAML 1.1 reads as strings."""
+    exponent sign (``1e-3``, ``1.0e3``), which YAML 1.1 reads as strings.
+    A boolean word loads as a ``_YamlBool`` that ``config_from_dict``
+    resolves by the type of the field it sets."""
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
     list("-+0123456789"),
+)
+_Loader.add_constructor(
+    "tag:yaml.org,2002:bool",
+    lambda loader, node: _YamlBool(node.value, loader.construct_yaml_bool(node)),
 )
 
 
@@ -275,15 +306,14 @@ def calibration_styles(
     """Seeded source style sample used for threshold calibration: a
     ``(style.calibration_styles, style_dim)`` array.
 
-    Batch ``i`` is drawn from its own ``(STYLE_SEED, tag, i)`` rng; the
+    Batch ``i`` is drawn from its own ``(STYLE_SEED, tag, i)`` rng, one
+    ``np.random.default_rng`` call per batch (``seeding.keyed_rngs``); the
     batches are stacked and extracted in one call.
     """
     count = cfg.style.calibration_styles
     batches = np.empty((count, CALIBRATION_BATCH_SIZE, blob.input_dim))
-    for i in range(count):
-        batches[i], _ = blob.sample(
-            keyed_rng(STYLE_SEED, _TAG_CALIBRATION, i), CALIBRATION_BATCH_SIZE
-        )
+    for i, rng in enumerate(keyed_rngs((STYLE_SEED, _TAG_CALIBRATION), range(count))):
+        batches[i], _ = blob.sample(rng, CALIBRATION_BATCH_SIZE)
     return extract_style(batches, extractor)
 
 
@@ -321,10 +351,10 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         source_style_mean=source_mean,
         batch_size=plan.batch_size,
     )
-    fisher_batches = []
-    for i in range(cfg.style.fisher_batches):
-        x, _ = dataset.blob.sample(keyed_rng(STYLE_SEED, _TAG_FISHER, i), plan.batch_size)
-        fisher_batches.append(x)
+    fisher_batches = [
+        dataset.blob.sample(rng, plan.batch_size)[0]
+        for rng in keyed_rngs((STYLE_SEED, _TAG_FISHER), range(cfg.style.fisher_batches))
+    ]
     omega = tta.estimate_fisher(model, fisher_batches)
     return stream.EpisodeContext(
         blob=dataset.blob,

@@ -46,7 +46,7 @@ from .errors import (
     check_fields,
 )
 from .model_reservoir import ModelReservoir, select_active
-from .seeding import keyed_rng
+from .seeding import keyed_rng, keyed_rngs
 from .style import FeatureExtractor, ThresholdCalibration, extract_style
 
 # Sub-stream tags for counter-based seeding; one tag per independent rng use.
@@ -232,10 +232,14 @@ def domain_style_mean(
     seed_key: tuple,
 ) -> np.ndarray:
     """Mean style vector of a domain over freshly sampled batches, extracted
-    as one stack."""
+    as one stack.
+
+    Batch ``i`` draws its inputs and then its domain noise from the rng of
+    the key ``(*seed_key, i)``, one ``np.random.default_rng`` call per batch
+    (``seeding.keyed_rngs``).
+    """
     stack = np.empty((batches, batch_size, blob.input_dim))
-    for i in range(batches):
-        rng = keyed_rng(*seed_key, i)
+    for i, rng in enumerate(keyed_rngs(seed_key, range(batches))):
         x, _ = blob.sample(rng, batch_size)
         stack[i] = domain.apply(x, rng.standard_normal(x.shape))
     return np.mean(extract_style(stack, extractor), axis=0)

@@ -5,9 +5,9 @@ log-variances of the activations of a small frozen extractor. Two batches
 drawn from the same input distribution land close together; a covariate
 shift (rotation, rescaling, added noise) moves the whole fingerprint.
 
-The extractor here is a seeded stack of random linear layers with an
-elementwise nonlinearity. It is intentionally tiny: shallow-layer channel
-statistics are what carry the signal, not learned semantics.
+The extractor here is a seeded stack of random linear layers, each followed
+by tanh. It is intentionally tiny: shallow-layer channel statistics are what
+carry the signal, not learned semantics.
 
 Style extraction takes one ``(b, input_dim)`` batch or a ``(B, b, input_dim)``
 stack of batches. A stack is reduced per batch (the variance runs over the
@@ -37,7 +37,6 @@ from .errors import (
 VAR_FLOOR = 1e-12
 
 DEFAULT_LAYER_CHANNELS = (8, 16, 16)
-NONLINEARITIES = ("tanh", "identity")
 
 # Sub-unit weight scale keeps tanh activations out of saturation, where
 # channel variances stay responsive to input changes.
@@ -50,11 +49,11 @@ _EXACT_PAIRS = 1 << 14
 
 
 class FeatureExtractor:
-    """Frozen, seeded stack of random linear maps with a pointwise nonlinearity.
+    """Frozen, seeded stack of random linear maps, each followed by tanh.
 
     Weights are drawn once at construction and never change; two extractors
-    built from the same ``(input_dim, layer_channels, seed, nonlinearity)``
-    produce bit-identical activations on identical inputs.
+    built from the same ``(input_dim, layer_channels, seed)`` produce
+    bit-identical activations on identical inputs.
     """
 
     def __init__(
@@ -62,18 +61,14 @@ class FeatureExtractor:
         input_dim: int,
         layer_channels: Sequence[int] = DEFAULT_LAYER_CHANNELS,
         seed: int = 0,
-        nonlinearity: str = "tanh",
     ):
         if input_dim < 1:
             raise InputDomainError(f"input_dim must be positive, got {input_dim}")
         if not layer_channels or any(c < 1 for c in layer_channels):
             raise InputDomainError(f"layer_channels must be positive, got {layer_channels}")
-        if nonlinearity not in NONLINEARITIES:
-            raise InputDomainError(f"unknown nonlinearity {nonlinearity!r}")
         self.input_dim = int(input_dim)
         self.layer_channels = tuple(int(c) for c in layer_channels)
         self.seed = int(seed)
-        self.nonlinearity = nonlinearity
 
         rng = np.random.default_rng(self.seed)
         self._weights: list[np.ndarray] = []
@@ -108,8 +103,7 @@ class FeatureExtractor:
         for w, b in zip(self._weights, self._biases):
             x = x @ w.T
             x += b
-            if self.nonlinearity == "tanh":
-                np.tanh(x, out=x)
+            np.tanh(x, out=x)
             out.append(x)
         return out
 

@@ -14,10 +14,13 @@ Variance of a parameter vector is summarized as the trace of its empirical
 covariance across trials; correspondingly the task's gradient-noise level
 ``vbar`` is the total (summed per-coordinate) noise variance, which makes
 the scalar formulas dimension-free. Every Monte-Carlo routine derives one
-rng stream per trial from the key ``(seed, trial_index)``
-(``seeding.keyed_rng``): trial trajectories are bit-identical no matter how
-execution is chunked or parallelized, and the cross-trial moment
-reductions agree to float summation-order tolerance.
+rng stream per trial from the key ``(seed, trial_index)``: ``_mc_iterates``
+takes a chunk's trial generators from ``seeding.keyed_rngs``, which hashes
+the chunk's keys at once, and a single trial takes ``seeding.keyed_rng``;
+both give the stream of ``np.random.default_rng((seed, trial_index))``. Trial
+trajectories are bit-identical no matter how execution is chunked or
+parallelized, and the cross-trial moment reductions agree to float
+summation-order tolerance.
 
 A trial's gradient noise is ``rng.normal(0.0, noise_std, (steps, dim))``,
 taken as its arithmetic: the driver fills a chunk's trials with
@@ -33,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .seeding import keyed_rng
+from .seeding import keyed_rng, keyed_rngs
 
 _CHUNK = 2048
 
@@ -152,8 +155,8 @@ def _mc_iterates(
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
         noise = np.empty((n, steps, task.dim))
-        for i in range(n):
-            keyed_rng(seed, start + i).standard_normal(out=noise[i])
+        for i, rng in enumerate(keyed_rngs((seed,), range(start, start + n))):
+            rng.standard_normal(out=noise[i])
         _scale_noise(noise, task)
         x = np.tile(theta0, (n, 1))
         yield 0, x

@@ -23,3 +23,19 @@ def context(default_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240915)
+
+
+@pytest.fixture()
+def default_rng_calls(monkeypatch):
+    """The argument tuples of the ``np.random.default_rng`` calls made through
+    the module attribute while the test runs, as a wrapper on it would see
+    them."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls

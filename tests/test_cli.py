@@ -7,7 +7,7 @@ import json
 import pytest
 import yaml
 
-from reservoir_tta import cli
+from reservoir_tta import cli, seeding
 
 # Small enough to run in a few seconds: 3 domains x 2 visits x 3 batches,
 # with an 8-entry style reservoir so the stream reaches its replace phase.
@@ -535,6 +535,29 @@ GOLDEN_THEORY_STDOUT = (
 )
 
 
+# sha256 of ``rtta theory`` with all five checks at SMALL_THEORY. Its trial
+# counts are too small for the tolerances of sgd_var and ensemble_var, so it
+# exits 3; the digests pin the Monte-Carlo bits, not the verdicts.
+SMALL_THEORY = {
+    "theory": {
+        "steps": 20,
+        "trials": 300,
+        "ensemble_trials": 200,
+        "recursion_steps": 50,
+        "fisher_steps": 20,
+        "chebyshev_steps": 30,
+        "chebyshev_trials": 300,
+    }
+}
+GOLDEN_SMALL_THEORY = {
+    "chebyshev.csv": "04abca204dd2d50236b1f65089edff49e589666f5478edff4146a75563b3f1cf",
+    "ensemble_var.csv": "7c3f34055d4ceb49e3e60fa6af418f7206cc74e67ed0599a82c273baec2e202f",
+    "fisher_equiv.csv": "4dbfdcb2b3e6b12a94db2c55519c22acda5b4f1ec97eb3038850d6f29b69f482",
+    "recursion.csv": "32ac126efa76c136f4edbdb2a3a18e7a3301e2ce6a9adce9ab8ec073d1271524",
+    "sgd_var.csv": "8916a17b4e31224ce743e4c895cc8e9658968a291527410b90e5121bd75dacb5",
+}
+
+
 # sha256 of ``rtta calibrate`` at the default config: the full set-up, 2000
 # calibration styles of 32 samples.
 GOLDEN_CALIBRATE = {
@@ -590,6 +613,19 @@ def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
     assert cli.main(argv + ["--checks", "recursion,fisher_equiv"]) == 0
     assert capsys.readouterr().out == GOLDEN_THEORY_STDOUT
     assert _digests(out) == GOLDEN_THEORY
+
+
+def test_theory_makes_one_generator_per_trial(tmp_path, monkeypatch, default_rng_calls):
+    # Several hash chunks per Monte-Carlo chunk.
+    monkeypatch.setattr(seeding, "_CHUNK", 64)
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    assert cli.main(["theory", "--config", _write_config(tmp_path, SMALL_THEORY)]) == 3
+    t = SMALL_THEORY["theory"]
+    trials = t["trials"] + 2 * t["ensemble_trials"] + t["chebyshev_trials"]
+    # One trial per Fisher case, and the recursion check's gradients and start.
+    assert len(default_rng_calls) == trials + 3 + 2 == 1005
+    assert _digests(out) == GOLDEN_SMALL_THEORY
 
 
 def test_calibrate_default_matches_golden_hash(tmp_path, monkeypatch, capsys):

@@ -112,3 +112,22 @@ def test_quoted_and_digitless_exponents_stay_strings(tmp_path):
 
 def test_safe_load_is_unchanged():
     assert yaml.safe_load("[1e-3, 1.0e3, 2e0]") == ["1e-3", "1.0e3", "2e0"]
+
+
+def test_yaml_boolean_word_names_a_method(tmp_path):
+    cfg = _load(tmp_path, "methods: [{name: no}, {name: On}]\n")
+    assert [m.name for m in cfg.methods] == ["no", "On"]
+
+
+def test_yaml_boolean_word_is_an_output_dir_and_still_a_flag(tmp_path):
+    cfg = _load(tmp_path, "output_dir: off\nemit_trace: yes\n")
+    assert cfg.output_dir == "off"
+    assert cfg.emit_trace is True
+
+
+def test_yaml_boolean_word_keeps_its_bool_in_other_fields(tmp_path):
+    seeds = r"seeds: expected tuple\[int, \.\.\.\], got \(True,\)"
+    with pytest.raises(ConfigurationError, match=seeds):
+        _load(tmp_path, "seeds: [yes]\n")
+    with pytest.raises(ConfigurationError, match="emit_trace: expected bool, got 'yes'"):
+        _load(tmp_path, 'emit_trace: "yes"\n')

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservoir_tta import config, stream
+from reservoir_tta import config, seeding, stream
 from reservoir_tta.style import (
     VAR_FLOOR,
     FeatureExtractor,
@@ -37,9 +37,7 @@ def reference_style(batch, extractor):
     x = np.asarray(batch, dtype=np.float64)
     parts = []
     for w, b in zip(extractor._weights, extractor._biases):
-        x = x @ w.T + b
-        if extractor.nonlinearity == "tanh":
-            x = np.tanh(x)
+        x = np.tanh(x @ w.T + b)
         parts.append(np.log(np.maximum(x.var(axis=0), VAR_FLOOR)))
     return np.concatenate(parts)
 
@@ -118,14 +116,11 @@ class TestStyleLoopOracle:
         count=st.integers(2, 40),
         input_dim=st.integers(1, 8),
         seed=st.integers(0, 1000),
-        nonlinearity=st.sampled_from(["tanh", "identity"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_calibration_styles_bit_identical(self, count, input_dim, seed, nonlinearity):
+    def test_calibration_styles_bit_identical(self, count, input_dim, seed):
         blob = stream.make_blob(3, input_dim, seed)
-        extractor = FeatureExtractor(
-            input_dim, layer_channels=(3, 5), seed=seed, nonlinearity=nonlinearity
-        )
+        extractor = FeatureExtractor(input_dim, layer_channels=(3, 5), seed=seed)
         cfg = config.RunConfig(style=config.StyleParams(calibration_styles=count))
         got = config.calibration_styles(cfg, blob, extractor)
         want = reference_calibration_styles(blob, extractor, count)
@@ -168,6 +163,21 @@ class TestStyleLoopOracle:
             )
             assert got.tobytes() == want.tobytes()
 
+    def test_one_generator_per_batch(self, monkeypatch, default_rng_calls):
+        # Several hash chunks per call.
+        monkeypatch.setattr(seeding, "_CHUNK", 16)
+        blob = stream.make_blob(3, 4, 0)
+        extractor = FeatureExtractor(4, seed=0)
+        rng = np.random.default_rng(1)
+        domain = stream._draw_domain(0, 1.0, rng, 4, tier=rng.normal(size=3))
+        default_rng_calls.clear()
+        cfg = config.RunConfig(style=config.StyleParams(calibration_styles=37))
+        config.calibration_styles(cfg, blob, extractor)
+        assert len(default_rng_calls) == 37
+        default_rng_calls.clear()
+        stream.domain_style_mean(domain, blob, extractor, 8, 21, (5, 2, 0, 0))
+        assert len(default_rng_calls) == 21
+
     @given(
         stack=st.integers(0, 8),
         batch_size=st.integers(2, 70),
@@ -175,15 +185,12 @@ class TestStyleLoopOracle:
         channels=st.lists(st.integers(1, 9), min_size=1, max_size=3),
         scale=st.sampled_from([1e-3, 1.0, 50.0]),
         seed=st.integers(0, 1000),
-        nonlinearity=st.sampled_from(["tanh", "identity"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_stacked_style_equals_single_calls(
-        self, stack, batch_size, input_dim, channels, scale, seed, nonlinearity
+        self, stack, batch_size, input_dim, channels, scale, seed
     ):
-        ex = FeatureExtractor(
-            input_dim, layer_channels=channels, seed=seed, nonlinearity=nonlinearity
-        )
+        ex = FeatureExtractor(input_dim, layer_channels=channels, seed=seed)
         x = scale * np.random.default_rng(seed).standard_normal((stack, batch_size, input_dim))
         got = extract_style(x, ex)
         assert got.shape == (stack, ex.style_dim)

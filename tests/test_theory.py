@@ -261,15 +261,8 @@ class TestNoiseOracle:
                 np.testing.assert_array_equal(got, x)
         assert next(iterates, None) is None
 
-    def test_one_generator_per_trial(self, monkeypatch):
-        calls = []
-        default_rng = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return default_rng(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
+    def test_one_generator_per_trial(self, monkeypatch, default_rng_calls):
+        calls = default_rng_calls
         monkeypatch.setattr(theory, "_CHUNK", 64)
         theory.simulate_sgd(theory.pure_noise_task(2, 1.0), 0.1, 5, 150, seed=3)
         assert len(calls) == 150
