@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands: ``calibrate`` (threshold from source styles), ``run`` (episodes
-over seeds, metrics CSV + summary JSON per seed plus a cross-seed
-aggregate; with ``emit_trace`` also a per-step JSONL trace, written from the
-episode's metrics after the episode, so a failed episode leaves no trace
-file) and ``theory`` (the verification suite with per-check CSVs).
+Subcommands: ``run`` (episodes over seeds, metrics CSV + summary JSON per
+seed plus a cross-seed aggregate; with ``emit_trace`` also a per-step JSONL
+trace, written from the episode's metrics after the episode, so a failed
+episode leaves no trace file) and ``theory`` (the verification suite with
+per-check CSVs). ``run`` calibrates the new-domain threshold itself.
 
-Exit codes: 0 success, 1 configuration error (a bad value or argument, or a
-config file that is not UTF-8 YAML), 2 I/O error (a file that cannot be
-opened or written), 3 verification failure. All emitted files are
-byte-reproducible for a fixed config.
+Exit codes: 0 success, 1 configuration error (a bad value or argument, a
+usage error such as an unknown subcommand or option, or a config file that
+is not UTF-8 YAML or repeats a key), 2 I/O error (a file that cannot be
+opened or written), 3 verification failure. Every argument is checked before
+the output directory is created. All emitted files are byte-reproducible for
+a fixed config.
 """
 
 from __future__ import annotations
@@ -26,18 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import stream, theory
-from .config import (
-    THRESHOLD_QUANTILE,
-    RunConfig,
-    build_context,
-    build_source,
-    calibration_styles,
-    default_config,
-    load_config,
-)
+from .config import RunConfig, build_context, default_config, load_config
 from .errors import ConfigurationError, ReservoirTTAError
 from .seeding import keyed_rng
-from .style import calibrate_threshold
 
 THEORY_CHECKS = ("sgd_var", "ensemble_var", "recursion", "fisher_equiv", "chebyshev")
 _CSV_COLUMNS = ("t", "empirical_var", "closed_form_var", "bound", "empirical_rate", "discrepancy")
@@ -47,23 +40,16 @@ THEORY_SEED = 101
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
+        args = _build_parser().parse_args(argv)
+        cfg = load_config(args.config) if args.config is not None else default_config()
         # Every argument is checked before the output directory is created.
-        if args.command == "run" and args.seeds is not None:
-            cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
-        if args.command == "theory":
-            checks = _parse_checks(args.checks)
-        out_dir = _output_dir(cfg)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out_dir)
         if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        if args.command == "theory":
-            return cmd_theory(cfg, out_dir, checks)
-        parser.error(f"unknown command {args.command!r}")
+            if args.seeds is not None:
+                cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
+            return cmd_run(cfg, _output_dir(cfg))
+        checks = _parse_checks(args.checks)
+        return cmd_theory(cfg, _output_dir(cfg), checks)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -73,21 +59,25 @@ def main(argv: list[str] | None = None) -> int:
     except ReservoirTTAError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ConfigurationError``, so
+    they exit 1 like every other bad argument. ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtta",
         description="Domain-aware test-time adaptation simulator and theory checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cal = sub.add_parser("calibrate", help="calibrate the new-domain threshold")
-    p_cal.add_argument("--config", help="YAML config path (defaults if omitted)")
-
     p_run = sub.add_parser("run", help="run adaptation episodes over seeds")
-    p_run.add_argument("--config")
+    p_run.add_argument("--config", help="YAML config path (defaults if omitted)")
     p_run.add_argument("--seeds", help="comma-separated seed list override")
 
     p_th = sub.add_parser("theory", help="run the theory verification suite")
@@ -140,25 +130,6 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# calibrate
-
-
-def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
-    dataset, extractor = build_source(cfg)
-    styles = calibration_styles(cfg, dataset.blob, extractor)
-    cal = calibrate_threshold(styles, THRESHOLD_QUANTILE)
-    payload = {
-        "tau": cal.tau,
-        "quantile": cal.quantile,
-        "d": cal.dim,
-        "source_count": cal.source_sample_count,
-    }
-    _write_json(out_dir / "calibration.json", payload)
-    print(f"tau = {cal.tau:.6g} (q = {cal.quantile}, n = {cal.source_sample_count})")
-    return 0
 
 
 # ---------------------------------------------------------------------------

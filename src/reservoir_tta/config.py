@@ -6,9 +6,9 @@ domain cap and the centroid step are given in ``stream.ClusterParams``, the
 style extractor in ``StyleParams`` and the anchor strengths and ensembling
 rates of the update rules in ``tta.MethodConfig``. The synthetic source
 task (5 classes in 16 dimensions, separation 8, training rate 0.03, seed
-``SOURCE_SEED``) is fixed in ``build_source`` and ``build_context``; its
-hidden width is the default of ``tta.train_source`` and its batch size
-``tta.SOURCE_BATCH_SIZE``.
+``SOURCE_SEED``) is fixed in ``build_context``, which also builds the style
+extractor and calibrates the threshold tau; the task's hidden width is the
+default of ``tta.train_source`` and its batch size ``tta.SOURCE_BATCH_SIZE``.
 Domains are drawn at ``DOMAIN_SEED`` with ``stream.MIN_SEPARATION_FACTOR``. The
 theory suite's step size and seed are ``cli.THEORY_ETA`` and
 ``cli.THEORY_SEED``, its task shapes literals in ``cli._run_check``.
@@ -267,11 +267,29 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     return cfg
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"  # ``<<``, merged before construction
+
+
 class _Loader(yaml.SafeLoader):
     """The safe YAML loader, plus floats with an exponent but no dot or no
     exponent sign (``1e-3``, ``1.0e3``), which YAML 1.1 reads as strings.
     A boolean word loads as a ``_YamlBool`` that ``config_from_dict``
-    resolves by the type of the field it sets."""
+    resolves by the type of the field it sets. A mapping that repeats a key
+    raises ``ConfigurationError`` instead of keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        first: dict[Any, int] = {}
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE_TAG:
+                continue
+            key, mark = self.construct_object(key_node), key_node.start_mark
+            if key in first:
+                raise ConfigurationError(
+                    f"{mark.name}: repeated key {key!r} at line {mark.line + 1} "
+                    f"(first at line {first[key]})"
+                )
+            first[key] = mark.line + 1
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(
@@ -288,9 +306,9 @@ _Loader.add_constructor(
 def load_config(path: str | Path) -> RunConfig:
     """Parse a YAML config file into a validated RunConfig.
 
-    An empty file gives the defaults. A file that is not UTF-8 YAML raises
-    ``ConfigurationError`` naming it; a file that cannot be opened raises
-    ``OSError``.
+    An empty file gives the defaults. A file that is not UTF-8 YAML, or
+    that repeats a key in a mapping, raises ``ConfigurationError`` naming
+    it; a file that cannot be opened raises ``OSError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -317,8 +335,9 @@ def calibration_styles(
     return extract_style(batches, extractor)
 
 
-def build_source(cfg: RunConfig) -> tuple[stream.LabeledDataset, FeatureExtractor]:
-    """The labeled source sample (with its class blobs) and the style extractor."""
+def build_context(cfg: RunConfig) -> stream.EpisodeContext:
+    """Prepare everything an episode needs: the labeled source sample, the
+    style extractor, the source model, the threshold tau and the domains."""
     dataset = stream.make_source_dataset(
         classes=5,
         samples_per_class=cfg.source.samples_per_class,
@@ -327,17 +346,11 @@ def build_source(cfg: RunConfig) -> tuple[stream.LabeledDataset, FeatureExtracto
         separation=8.0,
     )
     extractor = FeatureExtractor(dataset.blob.input_dim, seed=STYLE_SEED)
-    return dataset, extractor
-
-
-def build_context(cfg: RunConfig) -> stream.EpisodeContext:
-    """Prepare everything an episode needs: source model, threshold, domains."""
-    dataset, extractor = build_source(cfg)
     model = tta.train_source(
         SOURCE_SEED, (dataset.inputs, dataset.labels), epochs=cfg.source.epochs, lr=0.03
     )
     styles = calibration_styles(cfg, dataset.blob, extractor)
-    calibration = calibrate_threshold(styles, THRESHOLD_QUANTILE)
+    tau = calibrate_threshold(styles, THRESHOLD_QUANTILE)
     source_mean = styles.mean(axis=0)
 
     plan = cfg.scenario
@@ -347,7 +360,7 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         DOMAIN_SEED,
         blob=dataset.blob,
         extractor=extractor,
-        tau=calibration.tau,
+        tau=tau,
         source_style_mean=source_mean,
         batch_size=plan.batch_size,
     )
@@ -360,7 +373,7 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         blob=dataset.blob,
         model=model,
         extractor=extractor,
-        calibration=calibration,
+        tau=tau,
         source_style_mean=source_mean,
         domains=domains,
         plan=plan,

@@ -24,7 +24,7 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .model_reservoir import ModelReservoir, select_active
 from .seeding import keyed_rng, keyed_rngs
-from .style import FeatureExtractor, ThresholdCalibration, extract_style
+from .style import FeatureExtractor, extract_style
 
 # Sub-stream tags for counter-based seeding; one tag per independent rng use.
 _TAG_STREAM = 0
@@ -126,10 +126,10 @@ class DomainSpec:
 
     The base fields are severity-free direction parameters; the effective
     transform scales all of them by ``severity``. Severity 0 is the identity
-    with no noise (the source domain).
+    with no noise (the source domain). A domain carries no id: it is its
+    index in ``EpisodeContext.domains``, the value the schedule holds.
     """
 
-    id: int
     severity: float
     rotation_gen: np.ndarray  # unit-spectral-norm skew-symmetric generator
     rotation_angle: float
@@ -177,7 +177,6 @@ def _sphere_points(count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_domain(
-    domain_id: int,
     severity: float,
     rng: np.random.Generator,
     dim: int,
@@ -197,7 +196,6 @@ def _draw_domain(
     gen /= np.linalg.norm(gen, 2)
     gain, log_noise, log_angle = tier
     return DomainSpec(
-        id=domain_id,
         severity=severity,
         rotation_gen=gen,
         rotation_angle=float(0.95 * np.exp(0.35 * log_angle)),
@@ -213,7 +211,6 @@ def blend_domains(a: DomainSpec, b: DomainSpec, w: float) -> DomainSpec:
         raise InputDomainError("cannot blend domains of different dimension")
     u = 1.0 - w
     return DomainSpec(
-        id=a.id if w < 0.5 else b.id,
         severity=u * a.severity + w * b.severity,
         rotation_gen=u * a.rotation_gen + w * b.rotation_gen,
         rotation_angle=u * a.rotation_angle + w * b.rotation_angle,
@@ -263,7 +260,9 @@ def make_domains(
     is rejected unless every pair of domain style means, the source style
     mean included, is separated by more than ``MIN_SEPARATION_FACTOR * tau``;
     a rejected pool is redrawn with a fresh sub-seed up to
-    ``DOMAIN_MAX_RETRIES`` times before raising.
+    ``DOMAIN_MAX_RETRIES`` times before raising. A candidate's style batches
+    are keyed by its pool index, and a returned domain's id is its index in
+    the returned list.
     """
     if count < 1:
         raise InputDomainError(f"domain count must be positive, got {count}")
@@ -279,16 +278,15 @@ def make_domains(
             [0.9, 1.0, 1.0]
         ) * _sphere_points(pool_size, rng)
         pool = [
-            _draw_domain(k, severity, rng, blob.input_dim, tier=tiers[k])
-            for k in range(pool_size)
+            _draw_domain(severity, rng, blob.input_dim, tier=tier) for tier in tiers
         ]
         means = np.stack(
             [
                 domain_style_mean(
                     d, blob, extractor, batch_size, DOMAIN_STYLE_BATCHES,
-                    seed_key=(seed, _TAG_DOMAIN_CHECK, attempt, d.id),
+                    seed_key=(seed, _TAG_DOMAIN_CHECK, attempt, k),
                 )
-                for d in pool
+                for k, d in enumerate(pool)
             ]
         )
         chosen = _farthest_point_subset(means, count, source_style_mean)
@@ -296,9 +294,7 @@ def make_domains(
         dists = np.linalg.norm(mat[:, None, :] - mat[None, :, :], axis=2)
         off_diag = dists[np.triu_indices(mat.shape[0], k=1)]
         if np.all(off_diag > MIN_SEPARATION_FACTOR * tau):
-            return [
-                replace(pool[idx], id=new_id) for new_id, idx in enumerate(chosen)
-            ]
+            return [pool[idx] for idx in chosen]
     raise GenerationError(
         f"could not draw {count} domains separated by more than "
         f"{MIN_SEPARATION_FACTOR} * tau after {DOMAIN_MAX_RETRIES} attempts"
@@ -503,12 +499,13 @@ class ClusterParams:
 
 @dataclass(frozen=True)
 class EpisodeContext:
-    """Everything an episode needs that does not depend on the stream seed."""
+    """Everything an episode needs that does not depend on the stream seed.
+    ``tau`` is the new-domain threshold; a domain is its index in ``domains``."""
 
     blob: BlobSpec
     model: tta.AdaptableClassifier
     extractor: FeatureExtractor
-    calibration: ThresholdCalibration
+    tau: float
     source_style_mean: np.ndarray
     domains: list[DomainSpec]
     plan: ScenarioPlan
@@ -605,7 +602,6 @@ def run_episode(
     centroids = CentroidSet(context.source_style_mean, k_max=k_max)
     model = context.model
     models = ModelReservoir(model.source_params)
-    tau = context.calibration.tau
 
     visits, primary, nxt, weight = stream.schedule
     assigned = np.zeros(n, dtype=np.int64)
@@ -621,7 +617,7 @@ def run_episode(
         feats, s = batch.features, batch.style
         if route:
             reservoir.offer(s)
-            decision = centroids.detect(s, tau)
+            decision = centroids.detect(s, context.tau)
             if decision.is_new:
                 models.init_new_model(lambda p: tta.predict(model, p, feats))
             update_centroids(centroids, reservoir)

@@ -20,7 +20,6 @@ proven rounding bound picks the few pairs that can hold it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -142,20 +141,9 @@ def extract_style(batch: np.ndarray, extractor: FeatureExtractor) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-@dataclass(frozen=True)
-class ThresholdCalibration:
-    """New-domain threshold: a quantile of source pairwise style distances."""
-
-    tau: float
-    quantile: float
-    dim: int
-    source_sample_count: int
-
-
-def calibrate_threshold(
-    source_styles: Sequence[np.ndarray], quantile: float
-) -> ThresholdCalibration:
-    """Empirical quantile of all pairwise Euclidean distances among source styles.
+def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) -> float:
+    """The new-domain threshold tau: the empirical quantile of all pairwise
+    Euclidean distances among source styles.
 
     Uses the nearest-rank method (the ``ceil(q * N)``-th smallest of the
     ``N = n(n-1)/2`` distances) so the result is exactly reproducible.
@@ -227,10 +215,7 @@ def calibrate_threshold(
         j = p - starts[i] + i + 1
         exact[p0 : p0 + _EXACT_PAIRS] = ((styles[j] - styles[i]) ** 2).sum(axis=1)
     # sqrt is monotone, so the order statistic commutes with it.
-    tau = float(np.sqrt(np.partition(exact, k - 1)[k - 1]))
-    return ThresholdCalibration(
-        tau=tau, quantile=float(quantile), dim=d, source_sample_count=n
-    )
+    return float(np.sqrt(np.partition(exact, k - 1)[k - 1]))
 
 
 def _as_style_matrix(styles: Sequence[np.ndarray]) -> np.ndarray:

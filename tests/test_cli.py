@@ -381,6 +381,34 @@ def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
     assert cli.main(["run", "--config", str(tmp_path / "absent.yaml")]) == 2
     assert "I/O error" in capsys.readouterr().err
+    # An empty path names no file; it does not mean the defaults.
+    assert cli.main(["theory", "--config", "", "--checks", ""]) == 2
+    assert "I/O error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["run", "--bogus"], id="unknown-option"),
+        pytest.param(["frobnicate"], id="unknown-command"),
+        pytest.param(["calibrate"], id="calibrate-deleted"),
+        pytest.param(["theory", "--checks"], id="option-without-value"),
+    ],
+)
+def test_usage_error_exits_1_before_output(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    assert cli.main(args) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: rtta" in capsys.readouterr().out
 
 
 def test_failing_theory_check_exits_3(tmp_path, monkeypatch, capsys):
@@ -560,12 +588,6 @@ GOLDEN_SMALL_THEORY = {
 
 # sha256 of ``rtta calibrate`` at the default config: the full set-up, 2000
 # calibration styles of 32 samples.
-GOLDEN_CALIBRATE = {
-    "calibration.json": "ad38b80929f91c7a557d0cd05fc79a9a15ec13b88cc3176b3f5af99b0ebbc680",
-}
-GOLDEN_CALIBRATE_STDOUT = "tau = 3.2387 (q = 0.99, n = 2000)\n"
-
-
 def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
@@ -628,9 +650,6 @@ def test_theory_makes_one_generator_per_trial(tmp_path, monkeypatch, default_rng
     assert _digests(out) == GOLDEN_SMALL_THEORY
 
 
-def test_calibrate_default_matches_golden_hash(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out"
-    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
-    assert cli.main(["calibrate"]) == 0
-    assert capsys.readouterr().out == GOLDEN_CALIBRATE_STDOUT
-    assert _digests(out) == GOLDEN_CALIBRATE
+def test_default_tau_matches_golden_bits(context):
+    # The default config's threshold, 3.2386990788423393, to the bit.
+    assert context.tau.hex() == "0x1.9e8db1009b494p+1"

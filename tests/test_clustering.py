@@ -189,15 +189,15 @@ class TestDetect:
             seed=4242,
             blob=context.blob,
             extractor=context.extractor,
-            tau=context.calibration.tau,
+            tau=context.tau,
             source_style_mean=context.source_style_mean,
             batch_size=64,
         )
         means = [
             stream.domain_style_mean(
-                d, context.blob, context.extractor, 64, 16, seed_key=(91, d.id)
+                d, context.blob, context.extractor, 64, 16, seed_key=(91, i)
             )
-            for d in domains
+            for i, d in enumerate(domains)
         ]
         cs = _grown_centroids(means, k_max=16)
         rng = np.random.default_rng(7)
@@ -208,7 +208,7 @@ class TestDetect:
             x, _ = context.blob.sample(r, 64)
             noise = r.standard_normal(x.shape)
             s = extract_style(domains[true].apply(x, noise), context.extractor)
-            d = cs.detect(s, tau=context.calibration.tau)
+            d = cs.detect(s, tau=context.tau)
             assert not d.is_new
             routed = select_active(soft_assign_vector(s, cs))
             # Independent nearest-centroid oracle.

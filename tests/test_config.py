@@ -131,3 +131,39 @@ def test_yaml_boolean_word_keeps_its_bool_in_other_fields(tmp_path):
         _load(tmp_path, "seeds: [yes]\n")
     with pytest.raises(ConfigurationError, match="emit_trace: expected bool, got 'yes'"):
         _load(tmp_path, 'emit_trace: "yes"\n')
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        pytest.param("seeds: [1]\nseeds: [2]\n", "seeds", 2, id="top-level"),
+        pytest.param(
+            "scenario: {domains: 3}\nseeds: [1]\nscenario: {domains: 4}\n", "scenario", 3,
+            id="top-level-section",
+        ),
+        pytest.param(
+            "scenario:\n  domains: 3\n  visits: 1\n  domains: 4\n", "domains", 4,
+            id="in-section",
+        ),
+        pytest.param(
+            "methods:\n  - name: m\n    lr: 0.1\n    lr: 0.2\n", "lr", 4, id="in-method",
+        ),
+    ],
+)
+def test_repeated_key_exits_1_before_output(tmp_path, monkeypatch, capsys, text, key, line):
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"{path}: repeated key {key!r} at line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_merge_key_is_not_a_repeat():
+    # A key that overrides a merged one is written once.
+    assert yaml.load("a: &x {p: 1}\nb: {<<: *x, p: 2}\n", Loader=config._Loader) == {
+        "a": {"p": 1},
+        "b": {"p": 2},
+    }

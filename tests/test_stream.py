@@ -50,7 +50,7 @@ class TestSourceDataset:
 class TestMakeDomains:
     def test_identity_at_zero_severity(self, context):
         rng = np.random.default_rng(3)
-        dom = stream._draw_domain(0, 0.0, rng, context.blob.input_dim, tier=np.zeros(3))
+        dom = stream._draw_domain(0.0, rng, context.blob.input_dim, tier=np.zeros(3))
         np.testing.assert_allclose(dom.transform, np.eye(context.blob.input_dim), atol=1e-12)
         np.testing.assert_array_equal(dom.offset, 0.0)
         np.testing.assert_array_equal(dom.noise_std, 0.0)
@@ -58,7 +58,7 @@ class TestMakeDomains:
         m = stream.domain_style_mean(
             dom, context.blob, context.extractor, 64, 16, seed_key=(10,)
         )
-        assert np.linalg.norm(m - context.source_style_mean) < context.calibration.tau
+        assert np.linalg.norm(m - context.source_style_mean) < context.tau
 
     def test_transforms_invertible(self, context):
         for d in context.domains:
@@ -74,27 +74,27 @@ class TestMakeDomains:
             seed=4242,
             blob=context.blob,
             extractor=context.extractor,
-            tau=context.calibration.tau,
+            tau=context.tau,
             source_style_mean=context.source_style_mean,
         )
         means = np.stack(
             [
                 stream.domain_style_mean(
-                    d, context.blob, context.extractor, 64, 16, seed_key=(11, d.id)
+                    d, context.blob, context.extractor, 64, 16, seed_key=(11, i)
                 )
-                for d in domains
+                for i, d in enumerate(domains)
             ]
         )
         dists = np.linalg.norm(means[:, None] - means[None, :], axis=2)
         iu = np.triu_indices(15, k=1)
         assert dists[iu].size == 105
-        assert np.all(dists[iu] > context.calibration.tau)
+        assert np.all(dists[iu] > context.tau)
 
     def test_same_seed_identical_specs(self, context):
         checked = dict(
             blob=context.blob,
             extractor=context.extractor,
-            tau=context.calibration.tau,
+            tau=context.tau,
             source_style_mean=context.source_style_mean,
         )
         a = stream.make_domains(4, 0.8, seed=77, **checked)
@@ -112,7 +112,7 @@ class TestMakeDomains:
                 seed=5,
                 blob=context.blob,
                 extractor=context.extractor,
-                tau=context.calibration.tau,
+                tau=context.tau,
                 source_style_mean=context.source_style_mean,
             )
 
@@ -264,7 +264,7 @@ class TestDomainStream:
             noise = r.standard_normal(x.shape)
             ccc_styles.append(extract_style(blended.apply(x, noise), context.extractor))
         dist = np.linalg.norm(np.mean(ccc_styles, axis=0) - pure_mean)
-        assert dist < context.calibration.tau / 10
+        assert dist < context.tau / 10
 
     def test_blend_weight_zero_is_pure_a(self, context):
         a, b = context.domains[0], context.domains[1]
@@ -500,16 +500,21 @@ class TestRunEpisode:
 
     def test_hidden_ids_influence_only_metrics(self, context):
         # A batch carries no visit or domain id; the metrics read them from
-        # the schedule, a CCC blend's domain being the id of its blend.
+        # the schedule. A CCC segment of 4 batches ramps its weight 0, 1/4,
+        # 1/2, 3/4 toward the next segment's domain, so slots 0-1 are the
+        # segment's own domain and slots 2-3 the next one; the stream's last
+        # segment stays pure.
         assert [f.name for f in fields(stream.StreamBatch)] == ["labels", "features", "style"]
         ctx = _context_with(context, kind="ccc", visits=2, batches_per_domain=4)
         met = stream.run_episode(ctx, self._method(), seed=8)
-        visit, primary, nxt, weight = ctx.plan.schedule(8)
+        visit, primary, _, _ = ctx.plan.schedule(8)
         assert _bits(met.visits) == _bits(visit)
-        assert np.any(primary != nxt)
-        for step, hidden in enumerate(met.true_domains):
-            a, b = ctx.domains[primary[step]], ctx.domains[nxt[step]]
-            assert hidden == stream.blend_domains(a, b, weight[step]).id, step
+        segments = [int(d) for d in primary[::4]]
+        assert len(segments) == 2 * ctx.plan.domains
+        assert any(a != b for a, b in zip(segments, segments[1:]))
+        expected = [d for a, b in zip(segments, segments[1:]) for d in (a, a, b, b)]
+        expected += [segments[-1]] * 4
+        assert [int(d) for d in met.true_domains] == expected
 
     def test_baseline_runs_single_model(self, context):
         ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=2))

@@ -150,18 +150,18 @@ class TestFeatureExtractor:
 class TestCalibrateThreshold:
     def test_identical_vectors_give_zero_tau(self):
         styles = [np.ones(3)] * 10
-        cal = calibrate_threshold(styles, 0.99)
-        assert cal.tau == 0.0
-        assert cal.source_sample_count == 10
+        tau = calibrate_threshold(styles, 0.99)
+        assert type(tau) is float
+        assert tau == 0.0
 
     def test_single_pair(self):
-        cal = calibrate_threshold([np.array([0.0, 0.0]), np.array([3.0, 4.0])], 0.5)
-        assert cal.tau == pytest.approx(5.0)
+        tau = calibrate_threshold([np.array([0.0, 0.0]), np.array([3.0, 4.0])], 0.5)
+        assert tau == pytest.approx(5.0)
 
     def test_matches_nearest_rank_oracle_on_large_sample(self):
         rng = np.random.default_rng(31)
         styles = [rng.standard_normal(8) for _ in range(2000)]
-        cal = calibrate_threshold(styles, 0.99)
+        tau = calibrate_threshold(styles, 0.99)
         # Brute-force oracle: every pair individually, sort, ceil(q*N)-th.
         dists = [
             float(np.sqrt(((a - b) ** 2).sum()))
@@ -170,7 +170,7 @@ class TestCalibrateThreshold:
         ]
         dists.sort()
         rank = int(np.ceil(0.99 * len(dists)))
-        assert cal.tau == dists[rank - 1]
+        assert tau == dists[rank - 1]
 
     def test_requires_two_vectors(self):
         with pytest.raises(InsufficientDataError):
@@ -201,13 +201,10 @@ class TestCalibrateThreshold:
         styles = [rng.standard_normal(4) for _ in range(12)]
         shuffled = styles[:]
         rnd.shuffle(shuffled)
-        assert (
-            calibrate_threshold(styles, 0.7).tau
-            == calibrate_threshold(shuffled, 0.7).tau
-        )
+        assert calibrate_threshold(styles, 0.7) == calibrate_threshold(shuffled, 0.7)
 
     def test_quantile_monotone(self):
         rng = np.random.default_rng(5)
         styles = [rng.standard_normal(6) for _ in range(40)]
-        taus = [calibrate_threshold(styles, q).tau for q in (0.1, 0.5, 0.9, 0.99, 1.0)]
+        taus = [calibrate_threshold(styles, q) for q in (0.1, 0.5, 0.9, 0.99, 1.0)]
         assert all(a <= b for a, b in zip(taus, taus[1:]))
