@@ -286,15 +286,13 @@ def update_centroids(
     """One plain gradient-descent step on the MI loss, in place.
 
     Every centroid is updated, the source centroid included. At K = 1 the
-    gradient is exactly zero (:func:`mi_grad_centroids`), so after the
-    argument checks the step leaves the centroid as it is.
+    gradient is exactly zero (:func:`mi_grad_centroids`), so the step
+    leaves the centroid's bits as they are.
     """
     if not (np.isfinite(lr) and lr >= 0):
         raise InputDomainError(f"lr must be finite and nonnegative, got {lr}")
     if len(reservoir) == 0:
         raise InsufficientDataError("centroid update needs a nonempty reservoir")
-    if centroids.count == 1:
-        return
     grad = mi_grad_centroids(reservoir, centroids)
     if not np.all(np.isfinite(grad)):
         bad = np.argwhere(~np.isfinite(grad))

@@ -182,18 +182,6 @@ class _YamlBool:
         return repr(self.value)
 
 
-def _resolve_yaml_bools(value, hint):
-    """``value`` with each YAML boolean word as the field's type wants it: a
-    str field takes the word's text (``name: no`` is ``"no"``), any other
-    field its bool (``emit_trace: yes`` is ``True``)."""
-    if isinstance(value, tuple):
-        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
-        return tuple(_resolve_yaml_bools(v, item) for v in value)
-    if isinstance(value, _YamlBool):
-        return value.text if hint is str else value.value
-    return value
-
-
 def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
     """Keyword arguments for ``cls``: known fields of the annotated type only."""
     hints = typing.get_type_hints(cls)
@@ -205,7 +193,9 @@ def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
         if isinstance(value, list):  # every sequence field is a tuple
             value = tuple(value)
         hint = hints[key]
-        value = _resolve_yaml_bools(value, hint)
+        # A str field takes a YAML boolean word's text, any other its bool.
+        if isinstance(value, _YamlBool):
+            value = value.text if hint is str else value.value
         if not _conforms(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             problems.append(f"{where}{key}: expected {expected}, got {value!r}")

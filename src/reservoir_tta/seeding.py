@@ -12,6 +12,11 @@ bit generator per key, which gives the same streams at a fraction of the
 set-up cost. Either way every keyed generator is the result of one call of
 ``np.random.default_rng``, looked up at call time, so a wrapper installed on
 that module attribute sees each of them.
+
+``SeedSequence`` hashes the missing words of its four-word pool as 0, so
+``keyed_rng(s, 0, 0, 0)``, ``keyed_rng(s, 0)`` and ``np.random.default_rng(s)``
+give one stream: keys of up to four words that differ only by trailing
+zeros share their draws.
 """
 
 from __future__ import annotations

@@ -9,17 +9,16 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 (CCC).
 
 ``DomainStream`` serves each step's batch with its frozen features and style
-vector already computed. Every step of a (domain, slot) pair uses the same
-raw batch: a recurring stream replays a pure-domain pair's prepared batch on
-every later visit, and a CCC stream keeps a pair's raw draw for the blends
-of later visits, so neither is drawn again. ``run_episode`` executes the
-per-batch loop on those batches: reservoir update, domain detection,
-centroid refinement, model selection and adaptation, parameter ensembling,
-prediction. Its ``EpisodeMetrics`` is the one per-step record, behind the
-metrics CSV, the trace and the tests. An untraced single-model episode
-skips the routing stages, whose outcome is then constant. Hidden labels
-and the schedule's domain ids feed the metrics only, never the adaptation
-path.
+vector already computed. It draws the raw batch of every (domain, slot) pair
+once, at construction, so every step of a pair uses the same raw batch, and
+it replays a pure-domain pair's prepared batch on every later visit.
+``run_episode`` executes the per-batch loop on those batches: reservoir
+update, domain detection, centroid refinement, model selection and
+adaptation, parameter ensembling, prediction. Its ``EpisodeMetrics`` is the
+one per-step record, behind the metrics CSV, the trace and the tests. An
+untraced single-model episode skips the routing stages, whose outcome is
+then constant. Hidden labels and the schedule's domain ids feed the
+metrics only, never the adaptation path.
 """
 
 from __future__ import annotations
@@ -382,8 +381,8 @@ class ScenarioPlan:
 class StreamBatch:
     """One test batch, prepared for the engine: its hidden labels, frozen
     features ``model.features(inputs)`` and style vector (``None`` from a
-    stream built without styles). A tabled batch's arrays are read-only.
-    The step's visit and hidden domain are in the stream's schedule."""
+    stream built without styles). Its arrays are read-only. The step's
+    visit and hidden domain are in the stream's schedule."""
 
     labels: np.ndarray
     features: np.ndarray
@@ -391,8 +390,7 @@ class StreamBatch:
 
 
 def _freeze(arrays: tuple) -> tuple:
-    """Make a tabled entry's arrays read-only: every step it serves shares
-    them, so a write raises instead of changing a later batch."""
+    """Make ``arrays`` read-only (``None`` skipped) and return them."""
     for array in arrays:
         if array is not None:
             array.flags.writeable = False
@@ -402,27 +400,20 @@ def _freeze(arrays: tuple) -> tuple:
 class DomainStream:
     """The seeded batches of one episode over a context's plan and domains.
 
-    ``plan.schedule(seed)`` is built once, at construction. ``next_batch``
-    draws a step's batch, distorts it, and runs the feature pass and, if
-    ``styles`` is set, the style pass; the engine never reads raw inputs.
+    Construction builds ``plan.schedule(seed)`` and draws every (domain,
+    slot) key's raw batch, its inputs, labels and standard-normal noise,
+    from the key's own rng ``keyed_rng(seed, _TAG_STREAM, domain, slot)``
+    into three read-only arrays indexed ``[domain, slot]``. ``next_batch``
+    distorts its key's inputs with its key's noise and runs the feature
+    pass and, if ``styles`` is set, the style pass; the engine never reads
+    raw inputs.
 
-    Every step of a (domain, slot) key draws the same raw batch: the same
-    inputs, labels and standard-normal noise, from the key's own rng. A
-    pure-domain step (blend weight 0, or the same domain at both segment
+    A pure-domain step (blend weight 0, or the same domain at both segment
     ends: every CSC and CDC step) depends on its key alone, so every
     recurrence of a domain replays the same test data; visit-to-visit error
     differences then reflect adaptation, not resampling, as in recurring
-    corruption benchmarks.
-
-    Two tables, each holding at most one entry per key, keep a draw that a
-    later visit needs again, read-only:
-
-    - the replay table keeps a pure step's prepared batch, which serves
-      every later pure occurrence of its key with no draw, feature or style
-      pass;
-    - the raw table keeps a key's raw batch while a later visit blends it
-      (CCC only); a step that finds its key there skips the sampling and
-      only distorts and prepares the batch.
+    corruption benchmarks. The first pure step of a key keeps its
+    ``StreamBatch`` in the replay table; every later one is served it.
     """
 
     def __init__(self, context: EpisodeContext, seed: int, styles: bool = True):
@@ -435,50 +426,37 @@ class DomainStream:
         self.seed = seed
         self.styles = styles
         self.schedule = plan.schedule(seed)
-        visit, primary, nxt, weight = self.schedule
         per = plan.batches_per_domain
-        pure = (weight == 0.0) | (primary == nxt)
-        key = primary * per + np.arange(plan.total_steps) % per  # flat (domain, slot)
-
-        def last_visit(steps: np.ndarray) -> np.ndarray:
-            """Last visit of each (domain, slot) key among ``steps``; -1 if none."""
-            last = np.full((plan.domains, per), -1)
-            np.maximum.at(last.reshape(-1), key[steps], visit[steps])
-            return last
-
-        self._last_pure = last_visit(pure)
-        self._last_blend = last_visit(~pure)
-        self._replay: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._raw: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._inputs = np.empty((plan.domains, per, plan.batch_size, context.blob.input_dim))
+        self._labels = np.empty(self._inputs.shape[:3], dtype=np.int64)
+        self._noise = np.empty_like(self._inputs)
+        for domain in range(plan.domains):
+            for slot, rng in enumerate(keyed_rngs((seed, _TAG_STREAM, domain), range(per))):
+                inputs, labels = context.blob.sample(rng, plan.batch_size)
+                self._inputs[domain, slot], self._labels[domain, slot] = inputs, labels
+                self._noise[domain, slot] = rng.standard_normal(inputs.shape)
+        _freeze((self._inputs, self._labels, self._noise))
+        self._replay: dict[tuple[int, int], StreamBatch] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
         ctx = self.context
         if not 0 <= step < ctx.plan.total_steps:
             raise EndOfStream(f"step {step} outside [0, {ctx.plan.total_steps})")
-        visit, primary, nxt, w = [column[step].item() for column in self.schedule]
-        slot = step % ctx.plan.batches_per_domain
+        _, primary, nxt, w = [column[step].item() for column in self.schedule]
+        key = (primary, step % ctx.plan.batches_per_domain)
         pure = w == 0.0 or primary == nxt
-        key = (primary, slot)
         if pure and key in self._replay:
-            return StreamBatch(*self._replay[key])
-        raw = self._raw.get(key)
-        if raw is None:
-            rng = keyed_rng(self.seed, _TAG_STREAM, primary, slot)
-            inputs, labels = ctx.blob.sample(rng, ctx.plan.batch_size)
-            raw = (inputs, labels, rng.standard_normal(inputs.shape))
-            if visit < self._last_blend[key]:
-                self._raw[key] = _freeze(raw)
-        inputs, labels, noise = raw
+            return self._replay[key]
         if pure:
             domain = ctx.domains[primary]
         else:
             domain = blend_domains(ctx.domains[primary], ctx.domains[nxt], w)
-        inputs = domain.apply(inputs, noise)
+        inputs = domain.apply(self._inputs[key], self._noise[key])
         style = extract_style(inputs, ctx.extractor) if self.styles else None
-        prepared = (labels, ctx.model.features(inputs), style)
-        if pure and visit < self._last_pure[key]:
-            self._replay[key] = _freeze(prepared)
-        return StreamBatch(*prepared)
+        batch = StreamBatch(*_freeze((self._labels[key], ctx.model.features(inputs), style)))
+        if pure:
+            self._replay[key] = batch
+        return batch
 
 
 @dataclass(frozen=True)
@@ -570,12 +548,13 @@ def run_episode(
 ) -> EpisodeMetrics:
     """Execute one adaptation episode and record its metrics.
 
-    Each step takes the :class:`DomainStream`'s prepared batch, offers its
-    style to the style reservoir, detects the domain (possibly spawning a
-    centroid and a model), refines the centroids, soft-assigns, adapts the
-    selected model by one :func:`tta.tta_step` of ``method``, anchored by
-    the context's ``fisher_omega``, then predicts with the soft-assignment
-    ensemble of the models. The batch's frozen features are shared by the
+    The :class:`DomainStream` draws every raw batch before the first step.
+    Each step takes the stream's prepared batch, offers its style to the
+    style reservoir, detects the domain (possibly spawning a centroid and a
+    model), refines the centroids, soft-assigns, adapts the selected model
+    by one :func:`tta.tta_step` of ``method``, anchored by the context's
+    ``fisher_omega``, then predicts with the soft-assignment ensemble of
+    the models. The batch's frozen features are shared by the
     adaptation step, a spawned model's clone choice and the prediction,
     since none of them changes the features. The reservoir switch only sets
     the domain cap: without it the cap is 1, and the ensemble is the single

@@ -84,3 +84,13 @@ def test_keyed_rngs_make_one_default_rng_call_per_key(monkeypatch, default_rng_c
 def test_keyed_rngs_reject_entries_outside_uint32(prefix, indices):
     with pytest.raises(OverflowError):
         list(keyed_rngs(prefix, indices))
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**32 - 1])
+def test_trailing_zeros_name_the_same_stream_up_to_four_words(seed):
+    want = np.random.default_rng(seed).standard_normal(16).tobytes()
+    for key in [(seed,), (seed, 0), (seed, 0, 0), (seed, 0, 0, 0)]:
+        assert keyed_rng(*key).standard_normal(16).tobytes() == want, key
+    assert next(keyed_rngs((seed, 0, 0), [0])).standard_normal(16).tobytes() == want
+    # A fifth word is mixed in after the pool is filled, even when it is 0.
+    assert keyed_rng(seed, 0, 0, 0, 0).standard_normal(16).tobytes() != want

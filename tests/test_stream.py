@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservoir_tta import config, stream, tta
 from reservoir_tta.clustering import DEFAULT_K_MAX
@@ -232,6 +234,30 @@ class TestDomainStream:
         assert visits[0] == 0 and visits[again] == 1
         _assert_same_batch(ds.next_batch(0), ds.next_batch(again))
 
+    @given(
+        kind=st.sampled_from(stream.SCENARIO_KINDS),
+        domains=st.integers(1, 3),
+        visits=st.integers(0, 3),
+        batches_per_domain=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        styles=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_served_batch_is_its_fresh_draw_and_read_only(
+        self, context, kind, domains, visits, batches_per_domain, seed, styles
+    ):
+        ctx = _context_with(
+            context, kind=kind, domains=domains, visits=visits,
+            batches_per_domain=batches_per_domain, batch_size=8,
+        )
+        ds = stream.DomainStream(ctx, seed, styles=styles)
+        for step in range(ctx.plan.total_steps):
+            batch = ds.next_batch(step)
+            _assert_same_batch(batch, _prepared_batch(ctx, seed, step, styles))
+            for f in fields(stream.StreamBatch):
+                array = getattr(batch, f.name)
+                assert array is None or not array.flags.writeable, (step, f.name)
+
     def test_hidden_id_matches_schedule(self, context):
         ctx = _context_with(context, visits=1, batches_per_domain=3)
         method = tta.MethodConfig(name="m", kind="entropy")
@@ -288,14 +314,24 @@ class TestDomainStream:
             assert _bits(outs[0]) == _bits(outs[1]), i
 
     @pytest.mark.parametrize("styles", [True, False])
-    def test_ccc_raw_table_matches_fresh_draws(self, context, styles):
+    def test_ccc_batches_match_fresh_draws(self, context, styles):
         ctx = _context_with(context, kind="ccc", visits=3, batches_per_domain=4)
         ds = stream.DomainStream(ctx, seed=9, styles=styles)
+        _, primary, nxt, weight = ds.schedule
+        served, first_pure = [], {}
         for step in range(ctx.plan.total_steps):
-            _assert_same_batch(ds.next_batch(step), _prepared_batch(ctx, 9, step, styles))
-        # Every blended slot recurs on a later visit; weight-0 slots are
-        # replayed whole instead.
-        assert sorted(ds._raw) == [(d, s) for d in range(8) for s in (1, 2, 3)]
+            batch = ds.next_batch(step)
+            _assert_same_batch(batch, _prepared_batch(ctx, 9, step, styles))
+            # A weight-0 slot is replayed whole on a later visit; a blended
+            # slot is prepared afresh from its key's raw batch.
+            if weight[step] == 0.0 or primary[step] == nxt[step]:
+                key = (primary[step], step % 4)
+                assert batch is first_pure.setdefault(key, batch), step
+            else:
+                assert not any(batch is b for b in served), step
+            served.append(batch)
+        # Slot 0 of each domain, plus slots 1-3 of the stream's last segment.
+        assert len(first_pure) == 8 + 3
 
     def test_replay_table_keeps_pure_batches_a_later_visit_draws(self, context, monkeypatch):
         _fixed_orders(monkeypatch, [[2, 0, 1], [1, 2, 0]])
@@ -303,28 +339,16 @@ class TestDomainStream:
         ds = stream.DomainStream(ctx, seed=8)
         batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
         # The weight-0 slots of visit 0 (steps 0, 3, 6) recur on visit 1
-        # (steps 12, 15, 9). Domain 1's pure segment at steps 6-8 and domain
-        # 0's last segment (steps 15-17) have no later visit: of those only
-        # step 15, a replay, comes from the table.
+        # (steps 12, 15, 9), which are served the same batch objects. Every
+        # other step is prepared afresh, among them steps 16-17: the
+        # stream's last segment is pure, but visit 0 blended those slots.
         replays = {12: 0, 15: 3, 9: 6}
-        tabled = {0, 3, 6, *replays}
-        # Domains 2 and 1 blend slots 1 and 2 on visit 1 (steps 13-14 and
-        # 10-11): the raw table keeps their visit-0 draws, so those labels
-        # are shared, read-only, as well. Domain 0's blended slots (steps
-        # 4-5) recur only in the stream's last, pure segment, drawn afresh.
-        raw_shares = {13: 1, 14: 2, 10: 7, 11: 8}
-        frozen_labels = tabled | set(raw_shares) | set(raw_shares.values())
         for step, batch in enumerate(batches):
             _assert_same_batch(batch, _prepared_batch(ctx, 8, step))
-            for name in ("features", "style"):
-                array = getattr(batch, name)
-                assert array.flags.writeable == (step not in tabled), (step, name)
-                if step in replays:
-                    assert array is getattr(batches[replays[step]], name)
-            assert batch.labels.flags.writeable == (step not in frozen_labels), step
-        for step, first in {**replays, **raw_shares}.items():
-            assert batches[step].labels is batches[first].labels, step
-        assert sorted(ds._raw) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+            if step in replays:
+                assert batch is batches[replays[step]], step
+            else:
+                assert not any(batch is b for b in batches[:step]), step
 
 
 class TestStepWork:
@@ -366,7 +390,7 @@ class TestStepWork:
         # A CSC visit draws every (domain, slot) batch once; later visits
         # replay them.
         assert len(made["features"]) == len(made["style"]) == ctx.plan.steps_per_visit
-        # Every array the replay table hands out is read-only.
+        # Every array the stream serves is read-only.
         for a in served:
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -391,26 +415,36 @@ class TestStepWork:
         batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
         assert sorted(drawn) == list(range(ctx.plan.visits))
         first_of = {}
-        primary = ds.schedule[1]
+        _, primary, nxt, weight = ds.schedule
         for step, batch in enumerate(batches):
             _assert_same_batch(batch, _prepared_batch(ctx, 21, step))
-            if not batch.features.flags.writeable:
+            if weight[step] == 0.0 or primary[step] == nxt[step]:
                 key = (primary[step], step % ctx.plan.batches_per_domain)
-                first = first_of.setdefault(key, batch)
-                assert batch.features is first.features and batch.style is first.style
+                assert batch is first_of.setdefault(key, batch), step
         # Every CSC and CDC batch recurs on a later visit; CCC blends most of
         # its batches, which are served once.
-        tabled = [not batch.features.flags.writeable for batch in batches]
-        assert all(tabled) if kind != "ccc" else any(tabled) and not all(tabled)
+        distinct = len({id(batch) for batch in batches})
+        if kind != "ccc":
+            assert distinct == ctx.plan.steps_per_visit
+        else:
+            assert ctx.plan.steps_per_visit < distinct < ctx.plan.total_steps
 
-    def test_batches_without_a_later_visit_are_not_kept(self, context):
-        ctx = replace(
-            context, plan=replace(context.plan, visits=1, batches_per_domain=3, batch_size=8)
+    @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
+    def test_construction_draws_every_key_and_serving_draws_none(
+        self, context, default_rng_calls, kind
+    ):
+        ctx = _context_with(
+            context, kind=kind, domains=3, visits=2, batches_per_domain=4, batch_size=8
         )
-        ds = stream.DomainStream(ctx, seed=12)
-        batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
-        assert ds._replay == {}
-        assert all(batch.features.flags.writeable for batch in batches)
+        ds = stream.DomainStream(ctx, seed=13)
+        # One generator per (domain, slot) key, plus one per visit's order
+        # when the order is reshuffled.
+        orders = 0 if kind == "csc" else ctx.plan.visits
+        assert len(default_rng_calls) == 3 * 4 + orders
+        default_rng_calls.clear()
+        for step in range(ctx.plan.total_steps):
+            ds.next_batch(step)
+        assert default_rng_calls == []
 
 
 class TestReplayOracle:
