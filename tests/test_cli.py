@@ -584,6 +584,15 @@ GOLDEN_SMALL_THEORY = {
     "recursion.csv": "32ac126efa76c136f4edbdb2a3a18e7a3301e2ce6a9adce9ab8ec073d1271524",
     "sgd_var.csv": "8916a17b4e31224ce743e4c895cc8e9658968a291527410b90e5121bd75dacb5",
 }
+GOLDEN_SMALL_THEORY_STDOUT = (
+    "[FAIL] sgd_var: slope 0.00846053 vs eta^2*vbar 0.01 (tolerance 10%), "
+    "R^2 0.994049 (> 0.99 required)\n"
+    "[FAIL] ensemble_var: max relative deviation 21.9834% (<= 5% required), "
+    "asymptotic bound respected\n"
+    "[PASS] recursion: max discrepancy 1.554e-15 (< 1e-10 required)\n"
+    "[PASS] fisher_equiv: max trajectory discrepancy 2.220e-16 (< 1e-10 required)\n"
+    "[PASS] chebyshev: max (rate - bound - slack) 0.000e+00 (<= 0 required at 3-sigma slack)\n"
+)
 
 
 # sha256 of ``rtta calibrate`` at the default config: the full set-up, 2000
@@ -637,7 +646,9 @@ def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
     assert _digests(out) == GOLDEN_THEORY
 
 
-def test_theory_makes_one_generator_per_trial(tmp_path, monkeypatch, default_rng_calls):
+def test_theory_makes_one_generator_per_trial(
+    tmp_path, monkeypatch, capsys, default_rng_calls
+):
     # Several hash chunks per Monte-Carlo chunk.
     monkeypatch.setattr(seeding, "_CHUNK", 64)
     out = tmp_path / "out"
@@ -648,6 +659,7 @@ def test_theory_makes_one_generator_per_trial(tmp_path, monkeypatch, default_rng
     # One trial per Fisher case, and the recursion check's gradients and start.
     assert len(default_rng_calls) == trials + 3 + 2 == 1005
     assert _digests(out) == GOLDEN_SMALL_THEORY
+    assert capsys.readouterr().out == GOLDEN_SMALL_THEORY_STDOUT
 
 
 def test_default_tau_matches_golden_bits(context):
