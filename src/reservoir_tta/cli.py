@@ -151,10 +151,10 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
             summary = {
                 "method": method.name,
                 "seed": seed,
-                "mean_error": _clean(metrics.per_batch_error.mean()) if metrics.step_count else None,
+                "mean_error": _clean(metrics.per_batch_error.mean()),
                 "per_visit_error": [_clean(v) for v in visit_error],
                 "per_visit_domain_error": _nested(metrics.per_visit_domain_error()),
-                "final_detected_domains": int(metrics.detected_domains[-1]) if metrics.step_count else 0,
+                "final_detected_domains": int(metrics.detected_domains[-1]),
             }
             _write_json(out_dir / f"summary_{method.name}_seed{seed}.json", summary)
             visit_errors[method.name].append(visit_error)
@@ -162,10 +162,10 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
     aggregate = {"seeds": list(cfg.seeds), "methods": {}}
     for name, tables in visit_errors.items():
-        stacked = np.stack(tables) if tables[0].size else np.empty((len(tables), 0))
+        stacked = np.stack(tables)
         aggregate["methods"][name] = {
-            "per_visit_mean": [_clean(v) for v in stacked.mean(axis=0)] if stacked.size else [],
-            "per_visit_std": [_clean(v) for v in stacked.std(axis=0)] if stacked.size else [],
+            "per_visit_mean": [_clean(v) for v in stacked.mean(axis=0)],
+            "per_visit_std": [_clean(v) for v in stacked.std(axis=0)],
             "per_seed_mean_error": mean_errors[name],
         }
     _write_json(out_dir / "aggregate.json", aggregate)
@@ -262,48 +262,50 @@ def _run_check(name: str, cfg: RunConfig):
     eta, seed = THEORY_ETA, THEORY_SEED
     if name == "sgd_var":
         task = theory.pure_noise_task()
-        curve = theory.simulate_sgd(task, eta, t.steps, t.trials, seed)
-        slope, r2 = theory.fit_slope(curve)
+        steps = np.arange(t.steps + 1)
+        variance = theory.simulate_sgd(task, eta, t.steps, t.trials, seed)
+        slope, r2 = theory.fit_slope(variance)
         target = eta**2 * task.total_noise_variance
-        closed = theory.linear_variance_closed_form(eta, task.total_noise_variance, curve.steps)
+        closed = theory.linear_variance_closed_form(eta, task.total_noise_variance, steps)
         passed = abs(slope - target) <= 0.1 * target and r2 > 0.99
         detail = (
             f"slope {slope:.6g} vs eta^2*vbar {target:.6g} "
             f"(tolerance 10%), R^2 {r2:.6f} (> 0.99 required)"
         )
         rows = [
-            {"t": int(ti), "empirical_var": curve.variance[i], "closed_form_var": closed[i]}
-            for i, ti in enumerate(curve.steps)
+            {"t": int(ti), "empirical_var": variance[i], "closed_form_var": closed[i]}
+            for i, ti in enumerate(steps)
         ]
         return passed, detail, rows
 
     if name == "ensemble_var":
         task = theory.pure_noise_task()
         vbar = task.total_noise_variance
+        steps = np.arange(t.steps + 1)
         rows: list[dict] = []
         worst_rel = 0.0
         bound_ok = True
         for alpha in t.ensemble_alphas:
-            curve = theory.simulate_weight_ensemble(
+            variance = theory.simulate_weight_ensemble(
                 task, eta, alpha, t.steps, t.ensemble_trials, seed
             )
-            closed = theory.ensemble_variance_closed_form(eta, alpha, vbar, curve.steps)
+            closed = theory.ensemble_variance_closed_form(eta, alpha, vbar, steps)
             bound = eta**2 * vbar * alpha**2 / (1.0 - alpha**2)
-            rel = np.abs(curve.variance[1:] - closed[1:]) / closed[1:]
+            rel = np.abs(variance[1:] - closed[1:]) / closed[1:]
             worst_rel = max(worst_rel, float(rel.max()))
             # The true curve sits strictly below the asymptote; the empirical
             # one gets 3-sigma sampling slack on the variance estimate.
-            slack = 3.0 * curve.variance * np.sqrt(2.0 / (t.ensemble_trials - 1))
-            if np.any(closed[1:] >= bound) or np.any(curve.variance > bound + slack):
+            slack = 3.0 * variance * np.sqrt(2.0 / (t.ensemble_trials - 1))
+            if np.any(closed[1:] >= bound) or np.any(variance > bound + slack):
                 bound_ok = False
             rows.extend(
                 {
                     "t": int(ti),
-                    "empirical_var": curve.variance[i],
+                    "empirical_var": variance[i],
                     "closed_form_var": closed[i],
                     "bound": bound,
                 }
-                for i, ti in enumerate(curve.steps)
+                for i, ti in enumerate(steps)
             )
         passed = worst_rel <= 0.05 and bound_ok
         detail = (
@@ -342,26 +344,28 @@ def _run_check(name: str, cfg: RunConfig):
         task = theory.NoisyQuadraticTask(
             optimum=np.zeros(4), curvature=np.full(4, 0.5), noise_std=np.ones(4)
         )
-        # The start point sits at distance 1 from the optimum, inside beta.
-        spec = theory.StabilitySpec(beta=5.0, theta0=np.full(4, 0.5))
-        report = theory.check_chebyshev(
-            task, spec, eta, t.chebyshev_steps, t.chebyshev_trials, seed
+        # The start point sits at distance 1 from the optimum, inside beta = 5.
+        variance, rate, bound = theory.check_chebyshev(
+            task, 5.0, np.full(4, 0.5), eta, t.chebyshev_steps, t.chebyshev_trials, seed
         )
-        closed = theory.contractive_variance_closed_form(task, eta, report.steps)
-        passed = report.holds
+        steps = np.arange(t.chebyshev_steps + 1)
+        closed = theory.contractive_variance_closed_form(task, eta, steps)
+        # 3-sigma binomial slack on the rate estimate.
+        slack = 3.0 * np.sqrt(rate * (1.0 - rate) / t.chebyshev_trials)
+        passed = bool(np.all(rate <= bound + slack))
+        violation = float((rate - (bound + slack)).max())
         detail = (
-            f"max (rate - bound - slack) {report.max_violation:.3e} "
-            f"(<= 0 required at 3-sigma slack)"
+            f"max (rate - bound - slack) {violation:.3e} (<= 0 required at 3-sigma slack)"
         )
         rows = [
             {
                 "t": int(ti),
-                "empirical_var": report.empirical_var[i],
+                "empirical_var": variance[i],
                 "closed_form_var": closed[i],
-                "bound": report.bound[i],
-                "empirical_rate": report.empirical_rate[i],
+                "bound": bound[i],
+                "empirical_rate": rate[i],
             }
-            for i, ti in enumerate(report.steps)
+            for i, ti in enumerate(steps)
         ]
         return passed, detail, rows
 

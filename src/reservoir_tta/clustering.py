@@ -182,13 +182,7 @@ def _log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
 
 def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     """Soft assignment of one style vector: the softmax over the centroids
-    of its scaled negative distances ``-|s - c_j| / sqrt(dim)``.
-
-    At K = 1 this is ``[1.0]`` without computing a distance: the softmax of
-    one finite logit is exactly 1.
-    """
-    if centroids.count == 1:
-        return np.ones(1)
+    of its scaled negative distances ``-|s - c_j| / sqrt(dim)``."""
     vec = np.asarray(s, dtype=np.float64).reshape(1, -1)
     logits = _assignment_logits(vec, centroids.centroids)
     return np.exp(_log_softmax(logits))[0]

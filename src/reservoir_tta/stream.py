@@ -320,7 +320,11 @@ def _farthest_point_subset(
 
 @dataclass(frozen=True)
 class ScenarioPlan:
-    """Stream schedule (which domain feeds each batch) and the domains' severity."""
+    """Stream schedule (which domain feeds each batch) and the domains' severity.
+
+    ``domains``, ``visits`` and ``batches_per_domain`` are all >= 1, so an
+    episode has at least one step.
+    """
 
     kind: str = "csc"
     domains: int = 8
@@ -333,7 +337,7 @@ class ScenarioPlan:
         check_fields(
             ("kind", self.kind in SCENARIO_KINDS, f"unknown kind {self.kind!r}"),
             ("domains", self.domains >= 1, "must be >= 1"),
-            ("visits", self.visits >= 0, "must be >= 0"),
+            ("visits", self.visits >= 1, "must be >= 1"),
             ("batch_size", self.batch_size >= 2, "must be >= 2"),
             ("batches_per_domain", self.batches_per_domain >= 1, "must be >= 1"),
             ("severity", bool(np.isfinite(self.severity)) and self.severity >= 0,
@@ -369,7 +373,7 @@ class ScenarioPlan:
             [self.visit_order(visit, seed) for visit in range(self.visits)], dtype=np.int64
         ).reshape(-1)
         nxt, weight = order, np.zeros(self.total_steps)
-        if self.kind == "ccc" and order.size:
+        if self.kind == "ccc":
             nxt = np.append(order[1:], order[-1])
             weight = np.tile(np.arange(per) / per, order.size)
             weight[-per:] = 0.0
@@ -517,9 +521,7 @@ class EpisodeMetrics:
         return int(self.per_batch_error.size)
 
     def per_visit_error(self) -> np.ndarray:
-        """Mean error per visit (empty array for an empty episode)."""
-        if self.step_count == 0:
-            return np.empty(0)
+        """Mean error per visit."""
         n_visits = int(self.visits.max()) + 1
         return np.array(
             [self.per_batch_error[self.visits == v].mean() for v in range(n_visits)]
@@ -527,8 +529,6 @@ class EpisodeMetrics:
 
     def per_visit_domain_error(self) -> np.ndarray:
         """Mean error per (visit, true domain); NaN where a pair never occurs."""
-        if self.step_count == 0:
-            return np.empty((0, 0))
         n_visits = int(self.visits.max()) + 1
         n_domains = int(self.true_domains.max()) + 1
         table = np.full((n_visits, n_domains), np.nan)
@@ -574,7 +574,7 @@ def run_episode(
     stream = DomainStream(context, seed, styles=route)
     # A reservoir never holds more styles than the episode offers.
     reservoir = StyleReservoir(
-        max(1, min(context.cluster.reservoir_size, n)),
+        min(context.cluster.reservoir_size, n),
         context.extractor.style_dim,
         keyed_rng(seed, _TAG_RESERVOIR),
     )

@@ -10,6 +10,12 @@ Four families of checks on a noisy quadratic surrogate task:
 
 plus a Chebyshev bound on the probability of leaving a stability region.
 
+The routines return plain numbers and arrays: a Monte-Carlo variance is the
+``(steps + 1,)`` array over t = 0..steps, the two exactness checks return
+their worst discrepancy, and ``check_chebyshev`` returns its variance, rate
+and bound arrays. Tolerances, sampling slack and verdicts belong to the
+caller (``cli``'s ``theory`` command).
+
 Variance of a parameter vector is summarized as the trace of its empirical
 covariance across trials; correspondingly the task's gradient-noise level
 ``vbar`` is the total (summed per-coordinate) noise variance, which makes
@@ -86,29 +92,6 @@ def pure_noise_task(dim: int = 1, noise_std: float = 1.0) -> NoisyQuadraticTask:
     )
 
 
-@dataclass(frozen=True)
-class StabilitySpec:
-    """Stability radius ``beta`` around the task optimum, with the start point."""
-
-    beta: float
-    theta0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "theta0", np.atleast_1d(np.asarray(self.theta0, dtype=np.float64))
-        )
-        if self.beta <= 0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class VarianceCurve:
-    """Per-step trace of the empirical parameter covariance, t = 0..steps."""
-
-    steps: np.ndarray
-    variance: np.ndarray
-
-
 def linear_variance_closed_form(eta: float, vbar: float, t: np.ndarray) -> np.ndarray:
     """Plain-SGD pure-noise variance: ``t * eta^2 * vbar``."""
     return np.asarray(t, dtype=np.float64) * eta**2 * vbar
@@ -183,15 +166,15 @@ def _run_variance_mc(
     seed: int,
     theta0: np.ndarray,
     alpha: float | None,
-) -> VarianceCurve:
-    """Variance curve of the Monte-Carlo driver's iterates."""
+) -> np.ndarray:
+    """The ``(steps + 1,)`` per-step trace variance of the Monte-Carlo
+    driver's iterates, t = 0..steps."""
     total = np.zeros((steps + 1, task.dim))
     total_sq = np.zeros((steps + 1, task.dim))
     for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0, alpha):
         total[t] += x.sum(axis=0)
         total_sq[t] += (x**2).sum(axis=0)
-    variance = _trace_variance(total, total_sq, trials)
-    return VarianceCurve(steps=np.arange(steps + 1), variance=variance)
+    return _trace_variance(total, total_sq, trials)
 
 
 def simulate_sgd(
@@ -200,7 +183,7 @@ def simulate_sgd(
     steps: int,
     trials: int,
     seed: int,
-) -> VarianceCurve:
+) -> np.ndarray:
     """Empirical per-step parameter variance under plain SGD from the optimum."""
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
@@ -214,7 +197,7 @@ def simulate_weight_ensemble(
     steps: int,
     trials: int,
     seed: int,
-) -> VarianceCurve:
+) -> np.ndarray:
     """Empirical per-step variance under the source-interpolated update.
 
     Requires a zero-curvature task (the closed form assumes gradient noise
@@ -229,10 +212,10 @@ def simulate_weight_ensemble(
     return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alpha=alpha)
 
 
-def fit_slope(curve: VarianceCurve) -> tuple[float, float]:
-    """Least-squares slope of variance vs step, and the fit's R^2."""
-    t = curve.steps.astype(np.float64)
-    v = curve.variance
+def fit_slope(v: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of a per-step variance ``v[t]``, t = 0.., against
+    ``t``, and the fit's R^2."""
+    t = np.arange(v.size, dtype=np.float64)
     coeffs = np.polyfit(t, v, 1)
     fitted = np.polyval(coeffs, t)
     ss_res = float(((v - fitted) ** 2).sum())
@@ -303,38 +286,23 @@ def check_fisher_trajectory(
     return worst
 
 
-@dataclass(frozen=True)
-class ChebyshevReport:
-    """Divergence rates vs the Chebyshev bound at every recorded step."""
-
-    steps: np.ndarray
-    empirical_rate: np.ndarray
-    bound: np.ndarray
-    empirical_var: np.ndarray
-    slack: np.ndarray  # 3-sigma binomial slack on the rate estimate
-
-    @property
-    def holds(self) -> bool:
-        return bool(np.all(self.empirical_rate <= self.bound + self.slack))
-
-    @property
-    def max_violation(self) -> float:
-        return float((self.empirical_rate - (self.bound + self.slack)).max())
-
-
 def check_chebyshev(
     task: NoisyQuadraticTask,
-    spec: StabilitySpec,
+    beta: float,
+    theta0: np.ndarray,
     eta: float,
     steps: int,
     trials: int,
     seed: int,
-) -> ChebyshevReport:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical ``Pr[||theta_t - optimum|| > beta]`` against the variance bound.
 
-    Requires a contractive configuration (positive curvature with
-    ``eta * curvature < 2``) so the mean drifts toward the optimum, and
-    ``beta`` strictly above the starting distance.
+    The iterates start at ``theta0``. Returns three ``(steps + 1,)`` arrays
+    over t = 0..steps: the trace variance, the rate of trials outside the
+    ``beta`` ball, and the Chebyshev bound ``variance / (beta - d0)^2`` with
+    ``d0 = ||theta0 - optimum||``. Requires a contractive configuration
+    (positive curvature with ``eta * curvature < 2``) so the mean drifts
+    toward the optimum, and ``beta > d0``, hence ``beta > 0``.
     """
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
@@ -342,14 +310,12 @@ def check_chebyshev(
         raise ConfigurationError(
             "Chebyshev check needs contractive curvature (0 < eta*a < 2)"
         )
-    theta0 = spec.theta0
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
     if theta0.shape != task.optimum.shape:
         raise ConfigurationError("theta0 must match the task dimension")
     d0 = float(np.linalg.norm(theta0 - task.optimum))
-    if spec.beta <= d0:
-        raise ConfigurationError(
-            f"beta = {spec.beta} must exceed the initial distance {d0}"
-        )
+    if beta <= d0:
+        raise ConfigurationError(f"beta = {beta} must exceed the initial distance {d0}")
 
     total = np.zeros((steps + 1, task.dim))
     total_sq = np.zeros((steps + 1, task.dim))
@@ -357,18 +323,9 @@ def check_chebyshev(
     for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0):
         total[t] += x.sum(axis=0)
         total_sq[t] += (x**2).sum(axis=0)
-        exceed[t] += (np.linalg.norm(x - task.optimum, axis=1) > spec.beta).sum()
+        exceed[t] += (np.linalg.norm(x - task.optimum, axis=1) > beta).sum()
     variance = _trace_variance(total, total_sq, trials)
-    rate = exceed / trials
-    bound = variance / (spec.beta - d0) ** 2
-    slack = 3.0 * np.sqrt(rate * (1.0 - rate) / trials)
-    return ChebyshevReport(
-        steps=np.arange(steps + 1),
-        empirical_rate=rate,
-        bound=bound,
-        empirical_var=variance,
-        slack=slack,
-    )
+    return variance, exceed / trials, variance / (beta - d0) ** 2
 
 
 def contractive_variance_closed_form(

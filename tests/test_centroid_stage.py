@@ -236,8 +236,9 @@ def _k1_case(draw):
 
 
 class TestSingleCentroidIdentity:
-    """At K = 1 the soft assignment and the centroid step skip their
-    arithmetic; their results stay those of the full computation."""
+    """At K = 1 the soft assignment of a finite distance is exactly
+    ``[1.0]``, and the centroid step, whose gradient skips its arithmetic,
+    leaves the centroid as the full computation would."""
 
     @given(case=_k1_case())
     @settings(max_examples=80, deadline=None)

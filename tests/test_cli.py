@@ -78,7 +78,10 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="domains-zero",
         ),
         pytest.param(
-            {"scenario": {"visits": -1}}, "scenario.visits: must be >= 0",
+            {"scenario": {"visits": 0}}, "scenario.visits: must be >= 1", id="visits-zero",
+        ),
+        pytest.param(
+            {"scenario": {"visits": -1}}, "scenario.visits: must be >= 1",
             id="visits-negative",
         ),
         pytest.param(
@@ -595,8 +598,6 @@ GOLDEN_SMALL_THEORY_STDOUT = (
 )
 
 
-# sha256 of ``rtta calibrate`` at the default config: the full set-up, 2000
-# calibration styles of 32 samples.
 def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 

@@ -166,10 +166,6 @@ class TestScenarioPlan:
         rows = [(v, p, n, w) for v, p, n in segments for w in ramp] + [(1, 0, 0, 0.0)] * 3
         assert _rows(plan.schedule(0)) == rows
 
-    def test_empty_plan_has_empty_schedule(self):
-        for kind in stream.SCENARIO_KINDS:
-            assert _rows(_small_plan(kind=kind, visits=0).schedule(1)) == []
-
     def test_out_of_range_step(self, context):
         ds = stream.DomainStream(_context_with(context, visits=1, batches_per_domain=2), 0)
         ds.next_batch(ds.context.plan.total_steps - 1)
@@ -237,7 +233,7 @@ class TestDomainStream:
     @given(
         kind=st.sampled_from(stream.SCENARIO_KINDS),
         domains=st.integers(1, 3),
-        visits=st.integers(0, 3),
+        visits=st.integers(1, 3),
         batches_per_domain=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         styles=st.booleans(),
@@ -486,12 +482,6 @@ class TestReplayOracle:
 class TestRunEpisode:
     def _method(self, reservoir=True, kind="filtered_fisher"):
         return tta.MethodConfig(name="m", kind=kind, reservoir=reservoir)
-
-    def test_zero_visits_empty_metrics(self, context):
-        ctx = replace(context, plan=replace(context.plan, visits=0))
-        met = stream.run_episode(ctx, self._method(), seed=1)
-        assert met.step_count == 0
-        assert met.per_visit_error().size == 0
 
     def test_episode_determinism(self, context):
         ctx = replace(context, plan=replace(context.plan, visits=1, batches_per_domain=3))
