@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from reservoir_tta import stream
+from reservoir_tta import clustering, stream
 from reservoir_tta.clustering import (
     CentroidSet,
     StyleReservoir,
@@ -388,6 +388,20 @@ class TestUpdateCentroids:
         cs = _grown_centroids([np.zeros(3), np.ones(3)][:k])
         with pytest.raises(InputDomainError, match="finite"):
             update_centroids(cs, _filled_reservoir(4, 3, seed=3), lr=lr)
+
+    def test_overflowing_update_rejected_and_centroids_kept(self, monkeypatch):
+        # A finite gradient whose step overflows: the step is refused and
+        # the centroids keep their bits.
+        cs = _grown_centroids([np.zeros(3), np.ones(3)])
+        res = _filled_reservoir(4, 3, seed=3)
+        before = cs.centroids.copy()
+        monkeypatch.setattr(
+            clustering, "mi_grad_centroids", lambda r, c: np.full((2, 3), 1e308)
+        )
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NumericalError, match="non-finite"):
+                update_centroids(cs, res, lr=10.0)
+        np.testing.assert_array_equal(cs.centroids, before)
 
     def test_nonfinite_centroids_rejected(self):
         cs = CentroidSet(np.zeros(2), k_max=2)
