@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -140,7 +139,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     context = build_context(cfg)
     # Per method, one entry per seed: only what aggregate.json needs is kept.
     visit_errors: dict[str, list[np.ndarray]] = {m.name: [] for m in cfg.methods}
-    mean_errors: dict[str, list[float | None]] = {m.name: [] for m in cfg.methods}
+    mean_errors: dict[str, list[float]] = {m.name: [] for m in cfg.methods}
     for seed in cfg.seeds:
         for method in cfg.methods:
             metrics = stream.run_episode(context, method, seed, trace=cfg.emit_trace)
@@ -151,9 +150,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
             summary = {
                 "method": method.name,
                 "seed": seed,
-                "mean_error": _clean(metrics.per_batch_error.mean()),
-                "per_visit_error": [_clean(v) for v in visit_error],
-                "per_visit_domain_error": _nested(metrics.per_visit_domain_error()),
+                "mean_error": float(metrics.per_batch_error.mean()),
+                "per_visit_error": visit_error.tolist(),
+                "per_visit_domain_error": metrics.per_visit_domain_error().tolist(),
                 "final_detected_domains": int(metrics.detected_domains[-1]),
             }
             _write_json(out_dir / f"summary_{method.name}_seed{seed}.json", summary)
@@ -164,8 +163,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     for name, tables in visit_errors.items():
         stacked = np.stack(tables)
         aggregate["methods"][name] = {
-            "per_visit_mean": [_clean(v) for v in stacked.mean(axis=0)],
-            "per_visit_std": [_clean(v) for v in stacked.std(axis=0)],
+            "per_visit_mean": stacked.mean(axis=0).tolist(),
+            "per_visit_std": stacked.std(axis=0).tolist(),
             "per_seed_mean_error": mean_errors[name],
         }
     _write_json(out_dir / "aggregate.json", aggregate)
@@ -213,15 +212,6 @@ def _write_metrics_csv(path: Path, metrics: stream.EpisodeMetrics) -> None:
             )
 
 
-def _clean(value) -> float | None:
-    v = float(value)
-    return None if math.isnan(v) else v
-
-
-def _nested(table: np.ndarray) -> list:
-    return [[_clean(v) for v in row] for row in table]
-
-
 # ---------------------------------------------------------------------------
 # theory
 
@@ -257,6 +247,16 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _rows(steps: np.ndarray, **columns) -> list[dict]:
+    """One CSV row per step ``t``: an array column gives its ``t``-th entry,
+    a scalar column repeats on every row."""
+    columns = {k: np.broadcast_to(v, steps.shape) for k, v in columns.items()}
+    return [
+        {"t": int(ti), **{k: col[i] for k, col in columns.items()}}
+        for i, ti in enumerate(steps)
+    ]
+
+
 def _run_check(name: str, cfg: RunConfig):
     t = cfg.theory
     eta, seed = THEORY_ETA, THEORY_SEED
@@ -272,11 +272,7 @@ def _run_check(name: str, cfg: RunConfig):
             f"slope {slope:.6g} vs eta^2*vbar {target:.6g} "
             f"(tolerance 10%), R^2 {r2:.6f} (> 0.99 required)"
         )
-        rows = [
-            {"t": int(ti), "empirical_var": variance[i], "closed_form_var": closed[i]}
-            for i, ti in enumerate(steps)
-        ]
-        return passed, detail, rows
+        return passed, detail, _rows(steps, empirical_var=variance, closed_form_var=closed)
 
     if name == "ensemble_var":
         task = theory.pure_noise_task()
@@ -298,15 +294,7 @@ def _run_check(name: str, cfg: RunConfig):
             slack = 3.0 * variance * np.sqrt(2.0 / (t.ensemble_trials - 1))
             if np.any(closed[1:] >= bound) or np.any(variance > bound + slack):
                 bound_ok = False
-            rows.extend(
-                {
-                    "t": int(ti),
-                    "empirical_var": variance[i],
-                    "closed_form_var": closed[i],
-                    "bound": bound,
-                }
-                for i, ti in enumerate(steps)
-            )
+            rows += _rows(steps, empirical_var=variance, closed_form_var=closed, bound=bound)
         passed = worst_rel <= 0.05 and bound_ok
         detail = (
             f"max relative deviation {worst_rel:.4%} (<= 5% required), "
@@ -357,17 +345,10 @@ def _run_check(name: str, cfg: RunConfig):
         detail = (
             f"max (rate - bound - slack) {violation:.3e} (<= 0 required at 3-sigma slack)"
         )
-        rows = [
-            {
-                "t": int(ti),
-                "empirical_var": variance[i],
-                "closed_form_var": closed[i],
-                "bound": bound[i],
-                "empirical_rate": rate[i],
-            }
-            for i, ti in enumerate(steps)
-        ]
-        return passed, detail, rows
+        return passed, detail, _rows(
+            steps, empirical_var=variance, closed_form_var=closed, bound=bound,
+            empirical_rate=rate,
+        )
 
     raise ConfigurationError(f"unknown theory check {name!r}")
 

@@ -3,13 +3,14 @@
 State lives in two small containers: a :class:`CentroidSet` of discovered
 domain centroids (seeded with the mean source style) and a fixed-capacity
 :class:`StyleReservoir` of past style vectors maintained by reservoir
-sampling in a ``(capacity, dim)`` array allocated once. A new centroid is
-spawned whenever an incoming style vector is farther than the calibrated
-threshold from every existing centroid and the cap has not been reached.
-Either way the vector is then soft-assigned over the centroids. Centroids are
-refined by gradient descent on a mutual-information objective over the
-reservoir, which sharpens assignments while penalizing collapse onto a
-single centroid.
+sampling in a ``(capacity, dim)`` array allocated once. Both hand out
+read-only views. A new centroid is spawned whenever an incoming style vector
+is farther than the calibrated threshold from every existing centroid and
+the cap has not been reached. Either way the vector is then soft-assigned
+over the centroids. Centroids are refined by gradient descent on a
+mutual-information objective over the reservoir, which sharpens assignments
+while penalizing collapse onto a single centroid; that step and a spawn are
+the only writes to the centroids.
 
 The per-step centroid stage is the engine's hot path, so
 :func:`mi_grad_centroids` works on ``(K, n)`` matrices only: distances come
@@ -93,10 +94,6 @@ class DomainDecision:
     kind: str  # "existing" | "new_domain"
     distance: float
 
-    @property
-    def is_new(self) -> bool:
-        return self.kind == "new_domain"
-
 
 class CentroidSet:
     """Domain centroids, starting from a single source centroid."""
@@ -119,18 +116,11 @@ class CentroidSet:
 
     @property
     def centroids(self) -> np.ndarray:
-        """Current centroids as a ``(K, dim)`` matrix (copy)."""
-        return self._centroids.copy()
-
-    def set_centroids(self, values: np.ndarray) -> None:
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != self._centroids.shape:
-            raise InputDomainError(
-                f"expected shape {self._centroids.shape}, got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("centroid update produced non-finite values")
-        self._centroids = vals.copy()
+        """Read-only ``(K, dim)`` view; the matrix is replaced, never
+        written in place, so a view keeps the values it was taken with."""
+        view = self._centroids.view()
+        view.flags.writeable = False
+        return view
 
     def detect(self, s: np.ndarray, tau: float) -> DomainDecision:
         """Decide whether a style vector opens a new domain.
@@ -220,7 +210,7 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     if len(reservoir) == 0:
         raise InsufficientDataError("gradient needs a nonempty reservoir")
     styles = reservoir.styles
-    cents = centroids._centroids
+    cents = centroids.centroids
     if cents.shape[0] == 1:
         return np.zeros_like(cents)
     n, d = styles.shape
@@ -277,18 +267,18 @@ def update_centroids(
     reservoir: StyleReservoir,
     lr: float = DEFAULT_CENTROID_LR,
 ) -> None:
-    """One plain gradient-descent step on the MI loss, in place.
+    """One plain gradient-descent step on the MI loss; besides a spawn, the
+    one writer of the centroids.
 
     Every centroid is updated, the source centroid included. At K = 1 the
     gradient is exactly zero (:func:`mi_grad_centroids`), so the step
-    leaves the centroid's bits as they are.
+    leaves the centroid's bits as they are. A step with a non-finite entry
+    raises :class:`NumericalError` and leaves the centroids unchanged.
     """
     if not (np.isfinite(lr) and lr >= 0):
         raise InputDomainError(f"lr must be finite and nonnegative, got {lr}")
-    if len(reservoir) == 0:
-        raise InsufficientDataError("centroid update needs a nonempty reservoir")
-    grad = mi_grad_centroids(reservoir, centroids)
-    if not np.all(np.isfinite(grad)):
-        bad = np.argwhere(~np.isfinite(grad))
-        raise NumericalError(f"non-finite centroid gradient at entries {bad[:4].tolist()}")
-    centroids.set_centroids(centroids.centroids - lr * grad)
+    new = centroids.centroids - lr * mi_grad_centroids(reservoir, centroids)
+    if not np.all(np.isfinite(new)):
+        bad = np.argwhere(~np.isfinite(new))
+        raise NumericalError(f"non-finite centroid update at entries {bad[:4].tolist()}")
+    centroids._centroids = new

@@ -1,10 +1,10 @@
 """Pool of domain-specialized trainable-parameter vectors.
 
 One flat parameter vector per discovered domain, index-aligned with the
-style centroids and kept as the rows of one ``(count, dim)`` matrix. Only
-vector-space structure is assumed: cloning, per-index writes, and
-soft-assignment weighted sums. The model that interprets the layout lives
-elsewhere.
+style centroids and kept as the rows of one ``(count, dim)`` matrix, which
+is read through read-only views. Only vector-space structure is assumed:
+cloning, per-index writes, and soft-assignment weighted sums. The model that
+interprets the layout lives elsewhere.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ from .clustering import mi_loss
 from .errors import InputDomainError, NumericalError
 
 Predictor = Callable[[np.ndarray], np.ndarray]  # params -> (b, |Y|) probabilities
-
-
-def select_active(q: np.ndarray) -> int:
-    """Index of the largest soft-assignment weight; ties go to the lowest index."""
-    vec = np.asarray(q, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise InputDomainError("soft assignment must be a nonempty vector")
-    return int(np.argmax(vec))
 
 
 class ModelReservoir:
@@ -44,27 +36,29 @@ class ModelReservoir:
         return self._entries.shape[0]
 
     def entry(self, index: int) -> np.ndarray:
-        """Copy of one entry's parameters."""
+        """Read-only view of one entry's parameters, valid until the entry
+        is next written."""
         self._check_index(index)
-        return self._entries[index].copy()
+        view = self._entries[index]
+        view.flags.writeable = False
+        return view
 
     def init_new_model(self, predictor: Predictor) -> np.ndarray:
-        """Append a model for a newly detected domain; returns its parameters.
+        """Append a model for a newly detected domain; returns its entry.
 
         The new model clones the existing entry whose predictions on the
-        current batch (``predictor`` binds it) minimize the
-        mutual-information loss (confident and diverse); ties go to the
-        lowest index.
+        current batch (``predictor`` binds it to the batch and is given each
+        :meth:`entry`) minimize the mutual-information loss (confident and
+        diverse); ties go to the lowest index.
         """
         losses = []
-        for idx, params in enumerate(self._entries):
-            probs = np.asarray(predictor(params.copy()), dtype=np.float64)
+        for idx in range(self.count):
+            probs = np.asarray(predictor(self.entry(idx)), dtype=np.float64)
             if not np.all(np.isfinite(probs)):
                 raise NumericalError(f"entry {idx} produced non-finite predictions")
             losses.append(mi_loss(probs))
-        chosen = self._entries[int(np.argmin(losses))].copy()
-        self._entries = np.vstack([self._entries, chosen])
-        return chosen
+        self._entries = np.vstack([self._entries, self._entries[np.argmin(losses)]])
+        return self.entry(self.count - 1)
 
     def ensemble_params(self, q: np.ndarray) -> np.ndarray:
         """Soft-assignment weighted sum of all entries (prediction-only).

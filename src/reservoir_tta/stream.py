@@ -44,7 +44,7 @@ from .errors import (
     InsufficientDataError,
     check_fields,
 )
-from .model_reservoir import ModelReservoir, select_active
+from .model_reservoir import ModelReservoir
 from .seeding import keyed_rng, keyed_rngs
 from .style import FeatureExtractor, extract_style
 
@@ -260,7 +260,7 @@ def make_domains(
     mean included, is separated by more than ``MIN_SEPARATION_FACTOR * tau``;
     a rejected pool is redrawn with a fresh sub-seed up to
     ``DOMAIN_MAX_RETRIES`` times before raising. A candidate's style batches
-    are keyed by its pool index, and a returned domain's id is its index in
+    are keyed by its pool index; a returned domain is named by its index in
     the returned list.
     """
     if count < 1:
@@ -528,15 +528,16 @@ class EpisodeMetrics:
         )
 
     def per_visit_domain_error(self) -> np.ndarray:
-        """Mean error per (visit, true domain); NaN where a pair never occurs."""
+        """Mean error per (visit, true domain). Every visit holds a step of
+        every domain: CSC and CDC visit each domain in turn, and each CCC
+        segment's weight-0 step is its primary domain."""
         n_visits = int(self.visits.max()) + 1
         n_domains = int(self.true_domains.max()) + 1
-        table = np.full((n_visits, n_domains), np.nan)
+        table = np.empty((n_visits, n_domains))
         for v in range(n_visits):
             for d in range(n_domains):
                 sel = (self.visits == v) & (self.true_domains == d)
-                if sel.any():
-                    table[v, d] = self.per_batch_error[sel].mean()
+                table[v, d] = self.per_batch_error[sel].mean()
         return table
 
 
@@ -597,11 +598,11 @@ def run_episode(
         if route:
             reservoir.offer(s)
             decision = centroids.detect(s, context.tau)
-            if decision.is_new:
+            if decision.kind == "new_domain":
                 models.init_new_model(lambda p: tta.predict(model, p, feats))
             update_centroids(centroids, reservoir)
             q = soft_assign_vector(s, centroids)
-            k_star = select_active(q)
+            k_star = int(np.argmax(q))
         new_params = tta.tta_step(
             model, models.entry(k_star), feats, method, context.fisher_omega
         )

@@ -237,7 +237,7 @@ def tta_step(
     are therefore exactly interchangeable parameterizations of the same
     contraction.
     """
-    theta = np.asarray(params, dtype=np.float64).copy()
+    theta = np.asarray(params, dtype=np.float64)
     _, grad = entropy_loss_and_grad(model, theta, feats, method.filtered)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("TTA gradient is non-finite")

@@ -151,7 +151,7 @@ class TestGradientOracle:
         for row in (255, 200, 150, 100, 50, 0):
             u = rng.standard_normal(40)
             decision = cs.detect(styles[row] + gap * u / np.linalg.norm(u), tau=-1.0)
-            assert decision.is_new and decision.distance > 0
+            assert decision.kind == "new_domain" and decision.distance > 0
         _assert_matches_reference(res, cs)
 
     def test_single_centroid_is_exactly_zero(self):

@@ -1,43 +1,20 @@
-"""Parameter pool: MI-based init, selection, ensembling, per-entry writes."""
+"""Parameter pool: MI-based init, ensembling, per-entry writes, read-only views."""
 
 import numpy as np
 import pytest
 
 from reservoir_tta.errors import InputDomainError, NumericalError
-from reservoir_tta.model_reservoir import ModelReservoir, select_active
+from reservoir_tta.model_reservoir import ModelReservoir
 
 
 def _entries(res):
     """Every entry's parameters as a ``(count, dim)`` matrix, read through
-    the public per-entry copy."""
+    the public per-entry view."""
     return np.stack([res.entry(i) for i in range(res.count)])
 
 
 def _uniform_predictor(classes):
     return lambda params: np.full((4, classes), 1.0 / classes)
-
-
-class TestSelectActive:
-    def test_plain_argmax(self):
-        assert select_active(np.array([0.1, 0.7, 0.2])) == 1
-
-    def test_tie_goes_to_lowest_index(self):
-        assert select_active(np.array([0.5, 0.5])) == 0
-
-    def test_matches_linear_scan_on_random_simplex(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            raw = rng.random(16)
-            q = raw / raw.sum()
-            best, best_idx = -1.0, -1
-            for i, v in enumerate(q):
-                if v > best:
-                    best, best_idx = v, i
-            assert select_active(q) == best_idx
-
-    def test_rejects_empty(self):
-        with pytest.raises(InputDomainError):
-            select_active(np.array([]))
 
 
 class TestInitNewModel:
@@ -177,6 +154,12 @@ class TestWriteActive:
             expect[idx] = params
         for i in range(4):
             np.testing.assert_array_equal(res.entry(i), expect[i])
+
+    def test_entry_is_a_read_only_view(self):
+        res = ModelReservoir(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            res.entry(0)[0] = 5.0
+        np.testing.assert_array_equal(res.entry(0), [1.0, 2.0])
 
     def test_out_of_range(self):
         res = ModelReservoir(np.zeros(2))
