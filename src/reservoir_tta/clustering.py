@@ -17,9 +17,12 @@ The per-step centroid stage is the engine's hot path, so
 from one Gram product, pairs too close for its cancellation error (a spawned
 centroid is a copy of a reservoir row) are redone from exact differences,
 and the gradient is contracted as ``c_j sum_i w_ij - sum_i w_ij s_i`` (one
-matrix product) instead of through an ``(n, K, dim)`` broadcast. Log-sum-exp
-is plain numpy, in the same max-split form as ``scipy.special.logsumexp`` and
-bit-identical to it.
+matrix product) instead of through an ``(n, K, dim)`` broadcast.
+
+The module is plain numpy; scipy is only the tests' oracle. Log-sum-exp takes
+the max-split form of ``scipy.special.logsumexp`` and is bit-identical to it.
+The MI loss's ``0 ln 0 := 0`` is a masked ``a * np.log(a)``, which agrees with
+``scipy.special.xlogy(a, a)`` up to the rounding of the logarithm.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InputDomainError, InsufficientDataError, NumericalError
 
@@ -178,6 +180,12 @@ def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     return np.exp(_log_softmax(logits))[0]
 
 
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """``a ln a`` elementwise, with ``0 ln 0 := 0`` (``scipy.special.xlogy(a, a)``)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a == 0, 0.0, a * np.log(a))
+
+
 def mi_loss(q: np.ndarray) -> float:
     """Mutual-information clustering loss of an assignment matrix.
 
@@ -191,9 +199,9 @@ def mi_loss(q: np.ndarray) -> float:
     if mat.ndim != 2 or mat.size == 0:
         raise InputDomainError("assignment matrix must be 2-D and nonempty")
     m = mat.shape[0]
-    ent = -xlogy(mat, mat).sum() / m
+    ent = -_xlogx(mat).sum() / m
     qbar = mat.mean(axis=0)
-    cm = xlogy(qbar, qbar).sum()
+    cm = _xlogx(qbar).sum()
     return float(ent + cm)
 
 

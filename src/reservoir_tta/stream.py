@@ -8,10 +8,16 @@ schedules: a fixed repeating order (CSC), a reshuffled order per visit
 (CDC), or a continuous path that linearly blends consecutive domains
 (CCC).
 
+A domain's rotation is the exponential of a skew-symmetric generator ``A``,
+computed in numpy: ``A @ A = -S**2`` is symmetric, so one ``np.linalg.eigh``
+gives ``S``, and ``exp(A) = cos(S) + A sinc(S)`` (``_rotations``).
+
 ``DomainStream`` serves each step's batch with its frozen features and style
 vector already computed. It draws the raw batch of every (domain, slot) pair
 once, at construction, so every step of a pair uses the same raw batch, and
-it replays a pure-domain pair's prepared batch on every later visit.
+it replays a pure-domain pair's prepared batch on every later visit. Also at
+construction, it builds the blend table: the distortion of every CCC step
+that mixes two domains, all in one stacked pass.
 ``run_episode`` executes the per-batch loop on those batches: reservoir
 update, domain detection, centroid refinement, model selection and
 adaptation, parameter ensembling, prediction. Its ``EpisodeMetrics`` is the
@@ -23,10 +29,10 @@ metrics only, never the adaptation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import tta
 from .clustering import (
@@ -119,14 +125,60 @@ def make_source_dataset(
     return LabeledDataset(inputs=inputs, labels=labels, blob=blob)
 
 
+def _rotations(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` for a ``(..., d, d)`` stack of skew-symmetric matrices.
+
+    ``a @ a = -S**2`` is symmetric negative semidefinite, so one
+    ``np.linalg.eigh`` gives ``S = V diag(theta) V^T`` with ``theta =
+    sqrt(-eigenvalue)``. The even terms of the exponential series sum to
+    ``cos(S)`` and the odd ones to ``a sinc(S)``, with ``sinc(t) = sin(t) /
+    t`` (1 at 0), so ``exp(a) = (V cos(theta) + a V sinc(theta)) V^T``.
+    Every step works slice by slice, so a stacked call gives each slice the
+    bits of a call on that slice alone.
+    """
+    eigenvalues, v = np.linalg.eigh(a @ a)
+    theta = np.sqrt(np.maximum(-eigenvalues, 0.0))
+    sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0)
+    half = v * np.cos(theta)[..., None, :] + a @ (v * sinc[..., None, :])
+    return half @ np.swapaxes(v, -1, -2)
+
+
+def _distort(
+    inputs: np.ndarray,
+    noise: np.ndarray,
+    transform: np.ndarray,
+    offset: np.ndarray,
+    noise_std: np.ndarray,
+) -> np.ndarray:
+    """``inputs`` under one domain's transform, offset and noise scale, with
+    ``noise`` a standard-normal draw of their shape as the input noise.
+
+    ``0.0 + noise_std * noise`` is the arithmetic of ``rng.normal(0.0,
+    noise_std, size)``, so a draw taken from ``rng`` gives that call's bits,
+    and one draw can serve several domains.
+    """
+    out = inputs @ transform.T + offset
+    if np.any(noise_std > 0):
+        out = out + (0.0 + noise_std * noise)
+    return out
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """One test domain: an affine input distortion plus input noise.
 
     The base fields are severity-free direction parameters; the effective
-    transform scales all of them by ``severity``. Severity 0 is the identity
-    with no noise (the source domain). A domain carries no id: it is its
-    index in ``EpisodeContext.domains``, the value the schedule holds.
+    ``transform``, ``offset`` and ``noise_std`` scale all of them by
+    ``severity``, and are computed on first read. The transform's rotation is
+    ``exp(A)`` of the skew-symmetric ``A = severity * rotation_angle *
+    rotation_gen``, computed as ``cos(S) + A sinc(S)`` with ``S**2 = -A @ A``
+    (:func:`_rotations`). Severity 0 is the identity with no noise (the
+    source domain). A domain carries no id: it is its index in
+    ``EpisodeContext.domains``, the value the schedule holds.
+
+    Every field may carry the same leading axes, for a stack of domains
+    (:func:`blend_domains` builds one for a stream's CCC blends); the
+    effective fields then carry them too. ``apply`` takes one domain.
     """
 
     severity: float
@@ -136,29 +188,27 @@ class DomainSpec:
     offset_base: np.ndarray
     noise_base: np.ndarray
 
-    transform: np.ndarray = field(init=False)
-    offset: np.ndarray = field(init=False)
-    noise_std: np.ndarray = field(init=False)
+    @cached_property
+    def transform(self) -> np.ndarray:
+        """``exp(severity * rotation_angle * rotation_gen)`` times the
+        diagonal ``exp(severity * log_scale)``."""
+        severity = np.asarray(self.severity)
+        angle = severity * np.asarray(self.rotation_angle)
+        rotation = _rotations(angle[..., None, None] * self.rotation_gen)
+        return rotation * np.exp(severity[..., None] * self.log_scale)[..., None, :]
 
-    def __post_init__(self):
-        rot = expm(self.severity * self.rotation_angle * self.rotation_gen)
-        scale = np.diag(np.exp(self.severity * self.log_scale))
-        object.__setattr__(self, "transform", rot @ scale)
-        object.__setattr__(self, "offset", self.severity * self.offset_base)
-        object.__setattr__(self, "noise_std", self.severity * self.noise_base)
+    @cached_property
+    def offset(self) -> np.ndarray:
+        return np.asarray(self.severity)[..., None] * self.offset_base
+
+    @cached_property
+    def noise_std(self) -> np.ndarray:
+        return np.asarray(self.severity)[..., None] * self.noise_base
 
     def apply(self, inputs: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Distort ``inputs`` with ``noise``, a standard-normal draw of their
-        shape, as the input noise.
-
-        ``0.0 + noise_std * noise`` is the arithmetic of
-        ``rng.normal(0.0, noise_std, size)``, so a draw taken from ``rng``
-        gives that call's bits, and one draw can serve several domains.
-        """
-        out = inputs @ self.transform.T + self.offset
-        if np.any(self.noise_std > 0):
-            out = out + (0.0 + self.noise_std * noise)
-        return out
+        shape, as the input noise (see :func:`_distort`)."""
+        return _distort(inputs, noise, self.transform, self.offset, self.noise_std)
 
 
 def _sphere_points(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -204,19 +254,22 @@ def _draw_domain(
     )
 
 
-def blend_domains(a: DomainSpec, b: DomainSpec, w: float) -> DomainSpec:
-    """Convex combination of two domains' base parameters (w = 0 gives ``a``)."""
+def blend_domains(a: DomainSpec, b: DomainSpec, w: float | np.ndarray) -> DomainSpec:
+    """Convex combination of two domains' base parameters (w = 0 gives ``a``).
+
+    ``w`` may be an array of weights: ``a`` and ``b`` are then stacks with
+    ``w``'s shape as their leading axes, and so is the blend. Each weight
+    mixes its own pair with the arithmetic of a scalar ``w``, so a stack's
+    row has the bits of that pair's single blend.
+    """
     if a.rotation_gen.shape != b.rotation_gen.shape:
         raise InputDomainError("cannot blend domains of different dimension")
-    u = 1.0 - w
-    return DomainSpec(
-        severity=u * a.severity + w * b.severity,
-        rotation_gen=u * a.rotation_gen + w * b.rotation_gen,
-        rotation_angle=u * a.rotation_angle + w * b.rotation_angle,
-        log_scale=u * a.log_scale + w * b.log_scale,
-        offset_base=u * a.offset_base + w * b.offset_base,
-        noise_base=u * a.noise_base + w * b.noise_base,
-    )
+    mixed = []
+    for f in fields(DomainSpec):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        wx = np.reshape(w, np.shape(w) + (1,) * (np.ndim(x) - np.ndim(w)))
+        mixed.append((1.0 - wx) * x + wx * y)
+    return DomainSpec(*mixed)
 
 
 def domain_style_mean(
@@ -407,10 +460,14 @@ class DomainStream:
     Construction builds ``plan.schedule(seed)`` and draws every (domain,
     slot) key's raw batch, its inputs, labels and standard-normal noise,
     from the key's own rng ``keyed_rng(seed, _TAG_STREAM, domain, slot)``
-    into three read-only arrays indexed ``[domain, slot]``. ``next_batch``
-    distorts its key's inputs with its key's noise and runs the feature
-    pass and, if ``styles`` is set, the style pass; the engine never reads
-    raw inputs.
+    into three read-only arrays indexed ``[domain, slot]``. It also builds
+    the blend table: the transform, offset and noise scale of every step
+    that blends two domains, from one :func:`blend_domains` call over the
+    stack of those steps' segment ends and weights, whose rotations are one
+    stacked :func:`_rotations` pass. ``next_batch`` distorts its key's
+    inputs with its key's noise, under its domain or its step's blend, and
+    runs the feature pass and, if ``styles`` is set, the style pass; the
+    engine never reads raw inputs.
 
     A pure-domain step (blend weight 0, or the same domain at both segment
     ends: every CSC and CDC step) depends on its key alone, so every
@@ -440,22 +497,30 @@ class DomainStream:
                 self._inputs[domain, slot], self._labels[domain, slot] = inputs, labels
                 self._noise[domain, slot] = rng.standard_normal(inputs.shape)
         _freeze((self._inputs, self._labels, self._noise))
+        _, primary, nxt, weight = self.schedule
+        blended = np.flatnonzero((weight != 0.0) & (primary != nxt))
+        stacked = [
+            np.stack([getattr(d, f.name) for d in context.domains])
+            for f in fields(DomainSpec)
+        ]
+        a, b = (DomainSpec(*(x[ends[blended]] for x in stacked)) for ends in (primary, nxt))
+        blend = blend_domains(a, b, weight[blended])
+        distortions = _freeze((blend.transform, blend.offset, blend.noise_std))
+        self._blends = dict(zip(blended.tolist(), zip(*distortions)))
         self._replay: dict[tuple[int, int], StreamBatch] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
         ctx = self.context
         if not 0 <= step < ctx.plan.total_steps:
             raise EndOfStream(f"step {step} outside [0, {ctx.plan.total_steps})")
-        _, primary, nxt, w = [column[step].item() for column in self.schedule]
+        primary = self.schedule[1][step].item()
         key = (primary, step % ctx.plan.batches_per_domain)
-        pure = w == 0.0 or primary == nxt
+        blend = self._blends.get(step)
+        pure = blend is None
         if pure and key in self._replay:
             return self._replay[key]
-        if pure:
-            domain = ctx.domains[primary]
-        else:
-            domain = blend_domains(ctx.domains[primary], ctx.domains[nxt], w)
-        inputs = domain.apply(self._inputs[key], self._noise[key])
+        raw = self._inputs[key], self._noise[key]
+        inputs = ctx.domains[primary].apply(*raw) if pure else _distort(*raw, *blend)
         style = extract_style(inputs, ctx.extractor) if self.styles else None
         batch = StreamBatch(*_freeze((self._labels[key], ctx.model.features(inputs), style)))
         if pure:

@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import reservoir_tta
 from reservoir_tta import cli, seeding
 
 # Small enough to run in a few seconds: 3 domains x 2 visits x 3 batches,
@@ -487,18 +492,18 @@ def test_run_outputs_are_byte_reproducible(tmp_path, monkeypatch):
 # any output byte must update these and say why.
 GOLDEN_RUN = {
     "aggregate.json": "2a125f8a566129c92c7b927f9484323ff6eb07e810dc41b8f29d63c460655a3f",
-    "metrics_reservoir_eata_seed1.csv": "f887516c1b4ff7dea81ddc3c8f883bda9cf1f37f7d691c1a4bfa4a8fa53977f3",
-    "metrics_reservoir_eata_seed2.csv": "705b933d11ff9cf91ce7a5958ef763399138394b6a40774ae190122665c323ba",
-    "metrics_tent_seed1.csv": "7657403e745ef48c919825d5ef284f7d66259f606867b669929c2e287138d816",
-    "metrics_tent_seed2.csv": "98ef68709382d961ca545d6852d353a25bac37b71ba4216ff4187ed790922aa9",
+    "metrics_reservoir_eata_seed1.csv": "c9df535d2a57bcd435bc6547960eeaa22b90cf83a103a18bd03076cc3c30bb97",
+    "metrics_reservoir_eata_seed2.csv": "13b1b4e99c96204d5b175d85c96982d9640bad71e7e6f90f7e294061cced767b",
+    "metrics_tent_seed1.csv": "9ef84068d1d2498a7afc43638a20d308c4d7ffd7a442c167447e475391ba542c",
+    "metrics_tent_seed2.csv": "75ec1bfdd5c1bdb153b55efbe522043b7707be15956779ba8010a41053fe5d7d",
     "summary_reservoir_eata_seed1.json": "049c8fe5445816c077fc77401cf6769ee787193ea974137a90821fcb8ac7dbc8",
     "summary_reservoir_eata_seed2.json": "f6bff64936b68d35e97b42124bdf9a7cd6a296f5f2785150772012cb0afcc4be",
     "summary_tent_seed1.json": "592fdc01675aa101c1be2c4f47652826a71661a0b4ad7a5cba652978c8f267a6",
     "summary_tent_seed2.json": "eb73fc13a3651d44858f11fbe4215a10a8eb324d3910776fecd51707e396040d",
-    "trace_reservoir_eata_seed1.jsonl": "b05b9241fd338fb1a5cb7bcc57b331eb48077d390b1bc042ded31649461c38ec",
-    "trace_reservoir_eata_seed2.jsonl": "62e9bee9b1ee212ff605be968a9dabf60b4c4b9fb32640b7f4ad390c00ea5111",
-    "trace_tent_seed1.jsonl": "23351a391641598587ee35809658d3b95a0d5c8847ab2143857b71255607e73b",
-    "trace_tent_seed2.jsonl": "f11bd0fcf5a706e283b315baeb37d4e00880e089bd809e0c7b9911c4a0301be1",
+    "trace_reservoir_eata_seed1.jsonl": "78e7002511ad2e06b5384c89835361936834d4b1f7ff7bd29718ece72c57b7f2",
+    "trace_reservoir_eata_seed2.jsonl": "89c4c5413367ba5c984321732c861b0cb7ceeffd96dafef1ca8b8227ed301023",
+    "trace_tent_seed1.jsonl": "3c295dd4cb44f3cd090a683a90a8edf61c1bc4ed4509ad9946ae353446002cc0",
+    "trace_tent_seed2.jsonl": "49a822520a32a036f59026804851d24708faa09515a25fc959e177f5cbea7dcb",
 }
 # The same for SMALL as a CCC stream with the single-model ``tent`` method
 # only: the path a ``reservoir: false`` method takes through the engine.
@@ -509,12 +514,12 @@ SMALL_CCC_TENT = {
 }
 GOLDEN_RUN_CCC_TENT = {
     "aggregate.json": "43b5bfa238724484b7fbe93d5253d56ac3cc800338d0644da6d7bd50733ef896",
-    "metrics_tent_seed1.csv": "b534ef71226323f85d80553e565cff4b77e51abab447a8647ba4512c2a947ce8",
-    "metrics_tent_seed2.csv": "12aae6d39baf0efbb46a6e209d9c2ba6a090a1a3b05ff5511b2f7b4037d99dcd",
+    "metrics_tent_seed1.csv": "27146025af1780c1a39d1b04cfd6bdaceb49e4a57c50af6bba518c67140330fa",
+    "metrics_tent_seed2.csv": "fcbb92c2e03bc0bf2fe517511b3df0d21744cf0f1b641aeaded298d9d695f26e",
     "summary_tent_seed1.json": "790145dd79fb20534230ba648c7165937a79f74a3af4e22eb5ffc4954c073cb1",
     "summary_tent_seed2.json": "684fdddb8fe6caa34280cd1306bcc7871c686b370aadceef9f0a098a16f3607b",
-    "trace_tent_seed1.jsonl": "f90d5c5d69907eb206be12a5f54635145ad8ca13d4994651371b4f01db26f4a7",
-    "trace_tent_seed2.jsonl": "bd5d07d20430331d3ce4c1c92401a1c0f480eaf33fa0d946c2e07462226f7f5f",
+    "trace_tent_seed1.jsonl": "7cb753657f17bb84f2956761aef20d7e5f236e97b026a0e97cd0f492434bed5f",
+    "trace_tent_seed2.jsonl": "0bff974bd9c4cc89f71adf1279b372a075651140efa68c57784f02f7d6fbeb3a",
 }
 # The same for SMALL as a CDC stream with the objective kinds the two runs
 # above leave out: the margin filter, the anchor and the ensembling, alone
@@ -531,14 +536,14 @@ SMALL_CDC_KINDS = {
 }
 GOLDEN_RUN_CDC_KINDS = {
     "aggregate.json": "76afba5b1c70a57c72351fb379378ea67d62d419fbab73be1106f37adce0c47a",
-    "metrics_eata_seed1.csv": "d18b6a007ae5f7d5fd52603c1b71c6ede9d510ea0d86359ce9e8a3bb3b3662aa",
-    "metrics_eata_seed2.csv": "30877fd3dc4ea51175bf901470fb6973a6111d061bc84c987b2d5426eac8148e",
-    "metrics_ensemble_seed1.csv": "065884bc533ddd488a8ec9f8b9b04be90273dda7350a2382a4b904b9302bfa71",
-    "metrics_ensemble_seed2.csv": "0121b70a51f177abea41777d4ae600394e0dee4ed74b82788e3c64208219f2f9",
-    "metrics_fisher_seed1.csv": "d2bb1ba2ad2804ea3fef5dd7f8520fe45e0e693669874dc5d4a363c18e4f2817",
-    "metrics_fisher_seed2.csv": "53076ffa0f57d1e5d02229af5e09179669eb4a37c433d6410c36eb5bdd99866b",
-    "metrics_reservoir_ensemble_seed1.csv": "04f02f98bbc5dd6b1f85eab11c6e6cb89d47146684676f888680099c97883813",
-    "metrics_reservoir_ensemble_seed2.csv": "5bad90d826b1256ee4865144e45f5e4cb543187fa19f4b7d123a7ff9dbab8e4b",
+    "metrics_eata_seed1.csv": "a0405348d437371d482fba27c1b483d47813492aec50843acc7a0db52a7dd9a3",
+    "metrics_eata_seed2.csv": "f0f9475ae2b0944e9268fa74604a4c51cb4636cc50a4d621dca7dc7c9fe9e09a",
+    "metrics_ensemble_seed1.csv": "c7de8980f66e4b896344f2deea967767a065f1a13f021ad7373d6e8b4d148e90",
+    "metrics_ensemble_seed2.csv": "9c130bf8598a50e2b3857ae3b83dfeb160a74176d09266511dbbbe58f0e6dc0d",
+    "metrics_fisher_seed1.csv": "da9f87d506f45d756347541b94e50390793d17a93417f5eda5ee76a6e96aa115",
+    "metrics_fisher_seed2.csv": "b545a4882fa30173fa1d9efca634dd915770b75752481e53fe39f3a38da7054c",
+    "metrics_reservoir_ensemble_seed1.csv": "ddb7c7569101f4fa49880840333c4d797238909143fe4e2b3130649bbc5371a5",
+    "metrics_reservoir_ensemble_seed2.csv": "cfc67436be12112757337b3c9c04c1872aef2c61063dec5cf5d0df0bb0592fb3",
     "summary_eata_seed1.json": "52cb623810ae4c5370dbd64e883848751f92c37b0d6556511ebedae60145872c",
     "summary_eata_seed2.json": "474b3dfccc88e11124cb1e7f360c0e5208b444b6d3398528be81946833b6b10d",
     "summary_ensemble_seed1.json": "69bcbd02e940baf58c547b95702a85603aa8b99634bf1c438033d47637793c4d",
@@ -547,14 +552,14 @@ GOLDEN_RUN_CDC_KINDS = {
     "summary_fisher_seed2.json": "2b97a7fbbda7af6f1966a01e39ec1a321ac7745c0875ee6794ed95b8fcd07392",
     "summary_reservoir_ensemble_seed1.json": "5da2ba75506e7e1df410d88fef0cdfeee3969372809510b3396d44c2bb1e0824",
     "summary_reservoir_ensemble_seed2.json": "2f87b23e82ae88e01d6c7bf1c6f2aeaa74a7ddb6da130c1d7bbe802c9a22a24c",
-    "trace_eata_seed1.jsonl": "6f3bd5ce8bb9488e7186430ddb17c92a27c7dbac2112610d13c32551b2b298c9",
-    "trace_eata_seed2.jsonl": "e5bb96d7f5a045e5053898b437f610ce33dd6ae91a19677c636470f8efd44a6c",
-    "trace_ensemble_seed1.jsonl": "6f3bd5ce8bb9488e7186430ddb17c92a27c7dbac2112610d13c32551b2b298c9",
-    "trace_ensemble_seed2.jsonl": "e5bb96d7f5a045e5053898b437f610ce33dd6ae91a19677c636470f8efd44a6c",
-    "trace_fisher_seed1.jsonl": "6f3bd5ce8bb9488e7186430ddb17c92a27c7dbac2112610d13c32551b2b298c9",
-    "trace_fisher_seed2.jsonl": "e5bb96d7f5a045e5053898b437f610ce33dd6ae91a19677c636470f8efd44a6c",
-    "trace_reservoir_ensemble_seed1.jsonl": "273e69997c75e04ae291bbc73006f8ed7abf051379e995bc973b231e19c93df7",
-    "trace_reservoir_ensemble_seed2.jsonl": "7a556a01768a19e1c716baa48f6e94488f8b37337c90b83196beb1a5f36682c9",
+    "trace_eata_seed1.jsonl": "b08147db78561ef9c6cfcaa71eaf62567951a76cb686981bd118d8b21ec6c979",
+    "trace_eata_seed2.jsonl": "9ae1f10eb2e5f4c7f29eb8dc6b9f4d7fa49e813712ad52c5743b0d2fafb2cd2c",
+    "trace_ensemble_seed1.jsonl": "b08147db78561ef9c6cfcaa71eaf62567951a76cb686981bd118d8b21ec6c979",
+    "trace_ensemble_seed2.jsonl": "9ae1f10eb2e5f4c7f29eb8dc6b9f4d7fa49e813712ad52c5743b0d2fafb2cd2c",
+    "trace_fisher_seed1.jsonl": "b08147db78561ef9c6cfcaa71eaf62567951a76cb686981bd118d8b21ec6c979",
+    "trace_fisher_seed2.jsonl": "9ae1f10eb2e5f4c7f29eb8dc6b9f4d7fa49e813712ad52c5743b0d2fafb2cd2c",
+    "trace_reservoir_ensemble_seed1.jsonl": "98641cc0033b6ac9aa36c09ec3c5f164c25543320dce94b6ea945dc171387309",
+    "trace_reservoir_ensemble_seed2.jsonl": "0f11131a496014e943bf4e5042650398bf6c2f888f43b7ceb5a4f05324d7fc87",
 }
 GOLDEN_THEORY = {
     "fisher_equiv.csv": "b3ef21fcf23f3208bc64a48d2c91e65841fced5b25d27abef2a24123c94eba8c",
@@ -636,6 +641,30 @@ def test_untraced_run_matches_golden_hashes(tmp_path, monkeypatch, config, golde
     path = _write_config(tmp_path, {**config, "emit_trace": False})
     assert cli.main(["run", "--config", path]) == 0
     assert _digests(out) == {k: v for k, v in golden.items() if not k.startswith("trace_")}
+
+
+def test_run_loads_no_scipy(tmp_path):
+    """scipy is the tests' oracle only: a fresh interpreter that imports the
+    CLI and runs a CCC episode, whose every blend builds a rotation, has
+    loaded no scipy module."""
+    path = _write_config(tmp_path, SMALL_CCC_TENT)
+    code = (
+        "import sys\n"
+        "import reservoir_tta.cli\n"
+        f"assert reservoir_tta.cli.main(['run', '--config', {path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(reservoir_tta.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "RTTA_OUTPUT_DIR": str(tmp_path / "out"),
+    }
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "metrics_tent_seed1.csv").is_file()
 
 
 def test_theory_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):

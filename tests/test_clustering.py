@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from reservoir_tta import clustering, stream
 from reservoir_tta.clustering import (
@@ -295,6 +295,13 @@ class TestSoftAssign:
 
 
 class TestMiLoss:
+    def test_xlogx_matches_scipy_xlogy(self):
+        # 0 ln 0 := 0, the smallest subnormal, a tiny normal, and two exact cases.
+        a = np.array([0.0, np.nextafter(0.0, 1.0), 1e-300, 0.5, 1.0])
+        got = clustering._xlogx(a)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        np.testing.assert_allclose(got, xlogy(a, a), rtol=2**-52, atol=0)
+
     def test_uniform_matrix_is_zero(self):
         q = np.full((6, 4), 0.25)
         assert mi_loss(q) == pytest.approx(0.0, abs=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from reservoir_tta import config, stream, tta
 from reservoir_tta.clustering import DEFAULT_K_MAX
@@ -117,6 +118,77 @@ class TestMakeDomains:
                 tau=context.tau,
                 source_style_mean=context.source_style_mean,
             )
+
+
+class TestRotations:
+    """``stream._rotations`` against ``scipy.linalg.expm``, the exponential
+    the domains were defined with."""
+
+    WEIGHTS = np.arange(25) / 25  # 0, 0.04, ..., 0.96: a CCC segment's ramp
+
+    @staticmethod
+    def _generator(domain):
+        return domain.severity * domain.rotation_angle * domain.rotation_gen
+
+    @staticmethod
+    def _assert_orthogonal_times_scale(domain):
+        scale = np.exp(domain.severity * domain.log_scale)
+        rotation = domain.transform / scale
+        np.testing.assert_allclose(rotation @ rotation.T, np.eye(scale.size), atol=1e-12)
+
+    def test_candidate_pool_matches_expm(self, context, default_config, monkeypatch):
+        # Every candidate make_domains draws for the default config.
+        pool = []
+        draw = stream._draw_domain
+
+        def kept(*args, **kwargs):
+            pool.append(draw(*args, **kwargs))
+            return pool[-1]
+
+        monkeypatch.setattr(stream, "_draw_domain", kept)
+        plan = default_config.scenario
+        stream.make_domains(
+            plan.domains, plan.severity, config.DOMAIN_SEED, blob=context.blob,
+            extractor=context.extractor, tau=context.tau,
+            source_style_mean=context.source_style_mean,
+        )
+        assert len(pool) >= 8 * plan.domains
+        for i, domain in enumerate(pool):
+            gen = self._generator(domain)
+            np.testing.assert_allclose(
+                stream._rotations(gen), expm(gen), rtol=0, atol=1e-12, err_msg=str(i)
+            )
+            self._assert_orthogonal_times_scale(domain)
+
+    def test_blends_match_expm(self, context):
+        for a, b in zip(context.domains, context.domains[1:]):
+            for w in self.WEIGHTS:
+                blend = stream.blend_domains(a, b, w)
+                scale = np.exp(blend.severity * blend.log_scale)
+                np.testing.assert_allclose(
+                    blend.transform, expm(self._generator(blend)) * scale, rtol=0, atol=1e-12
+                )
+                self._assert_orthogonal_times_scale(blend)
+
+    def test_stacked_rows_equal_single_calls(self, context):
+        a, b = context.domains[:2]
+        gens = np.stack([self._generator(stream.blend_domains(a, b, w)) for w in self.WEIGHTS])
+        stacked = stream._rotations(gens)
+        for i, gen in enumerate(gens):
+            assert _bits(stacked[i]) == _bits(stream._rotations(gen)), i
+
+    def test_stacked_blend_rows_equal_single_blends(self, context):
+        a, b = context.domains[:2]
+        n = self.WEIGHTS.size
+        stacks = [
+            stream.DomainSpec(*(np.stack([getattr(d, f.name)] * n) for f in fields(d)))
+            for d in (a, b)
+        ]
+        stacked = stream.blend_domains(*stacks, self.WEIGHTS)
+        for i, w in enumerate(self.WEIGHTS):
+            single = stream.blend_domains(a, b, w)
+            for name in ("transform", "offset", "noise_std"):
+                assert _bits(getattr(stacked, name)[i]) == _bits(getattr(single, name)), (i, name)
 
 
 def _fixed_orders(monkeypatch, orders):
