@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stream, theory
-from .config import RunConfig, build_context, default_config, load_config
+from .config import RunConfig, build_context, load_config
 from .errors import ConfigurationError, ReservoirTTAError
 from .seeding import keyed_rng
 
@@ -41,7 +41,7 @@ THEORY_SEED = 101
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config) if args.config is not None else default_config()
+        cfg = load_config(args.config) if args.config is not None else RunConfig()
         # Every argument is checked before the output directory is created.
         if args.command == "run":
             if args.seeds is not None:

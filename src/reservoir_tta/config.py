@@ -140,10 +140,6 @@ class RunConfig:
         )
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 _SECTIONS = {
     "source": SourceParams,
     "style": StyleParams,

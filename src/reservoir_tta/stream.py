@@ -13,11 +13,11 @@ computed in numpy: ``A @ A = -S**2`` is symmetric, so one ``np.linalg.eigh``
 gives ``S``, and ``exp(A) = cos(S) + A sinc(S)`` (``_rotations``).
 
 ``DomainStream`` serves each step's batch with its frozen features and style
-vector already computed. It draws the raw batch of every (domain, slot) pair
-once, at construction, so every step of a pair uses the same raw batch, and
-it replays a pure-domain pair's prepared batch on every later visit. Also at
-construction, it builds the blend table: the distortion of every CCC step
-that mixes two domains, all in one stacked pass.
+vector already computed. At construction it draws the raw batch of every
+(domain, slot) pair once and builds one distortion table, a row per distinct
+(primary, next, weight) of the schedule, in one stacked pass; every step is
+distorted from its row, and the first batch of each (row, slot) is replayed
+to every later step with that key.
 ``run_episode`` executes the per-batch loop on those batches: reservoir
 update, domain detection, centroid refinement, model selection and
 adaptation, parameter ensembling, prediction. Its ``EpisodeMetrics`` is the
@@ -260,7 +260,9 @@ def blend_domains(a: DomainSpec, b: DomainSpec, w: float | np.ndarray) -> Domain
     ``w`` may be an array of weights: ``a`` and ``b`` are then stacks with
     ``w``'s shape as their leading axes, and so is the blend. Each weight
     mixes its own pair with the arithmetic of a scalar ``w``, so a stack's
-    row has the bits of that pair's single blend.
+    row has the bits of that pair's single blend, and a weight-0 row keeps
+    ``a``'s bits (``(1 - 0) * x + 0 * x = x``): one call builds a stream's
+    whole distortion table, pure domains included.
     """
     if a.rotation_gen.shape != b.rotation_gen.shape:
         raise InputDomainError("cannot blend domains of different dimension")
@@ -341,11 +343,8 @@ def make_domains(
                 for k, d in enumerate(pool)
             ]
         )
-        chosen = _farthest_point_subset(means, count, source_style_mean)
-        mat = np.vstack([means[chosen], np.asarray(source_style_mean)])
-        dists = np.linalg.norm(mat[:, None, :] - mat[None, :, :], axis=2)
-        off_diag = dists[np.triu_indices(mat.shape[0], k=1)]
-        if np.all(off_diag > MIN_SEPARATION_FACTOR * tau):
+        chosen, closest = _farthest_point_subset(means, count, source_style_mean)
+        if closest > MIN_SEPARATION_FACTOR * tau:
             return [pool[idx] for idx in chosen]
     raise GenerationError(
         f"could not draw {count} domains separated by more than "
@@ -355,20 +354,23 @@ def make_domains(
 
 def _farthest_point_subset(
     means: np.ndarray, count: int, source_mean: np.ndarray
-) -> list[int]:
+) -> tuple[list[int], float]:
     """Greedy max-min-distance selection from a candidate pool, starting
-    from the candidate farthest from the source."""
+    from the candidate farthest from the source, and the smallest distance
+    among the chosen means and the source (``np.minimum``: a NaN propagates)."""
     dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
     to_source = np.linalg.norm(means - np.asarray(source_mean), axis=1)
     chosen = [int(np.argmax(to_source))]
+    closest = to_source[chosen[0]]
     min_d = np.minimum(dists[chosen[0]], to_source)
     min_d[chosen[0]] = -np.inf
     while len(chosen) < count:
         nxt = int(np.argmax(min_d))
         chosen.append(nxt)
+        closest = np.minimum(closest, min_d[nxt])
         min_d = np.minimum(min_d, dists[nxt])
         min_d[nxt] = -np.inf
-    return chosen
+    return chosen, closest
 
 
 @dataclass(frozen=True)
@@ -460,21 +462,23 @@ class DomainStream:
     Construction builds ``plan.schedule(seed)`` and draws every (domain,
     slot) key's raw batch, its inputs, labels and standard-normal noise,
     from the key's own rng ``keyed_rng(seed, _TAG_STREAM, domain, slot)``
-    into three read-only arrays indexed ``[domain, slot]``. It also builds
-    the blend table: the transform, offset and noise scale of every step
-    that blends two domains, from one :func:`blend_domains` call over the
-    stack of those steps' segment ends and weights, whose rotations are one
-    stacked :func:`_rotations` pass. ``next_batch`` distorts its key's
-    inputs with its key's noise, under its domain or its step's blend, and
-    runs the feature pass and, if ``styles`` is set, the style pass; the
-    engine never reads raw inputs.
+    into three read-only arrays indexed ``[domain, slot]``. It maps every
+    step to a row of one read-only distortion table: the transform, offset
+    and noise scale of each distinct ``(primary, next, weight)``, a pure
+    step (weight 0, or the same domain at both segment ends: every CSC and
+    CDC step) taken as ``(primary, primary, 0.0)``. The table is one
+    :func:`blend_domains` call, its rotations one stacked :func:`_rotations`
+    pass. ``next_batch`` distorts its step's (primary, slot) inputs with
+    their noise under its step's row, and runs the feature pass and, if
+    ``styles`` is set, the style pass; the engine never reads raw inputs.
 
-    A pure-domain step (blend weight 0, or the same domain at both segment
-    ends: every CSC and CDC step) depends on its key alone, so every
-    recurrence of a domain replays the same test data; visit-to-visit error
-    differences then reflect adaptation, not resampling, as in recurring
-    corruption benchmarks. The first pure step of a key keeps its
-    ``StreamBatch`` in the replay table; every later one is served it.
+    The first ``StreamBatch`` of each (row, slot) is served to every later
+    step with that key, pure or blended, so every recurrence of a domain
+    replays the same test data: visit-to-visit error differences reflect
+    adaptation, not resampling, as in recurring corruption benchmarks. With
+    ``D`` domains and ``per = batches_per_domain``, the table has at most
+    ``D + D(D-1)(per-1)`` rows and the replay table ``D*per + D(D-1)(per-1)``
+    batches, however many visits the stream makes.
     """
 
     def __init__(self, context: EpisodeContext, seed: int, styles: bool = True):
@@ -498,33 +502,32 @@ class DomainStream:
                 self._noise[domain, slot] = rng.standard_normal(inputs.shape)
         _freeze((self._inputs, self._labels, self._noise))
         _, primary, nxt, weight = self.schedule
-        blended = np.flatnonzero((weight != 0.0) & (primary != nxt))
-        stacked = [
-            np.stack([getattr(d, f.name) for d in context.domains])
-            for f in fields(DomainSpec)
-        ]
-        a, b = (DomainSpec(*(x[ends[blended]] for x in stacked)) for ends in (primary, nxt))
-        blend = blend_domains(a, b, weight[blended])
-        distortions = _freeze((blend.transform, blend.offset, blend.noise_std))
-        self._blends = dict(zip(blended.tolist(), zip(*distortions)))
+        pure = (weight == 0.0) | (primary == nxt)
+        triples = [primary, np.where(pure, primary, nxt), np.where(pure, 0.0, weight)]
+        rows, step_rows = np.unique(np.column_stack(triples), axis=0, return_inverse=True)
+        domains = context.domains
+        stacked = [np.stack([getattr(d, f.name) for d in domains]) for f in fields(DomainSpec)]
+        ends = rows[:, :2].astype(np.int64).T
+        a, b = (DomainSpec(*(x[e] for x in stacked)) for e in ends)
+        table = blend_domains(a, b, rows[:, 2])
+        self._table = table.transform, table.offset, table.noise_std
+        self._rows = step_rows.reshape(-1)
+        _freeze((*self._table, self._rows))
         self._replay: dict[tuple[int, int], StreamBatch] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
         ctx = self.context
         if not 0 <= step < ctx.plan.total_steps:
             raise EndOfStream(f"step {step} outside [0, {ctx.plan.total_steps})")
-        primary = self.schedule[1][step].item()
-        key = (primary, step % ctx.plan.batches_per_domain)
-        blend = self._blends.get(step)
-        pure = blend is None
-        if pure and key in self._replay:
-            return self._replay[key]
-        raw = self._inputs[key], self._noise[key]
-        inputs = ctx.domains[primary].apply(*raw) if pure else _distort(*raw, *blend)
+        slot = step % ctx.plan.batches_per_domain
+        row = self._rows[step].item()
+        if (row, slot) in self._replay:
+            return self._replay[row, slot]
+        draw = self.schedule[1][step].item(), slot
+        inputs = _distort(self._inputs[draw], self._noise[draw], *(t[row] for t in self._table))
         style = extract_style(inputs, ctx.extractor) if self.styles else None
-        batch = StreamBatch(*_freeze((self._labels[key], ctx.model.features(inputs), style)))
-        if pure:
-            self._replay[key] = batch
+        batch = StreamBatch(*_freeze((self._labels[draw], ctx.model.features(inputs), style)))
+        self._replay[row, slot] = batch
         return batch
 
 

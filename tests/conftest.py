@@ -6,23 +6,15 @@ import pytest
 from reservoir_tta import config
 
 
-ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
-
-
 @pytest.fixture(scope="session")
 def default_config():
-    return config.default_config()
+    return config.RunConfig()
 
 
 @pytest.fixture(scope="session")
 def context(default_config):
     """Source model, calibration, and domains for the default config."""
     return config.build_context(default_config)
-
-
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(20240915)
 
 
 @pytest.fixture()

@@ -203,6 +203,17 @@ def _rows(schedule):
     return [tuple(col[i].item() for col in schedule) for i in range(schedule[0].size)]
 
 
+def _replay_keys(schedule, per):
+    """Each step's pure-normalised (primary, next, weight, slot): a pure step
+    (weight 0, or the same domain at both segment ends) is (primary,
+    primary, 0.0, slot)."""
+    keys = []
+    for step, (_, primary, nxt, w) in enumerate(_rows(schedule)):
+        pure, slot = w == 0.0 or primary == nxt, step % per
+        keys.append((primary, primary, 0.0, slot) if pure else (primary, nxt, w, slot))
+    return keys
+
+
 def _context_with(context, **plan_fields):
     plan = replace(context.plan, **plan_fields)
     return replace(context, plan=plan, domains=context.domains[: plan.domains])
@@ -385,21 +396,19 @@ class TestDomainStream:
     def test_ccc_batches_match_fresh_draws(self, context, styles):
         ctx = _context_with(context, kind="ccc", visits=3, batches_per_domain=4)
         ds = stream.DomainStream(ctx, seed=9, styles=styles)
-        _, primary, nxt, weight = ds.schedule
-        served, first_pure = [], {}
+        keys = _replay_keys(ds.schedule, 4)
+        served, first = [], {}
         for step in range(ctx.plan.total_steps):
             batch = ds.next_batch(step)
             _assert_same_batch(batch, _prepared_batch(ctx, 9, step, styles))
-            # A weight-0 slot is replayed whole on a later visit; a blended
-            # slot is prepared afresh from its key's raw batch.
-            if weight[step] == 0.0 or primary[step] == nxt[step]:
-                key = (primary[step], step % 4)
-                assert batch is first_pure.setdefault(key, batch), step
-            else:
-                assert not any(batch is b for b in served), step
+            # A step is served the batch of the first step with its key,
+            # pure or blended; a new key's batch is prepared afresh.
+            assert batch is first.setdefault(keys[step], batch), step
             served.append(batch)
-        # Slot 0 of each domain, plus slots 1-3 of the stream's last segment.
-        assert len(first_pure) == 8 + 3
+        assert len({id(b) for b in served}) == len(first)
+        # Pure: slot 0 of each domain, plus slots 1-3 of the stream's last
+        # segment.
+        assert sum(key[2] == 0.0 for key in first) == 8 + 3
 
     def test_replay_table_keeps_pure_batches_a_later_visit_draws(self, context, monkeypatch):
         _fixed_orders(monkeypatch, [[2, 0, 1], [1, 2, 0]])
@@ -407,16 +416,28 @@ class TestDomainStream:
         ds = stream.DomainStream(ctx, seed=8)
         batches = [ds.next_batch(step) for step in range(ctx.plan.total_steps)]
         # The weight-0 slots of visit 0 (steps 0, 3, 6) recur on visit 1
-        # (steps 12, 15, 9), which are served the same batch objects. Every
+        # (steps 12, 15, 9), and so does the 2 -> 0 blend of steps 1-2
+        # (steps 13-14): they are served the same batch objects. Every
         # other step is prepared afresh, among them steps 16-17: the
         # stream's last segment is pure, but visit 0 blended those slots.
-        replays = {12: 0, 15: 3, 9: 6}
+        replays = {9: 6, 12: 0, 13: 1, 14: 2, 15: 3}
         for step, batch in enumerate(batches):
             _assert_same_batch(batch, _prepared_batch(ctx, 8, step))
             if step in replays:
                 assert batch is batches[replays[step]], step
             else:
                 assert not any(batch is b for b in batches[:step]), step
+
+    @pytest.mark.parametrize("visits", [2, 8])
+    def test_ccc_table_has_a_row_per_domain_and_distinct_blend(self, context, visits):
+        ctx = _context_with(context, kind="ccc", visits=visits, batches_per_domain=4)
+        ds = stream.DomainStream(ctx, seed=5)
+        blends = {key[:3] for key in _replay_keys(ds.schedule, 4) if key[2] != 0.0}
+        rows = ds._table[0].shape[0]
+        d, per = ctx.plan.domains, ctx.plan.batches_per_domain
+        assert rows == d + len(blends)
+        # The bound depends on the domain set, not on the number of visits.
+        assert rows <= d + d * (d - 1) * (per - 1)
 
 
 class TestStepWork:
@@ -462,6 +483,28 @@ class TestStepWork:
         for a in served:
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_ccc_episode_prepares_each_distinct_key_once(self, context, monkeypatch):
+        ctx = _context_with(context, kind="ccc", visits=4, batches_per_domain=3)
+        passes = collections.Counter()
+        features = tta.AdaptableClassifier.features
+        extract = stream.extract_style
+
+        def counted_features(self, batch):
+            passes["features"] += 1
+            return features(self, batch)
+
+        def counted_style(batch, extractor):
+            passes["style"] += 1
+            return extract(batch, extractor)
+
+        monkeypatch.setattr(tta.AdaptableClassifier, "features", counted_features)
+        monkeypatch.setattr(stream, "extract_style", counted_style)
+        method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        stream.run_episode(ctx, method, seed=11)
+        keys = set(_replay_keys(ctx.plan.schedule(11), 3))
+        assert len(keys) < ctx.plan.total_steps
+        assert passes["features"] == passes["style"] == len(keys)
 
     @pytest.mark.parametrize("kind", ["csc", "ccc", "cdc"])
     def test_orders_drawn_once_and_batches_follow_schedule(self, context, monkeypatch, kind):
