@@ -48,6 +48,8 @@ THRESHOLD_QUANTILE = 0.99
 # threshold must dominate the style noise of a large pooled test batch, so
 # it is measured on noisier small-batch source styles.
 CALIBRATION_BATCH_SIZE = 32
+# Calibration batches drawn and extracted at once (bounds transient memory).
+_STYLE_STACK = 128
 
 
 @dataclass(frozen=True)
@@ -311,14 +313,19 @@ def calibration_styles(
     ``(style.calibration_styles, style_dim)`` array.
 
     Batch ``i`` is drawn from its own ``(STYLE_SEED, tag, i)`` rng, one
-    ``np.random.default_rng`` call per batch (``seeding.keyed_rngs``); the
-    batches are stacked and extracted in one call.
+    ``np.random.default_rng`` call per batch (``seeding.keyed_rngs``); they
+    are drawn and extracted in stacks of ``_STYLE_STACK`` batches.
     """
     count = cfg.style.calibration_styles
-    batches = np.empty((count, CALIBRATION_BATCH_SIZE, blob.input_dim))
-    for i, rng in enumerate(keyed_rngs((STYLE_SEED, _TAG_CALIBRATION), range(count))):
-        batches[i], _ = blob.sample(rng, CALIBRATION_BATCH_SIZE)
-    return extract_style(batches, extractor)
+    styles = np.empty((count, extractor.style_dim))
+    stack = np.empty((min(count, _STYLE_STACK), CALIBRATION_BATCH_SIZE, blob.input_dim))
+    rngs = keyed_rngs((STYLE_SEED, _TAG_CALIBRATION), range(count))
+    for s0 in range(0, count, _STYLE_STACK):
+        size = min(_STYLE_STACK, count - s0)
+        for i, rng in zip(range(size), rngs):
+            stack[i], _ = blob.sample(rng, CALIBRATION_BATCH_SIZE)
+        styles[s0 : s0 + size] = extract_style(stack[:size], extractor)
+    return styles
 
 
 def build_context(cfg: RunConfig) -> stream.EpisodeContext:

@@ -15,9 +15,9 @@ gives ``S``, and ``exp(A) = cos(S) + A sinc(S)`` (``_rotations``).
 ``DomainStream`` serves each step's batch with its frozen features and style
 vector already computed. At construction it draws the raw batch of every
 (domain, slot) pair once and builds one distortion table, a row per distinct
-(primary, next, weight) of the schedule, in one stacked pass; every step is
-distorted from its row, and the first batch of each (row, slot) is replayed
-to every later step with that key.
+(primary, next, weight) of the schedule, in stacked chunks of rows; every
+step is distorted from its row, and the first batch of each (row, slot) is
+replayed to every later step with that key.
 ``run_episode`` executes the per-batch loop on those batches: reservoir
 update, domain detection, centroid refinement, model selection and
 adaptation, parameter ensembling, prediction. Its ``EpisodeMetrics`` is the
@@ -65,6 +65,9 @@ SCENARIO_KINDS = ("csc", "cdc", "ccc")
 DOMAIN_STYLE_BATCHES = 16
 MIN_SEPARATION_FACTOR = 1.3
 DOMAIN_MAX_RETRIES = 10
+# Distortion-table rows DomainStream blends at once: bounds the transient
+# memory of its stacked rotations.
+_TABLE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -466,19 +469,22 @@ class DomainStream:
     step to a row of one read-only distortion table: the transform, offset
     and noise scale of each distinct ``(primary, next, weight)``, a pure
     step (weight 0, or the same domain at both segment ends: every CSC and
-    CDC step) taken as ``(primary, primary, 0.0)``. The table is one
-    :func:`blend_domains` call, its rotations one stacked :func:`_rotations`
-    pass. ``next_batch`` distorts its step's (primary, slot) inputs with
-    their noise under its step's row, and runs the feature pass and, if
+    CDC step) taken as ``(primary, primary, 0.0)``. The table is blended
+    ``_TABLE_ROWS`` rows at a time into preallocated arrays: a chunk's rows
+    have the bits of one :func:`blend_domains` call over the whole table.
+    ``next_batch`` distorts its step's (primary, slot) inputs with their
+    noise under its step's row, and runs the feature pass and, if
     ``styles`` is set, the style pass; the engine never reads raw inputs.
 
     The first ``StreamBatch`` of each (row, slot) is served to every later
     step with that key, pure or blended, so every recurrence of a domain
     replays the same test data: visit-to-visit error differences reflect
-    adaptation, not resampling, as in recurring corruption benchmarks. With
-    ``D`` domains and ``per = batches_per_domain``, the table has at most
-    ``D + D(D-1)(per-1)`` rows and the replay table ``D*per + D(D-1)(per-1)``
-    batches, however many visits the stream makes.
+    adaptation, not resampling, as in recurring corruption benchmarks. Only
+    a batch whose key recurs in the schedule is kept, so the replay table
+    holds one batch per recurring key. With ``D`` domains and ``per =
+    batches_per_domain``, the table has at most ``D + D(D-1)(per-1)`` rows
+    and the replay table at most ``D*per + D(D-1)(per-1)`` batches,
+    however many visits the stream makes.
     """
 
     def __init__(self, context: EpisodeContext, seed: int, styles: bool = True):
@@ -507,12 +513,19 @@ class DomainStream:
         rows, step_rows = np.unique(np.column_stack(triples), axis=0, return_inverse=True)
         domains = context.domains
         stacked = [np.stack([getattr(d, f.name) for d in domains]) for f in fields(DomainSpec)]
-        ends = rows[:, :2].astype(np.int64).T
-        a, b = (DomainSpec(*(x[e] for x in stacked)) for e in ends)
-        table = blend_domains(a, b, rows[:, 2])
-        self._table = table.transform, table.offset, table.noise_std
+        dim = context.blob.input_dim
+        self._table = np.empty((len(rows), dim, dim)), *np.empty((2, len(rows), dim))
+        for r0 in range(0, len(rows), _TABLE_ROWS):
+            chunk = rows[r0 : r0 + _TABLE_ROWS]
+            a, b = (DomainSpec(*(x[e] for x in stacked)) for e in chunk[:, :2].T.astype(int))
+            blend = blend_domains(a, b, chunk[:, 2])
+            for out, part in zip(self._table, (blend.transform, blend.offset, blend.noise_std)):
+                out[r0 : r0 + _TABLE_ROWS] = part
         self._rows = step_rows.reshape(-1)
-        _freeze((*self._table, self._rows))
+        # A batch is kept for replay only if another step has its (row, slot).
+        keys = self._rows * per + np.arange(plan.total_steps) % per
+        self._recurs = np.bincount(keys)[keys] > 1
+        _freeze((*self._table, self._rows, self._recurs))
         self._replay: dict[tuple[int, int], StreamBatch] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
@@ -527,7 +540,8 @@ class DomainStream:
         inputs = _distort(self._inputs[draw], self._noise[draw], *(t[row] for t in self._table))
         style = extract_style(inputs, ctx.extractor) if self.styles else None
         batch = StreamBatch(*_freeze((self._labels[draw], ctx.model.features(inputs), style)))
-        self._replay[row, slot] = batch
+        if self._recurs[step]:
+            self._replay[row, slot] = batch
         return batch
 
 

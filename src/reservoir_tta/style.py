@@ -15,7 +15,8 @@ sample axis, -2) and gives the same ``(B, style_dim)`` bits as ``B`` single
 calls, so the set-up, which needs thousands of styles, makes one call per
 stack instead of one per batch. The new-domain threshold is an exact order
 statistic of the pairwise style distances; a Gram-product screen with a
-proven rounding bound picks the few pairs that can hold it.
+proven rounding bound picks the few pairs that can hold it, keeping only
+the values near the order statistic's shorter tail, not every pair.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ DEFAULT_LAYER_CHANNELS = (8, 16, 16)
 WEIGHT_SCALE = 0.25
 
 # Rows of the distance matrix the threshold screen holds at once, and pairs
-# its exact recomputation gathers at once: both bound transient memory.
-_SCREEN_ROWS = 128
+# its exact recomputation gathers at once: with the kept tail, they bound the
+# transient memory by O(_SCREEN_ROWS * n + min(rank, pairs - rank + 1)).
+_SCREEN_ROWS = 64
 _EXACT_PAIRS = 1 << 14
 
 
@@ -160,6 +162,12 @@ def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) ->
     the rank-th exact value, which therefore is an order statistic of the
     pairs in between.
 
+    The screen walks the shorter tail, the ``m = rank`` smallest values or,
+    negated, the ``m = N - rank + 1`` largest. Its running bound, the m-th
+    smallest value kept so far, never drops below ``A`` (in that sign), and
+    each block keeps only the values at most bound + 2E, so every value
+    within 2E of ``A`` is kept, in ``O(_SCREEN_ROWS * n + m)`` memory.
+
     Raises:
         InputDomainError: quantile outside (0, 1], or non-finite styles.
         InsufficientDataError: fewer than 2 styles.
@@ -176,17 +184,12 @@ def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) ->
     pairs = n * (n - 1) // 2
     rank = int(np.ceil(quantile * pairs))  # 1-indexed order statistic
 
+    # Negation is exact: either sign gives the window edges the same bits.
+    sign, m = (1.0, rank) if 2 * rank <= pairs + 1 else (-1.0, pairs - rank + 1)
     # Pairs (i, j > i) in row-major order; row i starts at starts[i].
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     c = styles - styles.mean(axis=0)
     sq = np.einsum("ij,ij->i", c, c)
-    approx = np.empty(pairs)
-    for r0 in range(0, n - 1, _SCREEN_ROWS):
-        r1 = min(r0 + _SCREEN_ROWS, n - 1)
-        block = sq[r0:r1, None] + sq[None, r0:] - 2.0 * (c[r0:r1] @ c[r0:].T)
-        upper = np.arange(r0, n)[None, :] > np.arange(r0, r1)[:, None]
-        approx[starts[r0] : starts[r1]] = block[upper]
-
     # Rounding bound, u = eps/2 and R^2 = max ||c_i||^2, to first order in u:
     # - screen vs ||c_j - c_i||^2: ||c_i||^2, ||c_j||^2 and c_i.c_j are
     #   length-d dot products, each off by at most d*u*R^2 in any summation
@@ -200,10 +203,21 @@ def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) ->
     # absorbs second-order terms and the rounding of R^2, E and the window
     # edges (about 2*eps*R^2 at most).
     err = (2 * d + 16) * np.finfo(np.float64).eps * 2.0 * sq.max()
-    a = np.partition(approx, rank - 1)[rank - 1]
+    # After the last block, bound is A (signed).
+    bound, vals, pos = np.inf, np.empty(0), np.empty(0, dtype=np.int64)
+    for r0 in range(0, n - 1, _SCREEN_ROWS):
+        v, p = _screen_block(c, sq, r0, sign, bound + 2.0 * err)
+        vals, pos = np.concatenate((vals, v)), np.concatenate((pos, starts[r0] + p))
+        if vals.size >= m:
+            bound = np.partition(vals, m - 1)[m - 1]
+            keep = vals <= bound + 2.0 * err
+            vals, pos = vals[keep], pos[keep]
+    approx, a = sign * vals, sign * bound
     lo, hi = a - 2.0 * err, a + 2.0 * err
-    k = rank - np.count_nonzero(approx < lo)  # 1-indexed among the candidates
-    cand = np.flatnonzero((approx >= lo) & (approx <= hi))
+    # Kept: every pair below lo on the lower tail, every other one on the upper.
+    below = np.count_nonzero(approx < lo) if sign > 0 else pairs - np.count_nonzero(approx >= lo)
+    k = rank - below  # 1-indexed among the candidates
+    cand = pos[(approx >= lo) & (approx <= hi)]
     if not 1 <= k <= cand.size:
         raise NumericalError(
             f"threshold screen missed rank {rank}: candidate {k} outside 1..{cand.size}"
@@ -216,6 +230,18 @@ def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) ->
         exact[p0 : p0 + _EXACT_PAIRS] = ((styles[j] - styles[i]) ** 2).sum(axis=1)
     # sqrt is monotone, so the order statistic commutes with it.
     return float(np.sqrt(np.partition(exact, k - 1)[k - 1]))
+
+
+def _screen_block(c, sq, r0, sign, limit):
+    """The screen's signed values ``sign * ||c_j - c_i||^2`` of the pairs
+    ``(i, j > i)`` in rows ``r0 .. r0 + _SCREEN_ROWS - 1`` that are at most
+    ``limit``, and their offsets from row ``r0``'s first pair."""
+    r1 = min(r0 + _SCREEN_ROWS, c.shape[0] - 1)
+    block = sq[r0:r1, None] + sq[None, r0:] - 2.0 * (c[r0:r1] @ c[r0:].T)
+    v = block[np.arange(r0, c.shape[0])[None, :] > np.arange(r0, r1)[:, None]]
+    v *= sign
+    p = np.flatnonzero(v <= limit)
+    return v[p], p
 
 
 def _as_style_matrix(styles: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared fixtures: the default harness context is expensive enough to cache."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,24 @@ def default_rng_calls(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counting)
     return calls
+
+
+def traced_peak_mb(fn, *args):
+    """The peak of the memory traced while ``fn(*args)`` runs, above the
+    traced memory at its start, in MB of 2**20 bytes (``tracemalloc``,
+    which sees numpy's buffers)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(name="traced_peak_mb")
+def traced_peak_mb_fixture():
+    """:func:`traced_peak_mb`, for test modules, which cannot import it by
+    name next to another ``conftest`` module."""
+    return traced_peak_mb

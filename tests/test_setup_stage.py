@@ -10,7 +10,7 @@ library must agree with every one of them bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reservoir_tta import config, seeding, stream
@@ -108,6 +108,15 @@ class TestThresholdOracle:
         for q in (0.5, 0.9, 0.99, 1.0):
             assert calibrate_threshold(styles, q) == reference_threshold(styles, q)
 
+    def test_default_size_both_tails_bit_identical(self):
+        # The screen keeps the rank-th smallest values up to rank 999500 of
+        # the 1999000 pairs, and the largest ones, negated, above it.
+        rng = np.random.default_rng(2001)
+        styles = rng.standard_normal((2000, 40)) + 5.0
+        pairs = 2000 * 1999 // 2
+        for q in (0.01, 0.5, 999501 / pairs):
+            assert calibrate_threshold(styles, q) == reference_threshold(styles, q)
+
 
 class TestStyleLoopOracle:
     @given(
@@ -117,6 +126,11 @@ class TestStyleLoopOracle:
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=40, deadline=None)
+    # Counts at and across the edges of the 128-batch stack.
+    @example(count=127, input_dim=3, seed=1)
+    @example(count=128, input_dim=2, seed=2)
+    @example(count=129, input_dim=5, seed=3)
+    @example(count=257, input_dim=1, seed=4)
     def test_calibration_styles_bit_identical(self, count, input_dim, seed):
         blob = stream.make_blob(3, input_dim, seed)
         extractor = FeatureExtractor(input_dim, layer_channels=(3, 5), seed=seed)

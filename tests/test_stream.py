@@ -439,6 +439,36 @@ class TestDomainStream:
         # The bound depends on the domain set, not on the number of visits.
         assert rows <= d + d * (d - 1) * (per - 1)
 
+    @pytest.mark.parametrize("table_rows", [None, 7])
+    def test_chunked_table_equals_one_blend(self, context, monkeypatch, table_rows):
+        # Blended in chunks of the default size, or of 7 rows, the table has
+        # the bits of one blend over all its distinct (primary, next, weight).
+        if table_rows:
+            monkeypatch.setattr(stream, "_TABLE_ROWS", table_rows)
+        ctx = _context_with(context, kind="ccc", visits=2)
+        ds = stream.DomainStream(ctx, seed=1, styles=False)
+        rows = sorted({key[:3] for key in _replay_keys(ds.schedule, ctx.plan.batches_per_domain)})
+        assert len(rows) > stream._TABLE_ROWS
+        a, b = (
+            stream.DomainSpec(
+                *(np.stack([getattr(ctx.domains[r[end]], f.name) for r in rows])
+                  for f in fields(stream.DomainSpec))
+            )
+            for end in (0, 1)
+        )
+        want = stream.blend_domains(a, b, np.array([r[2] for r in rows]))
+        for got, name in zip(ds._table, ("transform", "offset", "noise_std")):
+            assert _bits(got) == _bits(getattr(want, name)), name
+
+    @pytest.mark.parametrize("visits", [1, 4])
+    def test_replay_table_keeps_only_recurring_keys(self, context, visits):
+        ctx = _context_with(context, kind="ccc", visits=visits, batches_per_domain=4)
+        ds = stream.DomainStream(ctx, seed=7)
+        for step in range(ctx.plan.total_steps):
+            ds.next_batch(step)
+        counts = collections.Counter(_replay_keys(ds.schedule, 4))
+        assert len(ds._replay) == sum(c > 1 for c in counts.values())
+
 
 class TestStepWork:
     """Each step's batch work is done once: one batch per step, one style
