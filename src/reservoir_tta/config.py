@@ -313,18 +313,16 @@ def calibration_styles(
     ``(style.calibration_styles, style_dim)`` array.
 
     Batch ``i`` is drawn from its own ``(STYLE_SEED, tag, i)`` rng, one
-    ``np.random.default_rng`` call per batch (``seeding.keyed_rngs``); they
-    are drawn and extracted in stacks of ``_STYLE_STACK`` batches.
+    ``np.random.default_rng`` call per batch; stacks of ``_STYLE_STACK``
+    batches are drawn (``stream.BlobSpec.sample_batches``) and extracted at once.
     """
     count = cfg.style.calibration_styles
     styles = np.empty((count, extractor.style_dim))
-    stack = np.empty((min(count, _STYLE_STACK), CALIBRATION_BATCH_SIZE, blob.input_dim))
     rngs = keyed_rngs((STYLE_SEED, _TAG_CALIBRATION), range(count))
     for s0 in range(0, count, _STYLE_STACK):
         size = min(_STYLE_STACK, count - s0)
-        for i, rng in zip(range(size), rngs):
-            stack[i], _ = blob.sample(rng, CALIBRATION_BATCH_SIZE)
-        styles[s0 : s0 + size] = extract_style(stack[:size], extractor)
+        stack, _, _ = blob.sample_batches(rngs, size, CALIBRATION_BATCH_SIZE)
+        styles[s0 : s0 + size] = extract_style(stack, extractor)
     return styles
 
 
@@ -357,10 +355,10 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         source_style_mean=source_mean,
         batch_size=plan.batch_size,
     )
-    fisher_batches = [
-        dataset.blob.sample(rng, plan.batch_size)[0]
-        for rng in keyed_rngs((STYLE_SEED, _TAG_FISHER), range(cfg.style.fisher_batches))
-    ]
+    fisher_rngs = keyed_rngs((STYLE_SEED, _TAG_FISHER), range(cfg.style.fisher_batches))
+    fisher_batches, _, _ = dataset.blob.sample_batches(
+        fisher_rngs, cfg.style.fisher_batches, plan.batch_size
+    )
     omega = tta.estimate_fisher(model, fisher_batches)
     return stream.EpisodeContext(
         blob=dataset.blob,

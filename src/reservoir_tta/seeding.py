@@ -9,9 +9,10 @@ A caller that keeps its generator takes it from ``keyed_rng``. A loop that
 uses each key's generator only until it moves on to the next key takes them
 from ``keyed_rngs``: it hashes a chunk of keys at once and re-seeds one shared
 bit generator per key, which gives the same streams at a fraction of the
-set-up cost. Either way every keyed generator is the result of one call of
-``np.random.default_rng``, looked up at call time, so a wrapper installed on
-that module attribute sees each of them.
+set-up cost, also for keys of several varying words, given as rows. Either
+way every keyed generator, also each batch of a stacked draw, is the result
+of one call of ``np.random.default_rng``, looked up at call time, so a
+wrapper installed on that module attribute sees each of them.
 
 ``SeedSequence`` hashes the missing words of its four-word pool as 0, so
 ``keyed_rng(s, 0, 0, 0)``, ``keyed_rng(s, 0)`` and ``np.random.default_rng(s)``
@@ -58,24 +59,23 @@ def keyed_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.array(key, dtype=np.uint32))
 
 
-def keyed_rngs(prefix: Sequence[int], indices: Sequence[int]) -> Iterator[np.random.Generator]:
-    """The generators of ``keyed_rng(*prefix, i)`` for each ``i`` of ``indices``, in order.
+def keyed_rngs(prefix: Sequence[int], keys: Sequence) -> Iterator[np.random.Generator]:
+    """The generators of ``keyed_rng(*prefix, *row)`` for each ``row`` of ``keys``, in order.
 
-    Each yielded generator gives the same stream as ``keyed_rng(*prefix, i)``
-    but is valid only until the next one is yielded: all of them wrap one
-    shared ``PCG64`` that is re-seeded for every key. ``indices`` is a
-    sequence of Python ints (a ``range`` or a list); it is hashed
-    ``_CHUNK`` keys at a time with ``SeedSequence``'s arithmetic on uint32
-    columns. An entry of the prefix or of ``indices`` outside ``[0, 2**32)``
+    ``keys`` holds Python ints (a ``range`` or a list), one trailing key word
+    each, or a block of rows of them, one row of trailing words per key.
+    Each yielded generator gives the same stream as ``keyed_rng(*prefix,
+    *row)`` but is valid only until the next one is yielded: all of them wrap
+    one shared ``PCG64`` that is re-seeded for every key. The keys are
+    hashed ``_CHUNK`` at a time with ``SeedSequence``'s arithmetic on uint32
+    columns. An entry of the prefix or of ``keys`` outside ``[0, 2**32)``
     raises ``OverflowError``, before the first generator of its chunk.
     """
     head = np.array(prefix, dtype=np.uint32)
     bitgen = np.random.PCG64(0)
-    for start in range(0, len(indices), _CHUNK):
-        column = np.array(indices[start:start + _CHUNK], dtype=np.uint32)
-        entropy = np.empty((head.size + 1, column.size), dtype=np.uint32)
-        entropy[:-1] = head[:, None]
-        entropy[-1] = column
+    for start in range(0, len(keys), _CHUNK):
+        rows = np.array(keys[start:start + _CHUNK], dtype=np.uint32)
+        entropy = np.vstack((np.broadcast_to(head[:, None], (head.size, len(rows))), rows.T))
         for state in _pcg64_states(_seed_sequence_state(entropy)):
             bitgen.state = {
                 "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -65,8 +66,9 @@ SCENARIO_KINDS = ("csc", "cdc", "ccc")
 DOMAIN_STYLE_BATCHES = 16
 MIN_SEPARATION_FACTOR = 1.3
 DOMAIN_MAX_RETRIES = 10
-# Distortion-table rows DomainStream blends at once: bounds the transient
-# memory of its stacked rotations.
+# Domains domain_style_mean draws at once, and distortion-table rows
+# DomainStream blends at once: each bounds a stage's transient memory.
+_CANDIDATE_STACK = 4
 _TABLE_ROWS = 128
 
 
@@ -88,6 +90,23 @@ class BlobSpec:
         labels = rng.integers(0, self.classes, size=count)
         inputs = self.class_means[labels] + rng.standard_normal((count, self.input_dim))
         return inputs, labels
+
+    def sample_batches(self, rngs: Iterable, count: int, batch_size: int, noise: bool = False):
+        """Stacked inputs, labels and (with ``noise``, else ``None``) noise of
+        ``count`` batches, batch ``i`` drawn by the ``i``-th generator of
+        ``rngs`` as ``sample(rng, batch_size)`` and then a standard-normal
+        draw of its inputs' shape. The class means are added in one pass after
+        the draws (IEEE addition commutes, so the bits are ``sample``'s)."""
+        inputs = np.empty((count, batch_size, self.input_dim))
+        labels = np.empty((count, batch_size), dtype=np.int64)
+        draws = np.empty_like(inputs) if noise else None
+        for i, rng in zip(range(count), rngs):
+            labels[i] = rng.integers(0, self.classes, size=batch_size)
+            rng.standard_normal(out=inputs[i])
+            if noise:
+                rng.standard_normal(out=draws[i])
+        inputs += self.class_means[labels]
+        return inputs, labels, draws
 
 
 @dataclass(frozen=True)
@@ -278,25 +297,34 @@ def blend_domains(a: DomainSpec, b: DomainSpec, w: float | np.ndarray) -> Domain
 
 
 def domain_style_mean(
-    domain: DomainSpec,
+    domain: DomainSpec | list[DomainSpec],
     blob: BlobSpec,
     extractor: FeatureExtractor,
     batch_size: int,
     batches: int,
     seed_key: tuple,
 ) -> np.ndarray:
-    """Mean style vector of a domain over freshly sampled batches, extracted
-    as one stack.
+    """Mean style vector of a domain over freshly sampled batches, or the
+    ``(len(domain), style_dim)`` mean styles of a list of domains.
 
-    Batch ``i`` draws its inputs and then its domain noise from the rng of
-    the key ``(*seed_key, i)``, one ``np.random.default_rng`` call per batch
-    (``seeding.keyed_rngs``).
+    Batch ``i`` of a domain draws its inputs and then its domain noise from
+    the rng of the key ``(*seed_key, i)``, of a list's ``k``-th domain from
+    ``(*seed_key, k, i)``: one hash of all keys, one ``default_rng`` call per
+    batch, ``_CANDIDATE_STACK`` domains drawn and extracted as one stack.
     """
-    stack = np.empty((batches, batch_size, blob.input_dim))
-    for i, rng in enumerate(keyed_rngs(seed_key, range(batches))):
-        x, _ = blob.sample(rng, batch_size)
-        stack[i] = domain.apply(x, rng.standard_normal(x.shape))
-    return np.mean(extract_style(stack, extractor), axis=0)
+    pool = domain if isinstance(domain, list) else [domain]
+    keys = [(k, i) for k in range(len(pool)) for i in range(batches)]
+    rngs = keyed_rngs(seed_key, keys if pool is domain else range(batches))
+    means = np.empty((len(pool), extractor.style_dim))
+    for c in range(0, len(pool), _CANDIDATE_STACK):
+        part = pool[c : c + _CANDIDATE_STACK]
+        inputs, _, noise = blob.sample_batches(rngs, len(part) * batches, batch_size, True)
+        for k, d in enumerate(part):
+            rows = slice(k * batches, (k + 1) * batches)
+            inputs[rows] = d.apply(inputs[rows], noise[rows])
+        styles = extract_style(inputs, extractor).reshape(len(part), batches, -1)
+        means[c : c + len(part)] = styles.mean(axis=1)
+    return means if pool is domain else means[0]
 
 
 def make_domains(
@@ -318,8 +346,8 @@ def make_domains(
     mean included, is separated by more than ``MIN_SEPARATION_FACTOR * tau``;
     a rejected pool is redrawn with a fresh sub-seed up to
     ``DOMAIN_MAX_RETRIES`` times before raising. A candidate's style batches
-    are keyed by its pool index; a returned domain is named by its index in
-    the returned list.
+    are keyed by its pool index (one :func:`domain_style_mean` call per
+    pool); a returned domain is named by its index in the returned list.
     """
     if count < 1:
         raise InputDomainError(f"domain count must be positive, got {count}")
@@ -337,14 +365,9 @@ def make_domains(
         pool = [
             _draw_domain(severity, rng, blob.input_dim, tier=tier) for tier in tiers
         ]
-        means = np.stack(
-            [
-                domain_style_mean(
-                    d, blob, extractor, batch_size, DOMAIN_STYLE_BATCHES,
-                    seed_key=(seed, _TAG_DOMAIN_CHECK, attempt, k),
-                )
-                for k, d in enumerate(pool)
-            ]
+        means = domain_style_mean(
+            pool, blob, extractor, batch_size, DOMAIN_STYLE_BATCHES,
+            seed_key=(seed, _TAG_DOMAIN_CHECK, attempt),
         )
         chosen, closest = _farthest_point_subset(means, count, source_style_mean)
         if closest > MIN_SEPARATION_FACTOR * tau:
@@ -465,11 +488,12 @@ class DomainStream:
     Construction builds ``plan.schedule(seed)`` and draws every (domain,
     slot) key's raw batch, its inputs, labels and standard-normal noise,
     from the key's own rng ``keyed_rng(seed, _TAG_STREAM, domain, slot)``
-    into three read-only arrays indexed ``[domain, slot]``. It maps every
-    step to a row of one read-only distortion table: the transform, offset
-    and noise scale of each distinct ``(primary, next, weight)``, a pure
-    step (weight 0, or the same domain at both segment ends: every CSC and
-    CDC step) taken as ``(primary, primary, 0.0)``. The table is blended
+    into three read-only arrays indexed ``[domain, slot]``, drawn as one
+    stack (``BlobSpec.sample_batches``) from one hash of all the keys. It
+    maps every step to a row of one read-only distortion table: the
+    transform, offset and noise scale of each distinct ``(primary, next,
+    weight)``, a pure step (weight 0, or the same domain at both segment
+    ends: every CSC and CDC step) taken as ``(primary, primary, 0.0)``. The table is blended
     ``_TABLE_ROWS`` rows at a time into preallocated arrays: a chunk's rows
     have the bits of one :func:`blend_domains` call over the whole table.
     ``next_batch`` distorts its step's (primary, slot) inputs with their
@@ -479,12 +503,11 @@ class DomainStream:
     The first ``StreamBatch`` of each (row, slot) is served to every later
     step with that key, pure or blended, so every recurrence of a domain
     replays the same test data: visit-to-visit error differences reflect
-    adaptation, not resampling, as in recurring corruption benchmarks. Only
-    a batch whose key recurs in the schedule is kept, so the replay table
-    holds one batch per recurring key. With ``D`` domains and ``per =
-    batches_per_domain``, the table has at most ``D + D(D-1)(per-1)`` rows
-    and the replay table at most ``D*per + D(D-1)(per-1)`` batches,
-    however many visits the stream makes.
+    adaptation, not resampling, as in recurring corruption benchmarks. A
+    batch is kept from the first step of its key to the last, so the replay
+    table ends empty. With ``D`` domains and ``per = batches_per_domain``,
+    the table has at most ``D + D(D-1)(per-1)`` rows and the replay table
+    at most ``D*per + D(D-1)(per-1)`` batches, however many visits.
     """
 
     def __init__(self, context: EpisodeContext, seed: int, styles: bool = True):
@@ -498,15 +521,12 @@ class DomainStream:
         self.styles = styles
         self.schedule = plan.schedule(seed)
         per = plan.batches_per_domain
-        self._inputs = np.empty((plan.domains, per, plan.batch_size, context.blob.input_dim))
-        self._labels = np.empty(self._inputs.shape[:3], dtype=np.int64)
-        self._noise = np.empty_like(self._inputs)
-        for domain in range(plan.domains):
-            for slot, rng in enumerate(keyed_rngs((seed, _TAG_STREAM, domain), range(per))):
-                inputs, labels = context.blob.sample(rng, plan.batch_size)
-                self._inputs[domain, slot], self._labels[domain, slot] = inputs, labels
-                self._noise[domain, slot] = rng.standard_normal(inputs.shape)
-        _freeze((self._inputs, self._labels, self._noise))
+        pairs = [(domain, slot) for domain in range(plan.domains) for slot in range(per)]
+        rngs = keyed_rngs((seed, _TAG_STREAM), pairs)
+        drawn = context.blob.sample_batches(rngs, len(pairs), plan.batch_size, noise=True)
+        self._inputs, self._labels, self._noise = _freeze(
+            tuple(a.reshape(plan.domains, per, *a.shape[1:]) for a in drawn)
+        )
         _, primary, nxt, weight = self.schedule
         pure = (weight == 0.0) | (primary == nxt)
         triples = [primary, np.where(pure, primary, nxt), np.where(pure, 0.0, weight)]
@@ -522,10 +542,11 @@ class DomainStream:
             for out, part in zip(self._table, (blend.transform, blend.offset, blend.noise_std)):
                 out[r0 : r0 + _TABLE_ROWS] = part
         self._rows = step_rows.reshape(-1)
-        # A batch is kept for replay only if another step has its (row, slot).
+        # A batch is kept for replay until the last step with its (row, slot).
         keys = self._rows * per + np.arange(plan.total_steps) % per
-        self._recurs = np.bincount(keys)[keys] > 1
-        _freeze((*self._table, self._rows, self._recurs))
+        _, from_end = np.unique(keys[::-1], return_index=True)
+        self._last = np.isin(np.arange(plan.total_steps), plan.total_steps - 1 - from_end)
+        _freeze((*self._table, self._rows, self._last))
         self._replay: dict[tuple[int, int], StreamBatch] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
@@ -535,12 +556,12 @@ class DomainStream:
         slot = step % ctx.plan.batches_per_domain
         row = self._rows[step].item()
         if (row, slot) in self._replay:
-            return self._replay[row, slot]
+            return self._replay.pop((row, slot)) if self._last[step] else self._replay[row, slot]
         draw = self.schedule[1][step].item(), slot
         inputs = _distort(self._inputs[draw], self._noise[draw], *(t[row] for t in self._table))
         style = extract_style(inputs, ctx.extractor) if self.styles else None
         batch = StreamBatch(*_freeze((self._labels[draw], ctx.model.features(inputs), style)))
-        if self._recurs[step]:
+        if not self._last[step]:
             self._replay[row, slot] = batch
         return batch
 

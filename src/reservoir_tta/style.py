@@ -164,9 +164,10 @@ def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) ->
 
     The screen walks the shorter tail, the ``m = rank`` smallest values or,
     negated, the ``m = N - rank + 1`` largest. Its running bound, the m-th
-    smallest value kept so far, never drops below ``A`` (in that sign), and
-    each block keeps only the values at most bound + 2E, so every value
-    within 2E of ``A`` is kept, in ``O(_SCREEN_ROWS * n + m)`` memory.
+    smallest kept value, renewed once the kept set has doubled, never drops
+    below ``A`` (in that sign), and each block keeps only the values at most
+    bound + 2E, so every value within 2E of ``A`` is kept, in
+    ``O(_SCREEN_ROWS * n + m)`` memory.
 
     Raises:
         InputDomainError: quantile outside (0, 1], or non-finite styles.
@@ -204,14 +205,18 @@ def calibrate_threshold(source_styles: Sequence[np.ndarray], quantile: float) ->
     # edges (about 2*eps*R^2 at most).
     err = (2 * d + 16) * np.finfo(np.float64).eps * 2.0 * sq.max()
     # After the last block, bound is A (signed).
-    bound, vals, pos = np.inf, np.empty(0), np.empty(0, dtype=np.int64)
+    bound, held, vals, pos = np.inf, 0, [], []
     for r0 in range(0, n - 1, _SCREEN_ROWS):
         v, p = _screen_block(c, sq, r0, sign, bound + 2.0 * err)
-        vals, pos = np.concatenate((vals, v)), np.concatenate((pos, starts[r0] + p))
-        if vals.size >= m:
+        vals.append(v)
+        pos.append(starts[r0] + p)
+        if sum(map(len, vals)) >= max(m, 2 * held) or r0 + _SCREEN_ROWS >= n - 1:
+            vals = np.concatenate(vals)
             bound = np.partition(vals, m - 1)[m - 1]
             keep = vals <= bound + 2.0 * err
-            vals, pos = vals[keep], pos[keep]
+            vals, pos = [vals[keep]], [np.concatenate(pos)[keep]]
+            held = vals[0].size
+    vals, pos = vals[0], pos[0]
     approx, a = sign * vals, sign * bound
     lo, hi = a - 2.0 * err, a + 2.0 * err
     # Kept: every pair below lo on the lower tail, every other one on the upper.

@@ -133,11 +133,12 @@ def _mc_iterates(
 
     ``x`` holds one chunk's ``(n, dim)`` iterates at step ``t = 0..steps``
     and is valid until the next yield. ``alpha=None`` means plain SGD,
-    otherwise every step interpolates back toward ``theta0``.
+    otherwise every step interpolates back toward ``theta0``. Chunks share one noise buffer.
     """
+    buffer = np.empty((min(_CHUNK, trials), steps, task.dim))
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
-        noise = np.empty((n, steps, task.dim))
+        noise = buffer[:n]
         for i, rng in enumerate(keyed_rngs((seed,), range(start, start + n))):
             rng.standard_normal(out=noise[i])
         _scale_noise(noise, task)

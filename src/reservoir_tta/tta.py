@@ -133,15 +133,16 @@ class AdaptableClassifier:
         return 2 * self.hidden
 
     def features(self, batch: np.ndarray) -> np.ndarray:
-        """Batch-standardized frozen features; constant w.r.t. the parameters."""
+        """Batch-standardized frozen features; constant w.r.t. the parameters.
+        A ``(B, b, input_dim)`` stack gives slice ``i`` the bits of ``features(batch[i])``."""
         x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise InputDomainError(
-                f"batch must have shape (b, {self.input_dim}), got {x.shape}"
+                f"batch must have shape ([B,] b, {self.input_dim}), got {x.shape}"
             )
         raw = np.tanh(x @ self._w_feat.T + self._b_feat)
-        mean = raw.mean(axis=0)
-        std = raw.std(axis=0)
+        mean = raw.mean(axis=-2, keepdims=True)
+        std = raw.std(axis=-2, keepdims=True)
         return (raw - mean) / (std + self.BN_EPS)
 
     def logits(self, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -278,7 +279,7 @@ def train_source(
     hidden: int = 32,
 ) -> AdaptableClassifier:
     """Train the head and affine parameters by cross-entropy SGD on
-    minibatches of ``SOURCE_BATCH_SIZE``.
+    minibatches of ``SOURCE_BATCH_SIZE``, an epoch's full ones featurized as one stack.
 
     Deterministic for a fixed seed. Returns the classifier with the trained
     head frozen and the trained parameter vector as ``source_params``.
@@ -296,11 +297,13 @@ def train_source(
 
     rng = np.random.default_rng(model_seed + 1)
     onehot = np.eye(n_classes)[y]
+    full = x.shape[0] - x.shape[0] % SOURCE_BATCH_SIZE
     for _ in range(epochs):
         order = rng.permutation(x.shape[0])
+        stacked = model.features(x[order[:full]].reshape(-1, SOURCE_BATCH_SIZE, x.shape[1]))
         for start in range(0, x.shape[0], SOURCE_BATCH_SIZE):
             idx = order[start : start + SOURCE_BATCH_SIZE]
-            feats = model.features(x[idx])
+            feats = stacked[start // SOURCE_BATCH_SIZE] if start < full else model.features(x[idx])
             gamma, beta = params[:hidden], params[hidden:]
             act = gamma * feats + beta
             logits = act @ model.head_w.T + model.head_b

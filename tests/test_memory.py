@@ -1,17 +1,17 @@
-"""Transient memory of the set-up and stream stages that scale with the
-whole calibration sample or the whole stream.
+"""Transient memory of the set-up, stream and theory stages that scale with
+the whole calibration sample, candidate pool, stream or trial count.
 
-Each stage works in fixed chunks (calibration stacks, screen blocks, table
-chunks), so its traced peak stays within a bound well below the figure of
-the former one-pass code, quoted in each docstring (``tracemalloc``, numpy
-2.4, Python 3.11).
+Each stage works in fixed chunks (calibration stacks, candidate stacks,
+screen blocks, table chunks, one Monte-Carlo noise buffer), so its traced
+peak stays within a bound; the figure of the former code is quoted in each
+docstring (``tracemalloc``, numpy 2.4, Python 3.11).
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from reservoir_tta import config, stream
+from reservoir_tta import cli, config, stream, theory
 from reservoir_tta.style import calibrate_threshold
 
 
@@ -39,3 +39,33 @@ def test_domain_stream_peak(context, traced_peak_mb):
     ctx = replace(context, plan=replace(context.plan, kind="ccc", visits=6))
     assert stream.DomainStream(ctx, 1)._table[0].shape[0] == 776
     assert traced_peak_mb(stream.DomainStream, ctx, 1) <= 10.0
+
+
+def test_make_domains_peak(context, traced_peak_mb):
+    """The default 8 domains from a pool of 64 candidates, drawn and
+    extracted 4 candidates (64 batches) at a time: at most 5 MB (3.0 MB when
+    each candidate's 16 batches were drawn and extracted alone)."""
+    plan = context.plan
+    peak = traced_peak_mb(
+        lambda: stream.make_domains(
+            plan.domains, plan.severity, config.DOMAIN_SEED, blob=context.blob,
+            extractor=context.extractor, tau=context.tau,
+            source_style_mean=context.source_style_mean, batch_size=plan.batch_size,
+        )
+    )
+    assert peak <= 5.0
+
+
+def test_check_chebyshev_peak(traced_peak_mb):
+    """The theory suite's Chebyshev check at its default 10000 trials of 200
+    steps: at most 16 MB (25.1 MB when each 2048-trial noise chunk was
+    allocated before the former one was freed)."""
+    t = config.TheoryParams()
+    task = theory.NoisyQuadraticTask(
+        optimum=np.zeros(4), curvature=np.full(4, 0.5), noise_std=np.ones(4)
+    )
+    peak = traced_peak_mb(
+        theory.check_chebyshev, task, 5.0, np.full(4, 0.5), cli.THEORY_ETA,
+        t.chebyshev_steps, t.chebyshev_trials, cli.THEORY_SEED,
+    )
+    assert peak <= 16.0

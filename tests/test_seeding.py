@@ -77,9 +77,48 @@ def test_keyed_rngs_make_one_default_rng_call_per_key(monkeypatch, default_rng_c
     assert len(default_rng_calls) == 10
 
 
+# Rows of trailing key words: both ends of the range, repeats, unsorted.
+_ROWS = [(0, 0), (2**32 - 1, 5), (3, 2**31), (3, 2**31), (7, 0), (1, 2**32 - 1), (0, 1)]
+
+
+@pytest.mark.parametrize("prefix", [(), (5,), (23, 2, 0), (1, 0, 5, 24)])
+@pytest.mark.parametrize("chunk", [2048, 3], ids=["one-chunk", "chunks-of-3"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "uint32-array"])
+def test_keyed_rngs_of_key_rows_match_keyed_rng_at_every_row(monkeypatch, prefix, chunk, as_array):
+    monkeypatch.setattr(seeding, "_CHUNK", chunk)
+    rows = np.array(_ROWS, dtype=np.uint32) if as_array else _ROWS
+    for row, got in zip(_ROWS, keyed_rngs(prefix, rows), strict=True):
+        want = keyed_rng(*prefix, *row)
+        assert got.bit_generator.state == want.bit_generator.state
+        np.testing.assert_array_equal(got.integers(0, 5, 64), want.integers(0, 5, 64))
+        np.testing.assert_array_equal(got.standard_normal(64), want.standard_normal(64))
+
+
+def test_keyed_rngs_of_three_word_rows_cross_chunk_edges(monkeypatch):
+    monkeypatch.setattr(seeding, "_CHUNK", 4)
+    rows = [(a, k, i) for a in range(2) for k in range(3) for i in range(3)]
+    for row, got in zip(rows, keyed_rngs((23, 2), rows), strict=True):
+        assert got.bit_generator.state == keyed_rng(23, 2, *row).bit_generator.state
+
+
+def test_keyed_rngs_make_one_default_rng_call_per_key_row(monkeypatch, default_rng_calls):
+    monkeypatch.setattr(seeding, "_CHUNK", 4)
+    for _ in keyed_rngs((3,), [(k, i) for k in range(5) for i in range(2)]):
+        pass
+    assert len(default_rng_calls) == 10
+
+
 @pytest.mark.parametrize(
     "prefix, indices",
-    [((), [-1]), ((), [3, 2**32]), ((-1,), [0]), ((2**32,), [0]), ((3, 2**40), [1])],
+    [
+        ((), [-1]),
+        ((), [3, 2**32]),
+        ((-1,), [0]),
+        ((2**32,), [0]),
+        ((3, 2**40), [1]),
+        ((), [(0, -1)]),
+        ((1,), [(0, 1), (2**32, 0)]),
+    ],
 )
 def test_keyed_rngs_reject_entries_outside_uint32(prefix, indices):
     with pytest.raises(OverflowError):

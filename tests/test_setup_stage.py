@@ -5,15 +5,20 @@ the per-row and per-batch code it replaced.
 row per style, every distance concatenated and fully sorted.
 ``reference_style`` is the former single-batch ``extract_style``, and the
 ``reference_*`` loops draw and extract one batch at a time, as
-``config.calibration_styles`` and ``stream.domain_style_mean`` did. The
+``config.calibration_styles`` and ``stream.domain_style_mean`` did.
+``reference_make_domains`` checks a pool one candidate at a time, and
+``reference_train_source`` computes each minibatch's features alone. The
 library must agree with every one of them bit for bit.
 """
 
+from dataclasses import fields
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reservoir_tta import config, seeding, stream
+from reservoir_tta import config, seeding, stream, tta
 from reservoir_tta.style import (
     VAR_FLOOR,
     FeatureExtractor,
@@ -59,6 +64,50 @@ def reference_domain_style_mean(domain, blob, extractor, batch_size, batches, se
         noise = rng.standard_normal(x.shape)
         styles.append(reference_style(domain.apply(x, noise), extractor))
     return np.mean(styles, axis=0)
+
+
+def reference_make_domains(count, severity, seed, blob, extractor, tau, source_mean, batch_size):
+    for attempt in range(stream.DOMAIN_MAX_RETRIES):
+        rng = np.random.default_rng((seed, attempt))
+        points = stream._sphere_points(8 * count, rng)
+        tiers = np.array([-0.8, 0.0, 0.0]) + np.array([0.9, 1.0, 1.0]) * points
+        pool = [stream._draw_domain(severity, rng, blob.input_dim, tier=t) for t in tiers]
+        means = np.stack(
+            [
+                reference_domain_style_mean(
+                    d, blob, extractor, batch_size, stream.DOMAIN_STYLE_BATCHES,
+                    (seed, stream._TAG_DOMAIN_CHECK, attempt, k),
+                )
+                for k, d in enumerate(pool)
+            ]
+        )
+        chosen, closest = stream._farthest_point_subset(means, count, source_mean)
+        if closest > stream.MIN_SEPARATION_FACTOR * tau:
+            return [pool[i] for i in chosen]
+    raise AssertionError("no pool accepted")
+
+
+def reference_train_source(seed, inputs, labels, epochs, lr, hidden=32):
+    model = tta.AdaptableClassifier(inputs.shape[1], int(labels.max()) + 1, hidden, seed)
+    params = tta.init_params(hidden)
+    rng = np.random.default_rng(seed + 1)
+    onehot = np.eye(model.n_classes)[labels]
+    for _ in range(epochs):
+        order = rng.permutation(inputs.shape[0])
+        for start in range(0, inputs.shape[0], tta.SOURCE_BATCH_SIZE):
+            idx = order[start : start + tta.SOURCE_BATCH_SIZE]
+            raw = np.tanh(inputs[idx] @ model._w_feat.T + model._b_feat)
+            feats = (raw - raw.mean(axis=0)) / (raw.std(axis=0) + model.BN_EPS)
+            act = params[:hidden] * feats + params[hidden:]
+            logp = tta._log_softmax(act @ model.head_w.T + model.head_b)
+            dl_du = (np.exp(logp) - onehot[idx]) / idx.size
+            grad_act = dl_du @ model.head_w
+            model.head_w -= lr * (dl_du.T @ act)
+            model.head_b -= lr * dl_du.sum(axis=0)
+            params = params - lr * np.concatenate(
+                [(grad_act * feats).sum(axis=0), grad_act.sum(axis=0)]
+            )
+    return model, params
 
 
 @st.composite
@@ -216,3 +265,68 @@ class TestStyleLoopOracle:
         for i in range(20):
             x = np.random.default_rng(i).standard_normal((2 + 3 * i, 16))
             assert extract_style(x, ex).tobytes() == reference_style(x, ex).tobytes()
+
+
+class TestBatchedSetUp:
+    @pytest.mark.parametrize(
+        "seed, stack", [(config.DOMAIN_SEED, None), (5, 3)], ids=["default", "seed5-stack3"]
+    )
+    def test_make_domains_equals_per_candidate_loop(self, context, monkeypatch, seed, stack):
+        # A stack of 3 candidates leaves a ragged last stack of the 64.
+        if stack:
+            monkeypatch.setattr(stream, "_CANDIDATE_STACK", stack)
+        plan = context.plan
+        args = (plan.domains, plan.severity, seed)
+        got = stream.make_domains(
+            *args, blob=context.blob, extractor=context.extractor, tau=context.tau,
+            source_style_mean=context.source_style_mean, batch_size=plan.batch_size,
+        )
+        want = reference_make_domains(
+            *args, context.blob, context.extractor, context.tau,
+            context.source_style_mean, plan.batch_size,
+        )
+        assert len(got) == len(want) == plan.domains
+        for g, w in zip(got, want):
+            for f in fields(stream.DomainSpec):
+                assert np.asarray(getattr(g, f.name)).tobytes() == (
+                    np.asarray(getattr(w, f.name)).tobytes()
+                ), f.name
+
+    def test_domain_list_means_are_the_single_domain_means(self, context):
+        # A list's k-th domain is keyed (*seed_key, k, i), as a single
+        # domain at (*seed_key, k) is; 5 domains make a ragged last stack.
+        pool = context.domains[:5]
+        key = (config.DOMAIN_SEED, 99)
+        got = stream.domain_style_mean(pool, context.blob, context.extractor, 8, 3, key)
+        for k, d in enumerate(pool):
+            want = stream.domain_style_mean(
+                d, context.blob, context.extractor, 8, 3, (*key, k)
+            )
+            assert got[k].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize(
+        "classes, per_class, epochs",
+        [(5, 128, 3), (5, 400, 2), (3, 10, 4), (4, 16, 2)],
+        ids=["n640-full", "n2000-ragged", "n30-ragged-only", "n64-one-full"],
+    )
+    def test_train_source_equals_per_minibatch_loop(self, classes, per_class, epochs):
+        data = stream.make_source_dataset(classes, per_class, 6, seed=3)
+        got = tta.train_source(4, (data.inputs, data.labels), epochs=epochs, lr=0.05)
+        want, params = reference_train_source(4, data.inputs, data.labels, epochs, 0.05)
+        assert got.source_params.tobytes() == params.tobytes()
+        assert got.head_w.tobytes() == want.head_w.tobytes()
+        assert got.head_b.tobytes() == want.head_b.tobytes()
+
+    def test_stacked_features_equal_single_batches(self, context):
+        x = np.random.default_rng(6).standard_normal((7, 64, context.blob.input_dim)) * 3.0
+        stacked = context.model.features(x)
+        for i in range(x.shape[0]):
+            assert stacked[i].tobytes() == context.model.features(x[i]).tobytes()
+
+    def test_build_context_makes_one_generator_per_key(self, default_rng_calls):
+        # 2000 calibration batches, 64 x 16 candidate batches, 10 Fisher
+        # batches, and one generator each for the source blob, the source
+        # sample, the extractor, the classifier, its minibatch order and the
+        # domain pool.
+        config.build_context(config.RunConfig())
+        assert len(default_rng_calls) == 2000 + 64 * 16 + 10 + 6 == 3040

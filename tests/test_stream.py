@@ -464,10 +464,19 @@ class TestDomainStream:
     def test_replay_table_keeps_only_recurring_keys(self, context, visits):
         ctx = _context_with(context, kind="ccc", visits=visits, batches_per_domain=4)
         ds = stream.DomainStream(ctx, seed=7)
+        first, last = {}, {}
+        for step, key in enumerate(_replay_keys(ds.schedule, 4)):
+            first.setdefault(key, step)
+            last[key] = step
+        served = []
         for step in range(ctx.plan.total_steps):
-            ds.next_batch(step)
-        counts = collections.Counter(_replay_keys(ds.schedule, 4))
-        assert len(ds._replay) == sum(c > 1 for c in counts.values())
+            served.append(ds.next_batch(step))
+            # Held after this step: the first batch of every key whose first
+            # step is done and whose last step is still to come.
+            held = {id(served[first[k]]) for k in first if first[k] <= step < last[k]}
+            assert {id(b) for b in ds._replay.values()} == held, step
+            assert len(ds._replay) == len(held), step
+        assert ds._replay == {}
 
 
 class TestStepWork:
