@@ -91,6 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _output_dir(cfg: RunConfig) -> Path:
     out = os.environ.get("RTTA_OUTPUT_DIR", cfg.output_dir)
+    if out == "":  # the config's own value is checked nonempty
+        raise ConfigurationError("RTTA_OUTPUT_DIR: must be nonempty")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -198,18 +200,10 @@ def _write_metrics_csv(path: Path, metrics: stream.EpisodeMetrics) -> None:
             ["step", "visit", "true_domain", "assigned_model", "error",
              "detected_domains", "drift_norm"]
         )
+        columns = (metrics.visits, metrics.true_domains, metrics.assigned_models,
+                   metrics.per_batch_error, metrics.detected_domains, metrics.drift_norm)
         for i in range(metrics.step_count):
-            writer.writerow(
-                [
-                    i,
-                    int(metrics.visits[i]),
-                    int(metrics.true_domains[i]),
-                    int(metrics.assigned_models[i]),
-                    f"{metrics.per_batch_error[i]:.17g}",
-                    int(metrics.detected_domains[i]),
-                    f"{metrics.drift_norm[i]:.17g}",
-                ]
-            )
+            writer.writerow([i, *(_fmt(col[i]) for col in columns)])
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,9 @@ class CentroidSet:
         return DomainDecision(kind="existing", distance=delta)
 
 
-def _assignment_logits(styles: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Logits ``-dist / sqrt(d)`` of every style against every centroid."""
-    diff = styles[:, None, :] - centroids[None, :, :]
-    return -np.linalg.norm(diff, axis=2) / np.sqrt(styles.shape[1])
+def _assignment_logits(dist: np.ndarray, dim: int) -> np.ndarray:
+    """Soft-assignment logits ``-dist / sqrt(dim)`` of style-centroid distances."""
+    return -dist / np.sqrt(dim)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -175,9 +174,9 @@ def _log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
 def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     """Soft assignment of one style vector: the softmax over the centroids
     of its scaled negative distances ``-|s - c_j| / sqrt(dim)``."""
-    vec = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    logits = _assignment_logits(vec, centroids.centroids)
-    return np.exp(_log_softmax(logits))[0]
+    vec = np.asarray(s, dtype=np.float64)
+    dist = np.linalg.norm(vec - centroids.centroids, axis=1)
+    return np.exp(_log_softmax(_assignment_logits(dist, vec.size), axis=0))
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -226,8 +225,7 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     # over the styles run along contiguous rows.
     sq, cols, rows, diff = _squared_distances(cents, styles)
     dist = np.sqrt(sq)
-    scale = np.sqrt(d)
-    logq = _log_softmax(-dist / scale, axis=0)
+    logq = _log_softmax(_assignment_logits(dist, d), axis=0)
     q = np.exp(logq)
 
     # dL/dq_ij = (ln qbar_j - ln q_ij) / n, with zero-probability cells masked.
@@ -237,11 +235,12 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
     dl_dlogits = q * (dl_dq - row_dot)
 
-    # d logit_ij / d c_j = -(c_j - s_i) / (dist_ij * scale), taken as 0 at
-    # dist 0. With w = -dL/dlogit / (dist * scale) the gradient is
-    # sum_i w_ij (c_j - s_i) = c_j sum_i w_ij - (w S)_j.
+    # Through _assignment_logits, d logit_ij / d c_j = -(c_j - s_i) /
+    # (dist_ij * sqrt(d)), taken as 0 at dist 0. With w = -dL/dlogit /
+    # (dist * sqrt(d)) the gradient is sum_i w_ij (c_j - s_i)
+    # = c_j sum_i w_ij - (w S)_j.
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dist > 0.0, -dl_dlogits / (dist * scale), 0.0)
+        w = np.where(dist > 0.0, -dl_dlogits / (dist * np.sqrt(d)), 0.0)
     # Close pairs contribute through their exact differences instead: in the
     # contraction their two large terms would cancel to a small one.
     close_w = w[cols, rows]

@@ -135,7 +135,8 @@ class RunConfig:
             # A stream seed is an entry of keyed_rng's keys.
             ("seeds", all(s < KEY_BOUND for s in self.seeds), "must be < 2**32"),
             ("seeds", len(set(self.seeds)) == len(self.seeds), "must be unique"),
-            # The output directory is a path.
+            # The output directory is a path, and "" would be the current one.
+            ("output_dir", self.output_dir != "", "must be nonempty"),
             ("output_dir", "\0" not in self.output_dir, "must not contain a NUL character"),
             ("methods", len(self.methods) > 0, "must list at least one method"),
             ("methods", len(set(names)) == len(names), "names must be unique"),

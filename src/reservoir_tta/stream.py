@@ -297,24 +297,22 @@ def blend_domains(a: DomainSpec, b: DomainSpec, w: float | np.ndarray) -> Domain
 
 
 def domain_style_mean(
-    domain: DomainSpec | list[DomainSpec],
+    pool: list[DomainSpec],
     blob: BlobSpec,
     extractor: FeatureExtractor,
     batch_size: int,
     batches: int,
     seed_key: tuple,
 ) -> np.ndarray:
-    """Mean style vector of a domain over freshly sampled batches, or the
-    ``(len(domain), style_dim)`` mean styles of a list of domains.
+    """The ``(len(pool), style_dim)`` mean style vectors of a list of domains,
+    each over freshly sampled batches.
 
-    Batch ``i`` of a domain draws its inputs and then its domain noise from
-    the rng of the key ``(*seed_key, i)``, of a list's ``k``-th domain from
-    ``(*seed_key, k, i)``: one hash of all keys, one ``default_rng`` call per
-    batch, ``_CANDIDATE_STACK`` domains drawn and extracted as one stack.
+    Batch ``i`` of the ``k``-th domain draws its inputs and then its domain
+    noise from the rng of the key ``(*seed_key, k, i)``: one hash of all keys,
+    one ``default_rng`` call per batch, ``_CANDIDATE_STACK`` domains drawn and
+    extracted as one stack.
     """
-    pool = domain if isinstance(domain, list) else [domain]
-    keys = [(k, i) for k in range(len(pool)) for i in range(batches)]
-    rngs = keyed_rngs(seed_key, keys if pool is domain else range(batches))
+    rngs = keyed_rngs(seed_key, [(k, i) for k in range(len(pool)) for i in range(batches)])
     means = np.empty((len(pool), extractor.style_dim))
     for c in range(0, len(pool), _CANDIDATE_STACK):
         part = pool[c : c + _CANDIDATE_STACK]
@@ -324,7 +322,7 @@ def domain_style_mean(
             inputs[rows] = d.apply(inputs[rows], noise[rows])
         styles = extract_style(inputs, extractor).reshape(len(part), batches, -1)
         means[c : c + len(part)] = styles.mean(axis=1)
-    return means if pool is domain else means[0]
+    return means
 
 
 def make_domains(

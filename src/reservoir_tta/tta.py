@@ -174,15 +174,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _log_probs(model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Row log-softmax of the head's logits for the frozen features ``feats``."""
+    logits = model.logits(params, feats)
+    if not np.all(np.isfinite(logits)):
+        raise NumericalError("non-finite logits")
+    return _log_softmax(logits)
+
+
 def predict(
     model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray
 ) -> np.ndarray:
     """Row-softmax class probabilities, shape ``(b, n_classes)``, of the batch
     whose frozen features are ``feats`` (``model.features(batch)``)."""
-    logits = model.logits(params, feats)
-    if not np.all(np.isfinite(logits)):
-        raise NumericalError("prediction produced non-finite logits")
-    return np.exp(_log_softmax(logits))
+    return np.exp(_log_probs(model, params, feats))
 
 
 def entropy_loss_and_grad(
@@ -194,10 +199,7 @@ def entropy_loss_and_grad(
     ``filtered`` keeps only the rows whose entropy is below the margin
     ``0.4 * ln(classes)``; a batch with no such row gives ``(0, 0)``.
     """
-    logits = model.logits(params, feats)
-    if not np.all(np.isfinite(logits)):
-        raise NumericalError("objective evaluation produced non-finite logits")
-    logp = _log_softmax(logits)
+    logp = _log_probs(model, params, feats)
     p = np.exp(logp)
     ent = -(p * logp).sum(axis=1)
 

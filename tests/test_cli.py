@@ -71,6 +71,7 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"output_dir": "o\0x"}, "output_dir: must not contain a NUL character",
             id="output_dir-nul",
         ),
+        pytest.param({"output_dir": ""}, "output_dir: must be nonempty", id="output_dir-empty"),
         pytest.param(
             {"source": {"epochs": -5}}, "source.epochs: must be >= 0", id="epochs-negative",
         ),
@@ -311,6 +312,19 @@ def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
     assert "configuration error" in err
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["theory", "--checks", "recursion"]])
+def test_empty_output_dir_variable_exits_1(tmp_path, monkeypatch, capsys, command):
+    # An empty directory would be the current one: nothing may be written.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", "")
+    path = _write_config(tmp_path, SMALL)
+    assert cli.main([*command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "RTTA_OUTPUT_DIR: must be nonempty" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
 @pytest.mark.parametrize(

@@ -200,12 +200,9 @@ class TestDetect:
             source_style_mean=context.source_style_mean,
             batch_size=64,
         )
-        means = [
-            stream.domain_style_mean(
-                d, context.blob, context.extractor, 64, 16, seed_key=(91, i)
-            )
-            for i, d in enumerate(domains)
-        ]
+        means = stream.domain_style_mean(
+            domains, context.blob, context.extractor, 64, 16, seed_key=(91,)
+        )
         cs = _grown_centroids(means, k_max=16)
         rng = np.random.default_rng(7)
         hits = 0
@@ -270,6 +267,36 @@ class TestSoftAssign:
         expect = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(q, expect, rtol=1e-12)
         assert q[0] == pytest.approx(q[2])
+
+    def test_one_logit_scale_for_routing_and_centroid_step(self, monkeypatch):
+        # The routing softmax and the MI gradient read their logits from one
+        # function, each passing its own distances: a change of scale there
+        # reaches both.
+        calls = []
+        scale = clustering._assignment_logits
+
+        def recording(dist, dim):
+            out = scale(dist, dim)
+            calls.append((dist.copy(), dim, out.copy()))
+            return out
+
+        monkeypatch.setattr(clustering, "_assignment_logits", recording)
+        rng = np.random.default_rng(12)
+        cs = _grown_centroids([3.0 * rng.standard_normal(4) for _ in range(3)])
+        res = _filled_reservoir(7, 4, seed=12, spread=2.0)
+        s = res.styles[2]
+        soft_assign_vector(s, cs)
+        mi_grad_centroids(res, cs)
+        assert len(calls) == 2
+        exact = np.linalg.norm(res.styles[None, :, :] - cs.centroids[:, None, :], axis=2)
+        # soft_assign_vector: exact distances of one style; mi_grad_centroids:
+        # the (K, n) Gram-form distances, equal to rounding.
+        (d_vec, dim_vec, out_vec), (d_mat, dim_mat, out_mat) = calls
+        np.testing.assert_array_equal(d_vec, np.linalg.norm(s - cs.centroids, axis=1))
+        np.testing.assert_allclose(d_mat, exact, rtol=1e-9)
+        for dist, dim, out in calls:
+            assert dim == 4
+            assert out.tobytes() == (-dist / np.sqrt(4)).tobytes()
 
     def test_empty_reservoir_rejected(self):
         # The reservoir-wide assignment exists only inside the centroid

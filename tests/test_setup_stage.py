@@ -205,10 +205,10 @@ class TestStyleLoopOracle:
         domain = stream._draw_domain(severity, rng, input_dim, tier=rng.normal(size=3))
         blob = stream.make_blob(4, input_dim, seed)
         extractor = FeatureExtractor(input_dim, seed=seed)
-        key = (seed, 2, 0, 0)
-        got = stream.domain_style_mean(domain, blob, extractor, batch_size, batches, key)
+        key = (seed, 2, 0)
+        got = stream.domain_style_mean([domain], blob, extractor, batch_size, batches, key)[0]
         want = reference_domain_style_mean(
-            domain, blob, extractor, batch_size, batches, key
+            domain, blob, extractor, batch_size, batches, (*key, 0)
         )
         assert got.tobytes() == want.tobytes()
 
@@ -218,10 +218,10 @@ class TestStyleLoopOracle:
         for i, d in enumerate(context.domains[:2]):
             key = (config.DOMAIN_SEED, 99, i)
             got = stream.domain_style_mean(
-                d, context.blob, context.extractor, plan.batch_size, 16, key
-            )
+                [d], context.blob, context.extractor, plan.batch_size, 16, key
+            )[0]
             want = reference_domain_style_mean(
-                d, context.blob, context.extractor, plan.batch_size, 16, key
+                d, context.blob, context.extractor, plan.batch_size, 16, (*key, 0)
             )
             assert got.tobytes() == want.tobytes()
 
@@ -237,7 +237,7 @@ class TestStyleLoopOracle:
         config.calibration_styles(cfg, blob, extractor)
         assert len(default_rng_calls) == 37
         default_rng_calls.clear()
-        stream.domain_style_mean(domain, blob, extractor, 8, 21, (5, 2, 0, 0))
+        stream.domain_style_mean([domain], blob, extractor, 8, 21, (5, 2, 0))
         assert len(default_rng_calls) == 21
 
     @given(
@@ -293,13 +293,14 @@ class TestBatchedSetUp:
                 ), f.name
 
     def test_domain_list_means_are_the_single_domain_means(self, context):
-        # A list's k-th domain is keyed (*seed_key, k, i), as a single
-        # domain at (*seed_key, k) is; 5 domains make a ragged last stack.
+        # A list's k-th domain is keyed (*seed_key, k, i), as the one-batch-
+        # at-a-time reference at (*seed_key, k) is; 5 domains make a ragged
+        # last stack.
         pool = context.domains[:5]
         key = (config.DOMAIN_SEED, 99)
         got = stream.domain_style_mean(pool, context.blob, context.extractor, 8, 3, key)
         for k, d in enumerate(pool):
-            want = stream.domain_style_mean(
+            want = reference_domain_style_mean(
                 d, context.blob, context.extractor, 8, 3, (*key, k)
             )
             assert got[k].tobytes() == want.tobytes(), k

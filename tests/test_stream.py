@@ -59,8 +59,8 @@ class TestMakeDomains:
         np.testing.assert_array_equal(dom.noise_std, 0.0)
         # Style of the identity domain sits below tau from the source mean.
         m = stream.domain_style_mean(
-            dom, context.blob, context.extractor, 64, 16, seed_key=(10,)
-        )
+            [dom], context.blob, context.extractor, 64, 16, seed_key=(10,)
+        )[0]
         assert np.linalg.norm(m - context.source_style_mean) < context.tau
 
     def test_transforms_invertible(self, context):
@@ -80,13 +80,8 @@ class TestMakeDomains:
             tau=context.tau,
             source_style_mean=context.source_style_mean,
         )
-        means = np.stack(
-            [
-                stream.domain_style_mean(
-                    d, context.blob, context.extractor, 64, 16, seed_key=(11, i)
-                )
-                for i, d in enumerate(domains)
-            ]
+        means = stream.domain_style_mean(
+            domains, context.blob, context.extractor, 64, 16, seed_key=(11,)
         )
         dists = np.linalg.norm(means[:, None] - means[None, :], axis=2)
         iu = np.triu_indices(15, k=1)
