@@ -19,10 +19,11 @@ centroid is a copy of a reservoir row) are redone from exact differences,
 and the gradient is contracted as ``c_j sum_i w_ij - sum_i w_ij s_i`` (one
 matrix product) instead of through an ``(n, K, dim)`` broadcast.
 
-The module is plain numpy; scipy is only the tests' oracle. Log-sum-exp takes
-the max-split form of ``scipy.special.logsumexp`` and is bit-identical to it.
-The MI loss's ``0 ln 0 := 0`` is a masked ``a * np.log(a)``, which agrees with
-``scipy.special.xlogy(a, a)`` up to the rounding of the logarithm.
+The module is plain numpy; scipy is only the tests' oracle. The softmax is
+the package's one log-softmax, :func:`tta.log_softmax`; it and the plain
+log-sum-exp agree with ``scipy.special`` to rounding. The MI loss's
+``0 ln 0 := 0`` is a masked ``a * np.log(a)``, which agrees with
+``scipy.special.xlogy(a, a)`` to rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError, InsufficientDataError, NumericalError
+from .tta import log_softmax
 
 DEFAULT_K_MAX = 16
 DEFAULT_CENTROID_LR = 1e-4
@@ -151,24 +153,9 @@ def _assignment_logits(dist: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(a)))`` along ``axis`` (kept), as scipy computes it.
-
-    The maximal terms are split out, ``max + ln(m) + log1p(rest / m)`` with
-    ``m`` the number of maxima, which is exact for the dominant term and
-    matches ``scipy.special.logsumexp`` bit for bit without its overhead.
-    """
+    """``log(sum(exp(a)))`` along ``axis`` (kept), the maximum split out."""
     top = a.max(axis=axis, keepdims=True)
-    is_top = a == top
-    ties = is_top.sum(axis=axis, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        return np.log1p(rest / ties) + np.log(ties) + top
-
-
-def _log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)  # max-subtraction
-    return shifted - _logsumexp(shifted, axis=axis)
+    return top + np.log(np.exp(a - top).sum(axis=axis, keepdims=True))
 
 
 def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
@@ -176,7 +163,7 @@ def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     of its scaled negative distances ``-|s - c_j| / sqrt(dim)``."""
     vec = np.asarray(s, dtype=np.float64)
     dist = np.linalg.norm(vec - centroids.centroids, axis=1)
-    return np.exp(_log_softmax(_assignment_logits(dist, vec.size), axis=0))
+    return np.exp(log_softmax(_assignment_logits(dist, vec.size), axis=0))
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -225,7 +212,7 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     # over the styles run along contiguous rows.
     sq, cols, rows, diff = _squared_distances(cents, styles)
     dist = np.sqrt(sq)
-    logq = _log_softmax(_assignment_logits(dist, d), axis=0)
+    logq = log_softmax(_assignment_logits(dist, d), axis=0)
     q = np.exp(logq)
 
     # dL/dq_ij = (ln qbar_j - ln q_ij) / n, with zero-probability cells masked.

@@ -169,9 +169,10 @@ def split_params(params: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarra
     return vec[:hidden], vec[hidden:]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Log-softmax along ``axis``, of class logits and of domain-assignment logits."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def _log_probs(model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -179,7 +180,7 @@ def _log_probs(model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray
     logits = model.logits(params, feats)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("non-finite logits")
-    return _log_softmax(logits)
+    return log_softmax(logits)
 
 
 def predict(
@@ -309,7 +310,7 @@ def train_source(
             gamma, beta = params[:hidden], params[hidden:]
             act = gamma * feats + beta
             logits = act @ model.head_w.T + model.head_b
-            logp = _log_softmax(logits)
+            logp = log_softmax(logits)
             if not np.all(np.isfinite(logp)):
                 raise TrainingError("source training diverged (non-finite loss)")
             dl_du = (np.exp(logp) - onehot[idx]) / idx.size

@@ -2,9 +2,12 @@
 
 ``reference_mi_grad`` is the former ``mi_grad_centroids``: an ``(n, K, d)``
 difference tensor, ``scipy.special.logsumexp`` and an einsum contraction.
-The library computes distances from a Gram product instead, so the two agree
-to rounding, not bit for bit; the soft assignment and the style reservoir
-are expected to stay bit-identical to their former versions.
+The library computes distances from a Gram product and sums its log-sum-exp
+in one plain pass instead, so the two agree to rounding, not bit for bit.
+The soft assignment equals the plain log-softmax written out here bit for
+bit, and scipy's log-sum-exp form to rounding; with tied or far centroids, or
+a single one, the two forms give the same bits. The style reservoir stays
+bit-identical to its former version.
 """
 
 from dataclasses import fields, replace
@@ -195,15 +198,26 @@ class TestSoftAssignBitIdentity:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matrix_equals_scipy_logsumexp_form(self, n, k, dim, seed):
+    def test_matrix_equals_plain_form_and_scipy_to_rounding(self, n, k, dim, seed):
         rng = np.random.default_rng(seed)
         styles = 4.0 * rng.standard_normal((n, dim))
         res = _reservoir(styles, seed)
         cs = _centroid_set(list(4.0 * rng.standard_normal((k, dim))))
         logits, _ = reference_logits(res.styles, cs.centroids)
-        expect = np.exp(reference_log_softmax_rows(logits))
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         q = np.stack([soft_assign_vector(s, cs) for s in styles])
-        np.testing.assert_array_equal(q, expect)
+        np.testing.assert_array_equal(q, np.exp(shifted - lse))
+        # Against scipy's log-sum-exp, which splits out the maximal terms:
+        # each log-sum-exp of k terms in (0, 1] is off by at most k + 1 ulps
+        # of 1 (k exp roundings and k - 1 additions, the largest term being
+        # exactly 1) plus 1 ulp of itself (the log). Both sides carry that,
+        # the subtraction from ``shifted`` rounds each by half an ulp of the
+        # log-probability, and each exp by 1 ulp of q.
+        eps = np.finfo(np.float64).eps
+        expect = np.exp(reference_log_softmax_rows(logits))
+        bound = eps * (2 * (k + 1) + 2 * np.abs(lse) + np.abs(np.log(expect)) + 2)
+        assert np.all(np.abs(q - expect) <= bound * expect)
 
     def test_ties_and_far_centroids(self):
         # Equidistant centroids tie for the row maximum; a distant one

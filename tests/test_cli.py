@@ -506,16 +506,16 @@ def test_run_outputs_are_byte_reproducible(tmp_path, monkeypatch):
 # any output byte must update these and say why.
 GOLDEN_RUN = {
     "aggregate.json": "2a125f8a566129c92c7b927f9484323ff6eb07e810dc41b8f29d63c460655a3f",
-    "metrics_reservoir_eata_seed1.csv": "c9df535d2a57bcd435bc6547960eeaa22b90cf83a103a18bd03076cc3c30bb97",
-    "metrics_reservoir_eata_seed2.csv": "13b1b4e99c96204d5b175d85c96982d9640bad71e7e6f90f7e294061cced767b",
+    "metrics_reservoir_eata_seed1.csv": "82c2c2afecb93198b4ef474003756699118d19f3b2753de245a8fd2b1bb05e17",
+    "metrics_reservoir_eata_seed2.csv": "f500e067838e293a990716a3f9fd31412eecab1510eaf4830eafe1c6ddc5989e",
     "metrics_tent_seed1.csv": "9ef84068d1d2498a7afc43638a20d308c4d7ffd7a442c167447e475391ba542c",
     "metrics_tent_seed2.csv": "75ec1bfdd5c1bdb153b55efbe522043b7707be15956779ba8010a41053fe5d7d",
     "summary_reservoir_eata_seed1.json": "049c8fe5445816c077fc77401cf6769ee787193ea974137a90821fcb8ac7dbc8",
     "summary_reservoir_eata_seed2.json": "f6bff64936b68d35e97b42124bdf9a7cd6a296f5f2785150772012cb0afcc4be",
     "summary_tent_seed1.json": "592fdc01675aa101c1be2c4f47652826a71661a0b4ad7a5cba652978c8f267a6",
     "summary_tent_seed2.json": "eb73fc13a3651d44858f11fbe4215a10a8eb324d3910776fecd51707e396040d",
-    "trace_reservoir_eata_seed1.jsonl": "78e7002511ad2e06b5384c89835361936834d4b1f7ff7bd29718ece72c57b7f2",
-    "trace_reservoir_eata_seed2.jsonl": "89c4c5413367ba5c984321732c861b0cb7ceeffd96dafef1ca8b8227ed301023",
+    "trace_reservoir_eata_seed1.jsonl": "c437cfd92063380bc04060363c03786e5f0062e8c938e9e444dc9ab293ec2e3a",
+    "trace_reservoir_eata_seed2.jsonl": "f28e940234a4f9fbe231d138f45153118cb3ee7f615fe04499883b9d655394e2",
     "trace_tent_seed1.jsonl": "3c295dd4cb44f3cd090a683a90a8edf61c1bc4ed4509ad9946ae353446002cc0",
     "trace_tent_seed2.jsonl": "49a822520a32a036f59026804851d24708faa09515a25fc959e177f5cbea7dcb",
 }
@@ -556,8 +556,8 @@ GOLDEN_RUN_CDC_KINDS = {
     "metrics_ensemble_seed2.csv": "9c130bf8598a50e2b3857ae3b83dfeb160a74176d09266511dbbbe58f0e6dc0d",
     "metrics_fisher_seed1.csv": "da9f87d506f45d756347541b94e50390793d17a93417f5eda5ee76a6e96aa115",
     "metrics_fisher_seed2.csv": "b545a4882fa30173fa1d9efca634dd915770b75752481e53fe39f3a38da7054c",
-    "metrics_reservoir_ensemble_seed1.csv": "ddb7c7569101f4fa49880840333c4d797238909143fe4e2b3130649bbc5371a5",
-    "metrics_reservoir_ensemble_seed2.csv": "cfc67436be12112757337b3c9c04c1872aef2c61063dec5cf5d0df0bb0592fb3",
+    "metrics_reservoir_ensemble_seed1.csv": "28a97de877a0bcb164738dc7b7d6d935efd4f749c40085811135a4d5019be98e",
+    "metrics_reservoir_ensemble_seed2.csv": "70cd9b5e3304840b52703e081444fa2bd19e31e0b5d1a8dd24af8a57f4fa8d89",
     "summary_eata_seed1.json": "52cb623810ae4c5370dbd64e883848751f92c37b0d6556511ebedae60145872c",
     "summary_eata_seed2.json": "474b3dfccc88e11124cb1e7f360c0e5208b444b6d3398528be81946833b6b10d",
     "summary_ensemble_seed1.json": "69bcbd02e940baf58c547b95702a85603aa8b99634bf1c438033d47637793c4d",
@@ -572,8 +572,8 @@ GOLDEN_RUN_CDC_KINDS = {
     "trace_ensemble_seed2.jsonl": "9ae1f10eb2e5f4c7f29eb8dc6b9f4d7fa49e813712ad52c5743b0d2fafb2cd2c",
     "trace_fisher_seed1.jsonl": "b08147db78561ef9c6cfcaa71eaf62567951a76cb686981bd118d8b21ec6c979",
     "trace_fisher_seed2.jsonl": "9ae1f10eb2e5f4c7f29eb8dc6b9f4d7fa49e813712ad52c5743b0d2fafb2cd2c",
-    "trace_reservoir_ensemble_seed1.jsonl": "98641cc0033b6ac9aa36c09ec3c5f164c25543320dce94b6ea945dc171387309",
-    "trace_reservoir_ensemble_seed2.jsonl": "0f11131a496014e943bf4e5042650398bf6c2f888f43b7ceb5a4f05324d7fc87",
+    "trace_reservoir_ensemble_seed1.jsonl": "1e15d6d697cca4fc928f82ca88d713a7bcfc2228fddce6afef7890d163363ea1",
+    "trace_reservoir_ensemble_seed2.jsonl": "7acb89e333b6b0efcd4cf7b1cb7d4a2e0c9ea0aaeb9611ef8f94c634da70e8b3",
 }
 GOLDEN_THEORY = {
     "fisher_equiv.csv": "b3ef21fcf23f3208bc64a48d2c91e65841fced5b25d27abef2a24123c94eba8c",

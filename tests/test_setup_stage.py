@@ -99,7 +99,7 @@ def reference_train_source(seed, inputs, labels, epochs, lr, hidden=32):
             raw = np.tanh(inputs[idx] @ model._w_feat.T + model._b_feat)
             feats = (raw - raw.mean(axis=0)) / (raw.std(axis=0) + model.BN_EPS)
             act = params[:hidden] * feats + params[hidden:]
-            logp = tta._log_softmax(act @ model.head_w.T + model.head_b)
+            logp = tta.log_softmax(act @ model.head_w.T + model.head_b)
             dl_du = (np.exp(logp) - onehot[idx]) / idx.size
             grad_act = dl_du @ model.head_w
             model.head_w -= lr * (dl_du.T @ act)
