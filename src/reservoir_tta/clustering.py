@@ -3,8 +3,12 @@
 State lives in two small containers: a :class:`CentroidSet` of discovered
 domain centroids (seeded with the mean source style) and a fixed-capacity
 :class:`StyleReservoir` of past style vectors maintained by reservoir
-sampling in a ``(capacity, dim)`` array allocated once. Both hand out
-read-only views. A new centroid is spawned whenever an incoming style vector
+sampling. The reservoir stores a multiset: its distinct rows, keyed by the
+vector's bytes, with a count each, in a ``(capacity, dim)`` table allocated
+once; an emptied row is swap-removed, so the live rows stay contiguous. On
+a recurring stream the same batch is offered on every visit, and the
+distinct rows are a fraction of the held styles. Both containers hand out
+read-only arrays. A new centroid is spawned whenever an incoming style vector
 is farther than the calibrated threshold from every existing centroid and
 the cap has not been reached. Either way the vector is then soft-assigned
 over the centroids. Centroids are refined by gradient descent on a
@@ -13,11 +17,14 @@ while penalizing collapse onto a single centroid; that step and a spawn are
 the only writes to the centroids.
 
 The per-step centroid stage is the engine's hot path, so
-:func:`mi_grad_centroids` works on ``(K, n)`` matrices only: distances come
-from one Gram product, pairs too close for its cancellation error (a spawned
+:func:`mi_grad_centroids` works on ``(K, u)`` matrices over the ``u``
+distinct rows only, each weighted by its count: distances come from one
+Gram product, pairs too close for its cancellation error (a spawned
 centroid is a copy of a reservoir row) are redone from exact differences,
 and the gradient is contracted as ``c_j sum_i w_ij - sum_i w_ij s_i`` (one
-matrix product) instead of through an ``(n, K, dim)`` broadcast.
+matrix product) instead of through an ``(n, K, dim)`` broadcast. Duplicate
+styles give identical terms, so this is the loss over all ``n`` held styles,
+to rounding.
 
 The module is plain numpy; scipy is only the tests' oracle. The softmax is
 the package's one log-softmax, :func:`tta.log_softmax`; it and the plain
@@ -43,13 +50,29 @@ DEFAULT_CENTROID_LR = 1e-4
 _GRAM_CLOSE = 1e-6
 
 
-class StyleReservoir:
-    """Fixed-capacity buffer holding a uniform sample of all offered styles.
+def _style_vector(s: np.ndarray, dim: int) -> np.ndarray:
+    """``s`` as a float64 vector, checked to have the shape ``(dim,)``."""
+    vec = np.asarray(s, dtype=np.float64)
+    if vec.shape != (dim,):
+        raise InputDomainError(f"style vector has shape {vec.shape}, expected ({dim},)")
+    return vec
 
-    The first ``capacity`` offers fill the buffer in order. From then on the
+
+class StyleReservoir:
+    """Fixed-capacity reservoir holding a uniform sample of all offered styles.
+
+    The first ``capacity`` offers fill the slots in order. From then on the
     t-th offer is accepted with probability ``capacity / t`` and, if
     accepted, overwrites a uniformly chosen slot. After any number of offers
     every past vector is present with equal probability ``capacity / t``.
+
+    The held styles are kept as a multiset: a table of distinct rows, a
+    count per row and, per slot, the index of its row. A row is found by
+    the bytes of its vector, so ``-0.0`` and ``0.0`` entries make separate
+    rows; that only splits a row's count, and every consumer sums over the
+    rows. A row whose count drops to 0 is swap-removed with the last row,
+    so the live rows are always the first ``u``; only then are the slots
+    that pointed at the moved row remapped.
     """
 
     def __init__(self, capacity: int, dim: int, rng: np.random.Generator):
@@ -60,7 +83,10 @@ class StyleReservoir:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.seen_count = 0
-        self._buffer = np.empty((self.capacity, self.dim))
+        self._rows = np.empty((self.capacity, self.dim))
+        self._counts = np.zeros(self.capacity, dtype=np.int64)
+        self._slots = np.empty(self.capacity, dtype=np.intp)
+        self._row_of: dict[bytes, int] = {}
         self._size = 0
         self._rng = rng
 
@@ -69,26 +95,55 @@ class StyleReservoir:
 
     @property
     def styles(self) -> np.ndarray:
-        """Read-only ``(n, dim)`` view of the filled rows, valid until the next offer."""
-        filled = self._buffer[: self._size]
-        filled.flags.writeable = False
-        return filled
+        """Read-only ``(n, dim)`` array of the held styles, row i the style in slot i."""
+        held = self._rows[self._slots[: self._size]]
+        held.flags.writeable = False
+        return held
+
+    @property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the ``(u, dim)`` distinct rows and their ``(u,)``
+        counts, which sum to ``len(self)``; valid until the next offer."""
+        u = len(self._row_of)
+        rows, counts = self._rows[:u], self._counts[:u]
+        rows.flags.writeable = False
+        counts.flags.writeable = False
+        return rows, counts
 
     def offer(self, s: np.ndarray) -> None:
         """Offer one style vector; inserts or replaces per reservoir sampling."""
-        vec = np.asarray(s, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise InputDomainError(
-                f"style vector has shape {vec.shape}, reservoir expects ({self.dim},)"
-            )
+        vec = _style_vector(s, self.dim)
         self.seen_count += 1
         if self._size < self.capacity:
-            self._buffer[self._size] = vec
+            slot = self._size
             self._size += 1
-            return
-        if self._rng.random() <= self.capacity / self.seen_count:
+        elif self._rng.random() <= self.capacity / self.seen_count:
             slot = int(self._rng.integers(0, self.capacity))
-            self._buffer[slot] = vec
+            self._drop(int(self._slots[slot]))
+        else:
+            return
+        key = vec.tobytes()
+        row = self._row_of.get(key)
+        if row is None:
+            row = self._row_of[key] = len(self._row_of)
+            self._rows[row] = vec
+        self._counts[row] += 1
+        self._slots[slot] = row
+
+    def _drop(self, row: int) -> None:
+        """Take one copy of ``row`` out; an emptied row is swap-removed."""
+        self._counts[row] -= 1
+        if self._counts[row]:
+            return
+        last = len(self._row_of) - 1
+        del self._row_of[self._rows[row].tobytes()]
+        if row != last:
+            self._rows[row] = self._rows[last]
+            self._counts[row] = self._counts[last]
+            self._counts[last] = 0
+            self._row_of[self._rows[row].tobytes()] = row
+            slots = self._slots[: self._size]
+            slots[slots == last] = row
 
 
 @dataclass
@@ -135,11 +190,7 @@ class CentroidSet:
         caller, which soft-assigns after the centroid update
         (:func:`soft_assign_vector`).
         """
-        vec = np.asarray(s, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise InputDomainError(
-                f"style vector has shape {vec.shape}, centroids expect ({self.dim},)"
-            )
+        vec = _style_vector(s, self.dim)
         delta = float(np.linalg.norm(self._centroids - vec, axis=1).min())
         if delta > tau and self.count < self.k_max:
             self._centroids = np.vstack([self._centroids, vec])
@@ -160,8 +211,9 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     """Soft assignment of one style vector: the softmax over the centroids
-    of its scaled negative distances ``-|s - c_j| / sqrt(dim)``."""
-    vec = np.asarray(s, dtype=np.float64)
+    of its scaled negative distances ``-|s - c_j| / sqrt(dim)``. A vector of
+    another shape than ``(centroids.dim,)`` raises :class:`InputDomainError`."""
+    vec = _style_vector(s, centroids.dim)
     dist = np.linalg.norm(vec - centroids.centroids, axis=1)
     return np.exp(log_softmax(_assignment_logits(dist, vec.size), axis=0))
 
@@ -200,34 +252,42 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     zero-distance pair the norm's subgradient 0 is used. Returns a
     ``(K, dim)`` matrix of per-centroid gradients, exactly zero for K = 1
     (every row softmax is then the constant 1).
+
+    Copies of one style give identical rows of ``Q`` and identical terms,
+    so the sums over the ``n`` held styles run over the reservoir's ``u``
+    distinct rows instead, each term weighted by its row's count
+    (:attr:`StyleReservoir.distinct`). The result is the full sum's to
+    rounding, not bit for bit.
     """
-    if len(reservoir) == 0:
+    n = len(reservoir)
+    if n == 0:
         raise InsufficientDataError("gradient needs a nonempty reservoir")
-    styles = reservoir.styles
+    styles, counts = reservoir.distinct
     cents = centroids.centroids
     if cents.shape[0] == 1:
         return np.zeros_like(cents)
-    n, d = styles.shape
-    # Arrays are (K, n), indexed [centroid j, style i], so that reductions
-    # over the styles run along contiguous rows.
+    d = styles.shape[1]
+    # Arrays are (K, u), indexed [centroid j, distinct style i], so that
+    # reductions over the styles run along contiguous rows.
     sq, cols, rows, diff = _squared_distances(cents, styles)
     dist = np.sqrt(sq)
     logq = log_softmax(_assignment_logits(dist, d), axis=0)
     q = np.exp(logq)
 
-    # dL/dq_ij = (ln qbar_j - ln q_ij) / n, with zero-probability cells masked.
-    log_qbar = _logsumexp(logq, axis=1) - np.log(n)
+    # dL/dq_ij = (ln qbar_j - ln q_ij) / n, with zero-probability cells
+    # masked; qbar_j = sum_i count_i q_ij / n.
+    log_qbar = _logsumexp(logq + np.log(counts), axis=1) - np.log(n)
     with np.errstate(invalid="ignore"):
         dl_dq = np.where(q > 0.0, (log_qbar - logq) / n, 0.0)
     row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
     dl_dlogits = q * (dl_dq - row_dot)
 
     # Through _assignment_logits, d logit_ij / d c_j = -(c_j - s_i) /
-    # (dist_ij * sqrt(d)), taken as 0 at dist 0. With w = -dL/dlogit /
-    # (dist * sqrt(d)) the gradient is sum_i w_ij (c_j - s_i)
+    # (dist_ij * sqrt(d)), taken as 0 at dist 0. With w = -count_i dL/dlogit
+    # / (dist * sqrt(d)) the gradient is sum_i w_ij (c_j - s_i)
     # = c_j sum_i w_ij - (w S)_j.
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dist > 0.0, -dl_dlogits / (dist * np.sqrt(d)), 0.0)
+        w = np.where(dist > 0.0, -dl_dlogits / (dist * np.sqrt(d)), 0.0) * counts
     # Close pairs contribute through their exact differences instead: in the
     # contraction their two large terms would cancel to a small one.
     close_w = w[cols, rows]

@@ -1,13 +1,16 @@
-"""The vectorized centroid stage against the broadcast code it replaced.
+"""The vectorized centroid stage against the code it replaced.
 
-``reference_mi_grad`` is the former ``mi_grad_centroids``: an ``(n, K, d)``
+``reference_mi_grad`` is an earlier ``mi_grad_centroids``: an ``(n, K, d)``
 difference tensor, ``scipy.special.logsumexp`` and an einsum contraction.
-The library computes distances from a Gram product and sums its log-sum-exp
-in one plain pass instead, so the two agree to rounding, not bit for bit.
-The soft assignment equals the plain log-softmax written out here bit for
-bit, and scipy's log-sum-exp form to rounding; with tied or far centroids, or
-a single one, the two forms give the same bits. The style reservoir stays
-bit-identical to its former version.
+``dense_mi_grad`` is the one after it, a term per held style rather than
+per distinct row. The library computes distances from a Gram product, sums
+its log-sum-exp in one plain pass and weights each distinct row by its
+count instead, so it agrees with both to rounding, not bit for bit, and an
+episode routes as under ``dense_mi_grad``. The soft assignment equals the
+plain log-softmax written out here bit for bit, and scipy's log-sum-exp form
+to rounding; with tied or far centroids, or a single one, the two forms give
+the same bits. The style reservoir's held styles stay bit-identical to its
+list-backed version.
 """
 
 from dataclasses import fields, replace
@@ -18,16 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from reservoir_tta import stream
 from reservoir_tta.clustering import (
+    DEFAULT_CENTROID_LR,
     CentroidSet,
     StyleReservoir,
+    _assignment_logits,
+    _logsumexp,
+    _squared_distances,
     mi_grad_centroids,
     soft_assign_vector,
     update_centroids,
 )
 from reservoir_tta.errors import InputDomainError, InsufficientDataError, NumericalError
 from reservoir_tta.stream import ClusterParams, EpisodeMetrics, run_episode
-from reservoir_tta.tta import MethodConfig
+from reservoir_tta.tta import MethodConfig, log_softmax
 
 
 def reference_logits(styles, cents):
@@ -68,6 +76,30 @@ def reference_mi_grad(styles, cents, with_scale=False):
     return grad, np.einsum("ij,ijk->jk", abs_dlogits, np.abs(dlogit_dc))
 
 
+def dense_mi_grad(styles, cents):
+    """The MI gradient with one term per held style, duplicates included:
+    ``mi_grad_centroids`` as it was before it weighted distinct rows."""
+    if cents.shape[0] == 1:
+        return np.zeros_like(cents)
+    n, d = styles.shape
+    sq, cols, rows, diff = _squared_distances(cents, styles)
+    dist = np.sqrt(sq)
+    logq = log_softmax(_assignment_logits(dist, d), axis=0)
+    q = np.exp(logq)
+    log_qbar = _logsumexp(logq, axis=1) - np.log(n)
+    with np.errstate(invalid="ignore"):
+        dl_dq = np.where(q > 0.0, (log_qbar - logq) / n, 0.0)
+    row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
+    dl_dlogits = q * (dl_dq - row_dot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(dist > 0.0, -dl_dlogits / (dist * np.sqrt(d)), 0.0)
+    close_w = w[cols, rows]
+    w[cols, rows] = 0.0
+    grad = cents * w.sum(axis=1, keepdims=True) - w @ styles
+    np.add.at(grad, cols, close_w[:, None] * diff)
+    return grad
+
+
 class ListReservoir:
     """The former list-backed reservoir, kept as a replay oracle."""
 
@@ -85,6 +117,19 @@ class ListReservoir:
         if self.rng.random() <= self.capacity / self.seen_count:
             slot = int(self.rng.integers(0, self.capacity))
             self.buffer[slot] = vec.copy()
+
+
+class _ScriptedSlots:
+    """An rng that accepts every offer and picks the scripted slots in turn."""
+
+    def __init__(self, slots):
+        self.slots = iter(slots)
+
+    def random(self):
+        return 0.0
+
+    def integers(self, low, high):
+        return next(self.slots)
 
 
 def _reservoir(styles, seed=0):
@@ -120,16 +165,24 @@ class TestGradientOracle:
         offset=st.sampled_from([0.0, 5.0, 46.0]),
         copies=st.integers(min_value=0, max_value=3),
         near=st.integers(min_value=0, max_value=3),
+        repeats=st.integers(min_value=0, max_value=3),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_broadcast_reference(self, n, k, dim, offset, copies, near, seed):
+    def test_matches_broadcast_reference(
+        self, n, k, dim, offset, copies, near, repeats, seed
+    ):
         # Styles share a large common offset, as real style vectors do (norms
-        # near 46). Some centroids are exact copies of reservoir rows (what a
-        # spawn produces) and some sit 1e-6 away from one.
+        # near 46). With repeats, they are drawn from a pool of about
+        # n / (repeats + 1) rows, as a recurring stream offers them. Some
+        # centroids are exact copies of reservoir rows (what a spawn
+        # produces) and some sit 1e-6 away from one.
         rng = np.random.default_rng(seed)
         base = offset * rng.standard_normal(dim) / np.sqrt(dim)
         styles = base + rng.standard_normal((n, dim))
+        if repeats:
+            pool = max(1, n // (repeats + 1))
+            styles = styles[rng.integers(pool, size=n)]
         rows = list(base + 1.5 * rng.standard_normal((k, dim)))
         for _ in range(copies):
             rows.append(styles[rng.integers(n)].copy())
@@ -139,23 +192,34 @@ class TestGradientOracle:
         rows = [rows[i] for i in rng.permutation(len(rows))]
         _assert_matches_reference(_reservoir(styles, seed), _centroid_set(rows))
 
+    @pytest.mark.parametrize("pool", [256, 48])
     @pytest.mark.parametrize("gap", [0.0, 1e-6])
-    def test_spawned_centroids_on_reservoir_rows(self, gap):
+    def test_spawned_centroids_on_reservoir_rows(self, gap, pool):
         # A centroid spawned from an incoming style is a copy of a reservoir
         # row (gap 0). Its distance must stay exactly 0 (subgradient 0); the
         # Gram form alone leaves ~1e-12 in the squared distance at style
         # norms near 46, sometimes negative. At gap 1e-6 the pair's direction
-        # must come from the exact difference.
+        # must come from the exact difference. With a pool of 48 rows each
+        # spawn sits on a row the reservoir holds several times.
         rng = np.random.default_rng(3)
         base = 46.0 * rng.standard_normal(40) / np.sqrt(40)
-        styles = base + 0.3 * rng.standard_normal((256, 40))
+        styles = base + 0.3 * rng.standard_normal((pool, 40))
+        styles = styles[np.arange(256) % pool]
         res = _reservoir(styles)
         cs = _centroid_set([base, base + 2.0 * rng.standard_normal(40)])
-        for row in (255, 200, 150, 100, 50, 0):
+        spawned = (255, 200, 150, 100, 50, 0)
+        for row in spawned:
             u = rng.standard_normal(40)
             decision = cs.detect(styles[row] + gap * u / np.linalg.norm(u), tau=-1.0)
             assert decision.kind == "new_domain" and decision.distance > 0
         _assert_matches_reference(res, cs)
+        rows, counts = res.distinct
+        sq = _squared_distances(cs.centroids, rows)[0]
+        for j, row in enumerate(spawned, start=2):
+            (r,) = np.flatnonzero(np.all(rows == styles[row], axis=1))
+            held = 256 // pool + (row % pool < 256 % pool)
+            assert counts[r] == held and (held > 1) == (pool < 256)
+            assert (sq[j, r] == 0.0) == (gap == 0.0)
 
     def test_single_centroid_is_exactly_zero(self):
         rng = np.random.default_rng(4)
@@ -316,6 +380,56 @@ class TestReservoirReplay:
             np.testing.assert_array_equal(res.styles, np.stack(ref.buffer))
         assert res.seen_count == offers
 
+    @given(
+        capacity=st.integers(min_value=1, max_value=16),
+        pool=st.integers(min_value=3, max_value=5),
+        offers=st.integers(min_value=0, max_value=120),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_offers_as_counted_rows(self, capacity, pool, offers, seed):
+        # Offers drawn from a pool of 3-5 rows, as a recurring stream makes
+        # them: the held styles match the list replay bit for bit, and the
+        # distinct rows count every held copy once.
+        res = StyleReservoir(capacity, 2, np.random.default_rng((seed, 1)))
+        ref = ListReservoir(capacity, (seed, 1))
+        rng = np.random.default_rng(seed)
+        vecs = rng.standard_normal((pool, 2))
+        for i in rng.integers(pool, size=offers):
+            res.offer(vecs[i])
+            ref.offer(vecs[i])
+            held = np.stack(ref.buffer)
+            assert res.styles.tobytes() == held.tobytes()
+            rows, counts = res.distinct
+            assert len({row.tobytes() for row in rows}) == len(rows)
+            assert counts.tolist() == [np.all(held == row, axis=1).sum() for row in rows]
+            assert counts.sum() == len(res)
+
+    def test_emptied_row_is_swap_removed(self):
+        # Slot picks scripted so that row 0, not the last row, empties: the
+        # last row moves into its place and its slot follows.
+        a, b, c = np.eye(3)
+        res = StyleReservoir(3, 3, _ScriptedSlots([0, 1]))
+        for vec in (a, a, b):
+            res.offer(vec)
+        rows, counts = res.distinct
+        np.testing.assert_array_equal(rows, [a, b])
+        assert counts.tolist() == [2, 1]
+        res.offer(c)  # slot 0: a -> c, a new row 2
+        res.offer(c)  # slot 1: a -> c, row 0 empties and row 2 moves there
+        rows, counts = res.distinct
+        np.testing.assert_array_equal(rows, [c, b])
+        assert counts.tolist() == [2, 1]
+        np.testing.assert_array_equal(res.styles, [c, c, b])
+
+    def test_signed_zeros_are_separate_rows(self):
+        # Rows are keyed by their bytes: the held styles keep each sign.
+        res = _reservoir(np.array([[0.0], [-0.0], [0.0]]))
+        rows, counts = res.distinct
+        assert rows.ravel().tobytes() == np.array([0.0, -0.0]).tobytes()
+        assert counts.tolist() == [2, 1]
+        assert res.styles.tobytes() == np.array([[0.0], [-0.0], [0.0]]).tobytes()
+
     @pytest.mark.parametrize("capacity", [1024, 2500])
     def test_replace_phase_at_large_capacity(self, capacity):
         # Both capacities reach the replace phase within 4000 offers.
@@ -358,3 +472,44 @@ class TestReservoirReplay:
     def test_empty_reservoir_shapes(self):
         res = StyleReservoir(4, 3, np.random.default_rng(0))
         assert res.styles.shape == (0, 3)
+
+
+class TestEpisodeAgainstDenseGradient:
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_same_routing_as_one_term_per_held_style(self, context, monkeypatch, seed):
+        # A CSC stream replays each (domain, slot) batch on every visit, so
+        # from the second visit on the reservoir holds repeated styles; 240
+        # steps outlast its 128 slots. Routing and errors keep their bits;
+        # the centroids, and through the soft assignment the ensemble, move
+        # by rounding only.
+        ctx = replace(
+            context,
+            plan=replace(context.plan, kind="csc", visits=3, batches_per_domain=10),
+            cluster=ClusterParams(reservoir_size=128),
+        )
+        method = MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
+        held = []
+
+        def counted_update(centroids, reservoir, lr=DEFAULT_CENTROID_LR):
+            rows, _ = reservoir.distinct
+            held.append((reservoir.seen_count, len(reservoir), len(rows)))
+            update_centroids(centroids, reservoir, lr)
+
+        def dense_update(centroids, reservoir, lr=DEFAULT_CENTROID_LR):
+            grad = dense_mi_grad(reservoir.styles, centroids.centroids)
+            centroids._centroids = centroids.centroids - lr * grad
+
+        monkeypatch.setattr(stream, "update_centroids", counted_update)
+        counted = run_episode(ctx, method, seed=seed, trace=True)
+        monkeypatch.setattr(stream, "update_centroids", dense_update)
+        dense = run_episode(ctx, method, seed=seed, trace=True)
+
+        seen, n, u = held[-1]
+        assert seen == 240 and n == 128 and u < n
+        assert counted.detected_domains[-1] >= 2
+        for name in ("assigned_models", "detected_domains", "per_batch_error"):
+            assert getattr(counted, name).tobytes() == getattr(dense, name).tobytes(), name
+        for name in ("drift_norm", "soft_assignment"):
+            np.testing.assert_allclose(
+                getattr(counted, name), getattr(dense, name), rtol=0, atol=1e-12
+            )

@@ -255,6 +255,15 @@ class TestSoftAssign:
         assert int(np.argmax(q)) == 1
         assert q[1] > q[0] and q[1] > q[2]
 
+    @pytest.mark.parametrize("shape", [(1,), (2,), (1, 3)])
+    def test_wrong_shape_style_rejected(self, shape):
+        # Against three centroid entries, a length-1 style would broadcast
+        # and a (1, 3) one would pass as a row; a length-2 one would fail
+        # inside numpy.
+        cs = _grown_centroids([np.zeros(3), np.ones(3)])
+        with pytest.raises(InputDomainError, match="shape"):
+            soft_assign_vector(np.zeros(shape), cs)
+
     def test_vector_k1(self):
         cs = CentroidSet(np.ones(2), k_max=1)
         np.testing.assert_array_equal(soft_assign_vector(np.zeros(2), cs), [1.0])
