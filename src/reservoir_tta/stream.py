@@ -17,10 +17,16 @@ vector already computed. At construction it draws the raw batch of every
 (domain, slot) pair once and builds one distortion table, a row per distinct
 (primary, next, weight) of the schedule, in stacked chunks of rows; every
 step is distorted from its row, and the first batch of each (row, slot) is
-replayed to every later step with that key.
+replayed to every later step with that key. None of this work depends on the
+adapted parameters, so the stream prepares a block of ``_PREP_STEPS`` steps
+ahead: the block's fresh batches are distorted, featurized and styled as one
+stack at its first step.
 ``run_episode`` executes the per-batch loop on those batches: reservoir
 update, domain detection, centroid refinement, model selection and
-adaptation, parameter ensembling, prediction. Its ``EpisodeMetrics`` is the
+adaptation, parameter ensembling, prediction. Routing and adaptation run
+step by step; the prediction, which changes no state, runs a block of
+``_PREDICT_STEPS`` steps behind, as one stack. Every stacked pass gives each
+step the bits of its own per-step call. Its ``EpisodeMetrics`` is the
 one per-step record, behind the metrics CSV, the trace and the tests. An
 untraced single-model episode skips the routing stages, whose outcome is
 then constant. Hidden labels and the schedule's domain ids feed the
@@ -49,6 +55,7 @@ from .errors import (
     GenerationError,
     InputDomainError,
     InsufficientDataError,
+    ReservoirTTAError,
     check_fields,
 )
 from .model_reservoir import ModelReservoir
@@ -70,6 +77,11 @@ DOMAIN_MAX_RETRIES = 10
 # DomainStream blends at once: each bounds a stage's transient memory.
 _CANDIDATE_STACK = 4
 _TABLE_ROWS = 128
+# Steps whose fresh batches DomainStream prepares as one stack, and steps
+# run_episode predicts as one stack: each trades per-call overhead against
+# an episode's transient memory.
+_PREP_STEPS = 16
+_PREDICT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -172,16 +184,21 @@ def _distort(
     offset: np.ndarray,
     noise_std: np.ndarray,
 ) -> np.ndarray:
-    """``inputs`` under one domain's transform, offset and noise scale, with
+    """``inputs`` under a domain's transform, offset and noise scale, with
     ``noise`` a standard-normal draw of their shape as the input noise.
 
     ``0.0 + noise_std * noise`` is the arithmetic of ``rng.normal(0.0,
     noise_std, size)``, so a draw taken from ``rng`` gives that call's bits,
-    and one draw can serve several domains.
+    and one draw can serve several domains. The noise is added only where
+    the domain has some ``noise_std > 0``. The domain's fields may carry a
+    leading axis of ``B`` domains, with ``(B, b, d)`` inputs: each slice then
+    gets the bits of a call with its own domain alone.
     """
-    out = inputs @ transform.T + offset
-    if np.any(noise_std > 0):
-        out = out + (0.0 + noise_std * noise)
+    out = inputs @ np.swapaxes(transform, -1, -2)
+    out += offset[..., None, :]
+    scaled = noise_std[..., None, :] * noise
+    scaled += 0.0
+    np.add(out, scaled, out=out, where=np.any(noise_std > 0, axis=-1)[..., None, None])
     return out
 
 
@@ -494,16 +511,23 @@ class DomainStream:
     ends: every CSC and CDC step) taken as ``(primary, primary, 0.0)``. The table is blended
     ``_TABLE_ROWS`` rows at a time into preallocated arrays: a chunk's rows
     have the bits of one :func:`blend_domains` call over the whole table.
-    ``next_batch`` distorts its step's (primary, slot) inputs with their
-    noise under its step's row, and runs the feature pass and, if
-    ``styles`` is set, the style pass; the engine never reads raw inputs.
+
+    ``next_batch`` is called once per step, in order. The steps form blocks
+    of ``_PREP_STEPS``; at the first step of a block, the stream prepares
+    the batch of every (row, slot) key first seen in the block as one stack:
+    it distorts the keys' (primary, slot) inputs with their noise under
+    their rows (noise only on the rows with some ``noise_std > 0``), then
+    makes one feature pass and, if ``styles`` is set, one style pass. Each
+    kept batch copies its slice of the stack, so that a replayed batch does
+    not pin its whole block. Each slice has the bits of a pass over that
+    batch alone. The engine never reads raw inputs.
 
     The first ``StreamBatch`` of each (row, slot) is served to every later
     step with that key, pure or blended, so every recurrence of a domain
     replays the same test data: visit-to-visit error differences reflect
     adaptation, not resampling, as in recurring corruption benchmarks. A
-    batch is kept from the first step of its key to the last, so the replay
-    table ends empty. With ``D`` domains and ``per = batches_per_domain``,
+    batch is kept from its block's preparation to the last step of its key,
+    so the replay table ends empty. With ``D`` domains and ``per = batches_per_domain``,
     the table has at most ``D + D(D-1)(per-1)`` rows and the replay table
     at most ``D*per + D(D-1)(per-1)`` batches, however many visits.
     """
@@ -540,28 +564,50 @@ class DomainStream:
             for out, part in zip(self._table, (blend.transform, blend.offset, blend.noise_std)):
                 out[r0 : r0 + _TABLE_ROWS] = part
         self._rows = step_rows.reshape(-1)
-        # A batch is kept for replay until the last step with its (row, slot).
-        keys = self._rows * per + np.arange(plan.total_steps) % per
-        _, from_end = np.unique(keys[::-1], return_index=True)
-        self._last = np.isin(np.arange(plan.total_steps), plan.total_steps - 1 - from_end)
-        _freeze((*self._table, self._rows, self._last))
+        # A batch is held for replay from its block's preparation until the
+        # last step with its (row, slot).
+        n = plan.total_steps
+        keys = self._rows * per + np.arange(n) % per
+        self._first, self._last = np.zeros((2, n), dtype=bool)
+        self._first[np.unique(keys, return_index=True)[1]] = True
+        self._last[n - 1 - np.unique(keys[::-1], return_index=True)[1]] = True
+        _freeze((*self._table, self._rows, self._first, self._last))
         self._replay: dict[tuple[int, int], StreamBatch] = {}
 
     def next_batch(self, step: int) -> StreamBatch:
+        """The batch of ``step``. At the first step of a block, and at a step
+        called out of order whose batch is not held, the fresh keys of the
+        rest of the block are prepared."""
+        plan = self.context.plan
+        if not 0 <= step < plan.total_steps:
+            raise EndOfStream(f"step {step} outside [0, {plan.total_steps})")
+        key = self._rows[step].item(), step % plan.batches_per_domain
+        if key not in self._replay or step % _PREP_STEPS == 0:
+            end = min(step - step % _PREP_STEPS + _PREP_STEPS, plan.total_steps)
+            ahead = np.arange(step, end)
+            fresh = self._first[ahead]
+            fresh[0] = key not in self._replay
+            self._prepare(ahead[fresh])
+        return self._replay.pop(key) if self._last[step] else self._replay[key]
+
+    def _prepare(self, fresh: np.ndarray) -> None:
+        """Put in the replay table the batch of each of the steps ``fresh``,
+        distorted, featurized and styled as one stack."""
+        if not fresh.size:
+            return
         ctx = self.context
-        if not 0 <= step < ctx.plan.total_steps:
-            raise EndOfStream(f"step {step} outside [0, {ctx.plan.total_steps})")
-        slot = step % ctx.plan.batches_per_domain
-        row = self._rows[step].item()
-        if (row, slot) in self._replay:
-            return self._replay.pop((row, slot)) if self._last[step] else self._replay[row, slot]
-        draw = self.schedule[1][step].item(), slot
-        inputs = _distort(self._inputs[draw], self._noise[draw], *(t[row] for t in self._table))
-        style = extract_style(inputs, ctx.extractor) if self.styles else None
-        batch = StreamBatch(*_freeze((self._labels[draw], ctx.model.features(inputs), style)))
-        if not self._last[step]:
-            self._replay[row, slot] = batch
-        return batch
+        rows, slots = self._rows[fresh], fresh % ctx.plan.batches_per_domain
+        draw = self.schedule[1][fresh], slots
+        inputs = _distort(self._inputs[draw], self._noise[draw], *(t[rows] for t in self._table))
+        features = ctx.model.features(inputs)
+        styles = extract_style(inputs, ctx.extractor) if self.styles else None
+        # Copies, so that a replayed batch does not pin its whole block.
+        keys = zip(rows.tolist(), *(a.tolist() for a in draw))
+        for i, (row, domain, slot) in enumerate(keys):
+            style = None if styles is None else styles[i].copy()
+            self._replay[row, slot] = StreamBatch(
+                *_freeze((self._labels[domain, slot], features[i].copy(), style))
+            )
 
 
 @dataclass(frozen=True)
@@ -662,6 +708,15 @@ def run_episode(
     the domain cap: without it the cap is 1, and the ensemble is the single
     model.
 
+    The prediction reads no state the later steps change, so each step only
+    buffers its ensembled parameters, features and labels; every
+    ``_PREDICT_STEPS`` steps, and at the last step, one stacked
+    :func:`tta.predict` fills the block's ``per_batch_error`` and
+    ``drift_norm``. A non-finite prediction raises at its block's end,
+    with the same error; if a later step of the block fails first, the
+    pending steps are predicted before its error propagates, so the earliest
+    failing step's error is the one raised, as in step order.
+
     At cap 1 the routing is constant: q = [1] and k* = 0 on every step, and
     the style pass, the reservoir offer and the detection feed only the
     trace columns. Without ``trace`` such an episode skips them, and its
@@ -692,31 +747,49 @@ def run_episode(
     min_distance = np.zeros(n) if trace else None
     soft = np.zeros((n, k_max)) if trace else None
 
+    pending = []  # (ensembled parameters, features, labels) of the steps not yet predicted
+
+    def predict_pending(stop: int) -> None:
+        """Fill ``errors`` and ``drift`` of the pending steps, the last before ``stop``."""
+        thetas, feats, labels = map(np.stack, zip(*pending))
+        start = stop - len(pending)
+        pending.clear()
+        probs = tta.predict(model, thetas, feats)
+        errors[start:stop] = (probs.argmax(axis=-1) != labels).mean(axis=-1)
+        # vecdot is np.linalg.norm's dot product, row by row.
+        diff = thetas - model.source_params
+        drift[start:stop] = np.sqrt(np.vecdot(diff, diff))
+
     q, k_star = np.ones(1), 0  # the constant routing of an unrouted episode
     for step in range(n):
-        batch = stream.next_batch(step)
-        feats, s = batch.features, batch.style
-        if route:
-            reservoir.offer(s)
-            decision = centroids.detect(s, context.tau)
-            if decision.kind == "new_domain":
-                models.init_new_model(lambda p: tta.predict(model, p, feats))
-            update_centroids(centroids, reservoir)
-            q = soft_assign_vector(s, centroids)
-            k_star = int(np.argmax(q))
-        new_params = tta.tta_step(
-            model, models.entry(k_star), feats, method, context.fisher_omega
-        )
-        models.write_active(k_star, new_params)
-
-        theta = models.ensemble_params(q)
-        probs = tta.predict(model, theta, feats)
-        predicted = probs.argmax(axis=1)
+        try:
+            batch = stream.next_batch(step)
+            feats, s = batch.features, batch.style
+            if route:
+                reservoir.offer(s)
+                decision = centroids.detect(s, context.tau)
+                if decision.kind == "new_domain":
+                    models.init_new_model(lambda p: tta.predict(model, p, feats))
+                update_centroids(centroids, reservoir)
+                q = soft_assign_vector(s, centroids)
+                k_star = int(np.argmax(q))
+            new_params = tta.tta_step(
+                model, models.entry(k_star), feats, method, context.fisher_omega
+            )
+            models.write_active(k_star, new_params)
+            theta = models.ensemble_params(q)
+        except ReservoirTTAError:
+            # In step order, an error of the pending steps' prediction would
+            # have come first.
+            if pending:
+                predict_pending(step)
+            raise
+        pending.append((theta, feats, batch.labels))
+        if len(pending) == _PREDICT_STEPS or step == n - 1:
+            predict_pending(step + 1)
 
         assigned[step] = k_star
-        errors[step] = float((predicted != batch.labels).mean())
         detected[step] = centroids.count - 1
-        drift[step] = float(np.linalg.norm(theta - model.source_params))
         if trace:
             min_distance[step] = decision.distance
             soft[step, : q.size] = q

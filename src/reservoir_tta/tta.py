@@ -7,12 +7,16 @@ All gradients are derived in closed form, so adaptation needs no autodiff
 framework. Prediction, the data term and the adaptation step take a batch's
 frozen features, ``model.features(batch)``, rather than the batch: the
 features do not depend on the parameters, so an engine step computes them
-once and shares them.
+once and shares them. ``predict`` also takes a ``(B, 2h)`` stack of
+parameter vectors with the ``(B, b, h)`` features of ``B`` batches, and
+gives each slice the bits of a call on that slice alone, so an episode
+predicts a block of steps in one call.
 
 A ``MethodConfig`` is one ``methods`` entry of a run config and the update
 rule it names. Its data term is the mean prediction entropy of the batch,
 for a filtered kind restricted to rows whose entropy falls below EATA's
-reliability margin ``0.4 * ln(classes)``. The update step then applies two
+reliability margin ``0.4 * ln(classes)``; only its gradient is computed
+(``entropy_grad``), since no step reads the loss. The update step then applies two
 contractions toward the source parameters ``theta0``:
 
 * the quadratic anchor ``lambda * (theta - theta0)^T Omega (theta - theta0)``,
@@ -140,19 +144,25 @@ class AdaptableClassifier:
             raise InputDomainError(
                 f"batch must have shape ([B,] b, {self.input_dim}), got {x.shape}"
             )
-        raw = np.tanh(x @ self._w_feat.T + self._b_feat)
-        mean = raw.mean(axis=-2, keepdims=True)
+        raw = x @ self._w_feat.T
+        raw += self._b_feat
+        np.tanh(raw, out=raw)
         std = raw.std(axis=-2, keepdims=True)
-        return (raw - mean) / (std + self.BN_EPS)
+        raw -= raw.mean(axis=-2, keepdims=True)
+        raw /= std + self.BN_EPS
+        return raw
 
     def logits(self, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
-        """Head outputs for the frozen features ``feats`` of a batch."""
+        """Head outputs for the frozen features ``feats`` of a batch. A
+        ``(B, 2h)`` parameter stack with ``(B, b, h)`` features gives slice
+        ``i`` the bits of ``logits(params[i], feats[i])``."""
         gamma, beta = split_params(params, self.hidden)
-        if feats.ndim != 2 or feats.shape[1] != self.hidden:
+        if feats.shape[:-2] != gamma.shape[:-1] or feats.shape[-1:] != (self.hidden,):
             raise InputDomainError(
-                f"features must have shape (b, {self.hidden}), got {feats.shape}"
+                f"features must have shape ({'B, ' * (gamma.ndim - 1)}b, {self.hidden}),"
+                f" got {feats.shape}"
             )
-        return (gamma * feats + beta) @ self.head_w.T + self.head_b
+        return (gamma[..., None, :] * feats + beta[..., None, :]) @ self.head_w.T + self.head_b
 
 
 def init_params(hidden: int) -> np.ndarray:
@@ -161,12 +171,13 @@ def init_params(hidden: int) -> np.ndarray:
 
 
 def split_params(params: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(gamma, beta)`` of a ``(2h,)`` vector or a ``(B, 2h)`` stack of them."""
     vec = np.asarray(params, dtype=np.float64)
-    if vec.shape != (2 * hidden,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != 2 * hidden:
         raise InputDomainError(
-            f"parameter vector has shape {vec.shape}, expected ({2 * hidden},)"
+            f"parameter vector has shape {vec.shape}, expected ([B,] {2 * hidden})"
         )
-    return vec[:hidden], vec[hidden:]
+    return vec[..., :hidden], vec[..., hidden:]
 
 
 def log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -176,51 +187,52 @@ def log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
 
 
 def _log_probs(model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Row log-softmax of the head's logits for the frozen features ``feats``."""
+    """Log-softmax over the classes of the head's logits for the frozen
+    features ``feats``, of one batch or of a stack (see ``logits``)."""
     logits = model.logits(params, feats)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("non-finite logits")
-    return log_softmax(logits)
+    return log_softmax(logits, axis=-1)
 
 
 def predict(
     model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray
 ) -> np.ndarray:
     """Row-softmax class probabilities, shape ``(b, n_classes)``, of the batch
-    whose frozen features are ``feats`` (``model.features(batch)``)."""
+    whose frozen features are ``feats`` (``model.features(batch)``). A
+    ``(B, 2h)`` parameter stack with ``(B, b, h)`` features gives ``(B, b,
+    n_classes)``, slice ``i`` with the bits of ``predict(params[i],
+    feats[i])``; any non-finite logit of the stack raises."""
     return np.exp(_log_probs(model, params, feats))
 
 
-def entropy_loss_and_grad(
+def entropy_grad(
     model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray, filtered: bool
-) -> tuple[float, np.ndarray]:
-    """Mean prediction entropy of the batch whose frozen features are
-    ``feats``, and its gradient in (gamma, beta).
+) -> np.ndarray:
+    """Gradient in (gamma, beta) of the mean prediction entropy of the batch
+    whose frozen features are ``feats``.
 
     ``filtered`` keeps only the rows whose entropy is below the margin
-    ``0.4 * ln(classes)``; a batch with no such row gives ``(0, 0)``.
+    ``0.4 * ln(classes)``; a batch with no such row gives 0.
     """
     logp = _log_probs(model, params, feats)
     p = np.exp(logp)
     ent = -(p * logp).sum(axis=1)
 
+    # dH/du_y = -p_y (ln p_y + H), averaged over the rows that pass the filter.
+    dl_du = -p * (logp + ent[:, None])
     if filtered:
         mask = ent < 0.4 * np.log(model.n_classes)
         if not mask.any():
-            return 0.0, np.zeros(2 * model.hidden)
+            return np.zeros(2 * model.hidden)
+        dl_du[~mask] = 0.0
+        dl_du /= int(mask.sum())
     else:
-        mask = np.ones(ent.shape[0], dtype=bool)
-    m = int(mask.sum())
-    loss = float(ent[mask].mean())
-
-    # dH/du_y = -p_y (ln p_y + H), averaged over the rows that pass the filter.
-    dl_du = -p * (logp + ent[:, None])
-    dl_du[~mask] = 0.0
-    dl_du /= m
+        dl_du /= ent.shape[0]
     grad_act = dl_du @ model.head_w  # (b, h)
     grad_gamma = (grad_act * feats).sum(axis=0)
     grad_beta = grad_act.sum(axis=0)
-    return loss, np.concatenate([grad_gamma, grad_beta])
+    return np.concatenate([grad_gamma, grad_beta])
 
 
 def tta_step(
@@ -242,7 +254,7 @@ def tta_step(
     contraction.
     """
     theta = np.asarray(params, dtype=np.float64)
-    _, grad = entropy_loss_and_grad(model, theta, feats, method.filtered)
+    grad = entropy_grad(model, theta, feats, method.filtered)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("TTA gradient is non-finite")
     lr, lam, alpha = method.lr, method.fisher_lambda, method.alpha
@@ -267,9 +279,7 @@ def estimate_fisher(
         raise InsufficientDataError("Fisher estimation needs at least one batch")
     acc = np.zeros(model.param_dim)
     for batch in source_batches:
-        _, g = entropy_loss_and_grad(
-            model, model.source_params, model.features(batch), filtered=False
-        )
+        g = entropy_grad(model, model.source_params, model.features(batch), filtered=False)
         acc += g**2
     return acc / len(source_batches)
 

@@ -17,8 +17,10 @@ from reservoir_tta.errors import (
     GenerationError,
     InputDomainError,
     InsufficientDataError,
+    NumericalError,
 )
 from reservoir_tta.model_reservoir import ModelReservoir
+from reservoir_tta.seeding import keyed_rng
 from reservoir_tta.style import extract_style
 
 
@@ -387,6 +389,27 @@ class TestDomainStream:
                     outs.append(_apply_with_rng(domain, x, rng))
             assert _bits(outs[0]) == _bits(outs[1]), i
 
+    def test_stacked_distortion_rows_equal_single_calls(self, context):
+        # A stack of noisy and noise-free domains: each slice has the bits of
+        # its own domain's distortion, noise only where the domain has some
+        # positive noise scale. The last domain has none, only negative ones,
+        # so that adding its noise would show.
+        a, b = context.domains[:2]
+        domains = [a, replace(a, severity=0.0), stream.blend_domains(a, b, 0.5),
+                   replace(b, noise_base=-b.noise_base)]
+        rng = np.random.default_rng(31)
+        inputs, noise = rng.standard_normal((2, len(domains), 16, a.offset.size))
+        stacked = stream._distort(
+            inputs, noise, *(np.stack([getattr(d, name) for d in domains])
+                             for name in ("transform", "offset", "noise_std"))
+        )
+        for i, domain in enumerate(domains):
+            want = inputs[i] @ domain.transform.T + domain.offset
+            if np.any(domain.noise_std > 0):
+                want = want + (0.0 + domain.noise_std * noise[i])
+            assert (i % 2 == 0) == np.any(domain.noise_std > 0), i
+            assert _bits(stacked[i]) == _bits(want), i
+
     @pytest.mark.parametrize("styles", [True, False])
     def test_ccc_batches_match_fresh_draws(self, context, styles):
         ctx = _context_with(context, kind="ccc", visits=3, batches_per_domain=4)
@@ -463,14 +486,15 @@ class TestDomainStream:
         for step, key in enumerate(_replay_keys(ds.schedule, 4)):
             first.setdefault(key, step)
             last[key] = step
-        served = []
-        for step in range(ctx.plan.total_steps):
-            served.append(ds.next_batch(step))
-            # Held after this step: the first batch of every key whose first
-            # step is done and whose last step is still to come.
-            held = {id(served[first[k]]) for k in first if first[k] <= step < last[k]}
-            assert {id(b) for b in ds._replay.values()} == held, step
-            assert len(ds._replay) == len(held), step
+        table_key = {k: (ds._rows[first[k]].item(), k[3]) for k in first}
+        n = ctx.plan.total_steps
+        for step in range(n):
+            ds.next_batch(step)
+            # Held after this step: every key first seen at or before the end
+            # of the current block, until its last step is done.
+            block_end = min(step - step % stream._PREP_STEPS + stream._PREP_STEPS, n) - 1
+            held = {table_key[k] for k in first if first[k] <= block_end and step < last[k]}
+            assert set(ds._replay) == held, step
         assert ds._replay == {}
 
 
@@ -481,20 +505,27 @@ class TestStepWork:
 
     def test_reservoir_episode_counts(self, context, monkeypatch):
         ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))
-        made = {"features": [], "style": []}
+        rows = {"features": 0, "style": 0}
+        prepared = collections.Counter()
         served = []
         steps = []
         features = tta.AdaptableClassifier.features
         next_batch = stream.DomainStream.next_batch
+        prepare = stream.DomainStream._prepare
         extract = stream.extract_style
 
-        def kept_features(self, batch):
-            made["features"].append(features(self, batch))
-            return made["features"][-1]
+        def counted_features(self, batch):
+            rows["features"] += len(batch)
+            return features(self, batch)
 
-        def kept_style(batch, extractor):
-            made["style"].append(extract(batch, extractor))
-            return made["style"][-1]
+        def counted_style(batch, extractor):
+            rows["style"] += len(batch)
+            return extract(batch, extractor)
+
+        def counted_prepare(self, fresh):
+            prepared.update(_replay_keys(self.schedule, self.context.plan.batches_per_domain)[s]
+                            for s in fresh)
+            prepare(self, fresh)
 
         def kept_next_batch(self, step):
             steps.append(step)
@@ -502,17 +533,20 @@ class TestStepWork:
             served.extend((batch.labels, batch.features, batch.style))
             return batch
 
-        monkeypatch.setattr(tta.AdaptableClassifier, "features", kept_features)
-        monkeypatch.setattr(stream, "extract_style", kept_style)
+        monkeypatch.setattr(tta.AdaptableClassifier, "features", counted_features)
+        monkeypatch.setattr(stream, "extract_style", counted_style)
+        monkeypatch.setattr(stream.DomainStream, "_prepare", counted_prepare)
         monkeypatch.setattr(stream.DomainStream, "next_batch", kept_next_batch)
         method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
         met = stream.run_episode(ctx, method, seed=11)
         n = ctx.plan.total_steps
         assert met.detected_domains[-1] > 0
         assert steps == list(range(n))
-        # A CSC visit draws every (domain, slot) batch once; later visits
-        # replay them.
-        assert len(made["features"]) == len(made["style"]) == ctx.plan.steps_per_visit
+        # A CSC visit draws every (domain, slot) batch once, in stacks of
+        # at most a block; later visits replay them.
+        keys = set(_replay_keys(ctx.plan.schedule(11), ctx.plan.batches_per_domain))
+        assert set(prepared) == keys and set(prepared.values()) == {1}
+        assert rows["features"] == rows["style"] == ctx.plan.steps_per_visit
         # Every array the stream serves is read-only.
         for a in served:
             with pytest.raises(ValueError):
@@ -520,25 +554,38 @@ class TestStepWork:
 
     def test_ccc_episode_prepares_each_distinct_key_once(self, context, monkeypatch):
         ctx = _context_with(context, kind="ccc", visits=4, batches_per_domain=3)
-        passes = collections.Counter()
+        rows, calls = collections.Counter(), collections.Counter()
+        prepared = collections.Counter()
         features = tta.AdaptableClassifier.features
+        prepare = stream.DomainStream._prepare
         extract = stream.extract_style
 
         def counted_features(self, batch):
-            passes["features"] += 1
+            rows["features"] += len(batch)
+            calls["features"] += 1
             return features(self, batch)
 
         def counted_style(batch, extractor):
-            passes["style"] += 1
+            rows["style"] += len(batch)
+            calls["style"] += 1
             return extract(batch, extractor)
+
+        def counted_prepare(self, fresh):
+            prepared.update(_replay_keys(self.schedule, 3)[s] for s in fresh)
+            prepare(self, fresh)
 
         monkeypatch.setattr(tta.AdaptableClassifier, "features", counted_features)
         monkeypatch.setattr(stream, "extract_style", counted_style)
+        monkeypatch.setattr(stream.DomainStream, "_prepare", counted_prepare)
         method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=True)
         stream.run_episode(ctx, method, seed=11)
         keys = set(_replay_keys(ctx.plan.schedule(11), 3))
         assert len(keys) < ctx.plan.total_steps
-        assert passes["features"] == passes["style"] == len(keys)
+        assert set(prepared) == keys and set(prepared.values()) == {1}
+        assert rows["features"] == rows["style"] == len(keys)
+        # One stacked pass per block of steps at most.
+        blocks = -(-ctx.plan.total_steps // stream._PREP_STEPS)
+        assert calls["features"] == calls["style"] <= blocks
 
     @pytest.mark.parametrize("kind", ["csc", "ccc", "cdc"])
     def test_orders_drawn_once_and_batches_follow_schedule(self, context, monkeypatch, kind):
@@ -626,6 +673,121 @@ class TestReplayOracle:
         assert tabled.soft_assignment.shape == (ctx.plan.total_steps, DEFAULT_K_MAX)
         for f in fields(stream.EpisodeMetrics):
             assert _bits(getattr(tabled, f.name)) == _bits(getattr(untabled, f.name)), f.name
+
+
+def _per_step_episode(context, method, seed, trace=False):
+    """The episode engine one step at a time: each step's batch distorted,
+    featurized and styled alone (``_prepared_batch``) and predicted alone,
+    the reference for ``run_episode``'s stacked passes."""
+    plan = context.plan
+    k_max = DEFAULT_K_MAX if method.reservoir else 1
+    route = k_max > 1 or trace
+    n = plan.total_steps
+    reservoir = stream.StyleReservoir(
+        min(context.cluster.reservoir_size, n),
+        context.extractor.style_dim,
+        keyed_rng(seed, stream._TAG_RESERVOIR),
+    )
+    centroids = stream.CentroidSet(context.source_style_mean, k_max=k_max)
+    model = context.model
+    models = ModelReservoir(model.source_params)
+    visits, primary, nxt, weight = plan.schedule(seed)
+    assigned = np.zeros(n, dtype=np.int64)
+    errors = np.zeros(n)
+    detected = np.zeros(n, dtype=np.int64)
+    drift = np.zeros(n)
+    min_distance = np.zeros(n) if trace else None
+    soft = np.zeros((n, k_max)) if trace else None
+    q, k_star = np.ones(1), 0
+    for step in range(n):
+        batch = _prepared_batch(context, seed, step, styles=route)
+        feats, s = batch.features, batch.style
+        if route:
+            reservoir.offer(s)
+            decision = centroids.detect(s, context.tau)
+            if decision.kind == "new_domain":
+                models.init_new_model(lambda p: tta.predict(model, p, feats))
+            stream.update_centroids(centroids, reservoir)
+            q = stream.soft_assign_vector(s, centroids)
+            k_star = int(np.argmax(q))
+        new_params = tta.tta_step(
+            model, models.entry(k_star), feats, method, context.fisher_omega
+        )
+        models.write_active(k_star, new_params)
+        theta = models.ensemble_params(q)
+        predicted = tta.predict(model, theta, feats).argmax(axis=1)
+        assigned[step] = k_star
+        errors[step] = float((predicted != batch.labels).mean())
+        detected[step] = centroids.count - 1
+        drift[step] = float(np.linalg.norm(theta - model.source_params))
+        if trace:
+            min_distance[step] = decision.distance
+            soft[step, : q.size] = q
+    return stream.EpisodeMetrics(
+        visits, np.where(weight < 0.5, primary, nxt), assigned, errors, detected, drift,
+        min_distance, soft,
+    )
+
+
+class TestStackedEngineOracle:
+    """Preparing batches a block ahead and predicting a block behind changes
+    no bit of an episode: every column equals the per-step engine's."""
+
+    @pytest.mark.parametrize("steps", ["one", "block-1", "block+1", "default"])
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("reservoir", [False, True], ids=["single", "reservoir"])
+    @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
+    def test_episode_equals_per_step_engine(
+        self, context, monkeypatch, kind, reservoir, trace, steps
+    ):
+        # 27 steps of 3 domains: at the default block sizes, a full and a
+        # partly fresh preparation block and a 3-step prediction tail; else
+        # both blocks sized so that the episode is one step short of a block
+        # or one step past it.
+        shape = (1, 1, 1) if steps == "one" else (3, 3, 3)
+        ctx = _context_with(
+            context, kind=kind, domains=shape[0], visits=shape[1], batches_per_domain=shape[2]
+        )
+        n = ctx.plan.total_steps
+        if steps in ("block-1", "block+1"):
+            block = n + 1 if steps == "block-1" else n - 1
+            monkeypatch.setattr(stream, "_PREP_STEPS", block)
+            monkeypatch.setattr(stream, "_PREDICT_STEPS", block)
+        method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=reservoir, lr=0.05)
+        got = stream.run_episode(ctx, method, seed=17, trace=trace)
+        want = _per_step_episode(ctx, method, seed=17, trace=trace)
+        if reservoir and steps != "one":
+            assert got.detected_domains[-1] > 0
+        for f in fields(stream.EpisodeMetrics):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("later_failure", [False, True])
+    def test_deferred_prediction_keeps_its_error(self, context, monkeypatch, later_failure):
+        # Step 3's ensembled parameters overflow the logits. Its prediction
+        # waits for the end of its block, yet the episode still fails with
+        # its error, also when a later step of the block fails first.
+        ctx = _context_with(context, visits=1, batches_per_domain=2)
+        assert 3 < 5 < stream._PREDICT_STEPS < ctx.plan.total_steps
+        ensemble, tta_step = ModelReservoir.ensemble_params, tta.tta_step
+        steps = []
+
+        def overflowing(self, q):
+            theta = ensemble(self, q)
+            return np.full_like(theta, 1e308) if len(steps) == 4 else theta
+
+        def failing(*args):
+            steps.append(None)
+            if later_failure and len(steps) == 6:
+                raise NumericalError("TTA gradient is non-finite")
+            return tta_step(*args)
+
+        monkeypatch.setattr(ModelReservoir, "ensemble_params", overflowing)
+        monkeypatch.setattr(tta, "tta_step", failing)
+        method = tta.MethodConfig(name="m", kind="entropy")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite logits"):
+                stream.run_episode(ctx, method, seed=18)
+        assert len(steps) == (6 if later_failure else stream._PREDICT_STEPS)
 
 
 class TestRunEpisode:

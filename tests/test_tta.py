@@ -3,6 +3,8 @@ properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservoir_tta import stream, tta
 from reservoir_tta.errors import (
@@ -23,11 +25,17 @@ def small_model():
 
 
 def _loss(model, params, feats, filtered=False):
-    return tta.entropy_loss_and_grad(model, params, feats, filtered)[0]
+    """The data term by the summation oracle: the mean entropy of the rows of
+    ``tta.predict``, with ``filtered`` of the rows below the margin 0.4 ln C
+    (0 when none is)."""
+    ent = _entropy_per_row(tta.predict(model, params, feats))
+    if filtered:
+        ent = ent[ent < 0.4 * np.log(model.n_classes)]
+    return float(ent.mean()) if ent.size else 0.0
 
 
 def _grad(model, params, feats, filtered=False):
-    return tta.entropy_loss_and_grad(model, params, feats, filtered)[1]
+    return tta.entropy_grad(model, params, feats, filtered)
 
 
 def _fd_grad(model, params, feats, filtered, h=1e-5):
@@ -112,6 +120,34 @@ class TestPredict:
         with pytest.raises(InputDomainError, match="features must have shape"):
             tta.tta_step(model, params, ds.inputs[:8], TENT, np.ones(model.param_dim))
 
+    @given(
+        stack=st.integers(1, 6),
+        rows=st.integers(1, 40),
+        scale=st.floats(0.01, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_stacked_slices_equal_single_calls(self, small_model, stack, rows, scale, seed):
+        model, params, _ = small_model
+        rng = np.random.default_rng(seed)
+        stacked_params = params + scale * rng.standard_normal((stack, params.size))
+        feats = model.features(rng.standard_normal((stack, rows, model.input_dim)))
+        probs = tta.predict(model, stacked_params, feats)
+        assert probs.shape == (stack, rows, model.n_classes)
+        for i in range(stack):
+            single = tta.predict(model, stacked_params[i], feats[i])
+            assert probs[i].tobytes() == single.tobytes(), i
+
+    def test_mismatched_stacks_rejected(self, small_model):
+        model, params, ds = small_model
+        feats = model.features(ds.inputs[:8])
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.predict(model, np.stack([params] * 2), np.stack([feats] * 3))
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.predict(model, np.stack([params] * 2), feats)
+        with pytest.raises(InputDomainError, match="parameter vector has shape"):
+            tta.predict(model, params[None, None], feats[None, None])
+
     def test_nonfinite_logits_rejected(self, small_model):
         model, _, ds = small_model
         # The huge head overflows the logits on purpose.
@@ -140,16 +176,6 @@ class TestEntropyLoss:
         )
         assert _loss(model, CONFIDENT, feats) == 0.0
 
-    def test_matches_summation_oracle(self, small_model):
-        model, params, ds = small_model
-        rng = np.random.default_rng(5)
-        p = params + 0.5 * rng.standard_normal(params.size)
-        feats = model.features(ds.inputs[:10])
-        oracle = _entropy_per_row(tta.predict(model, p, feats)).mean()
-        loss = _loss(model, p, feats)
-        assert loss == pytest.approx(oracle, rel=1e-12)
-
-
 class TestSampleFilter:
     """The engine's reliability filter: only rows whose entropy is below the
     margin enter the filtered data term."""
@@ -158,17 +184,19 @@ class TestSampleFilter:
         # Near one-hot rows (logit gap 10) sit far below the default margin.
         model = _confident_model(10.0)
         feats = model.features(np.random.default_rng(3).standard_normal((6, 4)))
-        loss = _loss(model, CONFIDENT, feats, filtered=True)
-        assert loss > 0.0
-        assert loss == _loss(model, CONFIDENT, feats)
+        assert _loss(model, CONFIDENT, feats, filtered=True) > 0.0
+        grad = _grad(model, CONFIDENT, feats, filtered=True)
+        assert np.any(grad != 0.0)
+        np.testing.assert_array_equal(grad, _grad(model, CONFIDENT, feats))
 
     def test_uniform_rows_all_fail(self):
         model = tta.AdaptableClassifier(4, 5, 3, seed=0)
         params = np.zeros(model.param_dim)
         feats = model.features(np.random.default_rng(4).standard_normal((6, 4)))
-        loss, grad = tta.entropy_loss_and_grad(model, params, feats, filtered=True)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros(model.param_dim))
+        assert _loss(model, params, feats, filtered=True) == 0.0
+        np.testing.assert_array_equal(
+            _grad(model, params, feats, filtered=True), np.zeros(model.param_dim)
+        )
 
     def test_mixed_batch_matches_per_row_oracle(self, small_model):
         model, params, ds = small_model
@@ -176,10 +204,12 @@ class TestSampleFilter:
         p = params + 0.5 * rng.standard_normal(params.size)
         feats = model.features(ds.inputs[:20])
         ent = _entropy_per_row(tta.predict(model, p, feats))
-        passed = [e for e in ent if e < 0.4 * np.log(3)]  # the margin 0.4 ln C
-        assert 0 < len(passed) < len(ent)
-        oracle = sum(passed) / len(passed)
-        assert _loss(model, p, feats, filtered=True) == pytest.approx(oracle, rel=1e-12)
+        passed = ent < 0.4 * np.log(3)  # the margin 0.4 ln C
+        assert 0 < passed.sum() < len(ent)
+        # The filtered gradient is the plain one of the passing rows alone.
+        np.testing.assert_allclose(
+            _grad(model, p, feats, filtered=True), _grad(model, p, feats[passed]), rtol=1e-12
+        )
 
 
 class TestGradients:
