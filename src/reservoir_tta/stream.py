@@ -711,11 +711,13 @@ def run_episode(
     The prediction reads no state the later steps change, so each step only
     buffers its ensembled parameters, features and labels; every
     ``_PREDICT_STEPS`` steps, and at the last step, one stacked
-    :func:`tta.predict` fills the block's ``per_batch_error`` and
-    ``drift_norm``. A non-finite prediction raises at its block's end,
-    with the same error; if a later step of the block fails first, the
-    pending steps are predicted before its error propagates, so the earliest
-    failing step's error is the one raised, as in step order.
+    :func:`tta.predict` fills the block's ``per_batch_error``. A non-finite
+    prediction raises at its block's end, with the same error; if a later
+    step of the block fails first, the pending steps are predicted before
+    its error propagates, so a prediction error still comes before the
+    errors of the steps after it. Errors of the stream's preparation are
+    not deferred: a batch of the block that cannot be prepared (say, with
+    non-finite inputs) raises at the block's first step.
 
     At cap 1 the routing is constant: q = [1] and k* = 0 on every step, and
     the style pass, the reservoir offer and the detection feed only the
@@ -750,15 +752,12 @@ def run_episode(
     pending = []  # (ensembled parameters, features, labels) of the steps not yet predicted
 
     def predict_pending(stop: int) -> None:
-        """Fill ``errors`` and ``drift`` of the pending steps, the last before ``stop``."""
+        """Fill ``errors`` of the pending steps, the last before ``stop``."""
         thetas, feats, labels = map(np.stack, zip(*pending))
         start = stop - len(pending)
         pending.clear()
         probs = tta.predict(model, thetas, feats)
         errors[start:stop] = (probs.argmax(axis=-1) != labels).mean(axis=-1)
-        # vecdot is np.linalg.norm's dot product, row by row.
-        diff = thetas - model.source_params
-        drift[start:stop] = np.sqrt(np.vecdot(diff, diff))
 
     q, k_star = np.ones(1), 0  # the constant routing of an unrouted episode
     for step in range(n):
@@ -784,6 +783,7 @@ def run_episode(
             if pending:
                 predict_pending(step)
             raise
+        drift[step] = float(np.linalg.norm(theta - model.source_params))
         pending.append((theta, feats, batch.labels))
         if len(pending) == _PREDICT_STEPS or step == n - 1:
             predict_pending(step + 1)

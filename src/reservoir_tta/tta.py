@@ -157,7 +157,11 @@ class AdaptableClassifier:
         ``(B, 2h)`` parameter stack with ``(B, b, h)`` features gives slice
         ``i`` the bits of ``logits(params[i], feats[i])``."""
         gamma, beta = split_params(params, self.hidden)
-        if feats.shape[:-2] != gamma.shape[:-1] or feats.shape[-1:] != (self.hidden,):
+        if (
+            feats.ndim != gamma.ndim + 1
+            or feats.shape[:-2] != gamma.shape[:-1]
+            or feats.shape[-1] != self.hidden
+        ):
             raise InputDomainError(
                 f"features must have shape ({'B, ' * (gamma.ndim - 1)}b, {self.hidden}),"
                 f" got {feats.shape}"

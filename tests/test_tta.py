@@ -145,6 +145,12 @@ class TestPredict:
             tta.predict(model, np.stack([params] * 2), np.stack([feats] * 3))
         with pytest.raises(InputDomainError, match="features must have shape"):
             tta.predict(model, np.stack([params] * 2), feats)
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.predict(model, params, feats[0])
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.predict(model, np.stack([params] * 2), feats[0])
+        with pytest.raises(InputDomainError, match="features must have shape"):
+            tta.entropy_grad(model, params, feats[0], filtered=False)
         with pytest.raises(InputDomainError, match="parameter vector has shape"):
             tta.predict(model, params[None, None], feats[None, None])
 
