@@ -275,10 +275,10 @@ def _run_check(name: str, cfg: RunConfig):
         rows: list[dict] = []
         worst_rel = 0.0
         bound_ok = True
-        for alpha in t.ensemble_alphas:
-            variance = theory.simulate_weight_ensemble(
-                task, eta, alpha, t.steps, t.ensemble_trials, seed
-            )
+        variances = theory.simulate_weight_ensemble(
+            task, eta, t.ensemble_alphas, t.steps, t.ensemble_trials, seed
+        )
+        for alpha, variance in zip(t.ensemble_alphas, variances):
             closed = theory.ensemble_variance_closed_form(eta, alpha, vbar, steps)
             bound = eta**2 * vbar * alpha**2 / (1.0 - alpha**2)
             rel = np.abs(variance[1:] - closed[1:]) / closed[1:]

@@ -88,7 +88,14 @@ class StyleParams:
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Step and trial counts of the theory suite's checks."""
+    """Step and trial counts of the theory suite's checks.
+
+    The weight-ensemble check steps one walk per entry of ``ensemble_alphas``,
+    and every walk shares the same ``ensemble_trials`` noise draws: its
+    trials are drawn once, not once per weight. The weights are distinct,
+    since ``ensemble_var.csv`` tells its per-weight blocks apart by order
+    alone.
+    """
 
     steps: int = 100
     trials: int = 10_000
@@ -110,6 +117,8 @@ class TheoryParams:
         alphas_ok = all(0 < a < 1 for a in self.ensemble_alphas)
         rules.append(("ensemble_alphas", alphas_ok, "entries must be in (0, 1)"))
         rules.append(("ensemble_alphas", len(self.ensemble_alphas) > 0, "must be nonempty"))
+        alphas_unique = len(set(self.ensemble_alphas)) == len(self.ensemble_alphas)
+        rules.append(("ensemble_alphas", alphas_unique, "entries must be unique"))
         check_fields(*rules)
 
 

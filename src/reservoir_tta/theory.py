@@ -11,7 +11,8 @@ Four families of checks on a noisy quadratic surrogate task:
 plus a Chebyshev bound on the probability of leaving a stability region.
 
 The routines return plain numbers and arrays: a Monte-Carlo variance is the
-``(steps + 1,)`` array over t = 0..steps, the two exactness checks return
+``(steps + 1,)`` array over t = 0..steps (one such row per interpolation
+weight for ``simulate_weight_ensemble``), the two exactness checks return
 their worst discrepancy, and ``check_chebyshev`` returns its variance, rate
 and bound arrays. Tolerances, sampling slack and verdicts belong to the
 caller (``cli``'s ``theory`` command).
@@ -28,6 +29,13 @@ trajectories are bit-identical no matter how execution is chunked or
 parallelized, and the cross-trial moment reductions agree to float
 summation-order tolerance.
 
+The driver steps a stack of walks on one draw: every update rule of a call
+(one interpolation weight per walk of ``simulate_weight_ensemble``, or the
+single plain-SGD walk) sees the same trials' noise, which is drawn once.
+Each walk's iterates and moments are bit-identical to a call that steps it
+alone, so ``simulate_weight_ensemble`` over several weights returns, row by
+row, the curves of one-weight calls at a fraction of their draws.
+
 A trial's gradient noise is ``rng.normal(0.0, noise_std, (steps, dim))``,
 taken as its arithmetic: the driver fills a chunk's trials with
 ``standard_normal`` draws in place and scales the whole chunk once by
@@ -37,7 +45,7 @@ taken as its arithmetic: the driver fills a chunk's trials with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +53,11 @@ from .errors import ConfigurationError, InsufficientDataError
 from .seeding import keyed_rng, keyed_rngs
 
 _CHUNK = 2048
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -67,6 +80,8 @@ class NoisyQuadraticTask:
         std = np.atleast_1d(np.asarray(self.noise_std, dtype=np.float64))
         if not (opt.shape == curv.shape == std.shape):
             raise ConfigurationError("task fields must share one shape")
+        for name, value in (("optimum", opt), ("curvature", curv), ("noise stds", std)):
+            _check_finite(name, value)
         if np.any(curv < 0):
             raise ConfigurationError("curvature entries must be nonnegative")
         if np.any(std < 0):
@@ -127,36 +142,44 @@ def _mc_iterates(
     trials: int,
     seed: int,
     theta0: np.ndarray,
-    alpha: float | None = None,
+    alphas: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The Monte-Carlo driver: yields ``(t, x)`` per chunk of trials and step.
 
-    ``x`` holds one chunk's ``(n, dim)`` iterates at step ``t = 0..steps``
-    and is valid until the next yield. ``alpha=None`` means plain SGD,
-    otherwise every step interpolates back toward ``theta0``. Chunks share one noise buffer.
+    ``x`` holds one chunk's ``(walks, n, dim)`` iterates at step
+    ``t = 0..steps`` and is valid until the next yield. ``alphas=None`` is
+    one plain-SGD walk; otherwise there is one walk per entry of the 1-D
+    ``alphas``, and every step of walk ``w`` interpolates back toward
+    ``theta0`` with weight ``alphas[w]``. All walks of a chunk step on the
+    chunk's one noise draw, and chunks share one noise buffer.
     """
     buffer = np.empty((min(_CHUNK, trials), steps, task.dim))
+    if alphas is not None:
+        keep = alphas[:, None, None]
+        pull = (1.0 - keep) * theta0
+    walks = 1 if alphas is None else len(alphas)
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
         noise = buffer[:n]
         for i, rng in enumerate(keyed_rngs((seed,), range(start, start + n))):
             rng.standard_normal(out=noise[i])
         _scale_noise(noise, task)
-        x = np.tile(theta0, (n, 1))
+        x = np.tile(theta0, (walks, n, 1))
         yield 0, x
         for t in range(steps):
             grad = task.curvature * (x - task.optimum) + noise[:, t, :]
             x = x - eta * grad
-            if alpha is not None:
-                x = alpha * x + (1.0 - alpha) * theta0
+            if alphas is not None:
+                x = keep * x + pull
             yield t + 1, x
 
 
 def _trace_variance(total: np.ndarray, total_sq: np.ndarray, trials: int) -> np.ndarray:
-    """Per-step trace of the sample covariance from per-coordinate moment sums."""
+    """Per-step trace of the sample covariance from per-coordinate moment
+    sums, over the last axis."""
     mean = total / trials
     per_coord = (total_sq - trials * mean**2) / (trials - 1)
-    return np.maximum(per_coord.sum(axis=1), 0.0)
+    return np.maximum(per_coord.sum(axis=-1), 0.0)
 
 
 def _run_variance_mc(
@@ -166,15 +189,16 @@ def _run_variance_mc(
     trials: int,
     seed: int,
     theta0: np.ndarray,
-    alpha: float | None,
+    alphas: np.ndarray | None,
 ) -> np.ndarray:
-    """The ``(steps + 1,)`` per-step trace variance of the Monte-Carlo
-    driver's iterates, t = 0..steps."""
-    total = np.zeros((steps + 1, task.dim))
-    total_sq = np.zeros((steps + 1, task.dim))
-    for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0, alpha):
-        total[t] += x.sum(axis=0)
-        total_sq[t] += (x**2).sum(axis=0)
+    """The ``(walks, steps + 1)`` per-step trace variance of each walk of the
+    Monte-Carlo driver, t = 0..steps."""
+    walks = 1 if alphas is None else len(alphas)
+    total = np.zeros((walks, steps + 1, task.dim))
+    total_sq = np.zeros((walks, steps + 1, task.dim))
+    for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0, alphas):
+        total[:, t] += x.sum(axis=1)
+        total_sq[:, t] += (x**2).sum(axis=1)
     return _trace_variance(total, total_sq, trials)
 
 
@@ -188,29 +212,37 @@ def simulate_sgd(
     """Empirical per-step parameter variance under plain SGD from the optimum."""
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
-    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alpha=None)
+    _check_finite("eta", eta)
+    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, None)[0]
 
 
 def simulate_weight_ensemble(
     task: NoisyQuadraticTask,
     eta: float,
-    alpha: float,
+    alphas: Sequence[float],
     steps: int,
     trials: int,
     seed: int,
 ) -> np.ndarray:
-    """Empirical per-step variance under the source-interpolated update.
+    """Empirical per-step variance under the source-interpolated update, one
+    ``(steps + 1,)`` row per entry of ``alphas``.
 
-    Requires a zero-curvature task (the closed form assumes gradient noise
-    independent of the iterate) and ``alpha`` in [0, 1).
+    Every weight steps on the same trials' noise, drawn once, and row ``a``
+    is bit-identical to a call with ``alphas[a]`` alone. Requires a
+    zero-curvature task (the closed form assumes gradient noise independent
+    of the iterate) and every weight in [0, 1).
     """
+    alphas = np.asarray(alphas, dtype=np.float64)
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ConfigurationError("alphas must be a nonempty sequence of weights")
+    if not np.all((0.0 <= alphas) & (alphas < 1.0)):
+        raise ConfigurationError(f"alphas must be in [0, 1), got {alphas.tolist()}")
+    _check_finite("eta", eta)
     if np.any(task.curvature != 0):
         raise ConfigurationError("closed-form comparison requires zero curvature")
-    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alpha=alpha)
+    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alphas)
 
 
 def fit_slope(v: np.ndarray) -> tuple[float, float]:
@@ -237,6 +269,10 @@ def check_recursion(
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise InsufficientDataError("gradient log must be a nonempty (T, dim) array")
     start = np.asarray(theta0, dtype=np.float64)
+    for name, value in (
+        ("eta", eta), ("alpha", alpha), ("gradient log", grads), ("theta0", start)
+    ):
+        _check_finite(name, value)
     steps = grads.shape[0]
 
     theta = start.copy()
@@ -303,10 +339,12 @@ def check_chebyshev(
     ``beta`` ball, and the Chebyshev bound ``variance / (beta - d0)^2`` with
     ``d0 = ||theta0 - optimum||``. Requires a contractive configuration
     (positive curvature with ``eta * curvature < 2``) so the mean drifts
-    toward the optimum, and ``beta > d0``, hence ``beta > 0``.
+    toward the optimum, and ``beta > d0``, hence ``beta > 0``. Every input is
+    finite.
     """
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
+    _check_finite("eta", eta)
     if np.any(task.curvature <= 0) or np.any(eta * task.curvature >= 2):
         raise ConfigurationError(
             "Chebyshev check needs contractive curvature (0 < eta*a < 2)"
@@ -314,6 +352,8 @@ def check_chebyshev(
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
     if theta0.shape != task.optimum.shape:
         raise ConfigurationError("theta0 must match the task dimension")
+    _check_finite("theta0", theta0)
+    _check_finite("beta", beta)
     d0 = float(np.linalg.norm(theta0 - task.optimum))
     if beta <= d0:
         raise ConfigurationError(f"beta = {beta} must exceed the initial distance {d0}")
@@ -321,7 +361,7 @@ def check_chebyshev(
     total = np.zeros((steps + 1, task.dim))
     total_sq = np.zeros((steps + 1, task.dim))
     exceed = np.zeros(steps + 1)
-    for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0):
+    for t, (x,) in _mc_iterates(task, eta, steps, trials, seed, theta0):
         total[t] += x.sum(axis=0)
         total_sq[t] += (x**2).sum(axis=0)
         exceed[t] += (np.linalg.norm(x - task.optimum, axis=1) > beta).sum()

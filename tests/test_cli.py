@@ -303,6 +303,13 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"theory": {"ensemble_alphas": []}}, "theory.ensemble_alphas: must be nonempty",
             id="ensemble_alphas-empty",
         ),
+        # ensemble_var.csv has no alpha column: two walks of one alpha would
+        # write two blocks that cannot be told apart.
+        pytest.param(
+            {"theory": {"ensemble_alphas": [0.9, 0.99, 0.9]}},
+            "theory.ensemble_alphas: entries must be unique",
+            id="ensemble_alphas-repeated",
+        ),
     ],
 )
 def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
@@ -699,9 +706,10 @@ def test_theory_makes_one_generator_per_trial(
     monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
     assert cli.main(["theory", "--config", _write_config(tmp_path, SMALL_THEORY)]) == 3
     t = SMALL_THEORY["theory"]
-    trials = t["trials"] + 2 * t["ensemble_trials"] + t["chebyshev_trials"]
+    # Both ensemble alphas step on one draw of the ensemble trials.
+    trials = t["trials"] + t["ensemble_trials"] + t["chebyshev_trials"]
     # One trial per Fisher case, and the recursion check's gradients and start.
-    assert len(default_rng_calls) == trials + 3 + 2 == 1005
+    assert len(default_rng_calls) == trials + 3 + 2 == 805
     assert _digests(out) == GOLDEN_SMALL_THEORY
     assert capsys.readouterr().out == GOLDEN_SMALL_THEORY_STDOUT
 

@@ -124,3 +124,94 @@ def test_check_sees_unreferenced_names():
     assert unreferenced_names([module_a, module_b]) == [
         "Leftover", "STATE", "UNUSED", "orphan"
     ]
+
+
+# Names that numpy added in 2.x, while pyproject.toml allows numpy 1.24: a
+# package module that reads one fails on every supported 1.x install.
+NUMPY2_NAMES = frozenset(
+    [f"numpy.{name}" for name in (
+        "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype",
+        "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "concat",
+        "cumulative_prod", "cumulative_sum", "isdtype", "matrix_transpose",
+        "matvec", "permute_dims", "pow", "trapezoid", "unique_all",
+        "unique_counts", "unique_inverse", "unique_values", "unstack", "vecdot",
+        "vecmat",
+    )]
+    + [f"numpy.linalg.{name}" for name in (
+        "cross", "diagonal", "matmul", "matrix_norm", "matrix_transpose",
+        "outer", "svdvals", "tensordot", "trace", "vecdot", "vector_norm",
+    )]
+)
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def numpy2_reads(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of every read of a name that numpy added in 2.x: an
+    attribute of numpy or of one of its modules, reached through any import
+    alias, a name imported from numpy, or an ndarray attribute."""
+    tree = ast.parse(source)
+    aliases = {}  # local name -> the numpy module or name it binds
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    local = alias.asname or "numpy"
+                    aliases[local] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                aliases[alias.asname or alias.name] = full
+                if full in NUMPY2_NAMES:
+                    reads.append((full, node.lineno))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "mT":  # the ndarray attribute numpy 2.0 added
+            reads.append((node.attr, node.lineno))
+            continue
+        dotted = _dotted(node)
+        head, _, rest = (dotted or "").partition(".")
+        if head in aliases and f"{aliases[head]}.{rest}" in NUMPY2_NAMES:
+            reads.append((f"{aliases[head]}.{rest}", node.lineno))
+    return sorted(reads, key=lambda read: (read[1], read[0]))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_package_reads_no_numpy2_name(path):
+    assert numpy2_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_numpy2_names():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import cumulative_sum, linalg\n"
+        "from numpy.linalg import norm\n"
+        "a = np.vecdot(x, y)\n"
+        "b = np.linalg.vector_norm(x) + la.matrix_norm(x) + linalg.vecdot(x, y)\n"
+        "c = x.mT @ x.T\n"
+        "d = x.astype(float) + np.asarray(x).sum() + norm(x) + np.linalg.norm(x)\n"
+        "e = other.vecdot(x) + np.random.default_rng(0).normal()\n"
+        "f = np.concat([x]) + np.astype(x, float)\n"
+    )
+    assert numpy2_reads(source) == [
+        ("numpy.cumulative_sum", 3),
+        ("numpy.vecdot", 5),
+        ("numpy.linalg.matrix_norm", 6),
+        ("numpy.linalg.vecdot", 6),
+        ("numpy.linalg.vector_norm", 6),
+        ("mT", 7),
+        ("numpy.astype", 10),
+        ("numpy.concat", 10),
+    ]

@@ -22,6 +22,21 @@ class TestTask:
         with pytest.raises(ConfigurationError):
             theory.NoisyQuadraticTask(np.zeros(2), -np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(([np.nan], [0.0], [np.inf]), id="nan-optimum-inf-std"),
+            pytest.param(([0.0, np.inf], [0.0, 0.0], [1.0, 1.0]), id="inf-optimum"),
+            pytest.param(([0.0], [np.nan], [1.0]), id="nan-curvature"),
+            pytest.param(([0.0], [np.inf], [1.0]), id="inf-curvature"),
+            pytest.param(([0.0], [0.0], [np.nan]), id="nan-std"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, fields):
+        # A NaN field would pass the sign checks and give NaN variances.
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            theory.NoisyQuadraticTask(*fields)
+
 
 class TestSimulateSgd:
     def test_zero_noise_gives_zero_variance(self):
@@ -48,6 +63,11 @@ class TestSimulateSgd:
         with pytest.raises(ConfigurationError):
             theory.simulate_sgd(theory.pure_noise_task(1), 0.1, 10, 50, seed=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ConfigurationError, match="eta must be finite"):
+            theory.simulate_sgd(theory.pure_noise_task(1), eta, 10, 200, seed=0)
+
     def test_chunked_equals_sequential(self, monkeypatch):
         # Counter-based per-trial seeding: chunk size must not change the
         # trials, so the curves agree to reduction-order tolerance.
@@ -61,8 +81,8 @@ class TestSimulateSgd:
 class TestSimulateWeightEnsemble:
     def test_alpha_zero_stays_at_start(self):
         task = theory.pure_noise_task(2, 1.0)
-        variance = theory.simulate_weight_ensemble(task, 0.1, 0.0, 15, 200, seed=4)
-        np.testing.assert_array_equal(variance, np.zeros(16))
+        variance = theory.simulate_weight_ensemble(task, 0.1, [0.0], 15, 200, seed=4)
+        np.testing.assert_array_equal(variance, np.zeros((1, 16)))
 
     def test_closed_form_near_alpha_one_matches_linear(self):
         t = np.arange(1, 101)
@@ -73,7 +93,7 @@ class TestSimulateWeightEnsemble:
     def test_empirical_matches_closed_form(self):
         # eta = 0.1, alpha = 0.9, vbar = 1: the t = 50 point within 5%.
         task = theory.pure_noise_task(1, 1.0)
-        variance = theory.simulate_weight_ensemble(task, 0.1, 0.9, 50, 20000, seed=5)
+        (variance,) = theory.simulate_weight_ensemble(task, 0.1, [0.9], 50, 20000, seed=5)
         closed = theory.ensemble_variance_closed_form(0.1, 0.9, 1.0, np.arange(51))
         rel = np.abs(variance[1:] - closed[1:]) / closed[1:]
         assert rel.max() < 0.05
@@ -84,13 +104,39 @@ class TestSimulateWeightEnsemble:
     def test_curvature_rejected(self):
         task = theory.NoisyQuadraticTask(np.zeros(2), np.ones(2), np.ones(2))
         with pytest.raises(ConfigurationError):
-            theory.simulate_weight_ensemble(task, 0.1, 0.9, 10, 200, seed=0)
+            theory.simulate_weight_ensemble(task, 0.1, [0.9], 10, 200, seed=0)
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize(
+        "alphas", [[1.0], [0.9, 1.0], [-0.1], [np.nan], [], 0.9, [[0.9]]],
+        ids=["one", "one-among-two", "negative", "nan", "empty", "scalar", "nested"],
+    )
+    def test_bad_alphas_rejected(self, alphas):
+        with pytest.raises(ConfigurationError, match="alphas must be"):
             theory.simulate_weight_ensemble(
-                theory.pure_noise_task(1), 0.1, 1.0, 10, 200, seed=0
+                theory.pure_noise_task(1), 0.1, alphas, 10, 200, seed=0
             )
+
+    def test_non_finite_eta_rejected(self):
+        with pytest.raises(ConfigurationError, match="eta must be finite"):
+            theory.simulate_weight_ensemble(
+                theory.pure_noise_task(1), np.nan, [0.9], 10, 200, seed=0
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_each_row_is_its_one_alpha_call(self, monkeypatch, dim):
+        # 32 does not divide 150: the last chunk holds 22 trials. The walks
+        # include alpha = 0, which stays at the start, and a repeated alpha.
+        monkeypatch.setattr(theory, "_CHUNK", 32)
+        task = theory.NoisyQuadraticTask(
+            np.linspace(-1.0, 2.0, dim), np.zeros(dim), np.linspace(0.5, 1.5, dim)
+        )
+        alphas = [0.9, 0.0, 0.5, 0.9, 0.99]
+        rows = theory.simulate_weight_ensemble(task, 0.3, alphas, 12, 150, seed=6)
+        assert rows.shape == (len(alphas), 13)
+        for alpha, row in zip(alphas, rows):
+            (alone,) = theory.simulate_weight_ensemble(task, 0.3, [alpha], 12, 150, seed=6)
+            assert row.tobytes() == alone.tobytes()
+        np.testing.assert_array_equal(rows[1], np.zeros(13))
 
 
 class TestCheckRecursion:
@@ -113,6 +159,21 @@ class TestCheckRecursion:
     def test_empty_log_rejected(self):
         with pytest.raises(InsufficientDataError):
             theory.check_recursion(np.empty((0, 3)), 0.1, 0.9, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "name, eta, alpha, grads, theta0",
+        [
+            ("eta", np.nan, 0.9, np.ones((5, 2)), np.zeros(2)),
+            ("alpha", 0.1, np.nan, np.ones((5, 2)), np.zeros(2)),
+            ("gradient log", 0.1, 0.9, np.full((5, 2), np.inf), np.zeros(2)),
+            ("theta0", 0.1, 0.9, np.ones((5, 2)), np.array([0.0, np.nan])),
+        ],
+        ids=["eta", "alpha", "gradient-log", "theta0"],
+    )
+    def test_non_finite_input_rejected(self, name, eta, alpha, grads, theta0):
+        # max(worst, nan) keeps worst: a NaN discrepancy would read as 0.
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            theory.check_recursion(grads, eta, alpha, theta0)
 
 
 class TestFisherTrajectory:
@@ -170,6 +231,22 @@ class TestChebyshev:
         beta = 5.0 * float(np.linalg.norm(theta0))
         _, rate, bound = theory.check_chebyshev(task, beta, theta0, 0.1, 100, 2000, seed=12)
         assert _within_slack(rate, bound, 2000)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # A NaN beta would slip past the beta <= d0 guard.
+        with pytest.raises(ConfigurationError, match="beta must be finite"):
+            theory.check_chebyshev(self._task(), beta, np.full(4, 0.5), 0.1, 10, 200, seed=0)
+
+    def test_non_finite_theta0_rejected(self):
+        # A NaN start makes d0 NaN, which the beta <= d0 guard lets through.
+        theta0 = np.array([0.5, np.nan, 0.5, 0.5])
+        with pytest.raises(ConfigurationError, match="theta0 must be finite"):
+            theory.check_chebyshev(self._task(), 5.0, theta0, 0.1, 10, 200, seed=0)
+
+    def test_non_finite_eta_rejected(self):
+        with pytest.raises(ConfigurationError, match="eta must be finite"):
+            theory.check_chebyshev(self._task(), 5.0, np.full(4, 0.5), np.nan, 10, 200, seed=0)
 
     def test_beta_below_start_rejected(self):
         # beta must exceed ||theta0 - optimum|| >= 0, so beta <= 0 is rejected too.
@@ -239,37 +316,48 @@ class TestNoiseOracle:
                 _oracle_noise(seed, trial, 30, task.noise_std),
             )
 
-    @pytest.mark.parametrize("alpha", [None, 0.9])
+    @pytest.mark.parametrize(
+        "alphas", [None, (0.9,), (0.9, 0.0, 0.5, 0.9)], ids=["sgd", "one", "stack"]
+    )
     @pytest.mark.parametrize("task", _NOISE_TASKS)
-    def test_every_chunk_matches_oracle(self, monkeypatch, task, alpha):
-        # 7 does not divide 17: the last chunk holds 3 trials.
+    def test_every_chunk_matches_oracle(self, monkeypatch, task, alphas):
+        # 7 does not divide 17: the last chunk holds 3 trials. Each walk of
+        # the stack steps on the chunk's one draw as if it ran alone.
         monkeypatch.setattr(theory, "_CHUNK", 7)
         eta, steps, trials, seed = 0.3, 12, 17, 5
         theta0 = task.optimum + 0.25
-        iterates = theory._mc_iterates(task, eta, steps, trials, seed, theta0, alpha)
+        stack = None if alphas is None else np.array(alphas)
+        walks = [None] if alphas is None else list(alphas)
+        iterates = theory._mc_iterates(task, eta, steps, trials, seed, theta0, stack)
         for start in range(0, trials, 7):
             n = min(7, trials - start)
             noise = np.stack(
                 [_oracle_noise(seed, start + i, steps, task.noise_std) for i in range(n)]
             )
-            x = np.tile(theta0, (n, 1))
+            xs = [np.tile(theta0, (n, 1)) for _ in walks]
             t, got = next(iterates)
             assert t == 0
-            np.testing.assert_array_equal(got, x)
+            np.testing.assert_array_equal(got, np.stack(xs))
             for step in range(steps):
-                grad = task.curvature * (x - task.optimum) + noise[:, step, :]
-                x = x - eta * grad
-                if alpha is not None:
-                    x = alpha * x + (1.0 - alpha) * theta0
+                for w, alpha in enumerate(walks):
+                    grad = task.curvature * (xs[w] - task.optimum) + noise[:, step, :]
+                    xs[w] = xs[w] - eta * grad
+                    if alpha is not None:
+                        xs[w] = alpha * xs[w] + (1.0 - alpha) * theta0
                 t, got = next(iterates)
                 assert t == step + 1
-                np.testing.assert_array_equal(got, x)
+                assert got.tobytes() == np.stack(xs).tobytes()
         assert next(iterates, None) is None
 
     def test_one_generator_per_trial(self, monkeypatch, default_rng_calls):
         calls = default_rng_calls
         monkeypatch.setattr(theory, "_CHUNK", 64)
         theory.simulate_sgd(theory.pure_noise_task(2, 1.0), 0.1, 5, 150, seed=3)
+        assert len(calls) == 150
+        calls.clear()
+        # Every alpha steps on the one draw of each trial.
+        task = theory.pure_noise_task(2, 1.0)
+        theory.simulate_weight_ensemble(task, 0.1, [0.9, 0.5, 0.99], 5, 150, seed=3)
         assert len(calls) == 150
         calls.clear()
         task = theory.NoisyQuadraticTask(np.zeros(4), np.full(4, 0.3), np.ones(4))
