@@ -13,18 +13,22 @@ Domains are drawn at ``DOMAIN_SEED`` with ``stream.MIN_SEPARATION_FACTOR``. The
 theory suite's step size and seed are ``cli.THEORY_ETA`` and
 ``cli.THEORY_SEED``, its task shapes literals in ``cli._run_check``.
 
-Each YAML section builds one type that checks its own values when it is
-constructed (``scenario`` a ``stream.ScenarioPlan``, ``clustering`` a
-``stream.ClusterParams``, each ``methods`` entry a ``tta.MethodConfig``);
-the engine consumes those types directly. ``config_from_dict`` raises one
-``ConfigurationError`` listing every ``<section>.<field>: <rule>`` broken.
+``RunConfig``'s type hints are the config's only schema. One recursive
+builder reads every value by the type its field is annotated with: a
+section builds its config type (``scenario`` a ``stream.ScenarioPlan``,
+``clustering`` a ``stream.ClusterParams``), ``methods`` one
+``tta.MethodConfig`` per list entry, and each type checks its own values
+when it is constructed; the engine consumes those types directly.
+``config_from_dict`` raises one ``ConfigurationError`` listing every
+``<path>: <rule>`` broken, in the file's key order, depth first, each
+type's own rules after its fields.
 """
 
 from __future__ import annotations
 
 import re
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -152,15 +156,6 @@ class RunConfig:
         )
 
 
-_SECTIONS = {
-    "source": SourceParams,
-    "style": StyleParams,
-    "scenario": stream.ScenarioPlan,
-    "clustering": stream.ClusterParams,
-    "theory": TheoryParams,
-}
-
-
 def _conforms(value, hint) -> bool:
     """Whether ``value`` has a field's annotated type (an int passes as float
     if a float can hold it)."""
@@ -190,48 +185,57 @@ class _YamlBool:
         return repr(self.value)
 
 
-def _fields(cls, data: dict, where: str, problems: list[str]) -> dict[str, Any]:
-    """Keyword arguments for ``cls``: known fields of the annotated type only."""
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        if key not in hints:
-            problems.append(f"{where}{key}: unknown field")
-            continue
-        if isinstance(value, list):  # every sequence field is a tuple
-            value = tuple(value)
-        hint = hints[key]
-        # A str field takes a YAML boolean word's text, any other its bool.
-        if isinstance(value, _YamlBool):
-            value = value.text if hint is str else value.value
-        if not _conforms(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            problems.append(f"{where}{key}: expected {expected}, got {value!r}")
-            continue
-        kwargs[key] = value
-    return kwargs
+def _build(hint, data, where: str, problems: list[str]):
+    """``data`` read as the annotated type ``hint`` at path ``where``; None
+    (with problems noted) if invalid.
 
-
-def _build(cls, data, where: str, problems: list[str]):
-    """One config dataclass from a mapping; None (with problems noted) if invalid.
-
-    A required field absent from the mapping is noted as required; while a
-    required field is absent or rejected, ``cls`` is not constructed.
+    A config dataclass is built from a mapping, field by field in the
+    mapping's key order, each by its own hint; a required field absent from
+    the mapping is noted after them, and the type's own rules, checked when
+    it is constructed, last. While a required field is absent or rejected
+    the type is not constructed. A ``tuple[<config type>, ...]`` is built
+    from a list, entry ``i`` at ``<where>[i]``. Any other value is checked
+    against its hint, a list read as a tuple.
     """
-    if not isinstance(data, dict):
-        problems.append(f"{where.rstrip('.')}: must be a mapping")
+    if is_dataclass(hint):
+        if not isinstance(data, dict):
+            problems.append(f"{where}: must be a mapping")
+            return None
+        prefix = f"{where}." if where else ""
+        hints = typing.get_type_hints(hint)
+        kwargs = {}
+        for key, value in data.items():
+            if key not in hints:
+                problems.append(f"{prefix}{key}: unknown field")
+            elif (built := _build(hints[key], value, prefix + key, problems)) is not None:
+                kwargs[key] = built
+        required = [f.name for f in fields(hint)
+                    if f.default is MISSING and f.default_factory is MISSING]
+        problems.extend(f"{prefix}{name}: required" for name in required if name not in data)
+        if any(name not in kwargs for name in required):
+            return None
+        try:
+            return hint(**kwargs)
+        except ConfigurationError as exc:
+            problems.extend(prefix + problem for problem in exc.problems)
         return None
-    kwargs = _fields(cls, data, where, problems)
-    required = [f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING]
-    problems.extend(f"{where}{name}: required" for name in required if name not in data)
-    if any(name not in kwargs for name in required):
+    item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
+    if is_dataclass(item):
+        if not isinstance(data, list):
+            problems.append(f"{where}: must be a list")
+            return None
+        built = [_build(item, entry, f"{where}[{i}]", problems) for i, entry in enumerate(data)]
+        return None if None in built else tuple(built)
+    if isinstance(data, list):
+        data = tuple(data)
+    # A str field takes a YAML boolean word's text, any other its bool.
+    if isinstance(data, _YamlBool):
+        data = data.text if hint is str else data.value
+    if not _conforms(data, hint):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        problems.append(f"{where}: expected {expected}, got {data!r}")
         return None
-    try:
-        return cls(**kwargs)
-    except ConfigurationError as exc:
-        problems.extend(where + problem for problem in exc.problems)
-    return None
+    return data
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
@@ -239,27 +243,7 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
     problems: list[str] = []
-    top = {k: v for k, v in data.items() if k not in _SECTIONS and k != "methods"}
-    kwargs = _fields(RunConfig, top, "", problems)
-    for section, cls in _SECTIONS.items():
-        if section in data:
-            built = _build(cls, data[section], f"{section}.", problems)
-            if built is not None:
-                kwargs[section] = built
-    if "methods" in data:
-        if not isinstance(data["methods"], list):
-            problems.append("methods: must be a list")
-        else:
-            methods = [
-                _build(tta.MethodConfig, m, f"methods[{i}].", problems)
-                for i, m in enumerate(data["methods"])
-            ]
-            if None not in methods:
-                kwargs["methods"] = tuple(methods)
-    try:
-        cfg = RunConfig(**kwargs)
-    except ConfigurationError as exc:
-        problems.extend(exc.problems)
+    cfg = _build(RunConfig, data, "", problems)
     if problems:
         raise ConfigurationError("invalid config: " + "; ".join(problems))
     return cfg
@@ -270,9 +254,10 @@ _MERGE_TAG = "tag:yaml.org,2002:merge"  # ``<<``, merged before construction
 
 class _Loader(yaml.SafeLoader):
     """The safe YAML loader, plus floats with an exponent but no dot or no
-    exponent sign (``1e-3``, ``1.0e3``), which YAML 1.1 reads as strings.
-    A boolean word loads as a ``_YamlBool`` that ``config_from_dict``
-    resolves by the type of the field it sets. A mapping that repeats a key
+    exponent sign (``1e-3``, ``1.0e3``, ``.5e3``), which YAML 1.1 reads as
+    strings.
+    A boolean word loads as a ``_YamlBool`` that ``_build`` resolves by
+    the type of the field it sets. A mapping that repeats a key
     raises ``ConfigurationError`` instead of keeping the last value."""
 
     def construct_mapping(self, node, deep=False):
@@ -292,8 +277,8 @@ class _Loader(yaml.SafeLoader):
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
 )
 _Loader.add_constructor(
     "tag:yaml.org,2002:bool",

@@ -60,6 +60,11 @@ def _check_finite(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be finite")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ConfigurationError(f"need >= 0 steps, got {steps}")
+
+
 @dataclass(frozen=True)
 class NoisyQuadraticTask:
     """Quadratic surrogate loss with additive zero-mean gradient noise.
@@ -210,6 +215,7 @@ def simulate_sgd(
     seed: int,
 ) -> np.ndarray:
     """Empirical per-step parameter variance under plain SGD from the optimum."""
+    _check_steps(steps)
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
     _check_finite("eta", eta)
@@ -233,6 +239,7 @@ def simulate_weight_ensemble(
     of the iterate) and every weight in [0, 1).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
+    _check_steps(steps)
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
     if alphas.ndim != 1 or alphas.size == 0:
@@ -264,11 +271,16 @@ def check_recursion(
 
     Iterative: ``theta_t = alpha * (theta_{t-1} - eta * g_{t-1}) + (1 - alpha) * theta0``.
     Closed form: ``theta_t = theta0 - eta * sum_i alpha^(t - i) * g_i``.
+    The log is a nonempty ``(T, dim)`` array and ``theta0`` a ``(dim,)`` one.
     """
     grads = np.asarray(gradient_log, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise InsufficientDataError("gradient log must be a nonempty (T, dim) array")
     start = np.asarray(theta0, dtype=np.float64)
+    if start.shape != grads.shape[1:]:
+        raise ConfigurationError(
+            f"theta0 must have shape ({grads.shape[1]},), got {start.shape}"
+        )
     for name, value in (
         ("eta", eta), ("alpha", alpha), ("gradient log", grads), ("theta0", start)
     ):
@@ -300,6 +312,7 @@ def check_fisher_trajectory(
     toward the start after each data step; the other interpolates with
     ``alpha = 1 - 2 * lam * omega * eta``.
     """
+    _check_steps(steps)
     alpha = 1.0 - 2.0 * lam * omega * eta
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(
@@ -342,6 +355,7 @@ def check_chebyshev(
     toward the optimum, and ``beta > d0``, hence ``beta > 0``. Every input is
     finite.
     """
+    _check_steps(steps)
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
     _check_finite("eta", eta)

@@ -59,6 +59,9 @@ _ENSEMBLE = {"weight_ensemble_entropy", "filtered_ensemble"}
 
 DEFAULT_TTA_LR = 2.5e-3
 SOURCE_BATCH_SIZE = 64
+# The longest output file name, summary_<name>_seed<seed>.json, fits in 255
+# bytes for every seed below 2**32 (10 digits).
+MAX_NAME_BYTES = 255 - len("summary__seed4294967295.json")
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,8 @@ class MethodConfig:
             ("name", self.name != "" and "/" not in self.name,
              "must be nonempty and contain no '/'"),
             ("name", "\0" not in self.name, "must not contain a NUL character"),
+            ("name", len(self.name.encode(errors="surrogatepass")) <= MAX_NAME_BYTES,
+             f"must be at most {MAX_NAME_BYTES} bytes in UTF-8"),
             ("kind", self.kind in OBJECTIVE_KINDS, f"unknown objective {self.kind!r}"),
             ("lr", bool(np.isfinite(self.lr)) and self.lr >= 0, "must be finite and >= 0"),
         )

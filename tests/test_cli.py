@@ -178,14 +178,15 @@ def _write_config(tmp_path, data, name="config.yaml"):
             "theory.ensemble_alphas: entries must be in (0, 1)",
             id="ensemble_alphas-zero",
         ),
-        # Every broken rule of every section is listed in one error.
+        # Every broken rule of every section is listed in one error, in the
+        # file's key order (safe_dump sorts the keys: clustering first).
         pytest.param(
             {
                 "scenario": {"domains": 0, "severity": -1},
                 "clustering": {"reservoir_size": 0},
             },
-            "scenario.domains: must be >= 1; scenario.severity: must be finite and >= 0; "
-            "clustering.reservoir_size: must be >= 1",
+            "clustering.reservoir_size: must be >= 1; "
+            "scenario.domains: must be >= 1; scenario.severity: must be finite and >= 0",
             id="three-rules",
         ),
         # Options that no longer exist: one recipe per pipeline stage.
@@ -309,6 +310,18 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"theory": {"ensemble_alphas": [0.9, 0.99, 0.9]}},
             "theory.ensemble_alphas: entries must be unique",
             id="ensemble_alphas-repeated",
+        ),
+        # A method name is part of every output file name, which must fit in
+        # 255 bytes: it would fail only after the first episode.
+        pytest.param(
+            {"methods": [{"name": "a" * 228}]},
+            "methods[0].name: must be at most 227 bytes in UTF-8",
+            id="name-228-bytes",
+        ),
+        pytest.param(
+            {"methods": [{"name": "\u00e9" * 114}]},
+            "methods[0].name: must be at most 227 bytes in UTF-8",
+            id="name-114-two-byte-chars",
         ),
     ],
 )
@@ -480,6 +493,25 @@ def test_run_trace_has_one_line_per_step(tmp_path, monkeypatch):
         assert kinds.count("new_domain") == summary["final_detected_domains"]
         spawned[method] = summary["final_detected_domains"]
     assert spawned["reservoir_eata"] > 0 and spawned["tent"] == 0
+
+
+def test_longest_method_name_writes_every_file(tmp_path, monkeypatch):
+    # 227 bytes is the longest name whose summary file name, with the
+    # longest seed, fits in 255 bytes.
+    name = "a" * 227
+    out = tmp_path / "out"
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(out))
+    data = {**SMALL, "methods": [{"name": name}]}
+    path = _write_config(tmp_path, data)
+    assert cli.main(["run", "--config", path, "--seeds", "4294967295"]) == 0
+    files = sorted(p.name for p in out.iterdir())
+    assert files == [
+        "aggregate.json",
+        f"metrics_{name}_seed4294967295.csv",
+        f"summary_{name}_seed4294967295.json",
+        f"trace_{name}_seed4294967295.jsonl",
+    ]
+    assert max(len(f) for f in files) == 255
 
 
 def test_run_outputs_are_byte_reproducible(tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 """The config surface: the values a YAML config can set, pinned by name, and
 how their YAML is read."""
 
-from dataclasses import fields
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 import pytest
 import yaml
 
-from reservoir_tta import cli, config, tta
+from reservoir_tta import cli, config
 from reservoir_tta.errors import ConfigurationError
 
 # Every settable value, section by section. A new knob must be added here.
@@ -53,16 +54,21 @@ PINNED = {
 }
 
 
-def settable_names() -> list[str]:
-    names = []
-    for f in fields(config.RunConfig):
-        if f.name in config._SECTIONS:
-            names += [f"{f.name}.{g.name}" for g in fields(config._SECTIONS[f.name])]
-        elif f.name == "methods":
-            names += [f"methods[].{g.name}" for g in fields(tta.MethodConfig)]
+def _leaves(cls, prefix=""):
+    """``(path, hint)`` of every value a ``cls`` config sets, walking config
+    types through their type hints as the builder does."""
+    for name, hint in typing.get_type_hints(cls).items():
+        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
+        if is_dataclass(hint):
+            yield from _leaves(hint, f"{prefix}{name}.")
+        elif is_dataclass(item):
+            yield from _leaves(item, f"{prefix}{name}[].")
         else:
-            names.append(f.name)
-    return names
+            yield prefix + name, hint
+
+
+def settable_names() -> list[str]:
+    return [path for path, _ in _leaves(config.RunConfig)]
 
 
 def test_settable_values_are_pinned():
@@ -84,16 +90,103 @@ def test_pinned_values_are_unknown_fields():
     assert len(expected) == 31
 
 
+def _unreadable(cls) -> list[str]:
+    """Paths of the values whose hint the builder cannot check: a list of
+    one probe reaches the entry type of a tuple hint too."""
+    paths = []
+    for path, hint in _leaves(cls):
+        try:
+            config._build(hint, [object()], path, [])
+        except TypeError:  # isinstance cannot test a hint such as list[int]
+            paths.append(path)
+    return paths
+
+
+def test_every_config_hint_is_readable():
+    assert _unreadable(config.RunConfig) == []
+
+
+@dataclass(frozen=True)
+class _ListEntry:
+    counts: list[int] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _ListConfig:
+    seed: int = 0
+    entries: tuple[_ListEntry, ...] = ()
+    tables: tuple[dict[str, int], ...] = ()
+
+
+def test_unreadable_hint_is_caught():
+    assert _unreadable(_ListConfig) == ["entries[].counts", "tables"]
+    # What the guard prevents: the load itself raises, not a config error.
+    with pytest.raises(TypeError):
+        config._build(_ListConfig, {"entries": [{"counts": [1]}]}, "", [])
+
+
 def _load(tmp_path, text):
     path = tmp_path / "config.yaml"
     path.write_text(text, encoding="utf-8")
     return config.load_config(path)
 
 
+def _problems(tmp_path, text) -> list[str]:
+    with pytest.raises(ConfigurationError) as info:
+        _load(tmp_path, text)
+    return str(info.value).removeprefix("invalid config: ").split("; ")
+
+
+def test_problems_follow_the_file_key_order(tmp_path):
+    # An unknown field is a problem of its field; a type's own rules come
+    # after its fields, so RunConfig's come after every section.
+    sections = {
+        "scenario": ("scenario: {domains: 0}", ["scenario.domains: must be >= 1"]),
+        "methods": ("methods: [{name: m, lr: x}]", ["methods[0].lr: expected float, got 'x'"]),
+        "seeds": ("seeds: x", ["seeds: expected tuple[int, ...], got 'x'"]),
+        "clustering": (
+            "clustering: {k_max: 2, reservoir_size: 0}",
+            ["clustering.k_max: unknown field", "clustering.reservoir_size: must be >= 1"],
+        ),
+    }
+    for order in (list(sections), list(reversed(sections))):
+        text = "\n".join(["output_dir: ''"] + [sections[key][0] for key in order])
+        expected = [problem for key in order for problem in sections[key][1]]
+        assert _problems(tmp_path, text) == expected + ["output_dir: must be nonempty"]
+
+
+def test_every_bad_method_entry_is_reported(tmp_path):
+    text = "methods: [{name: a, lr: x}, {name: b, kind: nope}, {lr: 1}]\n"
+    assert _problems(tmp_path, text) == [
+        "methods[0].lr: expected float, got 'x'",
+        "methods[1].kind: unknown objective 'nope'",
+        "methods[2].name: required",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("scenario: [1]\n", "scenario: must be a mapping"),
+        ("methods: [3]\n", "methods[0]: must be a mapping"),
+        ("methods: {name: m}\n", "methods: must be a list"),
+        ("[1]\n", "config root must be a mapping"),
+    ],
+)
+def test_shape_problems_name_their_path(tmp_path, text, problem):
+    assert _problems(tmp_path, text) == [problem]
+
+
 def test_exponent_floats_load_as_floats(tmp_path):
     cfg = _load(tmp_path, "methods: [{name: m, lr: 1e-3}]\nscenario: {severity: 1.0e3}\n")
     assert cfg.methods[0].lr == 0.001
     assert type(cfg.scenario.severity) is float and cfg.scenario.severity == 1000.0
+    # A mantissa may start with its dot, with or without an exponent sign.
+    values = yaml.load("[.5e3, -.5E3, +.25e2, .5e-3, .inf]", Loader=config._Loader)
+    assert values == [500.0, -500.0, 25.0, 0.0005, float("inf")]
+    assert _load(tmp_path, "methods: [{name: m, lr: .5e3}]\n").methods[0].lr == 500.0
+    # Neither a digitless mantissa nor a missing exponent makes a float.
+    assert yaml.load("[e5, 1e, ., '1e-3']", Loader=config._Loader) == ["e5", "1e", ".", "1e-3"]
 
 
 def test_exponent_int_is_still_rejected(tmp_path, monkeypatch, capsys):

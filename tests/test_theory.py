@@ -63,6 +63,10 @@ class TestSimulateSgd:
         with pytest.raises(ConfigurationError):
             theory.simulate_sgd(theory.pure_noise_task(1), 0.1, 10, 50, seed=0)
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ConfigurationError, match="need >= 0 steps, got -1"):
+            theory.simulate_sgd(theory.pure_noise_task(1), 0.1, -1, 200, seed=0)
+
     @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
     def test_non_finite_eta_rejected(self, eta):
         with pytest.raises(ConfigurationError, match="eta must be finite"):
@@ -105,6 +109,12 @@ class TestSimulateWeightEnsemble:
         task = theory.NoisyQuadraticTask(np.zeros(2), np.ones(2), np.ones(2))
         with pytest.raises(ConfigurationError):
             theory.simulate_weight_ensemble(task, 0.1, [0.9], 10, 200, seed=0)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ConfigurationError, match="need >= 0 steps, got -1"):
+            theory.simulate_weight_ensemble(
+                theory.pure_noise_task(1), 0.1, [0.9], -1, 200, seed=0
+            )
 
     @pytest.mark.parametrize(
         "alphas", [[1.0], [0.9, 1.0], [-0.1], [np.nan], [], 0.9, [[0.9]]],
@@ -160,6 +170,13 @@ class TestCheckRecursion:
         with pytest.raises(InsufficientDataError):
             theory.check_recursion(np.empty((0, 3)), 0.1, 0.9, np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(1,), (), (8, 1), (7,)])
+    def test_theta0_of_another_shape_rejected(self, shape):
+        # A (1,) start would broadcast against every coordinate of the log.
+        grads = np.random.default_rng(6).standard_normal((20, 8))
+        with pytest.raises(ConfigurationError, match=r"theta0 must have shape \(8,\)"):
+            theory.check_recursion(grads, 0.1, 0.95, np.zeros(shape))
+
     @pytest.mark.parametrize(
         "name, eta, alpha, grads, theta0",
         [
@@ -195,6 +212,11 @@ class TestFisherTrajectory:
         task = theory.pure_noise_task(2)
         with pytest.raises(ConfigurationError):
             theory.check_fisher_trajectory(task, 10.0, 1.0, 0.1, 10, seed=0)
+
+    def test_negative_steps_rejected(self):
+        task = theory.pure_noise_task(2)
+        with pytest.raises(ConfigurationError, match="need >= 0 steps, got -1"):
+            theory.check_fisher_trajectory(task, 0.5, 1.0, 0.1, -1, seed=0)
 
 
 def _within_slack(rate, bound, trials):
@@ -253,6 +275,10 @@ class TestChebyshev:
         for beta, theta0 in ((0.5, np.full(4, 2.0)), (0.0, np.zeros(4)), (-1.0, np.zeros(4))):
             with pytest.raises(ConfigurationError, match="must exceed the initial distance"):
                 theory.check_chebyshev(self._task(), beta, theta0, 0.1, 10, 200, seed=0)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ConfigurationError, match="need >= 0 steps, got -1"):
+            theory.check_chebyshev(self._task(), 5.0, np.full(4, 0.5), 0.1, -1, 200, seed=0)
 
     def test_noncontractive_rejected(self):
         task = theory.pure_noise_task(4)
