@@ -8,7 +8,8 @@ per-check CSVs). ``run`` calibrates the new-domain threshold itself.
 
 Exit codes: 0 success, 1 configuration error (a bad value or argument, a
 usage error such as an unknown subcommand or option, or a config file that
-is not UTF-8 YAML or repeats a key), 2 I/O error (a file that cannot be
+is not UTF-8 YAML or repeats a key) or a config whose arrays do not fit in
+memory (``error: out of memory: ...``), 2 I/O error (a file that cannot be
 opened or written), 3 verification failure. Every argument is checked before
 the output directory is created. All emitted files are byte-reproducible for
 a fixed config.
@@ -57,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ReservoirTTAError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -36,7 +36,7 @@ import numpy as np
 import yaml
 
 from . import stream, tta
-from .errors import ConfigurationError, check_fields
+from .errors import ConfigurationError, check_fields, encodes_as_utf8
 from .seeding import KEY_BOUND, keyed_rngs
 from .style import FeatureExtractor, calibrate_threshold, extract_style
 
@@ -151,6 +151,7 @@ class RunConfig:
             # The output directory is a path, and "" would be the current one.
             ("output_dir", self.output_dir != "", "must be nonempty"),
             ("output_dir", "\0" not in self.output_dir, "must not contain a NUL character"),
+            ("output_dir", encodes_as_utf8(self.output_dir), "must be encodable as UTF-8"),
             ("methods", len(self.methods) > 0, "must list at least one method"),
             ("methods", len(set(names)) == len(names), "names must be unique"),
         )

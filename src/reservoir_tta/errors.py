@@ -45,6 +45,15 @@ def check_fields(*rules: tuple[str, bool, str]) -> None:
         raise ConfigurationError(*problems)
 
 
+def encodes_as_utf8(text: str) -> bool:
+    """Whether ``text`` holds no lone surrogate, so that it can name a file."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class GenerationError(ReservoirTTAError):
     """Synthetic data generation could not satisfy its constraints."""
 

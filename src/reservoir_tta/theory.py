@@ -38,8 +38,21 @@ row, the curves of one-weight calls at a fraction of their draws.
 
 A trial's gradient noise is ``rng.normal(0.0, noise_std, (steps, dim))``,
 taken as its arithmetic: the driver fills a chunk's trials with
-``standard_normal`` draws in place and scales the whole chunk once by
-``0.0 + noise_std * z``, which gives that call's bits.
+``standard_normal`` draws in place, trial-major, and scales each block's
+noise by ``0.0 + noise_std * z`` as it copies it out, which gives that
+call's bits.
+
+The driver steps ``_BLOCK`` steps at a time on dim-major ``(walks, dim, n)``
+iterates, so that every update and reduction runs over the chunk's ``n``
+trials in numpy's inner loop, not over ``dim`` (4 in the Chebyshev check)
+entries at a time; a block's noise is copied out of the trial-major draw
+once. The consumers reduce each block of iterates at once and keep the bits
+of reducing each step's trial-major ``(n, dim)`` iterates: numpy sums a
+contiguous axis pairwise but the rows of an array one after another,
+so ``_trial_sums`` sums a ``dim == 1`` block as it lies (its trials are
+contiguous in both layouts) and any other one through a trial-major copy,
+and the Chebyshev check's distance adds the ``dim`` rows in order, as
+``np.linalg.norm(axis=1)`` does.
 """
 
 from __future__ import annotations
@@ -53,6 +66,9 @@ from .errors import ConfigurationError, InsufficientDataError
 from .seeding import keyed_rng, keyed_rngs
 
 _CHUNK = 2048
+# Steps the Monte-Carlo driver takes between yields: fewer cost time in
+# per-block numpy calls, more cost memory in the block buffers.
+_BLOCK = 8
 
 
 def _check_finite(name: str, value) -> None:
@@ -126,10 +142,10 @@ def ensemble_variance_closed_form(
     return eta**2 * vbar * alpha**2 * (1.0 - alpha ** (2 * tt)) / (1.0 - alpha**2)
 
 
-def _scale_noise(noise: np.ndarray, task: NoisyQuadraticTask) -> np.ndarray:
-    """``0.0 + noise_std * noise`` in place: the bits of ``rng.normal(0.0,
-    noise_std, size)`` from the standard-normal draw of the same rng."""
-    np.multiply(noise, task.noise_std, out=noise)
+def _scale_noise(noise: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """``0.0 + std * noise`` in place: the bits of ``rng.normal(0.0, std,
+    size)`` from the standard-normal draw of the same rng."""
+    np.multiply(noise, std, out=noise)
     return np.add(noise, 0.0, out=noise)
 
 
@@ -137,7 +153,9 @@ def _trial_noise(
     seed: int, trial: int, steps: int, task: NoisyQuadraticTask
 ) -> np.ndarray:
     """One trial's ``(steps, dim)`` gradient noise."""
-    return _scale_noise(keyed_rng(seed, trial).standard_normal((steps, task.dim)), task)
+    return _scale_noise(
+        keyed_rng(seed, trial).standard_normal((steps, task.dim)), task.noise_std
+    )
 
 
 def _mc_iterates(
@@ -149,34 +167,74 @@ def _mc_iterates(
     theta0: np.ndarray,
     alphas: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The Monte-Carlo driver: yields ``(t, x)`` per chunk of trials and step.
+    """The Monte-Carlo driver: yields ``(t, xs)`` per chunk of trials and
+    block of steps.
 
-    ``x`` holds one chunk's ``(walks, n, dim)`` iterates at step
-    ``t = 0..steps`` and is valid until the next yield. ``alphas=None`` is
-    one plain-SGD walk; otherwise there is one walk per entry of the 1-D
-    ``alphas``, and every step of walk ``w`` interpolates back toward
-    ``theta0`` with weight ``alphas[w]``. All walks of a chunk step on the
-    chunk's one noise draw, and chunks share one noise buffer.
+    ``xs`` holds one chunk's dim-major ``(walks, k, dim, n)`` iterates of
+    steps ``t..t+k-1`` and is valid until the next yield. Each chunk yields
+    ``t = 0`` with ``k = 1``, then blocks of up to ``_BLOCK`` steps through
+    ``steps``. ``alphas=None`` is one plain-SGD walk; otherwise there is one
+    walk per entry of the 1-D ``alphas``, and every step of walk ``w``
+    interpolates back toward ``theta0`` with weight ``alphas[w]``. All walks
+    of a chunk step on the chunk's one noise draw, and chunks share one
+    trial-major noise buffer and one set of block buffers.
     """
-    buffer = np.empty((min(_CHUNK, trials), steps, task.dim))
+    dim = task.dim
+    walks = 1 if alphas is None else len(alphas)
+    size = min(_CHUNK, trials)
+    draws = np.empty((size, steps, dim))
+    # Flat, so that the views of a short last chunk stay contiguous.
+    block_buf = np.empty(walks * _BLOCK * dim * size)
+    last_buf = np.empty(walks * dim * size)
+    grad_buf = np.empty(walks * dim * size)
+    std, curvature, optimum, start = (
+        v[:, None] for v in (task.noise_std, task.curvature, task.optimum, theta0)
+    )
     if alphas is not None:
         keep = alphas[:, None, None]
-        pull = (1.0 - keep) * theta0
-    walks = 1 if alphas is None else len(alphas)
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        noise = buffer[:n]
-        for i, rng in enumerate(keyed_rngs((seed,), range(start, start + n))):
-            rng.standard_normal(out=noise[i])
-        _scale_noise(noise, task)
-        x = np.tile(theta0, (walks, n, 1))
-        yield 0, x
-        for t in range(steps):
-            grad = task.curvature * (x - task.optimum) + noise[:, t, :]
-            x = x - eta * grad
-            if alphas is not None:
-                x = keep * x + pull
-            yield t + 1, x
+        pull = (1.0 - keep) * start
+    for first in range(0, trials, _CHUNK):
+        n = min(_CHUNK, trials - first)
+        for i, rng in enumerate(keyed_rngs((seed,), range(first, first + n))):
+            rng.standard_normal(out=draws[i])
+        xs = block_buf[: walks * _BLOCK * dim * n].reshape(walks, _BLOCK, dim, n)
+        last = last_buf[: walks * dim * n].reshape(walks, dim, n)
+        grad = grad_buf[: walks * dim * n].reshape(walks, dim, n)
+        last[...] = start
+        xs[:, 0] = last
+        yield 0, xs[:, :1]
+        for t in range(1, steps + 1, _BLOCK):
+            k = min(_BLOCK, steps + 1 - t)
+            # The block's scaled noise waits in the last walk's slots: step j
+            # adds slot j to every walk's gradient before it overwrites it.
+            noise = xs[-1, :k]
+            np.copyto(noise, draws[:n, t - 1 : t - 1 + k].transpose(1, 2, 0))
+            _scale_noise(noise, std)
+            x = last
+            for j in range(k):
+                np.subtract(x, optimum, out=grad)
+                np.multiply(curvature, grad, out=grad)
+                np.add(grad, noise[j], out=grad)
+                np.multiply(eta, grad, out=grad)
+                np.subtract(x, grad, out=xs[:, j])
+                x = xs[:, j]
+                if alphas is not None:
+                    np.multiply(keep, x, out=x)
+                    np.add(x, pull, out=x)
+            np.copyto(last, x)
+            yield t, xs[:, :k]
+
+
+def _trial_sums(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(..., k, dim)`` sums over the trials of dim-major ``(..., k, dim,
+    n)`` iterates and of their squares, with the bits of a per-step
+    ``x.sum(axis=-2)`` over the trial-major ``(..., n, dim)`` layout: pairwise
+    over the trials when ``dim == 1``, row by row otherwise."""
+    if xs.shape[-2] == 1:
+        return xs.sum(axis=-1), np.square(xs).sum(axis=-1)
+    rows = np.moveaxis(xs, -1, -3).copy()  # a new C-ordered array
+    total = rows.sum(axis=-3)
+    return total, np.square(rows, out=rows).sum(axis=-3)
 
 
 def _trace_variance(total: np.ndarray, total_sq: np.ndarray, trials: int) -> np.ndarray:
@@ -197,13 +255,16 @@ def _run_variance_mc(
     alphas: np.ndarray | None,
 ) -> np.ndarray:
     """The ``(walks, steps + 1)`` per-step trace variance of each walk of the
-    Monte-Carlo driver, t = 0..steps."""
+    Monte-Carlo driver, t = 0..steps, with the moments summed once per block
+    of steps."""
     walks = 1 if alphas is None else len(alphas)
     total = np.zeros((walks, steps + 1, task.dim))
     total_sq = np.zeros((walks, steps + 1, task.dim))
-    for t, x in _mc_iterates(task, eta, steps, trials, seed, theta0, alphas):
-        total[:, t] += x.sum(axis=1)
-        total_sq[:, t] += (x**2).sum(axis=1)
+    for t, xs in _mc_iterates(task, eta, steps, trials, seed, theta0, alphas):
+        k = xs.shape[1]
+        block, block_sq = _trial_sums(xs)
+        total[:, t : t + k] += block
+        total_sq[:, t : t + k] += block_sq
     return _trace_variance(total, total_sq, trials)
 
 
@@ -347,13 +408,14 @@ def check_chebyshev(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical ``Pr[||theta_t - optimum|| > beta]`` against the variance bound.
 
-    The iterates start at ``theta0``. Returns three ``(steps + 1,)`` arrays
-    over t = 0..steps: the trace variance, the rate of trials outside the
-    ``beta`` ball, and the Chebyshev bound ``variance / (beta - d0)^2`` with
-    ``d0 = ||theta0 - optimum||``. Requires a contractive configuration
-    (positive curvature with ``eta * curvature < 2``) so the mean drifts
-    toward the optimum, and ``beta > d0``, hence ``beta > 0``. Every input is
-    finite.
+    The iterates start at ``theta0``, and the moments and the count outside
+    the ball are reduced once per block of the driver's steps. Returns three
+    ``(steps + 1,)`` arrays over t = 0..steps: the trace variance, the rate
+    of trials outside the ``beta`` ball, and the Chebyshev bound ``variance /
+    (beta - d0)^2`` with ``d0 = ||theta0 - optimum||``. Requires a
+    contractive configuration (positive curvature with ``eta * curvature <
+    2``) so the mean drifts toward the optimum, and ``beta > d0``, hence
+    ``beta > 0``. Every input is finite.
     """
     _check_steps(steps)
     if trials < 100:
@@ -375,10 +437,16 @@ def check_chebyshev(
     total = np.zeros((steps + 1, task.dim))
     total_sq = np.zeros((steps + 1, task.dim))
     exceed = np.zeros(steps + 1)
-    for t, (x,) in _mc_iterates(task, eta, steps, trials, seed, theta0):
-        total[t] += x.sum(axis=0)
-        total_sq[t] += (x**2).sum(axis=0)
-        exceed[t] += (np.linalg.norm(x - task.optimum, axis=1) > beta).sum()
+    optimum = task.optimum[:, None]
+    for t, (xs,) in _mc_iterates(task, eta, steps, trials, seed, theta0):
+        k = xs.shape[0]
+        block, block_sq = _trial_sums(xs)
+        total[t : t + k] += block
+        total_sq[t : t + k] += block_sq
+        # The sum over the dim rows is the sequential one of norm(axis=1).
+        offset = np.subtract(xs, optimum)
+        distance = np.sqrt(np.add.reduce(np.square(offset, out=offset), axis=-2))
+        exceed[t : t + k] += (distance > beta).sum(axis=-1)
     variance = _trace_variance(total, total_sq, trials)
     return variance, exceed / trials, variance / (beta - d0) ** 2
 

@@ -43,6 +43,7 @@ from .errors import (
     NumericalError,
     TrainingError,
     check_fields,
+    encodes_as_utf8,
 )
 
 OBJECTIVE_KINDS = (
@@ -84,11 +85,13 @@ class MethodConfig:
 
     def __post_init__(self):
         # The name is part of every output file name.
+        utf8 = encodes_as_utf8(self.name)
         check_fields(
             ("name", self.name != "" and "/" not in self.name,
              "must be nonempty and contain no '/'"),
             ("name", "\0" not in self.name, "must not contain a NUL character"),
-            ("name", len(self.name.encode(errors="surrogatepass")) <= MAX_NAME_BYTES,
+            ("name", utf8, "must be encodable as UTF-8"),
+            ("name", not utf8 or len(self.name.encode()) <= MAX_NAME_BYTES,
              f"must be at most {MAX_NAME_BYTES} bytes in UTF-8"),
             ("kind", self.kind in OBJECTIVE_KINDS, f"unknown objective {self.kind!r}"),
             ("lr", bool(np.isfinite(self.lr)) and self.lr >= 0, "must be finite and >= 0"),

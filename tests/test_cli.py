@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import reservoir_tta
-from reservoir_tta import cli, seeding
+from reservoir_tta import cli, seeding, theory
 
 # Small enough to run in a few seconds: 3 domains x 2 visits x 3 batches,
 # with an 8-entry style reservoir so the stream reaches its replace phase.
@@ -72,6 +72,11 @@ def _write_config(tmp_path, data, name="config.yaml"):
             id="output_dir-nul",
         ),
         pytest.param({"output_dir": ""}, "output_dir: must be nonempty", id="output_dir-empty"),
+        # A lone surrogate cannot be encoded into a path: os.mkdir would raise.
+        pytest.param(
+            {"output_dir": "o\ud800"}, "output_dir: must be encodable as UTF-8",
+            id="output_dir-lone-surrogate",
+        ),
         pytest.param(
             {"source": {"epochs": -5}}, "source.epochs: must be >= 0", id="epochs-negative",
         ),
@@ -323,6 +328,10 @@ def _write_config(tmp_path, data, name="config.yaml"):
             "methods[0].name: must be at most 227 bytes in UTF-8",
             id="name-114-two-byte-chars",
         ),
+        pytest.param(
+            {"methods": [{"name": "a\ud800"}]}, "methods[0].name: must be encodable as UTF-8",
+            id="name-lone-surrogate",
+        ),
     ],
 )
 def test_bad_config_exits_1(tmp_path, monkeypatch, capsys, data, message):
@@ -464,6 +473,20 @@ def test_failing_theory_check_exits_3(tmp_path, monkeypatch, capsys):
     assert "[FAIL] ensemble_var" in captured.out
     assert "verification failure in ensemble_var" in captured.err
     assert (tmp_path / "out" / "ensemble_var.csv").exists()
+
+
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    # A config whose arrays cannot be allocated, such as 10**9 Chebyshev
+    # steps, ends in numpy's MemoryError; none is allocated here.
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array")
+
+    monkeypatch.setattr(theory, "check_chebyshev", too_large)
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = _write_config(tmp_path, {"theory": {"chebyshev_steps": 10**9}})
+    assert cli.main(["theory", "--config", path, "--checks", "chebyshev"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 29.8 GiB for an array\n"
 
 
 def test_run_trace_has_one_line_per_step(tmp_path, monkeypatch):

@@ -2,9 +2,9 @@
 the whole calibration sample, candidate pool, stream or trial count.
 
 Each stage works in fixed chunks (calibration stacks, candidate stacks,
-screen blocks, table chunks, one Monte-Carlo noise buffer), so its traced
-peak stays within a bound; the figure of the former code is quoted in each
-docstring (``tracemalloc``, numpy 2.4, Python 3.11).
+screen blocks, table chunks, one Monte-Carlo noise buffer and block of
+steps), so its traced peak stays within a bound; the figure of the former
+code is quoted in each docstring (``tracemalloc``, numpy 2.4, Python 3.11).
 """
 
 from dataclasses import replace
@@ -69,3 +69,16 @@ def test_check_chebyshev_peak(traced_peak_mb):
         t.chebyshev_steps, t.chebyshev_trials, cli.THEORY_SEED,
     )
     assert peak <= 16.0
+
+
+def test_weight_ensemble_peak(traced_peak_mb):
+    """The theory suite's weight-ensemble check at its default 100000 trials
+    of 100 steps and two weights: at most 3 MB (2.08 MB when each step's
+    iterates were summed alone)."""
+    t = config.TheoryParams()
+    assert (t.ensemble_trials, len(t.ensemble_alphas), t.steps) == (100_000, 2, 100)
+    peak = traced_peak_mb(
+        theory.simulate_weight_ensemble, theory.pure_noise_task(), cli.THEORY_ETA,
+        t.ensemble_alphas, t.steps, t.ensemble_trials, cli.THEORY_SEED,
+    )
+    assert peak <= 3.0

@@ -72,6 +72,11 @@ class TestSimulateSgd:
         with pytest.raises(ConfigurationError, match="eta must be finite"):
             theory.simulate_sgd(theory.pure_noise_task(1), eta, 10, 200, seed=0)
 
+    def test_zero_steps_is_the_start_row(self):
+        variance = theory.simulate_sgd(theory.pure_noise_task(2), 0.1, 0, 150, seed=0)
+        assert variance.shape == (1,)
+        assert variance[0] == 0.0
+
     def test_chunked_equals_sequential(self, monkeypatch):
         # Counter-based per-trial seeding: chunk size must not change the
         # trials, so the curves agree to reduction-order tolerance.
@@ -280,6 +285,13 @@ class TestChebyshev:
         with pytest.raises(ConfigurationError, match="need >= 0 steps, got -1"):
             theory.check_chebyshev(self._task(), 5.0, np.full(4, 0.5), 0.1, -1, 200, seed=0)
 
+    def test_zero_steps_is_the_start_row(self):
+        variance, rate, bound = theory.check_chebyshev(
+            self._task(), 5.0, np.full(4, 0.5), 0.1, 0, 150, seed=0
+        )
+        for row in (variance, rate, bound):
+            np.testing.assert_array_equal(row, np.zeros(1))
+
     def test_noncontractive_rejected(self):
         task = theory.pure_noise_task(4)
         with pytest.raises(ConfigurationError):
@@ -294,6 +306,26 @@ class TestChebyshev:
         # Stationary limit: eta^2 sigma^2 / (1 - rho^2) per coordinate.
         limit = 4 * 0.01 / (1 - 0.95**2)
         assert var[-1] == pytest.approx(limit, rel=0.01)
+
+
+class TestTrialSums:
+    @pytest.mark.parametrize("trials", [1, 7, 9, 300])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bits_of_a_per_step_sum(self, dim, trials):
+        # numpy sums a trial-major (walks, n, dim) step pairwise over the
+        # trials when dim == 1 and row by row otherwise; scales 1e-8..1e8
+        # make any other summation order show in the low bits.
+        rng = np.random.default_rng(dim * 1000 + trials)
+        steps = rng.standard_normal((3, 5, trials, dim)) * 10.0 ** rng.integers(
+            -8, 9, (3, 5, trials, dim)
+        )
+        total, total_sq = theory._trial_sums(
+            np.ascontiguousarray(steps.transpose(0, 1, 3, 2))
+        )
+        for k in range(5):
+            x = np.ascontiguousarray(steps[:, k])
+            assert total[:, k].tobytes() == x.sum(axis=-2).tobytes()
+            assert total_sq[:, k].tobytes() == (x**2).sum(axis=-2).tobytes()
 
 
 class TestReproducibility:
@@ -347,9 +379,12 @@ class TestNoiseOracle:
     )
     @pytest.mark.parametrize("task", _NOISE_TASKS)
     def test_every_chunk_matches_oracle(self, monkeypatch, task, alphas):
-        # 7 does not divide 17: the last chunk holds 3 trials. Each walk of
-        # the stack steps on the chunk's one draw as if it ran alone.
+        # 7 does not divide 17: the last chunk holds 3 trials. 5 does not
+        # divide 12: each chunk yields t = 0, then blocks of 5, 5 and 2
+        # steps. Each walk of the stack steps on the chunk's one draw as if
+        # it ran alone.
         monkeypatch.setattr(theory, "_CHUNK", 7)
+        monkeypatch.setattr(theory, "_BLOCK", 5)
         eta, steps, trials, seed = 0.3, 12, 17, 5
         theta0 = task.optimum + 0.25
         stack = None if alphas is None else np.array(alphas)
@@ -361,18 +396,19 @@ class TestNoiseOracle:
                 [_oracle_noise(seed, start + i, steps, task.noise_std) for i in range(n)]
             )
             xs = [np.tile(theta0, (n, 1)) for _ in walks]
-            t, got = next(iterates)
-            assert t == 0
-            np.testing.assert_array_equal(got, np.stack(xs))
+            oracle = [np.stack(xs).transpose(0, 2, 1)]
             for step in range(steps):
                 for w, alpha in enumerate(walks):
                     grad = task.curvature * (xs[w] - task.optimum) + noise[:, step, :]
                     xs[w] = xs[w] - eta * grad
                     if alpha is not None:
                         xs[w] = alpha * xs[w] + (1.0 - alpha) * theta0
-                t, got = next(iterates)
-                assert t == step + 1
-                assert got.tobytes() == np.stack(xs).tobytes()
+                oracle.append(np.stack(xs).transpose(0, 2, 1))
+            for t, k in ((0, 1), (1, 5), (6, 5), (11, 2)):
+                got_t, got = next(iterates)
+                assert (got_t, got.shape) == (t, (len(walks), k, task.dim, n))
+                for j in range(k):
+                    assert got[:, j].tobytes() == oracle[t + j].tobytes()
         assert next(iterates, None) is None
 
     def test_one_generator_per_trial(self, monkeypatch, default_rng_calls):
