@@ -1,8 +1,8 @@
 """Counter-based seeding: one generator per key of small nonnegative ints.
 
-Every independent random draw of the package (a Monte-Carlo trial, a stream
-batch, a set-up batch) takes its own generator from a key such as
-``(seed, tag, index)``, so a draw never depends on the order in which the
+Every independent random draw of the package (a stream batch, a set-up
+batch, a Monte-Carlo chunk of trials) takes its own generator from a key such
+as ``(seed, tag, index)``, so a draw never depends on the order in which the
 others were made.
 
 A caller that keeps its generator takes it from ``keyed_rng``. A loop that

@@ -20,14 +20,21 @@ caller (``cli``'s ``theory`` command).
 Variance of a parameter vector is summarized as the trace of its empirical
 covariance across trials; correspondingly the task's gradient-noise level
 ``vbar`` is the total (summed per-coordinate) noise variance, which makes
-the scalar formulas dimension-free. Every Monte-Carlo routine derives one
-rng stream per trial from the key ``(seed, trial_index)``: ``_mc_iterates``
-takes a chunk's trial generators from ``seeding.keyed_rngs``, which hashes
-the chunk's keys at once, and a single trial takes ``seeding.keyed_rng``;
-both give the stream of ``np.random.default_rng((seed, trial_index))``. Trial
-trajectories are bit-identical no matter how execution is chunked or
-parallelized, and the cross-trial moment reductions agree to float
-summation-order tolerance.
+the scalar formulas dimension-free.
+
+The Monte-Carlo routines run their trials in chunks of ``_CHUNK`` and draw
+each chunk's noise from one generator, ``keyed_rng(seed, chunk, tag)``, with
+``chunk`` counting a call's chunks from 0 and ``tag`` the routine's own
+nonzero constant: ``_SGD_TAG``, ``_ENSEMBLE_TAG`` or ``_CHEBYSHEV_TAG``.
+The three routines thus draw independent noise, and as the tag is the key's
+last word, ``SeedSequence``'s zero padding cannot make a chunk's key equal
+to a key of up to two words, such as ``(seed, 3)`` and ``(seed, 4)`` of
+``cli``'s recursion check or the Fisher check's ``(seed, 0)``. A chunk's
+noise is its generator's standard-normal stream laid out ``(steps, dim, n)``
+in C order, times the per-coordinate ``noise_std``: a trial is a column of
+its chunk. So the draws depend on ``_CHUNK``, and changing it changes every
+Monte-Carlo output; they do not depend on ``_BLOCK``. Both are module
+constants, so a config and seed give the same bits on every run.
 
 The driver steps a stack of walks on one draw: every update rule of a call
 (one interpolation weight per walk of ``simulate_weight_ensemble``, or the
@@ -36,23 +43,15 @@ Each walk's iterates and moments are bit-identical to a call that steps it
 alone, so ``simulate_weight_ensemble`` over several weights returns, row by
 row, the curves of one-weight calls at a fraction of their draws.
 
-A trial's gradient noise is ``rng.normal(0.0, noise_std, (steps, dim))``,
-taken as its arithmetic: the driver fills a chunk's trials with
-``standard_normal`` draws in place, trial-major, and scales each block's
-noise by ``0.0 + noise_std * z`` as it copies it out, which gives that
-call's bits.
-
 The driver steps ``_BLOCK`` steps at a time on dim-major ``(walks, dim, n)``
 iterates, so that every update and reduction runs over the chunk's ``n``
 trials in numpy's inner loop, not over ``dim`` (4 in the Chebyshev check)
-entries at a time; a block's noise is copied out of the trial-major draw
-once. The consumers reduce each block of iterates at once and keep the bits
-of reducing each step's trial-major ``(n, dim)`` iterates: numpy sums a
-contiguous axis pairwise but the rows of an array one after another,
-so ``_trial_sums`` sums a ``dim == 1`` block as it lies (its trials are
-contiguous in both layouts) and any other one through a trial-major copy,
-and the Chebyshev check's distance adds the ``dim`` rows in order, as
-``np.linalg.norm(axis=1)`` does.
+entries at a time. It draws each block's noise straight into the block's
+buffer, so its memory is set by the chunk and the block, not by the step
+count. The consumers reduce each block of iterates at once: ``_trial_sums``
+sums every coordinate over its contiguous trials, pairwise as numpy sums a
+contiguous axis, and the Chebyshev check's distance adds the ``dim`` rows
+in order, as ``np.linalg.norm(axis=1)`` does.
 """
 
 from __future__ import annotations
@@ -63,12 +62,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .seeding import keyed_rng, keyed_rngs
+from .seeding import keyed_rng
 
 _CHUNK = 2048
 # Steps the Monte-Carlo driver takes between yields: fewer cost time in
 # per-block numpy calls, more cost memory in the block buffers.
 _BLOCK = 8
+# The last key word of each Monte-Carlo routine's chunk generators.
+_SGD_TAG = 1
+_ENSEMBLE_TAG = 2
+_CHEBYSHEV_TAG = 3
 
 
 def _check_finite(name: str, value) -> None:
@@ -142,20 +145,13 @@ def ensemble_variance_closed_form(
     return eta**2 * vbar * alpha**2 * (1.0 - alpha ** (2 * tt)) / (1.0 - alpha**2)
 
 
-def _scale_noise(noise: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """``0.0 + std * noise`` in place: the bits of ``rng.normal(0.0, std,
-    size)`` from the standard-normal draw of the same rng."""
-    np.multiply(noise, std, out=noise)
-    return np.add(noise, 0.0, out=noise)
-
-
 def _trial_noise(
     seed: int, trial: int, steps: int, task: NoisyQuadraticTask
 ) -> np.ndarray:
-    """One trial's ``(steps, dim)`` gradient noise."""
-    return _scale_noise(
-        keyed_rng(seed, trial).standard_normal((steps, task.dim)), task.noise_std
-    )
+    """One trial's ``(steps, dim)`` gradient noise: ``rng.normal(0.0,
+    noise_std, (steps, dim))`` of ``keyed_rng(seed, trial)``, but for the
+    sign of a zero entry."""
+    return keyed_rng(seed, trial).standard_normal((steps, task.dim)) * task.noise_std
 
 
 def _mc_iterates(
@@ -164,6 +160,7 @@ def _mc_iterates(
     steps: int,
     trials: int,
     seed: int,
+    tag: int,
     theta0: np.ndarray,
     alphas: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -175,14 +172,18 @@ def _mc_iterates(
     ``t = 0`` with ``k = 1``, then blocks of up to ``_BLOCK`` steps through
     ``steps``. ``alphas=None`` is one plain-SGD walk; otherwise there is one
     walk per entry of the 1-D ``alphas``, and every step of walk ``w``
-    interpolates back toward ``theta0`` with weight ``alphas[w]``. All walks
-    of a chunk step on the chunk's one noise draw, and chunks share one
-    trial-major noise buffer and one set of block buffers.
+    interpolates back toward ``theta0`` with weight ``alphas[w]``.
+
+    Chunk ``c`` draws its noise from ``keyed_rng(seed, c, tag)``, block by
+    block in step order, each block's ``(k, dim, n)`` standard normals
+    straight into the block buffer, scaled there by ``noise_std``: the bits
+    of one ``standard_normal((steps, dim, n)) * noise_std[:, None]`` draw.
+    All walks of a chunk step on that one draw, and chunks share one set of
+    block buffers.
     """
     dim = task.dim
     walks = 1 if alphas is None else len(alphas)
     size = min(_CHUNK, trials)
-    draws = np.empty((size, steps, dim))
     # Flat, so that the views of a short last chunk stay contiguous.
     block_buf = np.empty(walks * _BLOCK * dim * size)
     last_buf = np.empty(walks * dim * size)
@@ -193,10 +194,9 @@ def _mc_iterates(
     if alphas is not None:
         keep = alphas[:, None, None]
         pull = (1.0 - keep) * start
-    for first in range(0, trials, _CHUNK):
+    for chunk, first in enumerate(range(0, trials, _CHUNK)):
         n = min(_CHUNK, trials - first)
-        for i, rng in enumerate(keyed_rngs((seed,), range(first, first + n))):
-            rng.standard_normal(out=draws[i])
+        rng = keyed_rng(seed, chunk, tag)
         xs = block_buf[: walks * _BLOCK * dim * n].reshape(walks, _BLOCK, dim, n)
         last = last_buf[: walks * dim * n].reshape(walks, dim, n)
         grad = grad_buf[: walks * dim * n].reshape(walks, dim, n)
@@ -205,11 +205,11 @@ def _mc_iterates(
         yield 0, xs[:, :1]
         for t in range(1, steps + 1, _BLOCK):
             k = min(_BLOCK, steps + 1 - t)
-            # The block's scaled noise waits in the last walk's slots: step j
-            # adds slot j to every walk's gradient before it overwrites it.
+            # The block's noise waits in the last walk's slots: step j adds
+            # slot j to every walk's gradient before it overwrites it.
             noise = xs[-1, :k]
-            np.copyto(noise, draws[:n, t - 1 : t - 1 + k].transpose(1, 2, 0))
-            _scale_noise(noise, std)
+            rng.standard_normal(out=noise)
+            noise *= std
             x = last
             for j in range(k):
                 np.subtract(x, optimum, out=grad)
@@ -226,15 +226,10 @@ def _mc_iterates(
 
 
 def _trial_sums(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(..., k, dim)`` sums over the trials of dim-major ``(..., k, dim,
-    n)`` iterates and of their squares, with the bits of a per-step
-    ``x.sum(axis=-2)`` over the trial-major ``(..., n, dim)`` layout: pairwise
-    over the trials when ``dim == 1``, row by row otherwise."""
-    if xs.shape[-2] == 1:
-        return xs.sum(axis=-1), np.square(xs).sum(axis=-1)
-    rows = np.moveaxis(xs, -1, -3).copy()  # a new C-ordered array
-    total = rows.sum(axis=-3)
-    return total, np.square(rows, out=rows).sum(axis=-3)
+    """The ``(..., k, dim)`` sums over the contiguous trials of dim-major
+    ``(..., k, dim, n)`` iterates and of their squares, each summed pairwise,
+    whatever the block size."""
+    return xs.sum(axis=-1), np.square(xs).sum(axis=-1)
 
 
 def _trace_variance(total: np.ndarray, total_sq: np.ndarray, trials: int) -> np.ndarray:
@@ -251,6 +246,7 @@ def _run_variance_mc(
     steps: int,
     trials: int,
     seed: int,
+    tag: int,
     theta0: np.ndarray,
     alphas: np.ndarray | None,
 ) -> np.ndarray:
@@ -260,7 +256,7 @@ def _run_variance_mc(
     walks = 1 if alphas is None else len(alphas)
     total = np.zeros((walks, steps + 1, task.dim))
     total_sq = np.zeros((walks, steps + 1, task.dim))
-    for t, xs in _mc_iterates(task, eta, steps, trials, seed, theta0, alphas):
+    for t, xs in _mc_iterates(task, eta, steps, trials, seed, tag, theta0, alphas):
         k = xs.shape[1]
         block, block_sq = _trial_sums(xs)
         total[:, t : t + k] += block
@@ -280,7 +276,7 @@ def simulate_sgd(
     if trials < 100:
         raise ConfigurationError(f"need >= 100 trials, got {trials}")
     _check_finite("eta", eta)
-    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, None)[0]
+    return _run_variance_mc(task, eta, steps, trials, seed, _SGD_TAG, task.optimum, None)[0]
 
 
 def simulate_weight_ensemble(
@@ -310,7 +306,9 @@ def simulate_weight_ensemble(
     _check_finite("eta", eta)
     if np.any(task.curvature != 0):
         raise ConfigurationError("closed-form comparison requires zero curvature")
-    return _run_variance_mc(task, eta, steps, trials, seed, task.optimum, alphas)
+    return _run_variance_mc(
+        task, eta, steps, trials, seed, _ENSEMBLE_TAG, task.optimum, alphas
+    )
 
 
 def fit_slope(v: np.ndarray) -> tuple[float, float]:
@@ -438,7 +436,7 @@ def check_chebyshev(
     total_sq = np.zeros((steps + 1, task.dim))
     exceed = np.zeros(steps + 1)
     optimum = task.optimum[:, None]
-    for t, (xs,) in _mc_iterates(task, eta, steps, trials, seed, theta0):
+    for t, (xs,) in _mc_iterates(task, eta, steps, trials, seed, _CHEBYSHEV_TAG, theta0):
         k = xs.shape[0]
         block, block_sq = _trial_sums(xs)
         total[t : t + k] += block

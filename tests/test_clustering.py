@@ -124,8 +124,8 @@ class TestStyleReservoir:
             assert abs(wins[item] / trials - p) <= bound
 
     def test_inclusion_uniformity_m8(self):
-        # Small Monte-Carlo uniformity check (the full-size one is in the
-        # acceptance suite): M = 8, T = 32.
+        # Monte-Carlo uniformity check: M = 8, T = 32, so each item is kept
+        # with probability 1/4.
         trials = 4000
         counts = np.zeros(32)
         items = np.arange(32, dtype=np.float64)[:, None]

@@ -2,9 +2,10 @@
 the whole calibration sample, candidate pool, stream or trial count.
 
 Each stage works in fixed chunks (calibration stacks, candidate stacks,
-screen blocks, table chunks, one Monte-Carlo noise buffer and block of
-steps), so its traced peak stays within a bound; the figure of the former
-code is quoted in each docstring (``tracemalloc``, numpy 2.4, Python 3.11).
+screen blocks, table chunks, Monte-Carlo chunks of trials drawn a block of
+steps at a time), so its traced peak stays within a bound; the figure of the
+former code is quoted in each docstring (``tracemalloc``, numpy 2.4, Python
+3.11).
 """
 
 from dataclasses import replace
@@ -56,29 +57,39 @@ def test_make_domains_peak(context, traced_peak_mb):
     assert peak <= 5.0
 
 
-def test_check_chebyshev_peak(traced_peak_mb):
-    """The theory suite's Chebyshev check at its default 10000 trials of 200
-    steps: at most 16 MB (25.1 MB when each 2048-trial noise chunk was
-    allocated before the former one was freed)."""
-    t = config.TheoryParams()
+def _chebyshev_peak_mb(traced_peak_mb, steps, trials):
     task = theory.NoisyQuadraticTask(
         optimum=np.zeros(4), curvature=np.full(4, 0.5), noise_std=np.ones(4)
     )
-    peak = traced_peak_mb(
+    return traced_peak_mb(
         theory.check_chebyshev, task, 5.0, np.full(4, 0.5), cli.THEORY_ETA,
-        t.chebyshev_steps, t.chebyshev_trials, cli.THEORY_SEED,
+        steps, trials, cli.THEORY_SEED,
     )
-    assert peak <= 16.0
+
+
+def test_check_chebyshev_peak(traced_peak_mb):
+    """The theory suite's Chebyshev check at its default 10000 trials of 200
+    steps: at most 4 MB (15.0 MB when each chunk's trials were drawn whole
+    into a trial-major buffer)."""
+    t = config.TheoryParams()
+    assert _chebyshev_peak_mb(traced_peak_mb, t.chebyshev_steps, t.chebyshev_trials) <= 4.0
+
+
+def test_check_chebyshev_peak_at_20000_steps(traced_peak_mb):
+    """100 trials of 20000 steps: at most 5 MB, most of it the per-step
+    moment sums and results (63.4 MB when each chunk's whole trajectories
+    were drawn up front)."""
+    assert _chebyshev_peak_mb(traced_peak_mb, 20_000, 100) <= 5.0
 
 
 def test_weight_ensemble_peak(traced_peak_mb):
     """The theory suite's weight-ensemble check at its default 100000 trials
-    of 100 steps and two weights: at most 3 MB (2.08 MB when each step's
-    iterates were summed alone)."""
+    of 100 steps and two weights: at most 1 MB (2.33 MB when each chunk's
+    trials were drawn whole into a trial-major buffer)."""
     t = config.TheoryParams()
     assert (t.ensemble_trials, len(t.ensemble_alphas), t.steps) == (100_000, 2, 100)
     peak = traced_peak_mb(
         theory.simulate_weight_ensemble, theory.pure_noise_task(), cli.THEORY_ETA,
         t.ensemble_alphas, t.steps, t.ensemble_trials, cli.THEORY_SEED,
     )
-    assert peak <= 3.0
+    assert peak <= 1.0

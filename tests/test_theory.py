@@ -77,14 +77,18 @@ class TestSimulateSgd:
         assert variance.shape == (1,)
         assert variance[0] == 0.0
 
-    def test_chunked_equals_sequential(self, monkeypatch):
-        # Counter-based per-trial seeding: chunk size must not change the
-        # trials, so the curves agree to reduction-order tolerance.
+    def test_chunk_size_fixes_the_draws(self, monkeypatch):
+        """A trial is a column of its chunk's draw, so the module's
+        ``_CHUNK`` and the seed fix the draws: a repeat call gives the same
+        bits, and another chunk size gives other draws."""
         task = theory.pure_noise_task(2, 1.0)
-        a = theory.simulate_sgd(task, 0.1, 15, 300, seed=9)
+        default = theory.simulate_sgd(task, 0.1, 15, 300, seed=9)
+        # 7 does not divide 300: 43 chunks, the last of 6 trials.
         monkeypatch.setattr(theory, "_CHUNK", 7)
+        a = theory.simulate_sgd(task, 0.1, 15, 300, seed=9)
         b = theory.simulate_sgd(task, 0.1, 15, 300, seed=9)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, default)
 
 
 class TestSimulateWeightEnsemble:
@@ -311,21 +315,21 @@ class TestChebyshev:
 class TestTrialSums:
     @pytest.mark.parametrize("trials", [1, 7, 9, 300])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_bits_of_a_per_step_sum(self, dim, trials):
-        # numpy sums a trial-major (walks, n, dim) step pairwise over the
-        # trials when dim == 1 and row by row otherwise; scales 1e-8..1e8
-        # make any other summation order show in the low bits.
+    def test_bits_of_each_row_summed_alone(self, dim, trials):
+        # Each (walk, step, coordinate) row of trials is summed as numpy
+        # sums that row alone, pairwise, whatever the dim or the block;
+        # scales 1e-8..1e8 make any other summation order show in the low
+        # bits.
         rng = np.random.default_rng(dim * 1000 + trials)
-        steps = rng.standard_normal((3, 5, trials, dim)) * 10.0 ** rng.integers(
-            -8, 9, (3, 5, trials, dim)
+        xs = rng.standard_normal((3, 5, dim, trials)) * 10.0 ** rng.integers(
+            -8, 9, (3, 5, dim, trials)
         )
-        total, total_sq = theory._trial_sums(
-            np.ascontiguousarray(steps.transpose(0, 1, 3, 2))
-        )
-        for k in range(5):
-            x = np.ascontiguousarray(steps[:, k])
-            assert total[:, k].tobytes() == x.sum(axis=-2).tobytes()
-            assert total_sq[:, k].tobytes() == (x**2).sum(axis=-2).tobytes()
+        total, total_sq = theory._trial_sums(xs)
+        assert total.shape == total_sq.shape == (3, 5, dim)
+        for index in np.ndindex(total.shape):
+            row = xs[index].copy()
+            assert total[index].tobytes() == row.sum().tobytes()
+            assert total_sq[index].tobytes() == (row**2).sum().tobytes()
 
 
 class TestReproducibility:
@@ -343,9 +347,16 @@ class TestReproducibility:
 
 
 def _oracle_noise(seed, trial, steps, std):
-    """The per-trial noise as first specified: a tuple-seeded generator's
+    """One trial's noise as first specified: a tuple-seeded generator's
     ``normal`` draw with the per-coordinate stds as the scale array."""
     return np.random.default_rng((seed, trial)).normal(0.0, std, size=(steps, std.size))
+
+
+def _oracle_chunk_noise(seed, chunk, tag, steps, n, std):
+    """A chunk's ``(steps, dim, n)`` noise as specified: its generator's
+    standard normals in C order, scaled per coordinate."""
+    z = np.random.default_rng((seed, chunk, tag)).standard_normal((steps, std.size, n))
+    return z * std[:, None]
 
 
 _NOISE_TASKS = [
@@ -364,10 +375,11 @@ _NOISE_TASKS = [
 
 
 class TestNoiseOracle:
-    """The Monte-Carlo noise is bit-identical to the original per-trial draw."""
+    """The Monte-Carlo noise is bit-identical to its specified draws."""
 
     @pytest.mark.parametrize("task", _NOISE_TASKS)
     def test_trial_noise_matches_oracle(self, task):
+        # Equal as numbers: a zero std may give -0.0 where normal gives 0.0.
         for seed, trial in ((0, 0), (101, 7), (2**32 - 1, 12345)):
             np.testing.assert_array_equal(
                 theory._trial_noise(seed, trial, 30, task),
@@ -385,25 +397,26 @@ class TestNoiseOracle:
         # it ran alone.
         monkeypatch.setattr(theory, "_CHUNK", 7)
         monkeypatch.setattr(theory, "_BLOCK", 5)
-        eta, steps, trials, seed = 0.3, 12, 17, 5
+        eta, steps, trials, seed, tag = 0.3, 12, 17, 5, 9
         theta0 = task.optimum + 0.25
         stack = None if alphas is None else np.array(alphas)
         walks = [None] if alphas is None else list(alphas)
-        iterates = theory._mc_iterates(task, eta, steps, trials, seed, theta0, stack)
-        for start in range(0, trials, 7):
-            n = min(7, trials - start)
-            noise = np.stack(
-                [_oracle_noise(seed, start + i, steps, task.noise_std) for i in range(n)]
-            )
-            xs = [np.tile(theta0, (n, 1)) for _ in walks]
-            oracle = [np.stack(xs).transpose(0, 2, 1)]
+        iterates = theory._mc_iterates(task, eta, steps, trials, seed, tag, theta0, stack)
+        start, optimum, curvature = (
+            v[:, None] for v in (theta0, task.optimum, task.curvature)
+        )
+        for chunk, first in enumerate(range(0, trials, 7)):
+            n = min(7, trials - first)
+            noise = _oracle_chunk_noise(seed, chunk, tag, steps, n, task.noise_std)
+            xs = [np.tile(start, (1, n)) for _ in walks]
+            oracle = [np.stack(xs)]
             for step in range(steps):
                 for w, alpha in enumerate(walks):
-                    grad = task.curvature * (xs[w] - task.optimum) + noise[:, step, :]
+                    grad = curvature * (xs[w] - optimum) + noise[step]
                     xs[w] = xs[w] - eta * grad
                     if alpha is not None:
-                        xs[w] = alpha * xs[w] + (1.0 - alpha) * theta0
-                oracle.append(np.stack(xs).transpose(0, 2, 1))
+                        xs[w] = alpha * xs[w] + (1.0 - alpha) * start
+                oracle.append(np.stack(xs))
             for t, k in ((0, 1), (1, 5), (6, 5), (11, 2)):
                 got_t, got = next(iterates)
                 assert (got_t, got.shape) == (t, (len(walks), k, task.dim, n))
@@ -411,17 +424,41 @@ class TestNoiseOracle:
                     assert got[:, j].tobytes() == oracle[t + j].tobytes()
         assert next(iterates, None) is None
 
-    def test_one_generator_per_trial(self, monkeypatch, default_rng_calls):
-        calls = default_rng_calls
+    def test_one_generator_per_chunk(self, monkeypatch, default_rng_calls):
+        # 64 does not divide 150: three chunks, keyed (seed, chunk, tag).
         monkeypatch.setattr(theory, "_CHUNK", 64)
-        theory.simulate_sgd(theory.pure_noise_task(2, 1.0), 0.1, 5, 150, seed=3)
-        assert len(calls) == 150
-        calls.clear()
-        # Every alpha steps on the one draw of each trial.
+
+        def keys():
+            got = [tuple(args[0].tolist()) for args in default_rng_calls]
+            default_rng_calls.clear()
+            return got
+
         task = theory.pure_noise_task(2, 1.0)
+        theory.simulate_sgd(task, 0.1, 5, 150, seed=3)
+        assert keys() == [(3, c, theory._SGD_TAG) for c in range(3)]
+        # Every alpha steps on the one draw of each chunk.
         theory.simulate_weight_ensemble(task, 0.1, [0.9, 0.5, 0.99], 5, 150, seed=3)
-        assert len(calls) == 150
-        calls.clear()
-        task = theory.NoisyQuadraticTask(np.zeros(4), np.full(4, 0.3), np.ones(4))
+        assert keys() == [(3, c, theory._ENSEMBLE_TAG) for c in range(3)]
+        task = theory.NoisyQuadraticTask(np.zeros(4), np.full(4, 0.5), np.ones(4))
+        theory.check_chebyshev(task, 5.0, np.full(4, 0.5), 0.1, 5, 150, seed=3)
+        assert keys() == [(3, c, theory._CHEBYSHEV_TAG) for c in range(3)]
         theory.check_fisher_trajectory(task, 0.5, 1.0, 0.1, 20, seed=3)
-        assert len(calls) == 1
+        assert keys() == [(3, 0)]
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_curves_do_not_depend_on_the_block(self, monkeypatch, dim):
+        # Each chunk draws its steps in order, whatever the block, and the
+        # trial sums and distances are per step; 3 does not divide 20 steps.
+        task = theory.NoisyQuadraticTask(np.zeros(dim), np.full(dim, 0.5), np.ones(dim))
+        walk = theory.pure_noise_task(dim, 1.0)
+        monkeypatch.setattr(theory, "_CHUNK", 64)
+        curves = {}
+        for block in (8, 3):
+            monkeypatch.setattr(theory, "_BLOCK", block)
+            curves[block] = [
+                theory.simulate_sgd(walk, 0.1, 20, 150, seed=4),
+                theory.simulate_weight_ensemble(walk, 0.1, [0.9, 0.5], 20, 150, seed=4),
+                *theory.check_chebyshev(task, 2.0, np.full(dim, 0.5), 0.1, 20, 150, seed=4),
+            ]
+        for a, b in zip(curves[8], curves[3], strict=True):
+            assert a.tobytes() == b.tobytes()
