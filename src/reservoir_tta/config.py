@@ -37,7 +37,7 @@ import yaml
 
 from . import stream, tta
 from .errors import ConfigurationError, check_fields, encodes_as_utf8
-from .seeding import KEY_BOUND, keyed_rngs
+from .seeding import KEY_BOUND, keyed_rng
 from .style import FeatureExtractor, calibrate_threshold, extract_style
 
 _TAG_CALIBRATION = 10
@@ -314,7 +314,7 @@ def calibration_styles(
     """
     count = cfg.style.calibration_styles
     styles = np.empty((count, extractor.style_dim))
-    rngs = keyed_rngs((STYLE_SEED, _TAG_CALIBRATION), range(count))
+    rngs = (keyed_rng(STYLE_SEED, _TAG_CALIBRATION, i) for i in range(count))
     for s0 in range(0, count, _STYLE_STACK):
         size = min(_STYLE_STACK, count - s0)
         stack, _, _ = blob.sample_batches(rngs, size, CALIBRATION_BATCH_SIZE)
@@ -351,10 +351,9 @@ def build_context(cfg: RunConfig) -> stream.EpisodeContext:
         source_style_mean=source_mean,
         batch_size=plan.batch_size,
     )
-    fisher_rngs = keyed_rngs((STYLE_SEED, _TAG_FISHER), range(cfg.style.fisher_batches))
-    fisher_batches, _, _ = dataset.blob.sample_batches(
-        fisher_rngs, cfg.style.fisher_batches, plan.batch_size
-    )
+    count = cfg.style.fisher_batches
+    fisher_rngs = (keyed_rng(STYLE_SEED, _TAG_FISHER, i) for i in range(count))
+    fisher_batches, _, _ = dataset.blob.sample_batches(fisher_rngs, count, plan.batch_size)
     omega = tta.estimate_fisher(model, fisher_batches)
     return stream.EpisodeContext(
         blob=dataset.blob,

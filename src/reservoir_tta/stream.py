@@ -59,7 +59,7 @@ from .errors import (
     check_fields,
 )
 from .model_reservoir import ModelReservoir
-from .seeding import keyed_rng, keyed_rngs
+from .seeding import keyed_rng
 from .style import FeatureExtractor, extract_style
 
 # Sub-stream tags for counter-based seeding; one tag per independent rng use.
@@ -325,11 +325,11 @@ def domain_style_mean(
     each over freshly sampled batches.
 
     Batch ``i`` of the ``k``-th domain draws its inputs and then its domain
-    noise from the rng of the key ``(*seed_key, k, i)``: one hash of all keys,
-    one ``default_rng`` call per batch, ``_CANDIDATE_STACK`` domains drawn and
-    extracted as one stack.
+    noise from the rng ``keyed_rng(*seed_key, k, i)``, one ``default_rng``
+    call per batch; ``_CANDIDATE_STACK`` domains are drawn and extracted as
+    one stack.
     """
-    rngs = keyed_rngs(seed_key, [(k, i) for k in range(len(pool)) for i in range(batches)])
+    rngs = (keyed_rng(*seed_key, k, i) for k in range(len(pool)) for i in range(batches))
     means = np.empty((len(pool), extractor.style_dim))
     for c in range(0, len(pool), _CANDIDATE_STACK):
         part = pool[c : c + _CANDIDATE_STACK]
@@ -504,13 +504,13 @@ class DomainStream:
     slot) key's raw batch, its inputs, labels and standard-normal noise,
     from the key's own rng ``keyed_rng(seed, _TAG_STREAM, domain, slot)``
     into three read-only arrays indexed ``[domain, slot]``, drawn as one
-    stack (``BlobSpec.sample_batches``) from one hash of all the keys. It
-    maps every step to a row of one read-only distortion table: the
-    transform, offset and noise scale of each distinct ``(primary, next,
-    weight)``, a pure step (weight 0, or the same domain at both segment
-    ends: every CSC and CDC step) taken as ``(primary, primary, 0.0)``. The table is blended
-    ``_TABLE_ROWS`` rows at a time into preallocated arrays: a chunk's rows
-    have the bits of one :func:`blend_domains` call over the whole table.
+    stack (``BlobSpec.sample_batches``). It maps every step to a row of one
+    read-only distortion table: the transform, offset and noise scale of
+    each distinct ``(primary, next, weight)``, a pure step (weight 0, or the
+    same domain at both segment ends: every CSC and CDC step) taken as
+    ``(primary, primary, 0.0)``. The table is blended ``_TABLE_ROWS`` rows at
+    a time into preallocated arrays: a chunk's rows have the bits of one
+    :func:`blend_domains` call over the whole table.
 
     ``next_batch`` is called once per step, in order. The steps form blocks
     of ``_PREP_STEPS``; at the first step of a block, the stream prepares
@@ -543,9 +543,8 @@ class DomainStream:
         self.styles = styles
         self.schedule = plan.schedule(seed)
         per = plan.batches_per_domain
-        pairs = [(domain, slot) for domain in range(plan.domains) for slot in range(per)]
-        rngs = keyed_rngs((seed, _TAG_STREAM), pairs)
-        drawn = context.blob.sample_batches(rngs, len(pairs), plan.batch_size, noise=True)
+        rngs = (keyed_rng(seed, _TAG_STREAM, d, s) for d in range(plan.domains) for s in range(per))
+        drawn = context.blob.sample_batches(rngs, plan.domains * per, plan.batch_size, noise=True)
         self._inputs, self._labels, self._noise = _freeze(
             tuple(a.reshape(plan.domains, per, *a.shape[1:]) for a in drawn)
         )

@@ -793,6 +793,85 @@ def test_theory_checks_share_no_key(tmp_path, monkeypatch, default_rng_calls):
     assert len(set(streams)) == len(streams)
 
 
+# The draw sites of ``rtta run`` that share a key, as ``module.function``.
+_BLOB, _SAMPLE = "stream.make_blob", "stream.make_source_dataset"
+_EXTRACTOR, _CLASSIFIER = "style.FeatureExtractor.__init__", "tta.AdaptableClassifier.__init__"
+_CALIBRATION, _FISHER = "config.calibration_styles", "config.build_context"
+_POOL, _CANDIDATES = "stream.make_domains", "stream.domain_style_mean"
+_ORDER, _STREAM = "stream.ScenarioPlan.visit_order", "stream.DomainStream.__init__"
+_RESERVOIR = "stream.run_episode"
+# Every key (trailing zeros trimmed) that two draw sites share in a run at
+# seeds 1, 2, 7, 11 and 23, with its sites. ROADMAP item 16 names each group;
+# its re-key empties these tables. SOURCE_SEED seeds both the source blob
+# and the classifier as the int 7. A run seed equal to a set-up seed (7, 11,
+# 23) draws the stream batch (domain 0, slot 0), key (seed, 0, 0, 0), from
+# that seed's one-word or attempt-0 key, and at seed 7 the style reservoir,
+# key (7, 1), from the source sample's.
+_SHARED_CSC_KEYS = {
+    (7,): {_BLOB, _CLASSIFIER, _STREAM},
+    (7, 1): {_SAMPLE, _RESERVOIR},
+    (11,): {_EXTRACTOR, _STREAM},
+    (23,): {_POOL, _STREAM},
+}
+# CDC and CCC also draw visit v's order from (seed, v): visit 0 shares the
+# stream batch (0, 0), visit 1 the style reservoir, and at seed 11 and 23
+# visits 10, 11 and 2 share the first calibration, Fisher and candidate batch.
+_SHARED_ORDER_KEYS = {
+    (1,): {_ORDER, _STREAM},
+    (1, 1): {_ORDER, _RESERVOIR},
+    (2,): {_ORDER, _STREAM},
+    (2, 1): {_ORDER, _RESERVOIR},
+    (7,): {_BLOB, _CLASSIFIER, _ORDER, _STREAM},
+    (7, 1): {_SAMPLE, _ORDER, _RESERVOIR},
+    (11,): {_EXTRACTOR, _ORDER, _STREAM},
+    (11, 1): {_ORDER, _RESERVOIR},
+    (11, 10): {_CALIBRATION, _ORDER},
+    (11, 11): {_FISHER, _ORDER},
+    (23,): {_POOL, _ORDER, _STREAM},
+    (23, 1): {_ORDER, _RESERVOIR},
+    (23, 2): {_CANDIDATES, _ORDER},
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a site's name is its co_qualname")
+@pytest.mark.parametrize(
+    "kind, shared",
+    [("csc", _SHARED_CSC_KEYS), ("cdc", _SHARED_ORDER_KEYS), ("ccc", _SHARED_ORDER_KEYS)],
+    ids=["csc", "cdc", "ccc"],
+)
+def test_run_key_collisions_are_the_known_ones(tmp_path, monkeypatch, kind, shared):
+    """The keys that two draw sites of ``rtta run`` share, compared as in
+    ``test_theory_checks_share_no_key``, an int seed as a one-word key, are
+    the known ones. A site is the function that calls ``keyed_rng`` or
+    ``default_rng``; a key may repeat within a site."""
+    sites = {}
+    default_rng = np.random.default_rng
+
+    def recording(key):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] == "reservoir_tta.seeding":
+            caller = caller.f_back
+        module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
+        site = f"{module}.{caller.f_code.co_qualname.split('.<locals>')[0]}"
+        trimmed = tuple(np.trim_zeros(np.atleast_1d(key), "b").tolist())
+        sites.setdefault(trimmed, set()).add(site)
+        return default_rng(key)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    data = {
+        "seeds": [1, 2, 7, 11, 23],
+        "source": {"samples_per_class": 20, "epochs": 1},
+        "style": {"calibration_styles": 20, "fisher_batches": 2},
+        "scenario": {
+            "kind": kind, "domains": 2, "visits": 12, "batches_per_domain": 1, "batch_size": 8
+        },
+        "methods": [{"name": "tent", "kind": "entropy"}],
+    }
+    assert cli.main(["run", "--config", _write_config(tmp_path, data)]) == 0
+    assert {key: s for key, s in sites.items() if len(s) > 1} == shared
+
+
 def test_default_tau_matches_golden_bits(context):
     # The default config's threshold, 3.2386990788423393, to the bit.
     assert context.tau.hex() == "0x1.9e8db1009b494p+1"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reservoir_tta import config, seeding, stream, tta
+from reservoir_tta import config, stream, tta
 from reservoir_tta.style import (
     VAR_FLOOR,
     FeatureExtractor,
@@ -225,9 +225,7 @@ class TestStyleLoopOracle:
             )
             assert got.tobytes() == want.tobytes()
 
-    def test_one_generator_per_batch(self, monkeypatch, default_rng_calls):
-        # Several hash chunks per call.
-        monkeypatch.setattr(seeding, "_CHUNK", 16)
+    def test_one_generator_per_batch(self, default_rng_calls):
         blob = stream.make_blob(3, 4, 0)
         extractor = FeatureExtractor(4, seed=0)
         rng = np.random.default_rng(1)
@@ -239,6 +237,17 @@ class TestStyleLoopOracle:
         default_rng_calls.clear()
         stream.domain_style_mean([domain], blob, extractor, 8, 21, (5, 2, 0))
         assert len(default_rng_calls) == 21
+
+    def test_fisher_weights_equal_per_batch_draws(self, context, default_config):
+        batches = [
+            context.blob.sample(
+                np.random.default_rng((config.STYLE_SEED, config._TAG_FISHER, i)),
+                context.plan.batch_size,
+            )[0]
+            for i in range(default_config.style.fisher_batches)
+        ]
+        want = tta.estimate_fisher(context.model, batches)
+        assert context.fisher_omega.tobytes() == want.tobytes()
 
     @given(
         stack=st.integers(0, 8),
@@ -325,9 +334,15 @@ class TestBatchedSetUp:
             assert stacked[i].tobytes() == context.model.features(x[i]).tobytes()
 
     def test_build_context_makes_one_generator_per_key(self, default_rng_calls):
-        # 2000 calibration batches, 64 x 16 candidate batches, 10 Fisher
-        # batches, and one generator each for the source blob, the source
-        # sample, the extractor, the classifier, its minibatch order and the
-        # domain pool.
+        # One generator each for the source blob, the source sample, the
+        # extractor, the classifier and its minibatch order; 2000 calibration
+        # batches; the domain pool and its 64 x 16 candidate batches; 10
+        # Fisher batches. An int seed is a one-word key.
         config.build_context(config.RunConfig())
-        assert len(default_rng_calls) == 2000 + 64 * 16 + 10 + 6 == 3040
+        keys = [tuple(np.atleast_1d(key).tolist()) for (key,) in default_rng_calls]
+        assert len(keys) == 2000 + 64 * 16 + 10 + 6 == 3040
+        assert keys[:5] == [(7,), (7, 1), (11,), (7,), (8,)]
+        assert keys[5:2005] == [(11, 10, i) for i in range(2000)]
+        assert keys[2005] == (23, 0)
+        assert keys[2006:3030] == [(23, 2, 0, k, i) for k in range(64) for i in range(16)]
+        assert keys[3030:] == [(11, 11, i) for i in range(10)]

@@ -629,10 +629,12 @@ class TestStepWork:
             context, kind=kind, domains=3, visits=2, batches_per_domain=4, batch_size=8
         )
         ds = stream.DomainStream(ctx, seed=13)
-        # One generator per (domain, slot) key, plus one per visit's order
-        # when the order is reshuffled.
-        orders = 0 if kind == "csc" else ctx.plan.visits
-        assert len(default_rng_calls) == 3 * 4 + orders
+        # One generator per visit's order when the order is reshuffled, then
+        # one per (domain, slot) key.
+        orders = [] if kind == "csc" else [(13, v) for v in range(ctx.plan.visits)]
+        batches = [(13, stream._TAG_STREAM, d, s) for d in range(3) for s in range(4)]
+        keys = [tuple(key.tolist()) for (key,) in default_rng_calls]
+        assert keys == orders + batches
         default_rng_calls.clear()
         for step in range(ctx.plan.total_steps):
             ds.next_batch(step)
