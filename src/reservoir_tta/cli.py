@@ -83,7 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="YAML config path (defaults if omitted)")
     p_run.add_argument("--seeds", help="comma-separated seed list override")
 
-    p_th = sub.add_parser("theory", help="run the theory verification suite")
+    p_th = sub.add_parser(
+        "theory",
+        help="run the theory verification suite",
+        description="Run the theory verification suite. Its Monte-Carlo checks use "
+        "at most two threads, and no output depends on how many they use.",
+    )
     p_th.add_argument("--config")
     p_th.add_argument(
         "--checks",

@@ -27,8 +27,10 @@ def keyed_rng(*key: int) -> np.random.Generator:
     An int in ``[0, 2**32)`` gives ``SeedSequence`` exactly one uint32
     entropy word, the same word as the entry of a ``uint32`` array, so both
     seeds give the same stream; the array skips numpy's int-by-int tuple
-    conversion. An entry outside that range raises ``OverflowError``.
+    conversion. An entry outside that range, a numpy integer too, raises
+    ``OverflowError``: each entry passes through ``int`` first, since numpy
+    wraps a numpy integer cast to ``uint32`` where it rejects a Python int.
 
     The generator is fresh: the caller may keep it as long as it likes.
     """
-    return np.random.default_rng(np.array(key, dtype=np.uint32))
+    return np.random.default_rng(np.array([int(k) for k in key], dtype=np.uint32))

@@ -36,6 +36,18 @@ its chunk. So the draws depend on ``_CHUNK``, and changing it changes every
 Monte-Carlo output; they do not depend on ``_BLOCK``. Both are module
 constants, so a config and seed give the same bits on every run.
 
+The chunk is the unit of work. ``_chunk_iterates``, the driver, steps one
+chunk's trials; each Monte-Carlo routine turns the driver's blocks into its
+chunk's moment sums (and counts outside the ball), and ``_map_chunks`` adds
+these into zero-initialised totals in chunk order, the order in which a
+single pass over the chunks would add them, so every bit is the same
+however the chunks ran. The map makes every chunk's generator up front, in
+chunk order, on the calling thread. With two or more CPUs it runs the even
+chunks on the calling thread and the odd ones on one helper thread: numpy
+fills the draws and runs the updates on ``n`` trials with the interpreter
+lock released, so the two overlap. There is never more than one helper, so
+at most two chunks' buffers are live at once, whatever the host.
+
 The driver steps a stack of walks on one draw: every update rule of a call
 (one interpolation weight per walk of ``simulate_weight_ensemble``, or the
 single plain-SGD walk) sees the same trials' noise, which is drawn once.
@@ -48,16 +60,21 @@ iterates, so that every update and reduction runs over the chunk's ``n``
 trials in numpy's inner loop, not over ``dim`` (4 in the Chebyshev check)
 entries at a time. It draws each block's noise straight into the block's
 buffer, so its memory is set by the chunk and the block, not by the step
-count. The consumers reduce each block of iterates at once: ``_trial_sums``
+count. The routines reduce each block of iterates at once: ``_trial_sums``
 sums every coordinate over its contiguous trials, pairwise as numpy sums a
-contiguous axis, and the Chebyshev check's distance adds the ``dim`` rows
-in order, as ``np.linalg.norm(axis=1)`` does.
+contiguous axis, then squares the block in place, and the Chebyshev check's
+distance adds the ``dim`` rows in order, as ``np.linalg.norm(axis=1)``
+does, in one scratch buffer per chunk.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -72,6 +89,8 @@ _BLOCK = 8
 _SGD_TAG = 1
 _ENSEMBLE_TAG = 2
 _CHEBYSHEV_TAG = 3
+
+_Result = TypeVar("_Result")
 
 
 def _check_finite(name: str, value) -> None:
@@ -154,82 +173,142 @@ def _trial_noise(
     return keyed_rng(seed, trial).standard_normal((steps, task.dim)) * task.noise_std
 
 
-def _mc_iterates(
-    task: NoisyQuadraticTask,
-    eta: float,
-    steps: int,
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _map_chunks(
+    work: Callable[[np.random.Generator, int], _Result],
+    fold: Callable[[_Result], object],
     trials: int,
     seed: int,
     tag: int,
+) -> None:
+    """``fold(work(keyed_rng(seed, c, tag), n))`` for every chunk ``c`` of
+    ``trials``, with ``n`` its trial count, in chunk order.
+
+    Every chunk's generator is made up front, in chunk order, on the calling
+    thread, which also runs every ``fold``. With two or more CPUs, one
+    helper thread runs ``work`` on the odd chunks while the calling thread
+    runs it on the even ones. The helper hands each result over through a
+    one-slot queue, so at most three results wait to be folded, whatever
+    the chunk count. An exception raised in the helper is raised here, and
+    the helper has ended when this returns or raises.
+    """
+    chunks = [
+        (keyed_rng(seed, c, tag), min(_CHUNK, trials - first))
+        for c, first in enumerate(range(0, trials, _CHUNK))
+    ]
+    if len(chunks) < 2 or _available_cpus() < 2:
+        for rng, n in chunks:
+            fold(work(rng, n))
+        return
+    handoff = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def helper() -> None:
+        try:
+            for rng, n in chunks[1::2]:
+                if stop.is_set():
+                    return
+                handoff.put(work(rng, n))
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            handoff.put(exc)
+
+    def take() -> _Result:
+        result = handoff.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    thread = threading.Thread(target=helper, name="theory-chunks")
+    thread.start()
+    try:
+        for pair, (rng, n) in enumerate(chunks[::2]):
+            result = work(rng, n)
+            if pair:
+                fold(take())
+            fold(result)
+        if len(chunks) % 2 == 0:
+            fold(take())
+    finally:
+        # After a failure the helper may wait on a full slot: free it once,
+        # and the helper stops before its next chunk.
+        stop.set()
+        with contextlib.suppress(queue.Empty):
+            handoff.get_nowait()
+        thread.join()
+
+
+def _chunk_iterates(
+    task: NoisyQuadraticTask,
+    eta: float,
+    steps: int,
+    rng: np.random.Generator,
+    n: int,
     theta0: np.ndarray,
     alphas: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The Monte-Carlo driver: yields ``(t, xs)`` per chunk of trials and
-    block of steps.
+    """The Monte-Carlo driver of one chunk of ``n`` trials: yields ``(t,
+    xs)`` per block of steps.
 
-    ``xs`` holds one chunk's dim-major ``(walks, k, dim, n)`` iterates of
-    steps ``t..t+k-1`` and is valid until the next yield. Each chunk yields
-    ``t = 0`` with ``k = 1``, then blocks of up to ``_BLOCK`` steps through
-    ``steps``. ``alphas=None`` is one plain-SGD walk; otherwise there is one
-    walk per entry of the 1-D ``alphas``, and every step of walk ``w``
-    interpolates back toward ``theta0`` with weight ``alphas[w]``.
+    ``xs`` holds the chunk's dim-major ``(walks, k, dim, n)`` iterates of
+    steps ``t..t+k-1``; it is valid until the next yield, and the caller may
+    overwrite it. The chunk yields ``t = 0`` with ``k = 1``, then blocks of
+    up to ``_BLOCK`` steps through ``steps``. ``alphas=None`` is one
+    plain-SGD walk; otherwise there is one walk per entry of the 1-D
+    ``alphas``, and every step of walk ``w`` interpolates back toward
+    ``theta0`` with weight ``alphas[w]``.
 
-    Chunk ``c`` draws its noise from ``keyed_rng(seed, c, tag)``, block by
-    block in step order, each block's ``(k, dim, n)`` standard normals
-    straight into the block buffer, scaled there by ``noise_std``: the bits
-    of one ``standard_normal((steps, dim, n)) * noise_std[:, None]`` draw.
-    All walks of a chunk step on that one draw, and chunks share one set of
-    block buffers.
+    The noise comes from ``rng``, block by block in step order, each
+    block's ``(k, dim, n)`` standard normals straight into the block buffer,
+    scaled there by ``noise_std``: the bits of one ``standard_normal((steps,
+    dim, n)) * noise_std[:, None]`` draw. All walks step on that one draw.
     """
-    dim = task.dim
     walks = 1 if alphas is None else len(alphas)
-    size = min(_CHUNK, trials)
-    # Flat, so that the views of a short last chunk stay contiguous.
-    block_buf = np.empty(walks * _BLOCK * dim * size)
-    last_buf = np.empty(walks * dim * size)
-    grad_buf = np.empty(walks * dim * size)
+    xs = np.empty((walks, _BLOCK, task.dim, n))
+    last = np.empty((walks, task.dim, n))
+    grad = np.empty((walks, task.dim, n))
     std, curvature, optimum, start = (
         v[:, None] for v in (task.noise_std, task.curvature, task.optimum, theta0)
     )
     if alphas is not None:
         keep = alphas[:, None, None]
         pull = (1.0 - keep) * start
-    for chunk, first in enumerate(range(0, trials, _CHUNK)):
-        n = min(_CHUNK, trials - first)
-        rng = keyed_rng(seed, chunk, tag)
-        xs = block_buf[: walks * _BLOCK * dim * n].reshape(walks, _BLOCK, dim, n)
-        last = last_buf[: walks * dim * n].reshape(walks, dim, n)
-        grad = grad_buf[: walks * dim * n].reshape(walks, dim, n)
-        last[...] = start
-        xs[:, 0] = last
-        yield 0, xs[:, :1]
-        for t in range(1, steps + 1, _BLOCK):
-            k = min(_BLOCK, steps + 1 - t)
-            # The block's noise waits in the last walk's slots: step j adds
-            # slot j to every walk's gradient before it overwrites it.
-            noise = xs[-1, :k]
-            rng.standard_normal(out=noise)
-            noise *= std
-            x = last
-            for j in range(k):
-                np.subtract(x, optimum, out=grad)
-                np.multiply(curvature, grad, out=grad)
-                np.add(grad, noise[j], out=grad)
-                np.multiply(eta, grad, out=grad)
-                np.subtract(x, grad, out=xs[:, j])
-                x = xs[:, j]
-                if alphas is not None:
-                    np.multiply(keep, x, out=x)
-                    np.add(x, pull, out=x)
-            np.copyto(last, x)
-            yield t, xs[:, :k]
+    last[...] = start
+    xs[:, 0] = last
+    yield 0, xs[:, :1]
+    for t in range(1, steps + 1, _BLOCK):
+        k = min(_BLOCK, steps + 1 - t)
+        # The block's noise waits in the last walk's slots: step j adds
+        # slot j to every walk's gradient before it overwrites it.
+        noise = xs[-1, :k]
+        rng.standard_normal(out=noise)
+        noise *= std
+        x = last
+        for j in range(k):
+            np.subtract(x, optimum, out=grad)
+            np.multiply(curvature, grad, out=grad)
+            np.add(grad, noise[j], out=grad)
+            np.multiply(eta, grad, out=grad)
+            np.subtract(x, grad, out=xs[:, j])
+            x = xs[:, j]
+            if alphas is not None:
+                np.multiply(keep, x, out=x)
+                np.add(x, pull, out=x)
+        np.copyto(last, x)
+        yield t, xs[:, :k]
 
 
 def _trial_sums(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(..., k, dim)`` sums over the contiguous trials of dim-major
     ``(..., k, dim, n)`` iterates and of their squares, each summed pairwise,
-    whatever the block size."""
-    return xs.sum(axis=-1), np.square(xs).sum(axis=-1)
+    whatever the block size. Squares ``xs`` in place."""
+    return xs.sum(axis=-1), np.square(xs, out=xs).sum(axis=-1)
 
 
 def _trace_variance(total: np.ndarray, total_sq: np.ndarray, trials: int) -> np.ndarray:
@@ -251,17 +330,19 @@ def _run_variance_mc(
     alphas: np.ndarray | None,
 ) -> np.ndarray:
     """The ``(walks, steps + 1)`` per-step trace variance of each walk of the
-    Monte-Carlo driver, t = 0..steps, with the moments summed once per block
-    of steps."""
+    Monte-Carlo driver, t = 0..steps: each chunk sums its moments once per
+    block of steps, and the chunks' sums are added in chunk order."""
     walks = 1 if alphas is None else len(alphas)
-    total = np.zeros((walks, steps + 1, task.dim))
-    total_sq = np.zeros((walks, steps + 1, task.dim))
-    for t, xs in _mc_iterates(task, eta, steps, trials, seed, tag, theta0, alphas):
-        k = xs.shape[1]
-        block, block_sq = _trial_sums(xs)
-        total[:, t : t + k] += block
-        total_sq[:, t : t + k] += block_sq
-    return _trace_variance(total, total_sq, trials)
+    total = np.zeros((2, walks, steps + 1, task.dim))
+
+    def chunk_moments(rng: np.random.Generator, n: int) -> np.ndarray:
+        moments = np.empty_like(total)
+        for t, xs in _chunk_iterates(task, eta, steps, rng, n, theta0, alphas):
+            moments[:, :, t : t + xs.shape[1]] = _trial_sums(xs)
+        return moments
+
+    _map_chunks(chunk_moments, lambda m: np.add(total, m, out=total), trials, seed, tag)
+    return _trace_variance(total[0], total[1], trials)
 
 
 def simulate_sgd(
@@ -432,20 +513,31 @@ def check_chebyshev(
     if beta <= d0:
         raise ConfigurationError(f"beta = {beta} must exceed the initial distance {d0}")
 
-    total = np.zeros((steps + 1, task.dim))
-    total_sq = np.zeros((steps + 1, task.dim))
+    total = np.zeros((2, steps + 1, task.dim))
     exceed = np.zeros(steps + 1)
     optimum = task.optimum[:, None]
-    for t, (xs,) in _mc_iterates(task, eta, steps, trials, seed, _CHEBYSHEV_TAG, theta0):
-        k = xs.shape[0]
-        block, block_sq = _trial_sums(xs)
-        total[t : t + k] += block
-        total_sq[t : t + k] += block_sq
-        # The sum over the dim rows is the sequential one of norm(axis=1).
-        offset = np.subtract(xs, optimum)
-        distance = np.sqrt(np.add.reduce(np.square(offset, out=offset), axis=-2))
-        exceed[t : t + k] += (distance > beta).sum(axis=-1)
-    variance = _trace_variance(total, total_sq, trials)
+
+    def chunk_sums(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        moments = np.empty_like(total)
+        counts = np.empty(steps + 1, dtype=np.int64)
+        offset = np.empty((_BLOCK, task.dim, n))
+        distance = np.empty((_BLOCK, n))
+        for t, (xs,) in _chunk_iterates(task, eta, steps, rng, n, theta0):
+            k = xs.shape[0]
+            off, dist = offset[:k], distance[:k]
+            np.subtract(xs, optimum, out=off)
+            moments[:, t : t + k] = _trial_sums(xs)
+            # The sum over the dim rows is the sequential one of norm(axis=1).
+            np.sqrt(np.add.reduce(np.square(off, out=off), axis=-2, out=dist), out=dist)
+            counts[t : t + k] = (dist > beta).sum(axis=-1)
+        return moments, counts
+
+    def fold(sums: tuple[np.ndarray, np.ndarray]) -> None:
+        np.add(total, sums[0], out=total)
+        np.add(exceed, sums[1], out=exceed)
+
+    _map_chunks(chunk_sums, fold, trials, seed, _CHEBYSHEV_TAG)
+    variance = _trace_variance(total[0], total[1], trials)
     return variance, exceed / trials, variance / (beta - d0) ** 2
 
 

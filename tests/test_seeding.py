@@ -37,6 +37,9 @@ def test_keyed_rng_matches_tuple_seed(key):
         (1, 2**32, 0),
         (1, 0, 5, 24, -1),
         (0, 0, 0, 0, 2**32),
+        (np.int64(-1),),
+        (np.int64(2**32),),
+        (np.uint64(2**32 + 5),),
     ],
 )
 def test_keyed_rng_rejects_entries_outside_uint32(key):

@@ -1,5 +1,8 @@
 """Variance growth, ensembling bound, recursion, equivalence, Chebyshev."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -324,8 +327,11 @@ class TestTrialSums:
         xs = rng.standard_normal((3, 5, dim, trials)) * 10.0 ** rng.integers(
             -8, 9, (3, 5, dim, trials)
         )
-        total, total_sq = theory._trial_sums(xs)
+        squared = xs.copy()
+        total, total_sq = theory._trial_sums(squared)
         assert total.shape == total_sq.shape == (3, 5, dim)
+        # The block is dead once summed, so it is squared in place.
+        assert squared.tobytes() == np.square(xs).tobytes()
         for index in np.ndindex(total.shape):
             row = xs[index].copy()
             assert total[index].tobytes() == row.sum().tobytes()
@@ -386,27 +392,35 @@ class TestNoiseOracle:
                 _oracle_noise(seed, trial, 30, task.noise_std),
             )
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["alone", "helper"])
     @pytest.mark.parametrize(
         "alphas", [None, (0.9,), (0.9, 0.0, 0.5, 0.9)], ids=["sgd", "one", "stack"]
     )
     @pytest.mark.parametrize("task", _NOISE_TASKS)
-    def test_every_chunk_matches_oracle(self, monkeypatch, task, alphas):
-        # 7 does not divide 17: the last chunk holds 3 trials. 5 does not
-        # divide 12: each chunk yields t = 0, then blocks of 5, 5 and 2
-        # steps. Each walk of the stack steps on the chunk's one draw as if
-        # it ran alone.
+    def test_every_chunk_matches_oracle(self, monkeypatch, task, alphas, cpus):
+        # 7 does not divide 17: the chunk map hands the driver chunks of 7,
+        # 7 and 3 trials. 5 does not divide 12: each chunk yields t = 0, then
+        # blocks of 5, 5 and 2 steps. Each walk of the stack steps on the
+        # chunk's one draw as if it ran alone.
         monkeypatch.setattr(theory, "_CHUNK", 7)
         monkeypatch.setattr(theory, "_BLOCK", 5)
+        monkeypatch.setattr(theory, "_available_cpus", lambda: cpus)
         eta, steps, trials, seed, tag = 0.3, 12, 17, 5, 9
         theta0 = task.optimum + 0.25
         stack = None if alphas is None else np.array(alphas)
         walks = [None] if alphas is None else list(alphas)
-        iterates = theory._mc_iterates(task, eta, steps, trials, seed, tag, theta0, stack)
+
+        def chunk_blocks(rng, n):
+            blocks = theory._chunk_iterates(task, eta, steps, rng, n, theta0, stack)
+            return n, [(t, xs.copy()) for t, xs in blocks]
+
+        chunks = []
+        theory._map_chunks(chunk_blocks, chunks.append, trials, seed, tag)
+        assert [n for n, _ in chunks] == [7, 7, 3]
         start, optimum, curvature = (
             v[:, None] for v in (theta0, task.optimum, task.curvature)
         )
-        for chunk, first in enumerate(range(0, trials, 7)):
-            n = min(7, trials - first)
+        for chunk, (n, blocks) in enumerate(chunks):
             noise = _oracle_chunk_noise(seed, chunk, tag, steps, n, task.noise_std)
             xs = [np.tile(start, (1, n)) for _ in walks]
             oracle = [np.stack(xs)]
@@ -417,20 +431,33 @@ class TestNoiseOracle:
                     if alpha is not None:
                         xs[w] = alpha * xs[w] + (1.0 - alpha) * start
                 oracle.append(np.stack(xs))
-            for t, k in ((0, 1), (1, 5), (6, 5), (11, 2)):
-                got_t, got = next(iterates)
-                assert (got_t, got.shape) == (t, (len(walks), k, task.dim, n))
-                for j in range(k):
+            assert [(t, got.shape) for t, got in blocks] == [
+                (t, (len(walks), k, task.dim, n)) for t, k in ((0, 1), (1, 5), (6, 5), (11, 2))
+            ]
+            for t, got in blocks:
+                for j in range(got.shape[1]):
                     assert got[:, j].tobytes() == oracle[t + j].tobytes()
-        assert next(iterates, None) is None
 
     def test_one_generator_per_chunk(self, monkeypatch, default_rng_calls):
-        # 64 does not divide 150: three chunks, keyed (seed, chunk, tag).
+        # 64 does not divide 150: three chunks, keyed (seed, chunk, tag),
+        # all made on the calling thread in chunk order though the helper
+        # runs chunk 1.
         monkeypatch.setattr(theory, "_CHUNK", 64)
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        threads = []
+        counting = np.random.default_rng
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return counting(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
 
         def keys():
             got = [tuple(args[0].tolist()) for args in default_rng_calls]
+            assert threads == [threading.current_thread()] * len(got)
             default_rng_calls.clear()
+            threads.clear()
             return got
 
         task = theory.pure_noise_task(2, 1.0)
@@ -462,3 +489,76 @@ class TestNoiseOracle:
             ]
         for a, b in zip(curves[8], curves[3], strict=True):
             assert a.tobytes() == b.tobytes()
+
+
+def _monte_carlo_outputs(dim):
+    """Every Monte-Carlo routine's arrays at one small configuration."""
+    walk = theory.pure_noise_task(dim, 1.0)
+    task = theory.NoisyQuadraticTask(
+        np.linspace(-1.0, 1.0, dim), np.full(dim, 0.5), np.linspace(0.5, 2.0, dim)
+    )
+    theta0 = np.linspace(-1.0, 1.0, dim) + 0.3
+    return [
+        theory.simulate_sgd(walk, 0.1, 20, 300, seed=8),
+        theory.simulate_weight_ensemble(walk, 0.1, [0.9, 0.0, 0.5, 0.99], 20, 300, seed=8),
+        *theory.check_chebyshev(task, 3.0, theta0, 0.1, 20, 300, seed=8),
+    ]
+
+
+class TestHelperThread:
+    """The chunk map's helper thread changes no bit and leaks nothing."""
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_outputs_do_not_depend_on_the_helper(self, monkeypatch, dim):
+        # 64 does not divide 300: five chunks, the last of 44 trials, so the
+        # calling thread runs three chunks and the helper two. A short
+        # switch interval interleaves the two threads as finely as it can.
+        monkeypatch.setattr(theory, "_CHUNK", 64)
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 1)
+        outputs = {1: _monte_carlo_outputs(dim)}
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outputs[2] = _monte_carlo_outputs(dim)
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, helped in zip(outputs[1], outputs[2], strict=True):
+            assert alone.tobytes() == helped.tobytes()
+
+    @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
+    @pytest.mark.parametrize("routine", range(3), ids=["sgd", "ensemble", "chebyshev"])
+    def test_a_failing_chunk_raises_its_exception(self, monkeypatch, routine, on_helper):
+        # The exception object itself comes out of the public routine, and
+        # the helper has ended: no thread is left behind either way.
+        monkeypatch.setattr(theory, "_CHUNK", 64)
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        caller = threading.current_thread()
+        error = ArithmeticError("chunk failed")
+        chunk_iterates = theory._chunk_iterates
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is not caller) == on_helper:
+                raise error
+            return chunk_iterates(*args, **kwargs)
+
+        monkeypatch.setattr(theory, "_chunk_iterates", failing)
+        walk = theory.pure_noise_task(2, 1.0)
+        task = theory.NoisyQuadraticTask(np.zeros(2), np.full(2, 0.5), np.ones(2))
+        call = [
+            lambda: theory.simulate_sgd(walk, 0.1, 5, 300, seed=3),
+            lambda: theory.simulate_weight_ensemble(walk, 0.1, [0.9, 0.5], 5, 300, seed=3),
+            lambda: theory.check_chebyshev(task, 5.0, np.full(2, 0.5), 0.1, 5, 300, seed=3),
+        ][routine]
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            call()
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(theory, "_CHUNK", 64)
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        _monte_carlo_outputs(4)
+        assert threading.active_count() == before
