@@ -24,7 +24,12 @@ centroid is a copy of a reservoir row) are redone from exact differences,
 and the gradient is contracted as ``c_j sum_i w_ij - sum_i w_ij s_i`` (one
 matrix product) instead of through an ``(n, K, dim)`` broadcast. Duplicate
 styles give identical terms, so this is the loss over all ``n`` held styles,
-to rounding.
+to rounding. The Gram product's row norms ``|s_i|^2`` are the reservoir's
+own: each distinct row's squared norm is computed once, when the row is
+inserted, and moves with it. At ``K <= 16`` and a few hundred rows the stage
+costs numpy calls rather than arithmetic, so its passes write into buffers
+they own (``out=`` and ``where=`` instead of ``np.where`` temporaries) in
+the order of the plain expressions, which they equal bit for bit.
 
 The module is plain numpy; scipy is only the tests' oracle. The softmax is
 the package's one log-softmax, :func:`tta.log_softmax`; it and the plain
@@ -35,6 +40,7 @@ log-sum-exp agree with ``scipy.special`` to rounding. The MI loss's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +73,16 @@ class StyleReservoir:
     every past vector is present with equal probability ``capacity / t``.
 
     The held styles are kept as a multiset: a table of distinct rows, a
-    count per row and, per slot, the index of its row. A row is found by
-    the bytes of its vector, so ``-0.0`` and ``0.0`` entries make separate
-    rows; that only splits a row's count, and every consumer sums over the
-    rows. A row whose count drops to 0 is swap-removed with the last row,
-    so the live rows are always the first ``u``; only then are the slots
-    that pointed at the moved row remapped.
+    count and a squared norm per row and, per slot, the index of its row.
+    A row is found by the bytes of its vector, so ``-0.0`` and ``0.0``
+    entries make separate rows; that only splits a row's count, and every
+    consumer sums over the rows. A row's squared norm is set once, when the
+    row is inserted, by ``np.einsum("ij,ij->i")`` over its one-row slice,
+    which gives the bits of that einsum over all rows. A row whose count
+    drops to 0 is swap-removed with the last row, its norm with it, so the
+    live rows are always the first ``u``; only then are the slots that
+    pointed at the moved row remapped. The tables are made with
+    ``np.empty``, so a huge capacity is only touched as far as it is filled.
     """
 
     def __init__(self, capacity: int, dim: int, rng: np.random.Generator):
@@ -84,6 +94,7 @@ class StyleReservoir:
         self.dim = int(dim)
         self.seen_count = 0
         self._rows = np.empty((self.capacity, self.dim))
+        self._norms = np.empty(self.capacity)
         self._counts = np.zeros(self.capacity, dtype=np.int64)
         self._slots = np.empty(self.capacity, dtype=np.intp)
         self._row_of: dict[bytes, int] = {}
@@ -127,6 +138,8 @@ class StyleReservoir:
         if row is None:
             row = self._row_of[key] = len(self._row_of)
             self._rows[row] = vec
+            added = self._rows[row : row + 1]
+            np.einsum("ij,ij->i", added, added, out=self._norms[row : row + 1])
         self._counts[row] += 1
         self._slots[slot] = row
 
@@ -139,6 +152,7 @@ class StyleReservoir:
         del self._row_of[self._rows[row].tobytes()]
         if row != last:
             self._rows[row] = self._rows[last]
+            self._norms[row] = self._norms[last]
             self._counts[row] = self._counts[last]
             self._counts[last] = 0
             self._row_of[self._rows[row].tobytes()] = row
@@ -191,7 +205,11 @@ class CentroidSet:
         (:func:`soft_assign_vector`).
         """
         vec = _style_vector(s, self.dim)
-        delta = float(np.linalg.norm(self._centroids - vec, axis=1).min())
+        # The arithmetic of np.linalg.norm(axis=1) in one buffer; the square
+        # root is monotone, so it is taken of the minimum alone.
+        sq = self._centroids - vec
+        sq *= sq
+        delta = math.sqrt(sq.sum(axis=1).min())
         if delta > tau and self.count < self.k_max:
             self._centroids = np.vstack([self._centroids, vec])
             return DomainDecision(kind="new_domain", distance=delta)
@@ -199,8 +217,9 @@ class CentroidSet:
 
 
 def _assignment_logits(dist: np.ndarray, dim: int) -> np.ndarray:
-    """Soft-assignment logits ``-dist / sqrt(dim)`` of style-centroid distances."""
-    return -dist / np.sqrt(dim)
+    """Soft-assignment logits ``-dist / sqrt(dim)`` of style-centroid distances,
+    in one pass: rounding is symmetric in sign, so ``x / -y`` is ``-x / y``."""
+    return dist / -math.sqrt(dim)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -214,8 +233,12 @@ def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     of its scaled negative distances ``-|s - c_j| / sqrt(dim)``. A vector of
     another shape than ``(centroids.dim,)`` raises :class:`InputDomainError`."""
     vec = _style_vector(s, centroids.dim)
-    dist = np.linalg.norm(vec - centroids.centroids, axis=1)
-    return np.exp(log_softmax(_assignment_logits(dist, vec.size), axis=0))
+    dist = centroids._centroids - vec  # np.linalg.norm(axis=1), in one buffer
+    dist *= dist
+    dist = dist.sum(axis=1)
+    np.sqrt(dist, out=dist)
+    q = log_softmax(_assignment_logits(dist, vec.size), axis=0)
+    return np.exp(q, out=q)
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -262,45 +285,55 @@ def mi_grad_centroids(reservoir: StyleReservoir, centroids: CentroidSet) -> np.n
     n = len(reservoir)
     if n == 0:
         raise InsufficientDataError("gradient needs a nonempty reservoir")
-    styles, counts = reservoir.distinct
-    cents = centroids.centroids
+    u = len(reservoir._row_of)
+    styles, counts = reservoir._rows[:u], reservoir._counts[:u]
+    cents = centroids._centroids
     if cents.shape[0] == 1:
         return np.zeros_like(cents)
     d = styles.shape[1]
     # Arrays are (K, u), indexed [centroid j, distinct style i], so that
     # reductions over the styles run along contiguous rows.
-    sq, cols, rows, diff = _squared_distances(cents, styles)
-    dist = np.sqrt(sq)
+    dist, cols, rows, diff = _squared_distances(cents, styles, reservoir._norms[:u])
+    np.sqrt(dist, out=dist)
     logq = log_softmax(_assignment_logits(dist, d), axis=0)
     q = np.exp(logq)
 
     # dL/dq_ij = (ln qbar_j - ln q_ij) / n, with zero-probability cells
     # masked; qbar_j = sum_i count_i q_ij / n.
     log_qbar = _logsumexp(logq + np.log(counts), axis=1) - np.log(n)
-    with np.errstate(invalid="ignore"):
-        dl_dq = np.where(q > 0.0, (log_qbar - logq) / n, 0.0)
+    dl_dq = np.zeros_like(q)
+    np.subtract(log_qbar, logq, out=dl_dq, where=q > 0.0)
+    dl_dq /= n
     row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
-    dl_dlogits = q * (dl_dq - row_dot)
+    dl_dlogits = dl_dq
+    dl_dlogits -= row_dot
+    dl_dlogits *= q
 
     # Through _assignment_logits, d logit_ij / d c_j = -(c_j - s_i) /
     # (dist_ij * sqrt(d)), taken as 0 at dist 0. With w = -count_i dL/dlogit
     # / (dist * sqrt(d)) the gradient is sum_i w_ij (c_j - s_i)
     # = c_j sum_i w_ij - (w S)_j.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dist > 0.0, -dl_dlogits / (dist * np.sqrt(d)), 0.0) * counts
+    # The minus sign rides on the divisor, which is exact.
+    apart = dist > 0.0
+    w = np.zeros_like(dist)
+    np.multiply(dist, -math.sqrt(d), out=w, where=apart)
+    np.divide(dl_dlogits, w, out=w, where=apart)
+    w *= counts
     # Close pairs contribute through their exact differences instead: in the
     # contraction their two large terms would cancel to a small one.
     close_w = w[cols, rows]
     w[cols, rows] = 0.0
-    grad = cents * w.sum(axis=1, keepdims=True) - w @ styles
+    grad = cents * w.sum(axis=1, keepdims=True)
+    grad -= w @ styles
     np.add.at(grad, cols, close_w[:, None] * diff)
     return grad
 
 
 def _squared_distances(
-    a: np.ndarray, b: np.ndarray
+    a: np.ndarray, b: np.ndarray, b_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Squared distances between the rows of ``a`` and ``b`` (Gram form).
+    """Squared distances between the rows of ``a`` and ``b`` (Gram form),
+    ``b_norms`` the rows' squared norms ``np.einsum("ij,ij->i", b, b)``.
 
     ``|a|^2 - 2 a.b + |b|^2`` carries an absolute error of a few ulps of
     ``|a|^2 + |b|^2``; pairs below ``_GRAM_CLOSE`` of that are recomputed
@@ -308,9 +341,12 @@ def _squared_distances(
     distance exactly 0. Returns the matrix plus the close pairs' indices
     into ``a`` and ``b`` and their differences ``a_i - b_j``.
     """
-    norms = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
-    sq = norms - 2.0 * (a @ b.T)
-    ia, ib = np.nonzero(sq < _GRAM_CLOSE * norms)
+    norms = np.einsum("ij,ij->i", a, a)[:, None] + b_norms
+    sq = a @ b.T
+    sq *= -2.0  # norms - 2 a.b, exactly: x - y is x + (-y)
+    sq += norms
+    norms *= _GRAM_CLOSE
+    ia, ib = np.nonzero(sq < norms)
     diff = a[ia] - b[ib]
     sq[ia, ib] = np.einsum("ij,ij->i", diff, diff)
     return sq, ia, ib, diff
@@ -331,8 +367,10 @@ def update_centroids(
     """
     if not (np.isfinite(lr) and lr >= 0):
         raise InputDomainError(f"lr must be finite and nonnegative, got {lr}")
-    new = centroids.centroids - lr * mi_grad_centroids(reservoir, centroids)
-    if not np.all(np.isfinite(new)):
+    step = mi_grad_centroids(reservoir, centroids)
+    step *= lr
+    new = centroids._centroids - step
+    if not np.isfinite(new).all():
         bad = np.argwhere(~np.isfinite(new))
         raise NumericalError(f"non-finite centroid update at entries {bad[:4].tolist()}")
     centroids._centroids = new

@@ -35,6 +35,7 @@ metrics only, never the adaptation path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
@@ -782,7 +783,8 @@ def run_episode(
             if pending:
                 predict_pending(step)
             raise
-        drift[step] = float(np.linalg.norm(theta - model.source_params))
+        gap = theta - model.source_params
+        drift[step] = math.sqrt(gap @ gap)  # np.linalg.norm's 1-D arithmetic
         pending.append((theta, feats, batch.labels))
         if len(pending) == _PREDICT_STEPS or step == n - 1:
             predict_pending(step + 1)

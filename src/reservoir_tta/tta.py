@@ -139,6 +139,8 @@ class AdaptableClassifier:
         self.head_w = 0.01 * rng.standard_normal((n_classes, hidden))
         self.head_b = np.zeros(n_classes)
         self.source_params = init_params(hidden)
+        # EATA's reliability margin on a row's prediction entropy.
+        self.entropy_margin = 0.4 * np.log(self.n_classes)
 
     @property
     def param_dim(self) -> int:
@@ -174,7 +176,11 @@ class AdaptableClassifier:
                 f"features must have shape ({'B, ' * (gamma.ndim - 1)}b, {self.hidden}),"
                 f" got {feats.shape}"
             )
-        return (gamma[..., None, :] * feats + beta[..., None, :]) @ self.head_w.T + self.head_b
+        act = gamma[..., None, :] * feats
+        act += beta[..., None, :]
+        logits = act @ self.head_w.T
+        logits += self.head_b
+        return logits
 
 
 def init_params(hidden: int) -> np.ndarray:
@@ -195,14 +201,16 @@ def split_params(params: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarra
 def log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
     """Log-softmax along ``axis``, of class logits and of domain-assignment logits."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lse = np.exp(shifted).sum(axis=axis, keepdims=True)
+    shifted -= np.log(lse, out=lse)
+    return shifted
 
 
 def _log_probs(model: AdaptableClassifier, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
     """Log-softmax over the classes of the head's logits for the frozen
     features ``feats``, of one batch or of a stack (see ``logits``)."""
     logits = model.logits(params, feats)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits")
     return log_softmax(logits, axis=-1)
 
@@ -215,7 +223,8 @@ def predict(
     ``(B, 2h)`` parameter stack with ``(B, b, h)`` features gives ``(B, b,
     n_classes)``, slice ``i`` with the bits of ``predict(params[i],
     feats[i])``; any non-finite logit of the stack raises."""
-    return np.exp(_log_probs(model, params, feats))
+    logp = _log_probs(model, params, feats)
+    return np.exp(logp, out=logp)
 
 
 def entropy_grad(
@@ -229,22 +238,30 @@ def entropy_grad(
     """
     logp = _log_probs(model, params, feats)
     p = np.exp(logp)
-    ent = -(p * logp).sum(axis=1)
+    ent = (p * logp).sum(axis=1)
+    np.negative(ent, out=ent)
 
-    # dH/du_y = -p_y (ln p_y + H), averaged over the rows that pass the filter.
-    dl_du = -p * (logp + ent[:, None])
+    # dH/du_y = -p_y (ln p_y + H), averaged over the rows that pass the
+    # filter. The sign rides on the divisor: rounding is symmetric in sign,
+    # so (p x) / -m is (-p x) / m bit for bit.
+    dl_du = logp
+    dl_du += ent[:, None]
+    dl_du *= p
     if filtered:
-        mask = ent < 0.4 * np.log(model.n_classes)
-        if not mask.any():
+        keep = ent < model.entropy_margin
+        kept = np.count_nonzero(keep)
+        if not kept:
             return np.zeros(2 * model.hidden)
-        dl_du[~mask] = 0.0
-        dl_du /= int(mask.sum())
+        dl_du /= -kept
+        dl_du[~keep] = 0.0
     else:
-        dl_du /= ent.shape[0]
+        dl_du /= -ent.shape[0]
     grad_act = dl_du @ model.head_w  # (b, h)
-    grad_gamma = (grad_act * feats).sum(axis=0)
-    grad_beta = grad_act.sum(axis=0)
-    return np.concatenate([grad_gamma, grad_beta])
+    grad = np.empty(2 * model.hidden)
+    grad_act.sum(axis=0, out=grad[model.hidden :])
+    grad_act *= feats
+    grad_act.sum(axis=0, out=grad[: model.hidden])
+    return grad
 
 
 def tta_step(
@@ -266,16 +283,24 @@ def tta_step(
     contraction.
     """
     theta = np.asarray(params, dtype=np.float64)
-    grad = entropy_grad(model, theta, feats, method.filtered)
-    if not np.all(np.isfinite(grad)):
+    step = entropy_grad(model, theta, feats, method.filtered)
+    if not np.isfinite(step).all():
         raise NumericalError("TTA gradient is non-finite")
     lr, lam, alpha = method.lr, method.fisher_lambda, method.alpha
-    theta = theta - lr * grad
+    src = model.source_params
+    step *= lr
+    theta = np.subtract(theta, step, out=step)
     if lam:
-        shrink = np.clip(1.0 - 2.0 * lam * lr * omega, 0.0, 1.0)
-        theta = model.source_params + shrink * (theta - model.source_params)
+        # np.clip's values, NaN included, without its wrapper.
+        shrink = omega * (2.0 * lam * lr)
+        np.subtract(1.0, shrink, out=shrink)
+        np.minimum(np.maximum(shrink, 0.0, out=shrink), 1.0, out=shrink)
+        theta -= src
+        theta *= shrink
+        theta += src
     if alpha != 1.0:
-        theta = alpha * theta + (1.0 - alpha) * model.source_params
+        theta *= alpha
+        theta += (1.0 - alpha) * src
     return theta
 
 

@@ -10,7 +10,11 @@ episode routes as under ``dense_mi_grad``. The soft assignment equals the
 plain log-softmax written out here bit for bit, and scipy's log-sum-exp form
 to rounding; with tied or far centroids, or a single one, the two forms give
 the same bits. The style reservoir's held styles stay bit-identical to its
-list-backed version.
+list-backed version, and its cached row norms to one einsum over its rows.
+
+``plain_mi_grad``, ``plain_squared_distances``, ``plain_detect_distance``
+and ``plain_soft_assign`` are the routed step as plain numpy expressions,
+before it wrote into buffers of its own; the library gives their bits.
 """
 
 from dataclasses import fields, replace
@@ -23,6 +27,7 @@ from scipy.special import logsumexp
 
 from reservoir_tta import stream
 from reservoir_tta.clustering import (
+    _GRAM_CLOSE,
     DEFAULT_CENTROID_LR,
     CentroidSet,
     StyleReservoir,
@@ -82,7 +87,9 @@ def dense_mi_grad(styles, cents):
     if cents.shape[0] == 1:
         return np.zeros_like(cents)
     n, d = styles.shape
-    sq, cols, rows, diff = _squared_distances(cents, styles)
+    sq, cols, rows, diff = _squared_distances(
+        cents, styles, np.einsum("ij,ij->i", styles, styles)
+    )
     dist = np.sqrt(sq)
     logq = log_softmax(_assignment_logits(dist, d), axis=0)
     q = np.exp(logq)
@@ -98,6 +105,68 @@ def dense_mi_grad(styles, cents):
     grad = cents * w.sum(axis=1, keepdims=True) - w @ styles
     np.add.at(grad, cols, close_w[:, None] * diff)
     return grad
+
+
+def plain_log_softmax(logits, axis):
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def plain_logits(dist, dim):
+    return -dist / np.sqrt(dim)
+
+
+def plain_logsumexp(a, axis):
+    top = a.max(axis=axis, keepdims=True)
+    return top + np.log(np.exp(a - top).sum(axis=axis, keepdims=True))
+
+
+def plain_squared_distances(a, b):
+    norms = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
+    sq = norms - 2.0 * (a @ b.T)
+    ia, ib = np.nonzero(sq < _GRAM_CLOSE * norms)
+    diff = a[ia] - b[ib]
+    sq[ia, ib] = np.einsum("ij,ij->i", diff, diff)
+    return sq, ia, ib, diff
+
+
+def plain_mi_grad(reservoir, centroids):
+    n = len(reservoir)
+    styles, counts = reservoir.distinct
+    cents = centroids.centroids
+    if cents.shape[0] == 1:
+        return np.zeros_like(cents)
+    d = styles.shape[1]
+    sq, cols, rows, diff = plain_squared_distances(cents, styles)
+    dist = np.sqrt(sq)
+    logq = plain_log_softmax(plain_logits(dist, d), axis=0)
+    q = np.exp(logq)
+    log_qbar = plain_logsumexp(logq + np.log(counts), axis=1) - np.log(n)
+    with np.errstate(invalid="ignore"):
+        dl_dq = np.where(q > 0.0, (log_qbar - logq) / n, 0.0)
+    row_dot = (dl_dq * q).sum(axis=0, keepdims=True)
+    dl_dlogits = q * (dl_dq - row_dot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(dist > 0.0, -dl_dlogits / (dist * np.sqrt(d)), 0.0) * counts
+    close_w = w[cols, rows]
+    w[cols, rows] = 0.0
+    grad = cents * w.sum(axis=1, keepdims=True) - w @ styles
+    np.add.at(grad, cols, close_w[:, None] * diff)
+    return grad
+
+
+def plain_detect_distance(cents, s):
+    return float(np.linalg.norm(cents - s, axis=1).min())
+
+
+def plain_soft_assign(cents, s):
+    dist = np.linalg.norm(s - cents, axis=1)
+    return np.exp(plain_log_softmax(plain_logits(dist, s.size), axis=0))
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class ListReservoir:
@@ -132,6 +201,51 @@ class _ScriptedSlots:
         return next(self.slots)
 
 
+class _ScriptedOffers:
+    """An rng that accepts or rejects each offer as scripted and picks the
+    scripted slot for an accepted one."""
+
+    def __init__(self, script):
+        self.script = iter([(accept, slot) for _, accept, slot in script])
+        self.slot = None
+
+    def random(self):
+        accept, self.slot = next(self.script)
+        return 0.0 if accept else 1.0
+
+    def integers(self, low, high):
+        return self.slot
+
+
+# Entries with both zeros, so that some rows differ only in a zero's sign.
+_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -46.0]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+)
+
+
+@st.composite
+def _offer_script(draw):
+    """A capacity of 1-8, a pool of 1-6 rows of 1-12 entries and up to 40
+    offers from it, each with its accept flag and slot. Past the fill an
+    accepted offer replaces a slot, so rows empty and are swap-removed."""
+    capacity = draw(st.integers(min_value=1, max_value=8))
+    dim = draw(st.integers(min_value=1, max_value=12))
+    rows = draw(st.lists(st.lists(_entry, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    pool = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    script = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(rows) - 1),
+                st.booleans(),
+                st.integers(min_value=0, max_value=capacity - 1),
+            ),
+            max_size=40,
+        )
+    )
+    return capacity, pool, script
+
+
 def _reservoir(styles, seed=0):
     res = StyleReservoir(styles.shape[0], styles.shape[1], np.random.default_rng(seed))
     for s in styles:
@@ -157,6 +271,35 @@ def _assert_matches_reference(res, cs):
     assert np.all(np.abs(grad - ref) <= 1e-9 * scale)
 
 
+def _routed_case(n, k, dim, offset, copies, near, repeats, seed, far=False):
+    """Styles and centroid rows for the gradient oracles.
+
+    Styles share a large common offset, as real style vectors do (norms near
+    46). With repeats, they are drawn from a pool of about n / (repeats + 1)
+    rows, as a recurring stream offers them. Some centroids are exact copies
+    of reservoir rows (what a spawn produces) and some sit 1e-6 away from
+    one. A ``far`` centroid sits 1e5 away, where its soft assignment
+    underflows to 0.
+    """
+    rng = np.random.default_rng(seed)
+    base = offset * rng.standard_normal(dim) / np.sqrt(dim)
+    styles = base + rng.standard_normal((n, dim))
+    if repeats:
+        pool = max(1, n // (repeats + 1))
+        styles = styles[rng.integers(pool, size=n)]
+    rows = list(base + 1.5 * rng.standard_normal((k, dim)))
+    for _ in range(copies):
+        rows.append(styles[rng.integers(n)].copy())
+    for _ in range(near):
+        u = rng.standard_normal(dim)
+        rows.append(styles[rng.integers(n)] + 1e-6 * u / np.linalg.norm(u))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    if far:
+        u = rng.standard_normal(dim)
+        rows.append(base + 1e5 * u / np.linalg.norm(u))
+    return styles, rows
+
+
 class TestGradientOracle:
     @given(
         n=st.integers(min_value=1, max_value=48),
@@ -172,24 +315,7 @@ class TestGradientOracle:
     def test_matches_broadcast_reference(
         self, n, k, dim, offset, copies, near, repeats, seed
     ):
-        # Styles share a large common offset, as real style vectors do (norms
-        # near 46). With repeats, they are drawn from a pool of about
-        # n / (repeats + 1) rows, as a recurring stream offers them. Some
-        # centroids are exact copies of reservoir rows (what a spawn
-        # produces) and some sit 1e-6 away from one.
-        rng = np.random.default_rng(seed)
-        base = offset * rng.standard_normal(dim) / np.sqrt(dim)
-        styles = base + rng.standard_normal((n, dim))
-        if repeats:
-            pool = max(1, n // (repeats + 1))
-            styles = styles[rng.integers(pool, size=n)]
-        rows = list(base + 1.5 * rng.standard_normal((k, dim)))
-        for _ in range(copies):
-            rows.append(styles[rng.integers(n)].copy())
-        for _ in range(near):
-            u = rng.standard_normal(dim)
-            rows.append(styles[rng.integers(n)] + 1e-6 * u / np.linalg.norm(u))
-        rows = [rows[i] for i in rng.permutation(len(rows))]
+        styles, rows = _routed_case(n, k, dim, offset, copies, near, repeats, seed)
         _assert_matches_reference(_reservoir(styles, seed), _centroid_set(rows))
 
     @pytest.mark.parametrize("pool", [256, 48])
@@ -214,7 +340,7 @@ class TestGradientOracle:
             assert decision.kind == "new_domain" and decision.distance > 0
         _assert_matches_reference(res, cs)
         rows, counts = res.distinct
-        sq = _squared_distances(cs.centroids, rows)[0]
+        sq = _squared_distances(cs.centroids, rows, res._norms[: len(rows)])[0]
         for j, row in enumerate(spawned, start=2):
             (r,) = np.flatnonzero(np.all(rows == styles[row], axis=1))
             held = 256 // pool + (row % pool < 256 % pool)
@@ -252,6 +378,45 @@ class TestGradientOracle:
         cs = _centroid_set([np.zeros(3), np.ones(3)])
         with pytest.raises(NumericalError):
             update_centroids(cs, res, lr=1e-4)
+
+
+class TestPlainFormOracle:
+    """The routed step's buffered passes give the bits of its plain
+    expressions, on the styles and centroids of the gradient oracle."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=48),
+        k=st.integers(min_value=1, max_value=8),
+        dim=st.integers(min_value=1, max_value=12),
+        offset=st.sampled_from([0.0, 5.0, 46.0]),
+        copies=st.integers(min_value=0, max_value=3),
+        near=st.integers(min_value=0, max_value=3),
+        repeats=st.integers(min_value=0, max_value=3),
+        far=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_routed_step_equals_plain_form(
+        self, n, k, dim, offset, copies, near, repeats, far, seed
+    ):
+        styles, rows = _routed_case(n, k, dim, offset, copies, near, repeats, seed, far)
+        res, cs = _reservoir(styles, seed), _centroid_set(rows)
+        cents, (distinct, _) = cs.centroids, res.distinct
+        got = _squared_distances(cents, distinct, res._norms[: len(distinct)])
+        for a, b in zip(got, plain_squared_distances(cents, distinct)):
+            _assert_same_bits(a, b)
+        grad = plain_mi_grad(res, cs)
+        _assert_same_bits(mi_grad_centroids(res, cs), grad)
+        for s in styles[:6]:
+            _assert_same_bits(soft_assign_vector(s, cs), plain_soft_assign(cents, s))
+            delta = cs.detect(s, tau=np.inf).distance
+            assert delta.hex() == plain_detect_distance(cents, s).hex()
+        if far:
+            # The far centroid's column of Q underflows to exactly 0.
+            q = np.exp(plain_log_softmax(plain_logits(np.sqrt(got[0]), dim), axis=0))
+            assert cs.count > 1 and np.all(q[-1] == 0.0)
+        update_centroids(cs, res, lr=0.5)
+        _assert_same_bits(cs.centroids, cents - 0.5 * grad)
 
 
 class TestSoftAssignBitIdentity:
@@ -404,6 +569,20 @@ class TestReservoirReplay:
             assert len({row.tobytes() for row in rows}) == len(rows)
             assert counts.tolist() == [np.all(held == row, axis=1).sum() for row in rows]
             assert counts.sum() == len(res)
+
+    @given(case=_offer_script())
+    @settings(max_examples=150, deadline=None)
+    def test_cached_norms_equal_einsum_over_rows(self, case):
+        # After every offer, fill or replacement, the cached squared norms of
+        # the live rows are the bits of one einsum over them, signed zeros
+        # and swap-removed rows included.
+        capacity, pool, script = case
+        res = StyleReservoir(capacity, pool.shape[1], _ScriptedOffers(script))
+        for i, _, _ in script:
+            res.offer(pool[i])
+            rows, _ = res.distinct
+            want = np.einsum("ij,ij->i", rows, rows)
+            assert res._norms[: len(rows)].tobytes() == want.tobytes()
 
     def test_emptied_row_is_swap_removed(self):
         # Slot picks scripted so that row 0, not the last row, empties: the

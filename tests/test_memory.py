@@ -1,5 +1,6 @@
 """Transient memory of the set-up, stream and theory stages that scale with
-the whole calibration sample, candidate pool, stream or trial count.
+the whole calibration sample, candidate pool, stream or trial count, and of
+one routed episode, whose step keeps buffers of its own.
 
 Each stage works in fixed chunks (calibration stacks, candidate stacks,
 screen blocks, table chunks, Monte-Carlo chunks of trials drawn a block of
@@ -9,6 +10,7 @@ former code is quoted in each docstring (``tracemalloc``, numpy 2.4, Python
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,25 @@ def test_make_domains_peak(context, traced_peak_mb):
         )
     )
     assert peak <= 5.0
+
+
+def test_routed_episode_peak(context, traced_peak_mb):
+    """One Reservoir-EATA episode of ``perfbench/workloads/csc_reservoir.yaml``
+    (CSC, 6 visits = 1200 steps, K = 9 centroids) at seed 1, whose routed
+    step keeps a squared norm per reservoir row and writes into buffers of
+    its own: at most 10 MB (7.53 MB; the same when each pass built a
+    temporary and no norm was kept)."""
+    workload = Path(__file__).parents[1] / "perfbench" / "workloads" / "csc_reservoir.yaml"
+    cfg = config.load_config(workload)
+    default = config.RunConfig()
+    assert (cfg.source, cfg.style, cfg.clustering) == (
+        default.source, default.style, default.clustering,
+    )
+    assert cfg.scenario == replace(context.plan, kind="csc", visits=6)
+    ctx = replace(context, plan=cfg.scenario)
+    (method,) = cfg.methods
+    assert method.reservoir and ctx.plan.total_steps == 1200
+    assert traced_peak_mb(stream.run_episode, ctx, method, 1) <= 10.0
 
 
 @pytest.fixture()

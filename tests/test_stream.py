@@ -211,6 +211,11 @@ def _replay_keys(schedule, per):
     return keys
 
 
+# The per-step stages of the engine, in their order within a step.
+_ROUTING = ("offer", "detect", "update_centroids", "soft_assign_vector")
+_ADAPTATION = ("tta_step", "write_active", "ensemble_params")
+
+
 def _context_with(context, **plan_fields):
     plan = replace(context.plan, **plan_fields)
     return replace(context, plan=plan, domains=context.domains[: plan.domains])
@@ -918,6 +923,50 @@ class TestRunEpisode:
         routed = ("offer", "detect", "update_centroids", "soft_assign_vector")
         assert [calls[name] for name in routed] == [n] * 4
         assert 0 < calls["extract_style"] <= n
+
+    @pytest.mark.parametrize(
+        "kind, reservoir, trace, stages",
+        [
+            ("csc", True, False, _ROUTING + _ADAPTATION),
+            ("ccc", False, True, _ROUTING + _ADAPTATION),
+            ("ccc", False, False, _ADAPTATION),
+        ],
+        ids=["routed-csc", "traced-ccc", "unrouted-ccc"],
+    )
+    def test_each_step_calls_each_stage_once(
+        self, context, monkeypatch, kind, reservoir, trace, stages
+    ):
+        # A step runs from one next_batch call to the next; a benchmark cuts
+        # its per-step segments there and times the stages inside them.
+        ctx = _context_with(context, kind=kind, visits=2, batches_per_domain=3)
+        log = []
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                log.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        record(stream.DomainStream, "next_batch")
+        record(stream.StyleReservoir, "offer")
+        record(stream.CentroidSet, "detect")
+        record(stream, "update_centroids")
+        record(stream, "soft_assign_vector")
+        record(tta, "tta_step")
+        record(ModelReservoir, "write_active")
+        record(ModelReservoir, "ensemble_params")
+        met = stream.run_episode(ctx, self._method(reservoir=reservoir), seed=17, trace=trace)
+        per_step = []
+        for name in log:
+            if name == "next_batch":
+                per_step.append([])
+            else:
+                per_step[-1].append(name)
+        assert per_step == [list(stages)] * ctx.plan.total_steps
+        assert (met.detected_domains[-1] > 0) == reservoir
 
     def test_per_visit_domain_table_shape(self, context):
         ctx = replace(context, plan=replace(context.plan, visits=2, batches_per_domain=2))

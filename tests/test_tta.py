@@ -250,6 +250,79 @@ class TestGradients:
             checked += 1
 
 
+def plain_log_probs(model, params, feats):
+    """``_log_probs`` as plain numpy expressions, each pass a new array."""
+    gamma, beta = params[..., : model.hidden], params[..., model.hidden :]
+    logits = (gamma[..., None, :] * feats + beta[..., None, :]) @ model.head_w.T + model.head_b
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def plain_entropy_grad(model, params, feats, filtered):
+    logp = plain_log_probs(model, params, feats)
+    p = np.exp(logp)
+    ent = -(p * logp).sum(axis=1)
+    dl_du = -p * (logp + ent[:, None])
+    if filtered:
+        mask = ent < 0.4 * np.log(model.n_classes)
+        if not mask.any():
+            return np.zeros(2 * model.hidden)
+        dl_du[~mask] = 0.0
+        dl_du /= int(mask.sum())
+    else:
+        dl_du /= ent.shape[0]
+    grad_act = dl_du @ model.head_w
+    return np.concatenate([(grad_act * feats).sum(axis=0), grad_act.sum(axis=0)])
+
+
+def plain_tta_step(model, params, feats, method, omega):
+    grad = plain_entropy_grad(model, params, feats, method.filtered)
+    lr, lam, alpha = method.lr, method.fisher_lambda, method.alpha
+    theta = params - lr * grad
+    if lam:
+        shrink = np.clip(1.0 - 2.0 * lam * lr * omega, 0.0, 1.0)
+        theta = model.source_params + shrink * (theta - model.source_params)
+    if alpha != 1.0:
+        theta = alpha * theta + (1.0 - alpha) * model.source_params
+    return theta
+
+
+class TestPlainFormOracle:
+    """The prediction, entropy gradient and step, which write into buffers of
+    their own, give the bits of their plain expressions."""
+
+    @given(
+        kind=st.sampled_from(tta.OBJECTIVE_KINDS),
+        reservoir=st.booleans(),
+        rows=st.integers(1, 64),
+        scale=st.sampled_from([0.0, 0.3, 3.0, 30.0]),
+        lr=st.sampled_from([0.0, tta.DEFAULT_TTA_LR, 0.1, 10.0]),
+        zeros=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_step_equals_plain_form(
+        self, small_model, kind, reservoir, rows, scale, lr, zeros, seed
+    ):
+        # Large perturbations make confident rows that pass the filter, small
+        # ones rows that fail it; a large rate clips the anchor's shrink at 0.
+        model, params, ds = small_model
+        rng = np.random.default_rng(seed)
+        theta = params + scale * rng.standard_normal(params.size)
+        feats = model.features(ds.inputs[rng.integers(len(ds.inputs), size=rows)])
+        omega = rng.uniform(0.0, 1.0, params.size)
+        omega[rng.integers(params.size, size=zeros)] = 0.0
+        method = tta.MethodConfig(name="m", kind=kind, reservoir=reservoir, lr=lr)
+        for filtered in (False, True):
+            got = tta.entropy_grad(model, theta, feats, filtered)
+            assert got.tobytes() == plain_entropy_grad(model, theta, feats, filtered).tobytes()
+        got = tta.tta_step(model, theta, feats, method, omega)
+        assert got.tobytes() == plain_tta_step(model, theta, feats, method, omega).tobytes()
+        stack = np.stack([theta, params])
+        got = tta.predict(model, stack, np.stack([feats, feats]))
+        assert got.tobytes() == np.exp(plain_log_probs(model, stack, feats)).tobytes()
+
+
 class TestTTAStep:
     def test_zero_lr_identity(self, small_model):
         model, params, ds = small_model
