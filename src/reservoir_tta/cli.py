@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_th = sub.add_parser(
         "theory",
         help="run the theory verification suite",
-        description="Run the theory verification suite. Its Monte-Carlo checks use "
-        "at most two threads, and no output depends on how many they use.",
+        description="Run the theory verification suite. Its Monte-Carlo checks run "
+        "on two threads, and no output depends on how the threads interleave.",
     )
     p_th.add_argument("--config")
     p_th.add_argument(

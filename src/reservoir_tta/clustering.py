@@ -205,15 +205,20 @@ class CentroidSet:
         (:func:`soft_assign_vector`).
         """
         vec = _style_vector(s, self.dim)
-        # The arithmetic of np.linalg.norm(axis=1) in one buffer; the square
-        # root is monotone, so it is taken of the minimum alone.
-        sq = self._centroids - vec
-        sq *= sq
-        delta = math.sqrt(sq.sum(axis=1).min())
+        # The square root is monotone, so it is taken of the minimum alone.
+        delta = math.sqrt(_squared_gaps(self._centroids, vec).min())
         if delta > tau and self.count < self.k_max:
             self._centroids = np.vstack([self._centroids, vec])
             return DomainDecision(kind="new_domain", distance=delta)
         return DomainDecision(kind="existing", distance=delta)
+
+
+def _squared_gaps(cents: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The squared distance of ``vec`` to each row of ``cents``: the
+    arithmetic of ``np.linalg.norm(axis=1)`` before its root, in one buffer."""
+    sq = cents - vec
+    sq *= sq
+    return sq.sum(axis=1)
 
 
 def _assignment_logits(dist: np.ndarray, dim: int) -> np.ndarray:
@@ -233,9 +238,7 @@ def soft_assign_vector(s: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     of its scaled negative distances ``-|s - c_j| / sqrt(dim)``. A vector of
     another shape than ``(centroids.dim,)`` raises :class:`InputDomainError`."""
     vec = _style_vector(s, centroids.dim)
-    dist = centroids._centroids - vec  # np.linalg.norm(axis=1), in one buffer
-    dist *= dist
-    dist = dist.sum(axis=1)
+    dist = _squared_gaps(centroids._centroids, vec)
     np.sqrt(dist, out=dist)
     q = log_softmax(_assignment_logits(dist, vec.size), axis=0)
     return np.exp(q, out=q)

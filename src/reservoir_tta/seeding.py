@@ -1,17 +1,19 @@
 """Counter-based seeding: one generator per key of small nonnegative ints.
 
-Every independent random draw of the package (a stream batch, a set-up
-batch, a Monte-Carlo chunk of trials) takes its own generator from a key such
-as ``(seed, tag, index)``, so a draw never depends on the order in which the
-others were made. Every keyed generator, also each batch of a stacked draw,
-is the result of one ``keyed_rng`` call and so of one call of
+Every generator of the package comes from ``keyed_rng``: each independent
+random draw (the source blob and sample, the classifier's and the style
+extractor's weights, the source minibatch order, a stream batch, a set-up
+batch, a Monte-Carlo chunk of trials) takes its own generator from a key
+such as ``(seed, tag, index)``, so a draw never depends on the order in
+which the others were made. Every generator, also each batch of a stacked
+draw, is the result of one ``keyed_rng`` call and so of one call of
 ``np.random.default_rng``, looked up at call time, so a wrapper installed on
 that module attribute sees each key.
 
 ``SeedSequence`` hashes the missing words of its four-word pool as 0, so
-``keyed_rng(s, 0, 0, 0)``, ``keyed_rng(s, 0)`` and ``np.random.default_rng(s)``
-give one stream: keys of up to four words that differ only by trailing
-zeros share their draws.
+``keyed_rng(s, 0, 0, 0)``, ``keyed_rng(s, 0)`` and ``keyed_rng(s)`` give one
+stream: keys of up to four words that differ only by trailing zeros share
+their draws.
 """
 
 from __future__ import annotations

@@ -134,10 +134,12 @@ class LabeledDataset:
 def make_blob(
     classes: int, input_dim: int, seed: int, separation: float = 6.0
 ) -> BlobSpec:
-    """Class means on a sphere sized so typical pairwise distance ~ separation."""
+    """Class means on a sphere sized so typical pairwise distance ~ separation,
+    drawn from ``keyed_rng(seed)``: a seed outside ``[0, 2**32)`` raises
+    ``OverflowError``."""
     if classes < 2:
         raise InputDomainError(f"need >= 2 classes, got {classes}")
-    rng = np.random.default_rng(seed)
+    rng = keyed_rng(seed)
     directions = rng.standard_normal((classes, input_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     return BlobSpec(class_means=directions * separation / np.sqrt(2.0))

@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     NumericalError,
 )
+from .seeding import keyed_rng
 
 # Variance floor applied before the logarithm. Keeps style entries finite
 # for constant channels without perturbing non-degenerate statistics.
@@ -52,9 +53,10 @@ _EXACT_PAIRS = 1 << 14
 class FeatureExtractor:
     """Frozen, seeded stack of random linear maps, each followed by tanh.
 
-    Weights are drawn once at construction and never change; two extractors
-    built from the same ``(input_dim, layer_channels, seed)`` produce
-    bit-identical activations on identical inputs.
+    Weights are drawn once at construction, from ``keyed_rng(seed)``, and
+    never change; two extractors built from the same ``(input_dim,
+    layer_channels, seed)`` produce bit-identical activations on identical
+    inputs. A seed outside ``[0, 2**32)`` raises ``OverflowError``.
     """
 
     def __init__(
@@ -71,7 +73,7 @@ class FeatureExtractor:
         self.layer_channels = tuple(int(c) for c in layer_channels)
         self.seed = int(seed)
 
-        rng = np.random.default_rng(self.seed)
+        rng = keyed_rng(self.seed)
         self._weights: list[np.ndarray] = []
         self._biases: list[np.ndarray] = []
         fan_in = self.input_dim

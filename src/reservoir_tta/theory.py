@@ -42,11 +42,12 @@ chunk's moment sums (and counts outside the ball), and ``_map_chunks`` adds
 these into zero-initialised totals in chunk order, the order in which a
 single pass over the chunks would add them, so every bit is the same
 however the chunks ran. The map makes every chunk's generator up front, in
-chunk order, on the calling thread. With two or more CPUs it runs the even
-chunks on the calling thread and the odd ones on one helper thread: numpy
-fills the draws and runs the updates on ``n`` trials with the interpreter
-lock released, so the two overlap. There is never more than one helper, so
-at most two chunks' buffers are live at once, whatever the host.
+chunk order, on the calling thread. It always runs two lanes, whatever the
+host: the even chunks on the calling thread and the odd ones on one helper
+thread. Numpy fills the draws and runs the updates on ``n`` trials with the
+interpreter lock released, so on two CPUs the lanes overlap. There is
+never more than one helper, so at most two chunks' buffers are live at
+once.
 
 The driver steps a stack of walks on one draw: every update rule of a call
 (one interpolation weight per walk of ``simulate_weight_ensemble``, or the
@@ -70,7 +71,6 @@ does, in one scratch buffer per chunk.
 from __future__ import annotations
 
 import contextlib
-import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -101,6 +101,14 @@ def _check_finite(name: str, value) -> None:
 def _check_steps(steps: int) -> None:
     if steps < 0:
         raise ConfigurationError(f"need >= 0 steps, got {steps}")
+
+
+def _check_mc(steps: int, trials: int, eta: float) -> None:
+    """The inputs every Monte-Carlo routine shares."""
+    _check_steps(steps)
+    if trials < 100:
+        raise ConfigurationError(f"need >= 100 trials, got {trials}")
+    _check_finite("eta", eta)
 
 
 @dataclass(frozen=True)
@@ -164,23 +172,6 @@ def ensemble_variance_closed_form(
     return eta**2 * vbar * alpha**2 * (1.0 - alpha ** (2 * tt)) / (1.0 - alpha**2)
 
 
-def _trial_noise(
-    seed: int, trial: int, steps: int, task: NoisyQuadraticTask
-) -> np.ndarray:
-    """One trial's ``(steps, dim)`` gradient noise: ``rng.normal(0.0,
-    noise_std, (steps, dim))`` of ``keyed_rng(seed, trial)``, but for the
-    sign of a zero entry."""
-    return keyed_rng(seed, trial).standard_normal((steps, task.dim)) * task.noise_std
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without sched_getaffinity
-        return os.cpu_count() or 1
-
-
 def _map_chunks(
     work: Callable[[np.random.Generator, int], _Result],
     fold: Callable[[_Result], object],
@@ -192,21 +183,17 @@ def _map_chunks(
     ``trials``, with ``n`` its trial count, in chunk order.
 
     Every chunk's generator is made up front, in chunk order, on the calling
-    thread, which also runs every ``fold``. With two or more CPUs, one
-    helper thread runs ``work`` on the odd chunks while the calling thread
-    runs it on the even ones. The helper hands each result over through a
-    one-slot queue, so at most three results wait to be folded, whatever
-    the chunk count. An exception raised in the helper is raised here, and
-    the helper has ended when this returns or raises.
+    thread, which also runs every ``fold``. One helper thread runs ``work``
+    on the odd chunks while the calling thread runs it on the even ones; in
+    a one-chunk call the helper gets none. The helper hands each result over
+    through a one-slot queue, so at most three results wait to be folded,
+    whatever the chunk count. An exception raised in the helper is raised
+    here, and the helper has ended when this returns or raises.
     """
     chunks = [
         (keyed_rng(seed, c, tag), min(_CHUNK, trials - first))
         for c, first in enumerate(range(0, trials, _CHUNK))
     ]
-    if len(chunks) < 2 or _available_cpus() < 2:
-        for rng, n in chunks:
-            fold(work(rng, n))
-        return
     handoff = queue.Queue(maxsize=1)
     stop = threading.Event()
 
@@ -326,18 +313,18 @@ def _run_variance_mc(
     trials: int,
     seed: int,
     tag: int,
-    theta0: np.ndarray,
     alphas: np.ndarray | None,
 ) -> np.ndarray:
     """The ``(walks, steps + 1)`` per-step trace variance of each walk of the
-    Monte-Carlo driver, t = 0..steps: each chunk sums its moments once per
-    block of steps, and the chunks' sums are added in chunk order."""
+    Monte-Carlo driver from the optimum, t = 0..steps: each chunk sums its
+    moments once per block of steps, and the chunks' sums are added in chunk
+    order."""
     walks = 1 if alphas is None else len(alphas)
     total = np.zeros((2, walks, steps + 1, task.dim))
 
     def chunk_moments(rng: np.random.Generator, n: int) -> np.ndarray:
         moments = np.empty_like(total)
-        for t, xs in _chunk_iterates(task, eta, steps, rng, n, theta0, alphas):
+        for t, xs in _chunk_iterates(task, eta, steps, rng, n, task.optimum, alphas):
             moments[:, :, t : t + xs.shape[1]] = _trial_sums(xs)
         return moments
 
@@ -353,11 +340,8 @@ def simulate_sgd(
     seed: int,
 ) -> np.ndarray:
     """Empirical per-step parameter variance under plain SGD from the optimum."""
-    _check_steps(steps)
-    if trials < 100:
-        raise ConfigurationError(f"need >= 100 trials, got {trials}")
-    _check_finite("eta", eta)
-    return _run_variance_mc(task, eta, steps, trials, seed, _SGD_TAG, task.optimum, None)[0]
+    _check_mc(steps, trials, eta)
+    return _run_variance_mc(task, eta, steps, trials, seed, _SGD_TAG, None)[0]
 
 
 def simulate_weight_ensemble(
@@ -377,19 +361,14 @@ def simulate_weight_ensemble(
     of the iterate) and every weight in [0, 1).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
-    _check_steps(steps)
-    if trials < 100:
-        raise ConfigurationError(f"need >= 100 trials, got {trials}")
+    _check_mc(steps, trials, eta)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas must be a nonempty sequence of weights")
     if not np.all((0.0 <= alphas) & (alphas < 1.0)):
         raise ConfigurationError(f"alphas must be in [0, 1), got {alphas.tolist()}")
-    _check_finite("eta", eta)
     if np.any(task.curvature != 0):
         raise ConfigurationError("closed-form comparison requires zero curvature")
-    return _run_variance_mc(
-        task, eta, steps, trials, seed, _ENSEMBLE_TAG, task.optimum, alphas
-    )
+    return _run_variance_mc(task, eta, steps, trials, seed, _ENSEMBLE_TAG, alphas)
 
 
 def fit_slope(v: np.ndarray) -> tuple[float, float]:
@@ -459,7 +438,7 @@ def check_fisher_trajectory(
             f"1 - 2*lam*omega*eta = {alpha} is outside (0, 1]"
         )
     start = task.optimum + 1.0
-    noise = _trial_noise(seed, 0, steps, task)
+    noise = keyed_rng(seed, 0).standard_normal((steps, task.dim)) * task.noise_std
 
     theta_fis = start.copy()
     theta_ens = start.copy()
@@ -496,10 +475,7 @@ def check_chebyshev(
     2``) so the mean drifts toward the optimum, and ``beta > d0``, hence
     ``beta > 0``. Every input is finite.
     """
-    _check_steps(steps)
-    if trials < 100:
-        raise ConfigurationError(f"need >= 100 trials, got {trials}")
-    _check_finite("eta", eta)
+    _check_mc(steps, trials, eta)
     if np.any(task.curvature <= 0) or np.any(eta * task.curvature >= 2):
         raise ConfigurationError(
             "Chebyshev check needs contractive curvature (0 < eta*a < 2)"

@@ -45,6 +45,7 @@ from .errors import (
     check_fields,
     encodes_as_utf8,
 )
+from .seeding import keyed_rng
 
 OBJECTIVE_KINDS = (
     "entropy",
@@ -121,7 +122,9 @@ class AdaptableClassifier:
     transductive batch-norm convention: first-order distribution shift is
     absorbed by renormalization, the affine parameters adapt the residual).
     ``features`` and the head never change after source training; adaptation
-    touches only the packed ``[gamma, beta]`` vector.
+    touches only the packed ``[gamma, beta]`` vector. The weights are drawn
+    from ``keyed_rng(seed)``: a seed outside ``[0, 2**32)`` raises
+    ``OverflowError``.
     """
 
     BN_EPS = 1e-8
@@ -133,7 +136,7 @@ class AdaptableClassifier:
         self.n_classes = int(n_classes)
         self.hidden = int(hidden)
         self.seed = int(seed)
-        rng = np.random.default_rng(seed)
+        rng = keyed_rng(seed)
         self._w_feat = rng.standard_normal((hidden, input_dim)) / np.sqrt(input_dim)
         self._b_feat = 0.1 * rng.standard_normal(hidden)
         self.head_w = 0.01 * rng.standard_normal((n_classes, hidden))
@@ -331,8 +334,11 @@ def train_source(
     """Train the head and affine parameters by cross-entropy SGD on
     minibatches of ``SOURCE_BATCH_SIZE``, an epoch's full ones featurized as one stack.
 
-    Deterministic for a fixed seed. Returns the classifier with the trained
-    head frozen and the trained parameter vector as ``source_params``.
+    Deterministic for a fixed seed: the classifier draws from
+    ``keyed_rng(model_seed)`` and the minibatch order from
+    ``keyed_rng(model_seed + 1)``, so a seed outside ``[0, 2**32 - 1)``
+    raises ``OverflowError``. Returns the classifier with the trained head
+    frozen and the trained parameter vector as ``source_params``.
     """
     inputs, labels = source_data
     x = np.asarray(inputs, dtype=np.float64)
@@ -345,7 +351,7 @@ def train_source(
     model = AdaptableClassifier(x.shape[1], n_classes, hidden, model_seed)
     params = init_params(hidden)
 
-    rng = np.random.default_rng(model_seed + 1)
+    rng = keyed_rng(model_seed + 1)
     onehot = np.eye(n_classes)[y]
     full = x.shape[0] - x.shape[0] % SOURCE_BATCH_SIZE
     for _ in range(epochs):

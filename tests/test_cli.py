@@ -803,10 +803,10 @@ _RESERVOIR = "stream.run_episode"
 # Every key (trailing zeros trimmed) that two draw sites share in a run at
 # seeds 1, 2, 7, 11 and 23, with its sites. ROADMAP item 16 names each group;
 # its re-key empties these tables. SOURCE_SEED seeds both the source blob
-# and the classifier as the int 7. A run seed equal to a set-up seed (7, 11,
-# 23) draws the stream batch (domain 0, slot 0), key (seed, 0, 0, 0), from
-# that seed's one-word or attempt-0 key, and at seed 7 the style reservoir,
-# key (7, 1), from the source sample's.
+# and the classifier as the key (7,). A run seed equal to a set-up seed (7,
+# 11, 23) draws the stream batch (domain 0, slot 0), key (seed, 0, 0, 0),
+# from that seed's one-word or attempt-0 key, and at seed 7 the style
+# reservoir, key (7, 1), from the source sample's.
 _SHARED_CSC_KEYS = {
     (7,): {_BLOB, _CLASSIFIER, _STREAM},
     (7, 1): {_SAMPLE, _RESERVOIR},
@@ -841,19 +841,17 @@ _SHARED_ORDER_KEYS = {
 )
 def test_run_key_collisions_are_the_known_ones(tmp_path, monkeypatch, kind, shared):
     """The keys that two draw sites of ``rtta run`` share, compared as in
-    ``test_theory_checks_share_no_key``, an int seed as a one-word key, are
-    the known ones. A site is the function that calls ``keyed_rng`` or
-    ``default_rng``; a key may repeat within a site."""
+    ``test_theory_checks_share_no_key``, are the known ones. A site is the
+    function that calls ``keyed_rng``; a key may repeat within a site."""
     sites = {}
     default_rng = np.random.default_rng
 
     def recording(key):
-        caller = sys._getframe(1)
-        if caller.f_globals["__name__"] == "reservoir_tta.seeding":
-            caller = caller.f_back
+        assert sys._getframe(1).f_globals["__name__"] == "reservoir_tta.seeding"
+        caller = sys._getframe(2)
         module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
         site = f"{module}.{caller.f_code.co_qualname.split('.<locals>')[0]}"
-        trimmed = tuple(np.trim_zeros(np.atleast_1d(key), "b").tolist())
+        trimmed = tuple(np.trim_zeros(key, "b").tolist())
         sites.setdefault(trimmed, set()).add(site)
         return default_rng(key)
 

@@ -1,6 +1,7 @@
 """Every name a package module or a test file imports is used in it or
-exported by it, and every top-level name a package module defines is read
-by some package module."""
+exported by it, every top-level name a package module defines is read by
+some package module, no package module reads a numpy-2-only name, and only
+``seeding`` makes a numpy generator."""
 
 import ast
 from pathlib import Path
@@ -214,4 +215,65 @@ def test_check_sees_numpy2_names():
         ("mT", 7),
         ("numpy.astype", 10),
         ("numpy.concat", 10),
+    ]
+
+
+# numpy's generator constructors and types. ``seeding.keyed_rng`` is the
+# package's one way to make a generator, so only ``seeding`` names them.
+GENERATOR_NAMES = frozenset({"default_rng", "Generator", "RandomState", "SeedSequence"})
+
+
+def _annotation_nodes(tree: ast.Module) -> set[int]:
+    """The ``id`` of every node inside an annotation: under ``from
+    __future__ import annotations`` an annotation is never evaluated."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(sub) for root in roots if root is not None for sub in ast.walk(root)}
+
+
+def generator_references(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of every reference to a name of ``GENERATOR_NAMES``
+    outside an annotation: a loaded name, an attribute or an imported name."""
+    tree = ast.parse(source)
+    annotations = _annotation_nodes(tree)
+    refs = []
+    for node in ast.walk(tree):
+        if id(node) in annotations:
+            continue
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            continue
+        refs += [(name, node.lineno) for name in names if name in GENERATOR_NAMES]
+    return sorted(refs, key=lambda ref: (ref[1], ref[0]))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_seeding_makes_generators(path):
+    names = [name for name, _ in generator_references(path.read_text(encoding="utf-8"))]
+    assert names == (["default_rng"] if path.name == "seeding.py" else [])
+
+
+def test_check_sees_generator_references():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from numpy.random import Generator, SeedSequence as Seq\n"
+        "def draw(rng: np.random.Generator, n: int = 1) -> np.random.Generator:\n"
+        "    kept: np.random.Generator = np.random.default_rng(n)\n"
+        "    return np.random.RandomState(Seq(n).entropy), kept\n"
+        "\"\"\"default_rng in a string is not a reference\"\"\"\n"
+    )
+    assert generator_references(source) == [
+        ("Generator", 3), ("SeedSequence", 3), ("default_rng", 5), ("RandomState", 6)
     ]

@@ -13,7 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from reservoir_tta import cli, config, stream, theory
 from reservoir_tta.style import calibrate_threshold
@@ -79,13 +78,6 @@ def test_routed_episode_peak(context, traced_peak_mb):
     assert traced_peak_mb(stream.run_episode, ctx, method, 1) <= 10.0
 
 
-@pytest.fixture()
-def helper_on(monkeypatch):
-    """The theory chunk map's helper thread, on whatever the host's CPU
-    count, so that a peak holds with two chunks in flight."""
-    monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
-
-
 def _chebyshev_peak_mb(traced_peak_mb, steps, trials):
     task = theory.NoisyQuadraticTask(
         optimum=np.zeros(4), curvature=np.full(4, 0.5), noise_std=np.ones(4)
@@ -96,7 +88,6 @@ def _chebyshev_peak_mb(traced_peak_mb, steps, trials):
     )
 
 
-@pytest.mark.usefixtures("helper_on")
 def test_check_chebyshev_peak(traced_peak_mb):
     """The theory suite's Chebyshev check at its default 10000 trials of 200
     steps: at most 4 MB (15.0 MB when each chunk's trials were drawn whole
@@ -105,7 +96,6 @@ def test_check_chebyshev_peak(traced_peak_mb):
     assert _chebyshev_peak_mb(traced_peak_mb, t.chebyshev_steps, t.chebyshev_trials) <= 4.0
 
 
-@pytest.mark.usefixtures("helper_on")
 def test_check_chebyshev_peak_at_20000_steps(traced_peak_mb):
     """100 trials of 20000 steps: at most 5 MB, most of it the per-step
     moment sums and results (63.4 MB when each chunk's whole trajectories
@@ -113,7 +103,6 @@ def test_check_chebyshev_peak_at_20000_steps(traced_peak_mb):
     assert _chebyshev_peak_mb(traced_peak_mb, 20_000, 100) <= 5.0
 
 
-@pytest.mark.usefixtures("helper_on")
 def test_weight_ensemble_peak(traced_peak_mb):
     """The theory suite's weight-ensemble check at its default 100000 trials
     of 100 steps and two weights: at most 1 MB (2.33 MB when each chunk's

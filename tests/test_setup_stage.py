@@ -337,9 +337,9 @@ class TestBatchedSetUp:
         # One generator each for the source blob, the source sample, the
         # extractor, the classifier and its minibatch order; 2000 calibration
         # batches; the domain pool and its 64 x 16 candidate batches; 10
-        # Fisher batches. An int seed is a one-word key.
+        # Fisher batches.
         config.build_context(config.RunConfig())
-        keys = [tuple(np.atleast_1d(key).tolist()) for (key,) in default_rng_calls]
+        keys = [tuple(key.tolist()) for (key,) in default_rng_calls]
         assert len(keys) == 2000 + 64 * 16 + 10 + 6 == 3040
         assert keys[:5] == [(7,), (7, 1), (11,), (7,), (8,)]
         assert keys[5:2005] == [(11, 10, i) for i in range(2000)]

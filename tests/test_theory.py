@@ -54,8 +54,8 @@ class TestSimulateSgd:
 
     def test_linear_growth_slope(self):
         # eta = 0.1, unit total noise: slope must be eta^2 * vbar within 10%
-        # with a near-perfect linear fit. Smaller than the acceptance run but
-        # the same contract.
+        # with a near-perfect linear fit. Smaller than the default `rtta
+        # theory` check but the same contract.
         task = theory.pure_noise_task(1, 1.0)
         variance = theory.simulate_sgd(task, 0.1, 60, 4000, seed=3)
         slope, r2 = theory.fit_slope(variance)
@@ -384,28 +384,54 @@ class TestNoiseOracle:
     """The Monte-Carlo noise is bit-identical to its specified draws."""
 
     @pytest.mark.parametrize("task", _NOISE_TASKS)
-    def test_trial_noise_matches_oracle(self, task):
-        # Equal as numbers: a zero std may give -0.0 where normal gives 0.0.
-        for seed, trial in ((0, 0), (101, 7), (2**32 - 1, 12345)):
-            np.testing.assert_array_equal(
-                theory._trial_noise(seed, trial, 30, task),
-                _oracle_noise(seed, trial, 30, task.noise_std),
-            )
+    def test_fisher_trajectory_steps_on_oracle_noise(self, monkeypatch, task):
+        # The check draws one standard_normal((steps, dim)) from
+        # keyed_rng(seed, 0); scaled per coordinate it is the oracle's noise,
+        # equal as numbers (a zero std may give -0.0 where normal gives 0.0),
+        # and both trajectories step on it as the reference below does.
+        lam, omega, eta, steps = 5.0, 0.3, 0.05, 30
+        alpha = 1.0 - 2.0 * lam * omega * eta
+        keyed_rng, draws = theory.keyed_rng, []
 
-    @pytest.mark.parametrize("cpus", [1, 2], ids=["alone", "helper"])
+        class Recording:
+            def __init__(self, *key):
+                self.rng = keyed_rng(*key)
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(self.rng.standard_normal(*args, **kwargs))
+                return draws[-1]
+
+        monkeypatch.setattr(theory, "keyed_rng", Recording)
+        for seed in (0, 101, 2**32 - 1):
+            got = theory.check_fisher_trajectory(task, lam, omega, eta, steps, seed)
+            noise = _oracle_noise(seed, 0, steps, task.noise_std)
+            (draw,) = draws
+            draws.clear()
+            np.testing.assert_array_equal(draw * task.noise_std, noise)
+            start = task.optimum + 1.0
+            fis, ens, worst = start, start, 0.0
+            for t in range(steps):
+                half = fis - eta * (task.curvature * (fis - task.optimum) + noise[t])
+                fis = half - 2.0 * lam * omega * eta * (half - start)
+                grad = task.curvature * (ens - task.optimum) + noise[t]
+                ens = alpha * (ens - eta * grad) + (1.0 - alpha) * start
+                worst = max(worst, float(np.abs(fis - ens).max()))
+            assert got == worst
+
+    @pytest.mark.parametrize("trials", [17, 5], ids=["three-chunks", "one-chunk"])
     @pytest.mark.parametrize(
         "alphas", [None, (0.9,), (0.9, 0.0, 0.5, 0.9)], ids=["sgd", "one", "stack"]
     )
     @pytest.mark.parametrize("task", _NOISE_TASKS)
-    def test_every_chunk_matches_oracle(self, monkeypatch, task, alphas, cpus):
+    def test_every_chunk_matches_oracle(self, monkeypatch, task, alphas, trials):
         # 7 does not divide 17: the chunk map hands the driver chunks of 7,
-        # 7 and 3 trials. 5 does not divide 12: each chunk yields t = 0, then
-        # blocks of 5, 5 and 2 steps. Each walk of the stack steps on the
-        # chunk's one draw as if it ran alone.
+        # 7 and 3 trials, the second on the helper thread. 5 trials are one
+        # chunk, and the helper gets none. 5 does not divide 12: each chunk
+        # yields t = 0, then blocks of 5, 5 and 2 steps. Each walk of the
+        # stack steps on the chunk's one draw as if it ran alone.
         monkeypatch.setattr(theory, "_CHUNK", 7)
         monkeypatch.setattr(theory, "_BLOCK", 5)
-        monkeypatch.setattr(theory, "_available_cpus", lambda: cpus)
-        eta, steps, trials, seed, tag = 0.3, 12, 17, 5, 9
+        eta, steps, seed, tag = 0.3, 12, 5, 9
         theta0 = task.optimum + 0.25
         stack = None if alphas is None else np.array(alphas)
         walks = [None] if alphas is None else list(alphas)
@@ -416,7 +442,7 @@ class TestNoiseOracle:
 
         chunks = []
         theory._map_chunks(chunk_blocks, chunks.append, trials, seed, tag)
-        assert [n for n, _ in chunks] == [7, 7, 3]
+        assert [n for n, _ in chunks] == {17: [7, 7, 3], 5: [5]}[trials]
         start, optimum, curvature = (
             v[:, None] for v in (theta0, task.optimum, task.curvature)
         )
@@ -443,7 +469,6 @@ class TestNoiseOracle:
         # all made on the calling thread in chunk order though the helper
         # runs chunk 1.
         monkeypatch.setattr(theory, "_CHUNK", 64)
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
         threads = []
         counting = np.random.default_rng
 
@@ -505,6 +530,13 @@ def _monte_carlo_outputs(dim):
     ]
 
 
+def _serial_map_chunks(work, fold, trials, seed, tag):
+    """The chunk map's reference: one pass over the chunks, on the calling
+    thread alone."""
+    for chunk, first in enumerate(range(0, trials, theory._CHUNK)):
+        fold(work(theory.keyed_rng(seed, chunk, tag), min(theory._CHUNK, trials - first)))
+
+
 class TestHelperThread:
     """The chunk map's helper thread changes no bit and leaks nothing."""
 
@@ -514,17 +546,15 @@ class TestHelperThread:
         # calling thread runs three chunks and the helper two. A short
         # switch interval interleaves the two threads as finely as it can.
         monkeypatch.setattr(theory, "_CHUNK", 64)
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 1)
-        outputs = {1: _monte_carlo_outputs(dim)}
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outputs[2] = _monte_carlo_outputs(dim)
+            helped = _monte_carlo_outputs(dim)
         finally:
             sys.setswitchinterval(interval)
-        for alone, helped in zip(outputs[1], outputs[2], strict=True):
-            assert alone.tobytes() == helped.tobytes()
+        monkeypatch.setattr(theory, "_map_chunks", _serial_map_chunks)
+        for alone, got in zip(_monte_carlo_outputs(dim), helped, strict=True):
+            assert alone.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
     @pytest.mark.parametrize("routine", range(3), ids=["sgd", "ensemble", "chebyshev"])
@@ -532,7 +562,6 @@ class TestHelperThread:
         # The exception object itself comes out of the public routine, and
         # the helper has ended: no thread is left behind either way.
         monkeypatch.setattr(theory, "_CHUNK", 64)
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
         caller = threading.current_thread()
         error = ArithmeticError("chunk failed")
         chunk_iterates = theory._chunk_iterates
@@ -558,7 +587,6 @@ class TestHelperThread:
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(theory, "_CHUNK", 64)
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
         before = threading.active_count()
         _monte_carlo_outputs(4)
         assert threading.active_count() == before
