@@ -38,16 +38,17 @@ constants, so a config and seed give the same bits on every run.
 
 The chunk is the unit of work. ``_chunk_iterates``, the driver, steps one
 chunk's trials; each Monte-Carlo routine turns the driver's blocks into its
-chunk's moment sums (and counts outside the ball), and ``_map_chunks`` adds
-these into zero-initialised totals in chunk order, the order in which a
-single pass over the chunks would add them, so every bit is the same
-however the chunks ran. The map makes every chunk's generator up front, in
-chunk order, on the calling thread. It always runs two lanes, whatever the
-host: the even chunks on the calling thread and the odd ones on one helper
-thread. Numpy fills the draws and runs the updates on ``n`` trials with the
-interpreter lock released, so on two CPUs the lanes overlap. There is
-never more than one helper, so at most two chunks' buffers are live at
-once.
+chunk's moment sums (and counts outside the ball). ``_map_chunks`` yields
+the chunks' sums in chunk order, and the routine adds them into
+zero-initialised totals in a plain loop, in the order in which a single
+pass over the chunks would add them, so every bit is the same however the
+chunks ran. The map runs the chunks in pairs, whatever the host: the
+calling thread makes both generators of a pair, runs the even chunk itself
+and the odd one on a helper thread, and joins the helper before it yields
+the pair's results. Numpy fills the draws and runs the updates on ``n``
+trials with the interpreter lock released, so on two CPUs the pair
+overlaps. There is never more than one helper, so at most two chunks'
+buffers are live at once.
 
 The driver steps a stack of walks on one draw: every update rule of a call
 (one interpolation weight per walk of ``simulate_weight_ensemble``, or the
@@ -70,8 +71,6 @@ does, in one scratch buffer per chunk.
 
 from __future__ import annotations
 
-import contextlib
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -174,61 +173,47 @@ def ensemble_variance_closed_form(
 
 def _map_chunks(
     work: Callable[[np.random.Generator, int], _Result],
-    fold: Callable[[_Result], object],
     trials: int,
     seed: int,
     tag: int,
-) -> None:
-    """``fold(work(keyed_rng(seed, c, tag), n))`` for every chunk ``c`` of
+) -> Iterator[_Result]:
+    """Yields ``work(keyed_rng(seed, c, tag), n)`` for every chunk ``c`` of
     ``trials``, with ``n`` its trial count, in chunk order.
 
-    Every chunk's generator is made up front, in chunk order, on the calling
-    thread, which also runs every ``fold``. One helper thread runs ``work``
-    on the odd chunks while the calling thread runs it on the even ones; in
-    a one-chunk call the helper gets none. The helper hands each result over
-    through a one-slot queue, so at most three results wait to be folded,
-    whatever the chunk count. An exception raised in the helper is raised
-    here, and the helper has ended when this returns or raises.
+    The chunks run in pairs. The calling thread makes a pair's two
+    generators, in chunk order, starts one helper thread on the odd chunk
+    and runs the even one itself; a lone last chunk starts no thread. The
+    helper is joined before the even result is yielded, so it never outlives
+    its pair, and if it failed, its exception is raised in place of the odd
+    result.
     """
-    chunks = [
-        (keyed_rng(seed, c, tag), min(_CHUNK, trials - first))
-        for c, first in enumerate(range(0, trials, _CHUNK))
-    ]
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
+    last = (trials - 1) // _CHUNK
+    for c in range(0, last + 1, 2):
+        rng = keyed_rng(seed, c, tag)
+        if c == last:
+            yield work(rng, trials - c * _CHUNK)
+            return
+        odd_rng = keyed_rng(seed, c + 1, tag)
+        odd_n = min(_CHUNK, trials - (c + 1) * _CHUNK)
+        odd = []
 
-    def helper() -> None:
+        def helper() -> None:
+            try:
+                odd.append(work(odd_rng, odd_n))
+            except BaseException as exc:  # raised by the calling thread
+                odd.append(exc)
+
+        thread = threading.Thread(target=helper, name="theory-chunks")
+        thread.start()
         try:
-            for rng, n in chunks[1::2]:
-                if stop.is_set():
-                    return
-                handoff.put(work(rng, n))
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            handoff.put(exc)
-
-    def take() -> _Result:
-        result = handoff.get()
+            even = work(rng, _CHUNK)
+        finally:
+            thread.join()
+        yield even
+        (result,) = odd
         if isinstance(result, BaseException):
             raise result
-        return result
-
-    thread = threading.Thread(target=helper, name="theory-chunks")
-    thread.start()
-    try:
-        for pair, (rng, n) in enumerate(chunks[::2]):
-            result = work(rng, n)
-            if pair:
-                fold(take())
-            fold(result)
-        if len(chunks) % 2 == 0:
-            fold(take())
-    finally:
-        # After a failure the helper may wait on a full slot: free it once,
-        # and the helper stops before its next chunk.
-        stop.set()
-        with contextlib.suppress(queue.Empty):
-            handoff.get_nowait()
-        thread.join()
+        yield result
 
 
 def _chunk_iterates(
@@ -328,7 +313,8 @@ def _run_variance_mc(
             moments[:, :, t : t + xs.shape[1]] = _trial_sums(xs)
         return moments
 
-    _map_chunks(chunk_moments, lambda m: np.add(total, m, out=total), trials, seed, tag)
+    for moments in _map_chunks(chunk_moments, trials, seed, tag):
+        total += moments
     return _trace_variance(total[0], total[1], trials)
 
 
@@ -508,11 +494,9 @@ def check_chebyshev(
             counts[t : t + k] = (dist > beta).sum(axis=-1)
         return moments, counts
 
-    def fold(sums: tuple[np.ndarray, np.ndarray]) -> None:
-        np.add(total, sums[0], out=total)
-        np.add(exceed, sums[1], out=exceed)
-
-    _map_chunks(chunk_sums, fold, trials, seed, _CHEBYSHEV_TAG)
+    for moments, counts in _map_chunks(chunk_sums, trials, seed, _CHEBYSHEV_TAG):
+        total += moments
+        exceed += counts
     variance = _trace_variance(total[0], total[1], trials)
     return variance, exceed / trials, variance / (beta - d0) ** 2
 

@@ -135,7 +135,6 @@ class AdaptableClassifier:
         self.input_dim = int(input_dim)
         self.n_classes = int(n_classes)
         self.hidden = int(hidden)
-        self.seed = int(seed)
         rng = keyed_rng(seed)
         self._w_feat = rng.standard_normal((hidden, input_dim)) / np.sqrt(input_dim)
         self._b_feat = 0.1 * rng.standard_normal(hidden)

@@ -162,13 +162,15 @@ class TestCalibrateThreshold:
         rng = np.random.default_rng(31)
         styles = [rng.standard_normal(8) for _ in range(2000)]
         tau = calibrate_threshold(styles, 0.99)
-        # Brute-force oracle: every pair individually, sort, ceil(q*N)-th.
-        dists = [
-            float(np.sqrt(((a - b) ** 2).sum()))
-            for i, a in enumerate(styles)
-            for b in styles[i + 1 :]
-        ]
-        dists.sort()
+        # Brute-force oracle: every pair, one row at a time, sort,
+        # ceil(q*N)-th. Each row's sums run over the same 8 entries as a
+        # per-pair sum would.
+        S = np.array(styles)
+        dists = np.sort(
+            np.concatenate(
+                [np.sqrt(((S[i] - S[i + 1 :]) ** 2).sum(axis=1)) for i in range(len(S))]
+            )
+        )
         rank = int(np.ceil(0.99 * len(dists)))
         assert tau == dists[rank - 1]
 

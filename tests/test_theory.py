@@ -440,8 +440,7 @@ class TestNoiseOracle:
             blocks = theory._chunk_iterates(task, eta, steps, rng, n, theta0, stack)
             return n, [(t, xs.copy()) for t, xs in blocks]
 
-        chunks = []
-        theory._map_chunks(chunk_blocks, chunks.append, trials, seed, tag)
+        chunks = list(theory._map_chunks(chunk_blocks, trials, seed, tag))
         assert [n for n, _ in chunks] == {17: [7, 7, 3], 5: [5]}[trials]
         start, optimum, curvature = (
             v[:, None] for v in (theta0, task.optimum, task.curvature)
@@ -530,11 +529,36 @@ def _monte_carlo_outputs(dim):
     ]
 
 
-def _serial_map_chunks(work, fold, trials, seed, tag):
+def _serial_map_chunks(work, trials, seed, tag):
     """The chunk map's reference: one pass over the chunks, on the calling
     thread alone."""
     for chunk, first in enumerate(range(0, trials, theory._CHUNK)):
-        fold(work(theory.keyed_rng(seed, chunk, tag), min(theory._CHUNK, trials - first)))
+        yield work(theory.keyed_rng(seed, chunk, tag), min(theory._CHUNK, trials - first))
+
+
+def _monte_carlo_calls(trials):
+    """One call of each Monte-Carlo routine at ``trials`` trials."""
+    walk = theory.pure_noise_task(2, 1.0)
+    task = theory.NoisyQuadraticTask(np.zeros(2), np.full(2, 0.5), np.ones(2))
+    return [
+        lambda: theory.simulate_sgd(walk, 0.1, 5, trials, seed=3),
+        lambda: theory.simulate_weight_ensemble(walk, 0.1, [0.9, 0.5], 5, trials, seed=3),
+        lambda: theory.check_chebyshev(task, 5.0, np.full(2, 0.5), 0.1, 5, trials, seed=3),
+    ]
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
 
 
 class TestHelperThread:
@@ -556,11 +580,15 @@ class TestHelperThread:
         for alone, got in zip(_monte_carlo_outputs(dim), helped, strict=True):
             assert alone.tobytes() == got.tobytes()
 
+    @pytest.mark.parametrize("trials", [300, 256], ids=["lone-last", "paired-last"])
     @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
     @pytest.mark.parametrize("routine", range(3), ids=["sgd", "ensemble", "chebyshev"])
-    def test_a_failing_chunk_raises_its_exception(self, monkeypatch, routine, on_helper):
+    def test_a_failing_chunk_raises_its_exception(
+        self, monkeypatch, routine, on_helper, trials
+    ):
         # The exception object itself comes out of the public routine, and
-        # the helper has ended: no thread is left behind either way.
+        # the helper has ended: no thread is left behind either way. 64
+        # divides 256 into four chunks, so the last pair has a helper too.
         monkeypatch.setattr(theory, "_CHUNK", 64)
         caller = threading.current_thread()
         error = ArithmeticError("chunk failed")
@@ -572,18 +600,38 @@ class TestHelperThread:
             return chunk_iterates(*args, **kwargs)
 
         monkeypatch.setattr(theory, "_chunk_iterates", failing)
-        walk = theory.pure_noise_task(2, 1.0)
-        task = theory.NoisyQuadraticTask(np.zeros(2), np.full(2, 0.5), np.ones(2))
-        call = [
-            lambda: theory.simulate_sgd(walk, 0.1, 5, 300, seed=3),
-            lambda: theory.simulate_weight_ensemble(walk, 0.1, [0.9, 0.5], 5, 300, seed=3),
-            lambda: theory.check_chebyshev(task, 5.0, np.full(2, 0.5), 0.1, 5, 300, seed=3),
-        ][routine]
         before = threading.active_count()
         with pytest.raises(ArithmeticError) as raised:
-            call()
+            _monte_carlo_calls(trials)[routine]()
         assert raised.value is error
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("routine", range(3), ids=["sgd", "ensemble", "chebyshev"])
+    def test_one_helper_per_chunk_pair(self, monkeypatch, started_threads, routine):
+        # 64 does not divide 300: five chunks, so two pairs start a helper
+        # each and the lone last chunk none. Every block of every chunk
+        # samples the live threads: the helper sees itself and the caller,
+        # and never a second helper.
+        monkeypatch.setattr(theory, "_CHUNK", 64)
+        chunk_iterates, counts = theory._chunk_iterates, []
+
+        def sampling(*args, **kwargs):
+            for block in chunk_iterates(*args, **kwargs):
+                counts.append(threading.active_count())
+                yield block
+
+        monkeypatch.setattr(theory, "_chunk_iterates", sampling)
+        before = threading.active_count()
+        _monte_carlo_calls(300)[routine]()
+        assert len(started_threads) == 2
+        assert max(counts) == before + 1
+        assert threading.active_count() == before
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, started_threads):
+        monkeypatch.setattr(theory, "_CHUNK", 128)
+        for call in _monte_carlo_calls(100):
+            call()
+        assert started_threads == []
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(theory, "_CHUNK", 64)
