@@ -269,7 +269,7 @@ def _run_check(name: str, cfg: RunConfig):
         variance = theory.simulate_sgd(task, eta, t.steps, t.trials, seed)
         slope, r2 = theory.fit_slope(variance)
         target = eta**2 * task.total_noise_variance
-        closed = theory.linear_variance_closed_form(eta, task.total_noise_variance, steps)
+        closed = theory.contractive_variance_closed_form(task, eta, steps)
         passed = abs(slope - target) <= 0.1 * target and r2 > 0.99
         detail = (
             f"slope {slope:.6g} vs eta^2*vbar {target:.6g} "
@@ -292,10 +292,10 @@ def _run_check(name: str, cfg: RunConfig):
             bound = eta**2 * vbar * alpha**2 / (1.0 - alpha**2)
             rel = np.abs(variance[1:] - closed[1:]) / closed[1:]
             worst_rel = max(worst_rel, float(rel.max()))
-            # The true curve sits strictly below the asymptote; the empirical
-            # one gets 3-sigma sampling slack on the variance estimate.
+            # The closed form never exceeds its asymptote, a supremum it rounds
+            # onto; the empirical curve gets 3-sigma slack on the variance estimate.
             slack = 3.0 * variance * np.sqrt(2.0 / (t.ensemble_trials - 1))
-            if np.any(closed[1:] >= bound) or np.any(variance > bound + slack):
+            if np.any(closed[1:] > bound) or np.any(variance > bound + slack):
                 bound_ok = False
             rows += _rows(steps, empirical_var=variance, closed_form_var=closed, bound=bound)
         passed = worst_rel <= 0.05 and bound_ok

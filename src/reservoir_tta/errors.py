@@ -63,4 +63,4 @@ class TrainingError(ReservoirTTAError):
 
 
 class EndOfStream(ReservoirTTAError):
-    """Requested a batch past the end of a domain stream."""
+    """Requested a batch other than a domain stream's next one."""

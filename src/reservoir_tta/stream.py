@@ -18,19 +18,19 @@ vector already computed. At construction it draws the raw batch of every
 (primary, next, weight) of the schedule, in stacked chunks of rows; every
 step is distorted from its row, and the first batch of each (row, slot) is
 replayed to every later step with that key. None of this work depends on the
-adapted parameters, so the stream prepares a block of ``_PREP_STEPS`` steps
-ahead: the block's fresh batches are distorted, featurized and styled as one
-stack at its first step.
+adapted parameters, and the stream serves its steps in order only, so the
+steps form blocks of ``_BLOCK_STEPS``: a block's fresh batches are
+distorted, featurized and styled as one stack at its first step.
 ``run_episode`` executes the per-batch loop on those batches: reservoir
 update, domain detection, centroid refinement, model selection and
 adaptation, parameter ensembling, prediction. Routing and adaptation run
-step by step; the prediction, which changes no state, runs a block of
-``_PREDICT_STEPS`` steps behind, as one stack. Every stacked pass gives each
-step the bits of its own per-step call. Its ``EpisodeMetrics`` is the
-one per-step record, behind the metrics CSV, the trace and the tests. An
-untraced single-model episode skips the routing stages, whose outcome is
-then constant. Hidden labels and the schedule's domain ids feed the
-metrics only, never the adaptation path.
+step by step; the prediction, which changes no state, runs for the whole
+block at its last step, as one stack. Every stacked pass gives each step the
+bits of its own per-step call. Its ``EpisodeMetrics`` is the one per-step
+record, behind the metrics CSV, the trace and the tests. A routed episode
+fills every routing column; an untraced single-model episode skips the
+routing stages, whose outcome is then constant. Hidden labels and the
+schedule's domain ids feed the metrics only, never the adaptation path.
 """
 
 from __future__ import annotations
@@ -78,11 +78,10 @@ DOMAIN_MAX_RETRIES = 10
 # DomainStream blends at once: each bounds a stage's transient memory.
 _CANDIDATE_STACK = 4
 _TABLE_ROWS = 128
-# Steps whose fresh batches DomainStream prepares as one stack, and steps
-# run_episode predicts as one stack: each trades per-call overhead against
-# an episode's transient memory.
-_PREP_STEPS = 16
-_PREDICT_STEPS = 8
+# Steps per block: DomainStream prepares a block's fresh batches as one stack
+# at its first step, and run_episode predicts the block as one stack at its
+# last; the size trades per-call overhead against transient memory.
+_BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -515,12 +514,12 @@ class DomainStream:
     a time into preallocated arrays: a chunk's rows have the bits of one
     :func:`blend_domains` call over the whole table.
 
-    ``next_batch`` is called once per step, in order. The steps form blocks
-    of ``_PREP_STEPS``; at the first step of a block, the stream prepares
-    the batch of every (row, slot) key first seen in the block as one stack:
-    it distorts the keys' (primary, slot) inputs with their noise under
-    their rows (noise only on the rows with some ``noise_std > 0``), then
-    makes one feature pass and, if ``styles`` is set, one style pass. Each
+    ``next_batch`` serves each step once, in order. At the first step of a
+    block of ``_BLOCK_STEPS``, the stream prepares the batch of every (row,
+    slot) key first seen in the block as one stack: it distorts the keys'
+    (primary, slot) inputs with their noise under their rows (noise only on
+    the rows with some ``noise_std > 0``), then makes one feature pass and,
+    if ``styles`` is set, one style pass. Each
     kept batch copies its slice of the stack, so that a replayed batch does
     not pin its whole block. Each slice has the bits of a pass over that
     batch alone. The engine never reads raw inputs.
@@ -575,21 +574,21 @@ class DomainStream:
         self._last[n - 1 - np.unique(keys[::-1], return_index=True)[1]] = True
         _freeze((*self._table, self._rows, self._first, self._last))
         self._replay: dict[tuple[int, int], StreamBatch] = {}
+        self._next = 0  # the one step next_batch serves
 
     def next_batch(self, step: int) -> StreamBatch:
-        """The batch of ``step``. At the first step of a block, and at a step
-        called out of order whose batch is not held, the fresh keys of the
-        rest of the block are prepared."""
-        plan = self.context.plan
-        if not 0 <= step < plan.total_steps:
-            raise EndOfStream(f"step {step} outside [0, {plan.total_steps})")
-        key = self._rows[step].item(), step % plan.batches_per_domain
-        if key not in self._replay or step % _PREP_STEPS == 0:
-            end = min(step - step % _PREP_STEPS + _PREP_STEPS, plan.total_steps)
-            ahead = np.arange(step, end)
-            fresh = self._first[ahead]
-            fresh[0] = key not in self._replay
-            self._prepare(ahead[fresh])
+        """The batch of ``step``, which must be the next step of the stream:
+        any other step (out of order, repeated or past the end) raises
+        :class:`EndOfStream`. At the first step of a block, the block's fresh
+        keys are prepared."""
+        n = self.context.plan.total_steps
+        if step != self._next or step >= n:
+            raise EndOfStream(f"step {step} is not the next step ({self._next} of {n})")
+        if step % _BLOCK_STEPS == 0:
+            ahead = np.arange(step, min(step + _BLOCK_STEPS, n))
+            self._prepare(ahead[self._first[ahead]])
+        self._next = step + 1
+        key = self._rows[step].item(), step % self.context.plan.batches_per_domain
         return self._replay.pop(key) if self._last[step] else self._replay[key]
 
     def _prepare(self, fresh: np.ndarray) -> None:
@@ -650,10 +649,11 @@ class EpisodeMetrics:
 
     ``visits`` and ``true_domains`` are hidden, read from the stream's
     schedule; the hidden domain of a CCC blend is the nearer segment end.
-    A traced episode also fills ``min_distance``, each step's ``detect``
+    A routed episode fills ``min_distance``, each step's ``detect``
     distance, and ``soft_assignment``, each step's q zero-padded to the
-    domain cap; an untraced one leaves both ``None``. The per-visit
-    summaries are derived from the columns.
+    domain cap; an unrouted one (see :func:`run_episode`) leaves both
+    ``None``, and ``assigned_models`` and ``detected_domains`` zero. The
+    per-visit summaries are derived from the columns.
     """
 
     visits: np.ndarray
@@ -711,20 +711,21 @@ def run_episode(
     model.
 
     The prediction reads no state the later steps change, so each step only
-    buffers its ensembled parameters, features and labels; every
-    ``_PREDICT_STEPS`` steps, and at the last step, one stacked
-    :func:`tta.predict` fills the block's ``per_batch_error``. A non-finite
-    prediction raises at its block's end, with the same error; if a later
-    step of the block fails first, the pending steps are predicted before
-    its error propagates, so a prediction error still comes before the
-    errors of the steps after it. Errors of the stream's preparation are
-    not deferred: a batch of the block that cannot be prepared (say, with
-    non-finite inputs) raises at the block's first step.
+    buffers its ensembled parameters, features and labels; at the last step
+    of each block of ``_BLOCK_STEPS``, one stacked :func:`tta.predict` fills
+    the block's ``per_batch_error``. A non-finite prediction raises at its
+    block's end, with the same error; if a later step of the block fails
+    first, the pending steps are predicted before its error propagates, so
+    a prediction error still comes before the errors of the steps after
+    it. Errors of the stream's preparation are not deferred: a batch of the
+    block that cannot be prepared (say, with non-finite inputs) raises at
+    the block's first step.
 
-    At cap 1 the routing is constant: q = [1] and k* = 0 on every step, and
-    the style pass, the reservoir offer and the detection feed only the
-    trace columns. Without ``trace`` such an episode skips them, and its
-    stream skips the style pass; every other column is the same bits.
+    A routed step fills every routing column. At cap 1 the routing is
+    constant, q = [1] and k* = 0 on every step, so ``trace`` only decides
+    whether such an episode routes: without it, the episode skips the
+    routing stages and its stream the style pass; every other column is the
+    same bits.
     Deterministic per (context, method, seed).
     """
     plan = context.plan
@@ -748,8 +749,8 @@ def run_episode(
     errors = np.zeros(n)
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
-    min_distance = np.zeros(n) if trace else None
-    soft = np.zeros((n, k_max)) if trace else None
+    min_distance = np.zeros(n) if route else None
+    soft = np.zeros((n, k_max)) if route else None
 
     pending = []  # (ensembled parameters, features, labels) of the steps not yet predicted
 
@@ -774,6 +775,10 @@ def run_episode(
                 update_centroids(centroids, reservoir)
                 q = soft_assign_vector(s, centroids)
                 k_star = int(np.argmax(q))
+                assigned[step] = k_star
+                detected[step] = centroids.count - 1
+                min_distance[step] = decision.distance
+                soft[step, : q.size] = q
             new_params = tta.tta_step(
                 model, models.entry(k_star), feats, method, context.fisher_omega
             )
@@ -788,14 +793,8 @@ def run_episode(
         gap = theta - model.source_params
         drift[step] = math.sqrt(gap @ gap)  # np.linalg.norm's 1-D arithmetic
         pending.append((theta, feats, batch.labels))
-        if len(pending) == _PREDICT_STEPS or step == n - 1:
+        if (step + 1) % _BLOCK_STEPS == 0 or step == n - 1:
             predict_pending(step + 1)
-
-        assigned[step] = k_star
-        detected[step] = centroids.count - 1
-        if trace:
-            min_distance[step] = decision.distance
-            soft[step, : q.size] = q
 
     return EpisodeMetrics(
         visits=visits,

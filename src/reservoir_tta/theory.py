@@ -157,11 +157,6 @@ def pure_noise_task(dim: int = 1, noise_std: float = 1.0) -> NoisyQuadraticTask:
     )
 
 
-def linear_variance_closed_form(eta: float, vbar: float, t: np.ndarray) -> np.ndarray:
-    """Plain-SGD pure-noise variance: ``t * eta^2 * vbar``."""
-    return np.asarray(t, dtype=np.float64) * eta**2 * vbar
-
-
 def ensemble_variance_closed_form(
     eta: float, alpha: float, vbar: float, t: np.ndarray
 ) -> np.ndarray:

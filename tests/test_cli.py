@@ -476,6 +476,20 @@ def test_failing_theory_check_exits_3(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "out" / "ensemble_var.csv").exists()
 
 
+def test_ensemble_var_holds_where_the_closed_form_reaches_its_asymptote(
+    tmp_path, monkeypatch, capsys
+):
+    # At alpha = 0.9 the closed form rounds to its asymptote, a supremum,
+    # from t = 178 on; reaching it respects the bound.
+    eta, alpha = cli.THEORY_ETA, 0.9
+    bound = eta**2 * alpha**2 / (1.0 - alpha**2)
+    assert theory.ensemble_variance_closed_form(eta, alpha, 1.0, np.array([200]))[0] == bound
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = _write_config(tmp_path, {"theory": {"steps": 200, "ensemble_trials": 20000}})
+    assert cli.main(["theory", "--config", path, "--checks", "ensemble_var"]) == 0
+    assert "asymptotic bound respected" in capsys.readouterr().out
+
+
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     # A config whose arrays cannot be allocated, such as 10**9 Chebyshev
     # steps, ends in numpy's MemoryError; none is allocated here.

@@ -109,8 +109,8 @@ class TestStyleReservoir:
         assert res.seen_count == 13
 
     def test_single_slot_inclusion_frequencies(self):
-        # M = 1, 1000 offers: every item should win with probability 1/1000.
-        trials, n = 10_000, 1000
+        # M = 1, 100 offers: every item should win with probability 1/100.
+        trials, n = 10_000, 100
         wins = np.zeros(n, dtype=np.int64)
         items = np.arange(n, dtype=np.float64)[:, None]
         for trial in range(trials):
@@ -120,7 +120,7 @@ class TestStyleReservoir:
             wins[int(res.styles[0, 0])] += 1
         p = 1.0 / n
         bound = 3 * np.sqrt(p * (1 - p) / trials)
-        for item in (0, 499, 999):  # spot checks per the 1, 500, 1000 cases
+        for item in (0, 49, 99):  # spot checks: the first, middle and last offer
             assert abs(wins[item] / trials - p) <= bound
 
     def test_inclusion_uniformity_m8(self):

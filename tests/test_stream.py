@@ -253,9 +253,11 @@ class TestScenarioPlan:
 
     def test_out_of_range_step(self, context):
         ds = stream.DomainStream(_context_with(context, visits=1, batches_per_domain=2), 0)
-        ds.next_batch(ds.context.plan.total_steps - 1)
+        n = ds.context.plan.total_steps
+        for step in range(n):
+            ds.next_batch(step)
         # A numpy index of -1 would quietly serve the last step.
-        for step in (-1, ds.context.plan.total_steps):
+        for step in (-1, n):
             with pytest.raises(EndOfStream):
                 ds.next_batch(step)
 
@@ -313,7 +315,22 @@ class TestDomainStream:
         again = ctx.plan.steps_per_visit  # same domain slot, visit 2
         visits = ds.schedule[0]
         assert visits[0] == 0 and visits[again] == 1
-        _assert_same_batch(ds.next_batch(0), ds.next_batch(again))
+        batches = [ds.next_batch(step) for step in range(again + 1)]
+        _assert_same_batch(batches[0], batches[again])
+
+    def test_only_the_next_step_is_served(self, context):
+        ctx = _context_with(context, visits=2, batches_per_domain=2)
+        ds = stream.DomainStream(ctx, seed=2)
+        n = ctx.plan.total_steps
+        for step in range(n):
+            # A step ahead of or behind the next one raises, and so does a
+            # repeat; the stream still serves its next step afterwards.
+            for wrong in (step + 1, step - 1):
+                with pytest.raises(EndOfStream):
+                    ds.next_batch(wrong)
+            _assert_same_batch(ds.next_batch(step), _prepared_batch(ctx, 2, step))
+            with pytest.raises(EndOfStream):
+                ds.next_batch(step)
 
     @given(
         kind=st.sampled_from(stream.SCENARIO_KINDS),
@@ -497,7 +514,7 @@ class TestDomainStream:
             ds.next_batch(step)
             # Held after this step: every key first seen at or before the end
             # of the current block, until its last step is done.
-            block_end = min(step - step % stream._PREP_STEPS + stream._PREP_STEPS, n) - 1
+            block_end = min(step - step % stream._BLOCK_STEPS + stream._BLOCK_STEPS, n) - 1
             held = {table_key[k] for k in first if first[k] <= block_end and step < last[k]}
             assert set(ds._replay) == held, step
         assert ds._replay == {}
@@ -589,7 +606,7 @@ class TestStepWork:
         assert set(prepared) == keys and set(prepared.values()) == {1}
         assert rows["features"] == rows["style"] == len(keys)
         # One stacked pass per block of steps at most.
-        blocks = -(-ctx.plan.total_steps // stream._PREP_STEPS)
+        blocks = -(-ctx.plan.total_steps // stream._BLOCK_STEPS)
         assert calls["features"] == calls["style"] <= blocks
 
     @pytest.mark.parametrize("kind", ["csc", "ccc", "cdc"])
@@ -703,8 +720,8 @@ def _per_step_episode(context, method, seed, trace=False):
     errors = np.zeros(n)
     detected = np.zeros(n, dtype=np.int64)
     drift = np.zeros(n)
-    min_distance = np.zeros(n) if trace else None
-    soft = np.zeros((n, k_max)) if trace else None
+    min_distance = np.zeros(n) if route else None
+    soft = np.zeros((n, k_max)) if route else None
     q, k_star = np.ones(1), 0
     for step in range(n):
         batch = _prepared_batch(context, seed, step, styles=route)
@@ -717,6 +734,8 @@ def _per_step_episode(context, method, seed, trace=False):
             stream.update_centroids(centroids, reservoir)
             q = stream.soft_assign_vector(s, centroids)
             k_star = int(np.argmax(q))
+            min_distance[step] = decision.distance
+            soft[step, : q.size] = q
         new_params = tta.tta_step(
             model, models.entry(k_star), feats, method, context.fisher_omega
         )
@@ -727,9 +746,6 @@ def _per_step_episode(context, method, seed, trace=False):
         errors[step] = float((predicted != batch.labels).mean())
         detected[step] = centroids.count - 1
         drift[step] = float(np.linalg.norm(theta - model.source_params))
-        if trace:
-            min_distance[step] = decision.distance
-            soft[step, : q.size] = q
     return stream.EpisodeMetrics(
         visits, np.where(weight < 0.5, primary, nxt), assigned, errors, detected, drift,
         min_distance, soft,
@@ -747,10 +763,9 @@ class TestStackedEngineOracle:
     def test_episode_equals_per_step_engine(
         self, context, monkeypatch, kind, reservoir, trace, steps
     ):
-        # 27 steps of 3 domains: at the default block sizes, a full and a
-        # partly fresh preparation block and a 3-step prediction tail; else
-        # both blocks sized so that the episode is one step short of a block
-        # or one step past it.
+        # 27 steps of 3 domains: at the default block size, a full block and
+        # an 11-step last one; else a block sized so that the episode is one
+        # step short of a block or one step past it.
         shape = (1, 1, 1) if steps == "one" else (3, 3, 3)
         ctx = _context_with(
             context, kind=kind, domains=shape[0], visits=shape[1], batches_per_domain=shape[2]
@@ -758,8 +773,7 @@ class TestStackedEngineOracle:
         n = ctx.plan.total_steps
         if steps in ("block-1", "block+1"):
             block = n + 1 if steps == "block-1" else n - 1
-            monkeypatch.setattr(stream, "_PREP_STEPS", block)
-            monkeypatch.setattr(stream, "_PREDICT_STEPS", block)
+            monkeypatch.setattr(stream, "_BLOCK_STEPS", block)
         method = tta.MethodConfig(name="m", kind="filtered_fisher", reservoir=reservoir, lr=0.05)
         got = stream.run_episode(ctx, method, seed=17, trace=trace)
         want = _per_step_episode(ctx, method, seed=17, trace=trace)
@@ -773,8 +787,8 @@ class TestStackedEngineOracle:
         # Step 3's ensembled parameters overflow the logits. Its prediction
         # waits for the end of its block, yet the episode still fails with
         # its error, also when a later step of the block fails first.
-        ctx = _context_with(context, visits=1, batches_per_domain=2)
-        assert 3 < 5 < stream._PREDICT_STEPS < ctx.plan.total_steps
+        ctx = _context_with(context, visits=1, batches_per_domain=3)
+        assert 3 < 5 < stream._BLOCK_STEPS < ctx.plan.total_steps
         ensemble, tta_step = ModelReservoir.ensemble_params, tta.tta_step
         steps = []
 
@@ -794,7 +808,7 @@ class TestStackedEngineOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="non-finite logits"):
                 stream.run_episode(ctx, method, seed=18)
-        assert len(steps) == (6 if later_failure else stream._PREDICT_STEPS)
+        assert len(steps) == (6 if later_failure else stream._BLOCK_STEPS)
 
 
 class TestRunEpisode:
@@ -882,20 +896,32 @@ class TestRunEpisode:
     @pytest.mark.parametrize("reservoir", [False, True], ids=["single", "reservoir"])
     @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
     def test_metrics_do_not_depend_on_the_trace(self, context, kind, reservoir):
+        # The trace routes a single-model episode; a reservoir episode routes
+        # anyway, and only an unrouted episode leaves the trace columns None.
         ctx = _context_with(context, kind=kind, visits=3, batches_per_domain=3)
         method = self._method(reservoir=reservoir, kind="entropy")
         traced = stream.run_episode(ctx, method, seed=15, trace=True)
         untraced = stream.run_episode(ctx, method, seed=15)
         trace_columns = ("min_distance", "soft_assignment")
-        for name in trace_columns:
-            assert getattr(untraced, name) is None, name
         n, k_max = ctx.plan.total_steps, DEFAULT_K_MAX if reservoir else 1
         assert traced.min_distance.shape == (n,)
         assert traced.soft_assignment.shape == (n, k_max)
         np.testing.assert_allclose(traced.soft_assignment.sum(axis=1), 1.0)
         for f in fields(stream.EpisodeMetrics):
-            if f.name not in trace_columns:
+            if f.name in trace_columns:
+                assert (getattr(untraced, f.name) is None) == (not reservoir), f.name
+            else:
                 assert _bits(getattr(traced, f.name)) == _bits(getattr(untraced, f.name)), f.name
+
+    @pytest.mark.parametrize("kind", ["csc", "cdc", "ccc"])
+    def test_untraced_routed_episode_keeps_its_routing_columns(self, context, kind):
+        ctx = _context_with(context, kind=kind, visits=2, batches_per_domain=3)
+        method = self._method(reservoir=True, kind="entropy")
+        traced = stream.run_episode(ctx, method, seed=19, trace=True)
+        untraced = stream.run_episode(ctx, method, seed=19)
+        assert untraced.detected_domains[-1] > 0
+        for name in ("assigned_models", "detected_domains", "min_distance", "soft_assignment"):
+            assert _bits(getattr(untraced, name)) == _bits(getattr(traced, name)), name
 
     def test_unobserved_single_model_episode_skips_routing(self, context, monkeypatch):
         ctx = _context_with(context, kind="ccc", visits=2, batches_per_domain=3)

@@ -101,9 +101,10 @@ class TestSimulateWeightEnsemble:
         np.testing.assert_array_equal(variance, np.zeros((1, 16)))
 
     def test_closed_form_near_alpha_one_matches_linear(self):
+        # The zero-curvature contractive form is plain SGD's t * eta^2 * vbar.
         t = np.arange(1, 101)
         near_one = theory.ensemble_variance_closed_form(0.1, 1 - 1e-9, 1.0, t)
-        linear = theory.linear_variance_closed_form(0.1, 1.0, t)
+        linear = theory.contractive_variance_closed_form(theory.pure_noise_task(), 0.1, t)
         np.testing.assert_allclose(near_one, linear, rtol=1e-3)
 
     def test_empirical_matches_closed_form(self):
