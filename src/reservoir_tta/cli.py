@@ -8,11 +8,13 @@ per-check CSVs). ``run`` calibrates the new-domain threshold itself.
 
 Exit codes: 0 success, 1 configuration error (a bad value or argument, a
 usage error such as an unknown subcommand or option, or a config file that
-is not UTF-8 YAML or repeats a key) or a config whose arrays do not fit in
-memory (``error: out of memory: ...``), 2 I/O error (a file that cannot be
-opened or written), 3 verification failure. Every argument is checked before
-the output directory is created. All emitted files are byte-reproducible for
-a fixed config.
+is not UTF-8 YAML or repeats a key), a severity that distorts the domains'
+batches to non-finite values (``error: severity ...``) or a config whose
+arrays do not fit in memory (``error: out of memory: ...``), 2 I/O error (a
+file that cannot be opened or written), 3 verification failure. Every
+argument is checked before the output directory is created, except the
+severity, which only the set-up can check. All emitted files are
+byte-reproducible for a fixed config.
 """
 
 from __future__ import annotations

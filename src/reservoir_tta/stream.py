@@ -21,13 +21,14 @@ replayed to every later step with that key. None of this work depends on the
 adapted parameters, and the stream serves its steps in order only, so the
 steps form blocks of ``_BLOCK_STEPS``: a block's fresh batches are
 distorted, featurized and styled as one stack at its first step.
-``run_episode`` executes the per-batch loop on those batches: reservoir
+``run_episode`` executes the per-batch pipeline on those batches: reservoir
 update, domain detection, centroid refinement, model selection and
-adaptation, parameter ensembling, prediction. Routing and adaptation run
-step by step; the prediction, which changes no state, runs for the whole
-block at its last step, as one stack. Every stacked pass gives each step the
-bits of its own per-step call. Its ``EpisodeMetrics`` is the one per-step
-record, behind the metrics CSV, the trace and the tests. A routed episode
+adaptation, parameter ensembling, prediction. It is one loop over the
+blocks: routing and adaptation run step by step within a block, and the
+prediction, which changes no state, runs once per block after its steps, as
+one stack. Every stacked pass gives each step the bits of its own per-step
+call. Its ``EpisodeMetrics`` is the one per-step record, behind the metrics
+CSV, the trace and the tests. A routed episode
 fills every routing column; an untraced single-model episode skips the
 routing stages, whose outcome is then constant. Hidden labels and the
 schedule's domain ids feed the metrics only, never the adaptation path.
@@ -56,7 +57,6 @@ from .errors import (
     GenerationError,
     InputDomainError,
     InsufficientDataError,
-    ReservoirTTAError,
     check_fields,
 )
 from .model_reservoir import ModelReservoir
@@ -79,8 +79,8 @@ DOMAIN_MAX_RETRIES = 10
 _CANDIDATE_STACK = 4
 _TABLE_ROWS = 128
 # Steps per block: DomainStream prepares a block's fresh batches as one stack
-# at its first step, and run_episode predicts the block as one stack at its
-# last; the size trades per-call overhead against transient memory.
+# at its first step, and run_episode predicts the block as one stack after
+# adapting its steps; the size trades per-call overhead against transient memory.
 _BLOCK_STEPS = 16
 
 
@@ -364,7 +364,10 @@ def make_domains(
     a rejected pool is redrawn with a fresh sub-seed up to
     ``DOMAIN_MAX_RETRIES`` times before raising. A candidate's style batches
     are keyed by its pool index (one :func:`domain_style_mean` call per
-    pool); a returned domain is named by its index in the returned list.
+    pool); a returned domain is named by its index in the returned list. A
+    ``severity`` that makes a candidate's distorted batches non-finite (at
+    the default set-up, from about 418 on) raises ``InputDomainError``
+    naming it, without numpy's overflow warnings.
     """
     if count < 1:
         raise InputDomainError(f"domain count must be positive, got {count}")
@@ -382,10 +385,14 @@ def make_domains(
         pool = [
             _draw_domain(severity, rng, blob.input_dim, tier=tier) for tier in tiers
         ]
-        means = domain_style_mean(
-            pool, blob, extractor, batch_size, DOMAIN_STYLE_BATCHES,
-            seed_key=(seed, _TAG_DOMAIN_CHECK, attempt),
-        )
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                means = domain_style_mean(
+                    pool, blob, extractor, batch_size, DOMAIN_STYLE_BATCHES,
+                    seed_key=(seed, _TAG_DOMAIN_CHECK, attempt),
+                )
+        except (InputDomainError, np.linalg.LinAlgError) as exc:
+            raise InputDomainError(f"severity {severity} makes the batches non-finite") from exc
         chosen, closest = _farthest_point_subset(means, count, source_style_mean)
         if closest > MIN_SEPARATION_FACTOR * tau:
             return [pool[idx] for idx in chosen]
@@ -421,7 +428,8 @@ class ScenarioPlan:
     """Stream schedule (which domain feeds each batch) and the domains' severity.
 
     ``domains``, ``visits`` and ``batches_per_domain`` are all >= 1, so an
-    episode has at least one step.
+    episode has at least one step. A severity too large for finite batches
+    passes here and fails in :func:`make_domains`.
     """
 
     kind: str = "csc"
@@ -710,16 +718,17 @@ def run_episode(
     the domain cap: without it the cap is 1, and the ensemble is the single
     model.
 
-    The prediction reads no state the later steps change, so each step only
-    buffers its ensembled parameters, features and labels; at the last step
-    of each block of ``_BLOCK_STEPS``, one stacked :func:`tta.predict` fills
-    the block's ``per_batch_error``. A non-finite prediction raises at its
-    block's end, with the same error; if a later step of the block fails
-    first, the pending steps are predicted before its error propagates, so
-    a prediction error still comes before the errors of the steps after
-    it. Errors of the stream's preparation are not deferred: a batch of the
-    block that cannot be prepared (say, with non-finite inputs) raises at
-    the block's first step.
+    The prediction reads no state the later steps change, so the episode is
+    one loop over the blocks of ``_BLOCK_STEPS`` steps: it routes and adapts
+    a block's steps one by one, keeping each step's ensembled parameters,
+    features and labels, and then one stacked :func:`tta.predict` fills the
+    block's ``per_batch_error``. The prediction runs in the block's
+    ``finally``: when a step fails, with any exception, the block's earlier
+    steps are predicted before its error propagates, so a non-finite
+    prediction still raises before the error of a later step, in the step
+    order of a per-step loop. Errors of the stream's preparation are not
+    deferred: a batch of the block that cannot be prepared (say, with
+    non-finite inputs) raises at the block's first step.
 
     A routed step fills every routing column. At cap 1 the routing is
     constant, q = [1] and k* = 0 on every step, so ``trace`` only decides
@@ -752,49 +761,38 @@ def run_episode(
     min_distance = np.zeros(n) if route else None
     soft = np.zeros((n, k_max)) if route else None
 
-    pending = []  # (ensembled parameters, features, labels) of the steps not yet predicted
-
-    def predict_pending(stop: int) -> None:
-        """Fill ``errors`` of the pending steps, the last before ``stop``."""
-        thetas, feats, labels = map(np.stack, zip(*pending))
-        start = stop - len(pending)
-        pending.clear()
-        probs = tta.predict(model, thetas, feats)
-        errors[start:stop] = (probs.argmax(axis=-1) != labels).mean(axis=-1)
-
     q, k_star = np.ones(1), 0  # the constant routing of an unrouted episode
-    for step in range(n):
+    for start in range(0, n, _BLOCK_STEPS):
+        adapted = []  # (ensembled parameters, features, labels) of the block's steps
         try:
-            batch = stream.next_batch(step)
-            feats, s = batch.features, batch.style
-            if route:
-                reservoir.offer(s)
-                decision = centroids.detect(s, context.tau)
-                if decision.kind == "new_domain":
-                    models.init_new_model(lambda p: tta.predict(model, p, feats))
-                update_centroids(centroids, reservoir)
-                q = soft_assign_vector(s, centroids)
-                k_star = int(np.argmax(q))
-                assigned[step] = k_star
-                detected[step] = centroids.count - 1
-                min_distance[step] = decision.distance
-                soft[step, : q.size] = q
-            new_params = tta.tta_step(
-                model, models.entry(k_star), feats, method, context.fisher_omega
-            )
-            models.write_active(k_star, new_params)
-            theta = models.ensemble_params(q)
-        except ReservoirTTAError:
-            # In step order, an error of the pending steps' prediction would
-            # have come first.
-            if pending:
-                predict_pending(step)
-            raise
-        gap = theta - model.source_params
-        drift[step] = math.sqrt(gap @ gap)  # np.linalg.norm's 1-D arithmetic
-        pending.append((theta, feats, batch.labels))
-        if (step + 1) % _BLOCK_STEPS == 0 or step == n - 1:
-            predict_pending(step + 1)
+            for step in range(start, min(start + _BLOCK_STEPS, n)):
+                batch = stream.next_batch(step)
+                feats, s = batch.features, batch.style
+                if route:
+                    reservoir.offer(s)
+                    decision = centroids.detect(s, context.tau)
+                    if decision.kind == "new_domain":
+                        models.init_new_model(lambda p: tta.predict(model, p, feats))
+                    update_centroids(centroids, reservoir)
+                    q = soft_assign_vector(s, centroids)
+                    k_star = int(np.argmax(q))
+                    assigned[step] = k_star
+                    detected[step] = centroids.count - 1
+                    min_distance[step] = decision.distance
+                    soft[step, : q.size] = q
+                new_params = tta.tta_step(
+                    model, models.entry(k_star), feats, method, context.fisher_omega
+                )
+                models.write_active(k_star, new_params)
+                theta = models.ensemble_params(q)
+                gap = theta - model.source_params
+                drift[step] = math.sqrt(gap @ gap)  # np.linalg.norm's 1-D arithmetic
+                adapted.append((theta, feats, batch.labels))
+        finally:  # also when a step failed: the steps before it come first
+            if adapted:
+                thetas, feats, labels = map(np.stack, zip(*adapted))
+                wrong = tta.predict(model, thetas, feats).argmax(axis=-1) != labels
+                errors[start : start + len(wrong)] = wrong.mean(axis=-1)
 
     return EpisodeMetrics(
         visits=visits,

@@ -172,18 +172,6 @@ def _write_config(tmp_path, data, name="config.yaml"):
             {"style": {"fisher_batches": 0}}, "style.fisher_batches: must be >= 1",
             id="fisher_batches-zero",
         ),
-        pytest.param(
-            {"theory": {"ensemble_alphas": [0.9, 1.0]}},
-            "theory.ensemble_alphas: entries must be in (0, 1)",
-            id="ensemble_alphas-one",
-        ),
-        # alpha = 0 keeps every trial at the start: a zero closed form that
-        # the relative deviation would divide by.
-        pytest.param(
-            {"theory": {"ensemble_alphas": [0.0]}},
-            "theory.ensemble_alphas: entries must be in (0, 1)",
-            id="ensemble_alphas-zero",
-        ),
         # Every broken rule of every section is listed in one error, in the
         # file's key order (safe_dump sorts the keys: clustering first).
         pytest.param(
@@ -293,6 +281,23 @@ def _write_config(tmp_path, data, name="config.yaml"):
             "theory.chebyshev_beta_factor: unknown field",
             id="chebyshev_beta_factor-one",
         ),
+        pytest.param(
+            {"theory": {"ensemble_alphas": [0.9, 1.0]}}, "theory.ensemble_alphas: unknown field",
+            id="ensemble_alphas-one",
+        ),
+        pytest.param(
+            {"theory": {"ensemble_alphas": [0.0]}}, "theory.ensemble_alphas: unknown field",
+            id="ensemble_alphas-zero",
+        ),
+        pytest.param(
+            {"theory": {"ensemble_alphas": []}}, "theory.ensemble_alphas: unknown field",
+            id="ensemble_alphas-empty",
+        ),
+        pytest.param(
+            {"theory": {"ensemble_alphas": [0.9, 0.99, 0.9]}},
+            "theory.ensemble_alphas: unknown field",
+            id="ensemble_alphas-repeated",
+        ),
         pytest.param({"theory": {"steps": 0}}, "theory.steps: must be >= 1", id="steps-zero"),
         pytest.param(
             {"theory": {"recursion_steps": 0}}, "theory.recursion_steps: must be >= 1",
@@ -305,17 +310,6 @@ def _write_config(tmp_path, data, name="config.yaml"):
         pytest.param(
             {"theory": {"chebyshev_steps": 0}}, "theory.chebyshev_steps: must be >= 1",
             id="chebyshev_steps-zero",
-        ),
-        pytest.param(
-            {"theory": {"ensemble_alphas": []}}, "theory.ensemble_alphas: must be nonempty",
-            id="ensemble_alphas-empty",
-        ),
-        # ensemble_var.csv has no alpha column: two walks of one alpha would
-        # write two blocks that cannot be told apart.
-        pytest.param(
-            {"theory": {"ensemble_alphas": [0.9, 0.99, 0.9]}},
-            "theory.ensemble_alphas: entries must be unique",
-            id="ensemble_alphas-repeated",
         ),
         # A method name is part of every output file name, which must fit in
         # 255 bytes: it would fail only after the first episode.
@@ -502,6 +496,18 @@ def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     assert cli.main(["theory", "--config", path, "--checks", "chebyshev"]) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 29.8 GiB for an array\n"
+
+
+@pytest.mark.parametrize("severity", [1000, 3000, 1e200])
+def test_severity_beyond_finite_batches_exits_1(tmp_path, monkeypatch, capsys, severity):
+    # A severity whose distortions overflow the domains' batches fails the
+    # set-up with one error naming it; a numpy warning would fail this test.
+    monkeypatch.setenv("RTTA_OUTPUT_DIR", str(tmp_path / "out"))
+    data = {**SMALL, "scenario": {**SMALL["scenario"], "severity": severity}}
+    assert cli.main(["run", "--config", _write_config(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: severity {severity} makes the batches non-finite\n"
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_run_trace_has_one_line_per_step(tmp_path, monkeypatch):

@@ -782,11 +782,12 @@ class TestStackedEngineOracle:
         for f in fields(stream.EpisodeMetrics):
             assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
 
-    @pytest.mark.parametrize("later_failure", [False, True])
+    @pytest.mark.parametrize("later_failure", [False, True, MemoryError])
     def test_deferred_prediction_keeps_its_error(self, context, monkeypatch, later_failure):
         # Step 3's ensembled parameters overflow the logits. Its prediction
         # waits for the end of its block, yet the episode still fails with
-        # its error, also when a later step of the block fails first.
+        # its error, also when a later step of the block fails first, with a
+        # library error (True) or any other exception.
         ctx = _context_with(context, visits=1, batches_per_domain=3)
         assert 3 < 5 < stream._BLOCK_STEPS < ctx.plan.total_steps
         ensemble, tta_step = ModelReservoir.ensemble_params, tta.tta_step
@@ -798,8 +799,10 @@ class TestStackedEngineOracle:
 
         def failing(*args):
             steps.append(None)
-            if later_failure and len(steps) == 6:
+            if later_failure is True and len(steps) == 6:
                 raise NumericalError("TTA gradient is non-finite")
+            if later_failure and len(steps) == 6:
+                raise later_failure()
             return tta_step(*args)
 
         monkeypatch.setattr(ModelReservoir, "ensemble_params", overflowing)
